@@ -3,9 +3,11 @@
 //! writing, newline count).
 //!
 //! The one-stage inflate rows measure the multi-symbol fast path against the
-//! single-symbol reference decoder on the base64 and silesia corpora; the
-//! `speedup_*` metrics are the machine-independent ratios the CI `perf-smoke`
-//! job gates on.
+//! single-symbol reference decoder on the base64 and silesia corpora, the
+//! two-stage rows the same hot loop emitting 16-bit marker symbols (all of
+//! them, and only until markers die out); the `speedup_*` and
+//! `two_stage_vs_one_stage_*` metrics are the machine-independent ratios the
+//! CI `perf-smoke` job gates on.
 
 use std::sync::Arc;
 
@@ -19,8 +21,9 @@ use rgz_blockfinder::{
 };
 use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
 use rgz_deflate::{
-    inflate, inflate_single_symbol, replace_markers, replace_markers_into_scalar,
-    CompressorOptions, DeflateCompressor, MARKER_BASE,
+    inflate, inflate_single_symbol, inflate_speculative, inflate_two_stage, replace_markers,
+    replace_markers_into_scalar, CompressorOptions, DeflateCompressor, SpeculativeOutput,
+    MARKER_BASE,
 };
 use rgz_metrics::MetricsRegistry;
 use rgz_trace::{chrome_trace_json, MetricsReport, TraceSink};
@@ -160,6 +163,94 @@ fn main() {
             println!("{:<28} {:>15.2}x", format!("  speedup ({name})"), speedup);
         }
         report.record(&format!("speedup_{name}"), speedup);
+
+        // Two-stage decode, as a speculative chunk sees the stream: from the
+        // first block boundary a whole window into it, window unknown —
+        // against the one-stage decoder on the same range with the window
+        // known.  Both into a reused buffer, so the ratio compares the two
+        // sinks of the one hot loop rather than first-touch page faults on
+        // twice the memory.
+        let mut reader = BitReader::new(&compressed);
+        let blocks = inflate(&mut reader, &[], &mut Vec::new(), u64::MAX)
+            .unwrap()
+            .blocks;
+        let start = blocks
+            .iter()
+            .find(|block| block.uncompressed_offset >= 32 * 1024)
+            .expect("corpus spans several blocks");
+        let split = start.uncompressed_offset as usize;
+        let (window, tail) = (&data[split - 32 * 1024..split], &data[split..]);
+        let mut bytes = Vec::with_capacity(tail.len());
+        let ((), duration) = best_of(|| {
+            let mut reader = BitReader::new(&compressed);
+            reader.seek_to_bit(start.bit_offset).unwrap();
+            bytes.clear();
+            inflate(&mut reader, window, &mut bytes, u64::MAX).unwrap();
+        });
+        assert_eq!(bytes, tail, "mid-stream decode must round-trip");
+        let one_stage = row(
+            &mut report,
+            json,
+            &format!("Inflate mid-stream ({name})"),
+            &format!("inflate_mid_stream_{name}_mb_s"),
+            tail.len(),
+            duration,
+        );
+        let mut symbols = Vec::with_capacity(tail.len());
+        let ((), duration) = best_of(|| {
+            let mut reader = BitReader::new(&compressed);
+            reader.seek_to_bit(start.bit_offset).unwrap();
+            symbols.clear();
+            inflate_two_stage(&mut reader, &mut symbols, u64::MAX).unwrap();
+        });
+        assert_eq!(
+            replace_markers(&symbols, window).unwrap(),
+            tail,
+            "two-stage decode must round-trip"
+        );
+        let two_stage = row(
+            &mut report,
+            json,
+            &format!("Inflate two-stage ({name})"),
+            &format!("inflate_two_stage_{name}_mb_s"),
+            tail.len(),
+            duration,
+        );
+        let (output, duration) = best_of(|| {
+            let mut reader = BitReader::new(&compressed);
+            reader.seek_to_bit(start.bit_offset).unwrap();
+            let mut output = SpeculativeOutput::new();
+            inflate_speculative(&mut reader, &mut output, u64::MAX).unwrap();
+            output
+        });
+        let wide_share = output.prefix().len() as f64 / tail.len() as f64;
+        assert_eq!(
+            output.resolve(window).unwrap(),
+            tail,
+            "hybrid decode must round-trip"
+        );
+        row(
+            &mut report,
+            json,
+            &format!("Inflate hybrid ({name})"),
+            &format!("inflate_hybrid_{name}_mb_s"),
+            tail.len(),
+            duration,
+        );
+        let ratio = two_stage / one_stage;
+        if !json {
+            println!(
+                "{:<28} {:>15.2}x",
+                format!("  two-stage/one-stage ({name})"),
+                ratio
+            );
+            println!(
+                "{:<28} {:>15.1}%",
+                format!("  hybrid u16 share ({name})"),
+                100.0 * wide_share
+            );
+        }
+        report.record(&format!("two_stage_vs_one_stage_{name}"), ratio);
     }
 
     // Marker replacement.

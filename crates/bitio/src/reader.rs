@@ -240,25 +240,33 @@ impl<'a> BitReader<'a> {
     /// Reads `out.len()` bytes starting at the current (byte-aligned)
     /// position. The reader must be byte-aligned.
     pub fn read_bytes(&mut self, out: &mut [u8]) -> Result<(), BitIoError> {
+        out.copy_from_slice(self.take_bytes(out.len())?);
+        Ok(())
+    }
+
+    /// Borrows the next `length` bytes at the current (byte-aligned) position
+    /// and advances past them, so callers can copy (or widen) a Stored
+    /// block's payload straight into their output. The reader must be
+    /// byte-aligned.
+    pub fn take_bytes(&mut self, length: usize) -> Result<&'a [u8], BitIoError> {
         assert_eq!(
             self.position() % 8,
             0,
-            "read_bytes requires a byte-aligned reader"
+            "take_bytes requires a byte-aligned reader"
         );
         let start = (self.position() / 8) as usize;
-        let end = start + out.len();
+        let end = start + length;
         if end > self.data.len() {
             return Err(BitIoError::UnexpectedEof {
                 position: self.position(),
-                requested: (out.len() * 8) as u32,
+                requested: (length * 8) as u32,
                 available: self.remaining_bits(),
             });
         }
-        out.copy_from_slice(&self.data[start..end]);
         self.bit_buffer = 0;
         self.bit_count = 0;
         self.next_byte = end;
-        Ok(())
+        Ok(&self.data[start..end])
     }
 
     /// Reads a little-endian `u16` from a byte-aligned position.

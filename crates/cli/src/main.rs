@@ -456,6 +456,19 @@ fn run(options: &Options) -> Result<(), String> {
                 "rgzip: speculation waste: {} chunk(s) discarded, {} bytes decoded in vain",
                 statistics.speculative_chunks_wasted, statistics.speculative_bytes_wasted
             );
+            let speculative_bytes =
+                statistics.speculative_bytes_u16 + statistics.speculative_bytes_u8;
+            eprintln!(
+                "rgzip: speculative decode: {} bytes as 16-bit marker symbols, {} bytes as \
+                 plain bytes after markers died out ({:.1} % at one-stage speed)",
+                statistics.speculative_bytes_u16,
+                statistics.speculative_bytes_u8,
+                if speculative_bytes > 0 {
+                    100.0 * statistics.speculative_bytes_u8 as f64 / speculative_bytes as f64
+                } else {
+                    0.0
+                }
+            );
             eprintln!(
                 "rgzip: index-aligned prefetch: {} issued, {} hits",
                 statistics.index_prefetches_issued, statistics.index_prefetch_hits

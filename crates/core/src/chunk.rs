@@ -5,9 +5,11 @@
 //! * **Speculative** ([`decode_speculative_chunk`]): a worker thread is given
 //!   a *guessed* chunk start (a multiple of the chunk size), locates the next
 //!   DEFLATE block with the block finder, and decodes in two-stage mode
-//!   producing 16-bit marker symbols because the preceding window is unknown.
-//!   This can fail entirely (no block found) or latch onto a false positive;
-//!   both cases are handled gracefully by the orchestrator.
+//!   producing 16-bit marker symbols because the preceding window is unknown
+//!   — but only until the last 32 KiB of output are marker-free (or a gzip
+//!   member ends), from where the rest of the chunk decodes straight to
+//!   bytes.  This can fail entirely (no block found) or latch onto a false
+//!   positive; both cases are handled gracefully by the orchestrator.
 //! * **Direct** ([`decode_chunk_at`]): the exact block offset *and* its
 //!   window are known (from the previous chunk or from an index), so the
 //!   chunk decodes straight to bytes without markers — the same fast path
@@ -19,7 +21,9 @@
 
 use rgz_bitio::BitReader;
 use rgz_blockfinder::{BlockFinder, CombinedBlockFinder};
-use rgz_deflate::{inflate, inflate_hashed, inflate_two_stage, DeflateError, StopReason};
+use rgz_deflate::{
+    inflate, inflate_hashed, inflate_speculative, DeflateError, SpeculativeOutput, StopReason,
+};
 use rgz_gzip::{parse_footer, parse_header, GzipError, GzipFooter};
 use rgz_io::{FileReader, SharedFileReader};
 use rgz_trace::{Outcome, Stage, TraceSink};
@@ -63,14 +67,20 @@ pub struct SpeculativeChunk {
     pub found_bit_offset: u64,
     /// Absolute bit offset at which the next chunk starts.
     pub end_bit_offset: u64,
-    /// 16-bit output symbols (literals and markers).
-    pub symbols: Vec<u16>,
+    /// Decoded output: a 16-bit marker prefix plus, from where the decoder
+    /// could switch, a plain byte tail.
+    pub output: SpeculativeOutput,
+    /// Which bytes of the (still unknown) preceding window the chunk
+    /// references, as sorted marker-space `(offset, length)` runs — recorded
+    /// by the decoder as it emits markers, so nobody has to rescan the
+    /// symbols.  Non-empty exactly when the output contains markers.
+    pub window_usage: Vec<(u32, u32)>,
     /// Number of DEFLATE blocks decoded.
     pub block_count: usize,
     /// Whether the end of the compressed file was reached.
     pub reached_end_of_file: bool,
-    /// Gzip member boundaries inside the chunk: `(end offset in symbol
-    /// space, trailer)` per member that *ends* within this chunk, in order.
+    /// Gzip member boundaries inside the chunk: `(end offset in the output,
+    /// trailer)` per member that *ends* within this chunk, in order.
     /// Symbols map 1:1 to output bytes, so these offsets split the resolved
     /// data into per-member CRC fragments after marker replacement.
     pub member_ends: Vec<(u64, GzipFooter)>,
@@ -354,21 +364,20 @@ fn decode_speculative_in_range(
                 range_start_byte + range.len() as u64,
             );
         match try_speculative_decode(range, candidate, relative_stop) {
-            Ok((symbols, end_position, block_count, reached_end_of_file, member_ends)) => {
-                span.set_bytes(symbols.len() as u64);
+            Ok(decoded) => {
+                span.set_bytes(decoded.output.len() as u64);
+                span.set_marker_bytes(decoded.output.prefix().len() as u64);
                 span.set_compressed_range(
                     range_start_byte + candidate / 8,
-                    range_start_byte + end_position.div_ceil(8),
+                    range_start_byte + decoded.end_bit_offset.div_ceil(8),
                 );
                 span.finish();
+                // The decode worked in offsets relative to `range`.
                 return SpeculativeOutcome::Found(SpeculativeChunk {
                     requested_bit_offset: guess_bit,
                     found_bit_offset: range_start_bits + candidate,
-                    end_bit_offset: range_start_bits + end_position,
-                    symbols,
-                    block_count,
-                    reached_end_of_file,
-                    member_ends,
+                    end_bit_offset: range_start_bits + decoded.end_bit_offset,
+                    ..decoded
                 });
             }
             Err(error) if is_eof_like(&error) => {
@@ -386,25 +395,28 @@ fn decode_speculative_in_range(
     }
 }
 
-type SpeculativeDecode = (Vec<u16>, u64, usize, bool, Vec<(u64, GzipFooter)>);
-
+/// Decodes the chunk starting at bit `start` of `range`; the bit offsets of
+/// the returned chunk are relative to `range`.
 fn try_speculative_decode(
     range: &[u8],
     start: u64,
     relative_stop: u64,
-) -> Result<SpeculativeDecode, CoreError> {
+) -> Result<SpeculativeChunk, CoreError> {
     let mut reader = BitReader::new(range);
     reader
         .seek_to_bit(start)
         .map_err(|_| CoreError::Deflate(DeflateError::UnexpectedEof))?;
-    let mut symbols = Vec::new();
+    let mut output = SpeculativeOutput::new();
+    let mut window_usage = None;
     let mut block_count = 0usize;
     let mut reached_end_of_file = false;
     let mut member_ends = Vec::new();
     loop {
-        let outcome = inflate_two_stage(&mut reader, &mut symbols, relative_stop)
+        let outcome = inflate_speculative(&mut reader, &mut output, relative_stop)
             .map_err(CoreError::Deflate)?;
         block_count += outcome.blocks.len();
+        // Only the chunk's first member can reference the preceding window.
+        window_usage.get_or_insert(outcome.window_usage);
         match outcome.stop_reason {
             StopReason::StopOffsetReached => break,
             StopReason::EndOfInput => {
@@ -412,27 +424,35 @@ fn try_speculative_decode(
             }
             StopReason::EndOfStream => {
                 let (footer, at_end_of_file) = cross_member_boundary(&mut reader)?;
-                member_ends.push((symbols.len() as u64, footer));
+                member_ends.push((output.len() as u64, footer));
                 if at_end_of_file {
                     reached_end_of_file = true;
                     break;
                 }
+                // The next member starts with an empty window: nothing after
+                // this point can reference the markers.
+                output.switch_to_bytes();
             }
         }
     }
-    Ok((
-        symbols,
-        reader.position(),
+    // Up to `prefetch_degree` finished chunks wait for the sequential pass;
+    // the doubling growth left each up to a third of its capacity unused.
+    output.shrink_to_fit();
+    Ok(SpeculativeChunk {
+        requested_bit_offset: start,
+        found_bit_offset: start,
+        end_bit_offset: reader.position(),
+        output,
+        window_usage: window_usage.unwrap_or_default(),
         block_count,
         reached_end_of_file,
         member_ends,
-    ))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rgz_deflate::replace_markers;
     use rgz_gzip::GzipWriter;
 
     fn corpus(records: usize) -> Vec<u8> {
@@ -542,7 +562,10 @@ mod tests {
 
         // Resolving its markers with chunk 0's window yields the original data.
         let window_start = chunk0.data.len().saturating_sub(32 * 1024);
-        let resolved = replace_markers(&speculative.symbols, &chunk0.data[window_start..]).unwrap();
+        let resolved = speculative
+            .output
+            .resolve(&chunk0.data[window_start..])
+            .unwrap();
         let offset = chunk0.data.len();
         assert_eq!(&resolved[..], &data[offset..offset + resolved.len()]);
     }
@@ -606,6 +629,110 @@ mod tests {
             speculative.is_none(),
             "single-block files cannot provide speculative chunks"
         );
+    }
+
+    /// Every speculative chunk `compressed` offers at `chunk_size` against
+    /// the direct decode from the same block with the true window: same
+    /// bytes, end offset, window usage, member ends and trailers.  Returns
+    /// how many chunks were compared and how many of them decoded part of
+    /// their output as plain bytes.
+    fn assert_speculative_chunks_match_direct_decode(
+        compressed: &[u8],
+        chunk_size: usize,
+    ) -> (usize, usize) {
+        let shared = SharedFileReader::from_bytes(compressed.to_vec());
+        let (mut compared, mut switched) = (0, 0);
+        for guess in 1..compressed.len().div_ceil(chunk_size) {
+            let Some(speculative) = decode_speculative_chunk(&shared, chunk_size, guess).unwrap()
+            else {
+                continue;
+            };
+            // Everything before the chunk, for its true window.  A real
+            // block start is where a direct decode told to stop there stops.
+            let start = speculative.found_bit_offset;
+            let before = decode_chunk_at(&shared, 0, start, &[], true, chunk_size, false).unwrap();
+            assert_eq!(before.end_bit_offset, start, "block finder false positive");
+            let window = &before.data[before.data.len().saturating_sub(32 * 1024)..];
+            let stop = (guess as u64 + 1) * chunk_size as u64 * 8;
+            let direct =
+                decode_chunk_at(&shared, start, stop, window, false, chunk_size, true).unwrap();
+
+            assert_eq!(speculative.end_bit_offset, direct.end_bit_offset);
+            assert_eq!(speculative.reached_end_of_file, direct.reached_end_of_file);
+            assert_eq!(speculative.window_usage, direct.window_usage);
+            let mut fragment_end = 0;
+            let direct_member_ends: Vec<(u64, GzipFooter)> = direct
+                .fragments
+                .iter()
+                .filter_map(|fragment| {
+                    fragment_end += fragment.length;
+                    Some((fragment_end, fragment.trailer?))
+                })
+                .collect();
+            assert_eq!(speculative.member_ends, direct_member_ends);
+            compared += 1;
+            switched += usize::from(!speculative.output.tail().is_empty());
+            assert_eq!(speculative.output.resolve(window).unwrap(), direct.data);
+        }
+        (compared, switched)
+    }
+
+    #[test]
+    fn a_member_boundary_inside_a_chunk_switches_to_bytes() {
+        // Marker-heavy members (markers never die out on their own), so only
+        // the member boundary can have switched a chunk to bytes.
+        let members = [
+            rgz_datagen::silesia_like(300_000, 1),
+            rgz_datagen::silesia_like(200_000, 2),
+            rgz_datagen::silesia_like(250_000, 3),
+        ];
+        let parts: Vec<&[u8]> = members.iter().map(Vec::as_slice).collect();
+        let writer = GzipWriter::new(rgz_deflate::CompressorOptions {
+            block_size: 16 * 1024,
+            ..Default::default()
+        });
+        let compressed = writer.compress_members(&parts);
+        let (compared, switched) =
+            assert_speculative_chunks_match_direct_decode(&compressed, 16 * 1024);
+        assert!(compared >= 8, "{compared} chunks compared");
+        assert!(
+            (2..compared).contains(&switched),
+            "{switched} of {compared}"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Valid multi-member files of every compressibility: the hybrid
+        /// chunk decode is indistinguishable from the direct one.  (Corrupt
+        /// streams are covered where they are decoded, in `rgz_deflate`'s
+        /// `speculative_decode` test: a speculative chunk that fails to
+        /// decode is simply not offered.)
+        #[test]
+        fn speculative_chunks_match_direct_decode(
+            seed in 0u64..1_000_000,
+            member_lengths in proptest::collection::vec(1usize..400_000, 1..4),
+            block_size in 4usize..48,
+            chunk_size in 8usize..96,
+        ) {
+            let members: Vec<Vec<u8>> = member_lengths
+                .iter()
+                .enumerate()
+                .map(|(index, &length)| match (seed as usize + index) % 3 {
+                    0 => rgz_datagen::base64_random(length, seed),
+                    1 => rgz_datagen::silesia_like(length, seed),
+                    _ => rgz_datagen::fastq_of_size(length, seed),
+                })
+                .collect();
+            let parts: Vec<&[u8]> = members.iter().map(Vec::as_slice).collect();
+            let writer = GzipWriter::new(rgz_deflate::CompressorOptions {
+                block_size: block_size * 1024,
+                ..Default::default()
+            });
+            let compressed = writer.compress_members(&parts);
+            assert_speculative_chunks_match_direct_decode(&compressed, chunk_size * 1024);
+        }
     }
 
     #[test]

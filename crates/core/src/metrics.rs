@@ -37,6 +37,8 @@ pub(crate) struct ReaderMetrics {
     pub bytes_out: Counter,
     pub bytes_wasted: Counter,
     pub speculation_mismatches: Counter,
+    pub speculative_bytes_u16: Counter,
+    pub speculative_bytes_u8: Counter,
     pub prefetch_issued_speculative: Counter,
     pub prefetch_issued_index: Counter,
     pub prefetch_hits: Counter,
@@ -64,6 +66,8 @@ impl ReaderMetrics {
             bytes_out: Counter::disconnected(),
             bytes_wasted: Counter::disconnected(),
             speculation_mismatches: Counter::disconnected(),
+            speculative_bytes_u16: Counter::disconnected(),
+            speculative_bytes_u8: Counter::disconnected(),
             prefetch_issued_speculative: Counter::disconnected(),
             prefetch_issued_index: Counter::disconnected(),
             prefetch_hits: Counter::disconnected(),
@@ -103,6 +107,13 @@ impl ReaderMetrics {
                 &[("kind", kind)],
             )
         };
+        let speculative_bytes = |width: &str| {
+            registry.counter_with_labels(
+                names::SPECULATIVE_BYTES,
+                "Bytes of committed speculative chunks, by the symbol width they were decoded at",
+                &[("width", width)],
+            )
+        };
         let verify = |outcome: &str| {
             registry.counter_with_labels(
                 names::VERIFICATION,
@@ -131,6 +142,8 @@ impl ReaderMetrics {
                 names::SPECULATION_MISMATCHES,
                 "Speculative chunks rejected because the block boundary guess was wrong",
             ),
+            speculative_bytes_u16: speculative_bytes("u16"),
+            speculative_bytes_u8: speculative_bytes("u8"),
             prefetch_issued_speculative: prefetch("speculative"),
             prefetch_issued_index: prefetch("index"),
             prefetch_hits: registry.counter(
@@ -177,6 +190,8 @@ impl ReaderStatistics {
             ),
             speculative_chunks_wasted: counter(names::CHUNKS_WASTED, &[]),
             speculative_bytes_wasted: counter(names::BYTES_WASTED, &[]),
+            speculative_bytes_u16: counter(names::SPECULATIVE_BYTES, &[("width", "u16")]),
+            speculative_bytes_u8: counter(names::SPECULATIVE_BYTES, &[("width", "u8")]),
             pool_queue_depth: gauge(names::POOL_QUEUE_DEPTH),
             pool_tasks_inflight: gauge(names::POOL_TASKS_INFLIGHT),
             pool_tasks_submitted: counter(names::POOL_TASKS_TOTAL, &[]),

@@ -6,7 +6,6 @@ use std::io::{Read, Seek, SeekFrom};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rgz_deflate::{replace_markers, replace_markers_hashed, resolve_window, WindowUsage};
 use rgz_fetcher::{Cache, IndexAlignedPlan, TaskHandle, ThreadPool};
 use rgz_index::{GzipIndex, PointChecksums, SeekPoint, WINDOW_SIZE};
 use rgz_io::{FileReader, SharedFileReader};
@@ -144,6 +143,13 @@ pub struct ReaderStatistics {
     /// wasted speculative chunks above — the paper's speculation-waste cost,
     /// previously invisible.
     pub speculative_bytes_wasted: u64,
+    /// Bytes of committed speculative chunks that had to be decoded as 16-bit
+    /// marker symbols: the window was unknown and markers were still alive.
+    pub speculative_bytes_u16: u64,
+    /// Bytes of the same chunks decoded straight to `u8` at one-stage speed,
+    /// after their last 32 KiB had become marker-free (or a gzip member had
+    /// ended).  A low share here is why a speculative decode was slow.
+    pub speculative_bytes_u8: u64,
     /// Tasks currently waiting in the worker pool's queue (sampled live when
     /// [`ParallelGzipReader::statistics`] is called).
     pub pool_queue_depth: u64,
@@ -529,36 +535,22 @@ impl ParallelGzipReader {
         let members_ended;
         match speculative {
             Some(chunk) if chunk.found_bit_offset == start_bit && start_bit != 0 => {
-                // Non-empty usage is exactly "some symbol is a marker", so a
-                // second contains_markers scan over the symbols is redundant.
-                window_usage = WindowUsage::from_symbols(&chunk.symbols).intervals();
                 // Resolve the trailing window serially, then dispatch the full
                 // marker replacement to the pool (§2.2: only the window
-                // propagation is inherently sequential).
-                let next_window = if !window_usage.is_empty() {
-                    resolve_window(&chunk.symbols, &window).map_err(CoreError::Deflate)?
-                } else {
-                    let resolved_tail: Vec<u8> = chunk
-                        .symbols
-                        .iter()
-                        .skip(chunk.symbols.len().saturating_sub(WINDOW_SIZE))
-                        .map(|&s| s as u8)
-                        .collect();
-                    let mut combined = Vec::with_capacity(WINDOW_SIZE);
-                    if resolved_tail.len() < WINDOW_SIZE {
-                        let need = WINDOW_SIZE - resolved_tail.len();
-                        let take = need.min(window.len());
-                        combined.extend_from_slice(&window[window.len() - take..]);
-                    }
-                    combined.extend_from_slice(&resolved_tail);
-                    combined
-                };
+                // propagation is inherently sequential — and not even that
+                // once the chunk's byte tail spans a whole window).
+                let next_window = chunk
+                    .output
+                    .next_window(&window)
+                    .map_err(CoreError::Deflate)?;
+                window_usage = chunk.window_usage;
                 end_bit = chunk.end_bit_offset;
-                chunk_length = chunk.symbols.len() as u64;
+                chunk_length = chunk.output.len() as u64;
                 reached_end_of_file = chunk.reached_end_of_file;
                 window_for_next = Arc::new(next_window);
                 let window_clone = window.clone();
-                let symbols = chunk.symbols;
+                let output = chunk.output;
+                let wide_bytes = output.prefix().len() as u64;
                 let member_ends = chunk.member_ends;
                 members_ended = member_ends.len() as u64;
                 let verifier = self.verifier.clone();
@@ -575,14 +567,15 @@ impl ParallelGzipReader {
                         .span(Stage::MarkerReplace)
                         .chunk(start_bit)
                         .member(first_member);
-                    span.set_bytes(symbols.len() as u64);
+                    span.set_bytes(chunk_length);
                     let result = if verify {
                         // Hash the resolved bytes per member fragment right
                         // here on the worker, then hand the fragments to the
                         // stream-ordered fold.
                         let ends: Vec<usize> =
                             member_ends.iter().map(|&(end, _)| end as usize).collect();
-                        replace_markers_hashed(&symbols, &window_clone, &ends)
+                        output
+                            .resolve_hashed(&window_clone, &ends)
                             .map_err(CoreError::Deflate)
                             .map(|(data, crcs)| {
                                 let mut fragments = Vec::with_capacity(crcs.len());
@@ -614,7 +607,7 @@ impl ParallelGzipReader {
                                 data
                             })
                     } else {
-                        replace_markers(&symbols, &window_clone).map_err(CoreError::Deflate)
+                        output.resolve(&window_clone).map_err(CoreError::Deflate)
                     };
                     span.set_outcome(match &result {
                         Ok(_) => Outcome::Committed,
@@ -632,13 +625,22 @@ impl ParallelGzipReader {
                         ..EventMeta::default()
                     },
                 );
-                self.state.lock().statistics.speculative_chunks_used += 1;
+                {
+                    let mut state = self.state.lock();
+                    state.statistics.speculative_chunks_used += 1;
+                    state.statistics.speculative_bytes_u16 += wide_bytes;
+                    state.statistics.speculative_bytes_u8 += chunk_length - wide_bytes;
+                }
                 self.metrics.chunks_speculative.inc();
+                self.metrics.speculative_bytes_u16.add(wide_bytes);
+                self.metrics
+                    .speculative_bytes_u8
+                    .add(chunk_length - wide_bytes);
                 self.metrics.bytes_out.add(chunk_length);
             }
             other => {
                 if let Some(wasted) = other {
-                    let wasted_bytes = wasted.symbols.len() as u64;
+                    let wasted_bytes = wasted.output.len() as u64;
                     let mut state = self.state.lock();
                     state.statistics.speculative_mismatches += 1;
                     state.statistics.speculative_chunks_wasted += 1;
@@ -760,7 +762,7 @@ impl ParallelGzipReader {
         let mut wasted_events: Vec<(u64, u64)> = Vec::with_capacity(stale.len());
         for found in stale {
             if let Some(chunk) = state.speculative_ready.remove(&found) {
-                let bytes = chunk.symbols.len() as u64;
+                let bytes = chunk.output.len() as u64;
                 state.statistics.speculative_chunks_wasted += 1;
                 state.statistics.speculative_bytes_wasted += bytes;
                 wasted_events.push((found, bytes));
@@ -780,7 +782,7 @@ impl ParallelGzipReader {
             for index in finished {
                 if let Some(handle) = state.speculative_pending.remove(&index) {
                     if let Some(Ok(Ok(Some(chunk)))) = handle.try_wait() {
-                        let bytes = chunk.symbols.len() as u64;
+                        let bytes = chunk.output.len() as u64;
                         state.statistics.speculative_chunks_wasted += 1;
                         state.statistics.speculative_bytes_wasted += bytes;
                         wasted_events.push((chunk.found_bit_offset, bytes));
@@ -1864,6 +1866,31 @@ mod tests {
         );
         assert!(report.speculation.submitted >= report.speculation.committed_chunks);
 
+        // Every successful two-stage decode span says how much of its output
+        // it had to decode as 16-bit symbols; the committed ones among them
+        // are what the statistics count.
+        let marker_bytes: u64 = snapshot
+            .iter()
+            .flat_map(|track| &track.events)
+            .filter(|event| {
+                matches!(
+                    event.kind,
+                    EventKind::Span {
+                        stage: Stage::DecodeTwoStage,
+                        outcome: Outcome::Ok,
+                        ..
+                    }
+                )
+            })
+            .map(|event| {
+                let marker_bytes = event.meta.marker_bytes.expect("recorded on success");
+                assert!(marker_bytes <= event.meta.bytes.unwrap());
+                marker_bytes
+            })
+            .sum();
+        assert!(statistics.speculative_bytes_u16 > 0);
+        assert!(marker_bytes >= statistics.speculative_bytes_u16);
+
         // A disabled sink built the exact same way records nothing.
         let data = fastq_records(2_000, 70);
         let compressed = GzipWriter::default().compress(&data);
@@ -1945,7 +1972,8 @@ mod tests {
                         requested_bit_offset: found,
                         found_bit_offset: found,
                         end_bit_offset: found + 8,
-                        symbols: vec![0u16; 100],
+                        output: vec![0u16; 100].into(),
+                        window_usage: Vec::new(),
                         block_count: 1,
                         reached_end_of_file: false,
                         member_ends: Vec::new(),

@@ -58,6 +58,13 @@ fn sequential_statistics_match_registry_snapshot() {
     let reconstructed = ReaderStatistics::from_metrics_snapshot(&snapshot);
     assert_eq!(reconstructed, statistics);
 
+    // Every byte of a committed speculative chunk was decoded either as a
+    // 16-bit marker symbol or, after the switch, as a plain byte.
+    assert!(statistics.speculative_bytes_u16 > 0);
+    assert_eq!(
+        snapshot.counter_total(names::SPECULATIVE_BYTES),
+        statistics.speculative_bytes_u16 + statistics.speculative_bytes_u8
+    );
     // Committed output bytes must account for every decompressed byte.
     assert_eq!(snapshot.counter_total(names::BYTES_OUT), data.len() as u64);
     // The stream verifier's member count is mirrored into the labeled

@@ -70,12 +70,14 @@ pub fn fixed_block_codes() -> BlockCodes {
     }
 }
 
-/// The decoders the one-stage fast path uses for a compressed block: the
-/// multi-symbol literal table plus the single-symbol decoders it falls back
-/// to (over-long codes, near-end-of-input tails) and the distance decoder.
+/// The decoders the fast path uses for a compressed block: the multi-symbol
+/// literal table plus the single-symbol decoders it falls back to (over-long
+/// codes, near-end-of-input tails) and the distance decoder.
 ///
-/// The two-stage (marker) decoder keeps using [`BlockCodes`]: marker symbols
-/// cannot be packed, so it never pays for the fast table.
+/// One- and two-stage decoding share them: the table packs *literals*, which
+/// are bytes in the stream whatever width the output has, and markers only
+/// ever come out of match copies.  [`BlockCodes`] remains for the
+/// single-symbol reference decoder.
 #[derive(Debug, Clone)]
 pub struct FastBlockCodes {
     /// Single-symbol literal/length decoder — the exact reference fallback.

@@ -7,18 +7,24 @@
 //! The two-stage path implements §2.2 of the paper: a thread that starts
 //! decoding in the middle of a stream does not know the preceding window, so
 //! back-references into it emit 16-bit *marker* symbols which a later, much
-//! cheaper pass replaces once the window is known.
+//! cheaper pass replaces once the window is known.  [`inflate_speculative`]
+//! stays in that mode only until the last 32 KiB of output are marker-free,
+//! then finishes through the one-stage path.
+//!
+//! Both paths run the same block loop and the same two symbol loops (the
+//! multi-symbol hot loop and its single-symbol reference), generic over the
+//! output [`Sink`]: [`ByteSink`] or [`MarkerSink`].
 
 use rgz_bitio::BitReader;
 use rgz_huffman::{FastEntryKind, HuffmanDecoder, FAST_TABLE_BITS, MAX_LENGTH_EXTRA_BITS};
 
 use crate::block::{
     decode_distance, decode_length, dynamic_block_codes, dynamic_block_codes_fast,
-    fixed_block_codes, fixed_block_codes_fast, read_block_header, read_stored_header, BlockCodes,
-    BlockType, FastBlockCodes,
+    fixed_block_codes, fixed_block_codes_fast, read_block_header, read_stored_header, BlockType,
+    FastBlockCodes,
 };
 use crate::constants::{END_OF_BLOCK, WINDOW_SIZE};
-use crate::markers::WindowUsage;
+use crate::markers::{SpeculativeOutput, WindowUsage};
 use crate::DeflateError;
 
 /// Marker base: output symbols `>= MARKER_BASE` denote offset
@@ -101,10 +107,130 @@ fn should_stop_before_block(reader: &mut BitReader<'_>, stop_offset: u64) -> boo
     block_type == 0b00 || block_type == 0b10
 }
 
-// --- one-stage decoding ------------------------------------------------------
+// --- output sinks --------------------------------------------------------------
 
-/// One-stage DEFLATE decoder state: output bytes plus the window that
-/// preceded them.
+/// Where the block decoders put their output.  One multi-symbol hot loop
+/// ([`decode_block_fast`]) and one single-symbol reference loop
+/// ([`decode_block_reference`]) serve both output widths through this trait;
+/// monomorphisation keeps each instance as tight as a hand-written loop.
+trait Sink {
+    /// Symbols in the output buffer, including any that preceded this call.
+    fn len(&self) -> usize;
+
+    fn push_literal(&mut self, byte: u8);
+
+    /// Emits the literals one fast-table entry packed together.
+    fn push_literals<const N: usize>(&mut self, bytes: [u8; N]);
+
+    fn copy_match(&mut self, distance: usize, length: usize) -> Result<(), DeflateError>;
+
+    /// Appends a Stored block's payload.
+    fn push_stored(&mut self, bytes: &[u8]) -> Result<(), DeflateError>;
+
+    /// Errors once the output has outgrown the caller's bound.  Checked once
+    /// per hot-loop step, so a hostile stream can overshoot by at most one
+    /// match (258 bytes) before erroring out.
+    #[inline]
+    fn check_limit(&self) -> Result<(), DeflateError> {
+        Ok(())
+    }
+
+    /// Whether decoding should leave this sink at the next block boundary
+    /// (see [`MarkerSink::switch`]).
+    #[inline]
+    fn wants_switch(&self) -> bool {
+        false
+    }
+}
+
+/// Spare capacity, in elements, the overshooting match copy keeps past the
+/// output end: one 16-element store, plus one period-replication pass that
+/// can land a store's worth beyond it.
+const COPY_SLACK: usize = 32;
+
+/// Copies `length` elements from `distance` elements behind the end of `out`
+/// to its end.  Requires `1 <= distance <= out.len()`.  `scalar` routes the
+/// copy through the portable doubling loop instead of the overshooting vector
+/// copy (set by `RGZ_FORCE_SCALAR`, and by the differential tests to compare
+/// both).
+#[inline]
+fn copy_within_output<T: Copy>(out: &mut Vec<T>, distance: usize, length: usize, scalar: bool) {
+    if scalar {
+        copy_within_output_scalar(out, distance, length);
+    } else {
+        copy_within_output_overshoot(out, distance, length);
+    }
+}
+
+/// Portable reference for [`copy_within_output`]: repeated
+/// `extend_from_within` chunks, each a bounds-checked memcpy.
+fn copy_within_output_scalar<T: Copy>(out: &mut Vec<T>, distance: usize, length: usize) {
+    let start = out.len() - distance;
+    // The output from `start` onwards repeats with period `distance`, so
+    // each `extend_from_within` chunk (a memcpy) may cover everything
+    // written so far past `start` — doubling per iteration instead of the
+    // element-at-a-time loop an overlapping copy would otherwise need.
+    let mut copied = 0;
+    while copied < length {
+        let chunk = (length - copied).min(out.len() - start);
+        out.extend_from_within(start..start + chunk);
+        copied += chunk;
+    }
+}
+
+/// Vector match copy: whole 16-element stores (one or two registers),
+/// deliberately overshooting the match end into reserved slack (the
+/// overshoot elements are either overwritten by the next symbol or sit
+/// beyond `len` and are never observed).  Typical DEFLATE matches are 3–30
+/// bytes, so most copies complete in one or two stores with no per-element or
+/// per-chunk bookkeeping; overlapping matches first replicate their period
+/// until source and cursor are a store apart.
+// `unsafe` is confined to raw-pointer copies whose bounds are established by
+// the `reserve` above them (workspace-wide policy: unsafe only inside vetted
+// hot-loop kernels; `copy_within_output_scalar` is the portable reference).
+#[allow(unsafe_code)]
+#[inline]
+fn copy_within_output_overshoot<T: Copy>(out: &mut Vec<T>, distance: usize, length: usize) {
+    let len = out.len();
+    assert!(distance >= 1 && distance <= len);
+    out.reserve(length + COPY_SLACK);
+    // SAFETY: the buffer has `length + COPY_SLACK` spare elements.  Writes
+    // run from `len` to at most `len + length + 15` (each store is 16
+    // elements starting below `end`); reads start at `len - distance`, inside
+    // the buffer by the assertion above, and stay below the write cursor,
+    // which starts at initialized data and advances contiguously.  `set_len`
+    // covers exactly the `length` initialized match elements.
+    unsafe {
+        let base = out.as_mut_ptr();
+        let mut src = base.add(len - distance);
+        let mut dst = base.add(len);
+        let end = dst.add(length);
+        if distance == 1 {
+            let value = *src;
+            for offset in 0..length {
+                dst.add(offset).write(value);
+            }
+        } else {
+            // Replicate the period until source and cursor are at least
+            // one store apart; each pass doubles the gap, so this runs at
+            // most four times (distance >= 2).
+            let mut gap = distance;
+            while gap < 16 && dst < end {
+                std::ptr::copy_nonoverlapping(src, dst, gap);
+                dst = dst.add(gap);
+                gap *= 2;
+            }
+            while dst < end {
+                std::ptr::copy_nonoverlapping(src, dst, 16);
+                src = src.add(16);
+                dst = dst.add(16);
+            }
+        }
+        out.set_len(len + length);
+    }
+}
+
+/// One-stage sink: output bytes plus the window that preceded them.
 struct ByteSink<'w> {
     window: &'w [u8],
     out: Vec<u8>,
@@ -112,16 +238,8 @@ struct ByteSink<'w> {
     /// Maximum total output length; decoding errors out once exceeded (used
     /// to bound the expansion of untrusted streams).
     limit: usize,
-    /// Route match copies through the portable doubling loop instead of the
-    /// overshooting vector copy (set by `RGZ_FORCE_SCALAR`, and by the
-    /// differential tests to compare both).
     scalar_copies: bool,
 }
-
-/// Spare capacity the overshooting match copy keeps past the output end: one
-/// 16-byte register per store, plus one period-replication pass that can land
-/// a register's worth beyond it.
-const COPY_SLACK: usize = 32;
 
 impl<'w> ByteSink<'w> {
     fn new(window: &'w [u8], out: Vec<u8>, limit: usize) -> Self {
@@ -133,10 +251,22 @@ impl<'w> ByteSink<'w> {
             scalar_copies: rgz_bitio::scalar_forced(),
         }
     }
+}
+
+impl Sink for ByteSink<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.out.len()
+    }
 
     #[inline]
     fn push_literal(&mut self, byte: u8) {
         self.out.push(byte);
+    }
+
+    #[inline]
+    fn push_literals<const N: usize>(&mut self, bytes: [u8; N]) {
+        self.out.extend_from_slice(&bytes);
     }
 
     #[inline]
@@ -148,103 +278,403 @@ impl<'w> ByteSink<'w> {
                 available: position + self.window.len(),
             });
         }
+        let mut remaining = length;
         if distance > position {
             // The first `distance - position` bytes come out of the preceding
             // window; record them so the index can sparsify the stored copy.
             let reach = distance - position;
-            self.usage.mark(WINDOW_SIZE - reach, length.min(reach));
             let from_window = reach.min(length);
+            self.usage.mark(WINDOW_SIZE - reach, from_window);
             let start = self.window.len() - reach;
             self.out
                 .extend_from_slice(&self.window[start..start + from_window]);
             // Once the source position crosses into this call's own output
             // the copy continues as a plain self-referential match (the
             // distance is unchanged and now <= out.len()).
-            let remaining = length - from_window;
-            if remaining > 0 {
-                self.copy_within_output(distance, remaining);
-            }
-        } else {
-            self.copy_within_output(distance, length);
+            remaining -= from_window;
+        }
+        if remaining > 0 {
+            copy_within_output(&mut self.out, distance, remaining, self.scalar_copies);
         }
         Ok(())
     }
 
-    /// Copies `length` bytes from `distance` bytes behind the end of the
-    /// output. Requires `1 <= distance <= out.len()`.
-    #[inline]
-    fn copy_within_output(&mut self, distance: usize, length: usize) {
-        if self.scalar_copies {
-            self.copy_within_output_scalar(distance, length);
-        } else {
-            self.copy_within_output_overshoot(distance, length);
+    fn push_stored(&mut self, bytes: &[u8]) -> Result<(), DeflateError> {
+        if self.out.len().saturating_add(bytes.len()) > self.limit {
+            return Err(DeflateError::OutputLimitExceeded { limit: self.limit });
         }
+        self.out.extend_from_slice(bytes);
+        Ok(())
     }
 
-    /// Portable reference for [`Self::copy_within_output`]: repeated
-    /// `extend_from_within` chunks, each a bounds-checked memcpy.
-    fn copy_within_output_scalar(&mut self, distance: usize, length: usize) {
-        let start = self.out.len() - distance;
-        // The output from `start` onwards repeats with period `distance`, so
-        // each `extend_from_within` chunk (a memcpy) may cover everything
-        // written so far past `start` — doubling per iteration instead of the
-        // byte-at-a-time loop an overlapping copy would otherwise need.
-        let mut copied = 0;
-        while copied < length {
-            let chunk = (length - copied).min(self.out.len() - start);
-            self.out.extend_from_within(start..start + chunk);
-            copied += chunk;
-        }
-    }
-
-    /// Vector match copy: whole 16-byte registers, deliberately overshooting
-    /// the match end into reserved slack (the overshoot bytes are either
-    /// overwritten by the next symbol or sit beyond `len` and are never
-    /// observed).  Typical DEFLATE matches are 3–30 bytes, so most copies
-    /// complete in one or two register stores with no per-byte or per-chunk
-    /// bookkeeping; overlapping matches first replicate their period until
-    /// source and cursor are a register apart.
-    // `unsafe` is confined to raw-pointer register copies whose bounds are
-    // established by the `reserve` above them (workspace-wide policy: unsafe
-    // only inside vetted hot-loop kernels; `copy_within_output_scalar` is the
-    // portable reference).
-    #[allow(unsafe_code)]
     #[inline]
-    fn copy_within_output_overshoot(&mut self, distance: usize, length: usize) {
-        let len = self.out.len();
-        self.out.reserve(length + COPY_SLACK);
-        // SAFETY: the buffer has `length + COPY_SLACK` spare bytes.  Writes
-        // run from `len` to at most `len + length + 15` (each store is 16
-        // bytes starting below `end`); reads stay below the write cursor,
-        // which starts at initialized data and advances contiguously.
-        // `set_len` covers exactly the `length` initialized match bytes.
-        unsafe {
-            let base = self.out.as_mut_ptr();
-            let mut src = base.add(len - distance);
-            let mut dst = base.add(len);
-            let end = dst.add(length);
-            if distance == 1 {
-                std::ptr::write_bytes(dst, *src, length);
-            } else {
-                // Replicate the period until source and cursor are at least
-                // one register apart; each pass doubles the gap, so this
-                // runs at most four times (distance >= 2).
-                let mut gap = distance;
-                while gap < 16 && dst < end {
-                    std::ptr::copy_nonoverlapping(src, dst, gap);
-                    dst = dst.add(gap);
-                    gap *= 2;
-                }
-                while dst < end {
-                    std::ptr::copy_nonoverlapping(src, dst, 16);
-                    src = src.add(16);
-                    dst = dst.add(16);
-                }
-            }
-            self.out.set_len(len + length);
+    fn check_limit(&self) -> Result<(), DeflateError> {
+        if self.out.len() > self.limit {
+            return Err(DeflateError::OutputLimitExceeded { limit: self.limit });
+        }
+        Ok(())
+    }
+}
+
+/// Two-stage sink: 16-bit output where values `< 256` are literals and
+/// values `>= MARKER_BASE` are markers into the unknown window.
+struct MarkerSink {
+    out: Vec<u16>,
+    /// Length of `out` when this inflate call started: the window boundary
+    /// (data appended by previous calls is not referenced).
+    base: usize,
+    usage: WindowUsage,
+    /// Index into `out` from which on no symbol is a marker.
+    marker_free_from: usize,
+    /// Ask the block loop to stop at the first block boundary where the last
+    /// [`WINDOW_SIZE`] symbols are marker-free: from there a byte decoder
+    /// seeded with those symbols needs no window (§2.2).
+    switch: bool,
+    scalar_copies: bool,
+}
+
+impl MarkerSink {
+    fn new(out: Vec<u16>, switch: bool) -> Self {
+        Self {
+            base: out.len(),
+            marker_free_from: out.len(),
+            out,
+            usage: WindowUsage::new(),
+            switch,
+            scalar_copies: rgz_bitio::scalar_forced(),
         }
     }
 }
+
+impl Sink for MarkerSink {
+    #[inline]
+    fn len(&self) -> usize {
+        self.out.len()
+    }
+
+    #[inline]
+    fn push_literal(&mut self, byte: u8) {
+        self.out.push(byte as u16);
+    }
+
+    #[inline]
+    fn push_literals<const N: usize>(&mut self, bytes: [u8; N]) {
+        self.out.extend_from_slice(&bytes.map(u16::from));
+    }
+
+    #[inline]
+    fn copy_match(&mut self, distance: usize, length: usize) -> Result<(), DeflateError> {
+        if distance == 0 || distance > WINDOW_SIZE {
+            return Err(DeflateError::DistanceTooFar {
+                distance,
+                available: WINDOW_SIZE,
+            });
+        }
+        // Position within this inflate call.
+        let position = self.out.len() - self.base;
+        let mut remaining = length;
+        if distance > position {
+            // Reference into the unknown preceding window: the byte at
+            // distance `d` behind position `p` sits `d - p` bytes before the
+            // chunk, i.e. at window offset `WINDOW_SIZE - (d - p)`, counted
+            // from the oldest window byte.  Consecutive source bytes are
+            // consecutive markers.
+            let reach = distance - position;
+            let from_window = reach.min(length);
+            let first = WINDOW_SIZE - reach;
+            self.usage.mark(first, from_window);
+            self.out
+                .extend((first..first + from_window).map(|offset| MARKER_BASE + offset as u16));
+            self.marker_free_from = self.out.len();
+            remaining -= from_window;
+        }
+        if remaining > 0 {
+            let copied_from = self.out.len();
+            copy_within_output(&mut self.out, distance, remaining, self.scalar_copies);
+            // A source starting at or after the last marker copied none;
+            // otherwise the copy's own last marker is the new last marker.
+            if copied_from - distance < self.marker_free_from {
+                if let Some(last) = self.out[copied_from..]
+                    .iter()
+                    .rposition(|&symbol| symbol >= MARKER_BASE)
+                {
+                    self.marker_free_from = copied_from + last + 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn push_stored(&mut self, bytes: &[u8]) -> Result<(), DeflateError> {
+        self.out.extend(bytes.iter().map(|&byte| byte as u16));
+        Ok(())
+    }
+
+    #[inline]
+    fn wants_switch(&self) -> bool {
+        self.switch && self.out.len() - self.marker_free_from >= WINDOW_SIZE
+    }
+}
+
+// --- block loop ----------------------------------------------------------------
+
+/// Minimum remaining input (bits) for a Dynamic Block to take the
+/// multi-symbol fast path; below this the packed-table build dominates the
+/// block's decode time. 16 Kibit = 2 KiB of compressed payload, roughly a
+/// thousand symbols.
+const DYNAMIC_FAST_MIN_REMAINING_BITS: u64 = 16 * 1024;
+
+/// What the block loop has seen so far; shared by the marker and the byte
+/// phase of one [`inflate_speculative`] call.
+#[derive(Default)]
+struct BlockLog {
+    blocks: Vec<BlockBoundary>,
+    fast_fallback_blocks: u32,
+}
+
+impl BlockLog {
+    fn into_outcome(
+        self,
+        stop_reason: StopReason,
+        reader: &BitReader<'_>,
+        usage: &WindowUsage,
+        crc32: Option<u32>,
+    ) -> InflateOutcome {
+        InflateOutcome {
+            blocks: self.blocks,
+            stop_reason,
+            end_position: reader.position(),
+            window_usage: usage.intervals(),
+            crc32,
+            fast_fallback_blocks: self.fast_fallback_blocks,
+        }
+    }
+}
+
+/// Decodes blocks into `sink` until a stop condition holds (`Some(reason)`)
+/// or the sink asks to be switched out at a block boundary (`None`).
+/// `base` is the sink length block offsets are reported relative to.
+fn decode_blocks<S: Sink>(
+    reader: &mut BitReader<'_>,
+    sink: &mut S,
+    base: usize,
+    stop_offset: u64,
+    fast: bool,
+    log: &mut BlockLog,
+) -> Result<Option<StopReason>, DeflateError> {
+    loop {
+        if should_stop_before_block(reader, stop_offset) {
+            return Ok(Some(StopReason::StopOffsetReached));
+        }
+        if reader.remaining_bits() == 0 && !log.blocks.is_empty() {
+            return Ok(Some(StopReason::EndOfInput));
+        }
+        if sink.wants_switch() {
+            return Ok(None);
+        }
+        let block_start = reader.position();
+        let header = read_block_header(reader)?;
+        log.blocks.push(BlockBoundary {
+            bit_offset: block_start,
+            uncompressed_offset: (sink.len() - base) as u64,
+            block_type: header.block_type,
+            is_final: header.is_final,
+        });
+        match header.block_type {
+            BlockType::Stored => {
+                let length = read_stored_header(reader)?;
+                sink.push_stored(reader.take_bytes(length)?)?;
+            }
+            BlockType::Fixed => {
+                if fast {
+                    decode_block_fast(reader, fixed_block_codes_fast(), sink)?;
+                } else {
+                    let codes = fixed_block_codes();
+                    decode_block_reference(reader, &codes.literal, codes.distance.as_ref(), sink)?;
+                }
+            }
+            BlockType::Dynamic => {
+                // Building the 8K-entry packed table costs about as much as
+                // decoding a thousand symbols; when the remaining input
+                // cannot contain a block large enough to amortise that,
+                // decode through the reference tables (identical output).
+                if fast && reader.remaining_bits() >= DYNAMIC_FAST_MIN_REMAINING_BITS {
+                    let codes = dynamic_block_codes_fast(reader)?;
+                    decode_block_fast(reader, &codes, sink)?;
+                } else {
+                    if fast {
+                        log.fast_fallback_blocks += 1;
+                    }
+                    let codes = dynamic_block_codes(reader)?;
+                    decode_block_reference(reader, &codes.literal, codes.distance.as_ref(), sink)?;
+                }
+            }
+        }
+        if header.is_final {
+            return Ok(Some(StopReason::EndOfStream));
+        }
+    }
+}
+
+/// Decodes one literal/length symbol through the bounds-checked reference
+/// decoder and applies it to the sink. Returns `true` when the symbol ended
+/// the block.
+#[inline]
+fn decode_one_symbol<S: Sink>(
+    reader: &mut BitReader<'_>,
+    literal: &HuffmanDecoder,
+    distance_decoder: Option<&HuffmanDecoder>,
+    sink: &mut S,
+) -> Result<bool, DeflateError> {
+    let symbol = literal
+        .decode(reader)
+        .map_err(DeflateError::InvalidLiteralCode)?;
+    if symbol < 256 {
+        sink.push_literal(symbol as u8);
+    } else if symbol == END_OF_BLOCK {
+        return Ok(true);
+    } else {
+        let length = decode_length(symbol, reader)?;
+        let distance = decode_distance(distance_decoder, reader)?;
+        sink.copy_match(distance, length)?;
+    }
+    Ok(false)
+}
+
+/// The single-symbol reference loop: the decoder the paper describes, and
+/// the exact fallback of [`decode_block_fast`].
+fn decode_block_reference<S: Sink>(
+    reader: &mut BitReader<'_>,
+    literal: &HuffmanDecoder,
+    distance_decoder: Option<&HuffmanDecoder>,
+    sink: &mut S,
+) -> Result<(), DeflateError> {
+    loop {
+        sink.check_limit()?;
+        if decode_one_symbol(reader, literal, distance_decoder, sink)? {
+            return Ok(());
+        }
+    }
+}
+
+/// Worst-case number of buffered bits one fast-path step consumes without
+/// further bounds checks: a full table lookup plus a length symbol's extra
+/// bits. (Distance codes are decoded through the checked reference decoder,
+/// which refills on its own.)
+const FAST_STEP_BITS: u32 = FAST_TABLE_BITS + MAX_LENGTH_EXTRA_BITS;
+
+/// The multi-symbol hot loop (the paper's stated single-core gap versus
+/// ISA-L, §4.1): one [`BitReader::fill_buffer`] refill amortises over several
+/// table hits, and each hit resolves up to three symbols.
+///
+/// Behaviour is bit-for-bit identical to [`decode_block_reference`]:
+/// patterns the fast table cannot resolve (codes longer than
+/// [`FAST_TABLE_BITS`] bits, invalid codes) and near-end-of-input tails are
+/// delegated to the reference decoder, which also reproduces its exact
+/// errors.
+fn decode_block_fast<S: Sink>(
+    reader: &mut BitReader<'_>,
+    codes: &FastBlockCodes,
+    sink: &mut S,
+) -> Result<(), DeflateError> {
+    loop {
+        reader.fill_buffer();
+        if reader.cached_bits() < FAST_STEP_BITS {
+            // Fewer than FAST_STEP_BITS bits left in the *entire input* (a
+            // refill otherwise always buffers more): finish the block — at
+            // most a couple of symbols — through the checked reference loop.
+            return decode_block_reference(reader, &codes.literal, codes.distance.as_ref(), sink);
+        }
+        while reader.cached_bits() >= FAST_STEP_BITS {
+            sink.check_limit()?;
+            let entry = codes
+                .literal_fast
+                .entry(reader.peek_cached(FAST_TABLE_BITS));
+            match entry.kind() {
+                FastEntryKind::LiteralTriple => {
+                    reader.consume_cached(entry.consumed_bits());
+                    sink.push_literals([
+                        entry.literal(),
+                        entry.second_literal(),
+                        entry.third_literal(),
+                    ]);
+                }
+                FastEntryKind::LiteralPair => {
+                    reader.consume_cached(entry.consumed_bits());
+                    sink.push_literals([entry.literal(), entry.second_literal()]);
+                }
+                FastEntryKind::Literal => {
+                    reader.consume_cached(entry.consumed_bits());
+                    sink.push_literal(entry.literal());
+                }
+                FastEntryKind::Length => {
+                    reader.consume_cached(entry.consumed_bits());
+                    finish_fast_match(reader, codes, sink, entry)?;
+                }
+                FastEntryKind::LiteralLength => {
+                    reader.consume_cached(entry.consumed_bits());
+                    sink.push_literal(entry.literal());
+                    finish_fast_match(reader, codes, sink, entry)?;
+                }
+                FastEntryKind::EndOfBlock => {
+                    reader.consume_cached(entry.consumed_bits());
+                    return Ok(());
+                }
+                FastEntryKind::Fallback => {
+                    if decode_one_symbol(reader, &codes.literal, codes.distance.as_ref(), sink)? {
+                        return Ok(());
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Worst-case buffered bits a distance resolution consumes: a maximum-length
+/// distance code plus its extra bits (13 for codes 28/29).
+const FAST_DISTANCE_BITS: u32 =
+    rgz_huffman::MAX_CODE_LENGTH + crate::constants::DISTANCE_EXTRA_BITS[29] as u32;
+
+/// Completes a match whose length symbol came out of the fast table: reads
+/// the cached number of extra bits from the buffer, then resolves the
+/// distance — from the buffer too when one refill covers the worst case,
+/// through the checked reference path otherwise (near end of input).
+#[inline]
+fn finish_fast_match<S: Sink>(
+    reader: &mut BitReader<'_>,
+    codes: &FastBlockCodes,
+    sink: &mut S,
+    entry: rgz_huffman::FastEntry,
+) -> Result<(), DeflateError> {
+    let extra_bits = entry.length_extra_bits();
+    let extra = reader.peek_cached(extra_bits) as usize;
+    reader.consume_cached(extra_bits);
+    let length = entry.length_base() as usize + extra;
+
+    reader.fill_buffer();
+    let distance = if reader.cached_bits() >= FAST_DISTANCE_BITS {
+        let decoder = codes
+            .distance
+            .as_ref()
+            .ok_or(DeflateError::BackReferenceWithoutDistanceCode)?;
+        let symbol = decoder
+            .decode_cached(reader)
+            .map_err(DeflateError::InvalidDistanceCode)?;
+        let index = symbol as usize;
+        if index >= crate::constants::DISTANCE_BASE.len() {
+            return Err(DeflateError::InvalidDistanceSymbol(symbol));
+        }
+        let distance_extra_bits = crate::constants::DISTANCE_EXTRA_BITS[index] as u32;
+        let distance_extra = reader.peek_cached(distance_extra_bits) as usize;
+        reader.consume_cached(distance_extra_bits);
+        crate::constants::DISTANCE_BASE[index] as usize + distance_extra
+    } else {
+        decode_distance(codes.distance.as_ref(), reader)?
+    };
+    sink.copy_match(distance, length)
+}
+
+// --- one-stage decoding ----------------------------------------------------------
 
 /// Decodes DEFLATE blocks starting at the reader's current position,
 /// appending plain bytes to `out`.
@@ -307,12 +737,6 @@ pub fn inflate_limited(
     inflate_impl(reader, window, out, stop_offset, output_limit, false, true)
 }
 
-/// Minimum remaining input (bits) for a Dynamic Block to take the
-/// multi-symbol fast path; below this the packed-table build dominates the
-/// block's decode time. 16 Kibit = 2 KiB of compressed payload, roughly a
-/// thousand symbols.
-const DYNAMIC_FAST_MIN_REMAINING_BITS: u64 = 16 * 1024;
-
 fn inflate_impl(
     reader: &mut BitReader<'_>,
     window: &[u8],
@@ -324,313 +748,17 @@ fn inflate_impl(
 ) -> Result<InflateOutcome, DeflateError> {
     let start_len = out.len();
     let mut sink = ByteSink::new(window, std::mem::take(out), output_limit);
-    let base = start_len as u64;
-
-    let mut blocks = Vec::new();
-    let mut fast_fallback_blocks = 0u32;
-    let stop_reason = loop {
-        if should_stop_before_block(reader, stop_offset) {
-            break StopReason::StopOffsetReached;
-        }
-        if reader.remaining_bits() == 0 && !blocks.is_empty() {
-            break StopReason::EndOfInput;
-        }
-        let block_start = reader.position();
-        let header = read_block_header(reader)?;
-        blocks.push(BlockBoundary {
-            bit_offset: block_start,
-            uncompressed_offset: sink.out.len() as u64 - base,
-            block_type: header.block_type,
-            is_final: header.is_final,
-        });
-        match header.block_type {
-            BlockType::Stored => {
-                let length = read_stored_header(reader)?;
-                let start = sink.out.len();
-                if start.saturating_add(length) > sink.limit {
-                    return Err(DeflateError::OutputLimitExceeded { limit: sink.limit });
-                }
-                sink.out.resize(start + length, 0);
-                reader.read_bytes(&mut sink.out[start..])?;
-            }
-            BlockType::Fixed => {
-                if fast {
-                    decode_compressed_block_bytes_fast(
-                        reader,
-                        fixed_block_codes_fast(),
-                        &mut sink,
-                    )?;
-                } else {
-                    let codes = fixed_block_codes();
-                    decode_compressed_block_bytes(
-                        reader,
-                        &codes.literal,
-                        codes.distance.as_ref(),
-                        &mut sink,
-                    )?;
-                }
-            }
-            BlockType::Dynamic => {
-                // Building the 8K-entry packed table costs about as much as
-                // decoding a thousand symbols; when the remaining input
-                // cannot contain a block large enough to amortise that,
-                // decode through the reference tables (identical output).
-                if fast && reader.remaining_bits() >= DYNAMIC_FAST_MIN_REMAINING_BITS {
-                    let codes = dynamic_block_codes_fast(reader)?;
-                    decode_compressed_block_bytes_fast(reader, &codes, &mut sink)?;
-                } else {
-                    if fast {
-                        fast_fallback_blocks += 1;
-                    }
-                    let codes = dynamic_block_codes(reader)?;
-                    decode_compressed_block_bytes(
-                        reader,
-                        &codes.literal,
-                        codes.distance.as_ref(),
-                        &mut sink,
-                    )?;
-                }
-            }
-        }
-        if header.is_final {
-            break StopReason::EndOfStream;
-        }
-    };
-
+    let mut log = BlockLog::default();
+    let stop_reason = decode_blocks(reader, &mut sink, start_len, stop_offset, fast, &mut log)?
+        .expect("a byte sink never asks to be switched out");
     *out = sink.out;
     // Hashing after the decode loop keeps the per-byte hot path untouched;
     // the slicing-by-eight CRC makes this one cheap linear pass.
     let crc32 = hash_output.then(|| rgz_checksum::crc32(&out[start_len..]));
-    Ok(InflateOutcome {
-        blocks,
-        stop_reason,
-        end_position: reader.position(),
-        window_usage: sink.usage.intervals(),
-        crc32,
-        fast_fallback_blocks,
-    })
+    Ok(log.into_outcome(stop_reason, reader, &sink.usage, crc32))
 }
 
-/// Decodes one literal/length symbol through the bounds-checked reference
-/// decoder and applies it to the sink. Returns `true` when the symbol ended
-/// the block.
-#[inline]
-fn decode_one_symbol(
-    reader: &mut BitReader<'_>,
-    literal: &HuffmanDecoder,
-    distance_decoder: Option<&HuffmanDecoder>,
-    sink: &mut ByteSink<'_>,
-) -> Result<bool, DeflateError> {
-    let symbol = literal
-        .decode(reader)
-        .map_err(DeflateError::InvalidLiteralCode)?;
-    if symbol < 256 {
-        sink.push_literal(symbol as u8);
-    } else if symbol == END_OF_BLOCK {
-        return Ok(true);
-    } else {
-        let length = decode_length(symbol, reader)?;
-        let distance = decode_distance(distance_decoder, reader)?;
-        sink.copy_match(distance, length)?;
-    }
-    Ok(false)
-}
-
-fn decode_compressed_block_bytes(
-    reader: &mut BitReader<'_>,
-    literal: &HuffmanDecoder,
-    distance_decoder: Option<&HuffmanDecoder>,
-    sink: &mut ByteSink<'_>,
-) -> Result<(), DeflateError> {
-    loop {
-        // Checked once per symbol, so a hostile stream can overshoot the
-        // limit by at most one match (258 bytes) before erroring out.
-        if sink.out.len() > sink.limit {
-            return Err(DeflateError::OutputLimitExceeded { limit: sink.limit });
-        }
-        if decode_one_symbol(reader, literal, distance_decoder, sink)? {
-            return Ok(());
-        }
-    }
-}
-
-/// Worst-case number of buffered bits one fast-path step consumes without
-/// further bounds checks: a full table lookup plus a length symbol's extra
-/// bits. (Distance codes are decoded through the checked reference decoder,
-/// which refills on its own.)
-const FAST_STEP_BITS: u32 = FAST_TABLE_BITS + MAX_LENGTH_EXTRA_BITS;
-
-/// The multi-symbol hot loop (the paper's stated single-core gap versus
-/// ISA-L, §4.1): one [`BitReader::fill_buffer`] refill amortises over several
-/// table hits, and each hit resolves up to two symbols.
-///
-/// Behaviour is bit-for-bit identical to [`decode_compressed_block_bytes`]:
-/// patterns the fast table cannot resolve (codes longer than
-/// [`FAST_TABLE_BITS`] bits, invalid codes) and near-end-of-input tails are
-/// delegated to the reference decoder, which also reproduces its exact
-/// errors.
-fn decode_compressed_block_bytes_fast(
-    reader: &mut BitReader<'_>,
-    codes: &FastBlockCodes,
-    sink: &mut ByteSink<'_>,
-) -> Result<(), DeflateError> {
-    loop {
-        reader.fill_buffer();
-        if reader.cached_bits() < FAST_STEP_BITS {
-            // Fewer than FAST_STEP_BITS bits left in the *entire input* (a
-            // refill otherwise always buffers more): finish the block — at
-            // most a couple of symbols — through the checked reference loop.
-            return decode_compressed_block_bytes(
-                reader,
-                &codes.literal,
-                codes.distance.as_ref(),
-                sink,
-            );
-        }
-        while reader.cached_bits() >= FAST_STEP_BITS {
-            if sink.out.len() > sink.limit {
-                return Err(DeflateError::OutputLimitExceeded { limit: sink.limit });
-            }
-            let entry = codes
-                .literal_fast
-                .entry(reader.peek_cached(FAST_TABLE_BITS));
-            match entry.kind() {
-                FastEntryKind::LiteralTriple => {
-                    reader.consume_cached(entry.consumed_bits());
-                    sink.out.extend_from_slice(&[
-                        entry.literal(),
-                        entry.second_literal(),
-                        entry.third_literal(),
-                    ]);
-                }
-                FastEntryKind::LiteralPair => {
-                    reader.consume_cached(entry.consumed_bits());
-                    sink.out
-                        .extend_from_slice(&[entry.literal(), entry.second_literal()]);
-                }
-                FastEntryKind::Literal => {
-                    reader.consume_cached(entry.consumed_bits());
-                    sink.push_literal(entry.literal());
-                }
-                FastEntryKind::Length => {
-                    reader.consume_cached(entry.consumed_bits());
-                    finish_fast_match(reader, codes, sink, entry)?;
-                }
-                FastEntryKind::LiteralLength => {
-                    reader.consume_cached(entry.consumed_bits());
-                    sink.push_literal(entry.literal());
-                    finish_fast_match(reader, codes, sink, entry)?;
-                }
-                FastEntryKind::EndOfBlock => {
-                    reader.consume_cached(entry.consumed_bits());
-                    return Ok(());
-                }
-                FastEntryKind::Fallback => {
-                    if decode_one_symbol(reader, &codes.literal, codes.distance.as_ref(), sink)? {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Worst-case buffered bits a distance resolution consumes: a maximum-length
-/// distance code plus its extra bits (13 for codes 28/29).
-const FAST_DISTANCE_BITS: u32 =
-    rgz_huffman::MAX_CODE_LENGTH + crate::constants::DISTANCE_EXTRA_BITS[29] as u32;
-
-/// Completes a match whose length symbol came out of the fast table: reads
-/// the cached number of extra bits from the buffer, then resolves the
-/// distance — from the buffer too when one refill covers the worst case,
-/// through the checked reference path otherwise (near end of input).
-#[inline]
-fn finish_fast_match(
-    reader: &mut BitReader<'_>,
-    codes: &FastBlockCodes,
-    sink: &mut ByteSink<'_>,
-    entry: rgz_huffman::FastEntry,
-) -> Result<(), DeflateError> {
-    let extra_bits = entry.length_extra_bits();
-    let extra = reader.peek_cached(extra_bits) as usize;
-    reader.consume_cached(extra_bits);
-    let length = entry.length_base() as usize + extra;
-
-    reader.fill_buffer();
-    let distance = if reader.cached_bits() >= FAST_DISTANCE_BITS {
-        let decoder = codes
-            .distance
-            .as_ref()
-            .ok_or(DeflateError::BackReferenceWithoutDistanceCode)?;
-        let symbol = decoder
-            .decode_cached(reader)
-            .map_err(DeflateError::InvalidDistanceCode)?;
-        let index = symbol as usize;
-        if index >= crate::constants::DISTANCE_BASE.len() {
-            return Err(DeflateError::InvalidDistanceSymbol(symbol));
-        }
-        let distance_extra_bits = crate::constants::DISTANCE_EXTRA_BITS[index] as u32;
-        let distance_extra = reader.peek_cached(distance_extra_bits) as usize;
-        reader.consume_cached(distance_extra_bits);
-        crate::constants::DISTANCE_BASE[index] as usize + distance_extra
-    } else {
-        decode_distance(codes.distance.as_ref(), reader)?
-    };
-    sink.copy_match(distance, length)
-}
-
-// --- two-stage decoding ------------------------------------------------------
-
-/// Two-stage decoder sink: 16-bit output where values `< 256` are literals
-/// and values `>= MARKER_BASE` are markers into the unknown window.
-struct MarkerSink {
-    out: Vec<u16>,
-    usage: WindowUsage,
-}
-
-impl MarkerSink {
-    #[inline]
-    fn push_literal(&mut self, byte: u8) {
-        self.out.push(byte as u16);
-    }
-
-    #[inline]
-    fn copy_match(
-        &mut self,
-        distance: usize,
-        length: usize,
-        base: usize,
-    ) -> Result<(), DeflateError> {
-        if distance == 0 || distance > WINDOW_SIZE {
-            return Err(DeflateError::DistanceTooFar {
-                distance,
-                available: WINDOW_SIZE,
-            });
-        }
-        let start_position = self.out.len() - base;
-        if distance > start_position {
-            let reach = distance - start_position;
-            self.usage.mark(WINDOW_SIZE - reach, length.min(reach));
-        }
-        for _ in 0..length {
-            // Position within this inflate call (excluding data decoded by
-            // previous calls appended to the same buffer).
-            let position = self.out.len() - base;
-            let symbol = if distance <= position {
-                self.out[self.out.len() - distance]
-            } else {
-                // Reference into the unknown preceding window.  The window
-                // offset counts from the oldest window byte; the byte at
-                // distance `d` behind position `p` sits `d - p` bytes before
-                // the chunk, i.e. at window offset `WINDOW_SIZE - (d - p)`.
-                let window_offset = WINDOW_SIZE - (distance - position);
-                MARKER_BASE + window_offset as u16
-            };
-            self.out.push(symbol);
-        }
-        Ok(())
-    }
-}
+// --- two-stage decoding ----------------------------------------------------------
 
 /// Decodes DEFLATE blocks without knowing the preceding window, appending
 /// 16-bit symbols (literals or markers) to `out`.
@@ -639,85 +767,57 @@ impl MarkerSink {
 /// markers; pass the output of a previous call in `out` and its length as
 /// implicit context is **not** used — each call treats its own start as the
 /// window boundary, matching how chunks are decoded independently.
+///
+/// This is [`inflate_speculative`]'s marker phase with the switch to bytes
+/// turned off: every symbol stays 16 bits wide.
 pub fn inflate_two_stage(
     reader: &mut BitReader<'_>,
     out: &mut Vec<u16>,
     stop_offset: u64,
 ) -> Result<InflateOutcome, DeflateError> {
-    let base = out.len();
-    let mut sink = MarkerSink {
-        out: std::mem::take(out),
-        usage: WindowUsage::new(),
-    };
-
-    let mut blocks = Vec::new();
-    let stop_reason = loop {
-        if should_stop_before_block(reader, stop_offset) {
-            break StopReason::StopOffsetReached;
-        }
-        if reader.remaining_bits() == 0 && !blocks.is_empty() {
-            break StopReason::EndOfInput;
-        }
-        let block_start = reader.position();
-        let header = read_block_header(reader)?;
-        blocks.push(BlockBoundary {
-            bit_offset: block_start,
-            uncompressed_offset: (sink.out.len() - base) as u64,
-            block_type: header.block_type,
-            is_final: header.is_final,
-        });
-        match header.block_type {
-            BlockType::Stored => {
-                let length = read_stored_header(reader)?;
-                let mut buffer = vec![0u8; length];
-                reader.read_bytes(&mut buffer)?;
-                sink.out.extend(buffer.iter().map(|&b| b as u16));
-            }
-            BlockType::Fixed => {
-                decode_compressed_block_markers(reader, &fixed_block_codes(), &mut sink, base)?;
-            }
-            BlockType::Dynamic => {
-                let codes = dynamic_block_codes(reader)?;
-                decode_compressed_block_markers(reader, &codes, &mut sink, base)?;
-            }
-        }
-        if header.is_final {
-            break StopReason::EndOfStream;
-        }
-    };
-
+    let mut sink = MarkerSink::new(std::mem::take(out), false);
+    let base = sink.base;
+    let mut log = BlockLog::default();
+    let stop_reason = decode_blocks(reader, &mut sink, base, stop_offset, true, &mut log)?
+        .expect("the switch is off");
     *out = sink.out;
-    Ok(InflateOutcome {
-        blocks,
-        stop_reason,
-        end_position: reader.position(),
-        window_usage: sink.usage.intervals(),
-        crc32: None,
-        fast_fallback_blocks: 0,
-    })
+    Ok(log.into_outcome(stop_reason, reader, &sink.usage, None))
 }
 
-fn decode_compressed_block_markers(
+/// Decodes DEFLATE blocks without knowing the preceding window, as 16-bit
+/// marker symbols only for as long as it has to (§2.2): at the first block
+/// boundary where the last 32 KiB of output contain no marker, those 32 KiB
+/// are narrowed to bytes and the rest decodes through the one-stage path at
+/// one-stage speed.  `out` that has already switched (by an earlier call, or
+/// by [`SpeculativeOutput::switch_to_bytes`] at a gzip member boundary, where
+/// the window is known to be empty) decodes one-stage from the start.
+///
+/// The outcome's `window_usage` covers the marker phase only: after the
+/// switch every reference resolves inside `out`.  As with the other entry
+/// points, what `out` holds after an error is unspecified.
+pub fn inflate_speculative(
     reader: &mut BitReader<'_>,
-    codes: &BlockCodes,
-    sink: &mut MarkerSink,
-    base: usize,
-) -> Result<(), DeflateError> {
-    loop {
-        let symbol = codes
-            .literal
-            .decode(reader)
-            .map_err(DeflateError::InvalidLiteralCode)?;
-        if symbol < 256 {
-            sink.push_literal(symbol as u8);
-        } else if symbol == END_OF_BLOCK {
-            return Ok(());
-        } else {
-            let length = decode_length(symbol, reader)?;
-            let distance = decode_distance(codes.distance.as_ref(), reader)?;
-            sink.copy_match(distance, length, base)?;
+    out: &mut SpeculativeOutput,
+    stop_offset: u64,
+) -> Result<InflateOutcome, DeflateError> {
+    let start_len = out.len();
+    let mut log = BlockLog::default();
+    let mut usage = WindowUsage::new();
+    if !out.switched {
+        let mut sink = MarkerSink::new(std::mem::take(&mut out.prefix), true);
+        let exit = decode_blocks(reader, &mut sink, start_len, stop_offset, true, &mut log)?;
+        out.prefix = sink.out;
+        usage = sink.usage;
+        match exit {
+            Some(stop_reason) => return Ok(log.into_outcome(stop_reason, reader, &usage, None)),
+            None => out.switch_to_bytes(),
         }
     }
+    let mut sink = ByteSink::new(&[], std::mem::take(&mut out.bytes), usize::MAX);
+    let stop_reason = decode_blocks(reader, &mut sink, start_len, stop_offset, true, &mut log)?
+        .expect("a byte sink never asks to be switched out");
+    out.bytes = sink.out;
+    Ok(log.into_outcome(stop_reason, reader, &usage, None))
 }
 
 #[cfg(test)]
@@ -1060,25 +1160,30 @@ mod tests {
     #[test]
     fn overshoot_copy_matches_scalar_on_boundary_cases() {
         // Distances straddling the period-replication and register-copy
-        // regimes, lengths straddling the register size.
+        // regimes, lengths straddling the register size; bytes and 16-bit
+        // symbols share the kernel.
         for distance in [1usize, 2, 3, 7, 8, 15, 16, 17, 31, 32, 200] {
             for length in [1usize, 2, 3, 15, 16, 17, 31, 32, 33, 258] {
                 let seed: Vec<u8> = (0..300).map(|i| (i % 251) as u8).collect();
-                let mut fast = ByteSink::new(&[], seed.clone(), usize::MAX);
-                fast.scalar_copies = false;
-                fast.copy_within_output(distance, length);
-                let mut scalar = ByteSink::new(&[], seed, usize::MAX);
-                scalar.scalar_copies = true;
-                scalar.copy_within_output(distance, length);
-                assert_eq!(fast.out, scalar.out, "distance {distance} length {length}");
+                let (mut fast, mut scalar) = (seed.clone(), seed.clone());
+                copy_within_output(&mut fast, distance, length, false);
+                copy_within_output(&mut scalar, distance, length, true);
+                assert_eq!(fast, scalar, "distance {distance} length {length}");
+
+                let wide: Vec<u16> = seed.iter().map(|&b| b as u16 * 257).collect();
+                let (mut fast, mut scalar) = (wide.clone(), wide);
+                copy_within_output(&mut fast, distance, length, false);
+                copy_within_output(&mut scalar, distance, length, true);
+                assert_eq!(fast, scalar, "u16 distance {distance} length {length}");
             }
         }
     }
 
     proptest::proptest! {
-        /// The overshooting vector match copy must be byte-identical to the
+        /// The overshooting vector match copy must be identical to the
         /// portable doubling reference over arbitrary literal/copy op
-        /// sequences (overlapping and straddling matches included).
+        /// sequences (overlapping and straddling matches included), for both
+        /// element widths.
         #[test]
         fn overshoot_and_scalar_match_copies_are_identical(
             ops in proptest::collection::vec(
@@ -1086,17 +1191,20 @@ mod tests {
                 1..60,
             ),
         ) {
-            let mut fast = ByteSink::new(&[], vec![7u8], usize::MAX);
-            fast.scalar_copies = false;
-            let mut scalar = ByteSink::new(&[], vec![7u8], usize::MAX);
-            scalar.scalar_copies = true;
+            let (mut fast, mut scalar) = (vec![7u8], vec![7u8]);
+            let (mut fast_wide, mut scalar_wide) = (vec![7u16], vec![7u16]);
             for (literal, distance, length) in ops {
-                fast.push_literal(literal);
-                scalar.push_literal(literal);
-                let distance = 1 + distance % fast.out.len();
-                fast.copy_within_output(distance, length);
-                scalar.copy_within_output(distance, length);
-                proptest::prop_assert_eq!(&fast.out, &scalar.out);
+                fast.push(literal);
+                scalar.push(literal);
+                fast_wide.push(literal as u16 | MARKER_BASE);
+                scalar_wide.push(literal as u16 | MARKER_BASE);
+                let distance = 1 + distance % fast.len();
+                copy_within_output(&mut fast, distance, length, false);
+                copy_within_output(&mut scalar, distance, length, true);
+                copy_within_output(&mut fast_wide, distance, length, false);
+                copy_within_output(&mut scalar_wide, distance, length, true);
+                proptest::prop_assert_eq!(&fast, &scalar);
+                proptest::prop_assert_eq!(&fast_wide, &scalar_wide);
             }
         }
 

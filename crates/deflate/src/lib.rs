@@ -7,7 +7,9 @@
 //! * [`constants`] — RFC 1951 tables (length/distance codes, fixed codes).
 //! * [`block`] — block header parsing shared by all decoders and the
 //!   block finder.
-//! * [`inflate()`] / [`inflate_two_stage()`] — the two decoding paths.
+//! * [`inflate()`] / [`inflate_two_stage()`] — the two decoding paths, and
+//!   [`inflate_speculative()`], which starts as the second and finishes as the
+//!   first.
 //! * [`markers`] — marker replacement and window resolution (second stage).
 //! * [`compress`] — a complete DEFLATE compressor used to build test data
 //!   and benchmark corpora.
@@ -24,12 +26,13 @@ pub mod matchfinder;
 pub use block::{BlockType, DynamicHeader};
 pub use compress::{write_stored_block, CompressionLevel, CompressorOptions, DeflateCompressor};
 pub use inflate::{
-    inflate, inflate_hashed, inflate_limited, inflate_single_symbol, inflate_two_stage,
-    BlockBoundary, InflateOutcome, StopReason, MARKER_BASE,
+    inflate, inflate_hashed, inflate_limited, inflate_single_symbol, inflate_speculative,
+    inflate_two_stage, BlockBoundary, InflateOutcome, StopReason, MARKER_BASE,
 };
 pub use markers::{
     active_isa as markers_active_isa, contains_markers, replace_markers, replace_markers_hashed,
-    replace_markers_into, replace_markers_into_scalar, resolve_window, WindowUsage,
+    replace_markers_into, replace_markers_into_scalar, resolve_window, SpeculativeOutput,
+    WindowUsage,
 };
 pub use matchfinder::{HtMatchFinder, Token};
 

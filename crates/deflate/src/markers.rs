@@ -51,9 +51,22 @@ impl WindowUsage {
     /// Marks `length` window bytes starting at marker-space `offset` as used.
     /// Ranges reaching past `WINDOW_SIZE` are clamped.
     pub fn mark(&mut self, offset: usize, length: usize) {
-        let end = (offset + length).min(WINDOW_SIZE);
-        for bit in offset.min(WINDOW_SIZE)..end {
-            self.bits[bit / 64] |= 1u64 << (bit % 64);
+        let end = offset.saturating_add(length).min(WINDOW_SIZE);
+        if offset >= end {
+            return;
+        }
+        // Bits `offset % 64 ..` of the first word, bits `.. end % 64` of the
+        // last (all of it when the range ends on a word boundary), whole
+        // words in between.
+        let (first, last) = (offset / 64, (end - 1) / 64);
+        let head = u64::MAX << (offset % 64);
+        let tail = u64::MAX >> (63 - (end - 1) % 64);
+        if first == last {
+            self.bits[first] |= head & tail;
+        } else {
+            self.bits[first] |= head;
+            self.bits[first + 1..last].fill(u64::MAX);
+            self.bits[last] |= tail;
         }
     }
 
@@ -449,7 +462,14 @@ pub fn replace_markers_hashed(
     window: &[u8],
     fragment_ends: &[usize],
 ) -> Result<(Vec<u8>, Vec<u32>), DeflateError> {
-    let out = replace_markers(symbols, window)?;
+    hash_fragments(replace_markers(symbols, window)?, fragment_ends)
+}
+
+/// CRC-32 of every fragment of `out` delimited by `fragment_ends`.
+fn hash_fragments(
+    out: Vec<u8>,
+    fragment_ends: &[usize],
+) -> Result<(Vec<u8>, Vec<u32>), DeflateError> {
     // A split past the chunk end means the caller's member-boundary
     // bookkeeping is wrong; slicing would panic (or silently mis-hash in a
     // release build), so reject it as a typed error in every build.
@@ -488,6 +508,127 @@ pub fn resolve_window(symbols: &[u16], window: &[u8]) -> Result<Vec<u8>, Deflate
         replace_markers_into(symbols, window, &mut combined)?;
         debug_assert!(combined.len() <= WINDOW_SIZE);
         Ok(combined)
+    }
+}
+
+/// Output of a speculative decode ([`crate::inflate_speculative`]): a 16-bit
+/// marker *prefix* followed, once the decoder has switched, by a plain byte
+/// *tail*.  Symbols map 1:1 to output bytes, so [`Self::len`] is the chunk's
+/// decompressed size throughout.
+#[derive(Debug, Clone, Default)]
+pub struct SpeculativeOutput {
+    /// Symbols (literals and markers) decoded before the switch.
+    pub(crate) prefix: Vec<u16>,
+    /// Empty before the switch.  After it, the whole chunk's bytes:
+    /// `prefix.len()` placeholders — the last [`WINDOW_SIZE`] of them
+    /// already holding the narrowed prefix symbols, which is all the history
+    /// the one-stage decoder can reach — then the tail it decoded.
+    /// [`Self::resolve`] fills the placeholders in.
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) switched: bool,
+}
+
+/// Wraps all-16-bit symbols (e.g. of [`crate::inflate_two_stage`]) as an
+/// output that has not switched.
+impl From<Vec<u16>> for SpeculativeOutput {
+    fn from(prefix: Vec<u16>) -> Self {
+        Self {
+            prefix,
+            ..Self::default()
+        }
+    }
+}
+
+impl SpeculativeOutput {
+    /// An empty output, decoding as markers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of symbols (= decompressed bytes) decoded so far.
+    pub fn len(&self) -> usize {
+        if self.switched {
+            self.bytes.len()
+        } else {
+            self.prefix.len()
+        }
+    }
+
+    /// Whether nothing has been decoded yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The 16-bit symbols decoded before the switch.
+    pub fn prefix(&self) -> &[u16] {
+        &self.prefix
+    }
+
+    /// The bytes decoded after the switch.
+    pub fn tail(&self) -> &[u8] {
+        self.bytes.get(self.prefix.len()..).unwrap_or(&[])
+    }
+
+    /// Gives the capacity the buffers grew beyond their length back to the
+    /// allocator; worth it for an output that waits its turn to be committed.
+    pub fn shrink_to_fit(&mut self) {
+        self.prefix.shrink_to_fit();
+        self.bytes.shrink_to_fit();
+    }
+
+    /// Makes every further [`crate::inflate_speculative`] call on this output
+    /// decode one-stage.  The decoder does this itself once the last 32 KiB
+    /// are marker-free; callers do it where they *know* no reference can
+    /// reach the prefix — right after a gzip member boundary.
+    pub fn switch_to_bytes(&mut self) {
+        if self.switched {
+            return;
+        }
+        self.switched = true;
+        let history = self.prefix.len().saturating_sub(WINDOW_SIZE);
+        self.bytes = Vec::with_capacity(self.prefix.len());
+        self.bytes.resize(history, 0);
+        // Markers narrow to garbage here; `resolve` overwrites them, and a
+        // valid stream never references them from the tail.
+        self.bytes
+            .extend(self.prefix[history..].iter().map(|&symbol| symbol as u8));
+    }
+
+    /// Replaces the prefix's markers with bytes from `window` (see
+    /// [`replace_markers`]) and returns the whole chunk's bytes.  Only the
+    /// prefix is touched: the tail is already final.
+    pub fn resolve(self, window: &[u8]) -> Result<Vec<u8>, DeflateError> {
+        if !self.switched {
+            return replace_markers(&self.prefix, window);
+        }
+        let mut bytes = self.bytes;
+        bytes[..self.prefix.len()].copy_from_slice(&replace_markers(&self.prefix, window)?);
+        Ok(bytes)
+    }
+
+    /// [`Self::resolve`] for the verification pipeline; fragments as in
+    /// [`replace_markers_hashed`].
+    pub fn resolve_hashed(
+        self,
+        window: &[u8],
+        fragment_ends: &[usize],
+    ) -> Result<(Vec<u8>, Vec<u32>), DeflateError> {
+        hash_fragments(self.resolve(window)?, fragment_ends)
+    }
+
+    /// The window a *following* chunk needs (see [`resolve_window`]).  A tail
+    /// of at least [`WINDOW_SIZE`] bytes is that window by itself, with no
+    /// dependence on `window` at all.
+    pub fn next_window(&self, window: &[u8]) -> Result<Vec<u8>, DeflateError> {
+        let tail = self.tail();
+        if tail.len() >= WINDOW_SIZE {
+            return Ok(tail[tail.len() - WINDOW_SIZE..].to_vec());
+        }
+        let mut next = resolve_window(&self.prefix, window)?;
+        let excess = (next.len() + tail.len()).saturating_sub(WINDOW_SIZE);
+        next.drain(..excess);
+        next.extend_from_slice(tail);
+        Ok(next)
     }
 }
 
@@ -774,6 +915,26 @@ mod tests {
                 }
             }
             assert_simd_matches_scalar(&symbols, &window);
+        }
+
+        // The word-mask `mark` must set exactly the bits a bit-at-a-time
+        // loop would, clamped at the window end.
+        #[test]
+        fn mark_sets_exactly_the_clamped_range(
+            ranges in proptest::collection::vec((0usize..WINDOW_SIZE + 100, 0usize..700), 1..12),
+        ) {
+            let mut usage = WindowUsage::new();
+            let mut reference = vec![false; WINDOW_SIZE];
+            for (offset, length) in ranges {
+                usage.mark(offset, length);
+                let end = (offset + length).min(WINDOW_SIZE);
+                reference[offset.min(end)..end].fill(true);
+            }
+            prop_assert_eq!(usage.used_bytes(), reference.iter().filter(|&&bit| bit).count());
+            for (offset, length) in usage.intervals() {
+                let (offset, length) = (offset as usize, length as usize);
+                prop_assert!(reference[offset..offset + length].iter().all(|&bit| bit));
+            }
         }
 
         // `resolve_window` must equal the tail of (window ++ full-chunk

@@ -46,6 +46,9 @@ pub mod names {
     pub const BYTES_OUT: &str = "rgz_bytes_out_total";
     pub const BYTES_WASTED: &str = "rgz_bytes_wasted_total";
     pub const SPECULATION_MISMATCHES: &str = "rgz_speculation_mismatches_total";
+    /// Counter, label `width` ∈ {`u16`, `u8`}: bytes of committed speculative
+    /// chunks decoded as marker symbols vs. after the switch to plain bytes.
+    pub const SPECULATIVE_BYTES: &str = "rgz_speculative_bytes_total";
     /// Counter, label `kind` ∈ {`speculative`, `index`}.
     pub const PREFETCH_ISSUED: &str = "rgz_prefetch_issued_total";
     pub const PREFETCH_HITS: &str = "rgz_prefetch_hits_total";

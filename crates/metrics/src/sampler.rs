@@ -114,15 +114,18 @@ impl Sampler {
         });
         let (stop, ticks) = mpsc::channel::<()>();
         let thread_shared = Arc::clone(&shared);
+        // The baseline is taken here, not on the sampler thread: whatever the
+        // caller records after `start` returns is a delta, however late the
+        // thread gets scheduled.
+        let started = Instant::now();
+        let mut previous = TimedSample {
+            elapsed: Duration::ZERO,
+            snapshot: registry.snapshot(),
+        };
+        shared.push(previous.clone());
         let handle = std::thread::Builder::new()
             .name("rgz-sampler".to_string())
             .spawn(move || {
-                let started = Instant::now();
-                let mut previous = TimedSample {
-                    elapsed: Duration::ZERO,
-                    snapshot: registry.snapshot(),
-                };
-                thread_shared.push(previous.clone());
                 // Any non-timeout result means the sender hung up (or sent an
                 // explicit stop message): the loop ends and the thread exits.
                 while let Err(RecvTimeoutError::Timeout) = ticks.recv_timeout(interval) {

@@ -107,6 +107,9 @@ fn meta_args(meta: &EventMeta) -> String {
     if let Some(bytes) = meta.bytes {
         push_arg(&mut args, "bytes", &bytes.to_string());
     }
+    if let Some(marker_bytes) = meta.marker_bytes {
+        push_arg(&mut args, "marker_bytes", &marker_bytes.to_string());
+    }
     args
 }
 

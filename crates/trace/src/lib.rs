@@ -164,6 +164,9 @@ pub struct EventMeta {
     pub compressed_range: Option<(u64, u64)>,
     /// Uncompressed bytes produced (or covered) by the stage.
     pub bytes: Option<u64>,
+    /// Of `bytes`, how many a speculative decode produced as 16-bit marker
+    /// symbols before it could switch to plain bytes.
+    pub marker_bytes: Option<u64>,
 }
 
 /// What kind of event was recorded.
@@ -490,6 +493,14 @@ impl<'a> SpanGuard<'a> {
     pub fn set_bytes(&mut self, bytes: u64) {
         if self.sink.is_some() {
             self.meta.bytes = Some(bytes);
+        }
+    }
+
+    /// Sets how many of the span's bytes were decoded as 16-bit symbols.
+    #[inline]
+    pub fn set_marker_bytes(&mut self, marker_bytes: u64) {
+        if self.sink.is_some() {
+            self.meta.marker_bytes = Some(marker_bytes);
         }
     }
 

@@ -97,3 +97,114 @@ fn thread_and_chunk_size_sweep() {
         }
     }
 }
+
+/// One run's observable result: output, exported v3 index and the statistics
+/// that do not depend on which worker finished first.
+#[derive(Debug, PartialEq, Eq)]
+struct Observed {
+    /// `output CRC-32, index length, index CRC-32, speculative chunks used,
+    /// on-demand chunks, mismatches` — everything the parent commit could
+    /// already report, pinned below to what it did report.
+    fingerprint: String,
+    /// `(u16, u8)` bytes of the committed speculative chunks.
+    speculative_bytes: (u64, u64),
+}
+
+fn observe(compressed: &[u8], members: u64, threads: usize, chunk_size: usize) -> Observed {
+    use rapidgzip_suite::checksum::crc32;
+    let mut reader =
+        ParallelGzipReader::from_bytes(compressed.to_vec(), options(threads, chunk_size)).unwrap();
+    let output = reader.decompress_all().unwrap();
+    let index = reader.index().export();
+    let statistics = reader.statistics();
+    let verification = reader.verification_statistics();
+    assert_eq!(verification.members_verified, members);
+    assert_eq!(verification.bytes_verified, output.len() as u64);
+    assert_eq!(verification.stream_crc32, crc32(&output));
+    Observed {
+        fingerprint: format!(
+            "{:08x} {} {:08x} {} {} {}",
+            crc32(&output),
+            index.len(),
+            // The file ends in its own CRC-32, which would make the CRC of
+            // the whole a constant.
+            crc32(&index[..index.len() - 4]),
+            statistics.speculative_chunks_used,
+            statistics.on_demand_chunks,
+            statistics.speculative_mismatches,
+        ),
+        speculative_bytes: (
+            statistics.speculative_bytes_u16,
+            statistics.speculative_bytes_u8,
+        ),
+    }
+}
+
+/// Output bytes, exported v3 index bytes (seek points, sparse windows, CRC
+/// fragments) and order-independent statistics are a function of the file and
+/// the chunk size alone — not of the thread count, and not of how the
+/// speculative path decodes: the fingerprints are what the commit before the
+/// hybrid (u16 prefix + u8 tail) decoder produced.
+#[test]
+fn output_index_and_statistics_are_invariant_under_thread_count() {
+    let multi_member = [
+        datagen::base64_random(3 << 19, 23),
+        datagen::silesia_like(5 << 20, 24),
+        datagen::fastq_of_size(3 << 20, 25),
+    ];
+    let parts: Vec<&[u8]> = multi_member.iter().map(Vec::as_slice).collect();
+    // Blocks smaller than the smallest chunk size: every guessed chunk then
+    // holds a block start, so which chunks decode speculatively does not
+    // depend on how far ahead (2 x threads) the prefetcher looks.
+    let writer = GzipWriter::new(rapidgzip_suite::deflate::CompressorOptions {
+        block_size: 16 * 1024,
+        ..Default::default()
+    });
+    // Each a little over one default chunk (4 MiB) compressed.
+    let corpora = [
+        (
+            "base64",
+            1,
+            writer.compress(&datagen::base64_random(11 << 19, 21)),
+            [
+                "45e4b821 772538 19fca300 134 3 0",
+                "45e4b821 5897 dea433e0 1 1 0",
+                "45e4b821 106 f976ad1a 0 1 0",
+            ],
+        ),
+        (
+            "silesia",
+            1,
+            writer.compress(&datagen::silesia_like(14 << 20, 22)),
+            [
+                "0f08e733 410531 717f9c8b 129 2 0",
+                "0f08e733 3398 c4625678 1 1 0",
+                "0f08e733 106 cfa2b8b5 0 1 0",
+            ],
+        ),
+        (
+            "multi-member",
+            3,
+            writer.compress_members(&parts),
+            [
+                "df4238ca 644039 bbd7c871 134 1 0",
+                "df4238ca 5858 95ac34b3 1 1 0",
+                "df4238ca 130 468ce9b2 0 1 0",
+            ],
+        ),
+    ];
+    for (name, members, compressed, pinned) in &corpora {
+        assert!(compressed.len() > 4 << 20, "{name}: {}", compressed.len());
+        for (chunk_size, pinned) in [32 << 10, 4 << 20, 64 << 20].into_iter().zip(pinned) {
+            let reference = observe(compressed, *members, 1, chunk_size);
+            assert_eq!(&reference.fingerprint, pinned, "{name} chunk {chunk_size}");
+            for threads in [2usize, 3, 8] {
+                assert_eq!(
+                    observe(compressed, *members, threads, chunk_size),
+                    reference,
+                    "{name} chunk {chunk_size} threads {threads}"
+                );
+            }
+        }
+    }
+}
