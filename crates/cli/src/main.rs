@@ -517,6 +517,26 @@ fn run(options: &Options) -> Result<(), String> {
                 windows.hot_cache.evictions,
                 windows.corrupt_windows
             );
+            // Chunk buffers (compressed ranges, 16-bit symbols, output bytes)
+            // the reader's pool handed out, from the same snapshot.
+            let buffer_takes = |result: &str| -> u64 {
+                ["range", "u16", "u8"]
+                    .iter()
+                    .filter_map(|kind| {
+                        let labels = [("kind", *kind), ("result", result)];
+                        snapshot.counter(names::BUFFER_POOL_TAKES, &labels)
+                    })
+                    .sum()
+            };
+            eprintln!(
+                "rgzip: buffers: {} reused, {} fresh, {:.1} MiB idle",
+                buffer_takes("reused"),
+                buffer_takes("fresh"),
+                snapshot
+                    .gauge(names::BUFFER_POOL_IDLE_BYTES, &[])
+                    .unwrap_or(0) as f64
+                    / (1 << 20) as f64
+            );
             let verification = reader.verification_statistics();
             eprintln!(
                 "rgzip: verification ({:?}): {} members verified, {} bytes hashed, \

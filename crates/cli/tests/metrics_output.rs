@@ -146,6 +146,34 @@ fn stats_interval_and_export_reconcile_with_verbose_statistics() {
         series_value(&export, "rgz_read_bytes_total", None).unwrap_or(0) >= compressed.len() as u64,
         "instrumented reads must cover the whole compressed file"
     );
+
+    // So must the buffer pool's line, summed over the three kinds of buffer:
+    // `rgzip: buffers: 26 reused, 13 fresh, 25.8 MiB idle`.
+    let buffers = stderr
+        .lines()
+        .find(|line| line.starts_with("rgzip: buffers:"))
+        .unwrap_or_else(|| panic!("no buffers line on stderr:\n{stderr}"));
+    let takes = |result: &str| -> u64 {
+        export
+            .lines()
+            .filter(|line| line.starts_with("rgz_buffer_pool_takes_total{"))
+            .filter(|line| line.contains(&format!("result=\"{result}\"")))
+            .map(|line| line.rsplit_once(' ').unwrap().1.parse::<u64>().unwrap())
+            .sum()
+    };
+    assert!(
+        buffers.starts_with(&format!(
+            "rgzip: buffers: {} reused, {} fresh, ",
+            takes("reused"),
+            takes("fresh")
+        )),
+        "{buffers} against {} reused, {} fresh exported",
+        takes("reused"),
+        takes("fresh")
+    );
+    assert!(buffers.ends_with(" MiB idle"), "{buffers}");
+    assert!(takes("reused") > takes("fresh"), "{buffers}");
+    assert!(export.contains("# TYPE rgz_buffer_pool_idle_bytes gauge"));
 }
 
 #[test]

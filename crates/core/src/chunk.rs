@@ -2,28 +2,34 @@
 //!
 //! Two kinds of chunk decoding exist (§3.3):
 //!
-//! * **Speculative** ([`decode_speculative_chunk`]): a worker thread is given
-//!   a *guessed* chunk start (a multiple of the chunk size), locates the next
-//!   DEFLATE block with the block finder, and decodes in two-stage mode
-//!   producing 16-bit marker symbols because the preceding window is unknown
-//!   — but only until the last 32 KiB of output are marker-free (or a gzip
-//!   member ends), from where the rest of the chunk decodes straight to
+//! * **Speculative** ([`ChunkDecoder::decode_speculative`]): a worker thread
+//!   is given a *guessed* chunk start (a multiple of the chunk size), locates
+//!   the next DEFLATE block with the block finder, and decodes in two-stage
+//!   mode producing 16-bit marker symbols because the preceding window is
+//!   unknown — but only until the last 32 KiB of output are marker-free (or a
+//!   gzip member ends), from where the rest of the chunk decodes straight to
 //!   bytes.  This can fail entirely (no block found) or latch onto a false
 //!   positive; both cases are handled gracefully by the orchestrator.
-//! * **Direct** ([`decode_chunk_at`]): the exact block offset *and* its
-//!   window are known (from the previous chunk or from an index), so the
+//! * **Direct** ([`ChunkDecoder::decode_at`]): the exact block offset *and*
+//!   its window are known (from the previous chunk or from an index), so the
 //!   chunk decodes straight to bytes without markers — the same fast path
 //!   used when an index has been imported.
 //!
 //! Both tasks read their compressed byte range through the shared
 //! [`FileReader`], growing the range geometrically when a chunk's last block
-//! runs past the guessed boundary.
+//! runs past the guessed boundary, and take every large buffer — the range,
+//! the symbols, the bytes — from the reader's [`BufferPool`], to which each
+//! returns when its last user drops it.
+
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 use rgz_bitio::BitReader;
 use rgz_blockfinder::{BlockFinder, CombinedBlockFinder};
 use rgz_deflate::{
     inflate, inflate_hashed, inflate_speculative, DeflateError, SpeculativeOutput, StopReason,
 };
+use rgz_fetcher::{BufferPool, Pooled};
 use rgz_gzip::{parse_footer, parse_header, GzipError, GzipFooter};
 use rgz_io::{FileReader, SharedFileReader};
 use rgz_trace::{Outcome, Stage, TraceSink};
@@ -32,14 +38,14 @@ use crate::verify::ChunkFragment;
 use crate::CoreError;
 
 /// Result of a direct (window-known) chunk decode.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ChunkResult {
     /// Absolute bit offset decoding started at.
     pub start_bit_offset: u64,
     /// Absolute bit offset at which the next chunk starts.
     pub end_bit_offset: u64,
     /// Decompressed bytes of this chunk.
-    pub data: Vec<u8>,
+    pub data: Pooled<u8>,
     /// Whether the end of the compressed file was reached.
     pub reached_end_of_file: bool,
     /// Which bytes of the preceding window the chunk referenced, as sorted
@@ -59,7 +65,7 @@ pub struct ChunkResult {
 }
 
 /// Result of a speculative (two-stage) chunk decode.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SpeculativeChunk {
     /// Guessed bit offset the block search started from.
     pub requested_bit_offset: u64,
@@ -69,7 +75,7 @@ pub struct SpeculativeChunk {
     pub end_bit_offset: u64,
     /// Decoded output: a 16-bit marker prefix plus, from where the decoder
     /// could switch, a plain byte tail.
-    pub output: SpeculativeOutput,
+    pub output: PooledOutput,
     /// Which bytes of the (still unknown) preceding window the chunk
     /// references, as sorted marker-space `(offset, length)` runs — recorded
     /// by the decoder as it emits markers, so nobody has to rescan the
@@ -86,6 +92,85 @@ pub struct SpeculativeChunk {
     pub member_ends: Vec<(u64, GzipFooter)>,
 }
 
+/// A [`SpeculativeOutput`] made of pool buffers: the symbol buffer from the
+/// start, the byte buffer from the switch (or from [`Self::resolve`], for a
+/// chunk that never switched).  Dropping it, resolved or not, gives back
+/// whichever it holds.
+pub struct PooledOutput {
+    output: SpeculativeOutput,
+    buffers: BufferPool,
+}
+
+impl PooledOutput {
+    /// An empty output over a symbol buffer from `buffers`.
+    fn new(buffers: &BufferPool) -> Self {
+        let mut symbols = buffers.symbols();
+        symbols.clear();
+        Self::adopt(symbols.detach().into(), buffers)
+    }
+
+    /// Takes over `output`, whose buffers will go to `buffers`.
+    pub(crate) fn adopt(output: SpeculativeOutput, buffers: &BufferPool) -> Self {
+        Self {
+            output,
+            buffers: buffers.clone(),
+        }
+    }
+
+    /// Replaces the markers with bytes from `window` and returns the chunk's
+    /// bytes, with the CRC-32 of each fragment `fragment_ends` delimits (see
+    /// [`rgz_deflate::replace_markers_hashed`]) if it is given.  The symbol
+    /// buffer is back in the pool when this returns.
+    pub(crate) fn resolve(
+        mut self,
+        window: &[u8],
+        fragment_ends: Option<&[usize]>,
+    ) -> Result<(Pooled<u8>, Vec<u32>), DeflateError> {
+        // A switched output already holds the buffer its bytes are in.
+        let mut data = if self.output.is_switched() {
+            self.buffers.adopt_bytes(Vec::new())
+        } else {
+            self.buffers.bytes()
+        };
+        let crcs = match fragment_ends {
+            Some(ends) => self.output.resolve_hashed_into(window, ends, &mut data)?,
+            None => {
+                self.output.resolve_into(window, &mut data)?;
+                Vec::new()
+            }
+        };
+        Ok((data, crcs))
+    }
+}
+
+impl Deref for PooledOutput {
+    type Target = SpeculativeOutput;
+
+    fn deref(&self) -> &SpeculativeOutput {
+        &self.output
+    }
+}
+
+impl DerefMut for PooledOutput {
+    fn deref_mut(&mut self) -> &mut SpeculativeOutput {
+        &mut self.output
+    }
+}
+
+impl std::fmt::Debug for PooledOutput {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.output.fmt(f)
+    }
+}
+
+impl Drop for PooledOutput {
+    fn drop(&mut self) {
+        let (symbols, bytes) = std::mem::take(&mut self.output).into_buffers();
+        drop(self.buffers.adopt_symbols(symbols));
+        drop(self.buffers.adopt_bytes(bytes));
+    }
+}
+
 fn is_eof_like_deflate(error: &DeflateError) -> bool {
     matches!(error, DeflateError::UnexpectedEof)
 }
@@ -98,31 +183,31 @@ fn is_eof_like(error: &CoreError) -> bool {
     }
 }
 
-/// Reads the compressed range `[start_byte, start_byte + length)`.
-fn read_compressed_range(
-    reader: &SharedFileReader,
-    start_byte: u64,
-    length: u64,
-) -> Result<Vec<u8>, CoreError> {
-    Ok(reader.read_range(start_byte, length as usize)?)
-}
-
 /// Parses the gzip footer at the current (possibly unaligned) position and,
 /// if another member follows, its header too.  Returns the parsed footer and
-/// `true` if the end of the input was reached (only trailing zero padding or
+/// `true` if the end of the file was reached (only trailing zero padding or
 /// nothing remains).
-fn cross_member_boundary(reader: &mut BitReader<'_>) -> Result<(GzipFooter, bool), CoreError> {
+///
+/// The reader only sees a compressed *range*: too little left of it to hold
+/// another member is the end of the file only if the range
+/// `reaches_file_end`, and a truncation — the caller widens the range and
+/// retries — otherwise.
+fn cross_member_boundary(
+    reader: &mut BitReader<'_>,
+    reaches_file_end: bool,
+) -> Result<(GzipFooter, bool), CoreError> {
     let footer = parse_footer(reader).map_err(CoreError::Gzip)?;
     // Trailing padding / end of file detection.
     loop {
         if reader.remaining_bits() < 8 * 18 {
             let position = (reader.position() / 8) as usize;
             let rest = &reader.data()[position..];
-            if rest.iter().all(|&b| b == 0) {
+            if reaches_file_end && rest.iter().all(|&b| b == 0) {
                 return Ok((footer, true));
             }
-            // Something follows but is too short to be a member: treat as
-            // truncation so the caller can grow the range.
+            // Something follows (or may, beyond the range) but what is here
+            // is too short to be a member: treat as truncation so the caller
+            // can grow the range.
             return Err(CoreError::Gzip(GzipError::Truncated));
         }
         let position = (reader.position() / 8) as usize;
@@ -139,188 +224,38 @@ fn cross_member_boundary(reader: &mut BitReader<'_>) -> Result<(GzipFooter, bool
     }
 }
 
-/// Decodes a chunk whose exact start offset and window are known, producing
-/// plain bytes.
-///
-/// * `start_bit_offset` — absolute bit offset of the first DEFLATE block (or
-///   of a gzip member header if `at_member_start` is true).
-/// * `stop_bit_offset` — guessed boundary of the next chunk; decoding stops
-///   at the first Dynamic or Non-Compressed block at or after it.
-/// * `window` — up to 32 KiB of decompressed data preceding the chunk.
-/// * `verify` — hash the decompressed bytes per member fragment (CRC-32 on
-///   this thread) so the caller can fold them against member trailers.
-pub fn decode_chunk_at(
-    reader: &SharedFileReader,
-    start_bit_offset: u64,
-    stop_bit_offset: u64,
-    window: &[u8],
-    at_member_start: bool,
-    chunk_size: usize,
-    verify: bool,
-) -> Result<ChunkResult, CoreError> {
-    let file_size = reader.size();
-    let start_byte = start_bit_offset / 8;
-    let mut slack = (chunk_size as u64).max(64 * 1024);
-
-    loop {
-        let stop_byte = stop_bit_offset.div_ceil(8);
-        let range_end = (stop_byte + slack).min(file_size);
-        let range = read_compressed_range(reader, start_byte, range_end - start_byte)?;
-        let range_covers_file_end = start_byte + range.len() as u64 >= file_size;
-
-        let attempt = decode_direct_in_range(
-            &range,
-            start_byte,
-            start_bit_offset,
-            stop_bit_offset,
-            window,
-            at_member_start,
-            verify,
-        );
-        match attempt {
-            Ok(result) => return Ok(result),
-            Err(error) if !range_covers_file_end => {
-                // The chunk extends past the range we read; widen and retry.
-                let _ = error;
-                slack = slack.saturating_mul(4);
-            }
-            Err(error) => return Err(error),
-        }
-    }
+/// A chunk to decode directly: its exact start offset and window are known.
+pub(crate) struct DirectChunk<'a> {
+    /// Absolute bit offset of the first DEFLATE block (or of a gzip member
+    /// header if `at_member_start` is true).
+    pub start_bit_offset: u64,
+    /// Boundary of the next chunk; decoding stops at the first Dynamic or
+    /// Non-Compressed block at or after it.
+    pub stop_bit_offset: u64,
+    /// Up to 32 KiB of decompressed data preceding the chunk.
+    pub window: &'a [u8],
+    pub at_member_start: bool,
+    /// Whether `stop_bit_offset` is the next seek point of an index, where
+    /// the next chunk is *known* to start, rather than a guess (a multiple of
+    /// the chunk size) the chunk's last block may run well past.
+    pub stop_is_seek_point: bool,
+    /// Hash the decompressed bytes per member fragment (CRC-32 on this
+    /// thread) so the caller can fold them against member trailers.
+    pub verify: bool,
 }
 
-fn decode_direct_in_range(
-    range: &[u8],
-    range_start_byte: u64,
-    start_bit_offset: u64,
-    stop_bit_offset: u64,
-    window: &[u8],
-    at_member_start: bool,
-    verify: bool,
-) -> Result<ChunkResult, CoreError> {
-    let range_start_bits = range_start_byte * 8;
-    let mut reader = BitReader::new(range);
-    reader
-        .seek_to_bit(start_bit_offset - range_start_bits)
-        .map_err(|_| CoreError::Deflate(DeflateError::UnexpectedEof))?;
-    let relative_stop = stop_bit_offset.saturating_sub(range_start_bits);
+/// Bytes a direct decode reads past the next seek point: the decoder looks at
+/// that block's three header bits to stop in front of it, and a Dynamic block
+/// starting with fewer than 2 KiB of input left takes the slower
+/// single-symbol path.  Should a chunk need more after all, the decode widens
+/// the range and retries like any other.
+const SEEK_POINT_SLACK: usize = 2 * 1024;
 
-    if at_member_start {
-        parse_header(&mut reader).map_err(CoreError::Gzip)?;
-    }
-
-    let mut data = Vec::new();
-    let mut first_call = true;
-    let mut reached_end_of_file = false;
-    let mut fast_fallback_blocks = 0u32;
-    let mut window_usage = Vec::new();
-    // One inflate call never crosses a member boundary, so each iteration
-    // contributes exactly one CRC fragment.
-    let mut fragments = Vec::new();
-    let mut fragment_start = 0usize;
-    loop {
-        let call_window = if first_call { window } else { &[] };
-        first_call = false;
-        let outcome = if verify {
-            inflate_hashed(&mut reader, call_window, &mut data, relative_stop)
-        } else {
-            inflate(&mut reader, call_window, &mut data, relative_stop)
-        }
-        .map_err(CoreError::Deflate)?;
-        fast_fallback_blocks += outcome.fast_fallback_blocks;
-        if window_usage.is_empty() {
-            // Only the first member of the chunk can reference the preceding
-            // window; later inflate calls get an empty window.
-            window_usage = outcome.window_usage.clone();
-        }
-        let fragment = ChunkFragment {
-            crc32: outcome.crc32.unwrap_or(0),
-            length: (data.len() - fragment_start) as u64,
-            trailer: None,
-        };
-        fragment_start = data.len();
-        match outcome.stop_reason {
-            StopReason::StopOffsetReached => {
-                fragments.push(fragment);
-                break;
-            }
-            StopReason::EndOfInput => {
-                return Err(CoreError::Deflate(DeflateError::UnexpectedEof));
-            }
-            StopReason::EndOfStream => {
-                let (footer, at_end_of_file) = cross_member_boundary(&mut reader)?;
-                fragments.push(ChunkFragment {
-                    trailer: Some(footer),
-                    ..fragment
-                });
-                if at_end_of_file {
-                    reached_end_of_file = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    Ok(ChunkResult {
-        start_bit_offset,
-        end_bit_offset: range_start_bits + reader.position(),
-        data,
-        reached_end_of_file,
-        window_usage,
-        fragments,
-        fast_fallback_blocks,
-    })
-}
-
-/// Speculatively decodes the chunk whose guessed start is
-/// `guess_index * chunk_size` bytes, using the block finder and two-stage
-/// decoding.  Returns `Ok(None)` if no DEFLATE block could be found inside
-/// the guessed chunk range.
-#[cfg_attr(not(test), allow(dead_code))]
-pub fn decode_speculative_chunk(
-    reader: &SharedFileReader,
-    chunk_size: usize,
-    guess_index: usize,
-) -> Result<Option<SpeculativeChunk>, CoreError> {
-    decode_speculative_chunk_traced(
-        reader,
-        chunk_size,
-        guess_index,
-        &TraceSink::shared_disabled(),
-    )
-}
-
-/// [`decode_speculative_chunk`] with block-find and two-stage decode spans
-/// recorded into `trace` (chunk id = the guessed bit offset).
-pub fn decode_speculative_chunk_traced(
-    reader: &SharedFileReader,
-    chunk_size: usize,
-    guess_index: usize,
-    trace: &TraceSink,
-) -> Result<Option<SpeculativeChunk>, CoreError> {
-    let file_size = reader.size();
-    let guess_byte = (guess_index as u64) * chunk_size as u64;
-    if guess_byte >= file_size {
-        return Ok(None);
-    }
-    let guess_bit = guess_byte * 8;
-    let stop_bit = (guess_byte + chunk_size as u64) * 8;
-    let mut slack = chunk_size as u64;
-
-    loop {
-        let range_end = (stop_bit / 8 + slack).min(file_size);
-        let range = read_compressed_range(reader, guess_byte, range_end - guess_byte)?;
-        let range_covers_file_end = guess_byte + range.len() as u64 >= file_size;
-
-        match decode_speculative_in_range(&range, guess_byte, guess_bit, stop_bit, trace) {
-            SpeculativeOutcome::Found(chunk) => return Ok(Some(chunk)),
-            SpeculativeOutcome::NoBlock => return Ok(None),
-            SpeculativeOutcome::NeedMoreData if !range_covers_file_end => {
-                slack = slack.saturating_mul(4);
-            }
-            SpeculativeOutcome::NeedMoreData => return Ok(None),
-        }
-    }
+/// A compressed byte range of the file.
+struct CompressedRange {
+    bytes: Pooled<u8>,
+    start_byte: u64,
+    reaches_file_end: bool,
 }
 
 enum SpeculativeOutcome {
@@ -329,131 +264,352 @@ enum SpeculativeOutcome {
     NeedMoreData,
 }
 
-fn decode_speculative_in_range(
-    range: &[u8],
-    range_start_byte: u64,
-    guess_bit: u64,
-    stop_bit: u64,
-    trace: &TraceSink,
-) -> SpeculativeOutcome {
-    let range_start_bits = range_start_byte * 8;
-    let relative_guess = guess_bit - range_start_bits;
-    let relative_stop = stop_bit - range_start_bits;
-    let finder = CombinedBlockFinder::new();
-
-    let mut search_from = relative_guess;
-    loop {
-        let candidate = {
-            let mut span = trace.span(Stage::BlockFind).chunk(guess_bit);
-            match finder.find_next(range, search_from) {
-                // The first candidate block may already belong to the next
-                // chunk, in which case this chunk has nothing to offer.
-                Some(candidate) if candidate < relative_stop => candidate,
-                _ => {
-                    span.set_outcome(Outcome::NotFound);
-                    return SpeculativeOutcome::NoBlock;
-                }
-            }
-        };
-
-        let mut span = trace
-            .span(Stage::DecodeTwoStage)
-            .chunk(guess_bit)
-            .compressed_range(
-                range_start_byte + candidate / 8,
-                range_start_byte + range.len() as u64,
-            );
-        match try_speculative_decode(range, candidate, relative_stop) {
-            Ok(decoded) => {
-                span.set_bytes(decoded.output.len() as u64);
-                span.set_marker_bytes(decoded.output.prefix().len() as u64);
-                span.set_compressed_range(
-                    range_start_byte + candidate / 8,
-                    range_start_byte + decoded.end_bit_offset.div_ceil(8),
-                );
-                span.finish();
-                // The decode worked in offsets relative to `range`.
-                return SpeculativeOutcome::Found(SpeculativeChunk {
-                    requested_bit_offset: guess_bit,
-                    found_bit_offset: range_start_bits + candidate,
-                    end_bit_offset: range_start_bits + decoded.end_bit_offset,
-                    ..decoded
-                });
-            }
-            Err(error) if is_eof_like(&error) => {
-                // Could be a genuine block whose data extends past the range
-                // we read: ask the caller for more data.
-                span.set_outcome(Outcome::Error);
-                return SpeculativeOutcome::NeedMoreData;
-            }
-            Err(_) => {
-                // False positive: try the next candidate.
-                span.set_outcome(Outcome::NotFound);
-                search_from = candidate + 1;
-            }
-        }
-    }
+/// Everything a chunk decode needs besides the chunk's offsets: the
+/// compressed input and the size of the chunks it is cut into, the pool its
+/// buffers come from, and the trace.  Cheap to clone into a task.
+#[derive(Clone)]
+pub(crate) struct ChunkDecoder {
+    pub reader: SharedFileReader,
+    pub chunk_size: usize,
+    pub buffers: BufferPool,
+    pub trace: Arc<TraceSink>,
 }
 
-/// Decodes the chunk starting at bit `start` of `range`; the bit offsets of
-/// the returned chunk are relative to `range`.
-fn try_speculative_decode(
-    range: &[u8],
-    start: u64,
-    relative_stop: u64,
-) -> Result<SpeculativeChunk, CoreError> {
-    let mut reader = BitReader::new(range);
-    reader
-        .seek_to_bit(start)
-        .map_err(|_| CoreError::Deflate(DeflateError::UnexpectedEof))?;
-    let mut output = SpeculativeOutput::new();
-    let mut window_usage = None;
-    let mut block_count = 0usize;
-    let mut reached_end_of_file = false;
-    let mut member_ends = Vec::new();
-    loop {
-        let outcome = inflate_speculative(&mut reader, &mut output, relative_stop)
-            .map_err(CoreError::Deflate)?;
-        block_count += outcome.blocks.len();
-        // Only the chunk's first member can reference the preceding window.
-        window_usage.get_or_insert(outcome.window_usage);
-        match outcome.stop_reason {
-            StopReason::StopOffsetReached => break,
-            StopReason::EndOfInput => {
-                return Err(CoreError::Deflate(DeflateError::UnexpectedEof));
-            }
-            StopReason::EndOfStream => {
-                let (footer, at_end_of_file) = cross_member_boundary(&mut reader)?;
-                member_ends.push((output.len() as u64, footer));
-                if at_end_of_file {
-                    reached_end_of_file = true;
-                    break;
-                }
-                // The next member starts with an empty window: nothing after
-                // this point can reference the markers.
-                output.switch_to_bytes();
+impl ChunkDecoder {
+    /// Reads the compressed range `[start_byte, end_byte)`, clamped to the
+    /// file, into a pool buffer.
+    fn read_range(&self, start_byte: u64, end_byte: u64) -> Result<CompressedRange, CoreError> {
+        let file_size = self.reader.size();
+        let length = end_byte.min(file_size).saturating_sub(start_byte);
+        let mut bytes = self.buffers.range();
+        self.reader
+            .read_range_into(start_byte, length as usize, &mut bytes)?;
+        self.buffers.note_range(bytes.len());
+        let reaches_file_end = start_byte + bytes.len() as u64 >= file_size;
+        Ok(CompressedRange {
+            bytes,
+            start_byte,
+            reaches_file_end,
+        })
+    }
+
+    /// Decodes a chunk whose exact start offset and window are known,
+    /// producing plain bytes.
+    pub fn decode_at(&self, chunk: &DirectChunk<'_>) -> Result<ChunkResult, CoreError> {
+        let start_byte = chunk.start_bit_offset / 8;
+        let stop_byte = chunk.stop_bit_offset.div_ceil(8);
+        let mut slack = if chunk.stop_is_seek_point {
+            SEEK_POINT_SLACK
+        } else {
+            self.chunk_size.max(64 * 1024)
+        } as u64;
+        loop {
+            let range = self.read_range(start_byte, stop_byte.saturating_add(slack))?;
+            match self.decode_direct_in_range(&range, chunk) {
+                // The chunk extends past the range we read; widen and retry.
+                Err(_) if !range.reaches_file_end => slack = slack.saturating_mul(4),
+                attempt => return attempt,
             }
         }
     }
-    // Up to `prefetch_degree` finished chunks wait for the sequential pass;
-    // the doubling growth left each up to a third of its capacity unused.
-    output.shrink_to_fit();
-    Ok(SpeculativeChunk {
-        requested_bit_offset: start,
-        found_bit_offset: start,
-        end_bit_offset: reader.position(),
-        output,
-        window_usage: window_usage.unwrap_or_default(),
-        block_count,
-        reached_end_of_file,
-        member_ends,
-    })
+
+    fn decode_direct_in_range(
+        &self,
+        range: &CompressedRange,
+        chunk: &DirectChunk<'_>,
+    ) -> Result<ChunkResult, CoreError> {
+        let &DirectChunk {
+            start_bit_offset,
+            stop_bit_offset,
+            window,
+            at_member_start,
+            verify,
+            ..
+        } = chunk;
+        let range_start_bits = range.start_byte * 8;
+        let mut reader = BitReader::new(&range.bytes);
+        reader
+            .seek_to_bit(start_bit_offset - range_start_bits)
+            .map_err(|_| CoreError::Deflate(DeflateError::UnexpectedEof))?;
+        let relative_stop = stop_bit_offset.saturating_sub(range_start_bits);
+
+        if at_member_start {
+            parse_header(&mut reader).map_err(CoreError::Gzip)?;
+        }
+
+        let mut data = self.buffers.bytes();
+        data.clear();
+        let mut first_call = true;
+        let mut reached_end_of_file = false;
+        let mut fast_fallback_blocks = 0u32;
+        let mut window_usage = Vec::new();
+        // One inflate call never crosses a member boundary, so each iteration
+        // contributes exactly one CRC fragment.
+        let mut fragments = Vec::new();
+        let mut fragment_start = 0usize;
+        loop {
+            let call_window = if first_call { window } else { &[] };
+            first_call = false;
+            let outcome = if verify {
+                inflate_hashed(&mut reader, call_window, &mut data, relative_stop)
+            } else {
+                inflate(&mut reader, call_window, &mut data, relative_stop)
+            }
+            .map_err(CoreError::Deflate)?;
+            fast_fallback_blocks += outcome.fast_fallback_blocks;
+            if window_usage.is_empty() {
+                // Only the first member of the chunk can reference the
+                // preceding window; later inflate calls get an empty window.
+                window_usage = outcome.window_usage.clone();
+            }
+            let fragment = ChunkFragment {
+                crc32: outcome.crc32.unwrap_or(0),
+                length: (data.len() - fragment_start) as u64,
+                trailer: None,
+            };
+            fragment_start = data.len();
+            match outcome.stop_reason {
+                StopReason::StopOffsetReached => {
+                    fragments.push(fragment);
+                    break;
+                }
+                StopReason::EndOfInput => {
+                    return Err(CoreError::Deflate(DeflateError::UnexpectedEof));
+                }
+                StopReason::EndOfStream => {
+                    let (footer, at_end_of_file) =
+                        cross_member_boundary(&mut reader, range.reaches_file_end)?;
+                    fragments.push(ChunkFragment {
+                        trailer: Some(footer),
+                        ..fragment
+                    });
+                    if at_end_of_file {
+                        reached_end_of_file = true;
+                        break;
+                    }
+                }
+            }
+        }
+
+        self.buffers.note_bytes(data.len());
+        Ok(ChunkResult {
+            start_bit_offset,
+            end_bit_offset: range_start_bits + reader.position(),
+            data,
+            reached_end_of_file,
+            window_usage,
+            fragments,
+            fast_fallback_blocks,
+        })
+    }
+
+    /// Speculatively decodes the chunk whose guessed start is
+    /// `guess_index * self.chunk_size` bytes, using the block finder and two-stage
+    /// decoding, with block-find and two-stage decode spans recorded into the
+    /// trace (chunk id = the guessed bit offset).  Returns `Ok(None)` if no
+    /// DEFLATE block could be found inside the guessed chunk range.
+    pub fn decode_speculative(
+        &self,
+        guess_index: usize,
+    ) -> Result<Option<SpeculativeChunk>, CoreError> {
+        let chunk_size = self.chunk_size;
+        let guess_byte = (guess_index as u64) * chunk_size as u64;
+        if guess_byte >= self.reader.size() {
+            return Ok(None);
+        }
+        let guess_bit = guess_byte * 8;
+        let stop_byte = guess_byte + chunk_size as u64;
+        let mut slack = chunk_size as u64;
+
+        loop {
+            let range = self.read_range(guess_byte, stop_byte.saturating_add(slack))?;
+            match self.decode_speculative_in_range(&range, guess_bit, stop_byte * 8) {
+                SpeculativeOutcome::Found(chunk) => return Ok(Some(chunk)),
+                SpeculativeOutcome::NoBlock => return Ok(None),
+                SpeculativeOutcome::NeedMoreData if !range.reaches_file_end => {
+                    slack = slack.saturating_mul(4);
+                }
+                SpeculativeOutcome::NeedMoreData => return Ok(None),
+            }
+        }
+    }
+
+    fn decode_speculative_in_range(
+        &self,
+        range: &CompressedRange,
+        guess_bit: u64,
+        stop_bit: u64,
+    ) -> SpeculativeOutcome {
+        let range_start_bits = range.start_byte * 8;
+        let range_end_byte = range.start_byte + range.bytes.len() as u64;
+        let relative_guess = guess_bit - range_start_bits;
+        let relative_stop = stop_bit - range_start_bits;
+        let finder = CombinedBlockFinder::new();
+
+        let mut search_from = relative_guess;
+        loop {
+            let candidate = {
+                let mut span = self.trace.span(Stage::BlockFind).chunk(guess_bit);
+                match finder.find_next(&range.bytes, search_from) {
+                    // The first candidate block may already belong to the
+                    // next chunk, in which case this chunk has nothing to
+                    // offer.
+                    Some(candidate) if candidate < relative_stop => candidate,
+                    _ => {
+                        span.set_outcome(Outcome::NotFound);
+                        return SpeculativeOutcome::NoBlock;
+                    }
+                }
+            };
+
+            let mut span = self
+                .trace
+                .span(Stage::DecodeTwoStage)
+                .chunk(guess_bit)
+                .compressed_range(range.start_byte + candidate / 8, range_end_byte);
+            match self.try_speculative_decode(range, candidate, relative_stop) {
+                Ok(decoded) => {
+                    span.set_bytes(decoded.output.len() as u64);
+                    span.set_marker_bytes(decoded.output.prefix().len() as u64);
+                    span.set_compressed_range(
+                        range.start_byte + candidate / 8,
+                        range.start_byte + decoded.end_bit_offset.div_ceil(8),
+                    );
+                    span.finish();
+                    // The decode worked in offsets relative to `range`.
+                    return SpeculativeOutcome::Found(SpeculativeChunk {
+                        requested_bit_offset: guess_bit,
+                        found_bit_offset: range_start_bits + candidate,
+                        end_bit_offset: range_start_bits + decoded.end_bit_offset,
+                        ..decoded
+                    });
+                }
+                Err(error) if is_eof_like(&error) => {
+                    // Could be a genuine block whose data extends past the
+                    // range we read: ask the caller for more data.
+                    span.set_outcome(Outcome::Error);
+                    return SpeculativeOutcome::NeedMoreData;
+                }
+                Err(_) => {
+                    // False positive: try the next candidate.
+                    span.set_outcome(Outcome::NotFound);
+                    search_from = candidate + 1;
+                }
+            }
+        }
+    }
+
+    /// Decodes the chunk starting at bit `start` of `range`; the bit offsets
+    /// of the returned chunk are relative to `range`.
+    fn try_speculative_decode(
+        &self,
+        range: &CompressedRange,
+        start: u64,
+        relative_stop: u64,
+    ) -> Result<SpeculativeChunk, CoreError> {
+        let mut reader = BitReader::new(&range.bytes);
+        reader
+            .seek_to_bit(start)
+            .map_err(|_| CoreError::Deflate(DeflateError::UnexpectedEof))?;
+        let byte_buffer = || self.buffers.bytes().detach();
+        let mut output = PooledOutput::new(&self.buffers);
+        let mut window_usage = None;
+        let mut block_count = 0usize;
+        let mut reached_end_of_file = false;
+        let mut member_ends = Vec::new();
+        loop {
+            let outcome = inflate_speculative(&mut reader, &mut output, relative_stop, byte_buffer)
+                .map_err(CoreError::Deflate)?;
+            block_count += outcome.blocks.len();
+            // Only the chunk's first member can reference the preceding
+            // window.
+            window_usage.get_or_insert(outcome.window_usage);
+            match outcome.stop_reason {
+                StopReason::StopOffsetReached => break,
+                StopReason::EndOfInput => {
+                    return Err(CoreError::Deflate(DeflateError::UnexpectedEof));
+                }
+                StopReason::EndOfStream => {
+                    let (footer, at_end_of_file) =
+                        cross_member_boundary(&mut reader, range.reaches_file_end)?;
+                    member_ends.push((output.len() as u64, footer));
+                    if at_end_of_file {
+                        reached_end_of_file = true;
+                        break;
+                    }
+                    // The next member starts with an empty window: nothing
+                    // after this point can reference the markers.
+                    output.switch_to_bytes(byte_buffer);
+                }
+            }
+        }
+        // The decodes that start before this chunk's buffers come back are
+        // to find theirs as large already; its bytes need a buffer of this
+        // size too, the one they are in or the one they will be resolved
+        // into.
+        self.buffers.note_symbols(output.prefix().len());
+        self.buffers.note_bytes(output.len());
+        Ok(SpeculativeChunk {
+            requested_bit_offset: start,
+            found_bit_offset: start,
+            end_bit_offset: reader.position(),
+            output,
+            window_usage: window_usage.unwrap_or_default(),
+            block_count,
+            reached_end_of_file,
+            member_ends,
+        })
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rgz_gzip::GzipWriter;
+    use rgz_metrics::MetricsRegistry;
+
+    /// A decoder over `reader` with a pool of its own.
+    fn decoder(
+        reader: &SharedFileReader,
+        chunk_size: usize,
+        metrics: &MetricsRegistry,
+    ) -> ChunkDecoder {
+        ChunkDecoder {
+            reader: reader.clone(),
+            chunk_size,
+            buffers: BufferPool::new(2, metrics),
+            trace: TraceSink::shared_disabled(),
+        }
+    }
+
+    /// A direct decode into fresh buffers, to a guessed stop offset.
+    fn decode_chunk_at(
+        reader: &SharedFileReader,
+        start_bit_offset: u64,
+        stop_bit_offset: u64,
+        window: &[u8],
+        at_member_start: bool,
+        chunk_size: usize,
+        verify: bool,
+    ) -> Result<ChunkResult, CoreError> {
+        decoder(reader, chunk_size, &MetricsRegistry::new()).decode_at(&DirectChunk {
+            start_bit_offset,
+            stop_bit_offset,
+            window,
+            at_member_start,
+            stop_is_seek_point: false,
+            verify,
+        })
+    }
+
+    /// A speculative decode into fresh buffers.
+    fn decode_speculative_chunk(
+        reader: &SharedFileReader,
+        chunk_size: usize,
+        guess_index: usize,
+    ) -> Result<Option<SpeculativeChunk>, CoreError> {
+        decoder(reader, chunk_size, &MetricsRegistry::new()).decode_speculative(guess_index)
+    }
 
     fn corpus(records: usize) -> Vec<u8> {
         let mut data = Vec::new();
@@ -471,7 +627,7 @@ mod tests {
         let compressed = GzipWriter::default().compress(&data);
         let reader = SharedFileReader::from_bytes(compressed);
         let result = decode_chunk_at(&reader, 0, u64::MAX, &[], true, 128 * 1024, true).unwrap();
-        assert_eq!(result.data, data);
+        assert_eq!(*result.data, data);
         assert!(result.reached_end_of_file);
         // A single-member file yields one trailer fragment hashing the
         // whole output.
@@ -490,7 +646,7 @@ mod tests {
         let compressed = GzipWriter::default().compress(&data);
         let reader = SharedFileReader::from_bytes(compressed);
         let result = decode_chunk_at(&reader, 0, u64::MAX, &[], true, 128 * 1024, false).unwrap();
-        assert_eq!(result.data, data);
+        assert_eq!(*result.data, data);
         assert_eq!(result.fragments.len(), 1);
         assert_eq!(result.fragments[0].crc32, 0);
         assert!(result.fragments[0].trailer.is_some());
@@ -506,7 +662,7 @@ mod tests {
         let result = decode_chunk_at(&reader, 0, u64::MAX, &[], true, 128 * 1024, true).unwrap();
         let mut expected = part_a.clone();
         expected.extend_from_slice(&part_b);
-        assert_eq!(result.data, expected);
+        assert_eq!(*result.data, expected);
         assert!(result.reached_end_of_file);
         // Two members, two fragments, split exactly at the member boundary.
         assert_eq!(result.fragments.len(), 2);
@@ -562,9 +718,9 @@ mod tests {
 
         // Resolving its markers with chunk 0's window yields the original data.
         let window_start = chunk0.data.len().saturating_sub(32 * 1024);
-        let resolved = speculative
+        let (resolved, _) = speculative
             .output
-            .resolve(&chunk0.data[window_start..])
+            .resolve(&chunk0.data[window_start..], None)
             .unwrap();
         let offset = chunk0.data.len();
         assert_eq!(&resolved[..], &data[offset..offset + resolved.len()]);
@@ -672,7 +828,9 @@ mod tests {
             assert_eq!(speculative.member_ends, direct_member_ends);
             compared += 1;
             switched += usize::from(!speculative.output.tail().is_empty());
-            assert_eq!(speculative.output.resolve(window).unwrap(), direct.data);
+            let (resolved, crcs) = speculative.output.resolve(window, Some(&[])).unwrap();
+            assert_eq!(*resolved, *direct.data);
+            assert_eq!(crcs, [rgz_checksum::crc32(&resolved)]);
         }
         (compared, switched)
     }
@@ -732,6 +890,188 @@ mod tests {
             });
             let compressed = writer.compress_members(&parts);
             assert_speculative_chunks_match_direct_decode(&compressed, chunk_size * 1024);
+        }
+    }
+
+    /// Two members; the first is one 512 KiB block (no block boundary a
+    /// speculative chunk could start from) of even compressed length.
+    pub(crate) fn single_block_member_then_another() -> (Vec<u8>, usize, Vec<u8>) {
+        let first = rgz_datagen::base64_random(300_001, 7);
+        let second = rgz_datagen::base64_random(50_000, 8);
+        let writer = GzipWriter::new(rgz_deflate::CompressorOptions {
+            block_size: 512 * 1024,
+            ..Default::default()
+        });
+        let first_length = writer.compress(&first).len();
+        assert_eq!(first_length % 2, 0, "the repro needs an even length");
+        let compressed = writer.compress_members(&[&first, &second]);
+        let mut expected = first;
+        expected.extend_from_slice(&second);
+        (compressed, first_length, expected)
+    }
+
+    #[test]
+    fn a_range_ending_at_a_member_end_is_not_the_end_of_the_file() {
+        // The compressed range ends exactly where the first member does:
+        // nothing is left of the *range*, but the file goes on.
+        let (compressed, first_length, expected) = single_block_member_then_another();
+        let shared = SharedFileReader::from_bytes(compressed);
+        let stop_bit = (first_length as u64 - 65_536) * 8;
+        let result = decode_chunk_at(&shared, 0, stop_bit, &[], true, 4096, true).unwrap();
+        assert!(!result.reached_end_of_file);
+        assert_eq!(*result.data, &expected[..300_001]);
+        assert_eq!(result.end_bit_offset % 8, 0);
+        let rest = decode_chunk_at(
+            &shared,
+            result.end_bit_offset,
+            u64::MAX,
+            &[],
+            false,
+            4096,
+            true,
+        )
+        .unwrap();
+        assert!(rest.reached_end_of_file);
+        assert_eq!(*rest.data, &expected[300_001..]);
+    }
+
+    /// Everything a caller can see of a direct decode, or its error.
+    fn direct_view(result: Result<ChunkResult, CoreError>) -> String {
+        match result {
+            Ok(chunk) => format!(
+                "{} {} {} {:?} {:?} {} {:08x} {}",
+                chunk.start_bit_offset,
+                chunk.end_bit_offset,
+                chunk.reached_end_of_file,
+                chunk.window_usage,
+                chunk.fragments,
+                chunk.fast_fallback_blocks,
+                rgz_checksum::crc32(&chunk.data),
+                chunk.data.len(),
+            ),
+            Err(error) => format!("{error:?}"),
+        }
+    }
+
+    /// Likewise of a speculative decode, resolved against `window`.
+    fn speculative_view(
+        result: Result<Option<SpeculativeChunk>, CoreError>,
+        window: &[u8],
+    ) -> String {
+        match result {
+            Ok(Some(chunk)) => format!(
+                "{} {} {} {:?} {} {} {:?} {} {} {:?}",
+                chunk.requested_bit_offset,
+                chunk.found_bit_offset,
+                chunk.end_bit_offset,
+                chunk.window_usage,
+                chunk.block_count,
+                chunk.reached_end_of_file,
+                chunk.member_ends,
+                chunk.output.prefix().len(),
+                chunk.output.tail().len(),
+                chunk
+                    .output
+                    .resolve(window, Some(&[]))
+                    .map(|(data, crcs)| (data.len(), crcs)),
+            ),
+            Ok(None) => "no block".to_string(),
+            Err(error) => format!("{error:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// One decoder goes through a file's chunks, speculatively and
+        /// directly, with one pool: each decode finds the buffers the one
+        /// before gave back — full of another chunk's range, symbols and
+        /// bytes (behind the placeholders of a switch, past the end where a
+        /// match copy overshot), or half-written where a truncated or
+        /// bit-flipped chunk failed.  None of that may show: every result,
+        /// and every error, equals that of a decode into fresh buffers.
+        #[test]
+        fn decodes_into_recycled_buffers_equal_decodes_into_fresh_ones(
+            seed in 0u64..1_000_000,
+            member_lengths in proptest::collection::vec(1usize..300_000, 1..4),
+            block_size in 4usize..48,
+            chunk_size in 8usize..64,
+            damage in 0usize..3,
+            damage_at in 0usize..1_000_000,
+        ) {
+            let members: Vec<Vec<u8>> = member_lengths
+                .iter()
+                .enumerate()
+                .map(|(index, &length)| match (seed as usize + index) % 3 {
+                    0 => rgz_datagen::base64_random(length, seed),
+                    1 => rgz_datagen::silesia_like(length, seed),
+                    _ => rgz_datagen::fastq_of_size(length, seed),
+                })
+                .collect();
+            let parts: Vec<&[u8]> = members.iter().map(Vec::as_slice).collect();
+            let writer = GzipWriter::new(rgz_deflate::CompressorOptions {
+                block_size: block_size * 1024,
+                ..Default::default()
+            });
+            let mut compressed = writer.compress_members(&parts);
+            match damage {
+                1 => {
+                    let bit = damage_at % (compressed.len() * 8);
+                    compressed[bit / 8] ^= 1 << (bit % 8);
+                }
+                2 => compressed.truncate((damage_at % compressed.len()).max(20)),
+                _ => {}
+            }
+            let chunk_size = chunk_size * 1024;
+            let chunks = compressed.len().div_ceil(chunk_size);
+            let shared = SharedFileReader::from_bytes(compressed);
+            // Not the true windows: all that matters is that both sides
+            // resolve against the same one.
+            let window = rgz_datagen::base64_random(32 * 1024, seed);
+
+            let recycled_metrics = MetricsRegistry::new_enabled();
+            let recycling = decoder(&shared, chunk_size, &recycled_metrics);
+            let fresh_metrics = MetricsRegistry::new();
+            let fresh = || decoder(&shared, chunk_size, &fresh_metrics);
+            for guess in 0..chunks {
+                let speculative = recycling.decode_speculative(guess);
+                // Where the direct decode starts: at the block the
+                // speculative one found, else at the guess itself.
+                let start = match &speculative {
+                    Ok(Some(chunk)) => chunk.found_bit_offset,
+                    _ => (guess * chunk_size) as u64 * 8,
+                };
+                proptest::prop_assert_eq!(
+                    speculative_view(speculative, &window),
+                    speculative_view(fresh().decode_speculative(guess), &window)
+                );
+                // To a guessed stop, and as if an index had named it.
+                let direct = DirectChunk {
+                    start_bit_offset: start,
+                    stop_bit_offset: ((guess + 1) * chunk_size) as u64 * 8,
+                    window: &window,
+                    at_member_start: start == 0,
+                    stop_is_seek_point: guess % 2 == 1,
+                    verify: true,
+                };
+                proptest::prop_assert_eq!(
+                    direct_view(recycling.decode_at(&direct)),
+                    direct_view(fresh().decode_at(&direct))
+                );
+            }
+            // Each guess took a range twice, and found the one its last
+            // decode gave back at least once (a range longer than any of the
+            // last few replaces it, once).
+            let reused_takes = recycled_metrics
+                .snapshot()
+                .counter(
+                    rgz_metrics::names::BUFFER_POOL_TAKES,
+                    &[("kind", "range"), ("result", "reused")],
+                );
+            proptest::prop_assert!(
+                reused_takes >= Some(chunks as u64),
+                "the range buffer was not recycled: {:?} of {}", reused_takes, 2 * chunks
+            );
         }
     }
 

@@ -6,13 +6,13 @@ use std::io::{Read, Seek, SeekFrom};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rgz_fetcher::{Cache, IndexAlignedPlan, TaskHandle, ThreadPool};
+use rgz_fetcher::{BufferPool, Cache, IndexAlignedPlan, Pooled, TaskHandle, ThreadPool};
 use rgz_index::{GzipIndex, PointChecksums, SeekPoint, WINDOW_SIZE};
 use rgz_io::{FileReader, SharedFileReader};
 use rgz_metrics::MetricsRegistry;
 use rgz_trace::{instants, EventMeta, Outcome, Stage, TraceSink};
 
-use crate::chunk::{decode_chunk_at, decode_speculative_chunk_traced, SpeculativeChunk};
+use crate::chunk::{ChunkDecoder, DirectChunk, SpeculativeChunk};
 use crate::metrics::ReaderMetrics;
 use crate::verify::{
     check_point_fragments, ChunkFragment, StreamVerifier, VerificationMode, VerificationStatistics,
@@ -178,10 +178,19 @@ struct SequentialPass {
     next_member: u64,
 }
 
+/// A chunk's decompressed bytes, in a buffer of the reader's [`BufferPool`]:
+/// it goes back there when the last holder — `chunk_data`, the resolved
+/// cache, a read in progress — lets go.
+type ChunkBytes = Arc<Pooled<u8>>;
+
 enum ChunkData {
-    Ready(Arc<Vec<u8>>),
-    Pending(TaskHandle<Result<Vec<u8>, CoreError>>),
+    Ready(ChunkBytes),
+    Pending(TaskHandle<Result<Pooled<u8>, CoreError>>),
 }
+
+/// The most bytes [`ParallelGzipReader::decompress_to`] hands its writer in
+/// one call.
+const HAND_OVER_BYTES: usize = 1 << 20;
 
 struct ReaderState {
     index: GzipIndex,
@@ -189,7 +198,7 @@ struct ReaderState {
     /// Resolved (or resolving) chunk data keyed by compressed bit offset.
     chunk_data: HashMap<u64, ChunkData>,
     /// LRU cache of chunk data for random access after the first pass.
-    resolved_cache: Cache<u64, Vec<u8>>,
+    resolved_cache: Cache<u64, Pooled<u8>>,
     /// Finished speculative chunks keyed by their *found* bit offset.
     speculative_ready: HashMap<u64, SpeculativeChunk>,
     /// In-flight speculative tasks keyed by guess index.
@@ -215,6 +224,9 @@ pub struct ParallelGzipReader {
     reader: SharedFileReader,
     options: ParallelGzipReaderOptions,
     pool: Arc<ThreadPool>,
+    /// The chunk buffers — compressed ranges, 16-bit symbols, decompressed
+    /// bytes — recycled from chunk to chunk.
+    buffers: BufferPool,
     trace: Arc<TraceSink>,
     /// Pre-resolved registry handles; disconnected when no registry was
     /// attached, so the hot paths stay unconditional.
@@ -264,6 +276,11 @@ impl ParallelGzipReader {
             trace.clone(),
             Arc::clone(&metrics.registry),
         ));
+        // Up to 2P + 1 chunks are on their way from decode to hand-over, and
+        // when the consumer falls behind and catches up again, the number
+        // breathes by P + 1: that many buffers of a kind may lie idle, so
+        // that the pass neither frees nor creates one once it has them all.
+        let buffers = BufferPool::new(parallelization + 1, &metrics.registry);
         let mut index = GzipIndex::new();
         index.compressed_size = reader.size();
         // Seek-point windows compress on the shared pool as they are stored.
@@ -276,6 +293,7 @@ impl ParallelGzipReader {
         verifier.set_member_verified_counter(metrics.verify_member.clone());
         Ok(Self {
             pool,
+            buffers,
             trace,
             metrics,
             verifier: Arc::new(Mutex::new(verifier)),
@@ -330,6 +348,8 @@ impl ParallelGzipReader {
         index: GzipIndex,
     ) -> Result<Self, CoreError> {
         let this = Self::new(reader, options)?;
+        // Nothing is decoded speculatively through an index.
+        this.buffers.retire_symbols();
         {
             let mut state = this.state.lock();
             let uncompressed_size = index.uncompressed_size;
@@ -353,6 +373,16 @@ impl ParallelGzipReader {
             }
         }
         Ok(this)
+    }
+
+    /// What a chunk decode task needs of this reader.
+    fn chunk_decoder(&self) -> ChunkDecoder {
+        ChunkDecoder {
+            reader: self.reader.clone(),
+            chunk_size: self.options.chunk_size,
+            buffers: self.buffers.clone(),
+            trace: self.trace.clone(),
+        }
     }
 
     /// The options this reader was created with.
@@ -478,16 +508,13 @@ impl ParallelGzipReader {
     /// bytes written.
     pub fn decompress_to(&mut self, writer: &mut impl std::io::Write) -> Result<u64, CoreError> {
         self.position = 0;
-        let mut buffer = vec![0u8; 1 << 20];
-        let mut total = 0u64;
-        loop {
-            let read = self.read_at_position(&mut buffer)?;
-            if read == 0 {
-                return Ok(total);
-            }
-            writer.write_all(&buffer[..read])?;
-            total += read as u64;
+        // The writer gets the chunks' own bytes, a slice at a time.
+        while let Some((data, offset)) = self.chunk_at_position()? {
+            let end = data.len().min(offset + HAND_OVER_BYTES);
+            writer.write_all(&data[offset..end])?;
+            self.position += (end - offset) as u64;
         }
+        Ok(self.position)
     }
 
     // --- sequential pass ------------------------------------------------
@@ -549,8 +576,8 @@ impl ParallelGzipReader {
                 reached_end_of_file = chunk.reached_end_of_file;
                 window_for_next = Arc::new(next_window);
                 let window_clone = window.clone();
+                let wide_bytes = chunk.output.prefix().len() as u64;
                 let output = chunk.output;
-                let wide_bytes = output.prefix().len() as u64;
                 let member_ends = chunk.member_ends;
                 members_ended = member_ends.len() as u64;
                 let verifier = self.verifier.clone();
@@ -575,7 +602,7 @@ impl ParallelGzipReader {
                         let ends: Vec<usize> =
                             member_ends.iter().map(|&(end, _)| end as usize).collect();
                         output
-                            .resolve_hashed(&window_clone, &ends)
+                            .resolve(&window_clone, Some(&ends))
                             .map_err(CoreError::Deflate)
                             .map(|(data, crcs)| {
                                 let mut fragments = Vec::with_capacity(crcs.len());
@@ -607,7 +634,10 @@ impl ParallelGzipReader {
                                 data
                             })
                     } else {
-                        output.resolve(&window_clone).map_err(CoreError::Deflate)
+                        output
+                            .resolve(&window_clone, None)
+                            .map(|(data, _)| data)
+                            .map_err(CoreError::Deflate)
                     };
                     span.set_outcome(match &result {
                         Ok(_) => Outcome::Committed,
@@ -666,15 +696,14 @@ impl ParallelGzipReader {
                     .span(Stage::DecodeOneStage)
                     .chunk(start_bit)
                     .member(first_member);
-                let mut result = match decode_chunk_at(
-                    &self.reader,
-                    start_bit,
-                    stop_bit,
-                    &window,
-                    start_bit == 0,
-                    self.options.chunk_size,
+                let mut result = match self.chunk_decoder().decode_at(&DirectChunk {
+                    start_bit_offset: start_bit,
+                    stop_bit_offset: stop_bit,
+                    window: &window,
+                    at_member_start: start_bit == 0,
+                    stop_is_seek_point: false,
                     verify,
-                ) {
+                }) {
                     Ok(result) => {
                         span.set_bytes(result.data.len() as u64);
                         span.set_compressed_range(start_bit / 8, result.end_bit_offset.div_ceil(8));
@@ -790,7 +819,13 @@ impl ParallelGzipReader {
                 }
             }
         }
+        let finished = state.pass.finished;
         drop(state);
+        if finished {
+            // Every decode from here on is direct: the symbol buffers the
+            // last marker replacements give back are no use to anyone.
+            self.buffers.retire_symbols();
+        }
         for (found, bytes) in wasted_events {
             self.metrics.chunks_wasted.inc();
             self.metrics.bytes_wasted.add(bytes);
@@ -884,13 +919,11 @@ impl ParallelGzipReader {
                     ..EventMeta::default()
                 },
             );
-            let reader = self.reader.clone();
-            let chunk_size = self.options.chunk_size;
-            let trace = self.trace.clone();
+            let decoder = self.chunk_decoder();
             let decode_seconds = self.metrics.stage_decode_two_stage.clone();
             let handle = self.pool.submit(move || {
                 let _stage_timer = decode_seconds.start_timer();
-                decode_speculative_chunk_traced(&reader, chunk_size, guess, &trace)
+                decoder.decode_speculative(guess)
             });
             state.speculative_pending.insert(guess, handle);
         }
@@ -1024,8 +1057,7 @@ impl ParallelGzipReader {
             // an `Arc<PointChecksums>` holds no pool reference, so capturing
             // it in the closure is safe.
             let checksums = if verify { checksum_map.get(key) } else { None };
-            let reader = self.reader.clone();
-            let chunk_size = self.options.chunk_size;
+            let decoder = self.chunk_decoder();
             let expected_length = point.uncompressed_size;
             let trace = self.trace.clone();
             self.trace.instant(
@@ -1049,15 +1081,14 @@ impl ParallelGzipReader {
                         None => Vec::new(),
                     };
                     let hashed = checksums.is_some();
-                    let result = decode_chunk_at(
-                        &reader,
-                        key,
-                        stop_bit,
-                        &window,
-                        key == 0,
-                        chunk_size,
-                        hashed,
-                    )?;
+                    let result = decoder.decode_at(&DirectChunk {
+                        start_bit_offset: key,
+                        stop_bit_offset: stop_bit,
+                        window: &window,
+                        at_member_start: key == 0,
+                        stop_is_seek_point: true,
+                        verify: hashed,
+                    })?;
                     if result.data.len() as u64 != expected_length {
                         return Err(CoreError::IndexMismatch {
                             compressed_bit_offset: key,
@@ -1104,7 +1135,7 @@ impl ParallelGzipReader {
     }
 
     /// Returns the resolved data of the chunk described by `point`.
-    fn chunk_bytes(&self, point: &SeekPoint) -> Result<Arc<Vec<u8>>, CoreError> {
+    fn chunk_bytes(&self, point: &SeekPoint) -> Result<ChunkBytes, CoreError> {
         let key = point.compressed_bit_offset;
         // Data produced (or being produced) by the sequential pass or an
         // index-aligned prefetch.  The prefetch-hit bookkeeping lives inside
@@ -1211,15 +1242,14 @@ impl ParallelGzipReader {
         if let Some(checksums) = &checksums {
             span.set_member(checksums.first_member);
         }
-        let result = match decode_chunk_at(
-            &self.reader,
-            key,
-            stop_bit,
-            &window,
-            key == 0,
-            self.options.chunk_size,
-            checksums.is_some(),
-        ) {
+        let result = match self.chunk_decoder().decode_at(&DirectChunk {
+            start_bit_offset: key,
+            stop_bit_offset: stop_bit,
+            window: &window,
+            at_member_start: key == 0,
+            stop_is_seek_point: true,
+            verify: checksums.is_some(),
+        }) {
             Ok(result) => result,
             Err(error) => {
                 span.set_outcome(Outcome::Error);
@@ -1252,8 +1282,10 @@ impl ParallelGzipReader {
         Ok(data)
     }
 
-    /// Serves as many bytes as possible from the chunk covering `position`.
-    fn read_at_position(&mut self, buffer: &mut [u8]) -> Result<usize, CoreError> {
+    /// The chunk covering the current position and the position's offset in
+    /// it, advancing the sequential pass as far as that takes; `None` at the
+    /// end of the stream.
+    fn chunk_at_position(&self) -> Result<Option<(ChunkBytes, usize)>, CoreError> {
         loop {
             let covering_point = {
                 let state = self.state.lock();
@@ -1269,17 +1301,13 @@ impl ParallelGzipReader {
                     let chunk_offset = (self.position - point.uncompressed_offset) as usize;
                     // A cached chunk shorter than its seek point claims (a
                     // lying or stale index) must error like the on-demand
-                    // length check does, not underflow below.
+                    // length check does, not underflow in the caller.
                     if chunk_offset >= data.len() {
                         return Err(CoreError::IndexMismatch {
                             compressed_bit_offset: point.compressed_bit_offset,
                         });
                     }
-                    let available = data.len() - chunk_offset;
-                    let count = available.min(buffer.len());
-                    buffer[..count].copy_from_slice(&data[chunk_offset..chunk_offset + count]);
-                    self.position += count as u64;
-                    return Ok(count);
+                    return Ok(Some((data, chunk_offset)));
                 }
             }
             // The index does not (yet) cover the position.
@@ -1289,10 +1317,21 @@ impl ParallelGzipReader {
                 // by now, so a corrupt trailer anywhere must have been folded
                 // and is reported here at the latest.
                 self.check_verification()?;
-                return Ok(0);
+                return Ok(None);
             }
             self.advance_one_chunk()?;
         }
+    }
+
+    /// Serves as many bytes as possible from the chunk covering `position`.
+    fn read_at_position(&mut self, buffer: &mut [u8]) -> Result<usize, CoreError> {
+        let Some((data, chunk_offset)) = self.chunk_at_position()? else {
+            return Ok(0);
+        };
+        let count = (data.len() - chunk_offset).min(buffer.len());
+        buffer[..count].copy_from_slice(&data[chunk_offset..chunk_offset + count]);
+        self.position += count as u64;
+        Ok(count)
     }
 }
 
@@ -1783,6 +1822,20 @@ mod tests {
     }
 
     #[test]
+    fn a_member_ending_at_the_range_end_does_not_truncate_the_stream() {
+        // Chunk 0's compressed range (chunk + slack = two chunks) ends exactly
+        // at the first member's end; the second member must still be read.
+        let (compressed, first_length, expected) =
+            crate::chunk::tests::single_block_member_then_another();
+        let mut reader =
+            ParallelGzipReader::from_bytes(compressed, options(2, first_length / 2)).unwrap();
+        let restored = reader.decompress_all().unwrap();
+        assert_eq!(restored.len(), expected.len());
+        assert_eq!(restored, expected);
+        assert_eq!(reader.verification_statistics().members_verified, 2);
+    }
+
+    #[test]
     fn empty_payload_round_trips() {
         let compressed = GzipWriter::default().compress(b"");
         let mut reader =
@@ -1972,7 +2025,10 @@ mod tests {
                         requested_bit_offset: found,
                         found_bit_offset: found,
                         end_bit_offset: found + 8,
-                        output: vec![0u16; 100].into(),
+                        output: crate::chunk::PooledOutput::adopt(
+                            vec![0u16; 100].into(),
+                            &reader.buffers,
+                        ),
                         window_usage: Vec::new(),
                         block_count: 1,
                         reached_end_of_file: false,

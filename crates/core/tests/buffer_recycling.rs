@@ -1,0 +1,198 @@
+//! The reader's chunk buffers are recycled, not reallocated: over a long
+//! sequential pass only the first chunks take a buffer the allocator has to
+//! provide, what lies idle stays within the bound the pool states, and a
+//! reader that goes away takes all of it with it.
+
+use std::io::{Read, Write};
+use std::sync::Arc;
+
+use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
+use rgz_datagen::{base64_random, silesia_like};
+use rgz_deflate::CompressorOptions;
+use rgz_gzip::GzipWriter;
+use rgz_metrics::{names, MetricsRegistry};
+
+const CHUNK_SIZE: usize = 32 * 1024;
+const CACHE_CHUNKS: usize = 4;
+
+/// Small blocks: no chunk's last block runs past the compressed range its
+/// decode reads first, so every range is as long as the first.
+fn compress(data: &[u8]) -> Vec<u8> {
+    GzipWriter::new(CompressorOptions {
+        block_size: 16 * 1024,
+        ..Default::default()
+    })
+    .compress(data)
+}
+
+fn reader(
+    compressed: &[u8],
+    parallelization: usize,
+    registry: &Arc<MetricsRegistry>,
+) -> ParallelGzipReader {
+    let options = ParallelGzipReaderOptions {
+        parallelization,
+        chunk_size: CHUNK_SIZE,
+        resolved_cache_chunks: CACHE_CHUNKS,
+        ..Default::default()
+    }
+    .with_metrics(Arc::clone(registry));
+    ParallelGzipReader::from_bytes(compressed.to_vec(), options).unwrap()
+}
+
+fn takes(registry: &MetricsRegistry, kind: &str, result: &str) -> u64 {
+    registry
+        .snapshot()
+        .counter(
+            names::BUFFER_POOL_TAKES,
+            &[("kind", kind), ("result", result)],
+        )
+        .unwrap_or(0)
+}
+
+fn idle_bytes(registry: &MetricsRegistry) -> u64 {
+    let idle = registry
+        .snapshot()
+        .gauge(names::BUFFER_POOL_IDLE_BYTES, &[])
+        .unwrap_or(0);
+    u64::try_from(idle).expect("more bytes taken off the gauge than put on it")
+}
+
+/// Looks at the pool each time the reader hands over bytes.
+struct Watch<'a> {
+    registry: &'a MetricsRegistry,
+    most_idle_bytes: u64,
+}
+
+impl Write for Watch<'_> {
+    fn write(&mut self, buffer: &[u8]) -> std::io::Result<usize> {
+        self.most_idle_bytes = self.most_idle_bytes.max(idle_bytes(self.registry));
+        Ok(buffer.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_sequential_pass_takes_fresh_buffers_only_while_it_warms_up() {
+    // Marker-heavy text keeps its chunks 16 bits wide to the end; base64's
+    // switch to bytes within a few KiB: the first lives in `u16` and resolve
+    // target `u8` buffers, the second in `u8` tails.
+    let corpora = [
+        silesia_like(6 * 1024 * 1024, 31),
+        base64_random(3 * 1024 * 1024, 32),
+    ];
+    for data in &corpora {
+        let compressed = compress(data);
+        for parallelization in [1usize, 2, 3] {
+            // Buffers in flight from one end of the pipeline to the other:
+            // up to 2P chunks decoded ahead, one being resolved, and the
+            // resolved cache.
+            let in_flight = 2 * parallelization + 1 + CACHE_CHUNKS;
+            let chunks = compressed.len().div_ceil(CHUNK_SIZE);
+            assert!(chunks >= 4 * in_flight, "{chunks} chunks");
+
+            let registry = Arc::new(MetricsRegistry::new_enabled());
+            let mut reader = reader(&compressed, parallelization, &registry);
+            let mut watch = Watch {
+                registry: &registry,
+                most_idle_bytes: 0,
+            };
+            assert_eq!(reader.decompress_to(&mut watch).unwrap(), data.len() as u64);
+            // All but the first chunk and, where the file's last bytes hold
+            // no block to start from, the last come from speculative decodes.
+            let statistics = reader.statistics();
+            let on_demand = statistics.on_demand_chunks as usize;
+            assert!(on_demand <= 2, "{statistics:?}");
+            assert_eq!(
+                statistics.speculative_chunks_used as usize + on_demand,
+                chunks
+            );
+
+            // Every decode took a range buffer, every speculative one a
+            // symbol buffer, every chunk's bytes ended up in a byte buffer…
+            let total = |kind| takes(&registry, kind, "fresh") + takes(&registry, kind, "reused");
+            assert!(total("range") >= chunks as u64);
+            assert!(total("u16") >= (chunks - on_demand) as u64);
+            assert!(total("u8") >= chunks as u64);
+            // …and few of them one the allocator had to provide, which is
+            // what `fresh` counts.  However the threads were scheduled, no
+            // more buffers were *created* than can be in use at once: P
+            // decodes and the sequential pass's own reading a range, 2P
+            // chunks decoded ahead and one being resolved holding symbols,
+            // all of those and the cache holding bytes.  And one is
+            // *replaced* only if a chunk larger than the sixteen before it
+            // was decoded while it lay idle, as at most P + 1 do at a time.
+            // These corpora are of one kind from end to end and their chunks
+            // a few 16 KiB blocks each, so that happens while the first
+            // decodes find the largest size there is — once for a shelf-full
+            // — and at most once more: two of the text corpus's largest
+            // chunks lie fourteen apart, which an unlucky order of decodes
+            // could stretch past the sixteen a shelf remembers.
+            let in_use = [
+                ("range", parallelization + on_demand),
+                ("u16", 2 * parallelization + 1),
+                ("u8", in_flight + 1),
+            ];
+            for (kind, in_use) in in_use {
+                let fresh = takes(&registry, kind, "fresh");
+                let bound = in_use + 2 * (parallelization + 1);
+                assert!(
+                    fresh <= bound as u64,
+                    "P = {parallelization}: {fresh} fresh {kind} buffers, bound {bound}"
+                );
+            }
+
+            // The stated bound on what lies idle: per kind at most P + 1
+            // buffers, each at most 1/32 over the largest recent of its kind —
+            // a compressed range of a chunk and its slack, a chunk's symbols,
+            // a chunk's bytes.
+            let index = reader.index();
+            let largest_chunk = index
+                .block_map
+                .points()
+                .iter()
+                .map(|point| point.uncompressed_size)
+                .max()
+                .unwrap();
+            let largest_range = (CHUNK_SIZE + 64 * 1024) as u64;
+            let per_buffer_set = largest_range + 2 * largest_chunk + largest_chunk;
+            let idle_bound = (parallelization + 1) as u64 * (per_buffer_set + per_buffer_set / 32);
+            assert!(
+                watch.most_idle_bytes.max(idle_bytes(&registry)) <= idle_bound,
+                "P = {parallelization}: {} bytes idle, bound {idle_bound}",
+                watch.most_idle_bytes
+            );
+            assert!(
+                idle_bytes(&registry) > 0,
+                "nothing was kept for the next chunk"
+            );
+            drop(reader);
+            assert_eq!(idle_bytes(&registry), 0);
+        }
+    }
+}
+
+#[test]
+fn a_reader_dropped_mid_read_frees_every_buffer() {
+    let data = silesia_like(4 * 1024 * 1024, 33);
+    let compressed = compress(&data);
+    for parallelization in [1usize, 3] {
+        let registry = Arc::new(MetricsRegistry::new_enabled());
+        let mut reader = reader(&compressed, parallelization, &registry);
+        // Far enough for speculative decodes and marker replacements to be
+        // queued and running, then gone: the drop joins the workers, whose
+        // tasks and results hold buffers and handles of the pool — and
+        // nothing of the reader, so nothing can wait for itself.
+        let mut buffer = vec![0u8; 300 * 1024];
+        reader.read_exact(&mut buffer).unwrap();
+        assert_eq!(buffer, data[..buffer.len()]);
+        assert!(takes(&registry, "u16", "fresh") > 0);
+        drop(reader);
+        // Only a pool nobody holds a buffer or a handle of takes what it
+        // kept idle off the gauge.
+        assert_eq!(idle_bytes(&registry), 0);
+    }
+}

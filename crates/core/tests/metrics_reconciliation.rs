@@ -75,6 +75,28 @@ fn sequential_statistics_match_registry_snapshot() {
     );
     // The instrumented input reader saw at least the whole compressed file.
     assert!(snapshot.counter_total(names::READ_BYTES) >= reader.index().compressed_size);
+
+    // The buffer pool writes to the registry and nowhere else (nothing of it
+    // is in `ReaderStatistics`, which the equality above pins to the
+    // snapshot): every decode — each speculative task, each on-demand chunk —
+    // took a compressed-range buffer, every chunk's output a byte buffer.
+    let takes = |kind: &str| -> u64 {
+        ["reused", "fresh"]
+            .iter()
+            .filter_map(|result| {
+                let labels = [("kind", kind), ("result", *result)];
+                snapshot.counter(names::BUFFER_POOL_TAKES, &labels)
+            })
+            .sum()
+    };
+    assert!(takes("range") >= statistics.prefetches_issued + statistics.on_demand_chunks);
+    assert!(takes("u16") >= statistics.speculative_chunks_used);
+    assert!(takes("u8") >= statistics.speculative_chunks_used + statistics.on_demand_chunks);
+    assert_eq!(
+        snapshot.counter_total(names::BUFFER_POOL_TAKES),
+        takes("range") + takes("u16") + takes("u8")
+    );
+    assert!(snapshot.gauge(names::BUFFER_POOL_IDLE_BYTES, &[]).unwrap() > 0);
 }
 
 #[test]

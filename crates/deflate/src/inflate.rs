@@ -749,9 +749,11 @@ fn inflate_impl(
     let start_len = out.len();
     let mut sink = ByteSink::new(window, std::mem::take(out), output_limit);
     let mut log = BlockLog::default();
-    let stop_reason = decode_blocks(reader, &mut sink, start_len, stop_offset, fast, &mut log)?
-        .expect("a byte sink never asks to be switched out");
+    let exit = decode_blocks(reader, &mut sink, start_len, stop_offset, fast, &mut log);
+    // The caller's buffer goes back before an error returns: it may be a
+    // recycled one that is to be reused whatever happened here.
     *out = sink.out;
+    let stop_reason = exit?.expect("a byte sink never asks to be switched out");
     // Hashing after the decode loop keeps the per-byte hot path untouched;
     // the slicing-by-eight CRC makes this one cheap linear pass.
     let crc32 = hash_output.then(|| rgz_checksum::crc32(&out[start_len..]));
@@ -778,9 +780,9 @@ pub fn inflate_two_stage(
     let mut sink = MarkerSink::new(std::mem::take(out), false);
     let base = sink.base;
     let mut log = BlockLog::default();
-    let stop_reason = decode_blocks(reader, &mut sink, base, stop_offset, true, &mut log)?
-        .expect("the switch is off");
+    let exit = decode_blocks(reader, &mut sink, base, stop_offset, true, &mut log);
     *out = sink.out;
+    let stop_reason = exit?.expect("the switch is off");
     Ok(log.into_outcome(stop_reason, reader, &sink.usage, None))
 }
 
@@ -792,31 +794,38 @@ pub fn inflate_two_stage(
 /// by [`SpeculativeOutput::switch_to_bytes`] at a gzip member boundary, where
 /// the window is known to be empty) decodes one-stage from the start.
 ///
+/// `byte_buffer` is asked for the buffer the byte tail goes into, at the
+/// switch and only then: a chunk that stays 16 bits wide never holds one.
+/// Its contents are discarded; hand in a recycled one of the right capacity
+/// or `Vec::new`.
+///
 /// The outcome's `window_usage` covers the marker phase only: after the
 /// switch every reference resolves inside `out`.  As with the other entry
-/// points, what `out` holds after an error is unspecified.
+/// points, what `out` holds after an error is unspecified — but it still
+/// owns every buffer it was given.
 pub fn inflate_speculative(
     reader: &mut BitReader<'_>,
     out: &mut SpeculativeOutput,
     stop_offset: u64,
+    byte_buffer: impl FnOnce() -> Vec<u8>,
 ) -> Result<InflateOutcome, DeflateError> {
     let start_len = out.len();
     let mut log = BlockLog::default();
     let mut usage = WindowUsage::new();
     if !out.switched {
         let mut sink = MarkerSink::new(std::mem::take(&mut out.prefix), true);
-        let exit = decode_blocks(reader, &mut sink, start_len, stop_offset, true, &mut log)?;
+        let exit = decode_blocks(reader, &mut sink, start_len, stop_offset, true, &mut log);
         out.prefix = sink.out;
         usage = sink.usage;
-        match exit {
+        match exit? {
             Some(stop_reason) => return Ok(log.into_outcome(stop_reason, reader, &usage, None)),
-            None => out.switch_to_bytes(),
+            None => out.switch_to_bytes(byte_buffer),
         }
     }
     let mut sink = ByteSink::new(&[], std::mem::take(&mut out.bytes), usize::MAX);
-    let stop_reason = decode_blocks(reader, &mut sink, start_len, stop_offset, true, &mut log)?
-        .expect("a byte sink never asks to be switched out");
+    let exit = decode_blocks(reader, &mut sink, start_len, stop_offset, true, &mut log);
     out.bytes = sink.out;
+    let stop_reason = exit?.expect("a byte sink never asks to be switched out");
     Ok(log.into_outcome(stop_reason, reader, &usage, None))
 }
 

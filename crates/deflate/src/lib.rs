@@ -31,8 +31,8 @@ pub use inflate::{
 };
 pub use markers::{
     active_isa as markers_active_isa, contains_markers, replace_markers, replace_markers_hashed,
-    replace_markers_into, replace_markers_into_scalar, resolve_window, SpeculativeOutput,
-    WindowUsage,
+    replace_markers_into, replace_markers_into_scalar, replace_markers_to_slice,
+    replace_markers_to_slice_scalar, resolve_window, SpeculativeOutput, WindowUsage,
 };
 pub use matchfinder::{HtMatchFinder, Token};
 

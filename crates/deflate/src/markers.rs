@@ -156,36 +156,55 @@ impl WindowUsage {
 /// the window are an error (they indicate the chunk was decoded from a false
 /// positive).
 pub fn replace_markers(symbols: &[u16], window: &[u8]) -> Result<Vec<u8>, DeflateError> {
-    let mut out = Vec::with_capacity(symbols.len());
-    replace_markers_into(symbols, window, &mut out)?;
+    let mut out = vec![0u8; symbols.len()];
+    replace_markers_to_slice(symbols, window, &mut out)?;
     Ok(out)
 }
 
-/// [`replace_markers`] variant appending into an existing buffer; this is the
-/// routine whose bandwidth Table 2 reports as "Marker replacement".
+/// [`replace_markers`] writing byte `i` of the result to `out[i]`, for a
+/// caller that already owns the destination (a recycled buffer, or the
+/// placeholders in front of a byte tail); this is the routine whose bandwidth
+/// Table 2 reports as "Marker replacement".  What `out` holds after an error
+/// is unspecified.
 ///
 /// On x86-64 the replacement runs through a SIMD kernel (AVX2 when detected
 /// at runtime, SSE2 otherwise — see [`active_isa`]): 16–32 symbols are
 /// classified per iteration into literal and marker lanes, the literal lanes
 /// are narrowed and stored in one go, and only the (typically sparse) marker
-/// lanes take a scalar window fetch.  Behaviour — including the partial
-/// output left behind when an invalid symbol or out-of-window marker aborts
-/// the replacement — is bit-for-bit identical to
-/// [`replace_markers_into_scalar`], which every other platform uses directly.
+/// lanes take a scalar window fetch.  Every other platform runs the scalar
+/// reference the kernels are pinned to (see [`replace_markers_into`]).
+///
+/// # Panics
+///
+/// If `out` and `symbols` differ in length.
+pub fn replace_markers_to_slice(
+    symbols: &[u16],
+    window: &[u8],
+    out: &mut [u8],
+) -> Result<(), DeflateError> {
+    assert_eq!(out.len(), symbols.len(), "one output byte per symbol");
+    replace_dispatched(symbols, window, out).1
+}
+
+/// Portable scalar reference for [`replace_markers_to_slice`]: what the
+/// benches time the SIMD kernels against, both into a buffer that exists.
+pub fn replace_markers_to_slice_scalar(
+    symbols: &[u16],
+    window: &[u8],
+    out: &mut [u8],
+) -> Result<(), DeflateError> {
+    assert_eq!(out.len(), symbols.len(), "one output byte per symbol");
+    replace_scalar(symbols, window, out).1
+}
+
+/// [`replace_markers_to_slice`] appending to `out`, which an error leaves
+/// holding exactly the bytes that precede the offending symbol.
 pub fn replace_markers_into(
     symbols: &[u16],
     window: &[u8],
     out: &mut Vec<u8>,
 ) -> Result<(), DeflateError> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match simd::kernel() {
-            simd::Kernel::Avx2 => return simd::replace_avx2(symbols, window, out),
-            simd::Kernel::Sse2 => return simd::replace_sse2(symbols, window, out),
-            simd::Kernel::Scalar => {}
-        }
-    }
-    replace_markers_into_scalar(symbols, window, out)
+    append_with(replace_dispatched, symbols, window, out)
 }
 
 /// Portable scalar reference for [`replace_markers_into`]; the differential
@@ -196,49 +215,94 @@ pub fn replace_markers_into_scalar(
     window: &[u8],
     out: &mut Vec<u8>,
 ) -> Result<(), DeflateError> {
-    out.reserve(symbols.len());
+    append_with(replace_scalar, symbols, window, out)
+}
+
+/// A replacement kernel: resolves `symbols` into the front of `out` (at least
+/// as long) and reports how many bytes it wrote before it stopped, and why if
+/// that is not all of them.
+type ReplaceFn = fn(&[u16], &[u8], &mut [u8]) -> (usize, Result<(), DeflateError>);
+
+fn append_with(
+    kernel: ReplaceFn,
+    symbols: &[u16],
+    window: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<(), DeflateError> {
+    let start = out.len();
+    out.resize(start + symbols.len(), 0);
+    let (written, result) = kernel(symbols, window, &mut out[start..]);
+    out.truncate(start + written);
+    result
+}
+
+fn replace_dispatched(
+    symbols: &[u16],
+    window: &[u8],
+    out: &mut [u8],
+) -> (usize, Result<(), DeflateError>) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        match simd::kernel() {
+            simd::Kernel::Avx2 => return simd::replace_avx2(symbols, window, out),
+            simd::Kernel::Sse2 => return simd::replace_sse2(symbols, window, out),
+            simd::Kernel::Scalar => {}
+        }
+    }
+    replace_scalar(symbols, window, out)
+}
+
+fn replace_scalar(
+    symbols: &[u16],
+    window: &[u8],
+    out: &mut [u8],
+) -> (usize, Result<(), DeflateError>) {
+    const BLOCK: usize = 512;
     let window_base = WINDOW_SIZE - window.len();
     // Validate a block ahead of time, then emit it through a tight
     // branch-light select loop; only a block that actually contains a bad
     // symbol re-runs the exact per-symbol loop below, so error positions and
     // partial output stay identical to the one-symbol-at-a-time reference.
-    for block in symbols.chunks(512) {
+    let blocks = symbols.chunks(BLOCK).zip(out.chunks_mut(BLOCK));
+    for (index, (block, target)) in blocks.enumerate() {
         let valid = block.iter().all(|&symbol| {
             symbol < 256
                 || (symbol >= MARKER_BASE && (symbol - MARKER_BASE) as usize >= window_base)
         });
         if valid {
-            out.extend(block.iter().map(|&symbol| {
-                if symbol >= MARKER_BASE {
+            for (byte, &symbol) in target.iter_mut().zip(block) {
+                *byte = if symbol >= MARKER_BASE {
                     window[(symbol - MARKER_BASE) as usize - window_base]
                 } else {
                     symbol as u8
-                }
-            }));
+                };
+            }
             continue;
         }
-        for &symbol in block {
+        for (position, (byte, &symbol)) in target.iter_mut().zip(block).enumerate() {
+            let written = index * BLOCK + position;
             if symbol < 256 {
-                out.push(symbol as u8);
+                *byte = symbol as u8;
             } else if symbol >= MARKER_BASE {
                 let offset = (symbol - MARKER_BASE) as usize;
                 if offset < window_base {
-                    return Err(DeflateError::MarkerOutsideWindow {
+                    let error = DeflateError::MarkerOutsideWindow {
                         offset,
                         window_length: window.len(),
-                    });
+                    };
+                    return (written, Err(error));
                 }
-                out.push(window[offset - window_base]);
+                *byte = window[offset - window_base];
             } else {
-                return Err(DeflateError::InvalidMarkerSymbol(symbol));
+                return (written, Err(DeflateError::InvalidMarkerSymbol(symbol)));
             }
         }
     }
-    Ok(())
+    (symbols.len(), Ok(()))
 }
 
-/// Name of the marker-replacement kernel [`replace_markers_into`] resolves to
-/// on this machine: `"avx2"`, `"sse2"`, or `"scalar"`.
+/// Name of the marker-replacement kernel [`replace_markers_to_slice`]
+/// resolves to on this machine: `"avx2"`, `"sse2"`, or `"scalar"`.
 pub fn active_isa() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     {
@@ -269,17 +333,17 @@ pub fn active_isa() -> &'static str {
 /// non-literal lanes, which are overwritten or rejected) and stored with one
 /// unaligned write; marker lanes are then patched individually, iterating
 /// the movemask bit-set — on real chunks markers are sparse, so the scalar
-/// patch loop touches only a few lanes per block.  Blocks containing an
-/// invalid symbol or an out-of-window marker are re-run through the scalar
-/// reference so the error, and the partial output preceding it, match
-/// bit-for-bit.
-// `unsafe` is confined to CPU intrinsics and spare-capacity stores whose
-// bounds are established by the up-front `reserve` (workspace-wide policy:
+/// patch loop touches only a few lanes per block.  The vector loop stops in
+/// front of a block containing an invalid symbol or an out-of-window marker
+/// and leaves it, like the remainder, to the scalar reference, so the error
+/// and the count of bytes preceding it match bit-for-bit.
+// `unsafe` is confined to CPU intrinsics and stores whose bounds are
+// established by the up-front length assertion (workspace-wide policy:
 // unsafe only inside vetted SIMD kernel modules).
 #[allow(unsafe_code)]
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{replace_markers_into_scalar, DeflateError, MARKER_BASE, WINDOW_SIZE};
+    use super::{replace_scalar, DeflateError, MARKER_BASE, WINDOW_SIZE};
     use std::arch::x86_64::*;
 
     #[derive(Clone, Copy, PartialEq, Eq)]
@@ -304,10 +368,10 @@ mod simd {
         })
     }
 
-    /// Patches the marker lanes of one committed block and reports whether a
-    /// marker reached outside the window.  `block` is the block's symbols,
-    /// `dst` its freshly stored literal bytes, `marker_bits` lane `i`'s
-    /// marker flag in bit `i`.
+    /// Patches the marker lanes of one stored block and reports whether every
+    /// marker was inside the window.  `block` is the block's symbols, `dst`
+    /// its freshly stored literal bytes, `marker_bits` lane `i`'s marker flag
+    /// in bit `i`.
     ///
     /// # Safety
     ///
@@ -335,18 +399,17 @@ mod simd {
     pub(super) fn replace_sse2(
         symbols: &[u16],
         window: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<(), DeflateError> {
-        out.reserve(symbols.len());
+        out: &mut [u8],
+    ) -> (usize, Result<(), DeflateError>) {
+        assert!(out.len() >= symbols.len());
         let window_base = WINDOW_SIZE - window.len();
-        let mut written = out.len();
-        let mut blocks = symbols.chunks_exact(16);
-        // SAFETY: `reserve` guaranteed capacity for all of `symbols`; each
-        // iteration stores 16 bytes inside that budget and `set_len` only
-        // covers fully initialized prefixes.
+        let mut written = 0;
+        // SAFETY: `out` is at least as long as `symbols` (asserted above);
+        // each iteration stores the 16 bytes of one whole block of 16
+        // symbols at the block's own offset.
         unsafe {
             let base = out.as_mut_ptr();
-            for block in &mut blocks {
+            for block in symbols.chunks_exact(16) {
                 let v0 = _mm_loadu_si128(block.as_ptr().cast());
                 let v1 = _mm_loadu_si128(block.as_ptr().add(8).cast());
                 // Lane classification (see module docs).
@@ -361,20 +424,17 @@ mod simd {
                     _mm_or_si128(literal1, marker1),
                 )) as u32;
                 if classified_bits != 0xFFFF {
-                    out.set_len(written);
-                    return replace_markers_into_scalar(resume(symbols, block), window, out);
+                    break;
                 }
                 let dst = base.add(written);
                 _mm_storeu_si128(dst.cast(), _mm_packus_epi16(v0, v1));
                 if !patch_markers(block, window, window_base, dst, marker_bits) {
-                    out.set_len(written);
-                    return replace_markers_into_scalar(resume(symbols, block), window, out);
+                    break;
                 }
                 written += 16;
             }
-            out.set_len(written);
         }
-        replace_markers_into_scalar(blocks.remainder(), window, out)
+        finish_scalar(symbols, window, out, written)
     }
 
     // `unsafe fn` (not the 1.86+ safe `#[target_feature]` form) keeps the
@@ -383,17 +443,15 @@ mod simd {
     unsafe fn replace_avx2_inner(
         symbols: &[u16],
         window: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<(), DeflateError> {
-        out.reserve(symbols.len());
+        out: &mut [u8],
+    ) -> (usize, Result<(), DeflateError>) {
+        assert!(out.len() >= symbols.len());
         let window_base = WINDOW_SIZE - window.len();
-        let mut written = out.len();
-        let mut blocks = symbols.chunks_exact(32);
-        // SAFETY: as in `replace_sse2`, stores stay within the reserved
-        // capacity and `set_len` only covers initialized prefixes.
+        let mut written = 0;
+        // SAFETY: as in `replace_sse2`, with blocks of 32.
         unsafe {
             let base = out.as_mut_ptr();
-            for block in &mut blocks {
+            for block in symbols.chunks_exact(32) {
                 let v0 = _mm256_loadu_si256(block.as_ptr().cast());
                 let v1 = _mm256_loadu_si256(block.as_ptr().add(16).cast());
                 let zero = _mm256_setzero_si256();
@@ -411,38 +469,38 @@ mod simd {
                     _mm256_or_si256(literal1, marker1),
                 ))) as u32;
                 if classified_bits != u32::MAX {
-                    out.set_len(written);
-                    return replace_markers_into_scalar(resume(symbols, block), window, out);
+                    break;
                 }
                 let dst = base.add(written);
                 _mm256_storeu_si256(dst.cast(), order(_mm256_packus_epi16(v0, v1)));
                 if !patch_markers(block, window, window_base, dst, marker_bits) {
-                    out.set_len(written);
-                    return replace_markers_into_scalar(resume(symbols, block), window, out);
+                    break;
                 }
                 written += 32;
             }
-            out.set_len(written);
         }
-        replace_markers_into_scalar(blocks.remainder(), window, out)
+        finish_scalar(symbols, window, out, written)
     }
 
     pub(super) fn replace_avx2(
         symbols: &[u16],
         window: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<(), DeflateError> {
+        out: &mut [u8],
+    ) -> (usize, Result<(), DeflateError>) {
         // SAFETY: `kernel()` returned Avx2, so the CPU supports it.
         unsafe { replace_avx2_inner(symbols, window, out) }
     }
 
-    /// The tail of `symbols` starting at `block` (used to re-run an aborting
-    /// block through the scalar reference).
-    fn resume<'a>(symbols: &'a [u16], block: &[u16]) -> &'a [u16] {
-        // chunks_exact guarantees `block` borrows from `symbols`.
-        let start =
-            (block.as_ptr() as usize - symbols.as_ptr() as usize) / std::mem::size_of::<u16>();
-        &symbols[start..]
+    /// Everything from symbol `done` on — the block the vector loop stopped
+    /// in front of, or the remainder — through the scalar reference.
+    fn finish_scalar(
+        symbols: &[u16],
+        window: &[u8],
+        out: &mut [u8],
+        done: usize,
+    ) -> (usize, Result<(), DeflateError>) {
+        let (written, result) = replace_scalar(&symbols[done..], window, &mut out[done..]);
+        (done + written, result)
     }
 }
 
@@ -462,14 +520,13 @@ pub fn replace_markers_hashed(
     window: &[u8],
     fragment_ends: &[usize],
 ) -> Result<(Vec<u8>, Vec<u32>), DeflateError> {
-    hash_fragments(replace_markers(symbols, window)?, fragment_ends)
+    let out = replace_markers(symbols, window)?;
+    let crcs = hash_fragments(&out, fragment_ends)?;
+    Ok((out, crcs))
 }
 
 /// CRC-32 of every fragment of `out` delimited by `fragment_ends`.
-fn hash_fragments(
-    out: Vec<u8>,
-    fragment_ends: &[usize],
-) -> Result<(Vec<u8>, Vec<u32>), DeflateError> {
+fn hash_fragments(out: &[u8], fragment_ends: &[usize]) -> Result<Vec<u32>, DeflateError> {
     // A split past the chunk end means the caller's member-boundary
     // bookkeeping is wrong; slicing would panic (or silently mis-hash in a
     // release build), so reject it as a typed error in every build.
@@ -479,8 +536,7 @@ fn hash_fragments(
             output_length: out.len(),
         });
     }
-    let crcs = rgz_checksum::crc32_fragments(&out, fragment_ends);
-    Ok((out, crcs))
+    Ok(rgz_checksum::crc32_fragments(out, fragment_ends))
 }
 
 /// Resolves only the markers contained in the final `WINDOW_SIZE` symbols of
@@ -515,21 +571,27 @@ pub fn resolve_window(symbols: &[u16], window: &[u8]) -> Result<Vec<u8>, Deflate
 /// marker *prefix* followed, once the decoder has switched, by a plain byte
 /// *tail*.  Symbols map 1:1 to output bytes, so [`Self::len`] is the chunk's
 /// decompressed size throughout.
+///
+/// Both buffers are the caller's: the symbol buffer comes in through
+/// [`From<Vec<u16>>`], the byte buffer at the switch, and
+/// [`Self::into_buffers`] hands back whatever the output still holds, so a
+/// reader can recycle them from chunk to chunk.
 #[derive(Debug, Clone, Default)]
 pub struct SpeculativeOutput {
     /// Symbols (literals and markers) decoded before the switch.
     pub(crate) prefix: Vec<u16>,
-    /// Empty before the switch.  After it, the whole chunk's bytes:
+    /// Unused before the switch.  After it, the whole chunk's bytes:
     /// `prefix.len()` placeholders — the last [`WINDOW_SIZE`] of them
     /// already holding the narrowed prefix symbols, which is all the history
     /// the one-stage decoder can reach — then the tail it decoded.
-    /// [`Self::resolve`] fills the placeholders in.
+    /// [`Self::resolve_into`] fills the placeholders in.
     pub(crate) bytes: Vec<u8>,
     pub(crate) switched: bool,
 }
 
 /// Wraps all-16-bit symbols (e.g. of [`crate::inflate_two_stage`]) as an
-/// output that has not switched.
+/// output that has not switched; an empty buffer with capacity to decode into
+/// is the same thing with nothing decoded yet.
 impl From<Vec<u16>> for SpeculativeOutput {
     fn from(prefix: Vec<u16>) -> Self {
         Self {
@@ -543,6 +605,12 @@ impl SpeculativeOutput {
     /// An empty output, decoding as markers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Dismantles the output into its symbol and its byte buffer, contents
+    /// and all.
+    pub fn into_buffers(self) -> (Vec<u16>, Vec<u8>) {
+        (self.prefix, self.bytes)
     }
 
     /// Number of symbols (= decompressed bytes) decoded so far.
@@ -569,51 +637,72 @@ impl SpeculativeOutput {
         self.bytes.get(self.prefix.len()..).unwrap_or(&[])
     }
 
-    /// Gives the capacity the buffers grew beyond their length back to the
-    /// allocator; worth it for an output that waits its turn to be committed.
-    pub fn shrink_to_fit(&mut self) {
-        self.prefix.shrink_to_fit();
-        self.bytes.shrink_to_fit();
+    /// Whether the output decodes (or has finished decoding) as plain bytes.
+    pub fn is_switched(&self) -> bool {
+        self.switched
     }
 
     /// Makes every further [`crate::inflate_speculative`] call on this output
-    /// decode one-stage.  The decoder does this itself once the last 32 KiB
-    /// are marker-free; callers do it where they *know* no reference can
-    /// reach the prefix — right after a gzip member boundary.
-    pub fn switch_to_bytes(&mut self) {
+    /// decode one-stage, into the buffer `byte_buffer` is then asked for
+    /// (whose contents are discarded); nothing happens, and nothing is asked
+    /// for, if it already does.  The decoder does this itself once the last
+    /// 32 KiB are marker-free; callers do it where they *know* no reference
+    /// can reach the prefix — right after a gzip member boundary.
+    pub fn switch_to_bytes(&mut self, byte_buffer: impl FnOnce() -> Vec<u8>) {
         if self.switched {
             return;
         }
         self.switched = true;
+        self.bytes = byte_buffer();
+        // Whatever the placeholders hold — the zeros of a fresh buffer, the
+        // last chunk of a recycled one, markers narrowed to garbage —
+        // `resolve_into` overwrites, and a valid stream never references it
+        // from the tail.
         let history = self.prefix.len().saturating_sub(WINDOW_SIZE);
-        self.bytes = Vec::with_capacity(self.prefix.len());
         self.bytes.resize(history, 0);
-        // Markers narrow to garbage here; `resolve` overwrites them, and a
-        // valid stream never references them from the tail.
         self.bytes
             .extend(self.prefix[history..].iter().map(|&symbol| symbol as u8));
     }
 
     /// Replaces the prefix's markers with bytes from `window` (see
-    /// [`replace_markers`]) and returns the whole chunk's bytes.  Only the
-    /// prefix is touched: the tail is already final.
-    pub fn resolve(self, window: &[u8]) -> Result<Vec<u8>, DeflateError> {
-        if !self.switched {
-            return replace_markers(&self.prefix, window);
+    /// [`replace_markers`]) and moves the whole chunk's bytes into `out`,
+    /// replacing its contents.  Only the prefix is touched: the tail is
+    /// already final and stays in the buffer it was decoded into, for which
+    /// `out`'s own is swapped in (and comes back out of
+    /// [`Self::into_buffers`], with the symbols).  What `out` holds after an
+    /// error is unspecified.
+    pub fn resolve_into(&mut self, window: &[u8], out: &mut Vec<u8>) -> Result<(), DeflateError> {
+        if self.switched {
+            let placeholders = &mut self.bytes[..self.prefix.len()];
+            replace_markers_to_slice(&self.prefix, window, placeholders)?;
+            std::mem::swap(out, &mut self.bytes);
+            Ok(())
+        } else {
+            // A recycled buffer's old bytes are as good as placeholders; one
+            // that is too small grows to the size, not to twice its own.
+            out.reserve_exact(self.prefix.len().saturating_sub(out.len()));
+            out.resize(self.prefix.len(), 0);
+            replace_markers_to_slice(&self.prefix, window, out)
         }
-        let mut bytes = self.bytes;
-        bytes[..self.prefix.len()].copy_from_slice(&replace_markers(&self.prefix, window)?);
-        Ok(bytes)
     }
 
-    /// [`Self::resolve`] for the verification pipeline; fragments as in
-    /// [`replace_markers_hashed`].
-    pub fn resolve_hashed(
-        self,
+    /// [`Self::resolve_into`] for the verification pipeline; returns the
+    /// fragment CRCs as in [`replace_markers_hashed`].
+    pub fn resolve_hashed_into(
+        &mut self,
         window: &[u8],
         fragment_ends: &[usize],
-    ) -> Result<(Vec<u8>, Vec<u32>), DeflateError> {
-        hash_fragments(self.resolve(window)?, fragment_ends)
+        out: &mut Vec<u8>,
+    ) -> Result<Vec<u32>, DeflateError> {
+        self.resolve_into(window, out)?;
+        hash_fragments(out, fragment_ends)
+    }
+
+    /// [`Self::resolve_into`] a buffer of its own.
+    pub fn resolve(mut self, window: &[u8]) -> Result<Vec<u8>, DeflateError> {
+        let mut out = Vec::new();
+        self.resolve_into(window, &mut out)?;
+        Ok(out)
     }
 
     /// The window a *following* chunk needs (see [`resolve_window`]).  A tail
@@ -833,6 +922,13 @@ mod tests {
         let scalar_result = replace_markers_into_scalar(symbols, window, &mut scalar_out);
         assert_eq!(simd_result, scalar_result, "result mismatch");
         assert_eq!(simd_out, scalar_out, "output mismatch (partial included)");
+        // The slice form, over a destination that is not zeroed.
+        let mut in_place = vec![0xA5u8; symbols.len()];
+        let slice_result = replace_markers_to_slice(symbols, window, &mut in_place);
+        assert_eq!(slice_result, scalar_result, "slice-form result mismatch");
+        if slice_result.is_ok() {
+            assert_eq!(in_place, scalar_out[7..], "slice-form output mismatch");
+        }
     }
 
     #[test]

@@ -47,14 +47,44 @@ fn assert_hybrid_matches_one_stage(
     let mut expected = Vec::new();
     let one_stage = inflate(&mut reader, window, &mut expected, stop_bit);
 
-    let mut reader = reader_at(start_bit).unwrap();
-    let mut output = SpeculativeOutput::new();
-    let hybrid = inflate_speculative(&mut reader, &mut output, stop_bit);
-    let (prefix_len, tail_len) = (output.prefix().len(), output.tail().len());
-    if hybrid.is_ok() {
-        assert_eq!(prefix_len + tail_len, output.len());
+    // Twice: into buffers of its own, then into the first round's, recycled
+    // as they came back — full of another decode's symbols and bytes, or
+    // half-written when it failed.  Nothing of that may show.
+    let (mut symbols, mut bytes, mut resolved_bytes) = (Vec::new(), Vec::new(), Vec::new());
+    let mut rounds = Vec::new();
+    for _ in 0..2 {
+        let mut reader = reader_at(start_bit).unwrap();
+        symbols.clear();
+        let mut output = SpeculativeOutput::from(std::mem::take(&mut symbols));
+        let hybrid = inflate_speculative(&mut reader, &mut output, stop_bit, || {
+            std::mem::take(&mut bytes)
+        });
+        let (prefix_len, tail_len) = (output.prefix().len(), output.tail().len());
+        if hybrid.is_ok() {
+            assert_eq!(prefix_len + tail_len, output.len());
+        }
+        let resolved = hybrid.and_then(|outcome| {
+            output.resolve_into(window, &mut resolved_bytes)?;
+            Ok((outcome, resolved_bytes.clone()))
+        });
+        // Next round's tail goes where this round's chunk went, and the
+        // other way round.
+        (symbols, bytes) = output.into_buffers();
+        std::mem::swap(&mut bytes, &mut resolved_bytes);
+        rounds.push((resolved, prefix_len, tail_len));
     }
-    let resolved = hybrid.and_then(|outcome| Ok((outcome, output.resolve(window)?)));
+    let (recycled, ..) = rounds.pop().unwrap();
+    let (resolved, prefix_len, tail_len) = rounds.pop().unwrap();
+    match (&resolved, &recycled) {
+        (Ok((outcome, data)), Ok((recycled_outcome, recycled_data))) => {
+            assert_eq!(data, recycled_data);
+            assert_eq!(outcome.blocks, recycled_outcome.blocks);
+            assert_eq!(outcome.end_position, recycled_outcome.end_position);
+            assert_eq!(outcome.window_usage, recycled_outcome.window_usage);
+        }
+        (Err(error), Err(recycled_error)) => assert_eq!(error, recycled_error),
+        _ => panic!("a decode into recycled buffers differs from one into fresh buffers"),
+    }
 
     match (one_stage, resolved) {
         (Ok(one_stage), Ok((hybrid, resolved))) => {
@@ -208,7 +238,7 @@ fn hybrid_decode_switches_once_markers_die_out_and_never_when_they_do_not() {
     let mut reader = BitReader::new(&stream);
     reader.seek_to_bit(start.bit_offset).unwrap();
     let mut output = SpeculativeOutput::new();
-    inflate_speculative(&mut reader, &mut output, u64::MAX).unwrap();
+    inflate_speculative(&mut reader, &mut output, u64::MAX, Vec::new).unwrap();
     assert_eq!(output.prefix(), &symbols[..seen.prefix_len]);
     assert!(symbols[seen.prefix_len - WINDOW_SIZE..]
         .iter()
@@ -373,7 +403,7 @@ fn stored_and_fixed_blocks_before_and_after_the_switch() {
 
     let mut reader = BitReader::new(&stream);
     let mut output = SpeculativeOutput::new();
-    let outcome = inflate_speculative(&mut reader, &mut output, u64::MAX).unwrap();
+    let outcome = inflate_speculative(&mut reader, &mut output, u64::MAX, Vec::new).unwrap();
     let types: Vec<BlockType> = outcome.blocks.iter().map(|b| b.block_type).collect();
     assert_eq!(
         types,
@@ -414,8 +444,13 @@ fn next_window_needs_the_previous_window_only_for_a_short_tail() {
     let stream = writer.finish();
     let decode = |stop_bit| {
         let mut output = SpeculativeOutput::new();
-        let outcome =
-            inflate_speculative(&mut BitReader::new(&stream), &mut output, stop_bit).unwrap();
+        let outcome = inflate_speculative(
+            &mut BitReader::new(&stream),
+            &mut output,
+            stop_bit,
+            Vec::new,
+        )
+        .unwrap();
         (output, outcome)
     };
 
@@ -448,7 +483,13 @@ fn next_window_needs_the_previous_window_only_for_a_short_tail() {
     );
     let stream = writer.finish();
     let mut output = SpeculativeOutput::new();
-    inflate_speculative(&mut BitReader::new(&stream), &mut output, u64::MAX).unwrap();
+    inflate_speculative(
+        &mut BitReader::new(&stream),
+        &mut output,
+        u64::MAX,
+        Vec::new,
+    )
+    .unwrap();
     let next = output.next_window(&previous).unwrap();
     assert_eq!(next, expected_next_window(&output, &previous));
     assert_eq!(&next[..WINDOW_SIZE - 6], &previous[6..]);
@@ -456,11 +497,17 @@ fn next_window_needs_the_previous_window_only_for_a_short_tail() {
 
     // A forced switch (gzip member boundary) with a short tail behind a
     // prefix that still holds markers: both halves contribute.
-    output.switch_to_bytes();
+    output.switch_to_bytes(|| vec![0xEE; 3]);
     let mut writer = BitWriter::new();
     write_fixed_block(&mut writer, &literals(50, 12), true);
     let member = writer.finish();
-    inflate_speculative(&mut BitReader::new(&member), &mut output, u64::MAX).unwrap();
+    inflate_speculative(
+        &mut BitReader::new(&member),
+        &mut output,
+        u64::MAX,
+        Vec::new,
+    )
+    .unwrap();
     assert_eq!((output.prefix().len(), output.tail().len()), (6, 50));
     assert_eq!(
         output.next_window(&previous).unwrap(),

@@ -76,6 +76,11 @@ pub struct CacheStatistics {
 }
 
 /// A bounded cache holding `Arc<V>` values.
+///
+/// An evicted (or replaced, removed, cleared) value is dropped as soon as
+/// nobody who looked it up still holds it — which is when a value that owns
+/// recycled memory, like the reader's [`Pooled`](crate::Pooled) chunk
+/// buffers, gives it back.
 pub struct Cache<K, V, S = LeastRecentlyUsed<K>> {
     capacity: usize,
     entries: HashMap<K, Arc<V>>,
@@ -280,6 +285,34 @@ mod tests {
             cache.insert(i, Arc::new(i));
         }
         assert_eq!(cache.len(), 4);
+    }
+
+    #[test]
+    fn evicted_values_give_themselves_back_once_unheld() {
+        let registry = rgz_metrics::MetricsRegistry::new_enabled();
+        let pool = crate::BufferPool::new(2, &registry);
+        let idle_bytes = || {
+            let snapshot = registry.snapshot();
+            snapshot.gauge(rgz_metrics::names::BUFFER_POOL_IDLE_BYTES, &[])
+        };
+        let chunk = |byte: u8| {
+            let mut buffer = pool.bytes();
+            buffer.resize(100, byte);
+            Arc::new(buffer)
+        };
+        let mut cache: Cache<u32, crate::Pooled<u8>> = Cache::new(1);
+        cache.insert(1, chunk(1));
+        let held = cache.get(&1).unwrap();
+        cache.insert(2, chunk(2));
+        assert_eq!(
+            idle_bytes(),
+            Some(0),
+            "a reader still holds the evicted chunk"
+        );
+        drop(held);
+        assert_eq!(idle_bytes(), Some(100));
+        cache.clear();
+        assert_eq!(idle_bytes(), Some(200));
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! The cache-and-prefetch machinery (§3.1–§3.2, Figure 5).
 //!
 //! * [`ThreadPool`] — a fixed-size worker pool with joinable task handles.
+//! * [`BufferPool`] — the chunk buffers (compressed range, 16-bit symbols,
+//!   output bytes) a reader's tasks take and give back instead of going to
+//!   the allocator, and through it the kernel, for each chunk.
 //! * [`Cache`] — a keyed cache parameterised by a [`CacheStrategy`]
 //!   (eviction policy); [`LeastRecentlyUsed`] is the default.
 //! * [`FetchingStrategy`] — decides which chunk indexes to prefetch based on
@@ -11,12 +14,14 @@
 //!   prefetches the chunks the strategy predicts, into a *separate* prefetch
 //!   cache so speculative work cannot evict explicitly accessed chunks.
 
+pub mod buffer_pool;
 pub mod cache;
 pub mod chunk_fetcher;
 pub mod plan;
 pub mod strategy;
 pub mod thread_pool;
 
+pub use buffer_pool::{BufferPool, Pooled};
 pub use cache::{Cache, CacheStatistics, CacheStrategy, LeastRecentlyUsed};
 pub use chunk_fetcher::{ChunkFetcher, ChunkFetcherConfig, FetchStatistics};
 pub use plan::IndexAlignedPlan;

@@ -35,6 +35,30 @@ pub trait FileReader: Send + Sync {
 pub fn read_range(reader: &dyn FileReader, offset: u64, length: usize) -> io::Result<Vec<u8>> {
     let available = reader.size().saturating_sub(offset).min(length as u64) as usize;
     let mut buffer = vec![0u8; available];
+    let filled = fill(reader, offset, &mut buffer)?;
+    buffer.truncate(filled);
+    Ok(buffer)
+}
+
+/// [`read_range`] into a caller's buffer, whose previous contents are
+/// replaced.  A recycled buffer already as long as the range is overwritten
+/// as it is: only what it has to grow by is zero-filled first.
+pub fn read_range_into(
+    reader: &dyn FileReader,
+    offset: u64,
+    length: usize,
+    buffer: &mut Vec<u8>,
+) -> io::Result<()> {
+    let available = reader.size().saturating_sub(offset).min(length as u64) as usize;
+    buffer.reserve_exact(available.saturating_sub(buffer.len()));
+    buffer.resize(available, 0);
+    let filled = fill(reader, offset, buffer)?;
+    buffer.truncate(filled);
+    Ok(())
+}
+
+/// Fills `buffer` from `offset` on; returns how much of it the input had.
+fn fill(reader: &dyn FileReader, offset: u64, buffer: &mut [u8]) -> io::Result<usize> {
     let mut filled = 0usize;
     while filled < buffer.len() {
         let read = reader.read_at(offset + filled as u64, &mut buffer[filled..])?;
@@ -43,8 +67,7 @@ pub fn read_range(reader: &dyn FileReader, offset: u64, length: usize) -> io::Re
         }
         filled += read;
     }
-    buffer.truncate(filled);
-    Ok(buffer)
+    Ok(filled)
 }
 
 // --- in-memory ---------------------------------------------------------------
@@ -265,6 +288,16 @@ impl SharedFileReader {
         read_range(self.inner.as_ref(), offset, length)
     }
 
+    /// [`Self::read_range`] into a caller's buffer (see [`read_range_into`]).
+    pub fn read_range_into(
+        &self,
+        offset: u64,
+        length: usize,
+        buffer: &mut Vec<u8>,
+    ) -> io::Result<()> {
+        read_range_into(self.inner.as_ref(), offset, length, buffer)
+    }
+
     /// Returns a handle that reports every read to `metrics`
     /// (see [`InstrumentedFileReader`]).
     pub fn instrumented(&self, metrics: Arc<MetricsRegistry>) -> SharedFileReader {
@@ -317,6 +350,22 @@ mod tests {
         assert_eq!(reader.read_range(100, 256).unwrap(), &data[100..356]);
         assert_eq!(reader.read_range(9990, 100).unwrap(), &data[9990..]);
         assert_eq!(reader.read_range(20_000, 10).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn read_range_into_replaces_a_recycled_buffers_contents() {
+        let data = sample_data(10_000);
+        let reader = SharedFileReader::from_bytes(data.clone());
+        // Longer than, shorter than and as long as what the buffer held.
+        let mut buffer = vec![0xEE; 300];
+        for (offset, length) in [(100u64, 256usize), (5_000, 1_000), (4_000, 1_000)] {
+            reader.read_range_into(offset, length, &mut buffer).unwrap();
+            assert_eq!(buffer, &data[offset as usize..offset as usize + length]);
+        }
+        reader.read_range_into(9_990, 100, &mut buffer).unwrap();
+        assert_eq!(buffer, &data[9_990..]);
+        reader.read_range_into(20_000, 10, &mut buffer).unwrap();
+        assert!(buffer.is_empty());
     }
 
     #[test]

@@ -64,6 +64,11 @@ pub mod names {
     pub const POOL_TASKS_INFLIGHT: &str = "rgz_pool_tasks_inflight";
     pub const POOL_TASKS_TOTAL: &str = "rgz_pool_tasks_total";
     pub const POOL_TASK_WAIT_SECONDS: &str = "rgz_pool_task_wait_seconds";
+    /// Counter, labels `kind` ∈ {`range`, `u16`, `u8`} and `result` ∈
+    /// {`reused`, `fresh`}: chunk buffers taken from the reader's buffer pool.
+    pub const BUFFER_POOL_TAKES: &str = "rgz_buffer_pool_takes_total";
+    /// Gauge: capacity of the buffers the pool holds idle.
+    pub const BUFFER_POOL_IDLE_BYTES: &str = "rgz_buffer_pool_idle_bytes";
 
     // rgz_window: the seek-point window store.
     pub const WINDOW_STORE_BYTES: &str = "rgz_window_store_bytes";
