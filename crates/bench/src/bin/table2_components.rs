@@ -7,7 +7,9 @@
 //! two-stage rows the same hot loop emitting 16-bit marker symbols (all of
 //! them, and only until markers die out); the `speedup_*` and
 //! `two_stage_vs_one_stage_*` metrics are the machine-independent ratios the
-//! CI `perf-smoke` job gates on.
+//! CI `perf-smoke` job gates on.  The "dynamic block set-up" rows record what
+//! a Dynamic Block costs before its first symbol is decoded (header parse
+//! and the three code tables), per block and as a share of one-stage inflate.
 
 use std::sync::Arc;
 
@@ -20,10 +22,12 @@ use rgz_blockfinder::{
     TrialInflateFinder, UncompressedBlockFinder,
 };
 use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
+use rgz_deflate::block::parse_dynamic_header;
+use rgz_deflate::huffman::{HuffmanDecoder, MultiSymbolDecoder};
 use rgz_deflate::{
     inflate, inflate_single_symbol, inflate_speculative, inflate_two_stage, replace_markers,
-    replace_markers_to_slice, replace_markers_to_slice_scalar, CompressorOptions,
-    DeflateCompressor, SpeculativeOutput, MARKER_BASE,
+    replace_markers_to_slice, replace_markers_to_slice_scalar, BlockBoundary, BlockType,
+    CompressorOptions, DeflateCompressor, SpeculativeOutput, MARKER_BASE,
 };
 use rgz_metrics::MetricsRegistry;
 use rgz_trace::{chrome_trace_json, MetricsReport, TraceSink};
@@ -42,6 +46,41 @@ fn row(
     }
     report.record(key, bandwidth);
     bandwidth
+}
+
+/// The parts of setting up a Dynamic Block, in the order the decoder runs
+/// them: header parse (precode + code lengths), the single-symbol literal
+/// table, the multi-symbol literal table, the distance table.
+const SETUP_PARTS: [&str; 4] = ["parse", "literal", "multi", "distance"];
+
+/// Time spent per part over all Dynamic Blocks of `compressed` (the best of
+/// a few passes, part by part), and how many such blocks there are.
+fn dynamic_block_setup(
+    compressed: &[u8],
+    blocks: &[BlockBoundary],
+) -> ([std::time::Duration; 4], usize) {
+    let dynamic: Vec<u64> = blocks
+        .iter()
+        .filter(|block| block.block_type == BlockType::Dynamic)
+        .map(|block| block.bit_offset + 3)
+        .collect();
+    let mut best = [std::time::Duration::MAX; 4];
+    for _ in 0..repetitions() {
+        let mut pass = [std::time::Duration::ZERO; 4];
+        for &header_offset in &dynamic {
+            let mut reader = BitReader::new(compressed);
+            reader.seek_to_bit(header_offset).unwrap();
+            let (header, elapsed) = time(|| parse_dynamic_header(&mut reader).unwrap());
+            pass[0] += elapsed;
+            pass[1] += time(|| HuffmanDecoder::from_code_lengths(&header.literal_lengths)).1;
+            pass[2] += time(|| MultiSymbolDecoder::from_code_lengths(&header.literal_lengths)).1;
+            pass[3] += time(|| HuffmanDecoder::from_code_lengths(&header.distance_lengths)).1;
+        }
+        for (best, pass) in best.iter_mut().zip(pass) {
+            *best = (*best).min(pass);
+        }
+    }
+    (best, dynamic.len())
 }
 
 fn scan(finder: &dyn BlockFinder, data: &[u8]) -> u64 {
@@ -174,6 +213,38 @@ fn main() {
         let blocks = inflate(&mut reader, &[], &mut Vec::new(), u64::MAX)
             .unwrap()
             .blocks;
+        // What the blocks cost before their first symbol: recorded for the
+        // decoder's next PR, gated by nothing.
+        let (parts, dynamic_blocks) = dynamic_block_setup(&compressed, &blocks);
+        if dynamic_blocks > 0 {
+            let per_block =
+                |part: std::time::Duration| part.as_secs_f64() * 1e6 / dynamic_blocks as f64;
+            let total: std::time::Duration = parts.iter().sum();
+            let share = total.as_secs_f64() / duration.as_secs_f64();
+            if !json {
+                println!(
+                    "{:<28} {:>13.1} us = {:.1}% of inflate ({dynamic_blocks} blocks)",
+                    format!("  dyn. block set-up ({name})"),
+                    per_block(total),
+                    100.0 * share,
+                );
+            }
+            report.record(&format!("dynamic_setup_{name}_us"), per_block(total));
+            report.record(&format!("dynamic_setup_{name}_share"), share);
+            for (part_name, part) in SETUP_PARTS.iter().zip(parts) {
+                if !json {
+                    println!(
+                        "{:<28} {:>13.1} us",
+                        format!("    {part_name}"),
+                        per_block(part)
+                    );
+                }
+                report.record(
+                    &format!("dynamic_setup_{name}_{part_name}_us"),
+                    per_block(part),
+                );
+            }
+        }
         let start = blocks
             .iter()
             .find(|block| block.uncompressed_offset >= 32 * 1024)

@@ -12,7 +12,8 @@ pub struct BitWriter {
     bytes: Vec<u8>,
     /// Bits not yet flushed to `bytes` (low bits first).
     bit_buffer: u64,
-    /// Number of valid bits in `bit_buffer` (always < 8 after `flush_full_bytes`).
+    /// Number of valid bits in `bit_buffer`, at most 63 between calls: bits
+    /// leave it a word at a time, when the next write would not fit.
     bit_count: u32,
 }
 
@@ -37,13 +38,18 @@ impl BitWriter {
         self.bytes.len() as u64 * 8 + self.bit_count as u64
     }
 
+    /// Moves every whole byte of the bit buffer to `bytes`, leaving fewer
+    /// than 8 bits behind.  The word is appended whole and the part of it
+    /// that was not valid yet is cut off again, so the copy has a fixed size.
     #[inline]
     fn flush_full_bytes(&mut self) {
-        while self.bit_count >= 8 {
-            self.bytes.push((self.bit_buffer & 0xFF) as u8);
-            self.bit_buffer >>= 8;
-            self.bit_count -= 8;
-        }
+        let whole_bytes = (self.bit_count / 8) as usize;
+        let length = self.bytes.len();
+        self.bytes.extend_from_slice(&self.bit_buffer.to_le_bytes());
+        self.bytes.truncate(length + whole_bytes);
+        // `bit_count` is at most 63, so the shift is at most 56.
+        self.bit_buffer >>= 8 * whole_bytes;
+        self.bit_count %= 8;
     }
 
     /// Appends the low `count` bits of `value`, LSB first. `count` must be
@@ -51,9 +57,11 @@ impl BitWriter {
     #[inline]
     pub fn write_bits(&mut self, value: u64, count: u32) {
         assert!(count <= 56, "write_bits supports at most 56 bits per call");
+        if self.bit_count + count > 63 {
+            self.flush_full_bytes();
+        }
         self.bit_buffer |= (value & low_bit_mask(count)) << self.bit_count;
         self.bit_count += count;
-        self.flush_full_bytes();
     }
 
     /// Writes a Huffman code given MSB-first (as canonical codes are
@@ -66,9 +74,10 @@ impl BitWriter {
 
     /// Pads with zero bits up to the next byte boundary.
     pub fn align_to_byte(&mut self) {
-        if self.bit_count % 8 != 0 {
-            let padding = 8 - (self.bit_count % 8);
-            self.write_bits(0, padding);
+        self.flush_full_bytes();
+        if self.bit_count > 0 {
+            // Bits above `bit_count` are zero: that is the padding.
+            self.bit_count = 8;
         }
     }
 
@@ -91,11 +100,6 @@ impl BitWriter {
         self.flush_full_bytes();
         debug_assert_eq!(self.bit_count, 0);
         self.bytes
-    }
-
-    /// Read-only view of the fully flushed bytes produced so far.
-    pub fn flushed_bytes(&self) -> &[u8] {
-        &self.bytes
     }
 }
 
@@ -148,7 +152,87 @@ mod tests {
         assert_eq!(writer.position(), 18);
     }
 
+    /// The writer this one replaced: every whole byte leaves the bit buffer
+    /// at once, one `push` each.  Kept as the reference the word-at-a-time
+    /// flush must agree with, byte for byte and position for position.
+    #[derive(Default)]
+    struct ByteAtATimeWriter {
+        bytes: Vec<u8>,
+        bit_buffer: u64,
+        bit_count: u32,
+    }
+
+    impl ByteAtATimeWriter {
+        fn position(&self) -> u64 {
+            self.bytes.len() as u64 * 8 + self.bit_count as u64
+        }
+
+        fn write_bits(&mut self, value: u64, count: u32) {
+            self.bit_buffer |= (value & low_bit_mask(count)) << self.bit_count;
+            self.bit_count += count;
+            while self.bit_count >= 8 {
+                self.bytes.push(self.bit_buffer as u8);
+                self.bit_buffer >>= 8;
+                self.bit_count -= 8;
+            }
+        }
+
+        fn align_to_byte(&mut self) {
+            if self.bit_count > 0 {
+                self.write_bits(0, 8 - self.bit_count);
+            }
+        }
+
+        fn finish(mut self) -> Vec<u8> {
+            self.align_to_byte();
+            self.bytes
+        }
+    }
+
     proptest! {
+        /// Operations are `(kind, value, count)`: plain bits, wide writes
+        /// back to back (the buffer is nearly full when the next arrives), a
+        /// Huffman code, an alignment, or aligned whole bytes.
+        #[test]
+        fn word_flush_matches_the_byte_at_a_time_writer(
+            operations in proptest::collection::vec((0u8..5, any::<u64>(), 0u32..=56), 0..300),
+        ) {
+            let mut writer = BitWriter::new();
+            let mut reference = ByteAtATimeWriter::default();
+            for &(kind, value, count) in &operations {
+                match kind {
+                    0 => {
+                        writer.write_bits(value, count);
+                        reference.write_bits(value, count);
+                    }
+                    1 => {
+                        let count = 50 + count % 7;
+                        writer.write_bits(value, count);
+                        reference.write_bits(value, count);
+                    }
+                    2 => {
+                        let length = 1 + count % 15;
+                        let code = value as u32 & ((1 << length) - 1);
+                        writer.write_huffman_code(code, length);
+                        reference.write_bits(crate::reverse_bits(code, length) as u64, length);
+                    }
+                    3 => {
+                        writer.align_to_byte();
+                        reference.align_to_byte();
+                    }
+                    _ => {
+                        let data = &value.to_le_bytes()[..count as usize % 9];
+                        writer.align_to_byte();
+                        reference.align_to_byte();
+                        writer.write_bytes(data);
+                        reference.bytes.extend_from_slice(data);
+                    }
+                }
+                prop_assert_eq!(writer.position(), reference.position());
+            }
+            prop_assert_eq!(writer.finish(), reference.finish());
+        }
+
         #[test]
         fn writer_reader_round_trip(values in proptest::collection::vec((any::<u64>(), 1u32..25), 0..200)) {
             let mut writer = BitWriter::new();

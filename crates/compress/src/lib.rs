@@ -4,8 +4,9 @@
 //! fragments *after the fact* by decoding the stream; the write path knows
 //! all of them up front.  This crate fans independent input chunks across
 //! the [`rgz_fetcher::ThreadPool`], encodes each with the shared
-//! [`rgz_deflate`] compressor (one reusable [`HtMatchFinder`] per worker
-//! thread), and stitches the results into one of two container layouts:
+//! [`rgz_deflate`] compressor (which keeps its match finder and token buffer
+//! per worker thread), and stitches the results into one of two container
+//! layouts:
 //!
 //! * **Pigz-style** ([`ContainerFormat::Pigz`]) — multi-member gzip.  Each
 //!   member holds `member_size` input bytes compressed as several
@@ -24,13 +25,12 @@
 //! compression finishes and exports losslessly as index v3 — random access
 //! through it is verified from the first read, no sequential pass needed.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use rgz_bitio::BitWriter;
 use rgz_checksum::{crc32, crc32_combine};
 pub use rgz_deflate::CompressionLevel;
-use rgz_deflate::{write_stored_block, CompressorOptions, DeflateCompressor, HtMatchFinder};
+use rgz_deflate::{write_stored_block, CompressorOptions, DeflateCompressor};
 use rgz_fetcher::ThreadPool;
 use rgz_gzip::bgzf::MAX_BGZF_INPUT_BLOCK;
 use rgz_gzip::{GzipFooter, GzipHeader, BGZF_EOF_BLOCK, OS_UNIX};
@@ -156,13 +156,6 @@ pub struct ParallelCompressor {
     options: ParallelCompressorOptions,
     pool: Arc<ThreadPool>,
     metrics: CompressMetrics,
-}
-
-thread_local! {
-    /// One match finder per worker thread, reused across chunks so the
-    /// 256 KiB hash-chain state is allocated once per thread, not once per
-    /// chunk.
-    static FINDER: RefCell<Option<HtMatchFinder>> = const { RefCell::new(None) };
 }
 
 /// One compressed chunk coming back from a worker.
@@ -414,24 +407,13 @@ fn level_xfl(level: CompressionLevel) -> u8 {
     }
 }
 
-/// Runs `body` with this worker thread's reusable match finder.
-fn with_finder<R>(level: CompressionLevel, body: impl FnOnce(&mut HtMatchFinder) -> R) -> R {
-    FINDER.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let finder = slot.get_or_insert_with(|| HtMatchFinder::new(level));
-        body(finder)
-    })
-}
-
 /// Worker-side chunk encode for the pigz layout: a byte-aligned DEFLATE
 /// fragment ending in an empty stored block (final when `terminate` closes
 /// the member's stream), plus the chunk's CRC-32.
 fn encode_chunk(options: &CompressorOptions, data: &[u8], terminate: bool) -> EncodedChunk {
     let compressor = DeflateCompressor::new(options.clone());
     let mut writer = BitWriter::with_capacity(data.len() / 3 + 64);
-    with_finder(options.level, |finder| {
-        compressor.compress_into_with(data, &mut writer, false, finder);
-    });
+    compressor.compress_into(data, &mut writer, false);
     write_stored_block(&mut writer, &[], terminate);
     EncodedChunk {
         bytes: writer.finish(),
@@ -458,9 +440,7 @@ fn encode_bgzf_span(
         remaining = rest;
 
         let mut writer = BitWriter::with_capacity(block.len() / 3 + 64);
-        with_finder(options.level, |finder| {
-            compressor.compress_into_with(block, &mut writer, true, finder);
-        });
+        compressor.compress_into(block, &mut writer, true);
         let deflate = writer.finish();
 
         let header = GzipHeader {

@@ -7,11 +7,14 @@
 //! lazy), DEFLATE block size, and block-type selection (stored / fixed /
 //! dynamic, whichever is smallest), which is what Table 3 varies.
 
+use std::cell::RefCell;
+use std::sync::OnceLock;
+
 use rgz_bitio::BitWriter;
-use rgz_huffman::{compute_code_lengths, HuffmanEncoder};
+use rgz_huffman::{compute_code_lengths, Code, HuffmanEncoder};
 
 use crate::constants::*;
-use crate::matchfinder::{HtMatchFinder, Token};
+use crate::matchfinder::{HtMatchFinder, TokenBlock};
 
 /// Match-finding effort, roughly corresponding to gzip levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,6 +86,24 @@ pub struct DeflateCompressor {
     options: CompressorOptions,
 }
 
+/// What a compression needs besides its input and output: the match finder's
+/// tables (256 KiB) and one block's tokens and symbol counts.
+struct Scratch {
+    finder: HtMatchFinder,
+    block: TokenBlock,
+}
+
+thread_local! {
+    /// One scratch per thread, created by the thread's first compression and
+    /// reused by every later one, whichever compressor it belongs to: a pool
+    /// worker compressing chunk after chunk, or a reader thread compressing
+    /// a 32 KiB window per chunk, allocates and fills its tables once.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
+        finder: HtMatchFinder::new(CompressionLevel::Default),
+        block: TokenBlock::default(),
+    });
+}
+
 impl DeflateCompressor {
     /// Creates a compressor with the given options.
     pub fn new(options: CompressorOptions) -> Self {
@@ -100,24 +121,9 @@ impl DeflateCompressor {
     /// Appends the compressed form of `data` to `writer`.  If `finalize` is
     /// true the last emitted block carries the final-block flag; otherwise the
     /// stream can be continued with further calls (the caller is responsible
-    /// for eventually finishing the stream).
+    /// for eventually finishing the stream).  Every call is an independent
+    /// stream as far as matches go: none reaches into an earlier call's data.
     pub fn compress_into(&self, data: &[u8], writer: &mut BitWriter, finalize: bool) {
-        let mut finder = HtMatchFinder::new(self.options.level);
-        self.compress_into_with(data, writer, finalize, &mut finder);
-    }
-
-    /// Like [`DeflateCompressor::compress_into`] but reuses the caller's
-    /// match finder, avoiding the per-call hash-table allocation.  The
-    /// parallel compressor keeps one finder per worker thread and feeds it
-    /// chunk after chunk; the finder is reconfigured to this compressor's
-    /// level before use.
-    pub fn compress_into_with(
-        &self,
-        data: &[u8],
-        writer: &mut BitWriter,
-        finalize: bool,
-        finder: &mut HtMatchFinder,
-    ) {
         if data.is_empty() {
             if finalize {
                 write_stored_block(writer, &[], true);
@@ -129,47 +135,29 @@ impl DeflateCompressor {
             return;
         }
 
-        finder.reconfigure(self.options.level);
-        let mut tokens = Vec::new();
-        finder.tokenize_into(data, &mut tokens);
-        // Split the token stream into blocks of roughly `block_size` input
-        // bytes. Matches may reference data across block boundaries, exactly
-        // as real compressors behave.
-        let mut block_tokens: Vec<Token> = Vec::new();
-        let mut block_start = 0usize;
-        let mut position = 0usize;
-        let mut emitted_any = false;
-        for token in tokens {
-            let token_length = match token {
-                Token::Literal(_) => 1,
-                Token::Match { length, .. } => length as usize,
-            };
-            block_tokens.push(token);
-            position += token_length;
-            if position - block_start >= self.options.block_size {
-                let is_last = false;
-                self.emit_block(
-                    &data[block_start..position],
-                    &block_tokens,
-                    writer,
-                    is_last && finalize,
-                );
-                emitted_any = true;
-                block_tokens.clear();
-                block_start = position;
+        SCRATCH.with(|scratch| {
+            let Scratch { finder, block } = &mut *scratch.borrow_mut();
+            finder.reconfigure(self.options.level);
+            // Tokenize and emit a block at a time.  Matches may reference
+            // data across block boundaries, exactly as real compressors
+            // behave.
+            let mut tokenizer = finder.start(data);
+            loop {
+                let range = tokenizer.next_block(self.options.block_size, block);
+                // Only the input's ragged end can be the final block: after
+                // a block that filled up, an empty stored block terminates
+                // the stream.
+                let filled = range.len() >= self.options.block_size;
+                let at_end = range.end == data.len();
+                self.emit_block(&data[range], block, writer, finalize && !filled);
+                if at_end {
+                    if filled && finalize {
+                        write_stored_block(writer, &[], true);
+                    }
+                    break;
+                }
             }
-        }
-        if !block_tokens.is_empty() || !emitted_any {
-            self.emit_block(
-                &data[block_start..position],
-                &block_tokens,
-                writer,
-                finalize,
-            );
-        } else if finalize {
-            // All data went out in non-final blocks; terminate the stream.
-            write_stored_block(writer, &[], true);
-        }
+        });
     }
 
     fn compress_stored(&self, data: &[u8], writer: &mut BitWriter, finalize: bool) {
@@ -182,41 +170,62 @@ impl DeflateCompressor {
 
     /// Emits one block, choosing the cheapest representation among stored,
     /// fixed and dynamic (unless `force_dynamic` is set).
-    fn emit_block(&self, raw: &[u8], tokens: &[Token], writer: &mut BitWriter, is_final: bool) {
-        let (literal_frequencies, distance_frequencies) = token_frequencies(tokens);
-        let dynamic = DynamicBlockPlan::build(&literal_frequencies, &distance_frequencies);
+    fn emit_block(&self, raw: &[u8], block: &TokenBlock, writer: &mut BitWriter, is_final: bool) {
+        let literal_frequencies = block.literal_frequencies();
+        let distance_frequencies = block.distance_frequencies();
+        let dynamic = DynamicBlockPlan::build(literal_frequencies, distance_frequencies);
 
         if !self.options.force_dynamic {
-            let fixed_cost = fixed_block_cost(&literal_frequencies, &distance_frequencies);
+            let (fixed_literal, fixed_distance) = fixed_encoders();
+            let extra_bits = extra_bits_cost(literal_frequencies, distance_frequencies);
+            let fixed_cost = 3
+                + symbol_cost(literal_frequencies, fixed_literal.codes())
+                + symbol_cost(distance_frequencies, fixed_distance.codes())
+                + extra_bits;
             let stored_cost = stored_cost_bits(raw.len());
-            let dynamic_cost = dynamic.cost_bits(&literal_frequencies, &distance_frequencies);
+            let dynamic_cost = 3
+                + dynamic.header_cost_bits()
+                + symbol_cost(literal_frequencies, dynamic.literal_encoder.codes())
+                + symbol_cost(distance_frequencies, dynamic.distance_encoder.codes())
+                + extra_bits;
             if stored_cost < dynamic_cost && stored_cost < fixed_cost && !raw.is_empty() {
                 self.compress_stored(raw, writer, is_final);
                 return;
             }
             if fixed_cost <= dynamic_cost {
                 write_block_header(writer, is_final, 0b01);
-                let literal_encoder =
-                    HuffmanEncoder::from_code_lengths(&fixed_literal_lengths()).unwrap();
-                let distance_encoder =
-                    HuffmanEncoder::from_code_lengths(&fixed_distance_lengths()).unwrap();
-                write_tokens(writer, tokens, &literal_encoder, &distance_encoder);
+                write_tokens(writer, block, fixed_literal, fixed_distance);
                 return;
             }
         }
 
         write_block_header(writer, is_final, 0b10);
         dynamic.write_header(writer);
-        let literal_encoder = HuffmanEncoder::from_code_lengths(&dynamic.literal_lengths).unwrap();
-        let distance_encoder =
-            HuffmanEncoder::from_code_lengths(&dynamic.distance_lengths).unwrap();
-        write_tokens(writer, tokens, &literal_encoder, &distance_encoder);
+        write_tokens(
+            writer,
+            block,
+            &dynamic.literal_encoder,
+            &dynamic.distance_encoder,
+        );
     }
 }
 
+/// The encoders of the fixed Huffman codes (BTYPE = 01), built once.
+fn fixed_encoders() -> &'static (HuffmanEncoder, HuffmanEncoder) {
+    static ENCODERS: OnceLock<(HuffmanEncoder, HuffmanEncoder)> = OnceLock::new();
+    ENCODERS.get_or_init(|| {
+        let build = |lengths: &[u8]| {
+            HuffmanEncoder::from_code_lengths(lengths).expect("the fixed codes are valid")
+        };
+        (
+            build(&fixed_literal_lengths()),
+            build(&fixed_distance_lengths()),
+        )
+    })
+}
+
 fn write_block_header(writer: &mut BitWriter, is_final: bool, block_type: u64) {
-    writer.write_bits(is_final as u64, 1);
-    writer.write_bits(block_type, 2);
+    writer.write_bits(is_final as u64 | block_type << 1, 3);
 }
 
 /// Writes a complete Non-Compressed Block (used for empty sync blocks too).
@@ -229,46 +238,46 @@ pub fn write_stored_block(writer: &mut BitWriter, data: &[u8], is_final: bool) {
     writer.write_bytes(data);
 }
 
-fn token_frequencies(tokens: &[Token]) -> (Vec<u32>, Vec<u32>) {
-    let mut literal_frequencies = vec![0u32; LITERAL_ALPHABET_SIZE];
-    let mut distance_frequencies = vec![0u32; 30];
-    for token in tokens {
-        match *token {
-            Token::Literal(byte) => literal_frequencies[byte as usize] += 1,
-            Token::Match { length, distance } => {
-                let (length_code, _, _) = length_to_code(length as usize);
-                literal_frequencies[length_code as usize] += 1;
-                let (distance_code, _, _) = distance_to_code(distance as usize);
-                distance_frequencies[distance_code as usize] += 1;
-            }
-        }
-    }
-    literal_frequencies[END_OF_BLOCK as usize] += 1;
-    (literal_frequencies, distance_frequencies)
-}
-
+/// Writes a block's tokens and its end-of-block symbol: one write per token,
+/// a match's two codes and their extra bits merged (at most 15 + 5 + 15 + 13
+/// bits).
 fn write_tokens(
     writer: &mut BitWriter,
-    tokens: &[Token],
+    block: &TokenBlock,
     literal_encoder: &HuffmanEncoder,
     distance_encoder: &HuffmanEncoder,
 ) {
-    for token in tokens {
-        match *token {
-            Token::Literal(byte) => literal_encoder.encode(writer, byte as u16).unwrap(),
-            Token::Match { length, distance } => {
-                let (length_code, length_extra_bits, length_extra) =
-                    length_to_code(length as usize);
-                literal_encoder.encode(writer, length_code).unwrap();
-                writer.write_bits(length_extra as u64, length_extra_bits as u32);
-                let (distance_code, distance_extra_bits, distance_extra) =
-                    distance_to_code(distance as usize);
-                distance_encoder.encode(writer, distance_code).unwrap();
-                writer.write_bits(distance_extra as u64, distance_extra_bits as u32);
-            }
+    let literal_codes: &[Code; LITERAL_ALPHABET_SIZE] = literal_encoder
+        .codes()
+        .try_into()
+        .expect("a literal/length encoder covers the whole alphabet");
+    let distance_codes = distance_encoder.codes();
+    for &token in block.packed() {
+        let distance = token.distance();
+        if distance == 0 {
+            let code = literal_codes[token.literal() as usize];
+            debug_assert!(code.length > 0);
+            writer.write_bits(code.bits as u64, code.length as u32);
+            continue;
         }
+        let (length_symbol, length_extra_bits, length_extra) = length_to_code(token.length());
+        let distance_index = token.distance_code();
+        let length_code = literal_codes[length_symbol as usize];
+        let distance_code = distance_codes[distance_index];
+        debug_assert!(length_code.length > 0 && distance_code.length > 0);
+
+        let mut bits = length_code.bits as u64;
+        let mut count = length_code.length as u32;
+        bits |= (length_extra as u64) << count;
+        count += length_extra_bits as u32;
+        bits |= (distance_code.bits as u64) << count;
+        count += distance_code.length as u32;
+        bits |= ((distance - DISTANCE_BASE[distance_index] as usize) as u64) << count;
+        count += DISTANCE_EXTRA_BITS[distance_index] as u32;
+        writer.write_bits(bits, count);
     }
-    literal_encoder.encode(writer, END_OF_BLOCK).unwrap();
+    let end_of_block = literal_codes[END_OF_BLOCK as usize];
+    writer.write_bits(end_of_block.bits as u64, end_of_block.length as u32);
 }
 
 fn stored_cost_bits(length: usize) -> u64 {
@@ -276,42 +285,34 @@ fn stored_cost_bits(length: usize) -> u64 {
     blocks * (3 + 7 + 32) + length as u64 * 8
 }
 
-fn fixed_block_cost(literal_frequencies: &[u32], distance_frequencies: &[u32]) -> u64 {
-    let literal_lengths = fixed_literal_lengths();
-    let distance_lengths = fixed_distance_lengths();
-    symbol_cost(literal_frequencies, &literal_lengths)
-        + symbol_cost(distance_frequencies, &distance_lengths)
-        + extra_bits_cost(literal_frequencies, distance_frequencies)
-        + 3
-}
-
-fn symbol_cost(frequencies: &[u32], lengths: &[u8]) -> u64 {
+fn symbol_cost(frequencies: &[u32], codes: &[Code]) -> u64 {
     frequencies
         .iter()
-        .zip(lengths)
-        .map(|(&frequency, &length)| frequency as u64 * length as u64)
+        .zip(codes)
+        .map(|(&frequency, code)| frequency as u64 * code.length as u64)
         .sum()
 }
 
-fn extra_bits_cost(literal_frequencies: &[u32], distance_frequencies: &[u32]) -> u64 {
-    let mut bits = 0u64;
-    for (symbol, &frequency) in literal_frequencies.iter().enumerate() {
-        if (257..=285).contains(&symbol) {
-            bits += frequency as u64 * LENGTH_EXTRA_BITS[symbol - 257] as u64;
-        }
-    }
-    for (symbol, &frequency) in distance_frequencies.iter().enumerate() {
-        if symbol < 30 {
-            bits += frequency as u64 * DISTANCE_EXTRA_BITS[symbol] as u64;
-        }
-    }
-    bits
+fn extra_bits_cost(
+    literal_frequencies: &[u32; LITERAL_ALPHABET_SIZE],
+    distance_frequencies: &[u32; 30],
+) -> u64 {
+    let length_bits = literal_frequencies[257..]
+        .iter()
+        .zip(&LENGTH_EXTRA_BITS)
+        .map(|(&frequency, &bits)| frequency as u64 * bits as u64);
+    let distance_bits = distance_frequencies
+        .iter()
+        .zip(&DISTANCE_EXTRA_BITS)
+        .map(|(&frequency, &bits)| frequency as u64 * bits as u64);
+    length_bits.chain(distance_bits).sum()
 }
 
-/// Everything needed to emit a Dynamic Block header.
+/// Everything needed to emit a Dynamic Block: its header and the encoders of
+/// the two codes the header describes.
 struct DynamicBlockPlan {
-    literal_lengths: Vec<u8>,
-    distance_lengths: Vec<u8>,
+    literal_encoder: HuffmanEncoder,
+    distance_encoder: HuffmanEncoder,
     precode_lengths: Vec<u8>,
     /// Run-length encoded code-length sequence: (precode symbol, extra bit
     /// count, extra value).
@@ -322,11 +323,15 @@ struct DynamicBlockPlan {
 }
 
 impl DynamicBlockPlan {
-    fn build(literal_frequencies: &[u32], distance_frequencies: &[u32]) -> Self {
-        let mut literal_lengths =
-            compute_code_lengths(literal_frequencies, rgz_huffman::MAX_CODE_LENGTH).unwrap();
-        let mut distance_lengths =
-            compute_code_lengths(distance_frequencies, rgz_huffman::MAX_CODE_LENGTH).unwrap();
+    fn build(
+        literal_frequencies: &[u32; LITERAL_ALPHABET_SIZE],
+        distance_frequencies: &[u32; 30],
+    ) -> Self {
+        let code_lengths = |frequencies: &[u32], limit: u32| {
+            compute_code_lengths(frequencies, limit).expect("the alphabet fits the length limit")
+        };
+        let literal_lengths = code_lengths(literal_frequencies, rgz_huffman::MAX_CODE_LENGTH);
+        let mut distance_lengths = code_lengths(distance_frequencies, rgz_huffman::MAX_CODE_LENGTH);
 
         // DEFLATE requires at least 257 literal codes and 1 distance code to
         // be transmitted; unused alphabets get a single dummy length-1 code.
@@ -345,8 +350,6 @@ impl DynamicBlockPlan {
             .map(|p| p + 1)
             .unwrap_or(0)
             .max(1);
-        literal_lengths.truncate(LITERAL_ALPHABET_SIZE);
-        distance_lengths.truncate(30);
 
         // Run-length encode the concatenated code-length sequence.
         let mut sequence = Vec::with_capacity(literal_count + distance_count);
@@ -355,12 +358,11 @@ impl DynamicBlockPlan {
         let rle = run_length_encode(&sequence);
 
         // Build the precode from the RLE symbol frequencies.
-        let mut precode_frequencies = vec![0u32; PRECODE_ALPHABET_SIZE];
+        let mut precode_frequencies = [0u32; PRECODE_ALPHABET_SIZE];
         for &(symbol, _, _) in &rle {
             precode_frequencies[symbol as usize] += 1;
         }
-        let precode_lengths =
-            compute_code_lengths(&precode_frequencies, rgz_huffman::MAX_PRECODE_LENGTH).unwrap();
+        let precode_lengths = code_lengths(&precode_frequencies, rgz_huffman::MAX_PRECODE_LENGTH);
         let precode_count = PRECODE_ORDER
             .iter()
             .rposition(|&position| precode_lengths[position] > 0)
@@ -368,9 +370,12 @@ impl DynamicBlockPlan {
             .unwrap_or(0)
             .max(4);
 
+        let encoder = |lengths: &[u8]| {
+            HuffmanEncoder::from_code_lengths(lengths).expect("package-merge lengths are a code")
+        };
         Self {
-            literal_lengths,
-            distance_lengths,
+            literal_encoder: encoder(&literal_lengths),
+            distance_encoder: encoder(&distance_lengths),
             precode_lengths,
             rle,
             literal_count,
@@ -387,13 +392,6 @@ impl DynamicBlockPlan {
         bits
     }
 
-    fn cost_bits(&self, literal_frequencies: &[u32], distance_frequencies: &[u32]) -> u64 {
-        3 + self.header_cost_bits()
-            + symbol_cost(literal_frequencies, &self.literal_lengths)
-            + symbol_cost(distance_frequencies, &self.distance_lengths)
-            + extra_bits_cost(literal_frequencies, distance_frequencies)
-    }
-
     fn write_header(&self, writer: &mut BitWriter) {
         writer.write_bits((self.literal_count - 257) as u64, 5);
         writer.write_bits((self.distance_count - 1) as u64, 5);
@@ -401,10 +399,14 @@ impl DynamicBlockPlan {
         for &position in PRECODE_ORDER.iter().take(self.precode_count) {
             writer.write_bits(self.precode_lengths[position] as u64, 3);
         }
-        let precode_encoder = HuffmanEncoder::from_code_lengths(&self.precode_lengths).unwrap();
+        let precode_encoder = HuffmanEncoder::from_code_lengths(&self.precode_lengths)
+            .expect("package-merge lengths are a code");
         for &(symbol, extra_bits, extra) in &self.rle {
-            precode_encoder.encode(writer, symbol).unwrap();
-            writer.write_bits(extra as u64, extra_bits as u32);
+            let code = precode_encoder.codes()[symbol as usize];
+            writer.write_bits(
+                code.bits as u64 | (extra as u64) << code.length,
+                code.length as u32 + extra_bits as u32,
+            );
         }
     }
 }

@@ -53,34 +53,78 @@ pub fn fixed_distance_lengths() -> Vec<u8> {
     vec![5u8; DISTANCE_ALPHABET_SIZE]
 }
 
+/// Index into [`LENGTH_BASE`] (length code minus 257) of every match length;
+/// the entries below [`MIN_MATCH`] are never read.
+pub(crate) const LENGTH_CODE_INDEX: [u8; MAX_MATCH + 1] = {
+    let mut table = [0u8; MAX_MATCH + 1];
+    let mut length = MIN_MATCH;
+    while length <= MAX_MATCH {
+        let mut index = 0;
+        while index + 1 < LENGTH_BASE.len() && LENGTH_BASE[index + 1] as usize <= length {
+            index += 1;
+        }
+        table[length] = index as u8;
+        length += 1;
+    }
+    table
+};
+
+/// Where [`DISTANCE_CODES`] keeps the code of `distance`: zlib's two-part
+/// layout, one entry per distance up to 256, then one per 128 distances
+/// (every code from 16 up starts on a multiple of 128, plus one, and covers a
+/// multiple of 128 distances).
+const fn distance_slot(distance: usize) -> usize {
+    let distance_minus_one = distance - 1;
+    if distance_minus_one < 256 {
+        distance_minus_one
+    } else {
+        256 + (distance_minus_one >> 7)
+    }
+}
+
+/// The distance code of every distance, at its [`distance_slot`].
+const DISTANCE_CODES: [u8; 512] = {
+    let mut table = [0u8; 512];
+    let mut code = 0;
+    let mut distance = 1;
+    while distance <= WINDOW_SIZE {
+        if code + 1 < DISTANCE_BASE.len() && DISTANCE_BASE[code + 1] as usize == distance {
+            code += 1;
+        }
+        table[distance_slot(distance)] = code as u8;
+        distance += 1;
+    }
+    table
+};
+
+/// The distance code (0..=29) of a match distance (1..=32768).
+#[inline]
+pub(crate) fn distance_code(distance: usize) -> u8 {
+    debug_assert!((1..=WINDOW_SIZE).contains(&distance));
+    DISTANCE_CODES[distance_slot(distance) & 511]
+}
+
 /// Maps a match length (3..=258) to `(length code, extra bits, extra value)`.
+/// Length 258 uses code 285 (no extra bits), not 284 plus 31.
 #[inline]
 pub fn length_to_code(length: usize) -> (u16, u8, u16) {
     debug_assert!((MIN_MATCH..=MAX_MATCH).contains(&length));
-    // Find the last code whose base is <= length.
-    let mut code_index = LENGTH_BASE.partition_point(|&base| base as usize <= length) - 1;
-    // Length 258 must use code 285 (base 258, 0 extra bits), not 284 + extra.
-    if length == MAX_MATCH {
-        code_index = 28;
-    }
-    let base = LENGTH_BASE[code_index] as usize;
+    let code_index = LENGTH_CODE_INDEX[length] as usize;
     (
         257 + code_index as u16,
         LENGTH_EXTRA_BITS[code_index],
-        (length - base) as u16,
+        (length - LENGTH_BASE[code_index] as usize) as u16,
     )
 }
 
 /// Maps a match distance (1..=32768) to `(distance code, extra bits, extra value)`.
 #[inline]
 pub fn distance_to_code(distance: usize) -> (u16, u8, u16) {
-    debug_assert!((1..=WINDOW_SIZE).contains(&distance));
-    let code_index = DISTANCE_BASE.partition_point(|&base| base as usize <= distance) - 1;
-    let base = DISTANCE_BASE[code_index] as usize;
+    let code_index = distance_code(distance) as usize;
     (
         code_index as u16,
         DISTANCE_EXTRA_BITS[code_index],
-        (distance - base) as u16,
+        (distance - DISTANCE_BASE[code_index] as usize) as u16,
     )
 }
 
@@ -101,6 +145,43 @@ mod tests {
         assert_eq!(literals[280], 8);
         assert_eq!(literals[287], 8);
         assert_eq!(fixed_distance_lengths(), vec![5u8; 32]);
+    }
+
+    /// The binary searches the lookup tables replaced.
+    fn length_to_code_by_search(length: usize) -> (u16, u8, u16) {
+        let mut code_index = LENGTH_BASE.partition_point(|&base| base as usize <= length) - 1;
+        if length == MAX_MATCH {
+            code_index = 28;
+        }
+        let base = LENGTH_BASE[code_index] as usize;
+        (
+            257 + code_index as u16,
+            LENGTH_EXTRA_BITS[code_index],
+            (length - base) as u16,
+        )
+    }
+
+    fn distance_to_code_by_search(distance: usize) -> (u16, u8, u16) {
+        let code_index = DISTANCE_BASE.partition_point(|&base| base as usize <= distance) - 1;
+        let base = DISTANCE_BASE[code_index] as usize;
+        (
+            code_index as u16,
+            DISTANCE_EXTRA_BITS[code_index],
+            (distance - base) as u16,
+        )
+    }
+
+    #[test]
+    fn lookup_tables_agree_with_the_binary_searches() {
+        for length in MIN_MATCH..=MAX_MATCH {
+            assert_eq!(length_to_code(length), length_to_code_by_search(length));
+        }
+        for distance in 1..=WINDOW_SIZE {
+            assert_eq!(
+                distance_to_code(distance),
+                distance_to_code_by_search(distance)
+            );
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! * [`markers`] — marker replacement and window resolution (second stage).
 //! * [`compress`] — a complete DEFLATE compressor used to build test data
 //!   and benchmark corpora.
-//! * [`matchfinder`] — the reusable hash-chain LZ77 match finder shared by
-//!   the serial compressor and the chunk-parallel `rgz_compress` crate.
+//! * [`matchfinder`] — the reusable hash-chain LZ77 match finder under the
+//!   compressor, which hands out its tokens a DEFLATE block at a time.
 
 pub mod block;
 pub mod compress;
@@ -34,7 +34,10 @@ pub use markers::{
     replace_markers_into, replace_markers_into_scalar, replace_markers_to_slice,
     replace_markers_to_slice_scalar, resolve_window, SpeculativeOutput, WindowUsage,
 };
-pub use matchfinder::{HtMatchFinder, Token};
+pub use matchfinder::{BlockTokenizer, HtMatchFinder, Token, TokenBlock};
+/// The Huffman layer under the block codes and the compressor, for callers
+/// that build or time code tables themselves (the bench harness).
+pub use rgz_huffman as huffman;
 
 use rgz_huffman::HuffmanError;
 

@@ -6,11 +6,20 @@ use crate::{
     canonical_codes, classify_code_lengths, CodeCompleteness, HuffmanError, MAX_CODE_LENGTH,
 };
 
+/// One symbol's code as it goes onto the wire.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Code {
+    /// The code's bits in stream order: the canonical (MSB-first) code
+    /// reversed, ready for an LSB-first [`BitWriter::write_bits`].
+    pub bits: u16,
+    /// Code length in bits; 0 means "no code assigned".
+    pub length: u8,
+}
+
 /// Encodes symbols with a canonical Huffman code defined by code lengths.
 #[derive(Debug, Clone)]
 pub struct HuffmanEncoder {
-    /// `codes[symbol] = (code, length)`; length 0 means "no code assigned".
-    codes: Vec<(u32, u8)>,
+    codes: Vec<Code>,
 }
 
 impl HuffmanEncoder {
@@ -34,24 +43,33 @@ impl HuffmanEncoder {
         if classify_code_lengths(lengths) == CodeCompleteness::Oversubscribed {
             return Err(HuffmanError::Oversubscribed);
         }
-        Ok(Self {
-            codes: canonical_codes(lengths),
-        })
+        let codes = canonical_codes(lengths)
+            .into_iter()
+            .map(|(code, length)| Code {
+                bits: rgz_bitio::reverse_bits(code, length as u32) as u16,
+                length,
+            })
+            .collect();
+        Ok(Self { codes })
     }
 
     /// Writes the code for `symbol` to `writer`.
     #[inline]
     pub fn encode(&self, writer: &mut BitWriter, symbol: u16) -> Result<(), HuffmanError> {
-        let (code, length) = self
-            .codes
-            .get(symbol as usize)
-            .copied()
-            .ok_or(HuffmanError::SymbolWithoutCode { symbol })?;
-        if length == 0 {
-            return Err(HuffmanError::SymbolWithoutCode { symbol });
+        match self.codes.get(symbol as usize) {
+            Some(code) if code.length > 0 => {
+                writer.write_bits(code.bits as u64, code.length as u32);
+                Ok(())
+            }
+            _ => Err(HuffmanError::SymbolWithoutCode { symbol }),
         }
-        writer.write_huffman_code(code, length as u32);
-        Ok(())
+    }
+
+    /// Every symbol's code, indexed by symbol, for callers that merge a code
+    /// with the bits that follow it into one write.
+    #[inline]
+    pub fn codes(&self) -> &[Code] {
+        &self.codes
     }
 
     /// Code length assigned to `symbol` (0 if unused).
@@ -59,7 +77,7 @@ impl HuffmanEncoder {
     pub fn code_length(&self, symbol: u16) -> u8 {
         self.codes
             .get(symbol as usize)
-            .map(|&(_, l)| l)
+            .map(|code| code.length)
             .unwrap_or(0)
     }
 
@@ -102,6 +120,21 @@ mod tests {
             encoder.encode(&mut writer, 99),
             Err(HuffmanError::SymbolWithoutCode { symbol: 99 })
         ));
+    }
+
+    #[test]
+    fn stored_codes_are_the_canonical_codes_in_stream_order() {
+        // RFC 1951 section 3.2.2: lengths (3, 3, 3, 3, 3, 2, 4, 4).
+        let lengths = [3u8, 3, 3, 3, 3, 2, 4, 4];
+        let encoder = HuffmanEncoder::from_code_lengths(&lengths).unwrap();
+        for (symbol, &(code, length)) in canonical_codes(&lengths).iter().enumerate() {
+            let mut expected = BitWriter::new();
+            expected.write_huffman_code(code, length as u32);
+            let mut writer = BitWriter::new();
+            encoder.encode(&mut writer, symbol as u16).unwrap();
+            assert_eq!(writer.finish(), expected.finish(), "symbol {symbol}");
+            assert_eq!(encoder.codes()[symbol].length, length);
+        }
     }
 
     #[test]

@@ -19,18 +19,25 @@ use crate::HuffmanError;
 ///
 /// Returns an error only if the alphabet cannot be represented within
 /// `max_length` bits (i.e. more than `2^max_length` used symbols).
+///
+/// Runs in O(n * max_length) after the sort and allocates seven vectors
+/// whatever the alphabet.  Ties are broken the way the compressor's pinned
+/// output depends on: equal frequencies keep symbol order, and a leaf goes
+/// before a package of the same weight.
 pub fn compute_code_lengths(frequencies: &[u32], max_length: u32) -> Result<Vec<u8>, HuffmanError> {
-    let used: Vec<usize> = frequencies
+    // The used symbols as `(weight, symbol)`, lightest first.
+    let mut leaves: Vec<(u64, usize)> = frequencies
         .iter()
         .enumerate()
-        .filter(|(_, &f)| f > 0)
-        .map(|(i, _)| i)
+        .filter(|(_, &frequency)| frequency > 0)
+        .map(|(symbol, &frequency)| (frequency as u64, symbol))
         .collect();
     let mut lengths = vec![0u8; frequencies.len()];
-    match used.len() {
+    let count = leaves.len();
+    match count {
         0 => return Ok(lengths),
         1 => {
-            lengths[used[0]] = 1;
+            lengths[leaves[0].1] = 1;
             return Ok(lengths);
         }
         n if (n as u64) > (1u64 << max_length) => {
@@ -41,86 +48,185 @@ pub fn compute_code_lengths(frequencies: &[u32], max_length: u32) -> Result<Vec<
         }
         _ => {}
     }
+    // Symbols are distinct, so this is the stable sort by weight.
+    leaves.sort_unstable();
 
-    // Package-merge. An item is either an original leaf or a package of two
-    // items from the previous level; we only need to know, per item, how many
-    // times each *leaf* occurs inside it, which we track as a count vector
-    // indexed by position in `used`.
-    #[derive(Clone)]
-    struct Item {
-        weight: u64,
-        /// Number of occurrences of each used symbol inside this item.
-        leaf_counts: Vec<u16>,
-    }
-
-    let leaves: Vec<Item> = {
-        let mut leaves: Vec<Item> = used
-            .iter()
-            .enumerate()
-            .map(|(slot, &symbol)| {
-                let mut counts = vec![0u16; used.len()];
-                counts[slot] = 1;
-                Item {
-                    weight: frequencies[symbol] as u64,
-                    leaf_counts: counts,
-                }
-            })
-            .collect();
-        leaves.sort_by_key(|item| item.weight);
-        leaves
-    };
-
-    let mut current = leaves.clone();
-    for _ in 1..max_length {
-        // Package adjacent pairs of the current list.
-        let mut packages = Vec::with_capacity(current.len() / 2);
-        let mut iter = current.chunks_exact(2);
-        for pair in &mut iter {
-            let mut counts = pair[0].leaf_counts.clone();
-            for (count, other) in counts.iter_mut().zip(&pair[1].leaf_counts) {
-                *count += other;
-            }
-            packages.push(Item {
-                weight: pair[0].weight + pair[1].weight,
-                leaf_counts: counts,
-            });
-        }
-        // Merge the original leaves with the packages, keeping the list sorted.
-        let mut merged = Vec::with_capacity(leaves.len() + packages.len());
-        let (mut i, mut j) = (0, 0);
-        while i < leaves.len() || j < packages.len() {
-            let take_leaf = match (leaves.get(i), packages.get(j)) {
-                (Some(leaf), Some(package)) => leaf.weight <= package.weight,
+    // Package-merge.  A level's list is the leaves merged with the packages
+    // (adjacent pairs) of the level below, by weight.  The first k packages
+    // of a list are exactly the first 2k items of the list below, so every
+    // selection the algorithm makes is a *prefix* of a list, and a prefix is
+    // described by how many leaves it holds: a level keeps one flag per
+    // item, and only the weights of the newest list are needed to build the
+    // next.
+    let levels = max_length as usize;
+    let mut is_leaf: Vec<bool> = Vec::with_capacity(levels * 2 * count);
+    let mut level_ends: Vec<usize> = Vec::with_capacity(levels);
+    let mut weights: Vec<u64> = leaves.iter().map(|&(weight, _)| weight).collect();
+    let mut below: Vec<u64> = Vec::with_capacity(2 * count);
+    is_leaf.resize(count, true);
+    level_ends.push(count);
+    for _ in 1..levels {
+        std::mem::swap(&mut weights, &mut below);
+        weights.clear();
+        let mut packages = below
+            .chunks_exact(2)
+            .map(|pair| pair[0] + pair[1])
+            .peekable();
+        let mut leaf = 0usize;
+        loop {
+            let take_leaf = match (leaves.get(leaf), packages.peek()) {
+                (Some(&(weight, _)), Some(&package)) => weight <= package,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
-                (None, None) => unreachable!(),
+                (None, None) => break,
             };
             if take_leaf {
-                merged.push(leaves[i].clone());
-                i += 1;
+                weights.push(leaves[leaf].0);
+                leaf += 1;
             } else {
-                merged.push(packages[j].clone());
-                j += 1;
+                weights.extend(packages.next());
             }
+            is_leaf.push(take_leaf);
         }
-        current = merged;
+        level_ends.push(is_leaf.len());
     }
 
-    // The first 2n-2 items of the final list define the code: each occurrence
-    // of a leaf adds one to that symbol's code length.
-    let selected = 2 * used.len() - 2;
-    let mut per_slot_lengths = vec![0u16; used.len()];
-    for item in current.iter().take(selected) {
-        for (slot, &count) in item.leaf_counts.iter().enumerate() {
-            per_slot_lengths[slot] += count;
-        }
+    // The first 2n-2 items of the top list define the code: a symbol's
+    // length is the number of levels whose selected prefix holds its leaf.
+    // `reaching[r]` counts the levels whose prefix holds exactly `r` leaves.
+    let mut reaching = vec![0u8; count + 1];
+    let mut selected = 2 * count - 2;
+    for level in (0..levels).rev() {
+        let start = if level == 0 { 0 } else { level_ends[level - 1] };
+        let list = &is_leaf[start..level_ends[level]];
+        let prefix = &list[..selected.min(list.len())];
+        let leaves_taken = prefix.iter().filter(|&&leaf| leaf).count();
+        reaching[leaves_taken] += 1;
+        selected = 2 * (prefix.len() - leaves_taken);
     }
-    for (slot, &symbol) in used.iter().enumerate() {
-        debug_assert!(per_slot_lengths[slot] >= 1);
-        debug_assert!(per_slot_lengths[slot] as u32 <= max_length);
-        lengths[symbol] = per_slot_lengths[slot] as u8;
+    let mut length = 0u8;
+    for (rank, &(_, symbol)) in leaves.iter().enumerate().rev() {
+        length += reaching[rank + 1];
+        debug_assert!(length >= 1 && length as u32 <= max_length);
+        lengths[symbol] = length;
     }
     Ok(lengths)
+}
+
+/// The package-merge this module used before: every item carries a count per
+/// leaf, cloned at every merge.  O(n^2 * max_length) and thousands of
+/// allocations, but a direct transcription of the algorithm; kept as the
+/// reference [`compute_code_lengths`] must agree with, ties included.
+#[cfg(test)]
+mod reference {
+    use crate::HuffmanError;
+
+    pub(crate) fn compute_code_lengths(
+        frequencies: &[u32],
+        max_length: u32,
+    ) -> Result<Vec<u8>, HuffmanError> {
+        let used: Vec<usize> = frequencies
+            .iter()
+            .enumerate()
+            .filter(|(_, &f)| f > 0)
+            .map(|(i, _)| i)
+            .collect();
+        let mut lengths = vec![0u8; frequencies.len()];
+        match used.len() {
+            0 => return Ok(lengths),
+            1 => {
+                lengths[used[0]] = 1;
+                return Ok(lengths);
+            }
+            n if (n as u64) > (1u64 << max_length) => {
+                return Err(HuffmanError::LengthTooLarge {
+                    length: max_length as u8 + 1,
+                    maximum: max_length,
+                })
+            }
+            _ => {}
+        }
+
+        // Package-merge. An item is either an original leaf or a package of two
+        // items from the previous level; we only need to know, per item, how many
+        // times each *leaf* occurs inside it, which we track as a count vector
+        // indexed by position in `used`.
+        #[derive(Clone)]
+        struct Item {
+            weight: u64,
+            /// Number of occurrences of each used symbol inside this item.
+            leaf_counts: Vec<u16>,
+        }
+
+        let leaves: Vec<Item> = {
+            let mut leaves: Vec<Item> = used
+                .iter()
+                .enumerate()
+                .map(|(slot, &symbol)| {
+                    let mut counts = vec![0u16; used.len()];
+                    counts[slot] = 1;
+                    Item {
+                        weight: frequencies[symbol] as u64,
+                        leaf_counts: counts,
+                    }
+                })
+                .collect();
+            leaves.sort_by_key(|item| item.weight);
+            leaves
+        };
+
+        let mut current = leaves.clone();
+        for _ in 1..max_length {
+            // Package adjacent pairs of the current list.
+            let mut packages = Vec::with_capacity(current.len() / 2);
+            let mut iter = current.chunks_exact(2);
+            for pair in &mut iter {
+                let mut counts = pair[0].leaf_counts.clone();
+                for (count, other) in counts.iter_mut().zip(&pair[1].leaf_counts) {
+                    *count += other;
+                }
+                packages.push(Item {
+                    weight: pair[0].weight + pair[1].weight,
+                    leaf_counts: counts,
+                });
+            }
+            // Merge the original leaves with the packages, keeping the list sorted.
+            let mut merged = Vec::with_capacity(leaves.len() + packages.len());
+            let (mut i, mut j) = (0, 0);
+            while i < leaves.len() || j < packages.len() {
+                let take_leaf = match (leaves.get(i), packages.get(j)) {
+                    (Some(leaf), Some(package)) => leaf.weight <= package.weight,
+                    (Some(_), None) => true,
+                    (None, Some(_)) => false,
+                    (None, None) => unreachable!(),
+                };
+                if take_leaf {
+                    merged.push(leaves[i].clone());
+                    i += 1;
+                } else {
+                    merged.push(packages[j].clone());
+                    j += 1;
+                }
+            }
+            current = merged;
+        }
+
+        // The first 2n-2 items of the final list define the code: each occurrence
+        // of a leaf adds one to that symbol's code length.
+        let selected = 2 * used.len() - 2;
+        let mut per_slot_lengths = vec![0u16; used.len()];
+        for item in current.iter().take(selected) {
+            for (slot, &count) in item.leaf_counts.iter().enumerate() {
+                per_slot_lengths[slot] += count;
+            }
+        }
+        for (slot, &symbol) in used.iter().enumerate() {
+            debug_assert!(per_slot_lengths[slot] >= 1);
+            debug_assert!(per_slot_lengths[slot] as u32 <= max_length);
+            lengths[symbol] = per_slot_lengths[slot] as u8;
+        }
+        Ok(lengths)
+    }
 }
 
 #[cfg(test)]
@@ -182,6 +288,62 @@ mod tests {
         let frequencies = vec![1u32; 5];
         assert!(compute_code_lengths(&frequencies, 2).is_err());
         assert!(compute_code_lengths(&frequencies, 3).is_ok());
+    }
+
+    /// Frequencies as the compressor sees them: many zeros, many ties among
+    /// the small counts, a few huge ones.
+    fn frequency((kind, value): (u8, u32)) -> u32 {
+        match kind {
+            0 | 1 => 0,
+            2 | 3 => value % 4,
+            4 => 1 + value % 64,
+            _ => value,
+        }
+    }
+
+    #[test]
+    fn over_full_alphabets_fail_like_the_reference() {
+        for (symbols, limit) in [(5usize, 2u32), (129, 7), (200, 7)] {
+            let frequencies = vec![3u32; symbols];
+            assert_eq!(
+                compute_code_lengths(&frequencies, limit),
+                reference::compute_code_lengths(&frequencies, limit),
+            );
+            assert!(compute_code_lengths(&frequencies, limit).is_err());
+        }
+        // Exactly full is a flat code, not an error.
+        assert_eq!(
+            compute_code_lengths(&[9u32; 128], 7).unwrap(),
+            vec![7u8; 128]
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The O(n L) construction is the reference construction, tie for
+        /// tie: same lengths for every symbol, over the alphabet sizes
+        /// DEFLATE uses (precode 19, distance 30, literal/length 288) and the
+        /// degenerate ones, at both of its limits.
+        #[test]
+        fn agrees_with_the_reference_package_merge(
+            symbols in prop_oneof![Just(1usize), Just(2), Just(19), Just(30), Just(288)],
+            draws in proptest::collection::vec((0u8..6, any::<u32>()), 288),
+            limit in prop_oneof![Just(7u32), Just(15)],
+        ) {
+            let frequencies: Vec<u32> = draws[..symbols].iter().copied().map(frequency).collect();
+            let used = frequencies.iter().filter(|&&f| f > 0).count();
+            let result = compute_code_lengths(&frequencies, limit);
+            prop_assert_eq!(&result, &reference::compute_code_lengths(&frequencies, limit));
+            match result {
+                Err(_) => prop_assert!(used > 1 << limit),
+                Ok(lengths) => match used {
+                    0 => prop_assert_eq!(classify_code_lengths(&lengths), CodeCompleteness::Empty),
+                    1 => prop_assert_eq!(classify_code_lengths(&lengths), CodeCompleteness::Incomplete),
+                    _ => prop_assert_eq!(classify_code_lengths(&lengths), CodeCompleteness::Complete),
+                },
+            }
+        }
+
     }
 
     proptest! {

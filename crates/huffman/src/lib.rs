@@ -25,7 +25,7 @@ mod length_limited;
 mod multi;
 
 pub use decoder::HuffmanDecoder;
-pub use encoder::HuffmanEncoder;
+pub use encoder::{Code, HuffmanEncoder};
 pub use length_limited::compute_code_lengths;
 pub use multi::{
     length_symbol_info, FastEntry, FastEntryKind, MultiSymbolDecoder, FAST_TABLE_BITS, LENGTH_BASE,
