@@ -3,7 +3,7 @@
 //! Two curves: the checked `read()` path (one refill + bounds check per
 //! call, as the paper measures) and the batched fast path
 //! (`fill_buffer` once, then `peek_cached`/`consume_cached` until the buffer
-//! runs low — the access pattern of the multi-symbol inflate loop).
+//! runs low — several reads per refill and bounds check).
 
 use rgz_bench::*;
 use rgz_bitio::BitReader;

@@ -13,7 +13,7 @@
 //! * fail when `current < baseline * (1 - threshold)` (default threshold
 //!   0.15, override with `--threshold 0.10`);
 //! * a baseline line may carry a `"floors"` object of absolute minimums
-//!   (machine-independent gates like the multi-symbol speedup ratios); fail
+//!   (machine-independent gates like the fast-loop speedup ratios); fail
 //!   when `current < floor` regardless of the relative threshold;
 //! * every baseline key must be present in the current report: a missing
 //!   bench line or metric counts as a failure, so a bench bin dropping out

@@ -2,14 +2,18 @@
 //! Non-Compressed Block finder, one-stage inflate, marker replacement,
 //! writing, newline count).
 //!
-//! The one-stage inflate rows measure the multi-symbol fast path against the
+//! The one-stage inflate rows measure the fast loop (the `inflate_multi_*`
+//! keys, named for the multi-symbol decoder they first timed) against the
 //! single-symbol reference decoder on the base64 and silesia corpora, the
-//! two-stage rows the same hot loop emitting 16-bit marker symbols (all of
-//! them, and only until markers die out); the `speedup_*` and
-//! `two_stage_vs_one_stage_*` metrics are the machine-independent ratios the
-//! CI `perf-smoke` job gates on.  The "dynamic block set-up" rows record what
-//! a Dynamic Block costs before its first symbol is decoded (header parse
-//! and the three code tables), per block and as a share of one-stage inflate.
+//! two-stage rows the same loop emitting 16-bit marker symbols (all of them,
+//! and only until markers die out); the `speedup_*`,
+//! `two_stage_vs_one_stage_*` and `inflate_vs_setup_*` metrics are the
+//! machine-independent ratios the CI `perf-smoke` job gates on.  The "dynamic
+//! block set-up" rows record what a Dynamic Block costs before its first
+//! symbol is decoded (header parse and the two decode tables), per block and
+//! as a share of one-stage inflate — at the compressor's 128 KiB blocks and,
+//! ungated, at the 16 KiB blocks of gzip-sized streams, which pay it eight
+//! times as often.
 
 use std::sync::Arc;
 
@@ -22,8 +26,9 @@ use rgz_blockfinder::{
     TrialInflateFinder, UncompressedBlockFinder,
 };
 use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
-use rgz_deflate::block::parse_dynamic_header;
-use rgz_deflate::huffman::{HuffmanDecoder, MultiSymbolDecoder};
+use rgz_deflate::block::{
+    build_distance_table, build_literal_table, parse_dynamic_header, DistanceTable, LiteralTable,
+};
 use rgz_deflate::{
     inflate, inflate_single_symbol, inflate_speculative, inflate_two_stage, replace_markers,
     replace_markers_to_slice, replace_markers_to_slice_scalar, BlockBoundary, BlockType,
@@ -49,38 +54,82 @@ fn row(
 }
 
 /// The parts of setting up a Dynamic Block, in the order the decoder runs
-/// them: header parse (precode + code lengths), the single-symbol literal
-/// table, the multi-symbol literal table, the distance table.
-const SETUP_PARTS: [&str; 4] = ["parse", "literal", "multi", "distance"];
+/// them: header parse (precode + code lengths), the literal/length table,
+/// the distance table.
+const SETUP_PARTS: [&str; 3] = ["parse", "literal", "distance"];
 
 /// Time spent per part over all Dynamic Blocks of `compressed` (the best of
 /// a few passes, part by part), and how many such blocks there are.
 fn dynamic_block_setup(
     compressed: &[u8],
     blocks: &[BlockBoundary],
-) -> ([std::time::Duration; 4], usize) {
+) -> ([std::time::Duration; 3], usize) {
     let dynamic: Vec<u64> = blocks
         .iter()
         .filter(|block| block.block_type == BlockType::Dynamic)
         .map(|block| block.bit_offset + 3)
         .collect();
-    let mut best = [std::time::Duration::MAX; 4];
+    let (mut literal, mut distance) = (LiteralTable::new(), DistanceTable::new());
+    let mut best = [std::time::Duration::MAX; 3];
     for _ in 0..repetitions() {
-        let mut pass = [std::time::Duration::ZERO; 4];
+        let mut pass = [std::time::Duration::ZERO; 3];
         for &header_offset in &dynamic {
             let mut reader = BitReader::new(compressed);
             reader.seek_to_bit(header_offset).unwrap();
             let (header, elapsed) = time(|| parse_dynamic_header(&mut reader).unwrap());
             pass[0] += elapsed;
-            pass[1] += time(|| HuffmanDecoder::from_code_lengths(&header.literal_lengths)).1;
-            pass[2] += time(|| MultiSymbolDecoder::from_code_lengths(&header.literal_lengths)).1;
-            pass[3] += time(|| HuffmanDecoder::from_code_lengths(&header.distance_lengths)).1;
+            pass[1] += time(|| build_literal_table(&mut literal, header.literal_lengths())).1;
+            pass[2] += time(|| build_distance_table(&mut distance, header.distance_lengths())).1;
         }
         for (best, pass) in best.iter_mut().zip(pass) {
             *best = (*best).min(pass);
         }
     }
     (best, dynamic.len())
+}
+
+/// Records what the Dynamic Blocks of `compressed` cost before their first
+/// symbol, per block and against `inflate`, the one-stage decode of the same
+/// stream; returns inflate time over set-up time.
+fn record_dynamic_block_setup(
+    report: &mut JsonReport,
+    json: bool,
+    name: &str,
+    compressed: &[u8],
+    blocks: &[BlockBoundary],
+    inflate: std::time::Duration,
+) -> Option<f64> {
+    let (parts, dynamic_blocks) = dynamic_block_setup(compressed, blocks);
+    if dynamic_blocks == 0 {
+        return None;
+    }
+    let per_block = |part: std::time::Duration| part.as_secs_f64() * 1e6 / dynamic_blocks as f64;
+    let total: std::time::Duration = parts.iter().sum();
+    let share = total.as_secs_f64() / inflate.as_secs_f64();
+    if !json {
+        println!(
+            "{:<28} {:>13.1} us = {:.1}% of inflate ({dynamic_blocks} blocks)",
+            format!("  dyn. block set-up ({name})"),
+            per_block(total),
+            100.0 * share,
+        );
+    }
+    report.record(&format!("dynamic_setup_{name}_us"), per_block(total));
+    report.record(&format!("dynamic_setup_{name}_share"), share);
+    for (part_name, part) in SETUP_PARTS.iter().zip(parts) {
+        if !json {
+            println!(
+                "{:<28} {:>13.1} us",
+                format!("    {part_name}"),
+                per_block(part)
+            );
+        }
+        report.record(
+            &format!("dynamic_setup_{name}_{part_name}_us"),
+            per_block(part),
+        );
+    }
+    Some(1.0 / share)
 }
 
 fn scan(finder: &dyn BlockFinder, data: &[u8]) -> u64 {
@@ -158,9 +207,8 @@ fn main() {
     let (_, duration) = best_of(|| scan(&UncompressedBlockFinder::new(), &random));
     row(&mut report, json, "NBF", "nbf_mb_s", random.len(), duration);
 
-    // One-stage inflate: the multi-symbol fast path versus the single-symbol
-    // reference decoder (the tentpole measurement; deterministic seeds so CI
-    // runs are comparable).
+    // One-stage inflate: the fast loop versus the single-symbol reference
+    // decoder (deterministic seeds so CI runs are comparable).
     let corpus_bytes = scaled(32 << 20, 4 << 20);
     for (name, data) in [
         ("base64", rgz_datagen::base64_random(corpus_bytes, 7)),
@@ -188,11 +236,11 @@ fn main() {
             inflate(&mut reader, &[], &mut out, u64::MAX).unwrap();
             out
         });
-        assert_eq!(out, data, "multi-symbol decode must round-trip");
+        assert_eq!(out, data, "fast-loop decode must round-trip");
         let multi = row(
             &mut report,
             json,
-            &format!("Inflate multi-sym ({name})"),
+            &format!("Inflate fast loop ({name})"),
             &format!("inflate_multi_{name}_mb_s"),
             data.len(),
             duration,
@@ -213,37 +261,40 @@ fn main() {
         let blocks = inflate(&mut reader, &[], &mut Vec::new(), u64::MAX)
             .unwrap()
             .blocks;
-        // What the blocks cost before their first symbol: recorded for the
-        // decoder's next PR, gated by nothing.
-        let (parts, dynamic_blocks) = dynamic_block_setup(&compressed, &blocks);
-        if dynamic_blocks > 0 {
-            let per_block =
-                |part: std::time::Duration| part.as_secs_f64() * 1e6 / dynamic_blocks as f64;
-            let total: std::time::Duration = parts.iter().sum();
-            let share = total.as_secs_f64() / duration.as_secs_f64();
-            if !json {
-                println!(
-                    "{:<28} {:>13.1} us = {:.1}% of inflate ({dynamic_blocks} blocks)",
-                    format!("  dyn. block set-up ({name})"),
-                    per_block(total),
-                    100.0 * share,
-                );
-            }
-            report.record(&format!("dynamic_setup_{name}_us"), per_block(total));
-            report.record(&format!("dynamic_setup_{name}_share"), share);
-            for (part_name, part) in SETUP_PARTS.iter().zip(parts) {
-                if !json {
-                    println!(
-                        "{:<28} {:>13.1} us",
-                        format!("    {part_name}"),
-                        per_block(part)
-                    );
-                }
-                report.record(
-                    &format!("dynamic_setup_{name}_{part_name}_us"),
-                    per_block(part),
-                );
-            }
+        // What the blocks cost before their first symbol, against the decode
+        // of the same stream: a ratio of two times taken in this process.
+        if let Some(ratio) =
+            record_dynamic_block_setup(&mut report, json, name, &compressed, &blocks, duration)
+        {
+            report.record(&format!("inflate_vs_setup_{name}"), ratio);
+        }
+        // The same corpus in gzip-sized blocks, where set-up is paid eight
+        // times as often (ungated).
+        {
+            let small_blocks = DeflateCompressor::new(CompressorOptions {
+                block_size: 16 * 1024,
+                ..Default::default()
+            })
+            .compress(&data);
+            let ((), duration) = best_of(|| {
+                let mut reader = BitReader::new(&small_blocks);
+                let mut out = Vec::with_capacity(data.len());
+                inflate(&mut reader, &[], &mut out, u64::MAX).unwrap();
+            });
+            let name = format!("{name}_16k");
+            row(
+                &mut report,
+                json,
+                &format!("Inflate 16 KiB blocks ({name})"),
+                &format!("inflate_multi_{name}_mb_s"),
+                data.len(),
+                duration,
+            );
+            let mut reader = BitReader::new(&small_blocks);
+            let blocks = inflate(&mut reader, &[], &mut Vec::new(), u64::MAX)
+                .unwrap()
+                .blocks;
+            record_dynamic_block_setup(&mut report, json, &name, &small_blocks, &blocks, duration);
         }
         let start = blocks
             .iter()

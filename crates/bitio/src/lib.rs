@@ -13,7 +13,7 @@ mod reader;
 mod writer;
 
 pub use dispatch::scalar_forced;
-pub use reader::BitReader;
+pub use reader::{BitCursor, BitReader};
 pub use writer::BitWriter;
 
 /// Errors produced by bit-level readers.

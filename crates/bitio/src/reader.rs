@@ -19,6 +19,21 @@ pub struct BitReader<'a> {
     bit_count: u32,
 }
 
+/// A [`BitReader`]'s position as the three words a decode loop keeps in
+/// registers: handed out by [`BitReader::cursor`], taken back by
+/// [`BitReader::set_cursor`].
+///
+/// `buffer` holds the next `bits` stream bits from bit 0 up, `next_byte` is
+/// the index of the first input byte that is not counted in `bits`.  Bits of
+/// `buffer` above `bits` are zero or the input's own next bits, so a loop
+/// refills with `buffer |= next_word << bits` and need not clear them.
+#[derive(Debug, Clone, Copy)]
+pub struct BitCursor {
+    pub buffer: u64,
+    pub bits: u32,
+    pub next_byte: usize,
+}
+
 impl<'a> std::fmt::Debug for BitReader<'a> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BitReader")
@@ -93,13 +108,46 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Hands the reader's state to a loop that keeps it in locals (see
+    /// [`BitCursor`]); [`BitReader::set_cursor`] takes it back.
+    #[inline]
+    pub fn cursor(&self) -> BitCursor {
+        // A full buffer gives its last byte back, so that `bits` is a valid
+        // shift count; the byte's bits stay in `buffer`, above `bits`.
+        let full = (self.bit_count == u64::BITS) as usize;
+        BitCursor {
+            buffer: self.bit_buffer,
+            bits: self.bit_count - 8 * full as u32,
+            next_byte: self.next_byte - full,
+        }
+    }
+
+    /// Continues from where a loop that started from [`BitReader::cursor`]
+    /// left off.  The cursor must describe a position in this reader's data
+    /// (at most 63 buffered bits, all of them below `next_byte`); that its
+    /// buffer holds the data's bits is the caller's contract, as with
+    /// [`BitReader::consume_cached`].
+    #[inline]
+    pub fn set_cursor(&mut self, cursor: BitCursor) {
+        assert!(
+            cursor.bits < 64
+                && cursor.next_byte <= self.data.len()
+                && cursor.bits as usize <= cursor.next_byte * 8,
+            "cursor outside the reader's data"
+        );
+        self.bit_buffer = cursor.buffer & low_bit_mask(cursor.bits);
+        self.bit_count = cursor.bits;
+        self.next_byte = cursor.next_byte;
+    }
+
     /// Refills the internal bit buffer from the underlying data.
     ///
     /// After the call the buffer holds at least 57 bits, unless fewer bits
     /// remain in the input (in which case it holds all of them).  One call
     /// amortises over several subsequent [`BitReader::peek_cached`] /
-    /// [`BitReader::consume_cached`] steps, which is what lets a multi-symbol
-    /// Huffman decoder consume 2+ symbols between bounds checks.
+    /// [`BitReader::consume_cached`] steps: several reads between bounds
+    /// checks (`fig07_bitreader`'s batched curve).  A decode loop that wants
+    /// the buffer in registers takes [`BitReader::cursor`] instead.
     #[inline]
     pub fn fill_buffer(&mut self) {
         self.refill();
@@ -121,8 +169,7 @@ impl<'a> BitReader<'a> {
     /// at the true end of the input, but mid-stream the word-based refill
     /// may leave (correct) not-yet-accounted input bits above `cached_bits`.
     /// Callers must therefore guard with `cached_bits()` before acting on a
-    /// peek — the decode fast path only peeks after checking it has enough
-    /// buffered bits for the worst-case step.
+    /// peek.
     #[inline]
     pub fn peek_cached(&self, count: u32) -> u64 {
         debug_assert!(count <= MAX_BITS_PER_READ);
@@ -133,9 +180,8 @@ impl<'a> BitReader<'a> {
     ///
     /// Contract: `count <= cached_bits()`, checked only via `debug_assert`.
     /// Violating it corrupts the reader's position tracking (it cannot cause
-    /// memory unsafety).  The decode fast path upholds it by refilling once
-    /// and then consuming at most `cached_bits()` bits before the next
-    /// refill.
+    /// memory unsafety).  Refill once, then consume at most `cached_bits()`
+    /// bits before the next refill.
     #[inline]
     pub fn consume_cached(&mut self, count: u32) {
         debug_assert!(count <= self.bit_count);
@@ -448,6 +494,75 @@ mod tests {
             assert_eq!(peeked, reference.read(width).unwrap());
             assert_eq!(cached.position(), reference.position());
         }
+    }
+
+    #[test]
+    fn a_cursor_taken_and_set_again_changes_nothing() {
+        let data: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37)).collect();
+        for consumed in [0u32, 1, 7, 8, 9, 13, 56, 57] {
+            let mut reader = BitReader::new(&data);
+            let mut reference = BitReader::new(&data);
+            // `peek` leaves a full 64-bit buffer behind an aligned position.
+            reader.peek(1);
+            reader.read(consumed).unwrap();
+            reference.read(consumed).unwrap();
+            let cursor = reader.cursor();
+            assert!(cursor.bits < 64);
+            assert_eq!(
+                cursor.next_byte as u64 * 8 - cursor.bits as u64,
+                consumed as u64
+            );
+            reader.set_cursor(cursor);
+            assert_eq!(reader.position(), reference.position());
+            for width in [5u32, 57, 1, 30, 57] {
+                assert_eq!(reader.read(width).unwrap(), reference.read(width).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn a_loop_over_a_cursor_hands_back_its_position() {
+        let data: Vec<u8> = (0..32u8).map(|i| i.wrapping_mul(91)).collect();
+        let mut reader = BitReader::new(&data);
+        let mut reference = BitReader::new(&data);
+        reader.read(3).unwrap();
+        reference.read(3).unwrap();
+        let mut cursor = reader.cursor();
+        for width in [11u32, 4, 15, 13] {
+            // The refill and the consume step of a decode loop.
+            let word = u64::from_le_bytes(
+                data[cursor.next_byte..cursor.next_byte + 8]
+                    .try_into()
+                    .unwrap(),
+            );
+            cursor.buffer |= word << cursor.bits;
+            cursor.next_byte += (7 - ((cursor.bits >> 3) & 7)) as usize;
+            cursor.bits |= 56;
+            assert_eq!(
+                cursor.buffer & low_bit_mask(width),
+                reference.read(width).unwrap()
+            );
+            cursor.buffer >>= width;
+            cursor.bits -= width;
+        }
+        reader.set_cursor(cursor);
+        assert_eq!(reader.position(), reference.position());
+        assert_eq!(reader.read(40).unwrap(), reference.read(40).unwrap());
+        // The bits the loop had loaded beyond its count are not the reader's.
+        reader.seek_to_bit(data.len() as u64 * 8 - 4).unwrap();
+        assert_eq!(reader.peek(12), (data[31] >> 4) as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "cursor outside the reader's data")]
+    fn a_cursor_past_the_end_of_the_data_is_refused() {
+        let data = [0u8; 4];
+        let mut reader = BitReader::new(&data);
+        reader.set_cursor(BitCursor {
+            buffer: 0,
+            bits: 0,
+            next_byte: 5,
+        });
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub struct ChunkResult {
     /// that end a member, the member's trailer.  The verification pipeline
     /// folds these in stream order.
     pub fragments: Vec<ChunkFragment>,
-    /// DEFLATE blocks the multi-symbol fast path routed through the
-    /// single-symbol reference decoder (see
+    /// Dynamic Blocks too close to the end of the input for the inflate
+    /// fast loop (see
     /// [`rgz_deflate::InflateOutcome::fast_fallback_blocks`]); used to tag
     /// decode spans with a *fallback* outcome.
     pub fast_fallback_blocks: u32,

@@ -16,11 +16,16 @@ pub const MAX_MATCH: usize = 258;
 /// Maximum payload of a single Non-Compressed (stored) block.
 pub const MAX_STORED_BLOCK_SIZE: usize = 65_535;
 
-// Base match lengths / extra bits for length codes 257..=285 live in
-// `rgz_huffman` (the multi-symbol decoder caches them in its table entries);
-// re-exported here so the encoder, the reference decoder and the fast path
-// all share one authoritative table.
-pub use rgz_huffman::{LENGTH_BASE, LENGTH_EXTRA_BITS};
+/// Base match length for length codes 257..=285.
+pub const LENGTH_BASE: [u16; 29] = [
+    3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31, 35, 43, 51, 59, 67, 83, 99, 115, 131,
+    163, 195, 227, 258,
+];
+
+/// Extra bits for length codes 257..=285.
+pub const LENGTH_EXTRA_BITS: [u8; 29] = [
+    0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0,
+];
 
 /// Base distances for distance codes 0..=29.
 pub const DISTANCE_BASE: [u16; 30] = [

@@ -11,19 +11,24 @@
 //! stays in that mode only until the last 32 KiB of output are marker-free,
 //! then finishes through the one-stage path.
 //!
-//! Both paths run the same block loop and the same two symbol loops (the
-//! multi-symbol hot loop and its single-symbol reference), generic over the
-//! output [`Sink`]: [`ByteSink`] or [`MarkerSink`].
+//! Both paths run the same block loop and the same symbol decoders — a fast
+//! loop over two-level tables that runs wherever nothing can go wrong, a
+//! careful per-symbol step over the same tables for everywhere else, and the
+//! single-symbol reference that every error comes from — generic over the
+//! output `Sink`: `ByteSink` or `MarkerSink`.
 
-use rgz_bitio::BitReader;
-use rgz_huffman::{FastEntryKind, HuffmanDecoder, FAST_TABLE_BITS, MAX_LENGTH_EXTRA_BITS};
+use rgz_bitio::{BitCursor, BitReader};
+use rgz_huffman::{
+    entry_code_length, entry_consumed_bits, entry_payload, HuffmanDecoder, ENTRY_EXCEPTIONAL,
+    ENTRY_SUBTABLE, MAX_CODE_LENGTH,
+};
 
 use crate::block::{
-    decode_distance, decode_length, dynamic_block_codes, dynamic_block_codes_fast,
-    fixed_block_codes, fixed_block_codes_fast, read_block_header, read_stored_header, BlockType,
-    FastBlockCodes,
+    decode_distance, decode_length, dynamic_block_codes, fixed_block_codes, parse_dynamic_header,
+    read_block_header, read_stored_header, BlockTables, BlockType, ENTRY_END_OF_BLOCK,
+    ENTRY_LITERAL,
 };
-use crate::constants::{END_OF_BLOCK, WINDOW_SIZE};
+use crate::constants::{END_OF_BLOCK, MAX_MATCH, WINDOW_SIZE};
 use crate::markers::{SpeculativeOutput, WindowUsage};
 use crate::DeflateError;
 
@@ -80,10 +85,10 @@ pub struct InflateOutcome {
     /// for two-stage decoding (marker symbols cannot be hashed before
     /// replacement).
     pub crc32: Option<u32>,
-    /// Blocks the multi-symbol fast path declined and routed through the
-    /// single-symbol reference decoder (table build would not amortise near
-    /// the end of input).  Always zero when the fast path was not requested;
-    /// lets callers tag a decode span with a *fallback* outcome.
+    /// Dynamic Blocks whose first symbol lies within the last few bytes of
+    /// the input, where the fast loop's input margin never holds: decoded
+    /// symbol by symbol.  Always zero for [`inflate_single_symbol`]; lets
+    /// callers tag a decode span with a *fallback* outcome.
     pub fast_fallback_blocks: u32,
 }
 
@@ -107,31 +112,193 @@ fn should_stop_before_block(reader: &mut BitReader<'_>, stop_offset: u64) -> boo
     block_type == 0b00 || block_type == 0b10
 }
 
+// --- output ------------------------------------------------------------------------
+
+/// Room, in elements, added past the output end whenever the fast loop has
+/// less than its margin left: enough that asking is rare, little enough that
+/// the cleared elements are still in cache when they are written, and that a
+/// call which decodes a few KiB (one member of many, a stored window, a block
+/// finder's probe) does not pay for clearing a whole recycled buffer.
+const ROOM_STEP: usize = 32 * 1024;
+
+/// The output buffer of one inflate call.  The decoded symbols are
+/// `buf[..len]`; what follows is *room*: elements that exist (cleared) so
+/// that the fast loop can store by index, without a capacity check or a
+/// length update per symbol.  [`Output::finish`] cuts the room off again.
+struct Output<T> {
+    buf: Vec<T>,
+    len: usize,
+}
+
+impl<T: Copy + Default> Output<T> {
+    fn new(buf: Vec<T>) -> Self {
+        Self {
+            len: buf.len(),
+            buf,
+        }
+    }
+
+    fn finish(mut self) -> Vec<T> {
+        self.buf.truncate(self.len);
+        self.buf
+    }
+
+    /// Makes `buf[len..len + additional]` exist.
+    #[inline]
+    fn make_room(&mut self, additional: usize) {
+        if self.len + additional > self.buf.len() {
+            self.grow(additional);
+        }
+    }
+
+    #[cold]
+    fn grow(&mut self, additional: usize) {
+        if self.len + additional > self.buf.capacity() {
+            // Exactly `Vec::push` / `Vec::extend` at this length: amortised
+            // doubling, nothing reserved ahead of need.
+            self.buf.truncate(self.len);
+            self.buf.reserve(additional);
+        }
+        self.add_room(additional);
+    }
+
+    /// Extends the room to [`ROOM_STEP`] elements (at least `needed`, at most
+    /// what the buffer has capacity for): never allocates.
+    #[cold]
+    fn add_room(&mut self, needed: usize) {
+        let room = needed.max(ROOM_STEP);
+        self.buf
+            .resize((self.len + room).min(self.buf.capacity()), T::default());
+    }
+
+    #[inline]
+    fn push(&mut self, symbol: T) {
+        self.make_room(1);
+        self.buf[self.len] = symbol;
+        self.len += 1;
+    }
+
+    /// Appends `symbols` as `Vec::extend` does, giving up the room: a Stored
+    /// block is written once, and grows the buffer as it always did.
+    fn extend(&mut self, symbols: impl Iterator<Item = T>) {
+        self.buf.truncate(self.len);
+        self.buf.extend(symbols);
+        self.len = self.buf.len();
+    }
+}
+
+/// Room the overshooting match copy needs past the end of a match: its
+/// last store can start one element before the end and is 16 elements long
+/// (rounded up to two stores).
+const COPY_SLACK: usize = 32;
+
+/// Copies `length` elements from `distance` elements behind `from` to `from`,
+/// element for element.  Requires `1 <= distance <= from` and `from + length
+/// <= out.len()`.  The portable match copy: what the careful path uses, and
+/// the fast loop under `RGZ_FORCE_SCALAR`.
+fn copy_match_exact<T: Copy>(out: &mut [T], from: usize, distance: usize, length: usize) {
+    let start = from - distance;
+    // The output from `start` onwards repeats with period `distance`, so
+    // each chunk (a memmove) may cover everything written so far past
+    // `start` — doubling per iteration instead of the element-at-a-time loop
+    // an overlapping copy would otherwise need.
+    let mut copied = 0;
+    while copied < length {
+        let chunk = (length - copied).min(distance + copied);
+        out.copy_within(start..start + chunk, from + copied);
+        copied += chunk;
+    }
+}
+
+/// The fast loop's match copy: whole 16-element stores (one or two
+/// registers), deliberately overshooting the match end into room the loop
+/// has checked for (`from + length + COPY_SLACK <= out.len()`; the overshoot
+/// elements are overwritten by the next symbol or cut off by
+/// [`Output::finish`]).  Typical DEFLATE matches are 3–30 bytes, so most
+/// copies complete in one or two stores with no per-element or per-chunk
+/// bookkeeping, and none of them calls `memmove`.  [`copy_match_exact`] is
+/// its reference.
+#[inline(always)]
+fn copy_match_overshoot<T: Copy>(out: &mut [T], from: usize, distance: usize, length: usize) {
+    let end = from + length;
+    let mut src = from - distance;
+    let mut dst = from;
+    // An overlapping match repeats its period.  A store `gap` elements after
+    // its source is right in its first `gap` elements (every store is loaded
+    // whole before it is written) and is overwritten from there on by the
+    // next one, which starts there: each pass doubles the gap until source
+    // and cursor are a store apart, at most four times.
+    let mut gap = distance;
+    while gap < 16 && dst < end {
+        out.copy_within(src..src + 16, dst);
+        dst += gap;
+        gap *= 2;
+    }
+    while dst < end {
+        out.copy_within(src..src + 16, dst);
+        src += 16;
+        dst += 16;
+    }
+}
+
+/// [`copy_match_exact`] out of line: what `RGZ_FORCE_SCALAR` costs stays out
+/// of the fast loop's registers.
+#[cold]
+#[inline(never)]
+fn copy_match_exact_cold<T: Copy>(out: &mut [T], from: usize, distance: usize, length: usize) {
+    copy_match_exact(out, from, distance, length);
+}
+
 // --- output sinks --------------------------------------------------------------
 
-/// Where the block decoders put their output.  One multi-symbol hot loop
-/// ([`decode_block_fast`]) and one single-symbol reference loop
+/// Where the block decoders put their output.  One fast loop
+/// ([`decode_fast`]), one careful per-symbol step over the same tables
+/// ([`decode_symbol_careful`]) and the single-symbol reference loop
 /// ([`decode_block_reference`]) serve both output widths through this trait;
 /// monomorphisation keeps each instance as tight as a hand-written loop.
 trait Sink {
+    /// An output element: a byte, or a 16-bit literal-or-marker.
+    type Symbol: Copy + Default + From<u8>;
+
+    fn output(&mut self) -> &mut Output<Self::Symbol>;
+
     /// Symbols in the output buffer, including any that preceded this call.
     fn len(&self) -> usize;
 
-    fn push_literal(&mut self, byte: u8);
+    /// The oldest output index a match can copy from as it is.  A match that
+    /// starts before it reaches into the window (or nowhere) and goes
+    /// through [`Sink::copy_match`].
+    fn base(&self) -> usize;
 
-    /// Emits the literals one fast-table entry packed together.
-    fn push_literals<const N: usize>(&mut self, bytes: [u8; N]);
+    /// Maximum total output length (see [`Sink::check_limit`]).
+    #[inline]
+    fn limit(&self) -> usize {
+        usize::MAX
+    }
 
+    /// Tells the sink that the fast loop has copied `copied`, which now
+    /// starts at output index `from`, from `distance` elements before.
+    #[inline(always)]
+    fn note_copy(&mut self, _copied: &[Self::Symbol], _from: usize, _distance: usize) {}
+
+    /// Appends a match from anywhere: this call's output, what the buffer
+    /// held before, the window.  Every check is here.
     fn copy_match(&mut self, distance: usize, length: usize) -> Result<(), DeflateError>;
 
     /// Appends a Stored block's payload.
     fn push_stored(&mut self, bytes: &[u8]) -> Result<(), DeflateError>;
 
     /// Errors once the output has outgrown the caller's bound.  Checked once
-    /// per hot-loop step, so a hostile stream can overshoot by at most one
-    /// match (258 bytes) before erroring out.
+    /// per symbol by the careful step and the reference loop; the fast loop
+    /// runs only where a whole iteration stays below the bound.  A hostile
+    /// stream can overshoot by at most one match (258 bytes) before erroring
+    /// out.
     #[inline]
     fn check_limit(&self) -> Result<(), DeflateError> {
+        let limit = self.limit();
+        if self.len() > limit {
+            return Err(DeflateError::OutputLimitExceeded { limit });
+        }
         Ok(())
     }
 
@@ -143,142 +310,61 @@ trait Sink {
     }
 }
 
-/// Spare capacity, in elements, the overshooting match copy keeps past the
-/// output end: one 16-element store, plus one period-replication pass that
-/// can land a store's worth beyond it.
-const COPY_SLACK: usize = 32;
-
-/// Copies `length` elements from `distance` elements behind the end of `out`
-/// to its end.  Requires `1 <= distance <= out.len()`.  `scalar` routes the
-/// copy through the portable doubling loop instead of the overshooting vector
-/// copy (set by `RGZ_FORCE_SCALAR`, and by the differential tests to compare
-/// both).
-#[inline]
-fn copy_within_output<T: Copy>(out: &mut Vec<T>, distance: usize, length: usize, scalar: bool) {
-    if scalar {
-        copy_within_output_scalar(out, distance, length);
-    } else {
-        copy_within_output_overshoot(out, distance, length);
-    }
-}
-
-/// Portable reference for [`copy_within_output`]: repeated
-/// `extend_from_within` chunks, each a bounds-checked memcpy.
-fn copy_within_output_scalar<T: Copy>(out: &mut Vec<T>, distance: usize, length: usize) {
-    let start = out.len() - distance;
-    // The output from `start` onwards repeats with period `distance`, so
-    // each `extend_from_within` chunk (a memcpy) may cover everything
-    // written so far past `start` — doubling per iteration instead of the
-    // element-at-a-time loop an overlapping copy would otherwise need.
-    let mut copied = 0;
-    while copied < length {
-        let chunk = (length - copied).min(out.len() - start);
-        out.extend_from_within(start..start + chunk);
-        copied += chunk;
-    }
-}
-
-/// Vector match copy: whole 16-element stores (one or two registers),
-/// deliberately overshooting the match end into reserved slack (the
-/// overshoot elements are either overwritten by the next symbol or sit
-/// beyond `len` and are never observed).  Typical DEFLATE matches are 3–30
-/// bytes, so most copies complete in one or two stores with no per-element or
-/// per-chunk bookkeeping; overlapping matches first replicate their period
-/// until source and cursor are a store apart.
-// `unsafe` is confined to raw-pointer copies whose bounds are established by
-// the `reserve` above them (workspace-wide policy: unsafe only inside vetted
-// hot-loop kernels; `copy_within_output_scalar` is the portable reference).
-#[allow(unsafe_code)]
-#[inline]
-fn copy_within_output_overshoot<T: Copy>(out: &mut Vec<T>, distance: usize, length: usize) {
-    let len = out.len();
-    assert!(distance >= 1 && distance <= len);
-    out.reserve(length + COPY_SLACK);
-    // SAFETY: the buffer has `length + COPY_SLACK` spare elements.  Writes
-    // run from `len` to at most `len + length + 15` (each store is 16
-    // elements starting below `end`); reads start at `len - distance`, inside
-    // the buffer by the assertion above, and stay below the write cursor,
-    // which starts at initialized data and advances contiguously.  `set_len`
-    // covers exactly the `length` initialized match elements.
-    unsafe {
-        let base = out.as_mut_ptr();
-        let mut src = base.add(len - distance);
-        let mut dst = base.add(len);
-        let end = dst.add(length);
-        if distance == 1 {
-            let value = *src;
-            for offset in 0..length {
-                dst.add(offset).write(value);
-            }
-        } else {
-            // Replicate the period until source and cursor are at least
-            // one store apart; each pass doubles the gap, so this runs at
-            // most four times (distance >= 2).
-            let mut gap = distance;
-            while gap < 16 && dst < end {
-                std::ptr::copy_nonoverlapping(src, dst, gap);
-                dst = dst.add(gap);
-                gap *= 2;
-            }
-            while dst < end {
-                std::ptr::copy_nonoverlapping(src, dst, 16);
-                src = src.add(16);
-                dst = dst.add(16);
-            }
-        }
-        out.set_len(len + length);
-    }
-}
-
 /// One-stage sink: output bytes plus the window that preceded them.
 struct ByteSink<'w> {
     window: &'w [u8],
-    out: Vec<u8>,
+    out: Output<u8>,
     usage: WindowUsage,
     /// Maximum total output length; decoding errors out once exceeded (used
     /// to bound the expansion of untrusted streams).
     limit: usize,
-    scalar_copies: bool,
 }
 
 impl<'w> ByteSink<'w> {
     fn new(window: &'w [u8], out: Vec<u8>, limit: usize) -> Self {
         Self {
             window,
-            out,
+            out: Output::new(out),
             usage: WindowUsage::new(),
             limit,
-            scalar_copies: rgz_bitio::scalar_forced(),
         }
     }
 }
 
 impl Sink for ByteSink<'_> {
+    type Symbol = u8;
+
+    #[inline]
+    fn output(&mut self) -> &mut Output<u8> {
+        &mut self.out
+    }
+
     #[inline]
     fn len(&self) -> usize {
-        self.out.len()
+        self.out.len
+    }
+
+    /// What the buffer held before this call is history like any other.
+    #[inline]
+    fn base(&self) -> usize {
+        0
     }
 
     #[inline]
-    fn push_literal(&mut self, byte: u8) {
-        self.out.push(byte);
+    fn limit(&self) -> usize {
+        self.limit
     }
 
-    #[inline]
-    fn push_literals<const N: usize>(&mut self, bytes: [u8; N]) {
-        self.out.extend_from_slice(&bytes);
-    }
-
-    #[inline]
     fn copy_match(&mut self, distance: usize, length: usize) -> Result<(), DeflateError> {
-        let position = self.out.len();
+        let position = self.out.len;
         if distance > position + self.window.len() || distance == 0 || distance > WINDOW_SIZE {
             return Err(DeflateError::DistanceTooFar {
                 distance,
                 available: position + self.window.len(),
             });
         }
-        let mut remaining = length;
+        self.out.make_room(length);
+        let mut from = position;
         if distance > position {
             // The first `distance - position` bytes come out of the preceding
             // window; record them so the index can sparsify the stored copy.
@@ -286,32 +372,26 @@ impl Sink for ByteSink<'_> {
             let from_window = reach.min(length);
             self.usage.mark(WINDOW_SIZE - reach, from_window);
             let start = self.window.len() - reach;
-            self.out
-                .extend_from_slice(&self.window[start..start + from_window]);
+            self.out.buf[from..from + from_window]
+                .copy_from_slice(&self.window[start..start + from_window]);
             // Once the source position crosses into this call's own output
             // the copy continues as a plain self-referential match (the
-            // distance is unchanged and now <= out.len()).
-            remaining -= from_window;
+            // distance is unchanged and now <= the output length).
+            from += from_window;
         }
-        if remaining > 0 {
-            copy_within_output(&mut self.out, distance, remaining, self.scalar_copies);
+        let end = position + length;
+        if from < end {
+            copy_match_exact(&mut self.out.buf, from, distance, end - from);
         }
+        self.out.len = end;
         Ok(())
     }
 
     fn push_stored(&mut self, bytes: &[u8]) -> Result<(), DeflateError> {
-        if self.out.len().saturating_add(bytes.len()) > self.limit {
+        if self.out.len.saturating_add(bytes.len()) > self.limit {
             return Err(DeflateError::OutputLimitExceeded { limit: self.limit });
         }
-        self.out.extend_from_slice(bytes);
-        Ok(())
-    }
-
-    #[inline]
-    fn check_limit(&self) -> Result<(), DeflateError> {
-        if self.out.len() > self.limit {
-            return Err(DeflateError::OutputLimitExceeded { limit: self.limit });
-        }
+        self.out.extend(bytes.iter().copied());
         Ok(())
     }
 }
@@ -319,7 +399,7 @@ impl Sink for ByteSink<'_> {
 /// Two-stage sink: 16-bit output where values `< 256` are literals and
 /// values `>= MARKER_BASE` are markers into the unknown window.
 struct MarkerSink {
-    out: Vec<u16>,
+    out: Output<u16>,
     /// Length of `out` when this inflate call started: the window boundary
     /// (data appended by previous calls is not referenced).
     base: usize,
@@ -330,7 +410,19 @@ struct MarkerSink {
     /// [`WINDOW_SIZE`] symbols are marker-free: from there a byte decoder
     /// seeded with those symbols needs no window (§2.2).
     switch: bool,
-    scalar_copies: bool,
+}
+
+/// Moves `marker_free_from` past the last marker of `copied`, which now
+/// starts at output index `from` and was copied from `distance` elements
+/// before.  A source starting at or after the last marker copied none;
+/// otherwise the copy's own last marker is the new last marker.
+#[inline(always)]
+fn track_last_marker(marker_free_from: &mut usize, copied: &[u16], from: usize, distance: usize) {
+    if from - distance < *marker_free_from {
+        if let Some(last) = copied.iter().rposition(|&symbol| symbol >= MARKER_BASE) {
+            *marker_free_from = from + last + 1;
+        }
+    }
 }
 
 impl MarkerSink {
@@ -338,31 +430,36 @@ impl MarkerSink {
         Self {
             base: out.len(),
             marker_free_from: out.len(),
-            out,
+            out: Output::new(out),
             usage: WindowUsage::new(),
             switch,
-            scalar_copies: rgz_bitio::scalar_forced(),
         }
     }
 }
 
 impl Sink for MarkerSink {
+    type Symbol = u16;
+
+    #[inline]
+    fn output(&mut self) -> &mut Output<u16> {
+        &mut self.out
+    }
+
     #[inline]
     fn len(&self) -> usize {
-        self.out.len()
+        self.out.len
     }
 
     #[inline]
-    fn push_literal(&mut self, byte: u8) {
-        self.out.push(byte as u16);
+    fn base(&self) -> usize {
+        self.base
     }
 
-    #[inline]
-    fn push_literals<const N: usize>(&mut self, bytes: [u8; N]) {
-        self.out.extend_from_slice(&bytes.map(u16::from));
+    #[inline(always)]
+    fn note_copy(&mut self, copied: &[u16], from: usize, distance: usize) {
+        track_last_marker(&mut self.marker_free_from, copied, from, distance);
     }
 
-    #[inline]
     fn copy_match(&mut self, distance: usize, length: usize) -> Result<(), DeflateError> {
         if distance == 0 || distance > WINDOW_SIZE {
             return Err(DeflateError::DistanceTooFar {
@@ -370,9 +467,11 @@ impl Sink for MarkerSink {
                 available: WINDOW_SIZE,
             });
         }
+        self.out.make_room(length);
         // Position within this inflate call.
-        let position = self.out.len() - self.base;
-        let mut remaining = length;
+        let position = self.out.len - self.base;
+        let mut from = self.out.len;
+        let end = from + length;
         if distance > position {
             // Reference into the unknown preceding window: the byte at
             // distance `d` behind position `p` sits `d - p` bytes before the
@@ -383,25 +482,21 @@ impl Sink for MarkerSink {
             let from_window = reach.min(length);
             let first = WINDOW_SIZE - reach;
             self.usage.mark(first, from_window);
-            self.out
-                .extend((first..first + from_window).map(|offset| MARKER_BASE + offset as u16));
-            self.marker_free_from = self.out.len();
-            remaining -= from_window;
-        }
-        if remaining > 0 {
-            let copied_from = self.out.len();
-            copy_within_output(&mut self.out, distance, remaining, self.scalar_copies);
-            // A source starting at or after the last marker copied none;
-            // otherwise the copy's own last marker is the new last marker.
-            if copied_from - distance < self.marker_free_from {
-                if let Some(last) = self.out[copied_from..]
-                    .iter()
-                    .rposition(|&symbol| symbol >= MARKER_BASE)
-                {
-                    self.marker_free_from = copied_from + last + 1;
-                }
+            for (slot, offset) in self.out.buf[from..from + from_window]
+                .iter_mut()
+                .zip(first..)
+            {
+                *slot = MARKER_BASE + offset as u16;
             }
+            from += from_window;
+            self.marker_free_from = from;
         }
+        if from < end {
+            copy_match_exact(&mut self.out.buf, from, distance, end - from);
+            let copied = &self.out.buf[from..end];
+            track_last_marker(&mut self.marker_free_from, copied, from, distance);
+        }
+        self.out.len = end;
         Ok(())
     }
 
@@ -412,27 +507,36 @@ impl Sink for MarkerSink {
 
     #[inline]
     fn wants_switch(&self) -> bool {
-        self.switch && self.out.len() - self.marker_free_from >= WINDOW_SIZE
+        self.switch && self.out.len - self.marker_free_from >= WINDOW_SIZE
     }
 }
 
 // --- block loop ----------------------------------------------------------------
 
-/// Minimum remaining input (bits) for a Dynamic Block to take the
-/// multi-symbol fast path; below this the packed-table build dominates the
-/// block's decode time. 16 Kibit = 2 KiB of compressed payload, roughly a
-/// thousand symbols.
-const DYNAMIC_FAST_MIN_REMAINING_BITS: u64 = 16 * 1024;
-
-/// What the block loop has seen so far; shared by the marker and the byte
-/// phase of one [`inflate_speculative`] call.
-#[derive(Default)]
-struct BlockLog {
+/// What one inflate call carries from block to block, and from the marker
+/// phase to the byte phase of [`inflate_speculative`].
+struct BlockLoop {
+    /// Compressed blocks go through the fast loop, or, when off, through the
+    /// single-symbol reference decoder.
+    fast: bool,
+    /// The fast loop's tables for Dynamic Blocks: `None` until the first such
+    /// block has a valid header (a call that fails before, as a block
+    /// finder's probes do, should not pay for 11 KiB of tables).
+    tables: Option<BlockTables>,
     blocks: Vec<BlockBoundary>,
     fast_fallback_blocks: u32,
 }
 
-impl BlockLog {
+impl BlockLoop {
+    fn new(fast: bool) -> Self {
+        Self {
+            fast,
+            tables: None,
+            blocks: Vec::new(),
+            fast_fallback_blocks: 0,
+        }
+    }
+
     fn into_outcome(
         self,
         stop_reason: StopReason,
@@ -449,69 +553,63 @@ impl BlockLog {
             fast_fallback_blocks: self.fast_fallback_blocks,
         }
     }
-}
 
-/// Decodes blocks into `sink` until a stop condition holds (`Some(reason)`)
-/// or the sink asks to be switched out at a block boundary (`None`).
-/// `base` is the sink length block offsets are reported relative to.
-fn decode_blocks<S: Sink>(
-    reader: &mut BitReader<'_>,
-    sink: &mut S,
-    base: usize,
-    stop_offset: u64,
-    fast: bool,
-    log: &mut BlockLog,
-) -> Result<Option<StopReason>, DeflateError> {
-    loop {
-        if should_stop_before_block(reader, stop_offset) {
-            return Ok(Some(StopReason::StopOffsetReached));
-        }
-        if reader.remaining_bits() == 0 && !log.blocks.is_empty() {
-            return Ok(Some(StopReason::EndOfInput));
-        }
-        if sink.wants_switch() {
-            return Ok(None);
-        }
-        let block_start = reader.position();
-        let header = read_block_header(reader)?;
-        log.blocks.push(BlockBoundary {
-            bit_offset: block_start,
-            uncompressed_offset: (sink.len() - base) as u64,
-            block_type: header.block_type,
-            is_final: header.is_final,
-        });
-        match header.block_type {
-            BlockType::Stored => {
-                let length = read_stored_header(reader)?;
-                sink.push_stored(reader.take_bytes(length)?)?;
+    /// Decodes blocks into `sink` until a stop condition holds
+    /// (`Some(reason)`) or the sink asks to be switched out at a block
+    /// boundary (`None`).  `base` is the sink length block offsets are
+    /// reported relative to.
+    fn run<S: Sink>(
+        &mut self,
+        reader: &mut BitReader<'_>,
+        sink: &mut S,
+        base: usize,
+        stop_offset: u64,
+    ) -> Result<Option<StopReason>, DeflateError> {
+        loop {
+            if should_stop_before_block(reader, stop_offset) {
+                return Ok(Some(StopReason::StopOffsetReached));
             }
-            BlockType::Fixed => {
-                if fast {
-                    decode_block_fast(reader, fixed_block_codes_fast(), sink)?;
-                } else {
+            if reader.remaining_bits() == 0 && !self.blocks.is_empty() {
+                return Ok(Some(StopReason::EndOfInput));
+            }
+            if sink.wants_switch() {
+                return Ok(None);
+            }
+            let block_start = reader.position();
+            let header = read_block_header(reader)?;
+            self.blocks.push(BlockBoundary {
+                bit_offset: block_start,
+                uncompressed_offset: (sink.len() - base) as u64,
+                block_type: header.block_type,
+                is_final: header.is_final,
+            });
+            match (header.block_type, self.fast) {
+                (BlockType::Stored, _) => {
+                    let length = read_stored_header(reader)?;
+                    sink.push_stored(reader.take_bytes(length)?)?;
+                }
+                (BlockType::Fixed, true) => decode_block_fast(reader, BlockTables::fixed(), sink)?,
+                (BlockType::Fixed, false) => {
                     let codes = fixed_block_codes();
                     decode_block_reference(reader, &codes.literal, codes.distance.as_ref(), sink)?;
                 }
-            }
-            BlockType::Dynamic => {
-                // Building the 8K-entry packed table costs about as much as
-                // decoding a thousand symbols; when the remaining input
-                // cannot contain a block large enough to amortise that,
-                // decode through the reference tables (identical output).
-                if fast && reader.remaining_bits() >= DYNAMIC_FAST_MIN_REMAINING_BITS {
-                    let codes = dynamic_block_codes_fast(reader)?;
-                    decode_block_fast(reader, &codes, sink)?;
-                } else {
-                    if fast {
-                        log.fast_fallback_blocks += 1;
+                (BlockType::Dynamic, true) => {
+                    let header = parse_dynamic_header(reader)?;
+                    let tables = self.tables.get_or_insert_with(BlockTables::new);
+                    tables.build_dynamic(header)?;
+                    if reader.remaining_bits() < 8 * FAST_INPUT_MARGIN as u64 {
+                        self.fast_fallback_blocks += 1;
                     }
+                    decode_block_fast(reader, tables, sink)?;
+                }
+                (BlockType::Dynamic, false) => {
                     let codes = dynamic_block_codes(reader)?;
                     decode_block_reference(reader, &codes.literal, codes.distance.as_ref(), sink)?;
                 }
             }
-        }
-        if header.is_final {
-            return Ok(Some(StopReason::EndOfStream));
+            if header.is_final {
+                return Ok(Some(StopReason::EndOfStream));
+            }
         }
     }
 }
@@ -530,7 +628,7 @@ fn decode_one_symbol<S: Sink>(
         .decode(reader)
         .map_err(DeflateError::InvalidLiteralCode)?;
     if symbol < 256 {
-        sink.push_literal(symbol as u8);
+        sink.output().push((symbol as u8).into());
     } else if symbol == END_OF_BLOCK {
         return Ok(true);
     } else {
@@ -541,8 +639,9 @@ fn decode_one_symbol<S: Sink>(
     Ok(false)
 }
 
-/// The single-symbol reference loop: the decoder the paper describes, and
-/// the exact fallback of [`decode_block_fast`].
+/// The single-symbol reference loop: the decoder the paper describes, the
+/// reference of the differential tests, and where every error of a
+/// compressed block's body comes from.
 fn decode_block_reference<S: Sink>(
     reader: &mut BitReader<'_>,
     literal: &HuffmanDecoder,
@@ -557,121 +656,296 @@ fn decode_block_reference<S: Sink>(
     }
 }
 
-/// Worst-case number of buffered bits one fast-path step consumes without
-/// further bounds checks: a full table lookup plus a length symbol's extra
-/// bits. (Distance codes are decoded through the checked reference decoder,
-/// which refills on its own.)
-const FAST_STEP_BITS: u32 = FAST_TABLE_BITS + MAX_LENGTH_EXTRA_BITS;
+// --- the fast loop ---------------------------------------------------------------
 
-/// The multi-symbol hot loop (the paper's stated single-core gap versus
-/// ISA-L, §4.1): one [`BitReader::fill_buffer`] refill amortises over several
-/// table hits, and each hit resolves up to three symbols.
+/// Input bytes one fast-loop iteration may load without looking at the input
+/// length: an eight-byte word at its start and one more before the distance,
+/// each at most seven bytes past the one before.
+const FAST_INPUT_MARGIN: usize = 16;
+
+/// Output elements one fast-loop iteration may write without looking at the
+/// buffer or the output limit: up to three literals, or two literals and a
+/// match of 258 with its overshoot.
+const FAST_OUTPUT_MARGIN: usize = 3 + MAX_MATCH + COPY_SLACK;
+
+/// Bits a distance takes at most: a 15-bit code and 13 extra bits.
+const MAX_DISTANCE_BITS: u32 = 15 + 13;
+
+/// The byte of a literal entry.
+#[inline(always)]
+fn entry_literal(entry: u32) -> u8 {
+    (entry >> 16) as u8
+}
+
+/// The value of a length or distance entry: its base plus the extra bits
+/// that follow its code in `saved`, the stream bits before the entry was
+/// consumed.
+#[inline(always)]
+fn entry_value(entry: u32, saved: u64) -> usize {
+    let extra = (saved & ((1u64 << entry_consumed_bits(entry)) - 1)) >> entry_code_length(entry);
+    entry_payload(entry) as usize + extra as usize
+}
+
+/// Decodes one compressed block through [`decode_fast`], and through
+/// [`decode_symbol_careful`] wherever that one stops short: the paper's
+/// stated single-core gap versus ISA-L and zlib (§4.1) is this function.
 ///
-/// Behaviour is bit-for-bit identical to [`decode_block_reference`]:
-/// patterns the fast table cannot resolve (codes longer than
-/// [`FAST_TABLE_BITS`] bits, invalid codes) and near-end-of-input tails are
-/// delegated to the reference decoder, which also reproduces its exact
-/// errors.
+/// Behaviour is bit-for-bit identical to [`decode_block_reference`], errors
+/// included: those are the reference decoder's own.
 fn decode_block_fast<S: Sink>(
     reader: &mut BitReader<'_>,
-    codes: &FastBlockCodes,
+    tables: &BlockTables,
     sink: &mut S,
 ) -> Result<(), DeflateError> {
     loop {
-        reader.fill_buffer();
-        if reader.cached_bits() < FAST_STEP_BITS {
-            // Fewer than FAST_STEP_BITS bits left in the *entire input* (a
-            // refill otherwise always buffers more): finish the block — at
-            // most a couple of symbols — through the checked reference loop.
-            return decode_block_reference(reader, &codes.literal, codes.distance.as_ref(), sink);
-        }
-        while reader.cached_bits() >= FAST_STEP_BITS {
-            sink.check_limit()?;
-            let entry = codes
-                .literal_fast
-                .entry(reader.peek_cached(FAST_TABLE_BITS));
-            match entry.kind() {
-                FastEntryKind::LiteralTriple => {
-                    reader.consume_cached(entry.consumed_bits());
-                    sink.push_literals([
-                        entry.literal(),
-                        entry.second_literal(),
-                        entry.third_literal(),
-                    ]);
-                }
-                FastEntryKind::LiteralPair => {
-                    reader.consume_cached(entry.consumed_bits());
-                    sink.push_literals([entry.literal(), entry.second_literal()]);
-                }
-                FastEntryKind::Literal => {
-                    reader.consume_cached(entry.consumed_bits());
-                    sink.push_literal(entry.literal());
-                }
-                FastEntryKind::Length => {
-                    reader.consume_cached(entry.consumed_bits());
-                    finish_fast_match(reader, codes, sink, entry)?;
-                }
-                FastEntryKind::LiteralLength => {
-                    reader.consume_cached(entry.consumed_bits());
-                    sink.push_literal(entry.literal());
-                    finish_fast_match(reader, codes, sink, entry)?;
-                }
-                FastEntryKind::EndOfBlock => {
-                    reader.consume_cached(entry.consumed_bits());
-                    return Ok(());
-                }
-                FastEntryKind::Fallback => {
-                    if decode_one_symbol(reader, &codes.literal, codes.distance.as_ref(), sink)? {
-                        return Ok(());
-                    }
-                }
-            }
+        if decode_fast(reader, tables, sink) || decode_symbol_careful(reader, tables, sink)? {
+            return Ok(());
         }
     }
 }
 
-/// Worst-case buffered bits a distance resolution consumes: a maximum-length
-/// distance code plus its extra bits (13 for codes 28/29).
-const FAST_DISTANCE_BITS: u32 =
-    rgz_huffman::MAX_CODE_LENGTH + crate::constants::DISTANCE_EXTRA_BITS[29] as u32;
-
-/// Completes a match whose length symbol came out of the fast table: reads
-/// the cached number of extra bits from the buffer, then resolves the
-/// distance — from the buffer too when one refill covers the worst case,
-/// through the checked reference path otherwise (near end of input).
-#[inline]
-fn finish_fast_match<S: Sink>(
-    reader: &mut BitReader<'_>,
-    codes: &FastBlockCodes,
-    sink: &mut S,
-    entry: rgz_huffman::FastEntry,
-) -> Result<(), DeflateError> {
-    let extra_bits = entry.length_extra_bits();
-    let extra = reader.peek_cached(extra_bits) as usize;
-    reader.consume_cached(extra_bits);
-    let length = entry.length_base() as usize + extra;
-
-    reader.fill_buffer();
-    let distance = if reader.cached_bits() >= FAST_DISTANCE_BITS {
-        let decoder = codes
-            .distance
-            .as_ref()
-            .ok_or(DeflateError::BackReferenceWithoutDistanceCode)?;
-        let symbol = decoder
-            .decode_cached(reader)
-            .map_err(DeflateError::InvalidDistanceCode)?;
-        let index = symbol as usize;
-        if index >= crate::constants::DISTANCE_BASE.len() {
-            return Err(DeflateError::InvalidDistanceSymbol(symbol));
-        }
-        let distance_extra_bits = crate::constants::DISTANCE_EXTRA_BITS[index] as u32;
-        let distance_extra = reader.peek_cached(distance_extra_bits) as usize;
-        reader.consume_cached(distance_extra_bits);
-        crate::constants::DISTANCE_BASE[index] as usize + distance_extra
-    } else {
-        decode_distance(codes.distance.as_ref(), reader)?
+/// The fast loop: decodes symbols for as long as nothing can go wrong, and
+/// returns whether it consumed the end-of-block symbol.  Otherwise the reader
+/// stands on the first bit of a symbol this loop leaves to
+/// [`decode_symbol_careful`]:
+///
+/// * the input has fewer than [`FAST_INPUT_MARGIN`] bytes left, or the
+///   output fewer than [`FAST_OUTPUT_MARGIN`] elements of room below the end
+///   of the buffer and the sink's limit — established *before* each
+///   iteration, which then loads, stores and copies unconditionally;
+/// * a match that starts before [`Sink::base`] (into the window, or too far);
+/// * a bit pattern that is no code, or a symbol that must not occur.
+///
+/// One iteration starts from at least 56 buffered bits (a branch-free
+/// eight-byte refill): enough for three main-table literals (3 × 11 bits),
+/// or for up to two literals (22), a length code with its extra bits (20)
+/// and, after one conditional refill, a distance (28).  The entry of the
+/// next iteration is looked up before a match is copied.
+fn decode_fast<S: Sink>(reader: &mut BitReader<'_>, tables: &BlockTables, sink: &mut S) -> bool {
+    let input = reader.data();
+    let limit = sink.limit();
+    let base = sink.base();
+    let scalar = rgz_bitio::scalar_forced();
+    let output = sink.output();
+    if output.buf.len() - output.len < FAST_OUTPUT_MARGIN
+        && output.buf.len() < output.buf.capacity()
+    {
+        output.add_room(FAST_OUTPUT_MARGIN);
+    }
+    let (Some(last_input), Some(last_output)) = (
+        input.len().checked_sub(FAST_INPUT_MARGIN),
+        output.buf.len().min(limit).checked_sub(FAST_OUTPUT_MARGIN),
+    ) else {
+        return false;
     };
-    sink.copy_match(distance, length)
+    let BitCursor {
+        mut buffer,
+        mut bits,
+        mut next_byte,
+    } = reader.cursor();
+    let mut len = output.len;
+    if next_byte > last_input || len > last_output {
+        return false;
+    }
+    // The buffer leaves the sink for the duration of the loop, so that the
+    // sink can be told about copies while the loop holds the slice.
+    let mut buf = std::mem::take(&mut output.buf);
+    let out = &mut buf[..];
+
+    // `bits | 56` is `bits` plus eight times the whole bytes that fit.
+    macro_rules! refill {
+        () => {
+            let word: [u8; 8] = input[next_byte..next_byte + 8]
+                .try_into()
+                .expect("a slice of eight");
+            buffer |= u64::from_le_bytes(word) << bits;
+            next_byte += (7 - ((bits >> 3) & 7)) as usize;
+            bits |= 56;
+        };
+    }
+    macro_rules! consume {
+        ($entry:expr) => {
+            buffer >>= entry_consumed_bits($entry);
+            bits -= entry_consumed_bits($entry);
+        };
+    }
+    macro_rules! put_literal {
+        ($entry:expr) => {
+            consume!($entry);
+            out[len] = entry_literal($entry).into();
+            len += 1;
+        };
+    }
+
+    refill!();
+    let mut entry = tables.literal.main_entry(buffer);
+    let exit = 'symbols: loop {
+        'literals: {
+            // Up to three literals straight from the main table.
+            if entry & ENTRY_LITERAL != 0 {
+                put_literal!(entry);
+                entry = tables.literal.main_entry(buffer);
+                if entry & ENTRY_LITERAL != 0 {
+                    put_literal!(entry);
+                    entry = tables.literal.main_entry(buffer);
+                    if entry & ENTRY_LITERAL != 0 {
+                        put_literal!(entry);
+                        break 'literals;
+                    }
+                }
+            }
+            // Anything else; should the symbol turn out not to be this
+            // loop's (`Err`), the reader goes back to its first bit.
+            let symbol_start = next_byte as u64 * 8 - bits as u64;
+            if entry & ENTRY_EXCEPTIONAL != 0 {
+                if entry & ENTRY_SUBTABLE != 0 {
+                    consume!(entry);
+                    entry = tables.literal.subtable_entry(entry, buffer);
+                }
+                if entry & ENTRY_LITERAL != 0 {
+                    put_literal!(entry);
+                    break 'literals;
+                }
+                if entry & ENTRY_EXCEPTIONAL != 0 {
+                    if entry & ENTRY_END_OF_BLOCK == ENTRY_END_OF_BLOCK {
+                        consume!(entry);
+                        break 'symbols Ok(true);
+                    }
+                    break 'symbols Err(symbol_start);
+                }
+            }
+            let saved = buffer;
+            consume!(entry);
+            let length = entry_value(entry, saved);
+
+            if bits < MAX_DISTANCE_BITS {
+                refill!();
+            }
+            let mut distance_entry = tables.distance.main_entry(buffer);
+            if distance_entry & ENTRY_EXCEPTIONAL != 0 {
+                if distance_entry & ENTRY_SUBTABLE == 0 {
+                    break 'symbols Err(symbol_start);
+                }
+                consume!(distance_entry);
+                distance_entry = tables.distance.subtable_entry(distance_entry, buffer);
+                if distance_entry & ENTRY_EXCEPTIONAL != 0 {
+                    break 'symbols Err(symbol_start);
+                }
+            }
+            let saved = buffer;
+            consume!(distance_entry);
+            let distance = entry_value(distance_entry, saved);
+            if distance > len - base {
+                break 'symbols Err(symbol_start);
+            }
+
+            let from = len;
+            len += length;
+            // The next entry's load is under way while the match is copied.
+            let more = next_byte <= last_input && len <= last_output;
+            if more {
+                refill!();
+                entry = tables.literal.main_entry(buffer);
+            }
+            if scalar {
+                copy_match_exact_cold(out, from, distance, length);
+            } else {
+                copy_match_overshoot(out, from, distance, length);
+            }
+            sink.note_copy(&out[from..len], from, distance);
+            if more {
+                continue 'symbols;
+            }
+            break 'symbols Ok(false);
+        }
+        if next_byte > last_input || len > last_output {
+            break 'symbols Ok(false);
+        }
+        refill!();
+        entry = tables.literal.main_entry(buffer);
+    };
+
+    let output = sink.output();
+    output.buf = buf;
+    output.len = len;
+    match exit {
+        Ok(block_ended) => {
+            reader.set_cursor(BitCursor {
+                buffer,
+                bits,
+                next_byte,
+            });
+            block_ended
+        }
+        Err(symbol_start) => {
+            reader
+                .seek_to_bit(symbol_start)
+                .expect("a position inside the input");
+            false
+        }
+    }
+}
+
+/// Reads the code of a resolved length or distance entry and the extra bits
+/// behind it: the length or distance, or `None` at the end of input.
+fn read_entry_value(reader: &mut BitReader<'_>, entry: u32, code_length: u32) -> Option<usize> {
+    let extra_bits = entry_consumed_bits(entry) - entry_code_length(entry);
+    let code_and_extra = reader.read(code_length + extra_bits).ok()?;
+    Some(entry_payload(entry) as usize + (code_and_extra >> code_length) as usize)
+}
+
+/// Decodes one symbol over the fast loop's tables with every check the fast
+/// loop leaves out — end of input, output limit, room in the buffer, matches
+/// from the window — and returns whether it was the end-of-block symbol.
+///
+/// A symbol that cannot be decoded is decoded once more, from its first
+/// bit, by the single-symbol reference decoder ([`decode_one_symbol`]; its
+/// tables are built here and only here), so that every error value and
+/// position is the reference's own.
+fn decode_symbol_careful<S: Sink>(
+    reader: &mut BitReader<'_>,
+    tables: &BlockTables,
+    sink: &mut S,
+) -> Result<bool, DeflateError> {
+    sink.check_limit()?;
+    let symbol_start = reader.position();
+    if let Some(result) = decode_symbol_checked(reader, tables, sink) {
+        return result;
+    }
+    reader
+        .seek_to_bit(symbol_start)
+        .expect("a position the reader has been at");
+    let codes = tables.reference_codes();
+    decode_one_symbol(reader, &codes.literal, codes.distance.as_ref(), sink)
+}
+
+/// [`decode_symbol_careful`] without the way out: `None` for a symbol that is
+/// invalid or cut off by the end of input (the reader is then somewhere
+/// inside it).
+fn decode_symbol_checked<S: Sink>(
+    reader: &mut BitReader<'_>,
+    tables: &BlockTables,
+    sink: &mut S,
+) -> Option<Result<bool, DeflateError>> {
+    let (entry, code_length) = tables.literal.resolve(reader.peek(MAX_CODE_LENGTH))?;
+    if entry & ENTRY_LITERAL != 0 {
+        reader.consume(code_length).ok()?;
+        sink.output().push(entry_literal(entry).into());
+        return Some(Ok(false));
+    }
+    if entry & ENTRY_EXCEPTIONAL != 0 {
+        let block_ended =
+            entry & ENTRY_END_OF_BLOCK == ENTRY_END_OF_BLOCK && reader.consume(code_length).is_ok();
+        return block_ended.then_some(Ok(true));
+    }
+    let length = read_entry_value(reader, entry, code_length)?;
+
+    let (entry, code_length) = tables.distance.resolve(reader.peek(MAX_CODE_LENGTH))?;
+    if entry & ENTRY_EXCEPTIONAL != 0 {
+        return None;
+    }
+    let distance = read_entry_value(reader, entry, code_length)?;
+    Some(sink.copy_match(distance, length).map(|()| false))
 }
 
 // --- one-stage decoding ----------------------------------------------------------
@@ -693,7 +967,7 @@ pub fn inflate(
 }
 
 /// [`inflate`] decoding through the single-symbol reference decoder instead
-/// of the multi-symbol fast path.
+/// of the fast loop.
 ///
 /// Behaviour is bit-for-bit identical to [`inflate`]; this entry point exists
 /// so differential tests can assert exactly that, and so the benchmark
@@ -748,16 +1022,16 @@ fn inflate_impl(
 ) -> Result<InflateOutcome, DeflateError> {
     let start_len = out.len();
     let mut sink = ByteSink::new(window, std::mem::take(out), output_limit);
-    let mut log = BlockLog::default();
-    let exit = decode_blocks(reader, &mut sink, start_len, stop_offset, fast, &mut log);
+    let mut blocks = BlockLoop::new(fast);
+    let exit = blocks.run(reader, &mut sink, start_len, stop_offset);
     // The caller's buffer goes back before an error returns: it may be a
     // recycled one that is to be reused whatever happened here.
-    *out = sink.out;
+    *out = sink.out.finish();
     let stop_reason = exit?.expect("a byte sink never asks to be switched out");
     // Hashing after the decode loop keeps the per-byte hot path untouched;
     // the slicing-by-eight CRC makes this one cheap linear pass.
     let crc32 = hash_output.then(|| rgz_checksum::crc32(&out[start_len..]));
-    Ok(log.into_outcome(stop_reason, reader, &sink.usage, crc32))
+    Ok(blocks.into_outcome(stop_reason, reader, &sink.usage, crc32))
 }
 
 // --- two-stage decoding ----------------------------------------------------------
@@ -779,11 +1053,11 @@ pub fn inflate_two_stage(
 ) -> Result<InflateOutcome, DeflateError> {
     let mut sink = MarkerSink::new(std::mem::take(out), false);
     let base = sink.base;
-    let mut log = BlockLog::default();
-    let exit = decode_blocks(reader, &mut sink, base, stop_offset, true, &mut log);
-    *out = sink.out;
+    let mut blocks = BlockLoop::new(true);
+    let exit = blocks.run(reader, &mut sink, base, stop_offset);
+    *out = sink.out.finish();
     let stop_reason = exit?.expect("the switch is off");
-    Ok(log.into_outcome(stop_reason, reader, &sink.usage, None))
+    Ok(blocks.into_outcome(stop_reason, reader, &sink.usage, None))
 }
 
 /// Decodes DEFLATE blocks without knowing the preceding window, as 16-bit
@@ -810,23 +1084,23 @@ pub fn inflate_speculative(
     byte_buffer: impl FnOnce() -> Vec<u8>,
 ) -> Result<InflateOutcome, DeflateError> {
     let start_len = out.len();
-    let mut log = BlockLog::default();
+    let mut blocks = BlockLoop::new(true);
     let mut usage = WindowUsage::new();
     if !out.switched {
         let mut sink = MarkerSink::new(std::mem::take(&mut out.prefix), true);
-        let exit = decode_blocks(reader, &mut sink, start_len, stop_offset, true, &mut log);
-        out.prefix = sink.out;
+        let exit = blocks.run(reader, &mut sink, start_len, stop_offset);
+        out.prefix = sink.out.finish();
         usage = sink.usage;
         match exit? {
-            Some(stop_reason) => return Ok(log.into_outcome(stop_reason, reader, &usage, None)),
+            Some(stop_reason) => return Ok(blocks.into_outcome(stop_reason, reader, &usage, None)),
             None => out.switch_to_bytes(byte_buffer),
         }
     }
     let mut sink = ByteSink::new(&[], std::mem::take(&mut out.bytes), usize::MAX);
-    let exit = decode_blocks(reader, &mut sink, start_len, stop_offset, true, &mut log);
-    out.bytes = sink.out;
+    let exit = blocks.run(reader, &mut sink, start_len, stop_offset);
+    out.bytes = sink.out.finish();
     let stop_reason = exit?.expect("a byte sink never asks to be switched out");
-    Ok(log.into_outcome(stop_reason, reader, &usage, None))
+    Ok(blocks.into_outcome(stop_reason, reader, &usage, None))
 }
 
 #[cfg(test)]
@@ -1166,6 +1440,24 @@ mod tests {
         assert_eq!(&fast_out[..], &data[split..]);
     }
 
+    /// Appends a match to `out` through either copy, the way the decode loops
+    /// do: into room that exists already.
+    fn append_match<T: Copy + Default>(
+        out: &mut Vec<T>,
+        distance: usize,
+        length: usize,
+        exact: bool,
+    ) {
+        let from = out.len();
+        out.resize(from + length + COPY_SLACK, T::default());
+        if exact {
+            copy_match_exact(out, from, distance, length);
+        } else {
+            copy_match_overshoot(out, from, distance, length);
+        }
+        out.truncate(from + length);
+    }
+
     #[test]
     fn overshoot_copy_matches_scalar_on_boundary_cases() {
         // Distances straddling the period-replication and register-copy
@@ -1175,24 +1467,24 @@ mod tests {
             for length in [1usize, 2, 3, 15, 16, 17, 31, 32, 33, 258] {
                 let seed: Vec<u8> = (0..300).map(|i| (i % 251) as u8).collect();
                 let (mut fast, mut scalar) = (seed.clone(), seed.clone());
-                copy_within_output(&mut fast, distance, length, false);
-                copy_within_output(&mut scalar, distance, length, true);
+                append_match(&mut fast, distance, length, false);
+                append_match(&mut scalar, distance, length, true);
                 assert_eq!(fast, scalar, "distance {distance} length {length}");
 
                 let wide: Vec<u16> = seed.iter().map(|&b| b as u16 * 257).collect();
                 let (mut fast, mut scalar) = (wide.clone(), wide);
-                copy_within_output(&mut fast, distance, length, false);
-                copy_within_output(&mut scalar, distance, length, true);
+                append_match(&mut fast, distance, length, false);
+                append_match(&mut scalar, distance, length, true);
                 assert_eq!(fast, scalar, "u16 distance {distance} length {length}");
             }
         }
     }
 
     proptest::proptest! {
-        /// The overshooting vector match copy must be identical to the
-        /// portable doubling reference over arbitrary literal/copy op
-        /// sequences (overlapping and straddling matches included), for both
-        /// element widths.
+        /// The overshooting match copy must be identical to the portable
+        /// doubling reference over arbitrary literal/copy op sequences
+        /// (overlapping and straddling matches included), for both element
+        /// widths.
         #[test]
         fn overshoot_and_scalar_match_copies_are_identical(
             ops in proptest::collection::vec(
@@ -1208,10 +1500,10 @@ mod tests {
                 fast_wide.push(literal as u16 | MARKER_BASE);
                 scalar_wide.push(literal as u16 | MARKER_BASE);
                 let distance = 1 + distance % fast.len();
-                copy_within_output(&mut fast, distance, length, false);
-                copy_within_output(&mut scalar, distance, length, true);
-                copy_within_output(&mut fast_wide, distance, length, false);
-                copy_within_output(&mut scalar_wide, distance, length, true);
+                append_match(&mut fast, distance, length, false);
+                append_match(&mut scalar, distance, length, true);
+                append_match(&mut fast_wide, distance, length, false);
+                append_match(&mut scalar_wide, distance, length, true);
                 proptest::prop_assert_eq!(&fast, &scalar);
                 proptest::prop_assert_eq!(&fast_wide, &scalar_wide);
             }

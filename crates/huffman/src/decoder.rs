@@ -105,29 +105,6 @@ impl HuffmanDecoder {
         reader.consume(length)?;
         Ok((entry & 0xFFFF) as u16)
     }
-
-    /// Decodes one symbol from bits already buffered in `reader`, skipping
-    /// the refill and end-of-input checks of [`HuffmanDecoder::decode`].
-    ///
-    /// Contract: the caller has verified
-    /// `reader.cached_bits() >= self.max_code_length()`, which both makes the
-    /// peeked index complete (no zero-padding) and guarantees the consumed
-    /// code fits the buffer.  Errors are identical to
-    /// [`HuffmanDecoder::decode`] under that precondition.
-    #[inline]
-    pub fn decode_cached(&self, reader: &mut BitReader<'_>) -> Result<u16, HuffmanError> {
-        debug_assert!(reader.cached_bits() >= self.max_length);
-        let peeked = reader.peek_cached(self.max_length) as usize;
-        let entry = self.table[peeked];
-        let length = entry >> 16;
-        if length == 0 {
-            return Err(HuffmanError::InvalidCode {
-                position: reader.position(),
-            });
-        }
-        reader.consume_cached(length);
-        Ok((entry & 0xFFFF) as u16)
-    }
 }
 
 #[cfg(test)]

@@ -4,11 +4,10 @@
 //!
 //! * [`HuffmanDecoder`] — a table-driven decoder built from a list of code
 //!   lengths, the representation DEFLATE stores in Dynamic Block headers.
-//! * [`MultiSymbolDecoder`] — the ISA-L / zlib-ng style fast path: a
-//!   fixed-width lookup table whose entries resolve up to two symbols per
-//!   hit (two literals, or a literal plus a length symbol with its base and
-//!   extra-bit count cached), falling back to [`HuffmanDecoder`] for
-//!   over-long codes.
+//! * [`DecodeTable`] — the two-level table under the inflate hot loop: a
+//!   small main table plus subtables for the longer codes, built in a few
+//!   microseconds, each entry holding everything its decode step needs.
+//!   [`HuffmanDecoder`] is its reference in the differential tests.
 //! * [`HuffmanEncoder`] — the canonical-code encoder used by the DEFLATE
 //!   compressor in `rgz-deflate`.
 //! * [`compute_code_lengths`] — length-limited code construction
@@ -22,14 +21,14 @@
 mod decoder;
 mod encoder;
 mod length_limited;
-mod multi;
+mod table;
 
 pub use decoder::HuffmanDecoder;
 pub use encoder::{Code, HuffmanEncoder};
 pub use length_limited::compute_code_lengths;
-pub use multi::{
-    length_symbol_info, FastEntry, FastEntryKind, MultiSymbolDecoder, FAST_TABLE_BITS, LENGTH_BASE,
-    LENGTH_EXTRA_BITS, MAX_LENGTH_EXTRA_BITS,
+pub use table::{
+    entry_code_length, entry_consumed_bits, entry_payload, DecodeTable, ENTRY_EXCEPTIONAL,
+    ENTRY_INVALID, ENTRY_SUBTABLE,
 };
 
 /// Maximum code length permitted for the DEFLATE literal/length and distance
