@@ -444,9 +444,10 @@ fn run(options: &Options) -> Result<(), String> {
         if options.verbose {
             let statistics = reader.statistics();
             eprintln!(
-                "rgzip: chunks: {} speculative, {} on-demand, {} mismatches, \
+                "rgzip: chunks: {} speculative, {} window-known, {} on-demand, {} mismatches, \
                  {} prefetches issued, {} decoded from index",
                 statistics.speculative_chunks_used,
+                statistics.window_known_chunks,
                 statistics.on_demand_chunks,
                 statistics.speculative_mismatches,
                 statistics.prefetches_issued,

@@ -65,7 +65,7 @@ fn series_value(export: &str, name: &str, label: Option<(&str, &str)>) -> Option
 }
 
 /// Pulls a named count out of the `--verbose` chunk-statistics line, e.g.
-/// `rgzip: chunks: 12 speculative, 1 on-demand, 0 mismatches, ...`.
+/// `rgzip: chunks: 12 speculative, 0 window-known, 1 on-demand, 0 mismatches, ...`.
 fn verbose_count(stderr: &str, suffix: &str) -> u64 {
     let line = stderr
         .lines()
@@ -136,6 +136,10 @@ fn stats_interval_and_export_reconcile_with_verbose_statistics() {
     assert_eq!(
         chunks("on_demand"),
         Some(verbose_count(&stderr, "on-demand"))
+    );
+    assert_eq!(
+        chunks("window_known"),
+        Some(verbose_count(&stderr, "window-known"))
     );
     assert_eq!(
         series_value(&export, "rgz_bytes_out_total", None),

@@ -115,11 +115,15 @@ fn trace_flag_emits_parseable_chrome_trace_covering_the_input() {
     let mut ranges: Vec<(u64, u64)> = Vec::new();
     let mut span_count = 0usize;
     let mut commit_instants = 0u64;
+    let mut window_known_instants = 0u64;
     for event in events {
         let phase = event.get("ph").and_then(|p| p.as_str()).unwrap_or("");
         let name = event.get("name").and_then(|n| n.as_str()).unwrap_or("");
         if phase == "i" && name == "spec_commit" {
             commit_instants += 1;
+        }
+        if phase == "i" && name == "window_known_commit" {
+            window_known_instants += 1;
         }
         if phase != "X" {
             continue;
@@ -188,6 +192,16 @@ fn trace_flag_emits_parseable_chrome_trace_covering_the_input() {
         committed, statistics_committed,
         "metrics JSON disagrees with ReaderStatistics:\n{stderr}"
     );
+    // The same three views of the chunks decoded from a known start.
+    let window_known = number(speculation, "window_known_chunks") as u64;
+    assert_eq!(window_known, window_known_instants);
+    let statistics_window_known: u64 = verbose_line
+        .split("speculative, ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .expect("no window-known count in the chunk statistics line");
+    assert_eq!(window_known, statistics_window_known, "{stderr}");
 
     let stages = metrics
         .get("stages")

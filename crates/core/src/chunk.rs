@@ -31,6 +31,7 @@ use rgz_deflate::{
 };
 use rgz_fetcher::{BufferPool, Pooled};
 use rgz_gzip::{parse_footer, parse_header, GzipError, GzipFooter};
+use rgz_index::WINDOW_SIZE;
 use rgz_io::{FileReader, SharedFileReader};
 use rgz_trace::{Outcome, Stage, TraceSink};
 
@@ -64,6 +65,19 @@ pub struct ChunkResult {
     pub fast_fallback_blocks: u32,
 }
 
+impl ChunkResult {
+    /// The window the chunk after this one needs: the last 32 KiB of
+    /// `window`, the one this chunk was decoded with, followed by its bytes.
+    pub(crate) fn next_window(&self, window: &[u8]) -> Vec<u8> {
+        let tail = &self.data[self.data.len().saturating_sub(WINDOW_SIZE)..];
+        let kept = (WINDOW_SIZE - tail.len()).min(window.len());
+        let mut next = Vec::with_capacity(kept + tail.len());
+        next.extend_from_slice(&window[window.len() - kept..]);
+        next.extend_from_slice(tail);
+        next
+    }
+}
+
 /// Result of a speculative (two-stage) chunk decode.
 #[derive(Debug)]
 pub struct SpeculativeChunk {
@@ -90,6 +104,43 @@ pub struct SpeculativeChunk {
     /// Symbols map 1:1 to output bytes, so these offsets split the resolved
     /// data into per-member CRC fragments after marker replacement.
     pub member_ends: Vec<(u64, GzipFooter)>,
+}
+
+impl SpeculativeChunk {
+    /// Replaces the chunk's markers with bytes from `window`, the 32 KiB in
+    /// front of it, and returns its bytes split at the gzip member boundaries
+    /// like [`ChunkResult::fragments`] — hashed, right here on the thread
+    /// that resolved them, if `verify` is set.
+    pub(crate) fn resolve(
+        self,
+        window: &[u8],
+        verify: bool,
+    ) -> Result<(Pooled<u8>, Vec<ChunkFragment>), CoreError> {
+        let ends: Vec<usize> = self
+            .member_ends
+            .iter()
+            .map(|&(end, _)| end as usize)
+            .collect();
+        let (data, crcs) = self
+            .output
+            .resolve(window, verify.then_some(&ends[..]))
+            .map_err(CoreError::Deflate)?;
+        let mut fragments = Vec::with_capacity(crcs.len());
+        let mut start = 0u64;
+        for (index, crc32) in crcs.into_iter().enumerate() {
+            let (length, trailer) = match self.member_ends.get(index) {
+                Some(&(end, footer)) => (end - start, Some(footer)),
+                None => (data.len() as u64 - start, None),
+            };
+            fragments.push(ChunkFragment {
+                crc32,
+                length,
+                trailer,
+            });
+            start += length;
+        }
+        Ok((data, fragments))
+    }
 }
 
 /// A [`SpeculativeOutput`] made of pool buffers: the symbol buffer from the

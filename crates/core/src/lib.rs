@@ -14,9 +14,13 @@
 //!   block finder and decode it without knowing the preceding 32 KiB window,
 //!   emitting 16-bit marker symbols for unresolved back-references
 //!   (two-stage decoding, §2.2);
-//! * the orchestrating thread stitches chunks together in order, resolves
-//!   each chunk's trailing window, dispatches full marker replacement to the
-//!   pool and records a seek point per chunk;
+//! * whichever worker finishes the chunk the stream has got to *commits* it
+//!   and every decoded chunk that follows on it: resolves the trailing
+//!   window, records a seek point, and replaces the markers — of the first
+//!   itself, of the others through the pool's urgent lane.  A worker that
+//!   starts on a chunk whose predecessor is already committed knows the
+//!   window, and decodes straight to bytes instead.  The reading thread
+//!   decides how far ahead chunks are decoded, and waits for bytes;
 //! * false positives from the block finder are harmless: their results are
 //!   keyed by an offset nobody asks for and simply fall out of the caches
 //!   (§3);
@@ -43,6 +47,7 @@
 mod chunk;
 mod error;
 mod metrics;
+mod pass;
 mod reader;
 mod verify;
 

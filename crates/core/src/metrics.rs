@@ -32,6 +32,7 @@ pub(crate) struct ReaderMetrics {
     pub registry: Arc<MetricsRegistry>,
     pub chunks_speculative: Counter,
     pub chunks_on_demand: Counter,
+    pub chunks_window_known: Counter,
     pub chunks_index: Counter,
     pub chunks_wasted: Counter,
     pub bytes_out: Counter,
@@ -61,6 +62,7 @@ impl ReaderMetrics {
             registry: MetricsRegistry::shared_disabled(),
             chunks_speculative: Counter::disconnected(),
             chunks_on_demand: Counter::disconnected(),
+            chunks_window_known: Counter::disconnected(),
             chunks_index: Counter::disconnected(),
             chunks_wasted: Counter::disconnected(),
             bytes_out: Counter::disconnected(),
@@ -125,6 +127,7 @@ impl ReaderMetrics {
             registry: Arc::clone(registry),
             chunks_speculative: decoded("speculative"),
             chunks_on_demand: decoded("on_demand"),
+            chunks_window_known: decoded("window_known"),
             chunks_index: decoded("index"),
             chunks_wasted: registry.counter(
                 names::CHUNKS_WASTED,
@@ -178,6 +181,7 @@ impl ReaderStatistics {
         Self {
             speculative_chunks_used: counter(names::CHUNKS_DECODED, &[("path", "speculative")]),
             on_demand_chunks: counter(names::CHUNKS_DECODED, &[("path", "on_demand")]),
+            window_known_chunks: counter(names::CHUNKS_DECODED, &[("path", "window_known")]),
             index_chunks: counter(names::CHUNKS_DECODED, &[("path", "index")]),
             speculative_mismatches: counter(names::SPECULATION_MISMATCHES, &[]),
             prefetches_issued: counter(names::PREFETCH_ISSUED, &[("kind", "speculative")]),

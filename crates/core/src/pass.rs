@@ -1,0 +1,679 @@
+//! The sequential first pass: one table of chunk states, and the one function
+//! that moves a chunk through it.
+//!
+//! Only window propagation is sequential (§3.1–3.3): chunk *n* + 1 can be
+//! *committed* — given its place in the stream, a seek point, the window its
+//! markers resolve against — once chunk *n* has been.  Everything else runs
+//! on the pool, the commit included: the worker that finishes the decode of
+//! the chunk the pass stands at commits it and every decoded chunk that
+//! follows on it ([`Shared::commit_ready`], a 32 KiB window resolve per chunk
+//! under the state lock), runs the first of their marker replacements itself
+//! and queues the others on the pool's urgent lane.  The reader's own thread
+//! decides how far ahead of its read position chunks are decoded, waits for
+//! bytes, and hands them on.
+//!
+//! A chunk is keyed by its *guess*: the index of the `chunk_size` range of
+//! the compressed file its first block starts in.  A committed chunk ends at
+//! the first block boundary at or after the end of its range, so at most one
+//! starts in each.
+//!
+//! ```text
+//!            issued ahead            found a block          starts where the
+//!            or demanded             (or none)              pass stands
+//!   (none) ──────────────► Decoding ──────────► Markered ─────────────► Resolving ──► Ready
+//!                             │                 NoBlock ──► Decoding                    ▲
+//!                             │  the pass stood in its range when the task began:      │
+//!                             └──── decoded one-stage with the known window ───────────┘
+//! ```
+//!
+//! A task that finds the pass standing *in* its range when it starts knows
+//! its chunk's exact first bit and window, and skips block finder, 16-bit
+//! symbols and marker replacement: with one worker that is every chunk, and
+//! the pass a serial decode with the writes overlapped.
+
+use std::collections::BTreeMap;
+use std::ops::Bound;
+use std::sync::Arc;
+
+use rgz_fetcher::Pooled;
+use rgz_index::{PointChecksums, SeekPoint};
+use rgz_io::FileReader;
+use rgz_trace::{instants, EventMeta, Outcome, Stage};
+
+use crate::chunk::{DirectChunk, SpeculativeChunk};
+use crate::reader::{ReaderState, Shared};
+use crate::verify::ChunkFragment;
+use crate::CoreError;
+
+/// A chunk's decompressed bytes, in a buffer of the reader's
+/// [`rgz_fetcher::BufferPool`]: it goes back there when the last holder — the
+/// pass's table, the resolved cache, a read in progress — lets go.
+pub(crate) type ChunkBytes = Arc<Pooled<u8>>;
+
+/// Where a chunk of the sequential pass is on its way to the reader.
+pub(crate) enum ChunkState {
+    /// A task that will decode it is queued or running.
+    Decoding,
+    /// Decoded from the first block found in its range, the window unknown;
+    /// the chunk before it has not been committed yet.
+    Markered(SpeculativeChunk),
+    /// Searched, and no block found to start from.
+    NoBlock,
+    /// Committed; its markers are being replaced, or about to be.
+    Resolving,
+    /// Committed, all bytes: waiting for the reader.
+    Ready(ChunkBytes),
+    /// Its decode or its marker replacement failed; the reader takes the
+    /// error, and the chunk is decoded again if it comes back.
+    Failed(CoreError),
+}
+
+/// State of the sequential first pass.
+pub(crate) struct SequentialPass {
+    /// Exact bit offset where the next chunk starts.
+    pub next_start_bit: u64,
+    /// Uncompressed offset of the next chunk.
+    pub next_uncompressed_offset: u64,
+    /// Window (up to 32 KiB) preceding the next chunk.
+    pub window: Arc<Vec<u8>>,
+    /// Whether the whole file has been traversed.
+    pub finished: bool,
+    /// Sequence number of the next committed chunk; orders the CRC fragment
+    /// fold, to which chunks report in whatever order their bytes are ready.
+    pub next_seq: u64,
+    /// Zero-based index of the gzip member the next chunk starts in; recorded
+    /// into each seek point's [`PointChecksums`] so random-access mismatches
+    /// can name the member.
+    pub next_member: u64,
+    /// Every chunk between a task submitted for it and the reader taking its
+    /// bytes, by guess.
+    pub chunks: BTreeMap<usize, ChunkState>,
+    /// The first guess no decode has been issued ahead for.
+    pub next_unissued: usize,
+}
+
+impl SequentialPass {
+    pub fn new(finished: bool) -> Self {
+        Self {
+            next_start_bit: 0,
+            next_uncompressed_offset: 0,
+            window: Arc::new(Vec::new()),
+            finished,
+            next_seq: 0,
+            next_member: 0,
+            chunks: BTreeMap::new(),
+            next_unissued: 0,
+        }
+    }
+
+    /// Whether a committed chunk's markers are still being replaced.
+    pub fn is_resolving(&self) -> bool {
+        self.chunks
+            .values()
+            .any(|chunk| matches!(chunk, ChunkState::Resolving))
+    }
+}
+
+/// A committed speculative chunk on its way to a marker replacement.
+pub(crate) struct Replacement {
+    guess: usize,
+    start_bit: u64,
+    seq: u64,
+    first_member: u64,
+    /// The window the chunk's markers point into.
+    window: Arc<Vec<u8>>,
+    chunk: SpeculativeChunk,
+}
+
+/// What a task that found the pass standing in its range knows of its chunk.
+struct KnownStart {
+    start_bit: u64,
+    window: Arc<Vec<u8>>,
+    seq: u64,
+    first_member: u64,
+}
+
+/// Marks a chunk failed if the task working on it unwinds, so that a reader
+/// waiting for the chunk gets an error and not silence.
+struct FailOnUnwind<'a> {
+    shared: &'a Shared,
+    guess: usize,
+}
+
+impl Drop for FailOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let error = std::io::Error::other("a chunk task panicked");
+            self.shared.fail(self.guess, CoreError::Io(error));
+        }
+    }
+}
+
+impl Shared {
+    fn chunk_bits(&self) -> u64 {
+        self.decoder.chunk_size as u64 * 8
+    }
+
+    /// The guess a chunk starting at `bit_offset` goes by.
+    pub(crate) fn guess_of(&self, bit_offset: u64) -> usize {
+        (bit_offset / self.chunk_bits()) as usize
+    }
+
+    fn file_bits(&self) -> u64 {
+        self.decoder.reader.size() * 8
+    }
+
+    /// Has the chunks after `base` — the guess of the chunk the reader stands
+    /// in, or waits for — decoded ahead: a task each for the guesses up to
+    /// `base` + the prefetch degree (2 × `parallelization` by default) that
+    /// none has been issued for yet.
+    ///
+    /// This is what bounds the pass's memory: beyond the chunk being read and
+    /// the resolved cache, at most *degree* chunks are decoded or decoding at
+    /// any time, however long the reader takes over a chunk — committed ones
+    /// as bytes, one byte per byte; the not yet committed, at most as many as
+    /// there are workers and then some, as 16-bit symbols for as far as their
+    /// markers live.  (A reader that *skips* chunks — a seek forward, an
+    /// index build — leaves their bytes in the table until it reads them.)
+    pub(crate) fn issue_prefetches(self: &Arc<Self>, state: &mut ReaderState, base: usize) {
+        if state.pass.finished {
+            return;
+        }
+        let chunk_size = self.decoder.chunk_size;
+        let total_chunks = (self.decoder.reader.size() as usize).div_ceil(chunk_size);
+        let end = (base + 1 + self.options.effective_prefetch_degree()).min(total_chunks);
+        // Ranges the pass has gone past hold no chunk start.
+        let first = (base + 1)
+            .max(state.pass.next_unissued)
+            .max(self.guess_of(state.pass.next_start_bit));
+        for guess in first..end {
+            if state.pass.chunks.contains_key(&guess) {
+                continue;
+            }
+            state.statistics.prefetches_issued += 1;
+            self.metrics.prefetch_issued_speculative.inc();
+            self.trace().instant(
+                instants::SPEC_SUBMIT,
+                EventMeta {
+                    chunk: Some(guess as u64 * self.chunk_bits()),
+                    ..EventMeta::default()
+                },
+            );
+            self.spawn_chunk_task(state, guess, false);
+        }
+        state.pass.next_unissued = state.pass.next_unissued.max(end);
+    }
+
+    /// Makes sure the chunk the pass stands at is on its way — the reader is
+    /// about to wait for it — or returns the error it failed with.
+    pub(crate) fn demand_frontier(
+        self: &Arc<Self>,
+        state: &mut ReaderState,
+    ) -> Result<(), CoreError> {
+        let guess = self.guess_of(state.pass.next_start_bit);
+        match state.pass.chunks.get(&guess) {
+            None => self.spawn_chunk_task(state, guess, true),
+            Some(ChunkState::Failed(_)) => {
+                if let Some(ChunkState::Failed(error)) = state.pass.chunks.remove(&guess) {
+                    return Err(error);
+                }
+            }
+            Some(_) => {}
+        }
+        Ok(())
+    }
+
+    /// Queues the decode of the chunk starting in range `guess`: on the
+    /// urgent lane if it is `demanded` — the pass stands there and cannot
+    /// move until it is done — and behind the decodes issued before it if not.
+    fn spawn_chunk_task(self: &Arc<Self>, state: &mut ReaderState, guess: usize, demanded: bool) {
+        state.pass.chunks.insert(guess, ChunkState::Decoding);
+        let shared = Arc::clone(self);
+        let task = move || shared.run_chunk_task(guess, demanded);
+        // The table, not the handle, is where the result goes.
+        drop(if demanded {
+            self.spawner.submit_urgent(task)
+        } else {
+            self.spawner.submit(task)
+        });
+    }
+
+    /// Records `error` as the outcome of the chunk at `guess`.
+    fn fail(&self, guess: usize, error: CoreError) {
+        let mut state = self.lock();
+        state.pass.chunks.insert(guess, ChunkState::Failed(error));
+        drop(state);
+        self.progress.notify_all();
+    }
+
+    /// A pool task: decodes the chunk starting in range `guess` whichever way
+    /// the pass's position allows *now*, and commits what that makes ready.
+    fn run_chunk_task(self: &Arc<Self>, guess: usize, demanded: bool) {
+        let _unwinding = FailOnUnwind {
+            shared: self,
+            guess,
+        };
+        let known = {
+            let mut state = self.lock();
+            let pass = &state.pass;
+            let frontier = self.guess_of(pass.next_start_bit);
+            if pass.finished || frontier > guess {
+                // The chunk before ran past this whole range.
+                state.pass.chunks.remove(&guess);
+                return;
+            }
+            (frontier == guess).then(|| KnownStart {
+                start_bit: pass.next_start_bit,
+                window: Arc::clone(&pass.window),
+                seq: pass.next_seq,
+                first_member: pass.next_member,
+            })
+        };
+        let replacements = match known {
+            Some(known) => self.decode_known(guess, known, demanded),
+            None => self.decode_guessed(guess),
+        };
+        self.run_replacements(replacements);
+    }
+
+    /// Decodes the chunk in range `guess` from the first block found there,
+    /// the window unknown, and commits it if the pass has arrived.
+    fn decode_guessed(self: &Arc<Self>, guess: usize) -> Vec<Replacement> {
+        let decoded = {
+            let _stage_timer = self.metrics.stage_decode_two_stage.start_timer();
+            self.decoder.decode_speculative(guess)
+        };
+        let mut state = self.lock();
+        if state.pass.finished || self.guess_of(state.pass.next_start_bit) > guess {
+            state.pass.chunks.remove(&guess);
+            if let Ok(Some(chunk)) = &decoded {
+                self.record_waste(&mut state, chunk, false);
+            }
+            return Vec::new();
+        }
+        // An error here is not the stream's: the decode from the chunk's true
+        // start, which the lack of a result brings about, reports that.
+        let decoded = match decoded {
+            Ok(Some(chunk)) => ChunkState::Markered(chunk),
+            Ok(None) | Err(_) => ChunkState::NoBlock,
+        };
+        state.pass.chunks.insert(guess, decoded);
+        self.commit_ready(&mut state)
+    }
+
+    /// Decodes the chunk in range `guess` from its known first bit with its
+    /// known window, straight to bytes, and commits it and what follows on it.
+    fn decode_known(
+        self: &Arc<Self>,
+        guess: usize,
+        known: KnownStart,
+        demanded: bool,
+    ) -> Vec<Replacement> {
+        let KnownStart {
+            start_bit,
+            window,
+            seq,
+            first_member,
+        } = known;
+        let _stage_timer = self.metrics.stage_decode_one_stage.start_timer();
+        let mut span = self
+            .trace()
+            .span(Stage::DecodeOneStage)
+            .chunk(start_bit)
+            .member(first_member);
+        let mut result = match self.decoder.decode_at(&DirectChunk {
+            start_bit_offset: start_bit,
+            stop_bit_offset: (guess as u64 + 1) * self.chunk_bits(),
+            window: &window,
+            at_member_start: start_bit == 0,
+            stop_is_seek_point: false,
+            verify: self.verify(),
+        }) {
+            Ok(result) => result,
+            Err(error) => {
+                span.set_outcome(Outcome::Error);
+                self.fail(guess, error);
+                return Vec::new();
+            }
+        };
+        span.set_bytes(result.data.len() as u64);
+        span.set_compressed_range(start_bit / 8, result.end_bit_offset.div_ceil(8));
+        span.set_outcome(if result.fast_fallback_blocks > 0 {
+            Outcome::Fallback
+        } else {
+            Outcome::Committed
+        });
+        span.finish();
+        let members_ended = result
+            .fragments
+            .iter()
+            .filter(|fragment| fragment.trailer.is_some())
+            .count() as u64;
+        // Into the fold before anyone can see the bytes: a reader that has
+        // them all has every member checked.
+        let checksums = self.fold_fragments(
+            start_bit,
+            seq,
+            first_member,
+            std::mem::take(&mut result.fragments),
+        );
+        let next_window = result.next_window(&window);
+        let length = result.data.len() as u64;
+
+        let mut state = self.lock();
+        let state = &mut *state;
+        debug_assert_eq!(state.pass.next_start_bit, start_bit);
+        if let Some(checksums) = checksums {
+            state.index.checksum_map.insert(start_bit, checksums);
+        }
+        state.index.add_seek_point_sparse(
+            SeekPoint {
+                compressed_bit_offset: start_bit,
+                uncompressed_offset: state.pass.next_uncompressed_offset,
+                uncompressed_size: length,
+            },
+            &window,
+            &result.window_usage,
+        );
+        if demanded {
+            state.statistics.on_demand_chunks += 1;
+            self.metrics.chunks_on_demand.inc();
+        } else {
+            state.statistics.window_known_chunks += 1;
+            self.metrics.chunks_window_known.inc();
+            self.trace().instant(
+                instants::WINDOW_KNOWN_COMMIT,
+                EventMeta {
+                    chunk: Some(start_bit),
+                    member: Some(first_member),
+                    bytes: Some(length),
+                    ..EventMeta::default()
+                },
+            );
+        }
+        self.metrics.bytes_out.add(length);
+        let data = ChunkState::Ready(Arc::new(result.data));
+        state.pass.chunks.insert(guess, data);
+        self.advance(
+            state,
+            guess,
+            result.end_bit_offset,
+            length,
+            next_window,
+            members_ended,
+            result.reached_end_of_file,
+        );
+        self.commit_ready(state)
+    }
+
+    /// Commits every decoded chunk that starts where the pass stands, until
+    /// it stands at one that is not decoded yet, and returns the committed
+    /// ones, in stream order, for their markers to be replaced.  A chunk
+    /// decoded from somewhere else than where the pass arrived, or not at all
+    /// for want of a block to start from, goes back to the pool to be decoded
+    /// from there, ahead of everything else.
+    ///
+    /// Every transition of a chunk that others wait for happens under the
+    /// state lock and ends here or in [`Self::fail`] or [`Self::replace`]:
+    /// all three wake the reader.
+    pub(crate) fn commit_ready(self: &Arc<Self>, state: &mut ReaderState) -> Vec<Replacement> {
+        let mut replacements = Vec::new();
+        while !state.pass.finished {
+            let start_bit = state.pass.next_start_bit;
+            let guess = self.guess_of(start_bit);
+            if !matches!(
+                state.pass.chunks.get(&guess),
+                Some(ChunkState::Markered(_) | ChunkState::NoBlock)
+            ) {
+                break;
+            }
+            // What cannot be committed: a chunk decoded from another block
+            // than the one the pass arrived at; one whose markers point
+            // outside the data there is, so that not even the window after
+            // it resolves; the first chunk, which nothing precedes and which
+            // is decoded as what it is, the start of a gzip member.
+            let unusable = match state.pass.chunks.remove(&guess) {
+                Some(ChunkState::Markered(chunk)) => {
+                    let next_window = (chunk.found_bit_offset == start_bit && start_bit != 0)
+                        .then(|| chunk.output.next_window(&state.pass.window));
+                    if let Some(Ok(next_window)) = next_window {
+                        replacements.push(self.commit_speculative(
+                            state,
+                            guess,
+                            chunk,
+                            next_window,
+                        ));
+                        continue;
+                    }
+                    Some(chunk)
+                }
+                _ => None,
+            };
+            if let Some(chunk) = unusable {
+                self.record_waste(state, &chunk, true);
+            }
+            self.spawn_chunk_task(state, guess, true);
+            break;
+        }
+        self.progress.notify_all();
+        replacements
+    }
+
+    /// Commits `chunk`, decoded from exactly where the pass stands, and moves
+    /// the pass to where it ends.  `next_window` is the window for the chunk
+    /// after it, resolved from this one's last 32 KiB — all that has to
+    /// happen in stream order, and nothing at all once the chunk's byte tail
+    /// spans a window.
+    fn commit_speculative(
+        &self,
+        state: &mut ReaderState,
+        guess: usize,
+        chunk: SpeculativeChunk,
+        next_window: Vec<u8>,
+    ) -> Replacement {
+        let window = Arc::clone(&state.pass.window);
+        let start_bit = state.pass.next_start_bit;
+        let first_member = state.pass.next_member;
+        let length = chunk.output.len() as u64;
+        let wide_bytes = chunk.output.prefix().len() as u64;
+        state.index.add_seek_point_sparse(
+            SeekPoint {
+                compressed_bit_offset: start_bit,
+                uncompressed_offset: state.pass.next_uncompressed_offset,
+                uncompressed_size: length,
+            },
+            &window,
+            &chunk.window_usage,
+        );
+        state.statistics.speculative_chunks_used += 1;
+        state.statistics.speculative_bytes_u16 += wide_bytes;
+        state.statistics.speculative_bytes_u8 += length - wide_bytes;
+        self.metrics.chunks_speculative.inc();
+        self.metrics.speculative_bytes_u16.add(wide_bytes);
+        self.metrics.speculative_bytes_u8.add(length - wide_bytes);
+        self.metrics.bytes_out.add(length);
+        self.trace().instant(
+            instants::SPEC_COMMIT,
+            EventMeta {
+                chunk: Some(start_bit),
+                member: Some(first_member),
+                bytes: Some(length),
+                ..EventMeta::default()
+            },
+        );
+        state.pass.chunks.insert(guess, ChunkState::Resolving);
+        let seq = state.pass.next_seq;
+        self.advance(
+            state,
+            guess,
+            chunk.end_bit_offset,
+            length,
+            next_window,
+            chunk.member_ends.len() as u64,
+            chunk.reached_end_of_file,
+        );
+        Replacement {
+            guess,
+            start_bit,
+            seq,
+            first_member,
+            window,
+            chunk,
+        }
+    }
+
+    /// Moves the pass past the chunk just committed at `guess`, and counts
+    /// what was decoded ahead in ranges that turn out to hold no chunk start
+    /// — the ranges its last block ran past, every range once it was the
+    /// file's last — as wasted.
+    #[allow(clippy::too_many_arguments)]
+    fn advance(
+        &self,
+        state: &mut ReaderState,
+        guess: usize,
+        end_bit: u64,
+        length: u64,
+        next_window: Vec<u8>,
+        members_ended: u64,
+        reached_end_of_file: bool,
+    ) {
+        let pass = &mut state.pass;
+        pass.next_start_bit = end_bit;
+        pass.next_uncompressed_offset += length;
+        pass.window = Arc::new(next_window);
+        pass.next_seq += 1;
+        pass.next_member += members_ended;
+        let passed = if reached_end_of_file || end_bit >= self.file_bits() {
+            pass.finished = true;
+            state.index.uncompressed_size = state.index.block_map.uncompressed_size();
+            // Every decode from here on is direct: the symbol buffers the
+            // last marker replacements give back are no use to anyone.
+            self.decoder.buffers.retire_symbols();
+            Bound::Unbounded
+        } else {
+            Bound::Excluded(self.guess_of(end_bit))
+        };
+        // Tasks still at work there count themselves when they are done.
+        let stale: Vec<usize> = state
+            .pass
+            .chunks
+            .range((Bound::Excluded(guess), passed))
+            .filter(|(_, chunk)| matches!(chunk, ChunkState::Markered(_) | ChunkState::NoBlock))
+            .map(|(&guess, _)| guess)
+            .collect();
+        for guess in stale {
+            if let Some(ChunkState::Markered(chunk)) = state.pass.chunks.remove(&guess) {
+                self.record_waste(state, &chunk, false);
+            }
+        }
+    }
+
+    /// Counts a speculatively decoded chunk that will never be committed:
+    /// decoded from a block the pass did not arrive at (`mismatched`), or in a
+    /// range it never stopped in.
+    fn record_waste(&self, state: &mut ReaderState, chunk: &SpeculativeChunk, mismatched: bool) {
+        let bytes = chunk.output.len() as u64;
+        if mismatched {
+            state.statistics.speculative_mismatches += 1;
+            self.metrics.speculation_mismatches.inc();
+        }
+        state.statistics.speculative_chunks_wasted += 1;
+        state.statistics.speculative_bytes_wasted += bytes;
+        self.metrics.chunks_wasted.inc();
+        self.metrics.bytes_wasted.add(bytes);
+        self.trace().instant(
+            instants::SPEC_WASTE,
+            EventMeta {
+                chunk: Some(chunk.found_bit_offset),
+                bytes: Some(bytes),
+                ..EventMeta::default()
+            },
+        );
+    }
+
+    /// Hands a committed chunk's member fragments to the stream-ordered fold
+    /// and returns what the index keeps of them for its seek point; neither
+    /// without verification.
+    fn fold_fragments(
+        &self,
+        start_bit: u64,
+        seq: u64,
+        first_member: u64,
+        fragments: Vec<ChunkFragment>,
+    ) -> Option<PointChecksums> {
+        if !self.verify() {
+            return None;
+        }
+        let checksums = PointChecksums::from_fragments(
+            first_member,
+            fragments.iter().map(|f| (f.crc32, f.length)),
+        );
+        let _fold = self.trace().span(Stage::CrcFold).chunk(start_bit);
+        let _crc_timer = self.metrics.stage_crc_fold.start_timer();
+        self.verifier.lock().submit(seq, fragments);
+        Some(checksums)
+    }
+
+    /// Replaces the markers of the first of `replacements` on this thread,
+    /// the one the reader needs first, and leaves the others to whichever
+    /// worker is free first — this one, if the others stay busy.
+    fn run_replacements(self: &Arc<Self>, replacements: Vec<Replacement>) {
+        let mut replacements = replacements.into_iter();
+        let Some(first) = replacements.next() else {
+            return;
+        };
+        for replacement in replacements {
+            let shared = Arc::clone(self);
+            drop(
+                self.spawner
+                    .submit_urgent(move || shared.replace(replacement)),
+            );
+        }
+        self.replace(first);
+    }
+
+    /// Marker replacement of a committed chunk (§2.2): 16-bit symbols to the
+    /// bytes the reader is waiting for, hashed per member while they are hot.
+    fn replace(&self, replacement: Replacement) {
+        let Replacement {
+            guess,
+            start_bit,
+            seq,
+            first_member,
+            window,
+            chunk,
+        } = replacement;
+        let _unwinding = FailOnUnwind {
+            shared: self,
+            guess,
+        };
+        let _stage_timer = self.metrics.stage_marker_replace.start_timer();
+        let mut span = self
+            .trace()
+            .span(Stage::MarkerReplace)
+            .chunk(start_bit)
+            .member(first_member);
+        span.set_bytes(chunk.output.len() as u64);
+        let (data, checksums) = match chunk.resolve(&window, self.verify()) {
+            Ok((data, fragments)) => (
+                data,
+                self.fold_fragments(start_bit, seq, first_member, fragments),
+            ),
+            Err(error) => {
+                span.set_outcome(Outcome::Error);
+                self.fail(guess, error);
+                return;
+            }
+        };
+        span.set_outcome(Outcome::Committed);
+        span.finish();
+        let mut state = self.lock();
+        if let Some(checksums) = checksums {
+            state.index.checksum_map.insert(start_bit, checksums);
+        }
+        let data = ChunkState::Ready(Arc::new(data));
+        state.pass.chunks.insert(guess, data);
+        drop(state);
+        self.progress.notify_all();
+    }
+}

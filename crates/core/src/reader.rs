@@ -3,27 +3,28 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
-use rgz_fetcher::{BufferPool, Cache, IndexAlignedPlan, Pooled, TaskHandle, ThreadPool};
-use rgz_index::{GzipIndex, PointChecksums, SeekPoint, WINDOW_SIZE};
+use rgz_fetcher::{BufferPool, Cache, IndexAlignedPlan, Pooled, Spawner, TaskHandle, ThreadPool};
+use rgz_index::{GzipIndex, SeekPoint};
 use rgz_io::{FileReader, SharedFileReader};
 use rgz_metrics::MetricsRegistry;
 use rgz_trace::{instants, EventMeta, Outcome, Stage, TraceSink};
 
-use crate::chunk::{ChunkDecoder, DirectChunk, SpeculativeChunk};
+use crate::chunk::{ChunkDecoder, DirectChunk};
 use crate::metrics::ReaderMetrics;
+use crate::pass::{ChunkBytes, ChunkState, SequentialPass};
 use crate::verify::{
-    check_point_fragments, ChunkFragment, StreamVerifier, VerificationMode, VerificationStatistics,
+    check_point_fragments, StreamVerifier, VerificationMode, VerificationStatistics,
 };
 use crate::{CoreError, DEFAULT_CHUNK_SIZE};
 
 /// Configuration of a [`ParallelGzipReader`].
 #[derive(Debug, Clone)]
 pub struct ParallelGzipReaderOptions {
-    /// Number of worker threads used for speculative chunk decompression and
-    /// marker replacement.  Defaults to the number of logical CPUs.
+    /// Number of worker threads; every chunk of the sequential pass is decoded
+    /// on one of them, none on the reader's own.  Defaults to the number of
+    /// logical CPUs.
     pub parallelization: usize,
     /// Compressed chunk size in bytes (the paper's default is 4 MiB).
     pub chunk_size: usize,
@@ -97,7 +98,7 @@ impl ParallelGzipReaderOptions {
         self
     }
 
-    fn effective_prefetch_degree(&self) -> usize {
+    pub(crate) fn effective_prefetch_degree(&self) -> usize {
         self.prefetch_degree
             .unwrap_or(self.parallelization * 2)
             .max(1)
@@ -109,9 +110,16 @@ impl ParallelGzipReaderOptions {
 pub struct ReaderStatistics {
     /// Chunks whose speculative result was used.
     pub speculative_chunks_used: u64,
-    /// Chunks that had to be decoded on demand (cache miss or false
-    /// positive).
+    /// Chunks decoded because the pass could not go on without: the first
+    /// one, and those whose speculative decode started from the wrong block
+    /// (a false positive) or found none.
     pub on_demand_chunks: u64,
+    /// Chunks issued as speculative decodes whose exact start and window
+    /// were known by the time a worker began them — the chunk before was
+    /// already committed — and which decoded one-stage instead: no block
+    /// finder, no markers, no replacement.  With one worker, every chunk but
+    /// the on-demand ones.
+    pub window_known_chunks: u64,
     /// Speculative results that did not match the required offset (block
     /// finder false positives or boundary mismatches).
     pub speculative_mismatches: u64,
@@ -159,82 +167,88 @@ pub struct ReaderStatistics {
     pub pool_tasks_submitted: u64,
 }
 
-/// State of the sequential first pass.
-struct SequentialPass {
-    /// Exact bit offset where the next chunk starts.
-    next_start_bit: u64,
-    /// Uncompressed offset of the next chunk.
-    next_uncompressed_offset: u64,
-    /// Window (up to 32 KiB) preceding the next chunk.
-    window: Arc<Vec<u8>>,
-    /// Whether the whole file has been traversed.
-    finished: bool,
-    /// Sequence number of the next committed chunk; orders the CRC fragment
-    /// fold even when worker threads finish out of order.
-    next_seq: u64,
-    /// Zero-based index of the gzip member the next chunk starts in; recorded
-    /// into each seek point's [`PointChecksums`] so random-access mismatches
-    /// can name the member.
-    next_member: u64,
-}
-
-/// A chunk's decompressed bytes, in a buffer of the reader's [`BufferPool`]:
-/// it goes back there when the last holder — `chunk_data`, the resolved
-/// cache, a read in progress — lets go.
-type ChunkBytes = Arc<Pooled<u8>>;
-
-enum ChunkData {
-    Ready(ChunkBytes),
-    Pending(TaskHandle<Result<Pooled<u8>, CoreError>>),
-}
-
 /// The most bytes [`ParallelGzipReader::decompress_to`] hands its writer in
 /// one call.
 const HAND_OVER_BYTES: usize = 1 << 20;
 
-struct ReaderState {
-    index: GzipIndex,
-    pass: SequentialPass,
-    /// Resolved (or resolving) chunk data keyed by compressed bit offset.
-    chunk_data: HashMap<u64, ChunkData>,
+/// A chunk an index-aligned prefetch is decoding.
+type PrefetchHandle = TaskHandle<Result<Pooled<u8>, CoreError>>;
+
+pub(crate) struct ReaderState {
+    pub index: GzipIndex,
+    /// The sequential pass and its table of chunks.
+    pub pass: SequentialPass,
     /// LRU cache of chunk data for random access after the first pass.
     resolved_cache: Cache<u64, Pooled<u8>>,
-    /// Finished speculative chunks keyed by their *found* bit offset.
-    speculative_ready: HashMap<u64, SpeculativeChunk>,
-    /// In-flight speculative tasks keyed by guess index.
-    speculative_pending: HashMap<usize, TaskHandle<Result<Option<SpeculativeChunk>, CoreError>>>,
-    /// Guess indexes that have already been dispatched (or completed).
-    speculative_issued: std::collections::HashSet<usize>,
+    /// Index-aligned prefetches the reader has not come for yet, keyed by
+    /// compressed bit offset.
+    prefetched: HashMap<u64, PrefetchHandle>,
     /// Prefetch plan aligned to the seek-point table; built lazily once the
     /// sequential pass is finished (or an index was imported).
     index_plan: Option<Arc<IndexAlignedPlan>>,
-    /// Keys in `chunk_data` that were produced by index-aligned prefetching
-    /// and have not been consumed yet.
-    index_prefetched: std::collections::HashSet<u64>,
     /// Chunk index the last index-aligned prefetch ran for; consecutive
     /// reads inside one chunk skip the whole prefetch pipeline.
     last_prefetch_chunk: Option<usize>,
-    statistics: ReaderStatistics,
+    pub statistics: ReaderStatistics,
+}
+
+/// What the reader shares with the tasks it has on the pool.  Nothing in
+/// here owns a thread — the pool is reached through a [`Spawner`], by the
+/// window store too — so whichever thread drops the last reference, a worker
+/// finishing a task of a reader that is gone included, joins nothing.
+pub(crate) struct Shared {
+    pub options: ParallelGzipReaderOptions,
+    /// The compressed input, the chunk size and the chunk buffers — compressed
+    /// ranges, 16-bit symbols, decompressed bytes — recycled from chunk to
+    /// chunk.
+    pub decoder: ChunkDecoder,
+    pub spawner: Spawner,
+    /// Pre-resolved registry handles; disconnected when no registry was
+    /// attached, so the hot paths stay unconditional.
+    pub metrics: Arc<ReaderMetrics>,
+    /// Stream-ordered CRC fold; a chunk's fragments go in on the worker that
+    /// produced its bytes, before the reader can see them.
+    pub verifier: parking_lot::Mutex<StreamVerifier>,
+    state: Mutex<ReaderState>,
+    /// Signalled whenever the pass moved or a chunk's bytes or failure
+    /// arrived: everything the reader's thread waits for.
+    pub progress: Condvar,
+}
+
+impl Shared {
+    /// A panic under this lock is a panic of a chunk task, which fails its
+    /// chunk on the way out; the table is whole after every statement that
+    /// touches it.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, ReaderState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether chunks hash their bytes for the verifier.
+    pub(crate) fn verify(&self) -> bool {
+        self.options.verification == VerificationMode::Full
+    }
+
+    /// The sink every stage of the reader records into.
+    pub(crate) fn trace(&self) -> &Arc<TraceSink> {
+        &self.decoder.trace
+    }
+
+    /// Waits for [`Self::progress`].
+    fn wait<'a>(&self, state: MutexGuard<'a, ReaderState>) -> MutexGuard<'a, ReaderState> {
+        self.progress
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Parallel decompression of and random access to a gzip file.
 ///
 /// See the crate-level documentation for an overview of the architecture.
 pub struct ParallelGzipReader {
-    reader: SharedFileReader,
-    options: ParallelGzipReaderOptions,
+    /// Declared before `shared`: when the reader goes, the workers finish
+    /// what is queued first, and what they leave behind is freed here.
     pool: Arc<ThreadPool>,
-    /// The chunk buffers — compressed ranges, 16-bit symbols, decompressed
-    /// bytes — recycled from chunk to chunk.
-    buffers: BufferPool,
-    trace: Arc<TraceSink>,
-    /// Pre-resolved registry handles; disconnected when no registry was
-    /// attached, so the hot paths stay unconditional.
-    metrics: Arc<ReaderMetrics>,
-    state: Mutex<ReaderState>,
-    /// Stream-ordered CRC fold; shared with the worker threads, which submit
-    /// their chunk's fragments as soon as marker replacement finishes.
-    verifier: Arc<Mutex<StreamVerifier>>,
+    shared: Arc<Shared>,
     /// Current logical read position in the decompressed stream.
     position: u64,
 }
@@ -242,7 +256,7 @@ pub struct ParallelGzipReader {
 impl std::fmt::Debug for ParallelGzipReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ParallelGzipReader")
-            .field("compressed_size", &self.reader.size())
+            .field("compressed_size", &self.reader().size())
             .field("position", &self.position)
             .finish()
     }
@@ -291,34 +305,32 @@ impl ParallelGzipReader {
         }
         let mut verifier = StreamVerifier::new(options.verification);
         verifier.set_member_verified_counter(metrics.verify_member.clone());
+        // A file of no bytes holds no chunk.
+        let pass = SequentialPass::new(reader.size() == 0);
         Ok(Self {
-            pool,
-            buffers,
-            trace,
-            metrics,
-            verifier: Arc::new(Mutex::new(verifier)),
-            state: Mutex::new(ReaderState {
-                index,
-                pass: SequentialPass {
-                    next_start_bit: 0,
-                    next_uncompressed_offset: 0,
-                    window: Arc::new(Vec::new()),
-                    finished: false,
-                    next_seq: 0,
-                    next_member: 0,
+            shared: Arc::new(Shared {
+                decoder: ChunkDecoder {
+                    reader,
+                    chunk_size: options.chunk_size,
+                    buffers,
+                    trace,
                 },
-                chunk_data: HashMap::new(),
-                resolved_cache: Cache::new(options.resolved_cache_chunks.max(1)),
-                speculative_ready: HashMap::new(),
-                speculative_pending: HashMap::new(),
-                speculative_issued: std::collections::HashSet::new(),
-                index_plan: None,
-                index_prefetched: std::collections::HashSet::new(),
-                last_prefetch_chunk: None,
-                statistics: ReaderStatistics::default(),
+                spawner: pool.spawner(),
+                metrics,
+                verifier: parking_lot::Mutex::new(verifier),
+                state: Mutex::new(ReaderState {
+                    index,
+                    pass,
+                    resolved_cache: Cache::new(options.resolved_cache_chunks.max(1)),
+                    prefetched: HashMap::new(),
+                    index_plan: None,
+                    last_prefetch_chunk: None,
+                    statistics: ReaderStatistics::default(),
+                }),
+                progress: Condvar::new(),
+                options,
             }),
-            reader,
-            options,
+            pool,
             position: 0,
         })
     }
@@ -349,17 +361,23 @@ impl ParallelGzipReader {
     ) -> Result<Self, CoreError> {
         let this = Self::new(reader, options)?;
         // Nothing is decoded speculatively through an index.
-        this.buffers.retire_symbols();
+        this.buffers().retire_symbols();
         {
-            let mut state = this.state.lock();
+            let mut state = this.shared.lock();
             let uncompressed_size = index.uncompressed_size;
             state.pass.finished = true;
             state.pass.next_uncompressed_offset = uncompressed_size;
             state.index = index;
             state.index.window_map.set_pool(this.pool.clone());
-            state.index.window_map.set_trace(this.trace.clone());
-            if this.options.metrics.is_some() {
-                state.index.window_map.set_metrics(&this.metrics.registry);
+            state
+                .index
+                .window_map
+                .set_trace(this.shared.trace().clone());
+            if this.shared.options.metrics.is_some() {
+                state
+                    .index
+                    .window_map
+                    .set_metrics(&this.shared.metrics.registry);
             }
             if state.index.uncompressed_size == 0 {
                 state.index.uncompressed_size = state.index.effective_uncompressed_size();
@@ -369,37 +387,35 @@ impl ParallelGzipReader {
             // an imported index may carry 0; re-exports must still write
             // the real file size.
             if state.index.compressed_size == 0 {
-                state.index.compressed_size = this.reader.size();
+                state.index.compressed_size = this.reader().size();
             }
         }
         Ok(this)
     }
 
-    /// What a chunk decode task needs of this reader.
-    fn chunk_decoder(&self) -> ChunkDecoder {
-        ChunkDecoder {
-            reader: self.reader.clone(),
-            chunk_size: self.options.chunk_size,
-            buffers: self.buffers.clone(),
-            trace: self.trace.clone(),
-        }
+    fn reader(&self) -> &SharedFileReader {
+        &self.shared.decoder.reader
+    }
+
+    fn buffers(&self) -> &BufferPool {
+        &self.shared.decoder.buffers
     }
 
     /// The options this reader was created with.
     pub fn options(&self) -> &ParallelGzipReaderOptions {
-        &self.options
+        &self.shared.options
     }
 
     /// The trace sink this reader records into (the process-wide disabled
     /// sink unless one was attached via the options).
     pub fn trace(&self) -> &Arc<TraceSink> {
-        &self.trace
+        self.shared.trace()
     }
 
     /// Behaviour counters.  The `pool_*` fields are sampled live from the
     /// worker pool at call time.
     pub fn statistics(&self) -> ReaderStatistics {
-        let mut statistics = self.state.lock().statistics;
+        let mut statistics = self.shared.lock().statistics;
         let pool = self.pool.statistics();
         statistics.pool_queue_depth = pool.queue_depth;
         statistics.pool_tasks_inflight = pool.tasks_inflight;
@@ -410,13 +426,13 @@ impl ParallelGzipReader {
     /// The metrics registry this reader records into (the process-wide
     /// disabled registry unless one was attached via the options).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics.registry
+        &self.shared.metrics.registry
     }
 
     /// Memory and cache counters of the seek-point window store (compressed
     /// window bytes vs. the raw bytes a v1-style index would hold).
     pub fn window_statistics(&self) -> rgz_window::WindowStoreStatistics {
-        self.state.lock().index.window_map.statistics()
+        self.shared.lock().index.window_map.statistics()
     }
 
     /// Counters of the checksum verification pipeline: members verified,
@@ -425,8 +441,8 @@ impl ParallelGzipReader {
     /// index's stored CRC fragments versus served unverified (v1/v2 files
     /// and foreign imports carry no fragments).
     pub fn verification_statistics(&self) -> VerificationStatistics {
-        let mut statistics = self.verifier.lock().statistics();
-        let reader_statistics = self.state.lock().statistics;
+        let mut statistics = self.shared.verifier.lock().statistics();
+        let reader_statistics = self.shared.lock().statistics;
         statistics.index_chunks_verified = reader_statistics.index_chunks_verified;
         statistics.index_chunks_unverified = reader_statistics.index_chunks_unverified;
         statistics
@@ -434,16 +450,16 @@ impl ParallelGzipReader {
 
     /// Errors with the first recorded member-trailer mismatch, if any.
     fn check_verification(&self) -> Result<(), CoreError> {
-        if self.options.verification == VerificationMode::Off {
+        if !self.shared.verify() {
             return Ok(());
         }
-        self.verifier.lock().check()
+        self.shared.verifier.lock().check()
     }
 
     /// Total decompressed size, if already known (i.e. after a full pass or
     /// when an index was imported).
     pub fn uncompressed_size(&self) -> Option<u64> {
-        let state = self.state.lock();
+        let state = self.shared.lock();
         if state.pass.finished {
             Some(state.index.block_map.uncompressed_size())
         } else {
@@ -455,24 +471,13 @@ impl ParallelGzipReader {
     /// whole stream (or [`ParallelGzipReader::build_full_index`]) to get a
     /// complete index suitable for export.
     pub fn index(&self) -> GzipIndex {
-        let mut state = self.state.lock();
-        // Wait for in-flight chunk workers first: each one records its seek
-        // point's CRC fragments as it finishes, and an export taken before
-        // that would silently lose verification data for the last chunks.
-        let pending: Vec<u64> = state
-            .chunk_data
-            .iter()
-            .filter(|(_, data)| matches!(data, ChunkData::Pending(_)))
-            .map(|(&key, _)| key)
-            .collect();
-        for key in pending {
-            if let Some(ChunkData::Pending(handle)) = state.chunk_data.remove(&key) {
-                if let Ok(data) = handle.wait() {
-                    state
-                        .chunk_data
-                        .insert(key, ChunkData::Ready(Arc::new(data)));
-                }
-            }
+        let mut state = self.shared.lock();
+        // Wait for the marker replacements in flight first: each one records
+        // its seek point's CRC fragments as it finishes, and an export taken
+        // before that would silently lose verification data for the last
+        // chunks.
+        while state.pass.is_resolving() {
+            state = self.shared.wait(state);
         }
         let mut index = state.index.clone();
         index.uncompressed_size = index.block_map.uncompressed_size();
@@ -483,13 +488,7 @@ impl ParallelGzipReader {
     /// Runs the sequential pass to the end of the file (if not already done)
     /// so that the index covers the whole stream, then returns it.
     pub fn build_full_index(&mut self) -> Result<GzipIndex, CoreError> {
-        loop {
-            let finished = self.state.lock().pass.finished;
-            if finished {
-                break;
-            }
-            self.advance_one_chunk()?;
-        }
+        self.finish_pass()?;
         Ok(self.index())
     }
 
@@ -519,414 +518,32 @@ impl ParallelGzipReader {
 
     // --- sequential pass ------------------------------------------------
 
-    /// Advances the sequential pass by one chunk, extending the index.
+    /// Waits until the sequential pass has committed one more chunk,
+    /// extending the index — the workers do that, see [`crate::pass`]; this
+    /// thread only sees to it that the chunk the pass stands at and the ones
+    /// after it are on the pool.
     fn advance_one_chunk(&self) -> Result<(), CoreError> {
-        let verify = self.options.verification == VerificationMode::Full;
-        let (start_bit, uncompressed_offset, window, seq, first_member) = {
-            let state = self.state.lock();
-            if state.pass.finished {
-                return Ok(());
-            }
-            (
-                state.pass.next_start_bit,
-                state.pass.next_uncompressed_offset,
-                state.pass.window.clone(),
-                state.pass.next_seq,
-                state.pass.next_member,
-            )
-        };
-
-        let chunk_bits = (self.options.chunk_size as u64) * 8;
-        let file_bits = self.reader.size() * 8;
-        if start_bit >= file_bits {
-            self.state.lock().pass.finished = true;
-            return Ok(());
+        let shared = &self.shared;
+        let mut state = shared.lock();
+        let waiting_for = state.pass.next_seq;
+        while !state.pass.finished && state.pass.next_seq == waiting_for {
+            shared.demand_frontier(&mut state)?;
+            // The chunk this thread waits for is the one it stands in.
+            let frontier = shared.guess_of(state.pass.next_start_bit);
+            shared.issue_prefetches(&mut state, frontier);
+            state = shared.wait(state);
         }
-
-        // Keep the pool busy before doing this chunk's work.
-        self.issue_prefetches(start_bit);
-
-        // The stop offset is the next guessed chunk boundary after the start.
-        let guess_index = (start_bit / chunk_bits) as usize;
-        let stop_bit = ((guess_index as u64) + 1) * chunk_bits;
-
-        // Try to reuse a speculative result for this exact offset.
-        let speculative = self.take_speculative(start_bit, guess_index)?;
-
-        let (data_handle, end_bit, chunk_length, window_for_next, reached_end_of_file);
-        // Which window bytes the chunk actually referenced; the seek point
-        // stores a sparsified window based on this.
-        let window_usage;
-        // How many gzip members end inside this chunk, advancing the member
-        // counter for the next seek point's fragment attribution.
-        let members_ended;
-        match speculative {
-            Some(chunk) if chunk.found_bit_offset == start_bit && start_bit != 0 => {
-                // Resolve the trailing window serially, then dispatch the full
-                // marker replacement to the pool (§2.2: only the window
-                // propagation is inherently sequential — and not even that
-                // once the chunk's byte tail spans a whole window).
-                let next_window = chunk
-                    .output
-                    .next_window(&window)
-                    .map_err(CoreError::Deflate)?;
-                window_usage = chunk.window_usage;
-                end_bit = chunk.end_bit_offset;
-                chunk_length = chunk.output.len() as u64;
-                reached_end_of_file = chunk.reached_end_of_file;
-                window_for_next = Arc::new(next_window);
-                let window_clone = window.clone();
-                let wide_bytes = chunk.output.prefix().len() as u64;
-                let output = chunk.output;
-                let member_ends = chunk.member_ends;
-                members_ended = member_ends.len() as u64;
-                let verifier = self.verifier.clone();
-                let trace = self.trace.clone();
-                let marker_seconds = self.metrics.stage_marker_replace.clone();
-                let crc_seconds = self.metrics.stage_crc_fold.clone();
-                // The checksum map shares storage with the index (and holds
-                // no pool reference), so the worker can record this seek
-                // point's fragments for verified random access later.
-                let checksum_map = self.state.lock().index.checksum_map.clone();
-                let handle = self.pool.submit(move || {
-                    let _stage_timer = marker_seconds.start_timer();
-                    let mut span = trace
-                        .span(Stage::MarkerReplace)
-                        .chunk(start_bit)
-                        .member(first_member);
-                    span.set_bytes(chunk_length);
-                    let result = if verify {
-                        // Hash the resolved bytes per member fragment right
-                        // here on the worker, then hand the fragments to the
-                        // stream-ordered fold.
-                        let ends: Vec<usize> =
-                            member_ends.iter().map(|&(end, _)| end as usize).collect();
-                        output
-                            .resolve(&window_clone, Some(&ends))
-                            .map_err(CoreError::Deflate)
-                            .map(|(data, crcs)| {
-                                let mut fragments = Vec::with_capacity(crcs.len());
-                                let mut start = 0u64;
-                                for (index, crc32) in crcs.into_iter().enumerate() {
-                                    let (length, trailer) = match member_ends.get(index) {
-                                        Some(&(end, footer)) => (end - start, Some(footer)),
-                                        None => (data.len() as u64 - start, None),
-                                    };
-                                    fragments.push(ChunkFragment {
-                                        crc32,
-                                        length,
-                                        trailer,
-                                    });
-                                    start += length;
-                                }
-                                checksum_map.insert(
-                                    start_bit,
-                                    PointChecksums::from_fragments(
-                                        first_member,
-                                        fragments.iter().map(|f| (f.crc32, f.length)),
-                                    ),
-                                );
-                                {
-                                    let _fold = trace.span(Stage::CrcFold).chunk(start_bit);
-                                    let _crc_timer = crc_seconds.start_timer();
-                                    verifier.lock().submit(seq, fragments);
-                                }
-                                data
-                            })
-                    } else {
-                        output
-                            .resolve(&window_clone, None)
-                            .map(|(data, _)| data)
-                            .map_err(CoreError::Deflate)
-                    };
-                    span.set_outcome(match &result {
-                        Ok(_) => Outcome::Committed,
-                        Err(_) => Outcome::Error,
-                    });
-                    result
-                });
-                data_handle = ChunkData::Pending(handle);
-                self.trace.instant(
-                    instants::SPEC_COMMIT,
-                    EventMeta {
-                        chunk: Some(start_bit),
-                        member: Some(first_member),
-                        bytes: Some(chunk_length),
-                        ..EventMeta::default()
-                    },
-                );
-                {
-                    let mut state = self.state.lock();
-                    state.statistics.speculative_chunks_used += 1;
-                    state.statistics.speculative_bytes_u16 += wide_bytes;
-                    state.statistics.speculative_bytes_u8 += chunk_length - wide_bytes;
-                }
-                self.metrics.chunks_speculative.inc();
-                self.metrics.speculative_bytes_u16.add(wide_bytes);
-                self.metrics
-                    .speculative_bytes_u8
-                    .add(chunk_length - wide_bytes);
-                self.metrics.bytes_out.add(chunk_length);
-            }
-            other => {
-                if let Some(wasted) = other {
-                    let wasted_bytes = wasted.output.len() as u64;
-                    let mut state = self.state.lock();
-                    state.statistics.speculative_mismatches += 1;
-                    state.statistics.speculative_chunks_wasted += 1;
-                    state.statistics.speculative_bytes_wasted += wasted_bytes;
-                    drop(state);
-                    self.metrics.speculation_mismatches.inc();
-                    self.metrics.chunks_wasted.inc();
-                    self.metrics.bytes_wasted.add(wasted_bytes);
-                    self.trace.instant(
-                        instants::SPEC_WASTE,
-                        EventMeta {
-                            chunk: Some(wasted.found_bit_offset),
-                            bytes: Some(wasted_bytes),
-                            ..EventMeta::default()
-                        },
-                    );
-                }
-                // Decode on demand with the known window (first chunk, false
-                // positive, or no speculative result available).
-                let _stage_timer = self.metrics.stage_decode_one_stage.start_timer();
-                let mut span = self
-                    .trace
-                    .span(Stage::DecodeOneStage)
-                    .chunk(start_bit)
-                    .member(first_member);
-                let mut result = match self.chunk_decoder().decode_at(&DirectChunk {
-                    start_bit_offset: start_bit,
-                    stop_bit_offset: stop_bit,
-                    window: &window,
-                    at_member_start: start_bit == 0,
-                    stop_is_seek_point: false,
-                    verify,
-                }) {
-                    Ok(result) => {
-                        span.set_bytes(result.data.len() as u64);
-                        span.set_compressed_range(start_bit / 8, result.end_bit_offset.div_ceil(8));
-                        span.set_outcome(if result.fast_fallback_blocks > 0 {
-                            Outcome::Fallback
-                        } else {
-                            Outcome::Committed
-                        });
-                        span.finish();
-                        result
-                    }
-                    Err(error) => {
-                        span.set_outcome(Outcome::Error);
-                        return Err(error);
-                    }
-                };
-                members_ended = result
-                    .fragments
-                    .iter()
-                    .filter(|f| f.trailer.is_some())
-                    .count() as u64;
-                if verify {
-                    self.state.lock().index.checksum_map.insert(
-                        start_bit,
-                        PointChecksums::from_fragments(
-                            first_member,
-                            result.fragments.iter().map(|f| (f.crc32, f.length)),
-                        ),
-                    );
-                    let _fold = self.trace.span(Stage::CrcFold).chunk(start_bit);
-                    let _crc_timer = self.metrics.stage_crc_fold.start_timer();
-                    self.verifier
-                        .lock()
-                        .submit(seq, std::mem::take(&mut result.fragments));
-                }
-                end_bit = result.end_bit_offset;
-                chunk_length = result.data.len() as u64;
-                reached_end_of_file = result.reached_end_of_file;
-                window_usage = result.window_usage;
-                let tail_start = result.data.len().saturating_sub(WINDOW_SIZE);
-                let mut next_window: Vec<u8> = Vec::with_capacity(WINDOW_SIZE);
-                if result.data.len() < WINDOW_SIZE {
-                    let need = WINDOW_SIZE - result.data.len();
-                    let take = need.min(window.len());
-                    next_window.extend_from_slice(&window[window.len() - take..]);
-                }
-                next_window.extend_from_slice(&result.data[tail_start..]);
-                window_for_next = Arc::new(next_window);
-                data_handle = ChunkData::Ready(Arc::new(result.data));
-                self.state.lock().statistics.on_demand_chunks += 1;
-                self.metrics.chunks_on_demand.inc();
-                self.metrics.bytes_out.add(chunk_length);
-            }
-        }
-
-        let mut state = self.state.lock();
-        state.index.add_seek_point_sparse(
-            SeekPoint {
-                compressed_bit_offset: start_bit,
-                uncompressed_offset,
-                uncompressed_size: chunk_length,
-            },
-            &window,
-            &window_usage,
-        );
-        state.chunk_data.insert(start_bit, data_handle);
-        state.pass.next_start_bit = end_bit;
-        state.pass.next_uncompressed_offset = uncompressed_offset + chunk_length;
-        state.pass.window = window_for_next;
-        state.pass.next_seq = seq + 1;
-        state.pass.next_member = first_member + members_ended;
-        if reached_end_of_file || end_bit >= file_bits {
-            state.pass.finished = true;
-            state.index.uncompressed_size = state.index.block_map.uncompressed_size();
-        }
-        // Drop stale speculative results that can never match again, counting
-        // each one as wasted speculation work.
-        let next_start = state.pass.next_start_bit;
-        let stale: Vec<u64> = state
-            .speculative_ready
-            .keys()
-            .copied()
-            .filter(|&found| found < next_start)
-            .collect();
-        let mut wasted_events: Vec<(u64, u64)> = Vec::with_capacity(stale.len());
-        for found in stale {
-            if let Some(chunk) = state.speculative_ready.remove(&found) {
-                let bytes = chunk.output.len() as u64;
-                state.statistics.speculative_chunks_wasted += 1;
-                state.statistics.speculative_bytes_wasted += bytes;
-                wasted_events.push((found, bytes));
-            }
-        }
-        // At the end of the pass, harvest any speculative task that already
-        // finished: its result can never be committed, so it is pure waste.
-        // Tasks still genuinely in flight are left to complete on the pool and
-        // are dropped unharvested (their cost is not attributable yet).
-        if state.pass.finished {
-            let finished: Vec<usize> = state
-                .speculative_pending
-                .iter()
-                .filter(|(_, handle)| handle.is_finished())
-                .map(|(&index, _)| index)
-                .collect();
-            for index in finished {
-                if let Some(handle) = state.speculative_pending.remove(&index) {
-                    if let Some(Ok(Ok(Some(chunk)))) = handle.try_wait() {
-                        let bytes = chunk.output.len() as u64;
-                        state.statistics.speculative_chunks_wasted += 1;
-                        state.statistics.speculative_bytes_wasted += bytes;
-                        wasted_events.push((chunk.found_bit_offset, bytes));
-                    }
-                }
-            }
-        }
-        let finished = state.pass.finished;
         drop(state);
-        if finished {
-            // Every decode from here on is direct: the symbol buffers the
-            // last marker replacements give back are no use to anyone.
-            self.buffers.retire_symbols();
-        }
-        for (found, bytes) in wasted_events {
-            self.metrics.chunks_wasted.inc();
-            self.metrics.bytes_wasted.add(bytes);
-            self.trace.instant(
-                instants::SPEC_WASTE,
-                EventMeta {
-                    chunk: Some(found),
-                    bytes: Some(bytes),
-                    ..EventMeta::default()
-                },
-            );
-        }
-        // Surface any mismatch the fold has found so far (an on-demand chunk
-        // submits synchronously; speculative workers may have reported a
-        // failure from an earlier chunk by now).
+        // Surface any mismatch the fold has found so far.
         self.check_verification()
     }
 
-    /// Looks for a finished speculative chunk starting exactly at `start_bit`;
-    /// waits for the in-flight task covering that guess index if necessary.
-    fn take_speculative(
-        &self,
-        start_bit: u64,
-        guess_index: usize,
-    ) -> Result<Option<SpeculativeChunk>, CoreError> {
-        // Harvest all finished speculative tasks.
-        let handle_to_wait;
-        {
-            let mut state = self.state.lock();
-            let finished: Vec<usize> = state
-                .speculative_pending
-                .iter()
-                .filter(|(_, handle)| handle.is_finished())
-                .map(|(&index, _)| index)
-                .collect();
-            for index in finished {
-                if let Some(handle) = state.speculative_pending.remove(&index) {
-                    if let Some(Ok(Ok(Some(chunk)))) = handle.try_wait() {
-                        state
-                            .speculative_ready
-                            .insert(chunk.found_bit_offset, chunk);
-                    }
-                }
-            }
-            if let Some(chunk) = state.speculative_ready.remove(&start_bit) {
-                return Ok(Some(chunk));
-            }
-            // If the task responsible for this offset is still running, wait
-            // for it specifically (the paper's "periodically check for ready
-            // chunks until C1 has become ready").
-            handle_to_wait = state.speculative_pending.remove(&guess_index);
+    /// Runs the sequential pass to the end of the file.
+    fn finish_pass(&self) -> Result<(), CoreError> {
+        while !self.shared.lock().pass.finished {
+            self.advance_one_chunk()?;
         }
-        match handle_to_wait {
-            Some(handle) => {
-                let result = handle.wait();
-                let mut state = self.state.lock();
-                if let Ok(Some(chunk)) = result {
-                    state
-                        .speculative_ready
-                        .insert(chunk.found_bit_offset, chunk);
-                }
-                Ok(state.speculative_ready.remove(&start_bit))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Submits speculative decompression tasks for the chunks following
-    /// `start_bit`, up to the prefetch degree.
-    fn issue_prefetches(&self, start_bit: u64) {
-        let chunk_bits = (self.options.chunk_size as u64) * 8;
-        let total_chunks = (self.reader.size() as usize).div_ceil(self.options.chunk_size);
-        let current_guess = (start_bit / chunk_bits) as usize;
-        let degree = self.options.effective_prefetch_degree();
-
-        let mut state = self.state.lock();
-        for guess in (current_guess + 1)..=(current_guess + degree) {
-            if guess >= total_chunks
-                || state.speculative_issued.contains(&guess)
-                || state.speculative_pending.len() >= degree
-            {
-                continue;
-            }
-            state.speculative_issued.insert(guess);
-            state.statistics.prefetches_issued += 1;
-            self.metrics.prefetch_issued_speculative.inc();
-            self.trace.instant(
-                instants::SPEC_SUBMIT,
-                EventMeta {
-                    chunk: Some(guess as u64 * chunk_bits),
-                    ..EventMeta::default()
-                },
-            );
-            let decoder = self.chunk_decoder();
-            let decode_seconds = self.metrics.stage_decode_two_stage.clone();
-            let handle = self.pool.submit(move || {
-                let _stage_timer = decode_seconds.start_timer();
-                decoder.decode_speculative(guess)
-            });
-            state.speculative_pending.insert(guess, handle);
-        }
+        Ok(())
     }
 
     // --- index-aligned prefetching ---------------------------------------
@@ -940,8 +557,9 @@ impl ParallelGzipReader {
     /// starts at a real seek point and stops at the next one, so no decode
     /// is wasted on a misguessed boundary.
     fn issue_index_prefetches(&self, position: u64) {
-        let degree = self.options.effective_prefetch_degree();
-        let mut state = self.state.lock();
+        let shared = &self.shared;
+        let degree = shared.options.effective_prefetch_degree();
+        let mut state = shared.lock();
         if !state.pass.finished || state.index.block_map.len() < 2 {
             return;
         }
@@ -977,30 +595,16 @@ impl ParallelGzipReader {
 
         // Cap the decoded-but-unconsumed backlog; evict finished prefetches
         // the plan no longer predicts (random access moved elsewhere).
-        let outstanding: Vec<u64> = state
-            .index_prefetched
-            .iter()
-            .filter(|key| state.chunk_data.contains_key(key))
-            .copied()
-            .collect();
-        if outstanding.len() >= degree.saturating_mul(2) {
+        if state.prefetched.len() >= degree.saturating_mul(2) {
             let predicted: std::collections::HashSet<u64> = targets
                 .iter()
                 .map(|&chunk| state.index.block_map.points()[chunk].compressed_bit_offset)
                 .collect();
-            for key in outstanding {
-                if predicted.contains(&key) {
-                    continue;
-                }
-                let finished = match state.chunk_data.get(&key) {
-                    Some(ChunkData::Ready(_)) => true,
-                    Some(ChunkData::Pending(handle)) => handle.is_finished(),
-                    None => true,
-                };
-                if finished {
-                    state.chunk_data.remove(&key);
-                    state.index_prefetched.remove(&key);
-                    self.trace.instant(
+            let trace = shared.trace();
+            state.prefetched.retain(|&key, handle| {
+                let keep = predicted.contains(&key) || !handle.is_finished();
+                if !keep {
+                    trace.instant(
                         instants::PREFETCH_EVICT,
                         EventMeta {
                             chunk: Some(key),
@@ -1008,34 +612,28 @@ impl ParallelGzipReader {
                         },
                     );
                 }
-            }
-            if state
-                .index_prefetched
-                .iter()
-                .filter(|key| state.chunk_data.contains_key(key))
-                .count()
-                >= degree.saturating_mul(2)
-            {
+                keep
+            });
+            if state.prefetched.len() >= degree.saturating_mul(2) {
                 return;
             }
         }
 
         // Look up window *records* outside the state lock, before
-        // submitting: a task must never capture the window map (it
-        // references the thread pool, and a worker dropping the pool's
-        // last handle would try to join itself), but an individual
-        // `CompressedWindow` record holds no pool reference, so the 32 KiB
-        // inflation itself can run on the worker instead of delaying the
-        // read this prefetch is meant to hide.
+        // submitting, so that the 32 KiB inflation itself can run on the
+        // worker instead of delaying the read this prefetch is meant to
+        // hide.
         let window_map = state.index.window_map.clone();
         let checksum_map = state.index.checksum_map.clone();
-        let verify = self.options.verification == VerificationMode::Full;
         let plans: Vec<(SeekPoint, u64)> = targets
             .into_iter()
             .filter_map(|chunk| {
                 let point = state.index.block_map.points()[chunk].clone();
                 let key = point.compressed_bit_offset;
-                if state.chunk_data.contains_key(&key) || state.resolved_cache.contains(&key) {
+                if state.prefetched.contains_key(&key)
+                    || state.pass.chunks.contains_key(&shared.guess_of(key))
+                    || state.resolved_cache.contains(&key)
+                {
                     return None;
                 }
                 let stop_bit = state
@@ -1053,14 +651,16 @@ impl ParallelGzipReader {
         for (point, stop_bit) in plans {
             let key = point.compressed_bit_offset;
             let record = window_map.get_compressed(key);
-            // Stored fragments (if any) let the task verify its own output;
-            // an `Arc<PointChecksums>` holds no pool reference, so capturing
-            // it in the closure is safe.
-            let checksums = if verify { checksum_map.get(key) } else { None };
-            let decoder = self.chunk_decoder();
+            // Stored fragments (if any) let the task verify its own output.
+            let checksums = if shared.verify() {
+                checksum_map.get(key)
+            } else {
+                None
+            };
+            let decoder = shared.decoder.clone();
             let expected_length = point.uncompressed_size;
-            let trace = self.trace.clone();
-            self.trace.instant(
+            let trace = shared.trace().clone();
+            trace.instant(
                 instants::PREFETCH_ISSUE,
                 EventMeta {
                     chunk: Some(key),
@@ -1068,7 +668,7 @@ impl ParallelGzipReader {
                     ..EventMeta::default()
                 },
             );
-            let prefetch_seconds = self.metrics.stage_prefetch_decode.clone();
+            let prefetch_seconds = shared.metrics.stage_prefetch_decode.clone();
             let handle = self.pool.submit(move || {
                 let _stage_timer = prefetch_seconds.start_timer();
                 let mut span = trace.span(Stage::PrefetchDecode).chunk(key);
@@ -1108,11 +708,10 @@ impl ParallelGzipReader {
                 }
                 result
             });
-            let mut state = self.state.lock();
-            state.chunk_data.insert(key, ChunkData::Pending(handle));
-            state.index_prefetched.insert(key);
+            let mut state = shared.lock();
+            state.prefetched.insert(key, handle);
             state.statistics.index_prefetches_issued += 1;
-            self.metrics.prefetch_issued_index.inc();
+            shared.metrics.prefetch_issued_index.inc();
         }
     }
 
@@ -1122,127 +721,124 @@ impl ParallelGzipReader {
     /// CRC fragments.  Prefetched chunks with fragments verify inside their
     /// task; on-demand decodes verify in [`ParallelGzipReader::chunk_bytes`].
     fn count_fast_path_verification(&self, state: &mut ReaderState, key: u64) {
-        if self.options.verification != VerificationMode::Full {
+        if !self.shared.verify() {
             return;
         }
         if state.index.checksum_map.contains(key) {
             state.statistics.index_chunks_verified += 1;
-            self.metrics.verify_index_verified.inc();
+            self.shared.metrics.verify_index_verified.inc();
         } else {
             state.statistics.index_chunks_unverified += 1;
-            self.metrics.verify_index_unverified.inc();
+            self.shared.metrics.verify_index_unverified.inc();
+        }
+    }
+
+    /// Takes the bytes of the chunk at `key` out of the sequential pass's
+    /// table, waiting for its marker replacement if that is where it is;
+    /// `None` if the pass does not hold it (any more).
+    fn take_pass_chunk(
+        &self,
+        mut state: MutexGuard<'_, ReaderState>,
+        key: u64,
+    ) -> Result<Option<ChunkBytes>, CoreError> {
+        let guess = self.shared.guess_of(key);
+        while let Some(ChunkState::Resolving) = state.pass.chunks.get(&guess) {
+            state = self.shared.wait(state);
+        }
+        if !matches!(
+            state.pass.chunks.get(&guess),
+            Some(ChunkState::Ready(_) | ChunkState::Failed(_))
+        ) {
+            return Ok(None);
+        }
+        match state.pass.chunks.remove(&guess) {
+            Some(ChunkState::Ready(data)) => {
+                state.resolved_cache.insert(key, data.clone());
+                drop(state);
+                // The worker that produced these bytes has handed their CRC
+                // fragments in; fail the read if the fold caught a trailer
+                // mismatch.
+                self.check_verification()?;
+                Ok(Some(data))
+            }
+            Some(ChunkState::Failed(error)) => Err(error),
+            _ => Ok(None),
         }
     }
 
     /// Returns the resolved data of the chunk described by `point`.
     fn chunk_bytes(&self, point: &SeekPoint) -> Result<ChunkBytes, CoreError> {
+        let shared = &self.shared;
         let key = point.compressed_bit_offset;
-        // Data produced (or being produced) by the sequential pass or an
-        // index-aligned prefetch.  The prefetch-hit bookkeeping lives inside
-        // the match arms: a stale prefetch flag whose data was already
-        // evicted must fall through to the on-demand decode below without
-        // counting the chunk twice.
-        {
-            let mut state = self.state.lock();
-            if let Some(cached) = state.resolved_cache.get(&key) {
-                return Ok(cached);
-            }
-            let prefetched = state.index_prefetched.remove(&key);
-            match state.chunk_data.remove(&key) {
-                Some(ChunkData::Ready(data)) => {
-                    if prefetched {
-                        state.statistics.index_prefetch_hits += 1;
-                        state.statistics.index_chunks += 1;
-                        self.count_fast_path_verification(&mut state, key);
-                        self.metrics.prefetch_hits.inc();
-                        self.metrics.chunks_index.inc();
-                        self.metrics.bytes_out.add(data.len() as u64);
-                        self.trace.instant(
-                            instants::PREFETCH_HIT,
-                            EventMeta {
-                                chunk: Some(key),
-                                ..EventMeta::default()
-                            },
-                        );
-                    }
-                    state.resolved_cache.insert(key, data.clone());
-                    return Ok(data);
-                }
-                Some(ChunkData::Pending(handle)) => {
-                    if prefetched {
-                        state.statistics.index_prefetch_hits += 1;
-                        state.statistics.index_chunks += 1;
-                        self.count_fast_path_verification(&mut state, key);
-                        self.metrics.prefetch_hits.inc();
-                        self.metrics.chunks_index.inc();
-                        self.trace.instant(
-                            instants::PREFETCH_HIT,
-                            EventMeta {
-                                chunk: Some(key),
-                                ..EventMeta::default()
-                            },
-                        );
-                    }
-                    drop(state);
-                    // A prefetched chunk with stored fragments has compared
-                    // its output inside the task; a fragment mismatch
-                    // surfaces here as the task's error.
-                    let data = Arc::new(handle.wait()?);
-                    if prefetched {
-                        self.metrics.bytes_out.add(data.len() as u64);
-                    }
-                    // The worker that produced this chunk has submitted its
-                    // CRC fragments by now; fail the read if the fold caught
-                    // a trailer mismatch.
-                    self.check_verification()?;
-                    let mut state = self.state.lock();
-                    state.resolved_cache.insert(key, data.clone());
-                    return Ok(data);
-                }
-                None => {}
-            }
+        let mut state = shared.lock();
+        if let Some(cached) = state.resolved_cache.get(&key) {
+            return Ok(cached);
+        }
+        // Data an index-aligned prefetch is producing.
+        if let Some(handle) = state.prefetched.remove(&key) {
+            state.statistics.index_prefetch_hits += 1;
+            state.statistics.index_chunks += 1;
+            self.count_fast_path_verification(&mut state, key);
+            shared.metrics.prefetch_hits.inc();
+            shared.metrics.chunks_index.inc();
+            shared.trace().instant(
+                instants::PREFETCH_HIT,
+                EventMeta {
+                    chunk: Some(key),
+                    ..EventMeta::default()
+                },
+            );
+            drop(state);
+            // A prefetched chunk with stored fragments has compared its
+            // output inside the task; a fragment mismatch surfaces here as
+            // the task's error.
+            let data = Arc::new(handle.wait()?);
+            shared.metrics.bytes_out.add(data.len() as u64);
+            shared.lock().resolved_cache.insert(key, data.clone());
+            return Ok(data);
+        }
+        // Data the sequential pass produced, or is about to.
+        if let Some(data) = self.take_pass_chunk(state, key)? {
+            return Ok(data);
         }
 
         // Random access / index fast path: decode on demand with the stored
         // window, lazily re-inflated from its compressed record.
-        let (window, checksums) = {
-            let state = self.state.lock();
-            let checksums = if self.options.verification == VerificationMode::Full {
+        let (window, checksums, stop_bit) = {
+            let state = shared.lock();
+            let checksums = if shared.verify() {
                 state.index.checksum_map.get(key)
             } else {
                 None
             };
-            (state.index.window_map.try_get(key), checksums)
-        };
-        let window = window.map_err(CoreError::Window)?.unwrap_or_default();
-        let stop_bit = {
-            let state = self.state.lock();
             let points = state.index.block_map.points();
             // Points are sorted by compressed offset (enforced on import).
             let position = points.partition_point(|p| p.compressed_bit_offset <= key);
-            points
+            let stop_bit = points
                 .get(position)
                 .map(|p| p.compressed_bit_offset)
-                .unwrap_or(u64::MAX)
+                .unwrap_or(u64::MAX);
+            (state.index.window_map.try_get(key), checksums, stop_bit)
         };
+        let window = window.map_err(CoreError::Window)?.unwrap_or_default();
         // Chunks re-decoded through the index are not folded into the stream
         // verification; instead, when the index stores per-point CRC
         // fragments (format v3), hash the output and compare against them.
         // Without stored fragments (v1/v2 files, foreign imports) the decode
         // completes unverified and is counted as such.
-        self.trace.instant(
+        shared.trace().instant(
             instants::PREFETCH_MISS,
             EventMeta {
                 chunk: Some(key),
                 ..EventMeta::default()
             },
         );
-        let _stage_timer = self.metrics.stage_random_access.start_timer();
-        let mut span = self.trace.span(Stage::RandomAccess).chunk(key);
+        let _stage_timer = shared.metrics.stage_random_access.start_timer();
+        let mut span = shared.trace().span(Stage::RandomAccess).chunk(key);
         if let Some(checksums) = &checksums {
             span.set_member(checksums.first_member);
         }
-        let result = match self.chunk_decoder().decode_at(&DirectChunk {
+        let result = match shared.decoder.decode_at(&DirectChunk {
             start_bit_offset: key,
             stop_bit_offset: stop_bit,
             window: &window,
@@ -1273,11 +869,11 @@ impl ParallelGzipReader {
         span.set_outcome(Outcome::Committed);
         span.finish();
         let data = Arc::new(result.data);
-        let mut state = self.state.lock();
+        let mut state = shared.lock();
         state.statistics.index_chunks += 1;
         self.count_fast_path_verification(&mut state, key);
-        self.metrics.chunks_index.inc();
-        self.metrics.bytes_out.add(data.len() as u64);
+        shared.metrics.chunks_index.inc();
+        shared.metrics.bytes_out.add(data.len() as u64);
         state.resolved_cache.insert(key, data.clone());
         Ok(data)
     }
@@ -1286,10 +882,17 @@ impl ParallelGzipReader {
     /// it, advancing the sequential pass as far as that takes; `None` at the
     /// end of the stream.
     fn chunk_at_position(&self) -> Result<Option<(ChunkBytes, usize)>, CoreError> {
+        let shared = &self.shared;
         loop {
-            let covering_point = {
-                let state = self.state.lock();
-                state.index.block_map.find(self.position).cloned()
+            let (covering_point, finished) = {
+                let mut state = shared.lock();
+                let point = state.index.block_map.find(self.position).cloned();
+                if let Some(point) = &point {
+                    // Keep the pool busy with the chunks after this one.
+                    let base = shared.guess_of(point.compressed_bit_offset);
+                    shared.issue_prefetches(&mut state, base);
+                }
+                (point, state.pass.finished)
             };
             if let Some(point) = covering_point {
                 let end = point.uncompressed_offset + point.uncompressed_size;
@@ -1311,11 +914,10 @@ impl ParallelGzipReader {
                 }
             }
             // The index does not (yet) cover the position.
-            let finished = self.state.lock().pass.finished;
             if finished {
-                // End of stream: a sequential pass has waited on every chunk
-                // by now, so a corrupt trailer anywhere must have been folded
-                // and is reported here at the latest.
+                // End of stream: a sequential pass has taken every chunk's
+                // bytes by now, so a corrupt trailer anywhere must have been
+                // folded and is reported here at the latest.
                 self.check_verification()?;
                 return Ok(None);
             }
@@ -1352,14 +954,8 @@ impl Seek for ParallelGzipReader {
             SeekFrom::End(delta) => {
                 // Seeking from the end requires knowing the total size, which
                 // may require finishing the sequential pass.
-                loop {
-                    let finished = self.state.lock().pass.finished;
-                    if finished {
-                        break;
-                    }
-                    self.advance_one_chunk().map_err(std::io::Error::from)?;
-                }
-                let size = self.state.lock().index.block_map.uncompressed_size();
+                self.finish_pass().map_err(std::io::Error::from)?;
+                let size = self.shared.lock().index.block_map.uncompressed_size();
                 size as i128 + delta as i128
             }
         };
@@ -2012,30 +1608,34 @@ mod tests {
             options(2, 64 * 1024).with_trace(trace.clone()),
         )
         .unwrap();
-        // Plant two impossible speculative results: offset 0 collides with
-        // the first on-demand chunk (counted as a mismatch), offset 1 can
-        // never be a chunk start (dropped as stale once the first chunk
-        // commits past it).
+        // Plant two impossible speculative results in the pass's table:
+        // the one in the first range collides with the first chunk, which is
+        // never taken from a speculative decode (a mismatch); the one in the
+        // second starts a bit after the range does, where chunk 0 will not be
+        // found to end (another), or is run past (stale).
         {
-            let mut state = reader.state.lock();
-            for found in [0u64, 1] {
-                state.speculative_ready.insert(
-                    found,
-                    SpeculativeChunk {
+            let mut state = reader.shared.lock();
+            state.pass.next_unissued = 2;
+            for (guess, found) in [(0usize, 0u64), (1, 64 * 1024 * 8 + 1)] {
+                state.pass.chunks.insert(
+                    guess,
+                    ChunkState::Markered(crate::SpeculativeChunk {
                         requested_bit_offset: found,
                         found_bit_offset: found,
                         end_bit_offset: found + 8,
                         output: crate::chunk::PooledOutput::adopt(
                             vec![0u16; 100].into(),
-                            &reader.buffers,
+                            reader.buffers(),
                         ),
                         window_usage: Vec::new(),
                         block_count: 1,
                         reached_end_of_file: false,
                         member_ends: Vec::new(),
-                    },
+                    }),
                 );
             }
+            // What a task that had just decoded the first of them would do.
+            assert!(reader.shared.commit_ready(&mut state).is_empty());
         }
         let mut reader = reader;
         assert_eq!(reader.decompress_all().unwrap(), data);

@@ -101,21 +101,28 @@ fn a_sequential_pass_takes_fresh_buffers_only_while_it_warms_up() {
                 most_idle_bytes: 0,
             };
             assert_eq!(reader.decompress_to(&mut watch).unwrap(), data.len() as u64);
-            // All but the first chunk and, where the file's last bytes hold
-            // no block to start from, the last come from speculative decodes.
+            // The first chunk and, where the file's last bytes hold no block
+            // to start from, the last are decoded on demand; every other
+            // either speculatively or — the chunk before it committed by
+            // the time a worker got to it, as with one worker it always is —
+            // from its known start, with no symbols at all.
             let statistics = reader.statistics();
             let on_demand = statistics.on_demand_chunks as usize;
+            let speculative = statistics.speculative_chunks_used;
             assert!(on_demand <= 2, "{statistics:?}");
             assert_eq!(
-                statistics.speculative_chunks_used as usize + on_demand,
+                (speculative + statistics.window_known_chunks) as usize + on_demand,
                 chunks
             );
+            if parallelization == 1 {
+                assert_eq!(speculative, 0, "{statistics:?}");
+            }
 
             // Every decode took a range buffer, every speculative one a
             // symbol buffer, every chunk's bytes ended up in a byte buffer…
             let total = |kind| takes(&registry, kind, "fresh") + takes(&registry, kind, "reused");
             assert!(total("range") >= chunks as u64);
-            assert!(total("u16") >= (chunks - on_demand) as u64);
+            assert!(total("u16") >= speculative);
             assert!(total("u8") >= chunks as u64);
             // …and few of them one the allocator had to provide, which is
             // what `fresh` counts.  However the threads were scheduled, no
@@ -131,9 +138,18 @@ fn a_sequential_pass_takes_fresh_buffers_only_while_it_warms_up() {
             // — and at most once more: two of the text corpus's largest
             // chunks lie fourteen apart, which an unlucky order of decodes
             // could stretch past the sixteen a shelf remembers.
+            //
+            // Symbol buffers have one more way to go and come back: over a
+            // stretch of chunks decoded from their known start nobody needs
+            // them, all 2P + 1 come home, P + 1 may stay, and the next
+            // speculative stretch creates up to P anew.  A pass changes
+            // between the two at most as often as it has chunks of the
+            // rarer kind — never with one worker, and never where every
+            // chunk is decoded ahead of the one before it.
+            let changes = speculative.min(statistics.window_known_chunks) as usize;
             let in_use = [
                 ("range", parallelization + on_demand),
-                ("u16", 2 * parallelization + 1),
+                ("u16", 2 * parallelization + 1 + parallelization * changes),
                 ("u8", in_flight + 1),
             ];
             for (kind, in_use) in in_use {
@@ -189,7 +205,9 @@ fn a_reader_dropped_mid_read_frees_every_buffer() {
         let mut buffer = vec![0u8; 300 * 1024];
         reader.read_exact(&mut buffer).unwrap();
         assert_eq!(buffer, data[..buffer.len()]);
-        assert!(takes(&registry, "u16", "fresh") > 0);
+        assert!(takes(&registry, "u8", "fresh") > 0);
+        // One worker decodes every chunk from its known start.
+        assert_eq!(takes(&registry, "u16", "fresh") > 0, parallelization > 1);
         drop(reader);
         // Only a pool nobody holds a buffer or a handle of takes what it
         // kept idle off the gauge.

@@ -58,6 +58,13 @@ fn sequential_statistics_match_registry_snapshot() {
     let reconstructed = ReaderStatistics::from_metrics_snapshot(&snapshot);
     assert_eq!(reconstructed, statistics);
 
+    // Every seek point is a chunk some path decoded.
+    assert_eq!(
+        statistics.speculative_chunks_used
+            + statistics.window_known_chunks
+            + statistics.on_demand_chunks,
+        reader.index().block_map.len() as u64
+    );
     // Every byte of a committed speculative chunk was decoded either as a
     // 16-bit marker symbol or, after the switch, as a plain byte.
     assert!(statistics.speculative_bytes_u16 > 0);
@@ -167,6 +174,10 @@ fn trace_report_counters_match_registry_snapshot() {
     assert_eq!(
         report.speculation.committed_chunks,
         counter(names::CHUNKS_DECODED, &[("path", "speculative")]),
+    );
+    assert_eq!(
+        report.speculation.window_known_chunks,
+        counter(names::CHUNKS_DECODED, &[("path", "window_known")]),
     );
     assert_eq!(
         report.speculation.wasted_chunks,

@@ -169,10 +169,19 @@ pub fn replace_markers(symbols: &[u16], window: &[u8]) -> Result<Vec<u8>, Deflat
 ///
 /// On x86-64 the replacement runs through a SIMD kernel (AVX2 when detected
 /// at runtime, SSE2 otherwise — see [`active_isa`]): 16–32 symbols are
-/// classified per iteration into literal and marker lanes, the literal lanes
-/// are narrowed and stored in one go, and only the (typically sparse) marker
-/// lanes take a scalar window fetch.  Every other platform runs the scalar
-/// reference the kernels are pinned to (see [`replace_markers_into`]).
+/// classified per iteration as literal, marker inside the window, or bad;
+/// a block of literals is narrowed and stored in one go.  What happens to a
+/// block with markers depends on the input's length.  From
+/// [`TABLE_MIN_SYMBOLS`] on, it is looked up whole in a per-thread table of
+/// 64 Ki bytes — symbol `s` maps to itself below 256 and to its window byte
+/// from `MARKER_BASE` + (32 KiB − the window's length) on; nothing in between
+/// gets past the classification — with `vpgatherdd` under AVX2: the cost of a
+/// block no longer depends on how many of its lanes are markers, and in text
+/// half of them are.  A shorter input (the 32 KiB the next chunk's window is
+/// resolved from) would not repay copying the window into the table and
+/// patches its marker lanes one at a time.  Every other platform runs the
+/// scalar forms of the same two; all of them are pinned to the one-symbol-
+/// at-a-time reference (see [`replace_markers_into`]).
 ///
 /// # Panics
 ///
@@ -195,6 +204,18 @@ pub fn replace_markers_to_slice_scalar(
 ) -> Result<(), DeflateError> {
     assert_eq!(out.len(), symbols.len(), "one output byte per symbol");
     replace_scalar(symbols, window, out).1
+}
+
+/// [`replace_markers_to_slice`] through the kernel that inputs shorter than
+/// [`TABLE_MIN_SYMBOLS`] take, whatever the length: what the benches time the
+/// table kernel against.
+pub fn replace_markers_to_slice_sparse(
+    symbols: &[u16],
+    window: &[u8],
+    out: &mut [u8],
+) -> Result<(), DeflateError> {
+    assert_eq!(out.len(), symbols.len(), "one output byte per symbol");
+    replace_sparse(symbols, window, out).1
 }
 
 /// [`replace_markers_to_slice`] appending to `out`, which an error leaves
@@ -241,6 +262,20 @@ fn replace_dispatched(
     window: &[u8],
     out: &mut [u8],
 ) -> (usize, Result<(), DeflateError>) {
+    if symbols.len() >= TABLE_MIN_SYMBOLS {
+        replace_dense(symbols, window, out)
+    } else {
+        replace_sparse(symbols, window, out)
+    }
+}
+
+/// The kernel for inputs too short to repay a table fill: literal lanes
+/// stored as a block, marker lanes patched one by one.
+fn replace_sparse(
+    symbols: &[u16],
+    window: &[u8],
+    out: &mut [u8],
+) -> (usize, Result<(), DeflateError>) {
     #[cfg(target_arch = "x86_64")]
     {
         match simd::kernel() {
@@ -250,6 +285,104 @@ fn replace_dispatched(
         }
     }
     replace_scalar(symbols, window, out)
+}
+
+/// A table kernel: a [`ReplaceFn`] with this thread's lookup table, set up
+/// for the window, as a fourth argument.
+type TableKernel = fn(&[u16], &[u8], &mut [u8], &Table) -> (usize, Result<(), DeflateError>);
+
+/// The kernel for long inputs: every block with a marker in it goes through
+/// the lookup table.
+fn replace_dense(
+    symbols: &[u16],
+    window: &[u8],
+    out: &mut [u8],
+) -> (usize, Result<(), DeflateError>) {
+    #[cfg(target_arch = "x86_64")]
+    let kernel: TableKernel = match simd::kernel() {
+        simd::Kernel::Avx2 => simd::replace_avx2_table,
+        simd::Kernel::Sse2 => simd::replace_sse2_table,
+        simd::Kernel::Scalar => replace_scalar_table,
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let kernel: TableKernel = replace_scalar_table;
+    with_table(window, |table| kernel(symbols, window, out, table))
+}
+
+/// Inputs of at least this many symbols resolve through the lookup table.
+/// Filling it is a copy of the window, so an input twice as long as the
+/// longest window pays at most half its own length for it, even one without
+/// a single marker to look up.
+pub const TABLE_MIN_SYMBOLS: usize = 2 * WINDOW_SIZE;
+
+/// One entry per 16-bit symbol, and four bytes more so that a 32-bit load at
+/// the last entry stays inside.
+const TABLE_LEN: usize = (1 << 16) + 4;
+
+type Table = [u8; TABLE_LEN];
+
+/// Runs `kernel` over this thread's lookup table, set up for `window`:
+/// entry `s` is `s` for a literal and the window byte for a marker inside the
+/// window.  The entries of the other symbols hold whatever earlier windows
+/// left there; the kernels reject those symbols before they look anything up.
+fn with_table<R>(window: &[u8], kernel: impl FnOnce(&Table) -> R) -> R {
+    thread_local! {
+        static TABLE: std::cell::RefCell<Box<Table>> = std::cell::RefCell::new({
+            let mut table: Box<Table> = vec![0u8; TABLE_LEN]
+                .into_boxed_slice()
+                .try_into()
+                .expect("a vector of TABLE_LEN bytes");
+            for (entry, literal) in table.iter_mut().zip(0..=u8::MAX) {
+                *entry = literal;
+            }
+            table
+        });
+    }
+    TABLE.with(|table| {
+        let mut table = table.borrow_mut();
+        table[(1 << 16) - window.len()..1 << 16].copy_from_slice(window);
+        kernel(&table)
+    })
+}
+
+/// Everything from symbol `done` on — the block a kernel stopped in front of,
+/// or the remainder — through the scalar reference, for its exact error and
+/// the count of bytes preceding it.
+fn finish_scalar(
+    symbols: &[u16],
+    window: &[u8],
+    out: &mut [u8],
+    done: usize,
+) -> (usize, Result<(), DeflateError>) {
+    let (written, result) = replace_scalar(&symbols[done..], window, &mut out[done..]);
+    (done + written, result)
+}
+
+/// The scalar form of the table kernel: validate a block, then look every
+/// symbol of it up.  `symbol as usize` cannot exceed the table, so the lookup
+/// is neither checked nor branches on what kind of symbol it has.
+fn replace_scalar_table(
+    symbols: &[u16],
+    window: &[u8],
+    out: &mut [u8],
+    table: &Table,
+) -> (usize, Result<(), DeflateError>) {
+    const BLOCK: usize = 512;
+    let first_marker = MARKER_BASE as usize + (WINDOW_SIZE - window.len());
+    let mut done = 0;
+    for (block, target) in symbols.chunks(BLOCK).zip(out.chunks_mut(BLOCK)) {
+        let valid = block
+            .iter()
+            .all(|&symbol| symbol < 256 || symbol as usize >= first_marker);
+        if !valid {
+            break;
+        }
+        for (byte, &symbol) in target.iter_mut().zip(block) {
+            *byte = table[symbol as usize];
+        }
+        done += block.len();
+    }
+    finish_scalar(symbols, window, out, done)
 }
 
 fn replace_scalar(
@@ -320,30 +453,39 @@ pub fn active_isa() -> &'static str {
 
 /// SIMD marker replacement (x86-64).
 ///
-/// Every block of `LANES` 16-bit symbols is classified with three vector
-/// masks:
+/// Every block of `LANES` 16-bit symbols is classified with vector masks:
 ///
 /// * **literal** — high byte zero (symbol < 256);
 /// * **marker** — sign bit set ([`MARKER_BASE`] is `0x8000`, so markers are
-///   exactly the negative lanes when reinterpreted as `i16`);
+///   exactly the negative lanes when reinterpreted as `i16`); the table
+///   kernels also tell, with one signed compare of the offset, whether it
+///   lies **inside the window**;
 /// * **invalid** — neither (256..=32767), which must surface the scalar
 ///   path's exact `InvalidMarkerSymbol` error and partial output.
 ///
-/// Literal lanes are narrowed to bytes (`packus` saturation only mangles
-/// non-literal lanes, which are overwritten or rejected) and stored with one
-/// unaligned write; marker lanes are then patched individually, iterating
-/// the movemask bit-set — on real chunks markers are sparse, so the scalar
-/// patch loop touches only a few lanes per block.  The vector loop stops in
-/// front of a block containing an invalid symbol or an out-of-window marker
-/// and leaves it, like the remainder, to the scalar reference, so the error
-/// and the count of bytes preceding it match bit-for-bit.
+/// A block of literals is narrowed to bytes and stored with one unaligned
+/// write (`packus`) by every kernel.  For a block with markers there are two
+/// shapes.  The *patch* kernels ([`replace_sse2`], [`replace_avx2`]) store the
+/// narrowed block all the same and then overwrite the marker lanes one by
+/// one, iterating the movemask bit-set: cheap where markers are rare — the
+/// ledger counts one in a thousand symbols on base64 — and a loop of sixteen
+/// dependent steps per block where they are not: one symbol in two on the
+/// text corpus, where this ran at a quarter of the speed.  The *table*
+/// kernels ([`replace_sse2_table`], [`replace_avx2_table`]) look the whole
+/// block up in a 64 Ki-entry byte table, by `vpgatherdd` or lane by lane,
+/// after the classification has vouched for every lane; `super::
+/// replace_dispatched` picks by input length.  Either way the vector loop
+/// stops in front of a block containing an invalid symbol or an
+/// out-of-window marker and leaves it, like the remainder, to the scalar
+/// reference, so the error and the count of bytes preceding it match
+/// bit-for-bit.
 // `unsafe` is confined to CPU intrinsics and stores whose bounds are
 // established by the up-front length assertion (workspace-wide policy:
 // unsafe only inside vetted SIMD kernel modules).
 #[allow(unsafe_code)]
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{replace_scalar, DeflateError, MARKER_BASE, WINDOW_SIZE};
+    use super::{finish_scalar, DeflateError, Table, MARKER_BASE, WINDOW_SIZE};
     use std::arch::x86_64::*;
 
     #[derive(Clone, Copy, PartialEq, Eq)]
@@ -491,16 +633,124 @@ mod simd {
         unsafe { replace_avx2_inner(symbols, window, out) }
     }
 
-    /// Everything from symbol `done` on — the block the vector loop stopped
-    /// in front of, or the remainder — through the scalar reference.
-    fn finish_scalar(
+    /// The largest offset *outside* a window of this length (−1 if there is
+    /// none), for a signed greater-than against a lane's symbol with its
+    /// sign bit flipped: that is the offset for a marker and negative for
+    /// anything else, so the compare selects exactly the markers inside.
+    fn last_offset_outside(window: &[u8]) -> i16 {
+        // 0..=32768, less one: fits.
+        ((WINDOW_SIZE - window.len()) as i32 - 1) as i16
+    }
+
+    pub(super) fn replace_sse2_table(
         symbols: &[u16],
         window: &[u8],
         out: &mut [u8],
-        done: usize,
+        table: &Table,
     ) -> (usize, Result<(), DeflateError>) {
-        let (written, result) = replace_scalar(&symbols[done..], window, &mut out[done..]);
-        (done + written, result)
+        assert!(out.len() >= symbols.len());
+        let mut written = 0;
+        // SAFETY: as in `replace_sse2`.
+        unsafe {
+            let zero = _mm_setzero_si128();
+            let sign = _mm_set1_epi16(i16::MIN);
+            let outside = _mm_set1_epi16(last_offset_outside(window));
+            for (block, target) in symbols.chunks_exact(16).zip(out.chunks_exact_mut(16)) {
+                let v0 = _mm_loadu_si128(block.as_ptr().cast());
+                let v1 = _mm_loadu_si128(block.as_ptr().add(8).cast());
+                let literal0 = _mm_cmpeq_epi16(_mm_srli_epi16(v0, 8), zero);
+                let literal1 = _mm_cmpeq_epi16(_mm_srli_epi16(v1, 8), zero);
+                let inside0 = _mm_cmpgt_epi16(_mm_xor_si128(v0, sign), outside);
+                let inside1 = _mm_cmpgt_epi16(_mm_xor_si128(v1, sign), outside);
+                let literal_bits = _mm_movemask_epi8(_mm_packs_epi16(literal0, literal1));
+                let inside_bits = _mm_movemask_epi8(_mm_packs_epi16(inside0, inside1));
+                if literal_bits | inside_bits != 0xFFFF {
+                    break;
+                }
+                if inside_bits == 0 {
+                    _mm_storeu_si128(target.as_mut_ptr().cast(), _mm_packus_epi16(v0, v1));
+                } else {
+                    for (byte, &symbol) in target.iter_mut().zip(block) {
+                        *byte = table[symbol as usize];
+                    }
+                }
+                written += 16;
+            }
+        }
+        finish_scalar(symbols, window, out, written)
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn replace_avx2_table_inner(
+        symbols: &[u16],
+        window: &[u8],
+        out: &mut [u8],
+        table: &Table,
+    ) -> (usize, Result<(), DeflateError>) {
+        assert!(out.len() >= symbols.len());
+        let mut written = 0;
+        // SAFETY: the stores are as in `replace_sse2`, with blocks of 32.
+        // Each gather lane loads the four bytes at `table + symbol`, a
+        // zero-extended `u16`: at most 65535 + 3, inside the `Table`'s
+        // 65536 + 4 bytes.
+        unsafe {
+            let base = out.as_mut_ptr();
+            let zero = _mm256_setzero_si256();
+            let sign = _mm256_set1_epi16(i16::MIN);
+            let outside = _mm256_set1_epi16(last_offset_outside(window));
+            let low_byte = _mm256_set1_epi32(0xFF);
+            // 256-bit packs interleave 128-bit halves; one permute of the
+            // packed result's dwords (or qwords) puts them in symbol order.
+            let order = _mm256_permute4x64_epi64::<0b11_01_10_00>;
+            let gathered_order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+            let entries: *const i32 = table.as_ptr().cast();
+            for block in symbols.chunks_exact(32) {
+                let v0 = _mm256_loadu_si256(block.as_ptr().cast());
+                let v1 = _mm256_loadu_si256(block.as_ptr().add(16).cast());
+                let literal0 = _mm256_cmpeq_epi16(_mm256_srli_epi16(v0, 8), zero);
+                let literal1 = _mm256_cmpeq_epi16(_mm256_srli_epi16(v1, 8), zero);
+                let inside0 = _mm256_cmpgt_epi16(_mm256_xor_si256(v0, sign), outside);
+                let inside1 = _mm256_cmpgt_epi16(_mm256_xor_si256(v1, sign), outside);
+                // Neither mask is needed in lane order: one is compared with
+                // all ones, the other with zero.
+                let literal_bits = _mm256_movemask_epi8(_mm256_packs_epi16(literal0, literal1));
+                let inside_bits = _mm256_movemask_epi8(_mm256_packs_epi16(inside0, inside1));
+                if literal_bits | inside_bits != -1 {
+                    break;
+                }
+                let dst = base.add(written);
+                if inside_bits == 0 {
+                    _mm256_storeu_si256(dst.cast(), order(_mm256_packus_epi16(v0, v1)));
+                } else {
+                    let gather = |lanes: __m128i| {
+                        let indexes = _mm256_cvtepu16_epi32(lanes);
+                        _mm256_and_si256(_mm256_i32gather_epi32::<1>(entries, indexes), low_byte)
+                    };
+                    let a = gather(_mm256_castsi256_si128(v0));
+                    let b = gather(_mm256_extracti128_si256::<1>(v0));
+                    let c = gather(_mm256_castsi256_si128(v1));
+                    let d = gather(_mm256_extracti128_si256::<1>(v1));
+                    // As dwords of four bytes each: a0 b0 c0 d0 | a1 b1 c1 d1.
+                    let bytes =
+                        _mm256_packus_epi16(_mm256_packus_epi32(a, b), _mm256_packus_epi32(c, d));
+                    let bytes = _mm256_permutevar8x32_epi32(bytes, gathered_order);
+                    _mm256_storeu_si256(dst.cast(), bytes);
+                }
+                written += 32;
+            }
+        }
+        finish_scalar(symbols, window, out, written)
+    }
+
+    pub(super) fn replace_avx2_table(
+        symbols: &[u16],
+        window: &[u8],
+        out: &mut [u8],
+        table: &Table,
+    ) -> (usize, Result<(), DeflateError>) {
+        // SAFETY: only called where AVX2 was detected (`kernel()` returned
+        // Avx2, or the test asked `is_x86_feature_detected!` itself).
+        unsafe { replace_avx2_table_inner(symbols, window, out, table) }
     }
 }
 
@@ -979,6 +1229,129 @@ mod tests {
         assert_simd_matches_scalar(&symbols, &window);
     }
 
+    /// A table kernel by name, for the tests to run whichever the CPU has —
+    /// not only the one the dispatch picked.
+    type TableKernel = fn(&[u16], &[u8], &mut [u8], &Table) -> (usize, Result<(), DeflateError>);
+
+    fn table_kernels() -> Vec<(&'static str, TableKernel)> {
+        let mut kernels: Vec<(&'static str, TableKernel)> = vec![("scalar", replace_scalar_table)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            kernels.push(("sse2", simd::replace_sse2_table));
+            if is_x86_feature_detected!("avx2") {
+                kernels.push(("avx2", simd::replace_avx2_table));
+            }
+        }
+        kernels
+    }
+
+    /// Every table kernel against the one-symbol-at-a-time reference: the
+    /// same result, the same count of bytes written, the same bytes.
+    fn assert_table_kernels_match_scalar(symbols: &[u16], window: &[u8]) {
+        let mut expected = vec![0xA5u8; symbols.len()];
+        let (expected_written, expected_result) = replace_scalar(symbols, window, &mut expected);
+        for (name, kernel) in table_kernels() {
+            let mut out = vec![0xA5u8; symbols.len()];
+            let (written, result) =
+                with_table(window, |table| kernel(symbols, window, &mut out, table));
+            assert_eq!(result, expected_result, "{name}: result");
+            assert_eq!(written, expected_written, "{name}: bytes written");
+            assert_eq!(out[..written], expected[..written], "{name}: output");
+        }
+    }
+
+    /// `length` symbols, `per_mille` of them markers (in runs, as copies from
+    /// the window come) into a window of `window_length` bytes.
+    fn symbols_with_markers(
+        length: usize,
+        per_mille: u32,
+        window_length: usize,
+        seed: u64,
+    ) -> Vec<u16> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let window_base = WINDOW_SIZE - window_length;
+        let mut symbols = Vec::with_capacity(length);
+        while symbols.len() < length {
+            let run = 3 + (next() % 38) as usize;
+            let marker = (next() % 1000) < u64::from(per_mille);
+            for _ in 0..run.min(length - symbols.len()) {
+                symbols.push(if marker {
+                    // With no window to point into, every marker is a bad one.
+                    let offset = window_base + (next() as usize % window_length.max(1));
+                    MARKER_BASE + offset.min(WINDOW_SIZE - 1) as u16
+                } else {
+                    (next() % 256) as u16
+                });
+            }
+        }
+        symbols
+    }
+
+    const DENSITIES_PER_MILLE: [u32; 5] = [0, 1, 50, 500, 1000];
+    const WINDOW_LENGTHS: [usize; 4] = [0, 1, WINDOW_SIZE - 1, WINDOW_SIZE];
+
+    #[test]
+    fn table_kernels_match_scalar_around_the_lane_counts() {
+        for (window_length, per_mille) in WINDOW_LENGTHS
+            .into_iter()
+            .flat_map(|window| DENSITIES_PER_MILLE.map(|density| (window, density)))
+        {
+            let window: Vec<u8> = (0..window_length).map(|i| (i % 251) as u8).collect();
+            for length in [
+                0usize, 1, 15, 16, 17, 31, 32, 33, 47, 63, 64, 65, 511, 512, 513, 1100,
+            ] {
+                let symbols = symbols_with_markers(length, per_mille, window_length, 17);
+                assert_table_kernels_match_scalar(&symbols, &window);
+            }
+        }
+    }
+
+    #[test]
+    fn table_kernels_stop_where_the_scalar_loop_stops_at_every_lane() {
+        // A window one byte short of full: offset 0 is the one marker outside.
+        let window: Vec<u8> = (0..WINDOW_SIZE - 1).map(|i| (i % 253) as u8).collect();
+        let valid = symbols_with_markers(160, 500, window.len(), 29);
+        assert!(replace_markers(&valid, &window).is_ok());
+        assert!(contains_markers(&valid[..32]) && contains_markers(&valid[64..96]));
+        for position in 0..96 {
+            for bad in [300u16, MARKER_BASE - 1, MARKER_BASE] {
+                let mut symbols = valid.clone();
+                symbols[position] = bad;
+                assert_table_kernels_match_scalar(&symbols, &window);
+                assert_simd_matches_scalar(&symbols, &window);
+            }
+        }
+    }
+
+    #[test]
+    fn long_inputs_take_the_table_and_match_scalar_around_the_threshold() {
+        let window: Vec<u8> = (0..WINDOW_SIZE).map(|i| (i % 249) as u8).collect();
+        for per_mille in DENSITIES_PER_MILLE {
+            for length in [
+                TABLE_MIN_SYMBOLS - 33,
+                TABLE_MIN_SYMBOLS - 1,
+                TABLE_MIN_SYMBOLS,
+                TABLE_MIN_SYMBOLS + 1,
+                TABLE_MIN_SYMBOLS + 31,
+                TABLE_MIN_SYMBOLS + 32,
+                TABLE_MIN_SYMBOLS + 33,
+            ] {
+                let mut symbols = symbols_with_markers(length, per_mille, window.len(), 41);
+                assert_simd_matches_scalar(&symbols, &window);
+                // A bad symbol deep inside: the error and the bytes before it.
+                symbols[TABLE_MIN_SYMBOLS - 40] = 256;
+                assert_simd_matches_scalar(&symbols, &window);
+                assert_simd_matches_scalar(&symbols, &window[1..]);
+            }
+        }
+    }
+
     proptest! {
         // Differential: the runtime-dispatched kernel (AVX2/SSE2 on x86-64)
         // must match the portable scalar reference bit-for-bit on arbitrary
@@ -1010,6 +1383,30 @@ mod tests {
                     symbols[position] = MARKER_BASE + offset;
                 }
             }
+            assert_simd_matches_scalar(&symbols, &window);
+        }
+
+        // The table kernels (all of them, whichever the dispatch picked) and
+        // the dispatched entry points on inputs long enough for the table:
+        // marker density x window length x length, a bad symbol or none.
+        #[test]
+        fn table_kernels_and_scalar_replacement_agree(
+            seed in any::<u64>(),
+            density in 0usize..5,
+            window_length in prop_oneof![
+                Just(0usize), Just(1usize), Just(WINDOW_SIZE - 1), Just(WINDOW_SIZE), 2usize..WINDOW_SIZE
+            ],
+            length in prop_oneof![0usize..200, (TABLE_MIN_SYMBOLS - 40)..(TABLE_MIN_SYMBOLS + 40)],
+            bad in (any::<bool>(), 0usize..TABLE_MIN_SYMBOLS, any::<u16>()),
+        ) {
+            let window: Vec<u8> = (0..window_length).map(|i| (i as u64 ^ seed) as u8).collect();
+            let mut symbols =
+                symbols_with_markers(length, DENSITIES_PER_MILLE[density], window_length, seed);
+            if let ((true, position, symbol), false) = (bad, symbols.is_empty()) {
+                let position = position % symbols.len();
+                symbols[position] = symbol;
+            }
+            assert_table_kernels_match_scalar(&symbols, &window);
             assert_simd_matches_scalar(&symbols, &window);
         }
 

@@ -1,6 +1,8 @@
 //! The cache-and-prefetch machinery (§3.1–§3.2, Figure 5).
 //!
-//! * [`ThreadPool`] — a fixed-size worker pool with joinable task handles.
+//! * [`ThreadPool`] — a fixed-size worker pool with joinable task handles, an
+//!   urgent lane in front of the normal one, and a [`Spawner`] for tasks that
+//!   submit tasks.
 //! * [`BufferPool`] — the chunk buffers (compressed range, 16-bit symbols,
 //!   output bytes) a reader's tasks take and give back instead of going to
 //!   the allocator, and through it the kernel, for each chunk.
@@ -26,7 +28,7 @@ pub use cache::{Cache, CacheStatistics, CacheStrategy, LeastRecentlyUsed};
 pub use chunk_fetcher::{ChunkFetcher, ChunkFetcherConfig, FetchStatistics};
 pub use plan::IndexAlignedPlan;
 pub use strategy::{FetchNextAdaptive, FetchNextFixed, FetchNextMultiStream, FetchingStrategy};
-pub use thread_pool::{PoolStatistics, TaskHandle, ThreadPool};
+pub use thread_pool::{PoolStatistics, Spawner, TaskHandle, ThreadPool};
 
 #[cfg(test)]
 mod tests {

@@ -2,20 +2,99 @@
 //!
 //! The paper's architecture dispatches chunk decompression and marker
 //! replacement as tasks to a shared pool (the `ThreadPool` / `JoiningThread`
-//! classes in Figure 5).  This implementation uses a crossbeam MPMC channel
-//! as the work queue and a small one-shot channel per task for the result.
+//! classes in Figure 5).  The work queue has two lanes: a worker takes from
+//! the *urgent* lane before it looks at the *normal* one, and each lane is
+//! first in, first out.  The reader puts what its consumer is waiting for —
+//! the decode of the chunk the pass stands at, the marker replacement of a
+//! committed chunk — in front of the decodes it issued ahead; everything else
+//! in the workspace uses the normal lane.  A small one-shot channel per task
+//! carries the result.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver};
 use rgz_metrics::{exponential_buckets, Counter, Gauge, Histogram, MetricsRegistry};
 use rgz_trace::{EventMeta, Outcome, Stage, TraceSink};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+#[derive(Clone, Copy)]
+enum Lane {
+    Urgent,
+    Normal,
+}
+
+#[derive(Default)]
+struct Lanes {
+    urgent: VecDeque<Job>,
+    normal: VecDeque<Job>,
+    /// The pool is being dropped: workers leave once both lanes are empty.
+    closed: bool,
+    /// Workers that have not left yet.
+    workers: usize,
+}
+
+/// The two-lane work queue the workers and every [`Spawner`] share.
+struct Queue {
+    lanes: Mutex<Lanes>,
+    available: Condvar,
+}
+
+impl Queue {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lanes> {
+        // A job never runs under this lock, so a poisoned one still holds
+        // two well-formed queues.
+        self.lanes.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `job`, or hands it back if no worker is left to run it.
+    fn push(&self, lane: Lane, job: Job) -> Result<(), Job> {
+        let mut lanes = self.lock();
+        if lanes.workers == 0 {
+            return Err(job);
+        }
+        match lane {
+            Lane::Urgent => lanes.urgent.push_back(job),
+            Lane::Normal => lanes.normal.push_back(job),
+        }
+        drop(lanes);
+        self.available.notify_one();
+        Ok(())
+    }
+
+    /// The next job — urgent before normal — or `None` once the queue is
+    /// closed and empty, which counts the calling worker out.
+    fn pop(&self) -> Option<Job> {
+        let mut lanes = self.lock();
+        loop {
+            let job = match lanes.urgent.pop_front() {
+                Some(job) => Some(job),
+                None => lanes.normal.pop_front(),
+            };
+            if job.is_some() {
+                return job;
+            }
+            if lanes.closed {
+                lanes.workers -= 1;
+                return None;
+            }
+            lanes = self
+                .available
+                .wait(lanes)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.available.notify_all();
+    }
+}
 
 /// Point-in-time pool occupancy, readable whether or not a metrics registry
 /// is attached (the counters below are always maintained; the registry
@@ -99,87 +178,49 @@ impl<T> TaskHandle<T> {
     }
 }
 
-/// A fixed-size worker pool.
-pub struct ThreadPool {
-    sender: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+/// Submits tasks to a [`ThreadPool`] without owning its threads.
+///
+/// Anything a *task* holds on to — the reader's shared pass state, the
+/// window store — submits through one of these: dropping it on a worker
+/// thread joins nothing, so no task can end up waiting for its own thread.
+/// A spawner that outlives its pool runs what it is given on the calling
+/// thread.
+#[derive(Clone)]
+pub struct Spawner {
+    queue: Arc<Queue>,
     trace: Arc<TraceSink>,
     observers: Arc<PoolObservers>,
 }
 
-impl std::fmt::Debug for ThreadPool {
+impl std::fmt::Debug for Spawner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("workers", &self.workers.len())
-            .finish()
+        f.debug_struct("Spawner").finish_non_exhaustive()
     }
 }
 
-impl ThreadPool {
-    /// Spawns `size` worker threads (at least one).
-    pub fn new(size: usize) -> Self {
-        Self::new_traced(size, TraceSink::shared_disabled())
-    }
-
-    /// Spawns `size` worker threads that report queue-wait spans to `trace`.
-    pub fn new_traced(size: usize, trace: Arc<TraceSink>) -> Self {
-        Self::new_observed(size, trace, MetricsRegistry::shared_disabled())
-    }
-
-    /// Spawns `size` worker threads reporting to both `trace` and the live
-    /// metrics registry (queue depth / inflight gauges, task-wait histogram).
-    pub fn new_observed(size: usize, trace: Arc<TraceSink>, metrics: Arc<MetricsRegistry>) -> Self {
-        let size = size.max(1);
-        let (sender, receiver) = unbounded::<Job>();
-        let workers = (0..size)
-            .map(|index| {
-                let receiver: Receiver<Job> = receiver.clone();
-                std::thread::Builder::new()
-                    .name(format!("rgz-worker-{index}"))
-                    .spawn(move || {
-                        while let Ok(job) = receiver.recv() {
-                            job();
-                        }
-                    })
-                    .expect("failed to spawn worker thread")
-            })
-            .collect();
-        Self {
-            sender: Some(sender),
-            workers,
-            trace,
-            observers: Arc::new(PoolObservers::new(metrics)),
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn size(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Current queue depth / inflight / submitted counts.
-    pub fn statistics(&self) -> PoolStatistics {
-        PoolStatistics {
-            queue_depth: self.observers.queued.load(Ordering::Relaxed).max(0) as u64,
-            tasks_inflight: self.observers.inflight.load(Ordering::Relaxed).max(0) as u64,
-            tasks_submitted: self.observers.submitted.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The metrics registry the pool reports to (the shared disabled one
-    /// unless the pool was built with [`ThreadPool::new_observed`]).
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.observers.metrics
-    }
-
-    /// The sink queue-wait spans are reported to (shared disabled sink when
-    /// the pool was built with [`ThreadPool::new`]).
-    pub fn trace(&self) -> &Arc<TraceSink> {
-        &self.trace
-    }
-
-    /// Submits a closure and returns a handle to its result.
+impl Spawner {
+    /// Submits a closure to the normal lane and returns a handle to its
+    /// result.
     pub fn submit<T, F>(&self, task: F) -> TaskHandle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        self.submit_to(Lane::Normal, task)
+    }
+
+    /// Submits a closure to the urgent lane: it runs before every task of
+    /// the normal lane that no worker has started yet, and after the urgent
+    /// ones submitted before it.
+    pub fn submit_urgent<T, F>(&self, task: F) -> TaskHandle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        self.submit_to(Lane::Urgent, task)
+    }
+
+    fn submit_to<T, F>(&self, lane: Lane, task: F) -> TaskHandle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
@@ -222,21 +263,129 @@ impl ThreadPool {
             // that is fine, the work is simply discarded.
             let _ = result_sender.send(outcome);
         });
-        self.sender
-            .as_ref()
-            .expect("thread pool already shut down")
-            .send(job)
-            .expect("worker threads terminated unexpectedly");
+        if let Err(job) = self.queue.push(lane, job) {
+            job();
+        }
         TaskHandle {
             receiver: result_receiver,
         }
     }
 }
 
+/// A fixed-size worker pool.
+pub struct ThreadPool {
+    spawner: Spawner,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl std::fmt::Debug for ThreadPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ThreadPool")
+            .field("workers", &self.workers.len())
+            .finish()
+    }
+}
+
+impl ThreadPool {
+    /// Spawns `size` worker threads (at least one).
+    pub fn new(size: usize) -> Self {
+        Self::new_traced(size, TraceSink::shared_disabled())
+    }
+
+    /// Spawns `size` worker threads that report queue-wait spans to `trace`.
+    pub fn new_traced(size: usize, trace: Arc<TraceSink>) -> Self {
+        Self::new_observed(size, trace, MetricsRegistry::shared_disabled())
+    }
+
+    /// Spawns `size` worker threads reporting to both `trace` and the live
+    /// metrics registry (queue depth / inflight gauges, task-wait histogram).
+    pub fn new_observed(size: usize, trace: Arc<TraceSink>, metrics: Arc<MetricsRegistry>) -> Self {
+        let size = size.max(1);
+        let queue = Arc::new(Queue {
+            lanes: Mutex::new(Lanes {
+                workers: size,
+                ..Lanes::default()
+            }),
+            available: Condvar::new(),
+        });
+        let workers = (0..size)
+            .map(|index| {
+                let queue = Arc::clone(&queue);
+                std::thread::Builder::new()
+                    .name(format!("rgz-worker-{index}"))
+                    .spawn(move || {
+                        while let Some(job) = queue.pop() {
+                            job();
+                        }
+                    })
+                    .expect("failed to spawn worker thread")
+            })
+            .collect();
+        Self {
+            spawner: Spawner {
+                queue,
+                trace,
+                observers: Arc::new(PoolObservers::new(metrics)),
+            },
+            workers,
+        }
+    }
+
+    /// Number of worker threads.
+    pub fn size(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Current queue depth / inflight / submitted counts.
+    pub fn statistics(&self) -> PoolStatistics {
+        let observers = &self.spawner.observers;
+        PoolStatistics {
+            queue_depth: observers.queued.load(Ordering::Relaxed).max(0) as u64,
+            tasks_inflight: observers.inflight.load(Ordering::Relaxed).max(0) as u64,
+            tasks_submitted: observers.submitted.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The metrics registry the pool reports to (the shared disabled one
+    /// unless the pool was built with [`ThreadPool::new_observed`]).
+    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+        &self.spawner.observers.metrics
+    }
+
+    /// The sink queue-wait spans are reported to (shared disabled sink when
+    /// the pool was built with [`ThreadPool::new`]).
+    pub fn trace(&self) -> &Arc<TraceSink> {
+        &self.spawner.trace
+    }
+
+    /// A handle tasks can keep to submit more work to this pool.
+    pub fn spawner(&self) -> Spawner {
+        self.spawner.clone()
+    }
+
+    /// Submits a closure and returns a handle to its result.
+    pub fn submit<T, F>(&self, task: F) -> TaskHandle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        self.spawner.submit(task)
+    }
+
+    /// [`Spawner::submit_urgent`] on this pool.
+    pub fn submit_urgent<T, F>(&self, task: F) -> TaskHandle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        self.spawner.submit_urgent(task)
+    }
+}
+
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        // Closing the channel makes the workers exit their receive loop.
-        self.sender.take();
+        // Workers finish what is queued — and what that queues — and leave.
+        self.spawner.queue.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -391,6 +540,98 @@ mod tests {
                 .count,
             3
         );
+    }
+
+    #[test]
+    fn urgent_tasks_run_first_and_each_lane_in_order() {
+        let pool = ThreadPool::new(1);
+        // Hold the only worker so that everything below queues up behind it.
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let (started_tx, started) = std::sync::mpsc::channel::<()>();
+        let blocker = pool.submit(move || {
+            started_tx.send(()).unwrap();
+            held.recv().unwrap();
+        });
+        started.recv().unwrap();
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let record = |name: &'static str| {
+            let order = Arc::clone(&order);
+            move || order.lock().unwrap().push(name)
+        };
+        let spawner = pool.spawner();
+        let handles = vec![
+            pool.submit(record("normal 1")),
+            pool.submit_urgent(record("urgent 1")),
+            spawner.submit(record("normal 2")),
+            spawner.submit_urgent(record("urgent 2")),
+            pool.submit(record("normal 3")),
+        ];
+        assert_eq!(pool.statistics().queue_depth, 5);
+        release.send(()).unwrap();
+        blocker.wait();
+        for handle in handles {
+            handle.wait();
+        }
+        assert_eq!(
+            *order.lock().unwrap(),
+            ["urgent 1", "urgent 2", "normal 1", "normal 2", "normal 3"]
+        );
+    }
+
+    #[test]
+    fn dropping_the_pool_runs_both_lanes_and_what_they_submit() {
+        let counter = Arc::new(AtomicUsize::new(0));
+        let pool = ThreadPool::new(2);
+        let spawner = pool.spawner();
+        // Hold both workers, so that both lanes are still full when the pool
+        // is dropped: they are let go from another thread, once this one is
+        // on its way into the drop.
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let held = Arc::new(std::sync::Mutex::new(held));
+        let (started_tx, started) = std::sync::mpsc::channel::<()>();
+        for _ in 0..2 {
+            let held = Arc::clone(&held);
+            let started_tx = started_tx.clone();
+            drop(pool.submit(move || {
+                started_tx.send(()).unwrap();
+                let _ = held.lock().unwrap().recv();
+            }));
+        }
+        started.recv().unwrap();
+        started.recv().unwrap();
+        for index in 0..40 {
+            let counter = counter.clone();
+            let spawner = spawner.clone();
+            let task = move || {
+                counter.fetch_add(1, Ordering::SeqCst);
+                // A task that submits a task, as a committing worker does —
+                // also while the pool is being dropped.
+                let counter = counter.clone();
+                drop(spawner.submit_urgent(move || {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                }));
+            };
+            if index % 2 == 0 {
+                drop(pool.submit(task));
+            } else {
+                drop(pool.submit_urgent(task));
+            }
+        }
+        assert_eq!(pool.statistics().queue_depth, 40);
+        let (dropping_tx, dropping) = std::sync::mpsc::channel::<()>();
+        let releaser = std::thread::spawn(move || {
+            dropping.recv().unwrap();
+            // Both blockers: one message each.
+            release.send(()).unwrap();
+            release.send(()).unwrap();
+        });
+        dropping_tx.send(()).unwrap();
+        drop(pool);
+        releaser.join().unwrap();
+        assert_eq!(counter.load(Ordering::SeqCst), 80);
+        // Nobody is left to run it: the caller does.
+        assert_eq!(spawner.submit(|| 7).wait(), 7);
+        assert_eq!(spawner.submit_urgent(|| 8).wait(), 8);
     }
 
     #[test]

@@ -24,6 +24,10 @@ pub mod instants {
     /// A speculative chunk was discarded (`bytes` = uncompressed bytes
     /// decoded in vain).
     pub const SPEC_WASTE: &str = "spec_waste";
+    /// A chunk issued as a speculative decode found its exact start and
+    /// window known when its task began, decoded one-stage, and was
+    /// committed (`bytes` = uncompressed size).
+    pub const WINDOW_KNOWN_COMMIT: &str = "window_known_commit";
     /// An index-aligned prefetch decode was issued.
     pub const PREFETCH_ISSUE: &str = "prefetch_issue";
     /// A random-access read was served from a prefetched chunk.
@@ -81,6 +85,9 @@ pub struct SpeculationSummary {
     pub committed_chunks: u64,
     /// Uncompressed bytes committed from speculative decodes.
     pub committed_bytes: u64,
+    /// Chunks submitted as speculative decodes that decoded one-stage
+    /// instead, their start and window known by the time they began.
+    pub window_known_chunks: u64,
     /// Speculative chunks decoded but discarded.
     pub wasted_chunks: u64,
     /// Uncompressed bytes decoded in vain.
@@ -194,6 +201,9 @@ impl MetricsReport {
                                 report.speculation.wasted_chunks += 1;
                                 report.speculation.wasted_bytes += bytes;
                             }
+                            instants::WINDOW_KNOWN_COMMIT => {
+                                report.speculation.window_known_chunks += 1;
+                            }
                             instants::PREFETCH_ISSUE => report.prefetch.issued += 1,
                             instants::PREFETCH_HIT => report.prefetch.hits += 1,
                             instants::PREFETCH_MISS => report.prefetch.misses += 1,
@@ -291,10 +301,12 @@ impl MetricsReport {
         }
         let _ = writeln!(
             out,
-            "  speculation: {} submitted, {} committed ({} B), {} wasted ({} B), waste ratio {:.1}%",
+            "  speculation: {} submitted, {} committed ({} B), {} decoded window-known, \
+             {} wasted ({} B), waste ratio {:.1}%",
             self.speculation.submitted,
             self.speculation.committed_chunks,
             self.speculation.committed_bytes,
+            self.speculation.window_known_chunks,
             self.speculation.wasted_chunks,
             self.speculation.wasted_bytes,
             100.0 * self.speculation.waste_ratio()
@@ -353,11 +365,12 @@ impl MetricsReport {
         let _ = write!(
             out,
             "}},\"speculation\":{{\"submitted\":{},\"committed_chunks\":{},\
-             \"committed_bytes\":{},\"wasted_chunks\":{},\"wasted_bytes\":{},\
-             \"waste_ratio\":{}}}",
+             \"committed_bytes\":{},\"window_known_chunks\":{},\"wasted_chunks\":{},\
+             \"wasted_bytes\":{},\"waste_ratio\":{}}}",
             self.speculation.submitted,
             self.speculation.committed_chunks,
             self.speculation.committed_bytes,
+            self.speculation.window_known_chunks,
             self.speculation.wasted_chunks,
             self.speculation.wasted_bytes,
             format_f64(self.speculation.waste_ratio())

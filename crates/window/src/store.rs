@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rgz_fetcher::{Cache, CacheStatistics, TaskHandle, ThreadPool};
+use rgz_fetcher::{Cache, CacheStatistics, Spawner, TaskHandle, ThreadPool};
 use rgz_metrics::{exponential_buckets, Counter, Gauge, Histogram, MetricsRegistry};
 use rgz_trace::{Outcome, Stage, TraceSink};
 
@@ -111,7 +111,9 @@ impl StoreMetrics {
 }
 
 struct Inner {
-    pool: Option<Arc<ThreadPool>>,
+    /// Not the pool itself: a chunk task that holds the store must not be
+    /// able to drop, and so join, the pool it runs on.
+    pool: Option<Spawner>,
     trace: Arc<TraceSink>,
     slots: HashMap<u64, Slot>,
     hot: Cache<u64, Vec<u8>>,
@@ -205,9 +207,10 @@ impl WindowStore {
         }
     }
 
-    /// Attaches a thread pool; subsequent insertions compress asynchronously.
+    /// Attaches a thread pool; subsequent insertions compress asynchronously
+    /// for as long as it lives, and on the inserting thread after that.
     pub fn set_pool(&self, pool: Arc<ThreadPool>) {
-        self.inner.lock().pool = Some(pool);
+        self.inner.lock().pool = Some(pool.spawner());
     }
 
     /// Attaches a trace sink; window compress/inflate work records spans.

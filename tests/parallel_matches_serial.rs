@@ -4,7 +4,7 @@
 
 use std::io::Read;
 
-use rapidgzip_suite::core::{ParallelGzipReader, ParallelGzipReaderOptions};
+use rapidgzip_suite::core::{ParallelGzipReader, ParallelGzipReaderOptions, ReaderStatistics};
 use rapidgzip_suite::datagen;
 use rapidgzip_suite::gzip::{decompress, CompressorFrontend, FrontendKind, GzipWriter};
 
@@ -98,53 +98,50 @@ fn thread_and_chunk_size_sweep() {
     }
 }
 
-/// One run's observable result: output, exported v3 index and the statistics
-/// that do not depend on which worker finished first.
-#[derive(Debug, PartialEq, Eq)]
-struct Observed {
-    /// `output CRC-32, index length, index CRC-32, speculative chunks used,
-    /// on-demand chunks, mismatches` — everything the parent commit could
-    /// already report, pinned below to what it did report.
-    fingerprint: String,
-    /// `(u16, u8)` bytes of the committed speculative chunks.
-    speculative_bytes: (u64, u64),
-}
-
-fn observe(compressed: &[u8], members: u64, threads: usize, chunk_size: usize) -> Observed {
+/// One run's observable result: the output and the exported v3 index, as
+/// `output CRC-32, index length, index CRC-32`, and the reader's statistics.
+fn observe(
+    compressed: &[u8],
+    members: u64,
+    threads: usize,
+    chunk_size: usize,
+) -> (String, ReaderStatistics, usize) {
     use rapidgzip_suite::checksum::crc32;
     let mut reader =
         ParallelGzipReader::from_bytes(compressed.to_vec(), options(threads, chunk_size)).unwrap();
     let output = reader.decompress_all().unwrap();
-    let index = reader.index().export();
-    let statistics = reader.statistics();
+    let index = reader.index();
+    let seek_points = index.block_map.len();
+    let index = index.export();
     let verification = reader.verification_statistics();
     assert_eq!(verification.members_verified, members);
     assert_eq!(verification.bytes_verified, output.len() as u64);
     assert_eq!(verification.stream_crc32, crc32(&output));
-    Observed {
-        fingerprint: format!(
-            "{:08x} {} {:08x} {} {} {}",
-            crc32(&output),
-            index.len(),
-            // The file ends in its own CRC-32, which would make the CRC of
-            // the whole a constant.
-            crc32(&index[..index.len() - 4]),
-            statistics.speculative_chunks_used,
-            statistics.on_demand_chunks,
-            statistics.speculative_mismatches,
-        ),
-        speculative_bytes: (
-            statistics.speculative_bytes_u16,
-            statistics.speculative_bytes_u8,
-        ),
-    }
+    assert_eq!(verification.index_chunks_unverified, 0);
+    let fingerprint = format!(
+        "{:08x} {} {:08x}",
+        crc32(&output),
+        index.len(),
+        // The file ends in its own CRC-32, which would make the CRC of
+        // the whole a constant.
+        crc32(&index[..index.len() - 4]),
+    );
+    (fingerprint, reader.statistics(), seek_points)
 }
 
-/// Output bytes, exported v3 index bytes (seek points, sparse windows, CRC
-/// fragments) and order-independent statistics are a function of the file and
-/// the chunk size alone — not of the thread count, and not of how the
-/// speculative path decodes: the fingerprints are what the commit before the
-/// hybrid (u16 prefix + u8 tail) decoder produced.
+/// Output bytes and exported v3 index bytes (seek points, sparse windows, CRC
+/// fragments) are a function of the file and the chunk size alone — not of
+/// the thread count, and not of *how* a chunk was decoded, which the thread
+/// count decides: with one worker every chunk's start and window are known
+/// when its decode begins, with eight nearly every chunk is decoded ahead of
+/// the one before it, as markers.  The pinned strings are `output CRC-32,
+/// index length, index CRC-32, speculative chunks used, on-demand chunks,
+/// mismatches` as the commit before the hybrid (u16 prefix + u8 tail) decoder
+/// reported them at every thread count; the commit that let a task decode
+/// from a known start added the 64 KiB and the stored-only rows from its
+/// parent.  Which path decoded a chunk is no longer pinned, only that every
+/// seek point is some path's: the chunk counts must *add up* to the pinned
+/// ones.
 #[test]
 fn output_index_and_statistics_are_invariant_under_thread_count() {
     let multi_member = [
@@ -168,6 +165,7 @@ fn output_index_and_statistics_are_invariant_under_thread_count() {
             writer.compress(&datagen::base64_random(11 << 19, 21)),
             [
                 "45e4b821 772538 19fca300 134 3 0",
+                "45e4b821 385846 44c626c8 67 2 0",
                 "45e4b821 5897 dea433e0 1 1 0",
                 "45e4b821 106 f976ad1a 0 1 0",
             ],
@@ -178,6 +176,7 @@ fn output_index_and_statistics_are_invariant_under_thread_count() {
             writer.compress(&datagen::silesia_like(14 << 20, 22)),
             [
                 "0f08e733 410531 717f9c8b 129 2 0",
+                "0f08e733 203155 b3326a50 64 2 0",
                 "0f08e733 3398 c4625678 1 1 0",
                 "0f08e733 106 cfa2b8b5 0 1 0",
             ],
@@ -188,22 +187,57 @@ fn output_index_and_statistics_are_invariant_under_thread_count() {
             writer.compress_members(&parts),
             [
                 "df4238ca 644039 bbd7c871 134 1 0",
+                "df4238ca 324137 188b6168 67 1 0",
                 "df4238ca 5858 95ac34b3 1 1 0",
                 "df4238ca 130 468ce9b2 0 1 0",
+            ],
+        ),
+        (
+            // One stored block per 64 KiB BGZF member, none of which the
+            // block finder reports: no chunk can be decoded ahead.
+            "stored-only",
+            // The last one the empty member a BGZF file ends in.
+            74,
+            CompressorFrontend::new(FrontendKind::Bgzf, 0)
+                .compress(&datagen::base64_random(9 << 19, 26)),
+            [
+                "1e763ce8 4858 58782633 0 73 0",
+                "1e763ce8 4804 0c87d409 0 72 0",
+                "1e763ce8 1024 17209691 0 2 0",
+                "1e763ce8 970 91a6fe96 0 1 0",
             ],
         ),
     ];
     for (name, members, compressed, pinned) in &corpora {
         assert!(compressed.len() > 4 << 20, "{name}: {}", compressed.len());
-        for (chunk_size, pinned) in [32 << 10, 4 << 20, 64 << 20].into_iter().zip(pinned) {
-            let reference = observe(compressed, *members, 1, chunk_size);
-            assert_eq!(&reference.fingerprint, pinned, "{name} chunk {chunk_size}");
-            for threads in [2usize, 3, 8] {
+        let chunk_sizes = [32 << 10, 64 << 10, 4 << 20, 64 << 20];
+        for (chunk_size, pinned) in chunk_sizes.into_iter().zip(pinned) {
+            let pinned: Vec<&str> = pinned.split(' ').collect();
+            let pinned_chunks: u64 = pinned[3..5].iter().map(|n| n.parse::<u64>().unwrap()).sum();
+            for threads in [1usize, 2, 3, 8] {
+                let run = format!("{name} chunk {chunk_size} threads {threads}");
+                let (fingerprint, statistics, seek_points) =
+                    observe(compressed, *members, threads, chunk_size);
+                assert_eq!(fingerprint, pinned[..3].join(" "), "{run}");
                 assert_eq!(
-                    observe(compressed, *members, threads, chunk_size),
-                    reference,
-                    "{name} chunk {chunk_size} threads {threads}"
+                    statistics.speculative_chunks_used
+                        + statistics.window_known_chunks
+                        + statistics.on_demand_chunks,
+                    pinned_chunks,
+                    "{run}: {statistics:?}"
                 );
+                assert_eq!(seek_points as u64, pinned_chunks, "{run}");
+                assert_eq!(
+                    statistics.speculative_bytes_u16 > 0 || statistics.speculative_bytes_u8 > 0,
+                    statistics.speculative_chunks_used > 0,
+                    "{run}: {statistics:?}"
+                );
+                if threads == 1 && pinned_chunks >= 4 {
+                    // The one worker finds every chunk's predecessor
+                    // committed — by itself.
+                    assert_eq!(statistics.speculative_chunks_used, 0, "{run}");
+                    assert_eq!(statistics.speculative_chunks_wasted, 0, "{run}");
+                }
             }
         }
     }
