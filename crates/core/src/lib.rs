@@ -46,9 +46,11 @@
 
 mod chunk;
 mod error;
+mod indexed;
 mod metrics;
 mod pass;
 mod reader;
+mod strategy;
 mod verify;
 
 pub use chunk::{ChunkResult, SpeculativeChunk};

@@ -1,5 +1,7 @@
-//! The sequential first pass: one table of chunk states, and the one function
-//! that moves a chunk through it.
+//! The sequential first pass and the one table of chunk states: what is
+//! decoded ahead of the reader — by the pass, or through the index once there
+//! is one ([`crate::indexed`]) — waits here for it, and each of the pass's
+//! transitions has the one function that makes it.
 //!
 //! Only window propagation is sequential (§3.1–3.3): chunk *n* + 1 can be
 //! *committed* — given its place in the stream, a seek point, the window its
@@ -12,10 +14,14 @@
 //! decides how far ahead of its read position chunks are decoded, waits for
 //! bytes, and hands them on.
 //!
-//! A chunk is keyed by its *guess*: the index of the `chunk_size` range of
-//! the compressed file its first block starts in.  A committed chunk ends at
-//! the first block boundary at or after the end of its range, so at most one
-//! starts in each.
+//! A chunk is keyed by the bit its decode starts from.  While that is a
+//! *guess* — the pass decodes ahead by `chunk_size` ranges of the compressed
+//! file, from the first block found in each — it is the first bit of its
+//! range; a committed chunk ends at the first block boundary at or after the
+//! end of its range, so at most one starts in each.  Once the chunk's own
+//! first bit is known — it is committed, or a seek point says so — it is that
+//! bit: a seek-point table need not be the pass's own, and may hold many
+//! chunks in one range (BGZF members, a foreign index's spacing).
 //!
 //! ```text
 //!            issued ahead            found a block          starts where the
@@ -50,7 +56,7 @@ use crate::CoreError;
 /// pass's table, the resolved cache, a read in progress — lets go.
 pub(crate) type ChunkBytes = Arc<Pooled<u8>>;
 
-/// Where a chunk of the sequential pass is on its way to the reader.
+/// Where a chunk decoded ahead of the reader is on its way to it.
 pub(crate) enum ChunkState {
     /// A task that will decode it is queued or running.
     Decoding,
@@ -63,9 +69,20 @@ pub(crate) enum ChunkState {
     Resolving,
     /// Committed, all bytes: waiting for the reader.
     Ready(ChunkBytes),
+    /// Decoded ahead from its seek point and checked against it: waiting for
+    /// the reader.
+    Prefetched(ChunkBytes),
     /// Its decode or its marker replacement failed; the reader takes the
     /// error, and the chunk is decoded again if it comes back.
     Failed(CoreError),
+}
+
+impl ChunkState {
+    /// Whether no task is at work on the chunk any more and none is to come:
+    /// the reader can take it, and it can be let go of.
+    pub fn is_finished(&self) -> bool {
+        matches!(self, Self::Ready(_) | Self::Prefetched(_) | Self::Failed(_))
+    }
 }
 
 /// State of the sequential first pass.
@@ -86,8 +103,9 @@ pub(crate) struct SequentialPass {
     /// can name the member.
     pub next_member: u64,
     /// Every chunk between a task submitted for it and the reader taking its
-    /// bytes, by guess.
-    pub chunks: BTreeMap<usize, ChunkState>,
+    /// bytes, by the bit its decode starts from: its range's first while that
+    /// is a guess (`Decoding`, `Markered`, `NoBlock`), its own once known.
+    pub chunks: BTreeMap<u64, ChunkState>,
     /// The first guess no decode has been issued ahead for.
     pub next_unissued: usize,
 }
@@ -116,7 +134,6 @@ impl SequentialPass {
 
 /// A committed speculative chunk on its way to a marker replacement.
 pub(crate) struct Replacement {
-    guess: usize,
     start_bit: u64,
     seq: u64,
     first_member: u64,
@@ -135,16 +152,18 @@ struct KnownStart {
 
 /// Marks a chunk failed if the task working on it unwinds, so that a reader
 /// waiting for the chunk gets an error and not silence.
-struct FailOnUnwind<'a> {
-    shared: &'a Shared,
-    guess: usize,
+pub(crate) struct FailOnUnwind<'a> {
+    pub shared: &'a Shared,
+    /// What the chunk goes by in the table.
+    pub key: u64,
 }
 
 impl Drop for FailOnUnwind<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             let error = std::io::Error::other("a chunk task panicked");
-            self.shared.fail(self.guess, CoreError::Io(error));
+            let failed = ChunkState::Failed(CoreError::Io(error));
+            self.shared.finish(self.key, failed);
         }
     }
 }
@@ -159,14 +178,20 @@ impl Shared {
         (bit_offset / self.chunk_bits()) as usize
     }
 
+    /// The first bit of range `guess`: what a chunk goes by in the table
+    /// while all that is known of it is that it starts there or after.
+    fn range_bit(&self, guess: usize) -> u64 {
+        guess as u64 * self.chunk_bits()
+    }
+
     fn file_bits(&self) -> u64 {
         self.decoder.reader.size() * 8
     }
 
     /// Has the chunks after `base` — the guess of the chunk the reader stands
     /// in, or waits for — decoded ahead: a task each for the guesses up to
-    /// `base` + the prefetch degree (2 × `parallelization` by default) that
-    /// none has been issued for yet.
+    /// `base` + the prefetch degree (2 × `parallelization`) that none has
+    /// been issued for yet.
     ///
     /// This is what bounds the pass's memory: beyond the chunk being read and
     /// the resolved cache, at most *degree* chunks are decoded or decoding at
@@ -174,31 +199,26 @@ impl Shared {
     /// as bytes, one byte per byte; the not yet committed, at most as many as
     /// there are workers and then some, as 16-bit symbols for as far as their
     /// markers live.  (A reader that *skips* chunks — a seek forward, an
-    /// index build — leaves their bytes in the table until it reads them.)
+    /// index build — has the pass run on without it: of the bytes nobody
+    /// comes for, [`Self::ready`] keeps degree + 1 chunks.)
     pub(crate) fn issue_prefetches(self: &Arc<Self>, state: &mut ReaderState, base: usize) {
         if state.pass.finished {
             return;
         }
         let chunk_size = self.decoder.chunk_size;
         let total_chunks = (self.decoder.reader.size() as usize).div_ceil(chunk_size);
-        let end = (base + 1 + self.options.effective_prefetch_degree()).min(total_chunks);
+        let end = (base + 1 + self.options.prefetch_degree()).min(total_chunks);
         // Ranges the pass has gone past hold no chunk start.
         let first = (base + 1)
             .max(state.pass.next_unissued)
             .max(self.guess_of(state.pass.next_start_bit));
         for guess in first..end {
-            if state.pass.chunks.contains_key(&guess) {
+            if state.pass.chunks.contains_key(&self.range_bit(guess)) {
                 continue;
             }
             state.statistics.prefetches_issued += 1;
             self.metrics.prefetch_issued_speculative.inc();
-            self.trace().instant(
-                instants::SPEC_SUBMIT,
-                EventMeta {
-                    chunk: Some(guess as u64 * self.chunk_bits()),
-                    ..EventMeta::default()
-                },
-            );
+            self.instant(instants::SPEC_SUBMIT, self.range_bit(guess));
             self.spawn_chunk_task(state, guess, false);
         }
         state.pass.next_unissued = state.pass.next_unissued.max(end);
@@ -211,10 +231,11 @@ impl Shared {
         state: &mut ReaderState,
     ) -> Result<(), CoreError> {
         let guess = self.guess_of(state.pass.next_start_bit);
-        match state.pass.chunks.get(&guess) {
+        let key = self.range_bit(guess);
+        match state.pass.chunks.get(&key) {
             None => self.spawn_chunk_task(state, guess, true),
             Some(ChunkState::Failed(_)) => {
-                if let Some(ChunkState::Failed(error)) = state.pass.chunks.remove(&guess) {
+                if let Some(ChunkState::Failed(error)) = state.pass.chunks.remove(&key) {
                     return Err(error);
                 }
             }
@@ -227,7 +248,8 @@ impl Shared {
     /// urgent lane if it is `demanded` — the pass stands there and cannot
     /// move until it is done — and behind the decodes issued before it if not.
     fn spawn_chunk_task(self: &Arc<Self>, state: &mut ReaderState, guess: usize, demanded: bool) {
-        state.pass.chunks.insert(guess, ChunkState::Decoding);
+        let key = self.range_bit(guess);
+        state.pass.chunks.insert(key, ChunkState::Decoding);
         let shared = Arc::clone(self);
         let task = move || shared.run_chunk_task(guess, demanded);
         // The table, not the handle, is where the result goes.
@@ -238,28 +260,51 @@ impl Shared {
         });
     }
 
-    /// Records `error` as the outcome of the chunk at `guess`.
-    fn fail(&self, guess: usize, error: CoreError) {
-        let mut state = self.lock();
-        state.pass.chunks.insert(guess, ChunkState::Failed(error));
-        drop(state);
+    /// Records `outcome` — bytes, or an error — as what the task of the chunk
+    /// that goes by `key` came to, and wakes the reader.
+    pub(crate) fn finish(&self, key: u64, outcome: ChunkState) {
+        self.lock().pass.chunks.insert(key, outcome);
         self.progress.notify_all();
+    }
+
+    /// Puts the bytes of a chunk the pass has committed where the reader finds
+    /// them.  A reader that reads on takes each chunk before degree + 1 more
+    /// are committed, which is as far as [`Self::issue_prefetches`] lets the
+    /// pass run ahead of it.  One that has gone elsewhere — a seek, an index
+    /// build — leaves them lying: of those, the farthest from where it reads
+    /// goes, to be decoded again through the index if it does come back, and
+    /// checked against the fragments the pass has just stored.
+    fn ready(&self, state: &mut ReaderState, start_bit: u64, data: Pooled<u8>) {
+        let chunks = &mut state.pass.chunks;
+        chunks.insert(start_bit, ChunkState::Ready(Arc::new(data)));
+        let ready = chunks
+            .iter()
+            .filter(|(_, chunk)| matches!(chunk, ChunkState::Ready(_)))
+            .map(|(&key, _)| key);
+        if ready.clone().count() > self.options.prefetch_degree() + 1 {
+            let farthest = ready.max_by_key(|key| key.abs_diff(state.reading_at));
+            self.evict(state, farthest.expect("counted above"));
+        }
+    }
+
+    /// Lets go of a finished chunk the reader has not come for.
+    pub(crate) fn evict(&self, state: &mut ReaderState, key: u64) {
+        state.pass.chunks.remove(&key);
+        self.instant(instants::PREFETCH_EVICT, key);
     }
 
     /// A pool task: decodes the chunk starting in range `guess` whichever way
     /// the pass's position allows *now*, and commits what that makes ready.
     fn run_chunk_task(self: &Arc<Self>, guess: usize, demanded: bool) {
-        let _unwinding = FailOnUnwind {
-            shared: self,
-            guess,
-        };
+        let key = self.range_bit(guess);
+        let _unwinding = FailOnUnwind { shared: self, key };
         let known = {
             let mut state = self.lock();
             let pass = &state.pass;
             let frontier = self.guess_of(pass.next_start_bit);
             if pass.finished || frontier > guess {
                 // The chunk before ran past this whole range.
-                state.pass.chunks.remove(&guess);
+                state.pass.chunks.remove(&key);
                 return;
             }
             (frontier == guess).then(|| KnownStart {
@@ -283,9 +328,10 @@ impl Shared {
             let _stage_timer = self.metrics.stage_decode_two_stage.start_timer();
             self.decoder.decode_speculative(guess)
         };
+        let key = self.range_bit(guess);
         let mut state = self.lock();
         if state.pass.finished || self.guess_of(state.pass.next_start_bit) > guess {
-            state.pass.chunks.remove(&guess);
+            state.pass.chunks.remove(&key);
             if let Ok(Some(chunk)) = &decoded {
                 self.record_waste(&mut state, chunk, false);
             }
@@ -297,7 +343,7 @@ impl Shared {
             Ok(Some(chunk)) => ChunkState::Markered(chunk),
             Ok(None) | Err(_) => ChunkState::NoBlock,
         };
-        state.pass.chunks.insert(guess, decoded);
+        state.pass.chunks.insert(key, decoded);
         self.commit_ready(&mut state)
     }
 
@@ -323,7 +369,7 @@ impl Shared {
             .member(first_member);
         let mut result = match self.decoder.decode_at(&DirectChunk {
             start_bit_offset: start_bit,
-            stop_bit_offset: (guess as u64 + 1) * self.chunk_bits(),
+            stop_bit_offset: self.range_bit(guess + 1),
             window: &window,
             at_member_start: start_bit == 0,
             stop_is_seek_point: false,
@@ -332,7 +378,7 @@ impl Shared {
             Ok(result) => result,
             Err(error) => {
                 span.set_outcome(Outcome::Error);
-                self.fail(guess, error);
+                self.finish(self.range_bit(guess), ChunkState::Failed(error));
                 return Vec::new();
             }
         };
@@ -392,11 +438,10 @@ impl Shared {
             );
         }
         self.metrics.bytes_out.add(length);
-        let data = ChunkState::Ready(Arc::new(result.data));
-        state.pass.chunks.insert(guess, data);
+        state.pass.chunks.remove(&self.range_bit(guess));
+        self.ready(state, start_bit, result.data);
         self.advance(
             state,
-            guess,
             result.end_bit_offset,
             length,
             next_window,
@@ -414,15 +459,16 @@ impl Shared {
     /// from there, ahead of everything else.
     ///
     /// Every transition of a chunk that others wait for happens under the
-    /// state lock and ends here or in [`Self::fail`] or [`Self::replace`]:
+    /// state lock and ends here or in [`Self::finish`] or [`Self::replace`]:
     /// all three wake the reader.
     pub(crate) fn commit_ready(self: &Arc<Self>, state: &mut ReaderState) -> Vec<Replacement> {
         let mut replacements = Vec::new();
         while !state.pass.finished {
             let start_bit = state.pass.next_start_bit;
             let guess = self.guess_of(start_bit);
+            let key = self.range_bit(guess);
             if !matches!(
-                state.pass.chunks.get(&guess),
+                state.pass.chunks.get(&key),
                 Some(ChunkState::Markered(_) | ChunkState::NoBlock)
             ) {
                 break;
@@ -432,17 +478,12 @@ impl Shared {
             // outside the data there is, so that not even the window after
             // it resolves; the first chunk, which nothing precedes and which
             // is decoded as what it is, the start of a gzip member.
-            let unusable = match state.pass.chunks.remove(&guess) {
+            let unusable = match state.pass.chunks.remove(&key) {
                 Some(ChunkState::Markered(chunk)) => {
                     let next_window = (chunk.found_bit_offset == start_bit && start_bit != 0)
                         .then(|| chunk.output.next_window(&state.pass.window));
                     if let Some(Ok(next_window)) = next_window {
-                        replacements.push(self.commit_speculative(
-                            state,
-                            guess,
-                            chunk,
-                            next_window,
-                        ));
+                        replacements.push(self.commit_speculative(state, chunk, next_window));
                         continue;
                     }
                     Some(chunk)
@@ -467,7 +508,6 @@ impl Shared {
     fn commit_speculative(
         &self,
         state: &mut ReaderState,
-        guess: usize,
         chunk: SpeculativeChunk,
         next_window: Vec<u8>,
     ) -> Replacement {
@@ -501,11 +541,10 @@ impl Shared {
                 ..EventMeta::default()
             },
         );
-        state.pass.chunks.insert(guess, ChunkState::Resolving);
+        state.pass.chunks.insert(start_bit, ChunkState::Resolving);
         let seq = state.pass.next_seq;
         self.advance(
             state,
-            guess,
             chunk.end_bit_offset,
             length,
             next_window,
@@ -513,7 +552,6 @@ impl Shared {
             chunk.reached_end_of_file,
         );
         Replacement {
-            guess,
             start_bit,
             seq,
             first_member,
@@ -522,15 +560,13 @@ impl Shared {
         }
     }
 
-    /// Moves the pass past the chunk just committed at `guess`, and counts
-    /// what was decoded ahead in ranges that turn out to hold no chunk start
-    /// — the ranges its last block ran past, every range once it was the
-    /// file's last — as wasted.
-    #[allow(clippy::too_many_arguments)]
+    /// Moves the pass past the chunk just committed where it stands, and
+    /// counts what was decoded ahead in ranges that turn out to hold no chunk
+    /// start — the ranges its last block ran past, every range once it was
+    /// the file's last — as wasted.
     fn advance(
         &self,
         state: &mut ReaderState,
-        guess: usize,
         end_bit: u64,
         length: u64,
         next_window: Vec<u8>,
@@ -538,6 +574,7 @@ impl Shared {
         reached_end_of_file: bool,
     ) {
         let pass = &mut state.pass;
+        let committed = self.range_bit(self.guess_of(pass.next_start_bit));
         pass.next_start_bit = end_bit;
         pass.next_uncompressed_offset += length;
         pass.window = Arc::new(next_window);
@@ -551,18 +588,18 @@ impl Shared {
             self.decoder.buffers.retire_symbols();
             Bound::Unbounded
         } else {
-            Bound::Excluded(self.guess_of(end_bit))
+            Bound::Excluded(self.range_bit(self.guess_of(end_bit)))
         };
         // Tasks still at work there count themselves when they are done.
-        let stale: Vec<usize> = state
+        let stale: Vec<u64> = state
             .pass
             .chunks
-            .range((Bound::Excluded(guess), passed))
+            .range((Bound::Excluded(committed), passed))
             .filter(|(_, chunk)| matches!(chunk, ChunkState::Markered(_) | ChunkState::NoBlock))
-            .map(|(&guess, _)| guess)
+            .map(|(&key, _)| key)
             .collect();
-        for guess in stale {
-            if let Some(ChunkState::Markered(chunk)) = state.pass.chunks.remove(&guess) {
+        for key in stale {
+            if let Some(ChunkState::Markered(chunk)) = state.pass.chunks.remove(&key) {
                 self.record_waste(state, &chunk, false);
             }
         }
@@ -636,7 +673,6 @@ impl Shared {
     /// bytes the reader is waiting for, hashed per member while they are hot.
     fn replace(&self, replacement: Replacement) {
         let Replacement {
-            guess,
             start_bit,
             seq,
             first_member,
@@ -645,7 +681,7 @@ impl Shared {
         } = replacement;
         let _unwinding = FailOnUnwind {
             shared: self,
-            guess,
+            key: start_bit,
         };
         let _stage_timer = self.metrics.stage_marker_replace.start_timer();
         let mut span = self
@@ -661,7 +697,7 @@ impl Shared {
             ),
             Err(error) => {
                 span.set_outcome(Outcome::Error);
-                self.fail(guess, error);
+                self.finish(start_bit, ChunkState::Failed(error));
                 return;
             }
         };
@@ -671,8 +707,7 @@ impl Shared {
         if let Some(checksums) = checksums {
             state.index.checksum_map.insert(start_bit, checksums);
         }
-        let data = ChunkState::Ready(Arc::new(data));
-        state.pass.chunks.insert(guess, data);
+        self.ready(&mut state, start_bit, data);
         drop(state);
         self.progress.notify_all();
     }

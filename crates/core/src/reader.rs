@@ -1,22 +1,20 @@
 //! The `ParallelGzipReader`: orchestration of speculative chunk
 //! decompression, marker resolution, index construction and random access.
 
-use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use rgz_fetcher::{BufferPool, Cache, IndexAlignedPlan, Pooled, Spawner, TaskHandle, ThreadPool};
-use rgz_index::{GzipIndex, SeekPoint};
+use rgz_fetcher::{BufferPool, Cache, Pooled, Spawner, ThreadPool};
+use rgz_index::GzipIndex;
 use rgz_io::{FileReader, SharedFileReader};
 use rgz_metrics::MetricsRegistry;
-use rgz_trace::{instants, EventMeta, Outcome, Stage, TraceSink};
+use rgz_trace::{instants, EventMeta, Stage, TraceSink};
 
-use crate::chunk::{ChunkDecoder, DirectChunk};
+use crate::chunk::ChunkDecoder;
 use crate::metrics::ReaderMetrics;
 use crate::pass::{ChunkBytes, ChunkState, SequentialPass};
-use crate::verify::{
-    check_point_fragments, StreamVerifier, VerificationMode, VerificationStatistics,
-};
+use crate::strategy::FetchNextAdaptive;
+use crate::verify::{StreamVerifier, VerificationMode, VerificationStatistics};
 use crate::{CoreError, DEFAULT_CHUNK_SIZE};
 
 /// Configuration of a [`ParallelGzipReader`].
@@ -28,9 +26,6 @@ pub struct ParallelGzipReaderOptions {
     pub parallelization: usize,
     /// Compressed chunk size in bytes (the paper's default is 4 MiB).
     pub chunk_size: usize,
-    /// How many chunks ahead of the last access to prefetch.  Defaults to
-    /// twice the parallelization, matching the paper's prefetch cache sizing.
-    pub prefetch_degree: Option<usize>,
     /// Capacity of the cache of resolved chunks kept for random access.
     pub resolved_cache_chunks: usize,
     /// Whether to verify member CRC-32s and ISIZEs during the sequential
@@ -55,7 +50,6 @@ impl Default for ParallelGzipReaderOptions {
                 .map(|n| n.get())
                 .unwrap_or(4),
             chunk_size: DEFAULT_CHUNK_SIZE,
-            prefetch_degree: None,
             resolved_cache_chunks: 4,
             verification: VerificationMode::default(),
             trace: None,
@@ -98,10 +92,10 @@ impl ParallelGzipReaderOptions {
         self
     }
 
-    pub(crate) fn effective_prefetch_degree(&self) -> usize {
-        self.prefetch_degree
-            .unwrap_or(self.parallelization * 2)
-            .max(1)
+    /// How many chunks ahead of the last access to prefetch: twice the
+    /// parallelization, the paper's prefetch cache sizing.
+    pub(crate) fn prefetch_degree(&self) -> usize {
+        (self.parallelization * 2).max(1)
     }
 }
 
@@ -171,24 +165,19 @@ pub struct ReaderStatistics {
 /// one call.
 const HAND_OVER_BYTES: usize = 1 << 20;
 
-/// A chunk an index-aligned prefetch is decoding.
-type PrefetchHandle = TaskHandle<Result<Pooled<u8>, CoreError>>;
-
 pub(crate) struct ReaderState {
     pub index: GzipIndex,
-    /// The sequential pass and its table of chunks.
+    /// The sequential pass and its table of chunks: the prefetch cache,
+    /// everything decoded ahead of the reader, through the index too.
     pub pass: SequentialPass,
-    /// LRU cache of chunk data for random access after the first pass.
-    resolved_cache: Cache<u64, Pooled<u8>>,
-    /// Index-aligned prefetches the reader has not come for yet, keyed by
-    /// compressed bit offset.
-    prefetched: HashMap<u64, PrefetchHandle>,
-    /// Prefetch plan aligned to the seek-point table; built lazily once the
-    /// sequential pass is finished (or an index was imported).
-    index_plan: Option<Arc<IndexAlignedPlan>>,
-    /// Chunk index the last index-aligned prefetch ran for; consecutive
-    /// reads inside one chunk skip the whole prefetch pipeline.
-    last_prefetch_chunk: Option<usize>,
+    /// The access cache: the chunks the reader took last, least recently
+    /// used out first, keyed like the table by compressed bit offset.
+    pub resolved_cache: Cache<u64, Pooled<u8>>,
+    /// First bit of the chunk the reader asked for last, `u64::MAX` if that
+    /// was one the pass has yet to reach.
+    pub reading_at: u64,
+    /// What index-aligned reads have accessed, and so will next.
+    pub strategy: FetchNextAdaptive,
     pub statistics: ReaderStatistics,
 }
 
@@ -231,6 +220,15 @@ impl Shared {
     /// The sink every stage of the reader records into.
     pub(crate) fn trace(&self) -> &Arc<TraceSink> {
         &self.decoder.trace
+    }
+
+    /// Records that `name` happened to the chunk that goes by `key`.
+    pub(crate) fn instant(&self, name: &'static str, key: u64) {
+        let meta = EventMeta {
+            chunk: Some(key),
+            ..EventMeta::default()
+        };
+        self.trace().instant(name, meta);
     }
 
     /// Waits for [`Self::progress`].
@@ -322,9 +320,8 @@ impl ParallelGzipReader {
                     index,
                     pass,
                     resolved_cache: Cache::new(options.resolved_cache_chunks.max(1)),
-                    prefetched: HashMap::new(),
-                    index_plan: None,
-                    last_prefetch_chunk: None,
+                    reading_at: 0,
+                    strategy: FetchNextAdaptive::default(),
                     statistics: ReaderStatistics::default(),
                 }),
                 progress: Condvar::new(),
@@ -546,212 +543,31 @@ impl ParallelGzipReader {
         Ok(())
     }
 
-    // --- index-aligned prefetching ---------------------------------------
-
-    /// Prefetches the chunks the index-aligned plan predicts will be read
-    /// next, decoding them on the pool with their stored windows.
-    ///
-    /// Active only once a complete seek-point table exists — imported from
-    /// any supported index format or built by the sequential pass.  Unlike
-    /// the speculative prefetcher this decodes *exact* chunks: every task
-    /// starts at a real seek point and stops at the next one, so no decode
-    /// is wasted on a misguessed boundary.
-    fn issue_index_prefetches(&self, position: u64) {
-        let shared = &self.shared;
-        let degree = shared.options.effective_prefetch_degree();
-        let mut state = shared.lock();
-        if !state.pass.finished || state.index.block_map.len() < 2 {
-            return;
-        }
-        let plan = match &state.index_plan {
-            Some(plan) => plan.clone(),
-            None => {
-                let boundaries: Vec<u64> = state
-                    .index
-                    .block_map
-                    .points()
-                    .iter()
-                    .map(|p| p.uncompressed_offset)
-                    .collect();
-                let end = state.index.block_map.uncompressed_size();
-                let plan = Arc::new(IndexAlignedPlan::new(boundaries, end));
-                state.index_plan = Some(plan.clone());
-                plan
-            }
-        };
-        // Consecutive reads within one chunk cannot change the prediction;
-        // skip the strategy update and backlog scan until the read position
-        // crosses into the next chunk (this also keeps many small reads
-        // from masquerading as a long sequential run to the strategy).
-        let chunk = plan.chunk_of(position);
-        if chunk.is_none() || chunk == state.last_prefetch_chunk {
-            return;
-        }
-        state.last_prefetch_chunk = chunk;
-        if plan.record_access(position).is_none() {
-            return;
-        }
-        let targets = plan.prefetch(degree);
-
-        // Cap the decoded-but-unconsumed backlog; evict finished prefetches
-        // the plan no longer predicts (random access moved elsewhere).
-        if state.prefetched.len() >= degree.saturating_mul(2) {
-            let predicted: std::collections::HashSet<u64> = targets
-                .iter()
-                .map(|&chunk| state.index.block_map.points()[chunk].compressed_bit_offset)
-                .collect();
-            let trace = shared.trace();
-            state.prefetched.retain(|&key, handle| {
-                let keep = predicted.contains(&key) || !handle.is_finished();
-                if !keep {
-                    trace.instant(
-                        instants::PREFETCH_EVICT,
-                        EventMeta {
-                            chunk: Some(key),
-                            ..EventMeta::default()
-                        },
-                    );
-                }
-                keep
-            });
-            if state.prefetched.len() >= degree.saturating_mul(2) {
-                return;
-            }
-        }
-
-        // Look up window *records* outside the state lock, before
-        // submitting, so that the 32 KiB inflation itself can run on the
-        // worker instead of delaying the read this prefetch is meant to
-        // hide.
-        let window_map = state.index.window_map.clone();
-        let checksum_map = state.index.checksum_map.clone();
-        let plans: Vec<(SeekPoint, u64)> = targets
-            .into_iter()
-            .filter_map(|chunk| {
-                let point = state.index.block_map.points()[chunk].clone();
-                let key = point.compressed_bit_offset;
-                if state.prefetched.contains_key(&key)
-                    || state.pass.chunks.contains_key(&shared.guess_of(key))
-                    || state.resolved_cache.contains(&key)
-                {
-                    return None;
-                }
-                let stop_bit = state
-                    .index
-                    .block_map
-                    .points()
-                    .get(chunk + 1)
-                    .map(|next| next.compressed_bit_offset)
-                    .unwrap_or(u64::MAX);
-                Some((point, stop_bit))
-            })
-            .collect();
-        drop(state);
-
-        for (point, stop_bit) in plans {
-            let key = point.compressed_bit_offset;
-            let record = window_map.get_compressed(key);
-            // Stored fragments (if any) let the task verify its own output.
-            let checksums = if shared.verify() {
-                checksum_map.get(key)
-            } else {
-                None
-            };
-            let decoder = shared.decoder.clone();
-            let expected_length = point.uncompressed_size;
-            let trace = shared.trace().clone();
-            trace.instant(
-                instants::PREFETCH_ISSUE,
-                EventMeta {
-                    chunk: Some(key),
-                    bytes: Some(expected_length),
-                    ..EventMeta::default()
-                },
-            );
-            let prefetch_seconds = shared.metrics.stage_prefetch_decode.clone();
-            let handle = self.pool.submit(move || {
-                let _stage_timer = prefetch_seconds.start_timer();
-                let mut span = trace.span(Stage::PrefetchDecode).chunk(key);
-                let result = (|| {
-                    let window = match &record {
-                        Some(record) => {
-                            let _inflate = trace.span(Stage::WindowInflate).chunk(key);
-                            record.decompress().map_err(CoreError::Window)?
-                        }
-                        None => Vec::new(),
-                    };
-                    let hashed = checksums.is_some();
-                    let result = decoder.decode_at(&DirectChunk {
-                        start_bit_offset: key,
-                        stop_bit_offset: stop_bit,
-                        window: &window,
-                        at_member_start: key == 0,
-                        stop_is_seek_point: true,
-                        verify: hashed,
-                    })?;
-                    if result.data.len() as u64 != expected_length {
-                        return Err(CoreError::IndexMismatch {
-                            compressed_bit_offset: key,
-                        });
-                    }
-                    if let Some(checksums) = &checksums {
-                        check_point_fragments(checksums, &result.fragments)?;
-                    }
-                    Ok(result.data)
-                })();
-                match &result {
-                    Ok(data) => {
-                        span.set_bytes(data.len() as u64);
-                        span.set_outcome(Outcome::Committed);
-                    }
-                    Err(_) => span.set_outcome(Outcome::Error),
-                }
-                result
-            });
-            let mut state = shared.lock();
-            state.prefetched.insert(key, handle);
-            state.statistics.index_prefetches_issued += 1;
-            shared.metrics.prefetch_issued_index.inc();
-        }
-    }
-
     // --- serving reads ----------------------------------------------------
 
-    /// Records whether a consumed fast-path chunk was checked against stored
-    /// CRC fragments.  Prefetched chunks with fragments verify inside their
-    /// task; on-demand decodes verify in [`ParallelGzipReader::chunk_bytes`].
-    fn count_fast_path_verification(&self, state: &mut ReaderState, key: u64) {
-        if !self.shared.verify() {
-            return;
-        }
-        if state.index.checksum_map.contains(key) {
-            state.statistics.index_chunks_verified += 1;
-            self.shared.metrics.verify_index_verified.inc();
-        } else {
-            state.statistics.index_chunks_unverified += 1;
-            self.shared.metrics.verify_index_unverified.inc();
-        }
-    }
-
-    /// Takes the bytes of the chunk at `key` out of the sequential pass's
-    /// table, waiting for its marker replacement if that is where it is;
-    /// `None` if the pass does not hold it (any more).
-    fn take_pass_chunk(
-        &self,
-        mut state: MutexGuard<'_, ReaderState>,
+    /// The bytes of the `index`th chunk of the seek-point table, which starts
+    /// at bit `key`: out of the access cache; out of the table, once the
+    /// decode or marker replacement it may be in there is done; or, if nobody
+    /// has them, decoded here and now from its seek point.
+    fn chunk_bytes<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, ReaderState>,
+        index: usize,
         key: u64,
-    ) -> Result<Option<ChunkBytes>, CoreError> {
-        let guess = self.shared.guess_of(key);
-        while let Some(ChunkState::Resolving) = state.pass.chunks.get(&guess) {
-            state = self.shared.wait(state);
+    ) -> Result<ChunkBytes, CoreError> {
+        let shared = &self.shared;
+        if let Some(cached) = state.resolved_cache.get(&key) {
+            return Ok(cached);
         }
-        if !matches!(
-            state.pass.chunks.get(&guess),
-            Some(ChunkState::Ready(_) | ChunkState::Failed(_))
-        ) {
-            return Ok(None);
+        while let Some(ChunkState::Decoding | ChunkState::Resolving) = state.pass.chunks.get(&key) {
+            state = shared.wait(state);
         }
-        match state.pass.chunks.remove(&guess) {
+        let taken = match state.pass.chunks.get(&key) {
+            Some(chunk) if chunk.is_finished() => state.pass.chunks.remove(&key),
+            _ => None,
+        };
+        let chunk = shared.indexed_chunk(&state, index);
+        let data = match taken {
             Some(ChunkState::Ready(data)) => {
                 state.resolved_cache.insert(key, data.clone());
                 drop(state);
@@ -759,121 +575,39 @@ impl ParallelGzipReader {
                 // fragments in; fail the read if the fold caught a trailer
                 // mismatch.
                 self.check_verification()?;
-                Ok(Some(data))
+                return Ok(data);
             }
-            Some(ChunkState::Failed(error)) => Err(error),
-            _ => Ok(None),
-        }
-    }
-
-    /// Returns the resolved data of the chunk described by `point`.
-    fn chunk_bytes(&self, point: &SeekPoint) -> Result<ChunkBytes, CoreError> {
-        let shared = &self.shared;
-        let key = point.compressed_bit_offset;
-        let mut state = shared.lock();
-        if let Some(cached) = state.resolved_cache.get(&key) {
-            return Ok(cached);
-        }
-        // Data an index-aligned prefetch is producing.
-        if let Some(handle) = state.prefetched.remove(&key) {
-            state.statistics.index_prefetch_hits += 1;
-            state.statistics.index_chunks += 1;
-            self.count_fast_path_verification(&mut state, key);
-            shared.metrics.prefetch_hits.inc();
-            shared.metrics.chunks_index.inc();
-            shared.trace().instant(
-                instants::PREFETCH_HIT,
-                EventMeta {
-                    chunk: Some(key),
-                    ..EventMeta::default()
-                },
-            );
-            drop(state);
-            // A prefetched chunk with stored fragments has compared its
-            // output inside the task; a fragment mismatch surfaces here as
-            // the task's error.
-            let data = Arc::new(handle.wait()?);
-            shared.metrics.bytes_out.add(data.len() as u64);
-            shared.lock().resolved_cache.insert(key, data.clone());
-            return Ok(data);
-        }
-        // Data the sequential pass produced, or is about to.
-        if let Some(data) = self.take_pass_chunk(state, key)? {
-            return Ok(data);
-        }
-
-        // Random access / index fast path: decode on demand with the stored
-        // window, lazily re-inflated from its compressed record.
-        let (window, checksums, stop_bit) = {
-            let state = shared.lock();
-            let checksums = if shared.verify() {
-                state.index.checksum_map.get(key)
-            } else {
-                None
-            };
-            let points = state.index.block_map.points();
-            // Points are sorted by compressed offset (enforced on import).
-            let position = points.partition_point(|p| p.compressed_bit_offset <= key);
-            let stop_bit = points
-                .get(position)
-                .map(|p| p.compressed_bit_offset)
-                .unwrap_or(u64::MAX);
-            (state.index.window_map.try_get(key), checksums, stop_bit)
-        };
-        let window = window.map_err(CoreError::Window)?.unwrap_or_default();
-        // Chunks re-decoded through the index are not folded into the stream
-        // verification; instead, when the index stores per-point CRC
-        // fragments (format v3), hash the output and compare against them.
-        // Without stored fragments (v1/v2 files, foreign imports) the decode
-        // completes unverified and is counted as such.
-        shared.trace().instant(
-            instants::PREFETCH_MISS,
-            EventMeta {
-                chunk: Some(key),
-                ..EventMeta::default()
-            },
-        );
-        let _stage_timer = shared.metrics.stage_random_access.start_timer();
-        let mut span = shared.trace().span(Stage::RandomAccess).chunk(key);
-        if let Some(checksums) = &checksums {
-            span.set_member(checksums.first_member);
-        }
-        let result = match shared.decoder.decode_at(&DirectChunk {
-            start_bit_offset: key,
-            stop_bit_offset: stop_bit,
-            window: &window,
-            at_member_start: key == 0,
-            stop_is_seek_point: true,
-            verify: checksums.is_some(),
-        }) {
-            Ok(result) => result,
-            Err(error) => {
-                span.set_outcome(Outcome::Error);
-                return Err(error);
+            Some(ChunkState::Failed(error)) => return Err(error),
+            Some(ChunkState::Prefetched(data)) => {
+                state.statistics.index_prefetch_hits += 1;
+                shared.metrics.prefetch_hits.inc();
+                shared.instant(instants::PREFETCH_HIT, key);
+                data
+            }
+            // Nobody has it: decoded on this thread, with the stored window
+            // lazily re-inflated from its compressed record.
+            _ => {
+                let windows = state.index.window_map.clone();
+                drop(state);
+                shared.instant(instants::PREFETCH_MISS, key);
+                let _stage_timer = shared.metrics.stage_random_access.start_timer();
+                let window = || windows.try_get(key);
+                let data = shared.decode_indexed(Stage::RandomAccess, &chunk, window)?;
+                state = shared.lock();
+                data
             }
         };
-        span.set_bytes(result.data.len() as u64);
-        span.set_compressed_range(key / 8, result.end_bit_offset.div_ceil(8));
-        if result.data.len() as u64 != point.uncompressed_size {
-            span.set_outcome(Outcome::Error);
-            return Err(CoreError::IndexMismatch {
-                compressed_bit_offset: key,
-            });
-        }
-        if let Some(checksums) = &checksums {
-            if let Err(error) = check_point_fragments(checksums, &result.fragments) {
-                span.set_outcome(Outcome::Error);
-                return Err(error);
-            }
-        }
-        span.set_outcome(Outcome::Committed);
-        span.finish();
-        let data = Arc::new(result.data);
-        let mut state = shared.lock();
+        // One more chunk out of the index, every check there was passed.
         state.statistics.index_chunks += 1;
-        self.count_fast_path_verification(&mut state, key);
         shared.metrics.chunks_index.inc();
         shared.metrics.bytes_out.add(data.len() as u64);
+        if chunk.checksums.is_some() {
+            state.statistics.index_chunks_verified += 1;
+            shared.metrics.verify_index_verified.inc();
+        } else if shared.verify() {
+            state.statistics.index_chunks_unverified += 1;
+            shared.metrics.verify_index_unverified.inc();
+        }
         state.resolved_cache.insert(key, data.clone());
         Ok(data)
     }
@@ -884,44 +618,56 @@ impl ParallelGzipReader {
     fn chunk_at_position(&self) -> Result<Option<(ChunkBytes, usize)>, CoreError> {
         let shared = &self.shared;
         loop {
-            let (covering_point, finished) = {
-                let mut state = shared.lock();
-                let point = state.index.block_map.find(self.position).cloned();
-                if let Some(point) = &point {
-                    // Keep the pool busy with the chunks after this one.
-                    let base = shared.guess_of(point.compressed_bit_offset);
-                    shared.issue_prefetches(&mut state, base);
+            let mut state = shared.lock();
+            let points = state.index.block_map.points();
+            // The last seek point at or before the position, if it reaches it.
+            let covering = points
+                .partition_point(|point| point.uncompressed_offset <= self.position)
+                .checked_sub(1)
+                .filter(|&index| {
+                    let point = &points[index];
+                    self.position < point.uncompressed_offset + point.uncompressed_size
+                });
+            let Some(index) = covering else {
+                // The index does not (yet) cover the position.
+                let finished = state.pass.finished;
+                state.reading_at = u64::MAX;
+                drop(state);
+                if finished {
+                    // End of stream: a sequential pass has taken every chunk's
+                    // bytes by now, so a corrupt trailer anywhere must have been
+                    // folded and is reported here at the latest.
+                    self.check_verification()?;
+                    return Ok(None);
                 }
-                (point, state.pass.finished)
+                self.advance_one_chunk()?;
+                continue;
             };
-            if let Some(point) = covering_point {
-                let end = point.uncompressed_offset + point.uncompressed_size;
-                if self.position < end {
-                    // With a complete seek-point table, keep the pool busy
-                    // decoding the exact chunks predicted to be read next.
-                    self.issue_index_prefetches(self.position);
-                    let data = self.chunk_bytes(&point)?;
-                    let chunk_offset = (self.position - point.uncompressed_offset) as usize;
-                    // A cached chunk shorter than its seek point claims (a
-                    // lying or stale index) must error like the on-demand
-                    // length check does, not underflow in the caller.
-                    if chunk_offset >= data.len() {
-                        return Err(CoreError::IndexMismatch {
-                            compressed_bit_offset: point.compressed_bit_offset,
-                        });
-                    }
-                    return Ok(Some((data, chunk_offset)));
-                }
+            let point = &points[index];
+            let (key, start) = (point.compressed_bit_offset, point.uncompressed_offset);
+            state.reading_at = key;
+            // Keep the pool busy with the chunks after this one: the ranges
+            // that follow while the pass is under way, and with a complete
+            // seek-point table the exact chunks predicted to be read next.
+            shared.issue_prefetches(&mut state, shared.guess_of(key));
+            let planned = shared.plan_prefetches(&mut state, index);
+            if !planned.is_empty() {
+                let windows = state.index.window_map.clone();
+                drop(state);
+                shared.spawn_prefetches(planned, &windows);
+                state = shared.lock();
             }
-            // The index does not (yet) cover the position.
-            if finished {
-                // End of stream: a sequential pass has taken every chunk's
-                // bytes by now, so a corrupt trailer anywhere must have been
-                // folded and is reported here at the latest.
-                self.check_verification()?;
-                return Ok(None);
+            let data = self.chunk_bytes(state, index, key)?;
+            let chunk_offset = (self.position - start) as usize;
+            // A cached chunk shorter than its seek point claims (a lying or
+            // stale index) must error like the decode's own length check
+            // does, not underflow in the caller.
+            if chunk_offset >= data.len() {
+                return Err(CoreError::IndexMismatch {
+                    compressed_bit_offset: key,
+                });
             }
-            self.advance_one_chunk()?;
+            return Ok(Some((data, chunk_offset)));
         }
     }
 
@@ -1526,7 +1272,7 @@ mod tests {
                     event.kind,
                     EventKind::Span {
                         stage: Stage::DecodeTwoStage,
-                        outcome: Outcome::Ok,
+                        outcome: rgz_trace::Outcome::Ok,
                         ..
                     }
                 )
@@ -1616,9 +1362,9 @@ mod tests {
         {
             let mut state = reader.shared.lock();
             state.pass.next_unissued = 2;
-            for (guess, found) in [(0usize, 0u64), (1, 64 * 1024 * 8 + 1)] {
+            for (range_bit, found) in [(0u64, 0u64), (64 * 1024 * 8, 64 * 1024 * 8 + 1)] {
                 state.pass.chunks.insert(
-                    guess,
+                    range_bit,
                     ChunkState::Markered(crate::SpeculativeChunk {
                         requested_bit_offset: found,
                         found_bit_offset: found,

@@ -3,7 +3,7 @@
 //! provide, what lies idle stays within the bound the pool states, and a
 //! reader that goes away takes all of it with it.
 
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::sync::Arc;
 
 use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
@@ -212,5 +212,52 @@ fn a_reader_dropped_mid_read_frees_every_buffer() {
         // Only a pool nobody holds a buffer or a handle of takes what it
         // kept idle off the gauge.
         assert_eq!(idle_bytes(&registry), 0);
+    }
+}
+
+#[test]
+fn chunks_a_reader_skips_do_not_stay() {
+    // A reader that has the pass run to the end without reading — to learn
+    // the size, to build the index — is not left holding the file: of the
+    // chunks nobody came for, the pass keeps as many as it may decode ahead
+    // of a reader that does read, degree + 1, and lets the farthest go.
+    let data = silesia_like(8 * 1024 * 1024, 34);
+    let compressed = compress(&data);
+    let chunks = compressed.len().div_ceil(CHUNK_SIZE);
+    assert!(chunks >= 64, "{chunks} chunks");
+    for parallelization in [1usize, 2] {
+        for build_index in [false, true] {
+            let run = format!("P = {parallelization}, index build: {build_index}");
+            let registry = Arc::new(MetricsRegistry::new_enabled());
+            let mut reader = reader(&compressed, parallelization, &registry);
+            if build_index {
+                assert_eq!(
+                    reader.build_full_index().unwrap().block_map.len(),
+                    chunks,
+                    "{run}"
+                );
+            } else {
+                assert_eq!(reader.seek(SeekFrom::End(0)).unwrap(), data.len() as u64);
+            }
+            // Byte buffers ever created: what can hold bytes at once — the
+            // chunks kept, the cache, one in each worker's hands.
+            let degree = 2 * parallelization;
+            let bound = degree + 1 + CACHE_CHUNKS + parallelization;
+            let fresh = takes(&registry, "u8", "fresh");
+            assert!(
+                fresh <= bound as u64,
+                "{run}: {fresh} fresh byte buffers for {chunks} chunks, bound {bound}"
+            );
+
+            // What was let go of is decoded again through the index the pass
+            // has built, and checked against the fragments it stored.
+            reader.seek(SeekFrom::Start(0)).unwrap();
+            let mut restored = Vec::new();
+            reader.read_to_end(&mut restored).unwrap();
+            assert!(restored == data, "{run}: output differs");
+            let statistics = reader.statistics();
+            assert!(statistics.index_chunks > 0, "{run}: {statistics:?}");
+            assert_eq!(statistics.index_chunks_unverified, 0, "{run}");
+        }
     }
 }

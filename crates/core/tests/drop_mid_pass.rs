@@ -86,3 +86,64 @@ fn a_reader_dropped_anywhere_in_the_pass_leaves_nothing_behind() {
         }
     }
 }
+
+#[test]
+fn an_indexed_reader_dropped_mid_tour_leaves_nothing_behind() {
+    // Through an index the chunks decoded ahead are pool tasks like the
+    // pass's own, holding the reader's shared state and entering their bytes
+    // into its table: dropped with some queued, some running and some done
+    // but not come for, the reader joins them all — no worker itself.
+    let data = silesia_like(200_000, 78);
+    let compressed = GzipWriter::new(CompressorOptions {
+        block_size: 2 * 1024,
+        ..Default::default()
+    })
+    .compress(&data);
+    let options = ParallelGzipReaderOptions {
+        chunk_size: 4 * 1024,
+        ..Default::default()
+    };
+    let mut builder = ParallelGzipReader::from_bytes(compressed.clone(), options.clone()).unwrap();
+    let index = builder.build_full_index().unwrap().export();
+    drop(builder);
+
+    let mut shuffle = Shuffle(0xD1B5_4A32_D192_ED03);
+    for parallelization in [1usize, 2, 8] {
+        let mut left_behind = 0;
+        for round in 0..100 {
+            let registry = Arc::new(MetricsRegistry::new_enabled());
+            let options = ParallelGzipReaderOptions {
+                parallelization,
+                ..options.clone()
+            }
+            .with_metrics(Arc::clone(&registry));
+            let mut reader = ParallelGzipReader::with_index(
+                rgz_io::SharedFileReader::from_bytes(compressed.clone()),
+                options,
+                rgz_index::GzipIndex::import(&index).unwrap(),
+            )
+            .unwrap();
+            // Runs of reads that make the prefetcher reach further each
+            // time, and jumps that leave what it decoded lying.
+            let mut buffer = vec![0u8; 1 + shuffle.next(12_000)];
+            for _ in 0..1 + shuffle.next(6) {
+                let mut position = shuffle.next(data.len());
+                reader.seek(SeekFrom::Start(position as u64)).unwrap();
+                for _ in 0..shuffle.next(4) {
+                    let count = reader.read(&mut buffer).unwrap();
+                    assert_eq!(buffer[..count], data[position..position + count]);
+                    position += count;
+                }
+            }
+            let statistics = reader.statistics();
+            left_behind += statistics.index_prefetches_issued - statistics.index_prefetch_hits;
+            drop(reader);
+            let idle = registry
+                .snapshot()
+                .gauge(names::BUFFER_POOL_IDLE_BYTES, &[])
+                .unwrap_or(0);
+            assert_eq!(idle, 0, "P = {parallelization}, round {round}");
+        }
+        assert!(left_behind > 100, "P = {parallelization}: {left_behind}");
+    }
+}

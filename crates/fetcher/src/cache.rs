@@ -1,68 +1,9 @@
-//! A keyed cache with pluggable eviction strategy (the `Cache`,
-//! `CacheStrategy` and `LeastRecentlyUsed` classes of Figure 5).
+//! A bounded, keyed least-recently-used cache (the `Cache` of Figure 5 with
+//! its `LeastRecentlyUsed` strategy, the one eviction policy in use).
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
-
-/// Eviction policy interface: informed about touches and insertions, asked
-/// which key to evict when the cache is full.
-pub trait CacheStrategy<K>: Send {
-    /// A key was accessed.
-    fn touch(&mut self, key: &K);
-    /// A key was inserted.
-    fn insert(&mut self, key: K);
-    /// A key was removed externally.
-    fn remove(&mut self, key: &K);
-    /// Chooses the key to evict.
-    fn evict(&mut self) -> Option<K>;
-}
-
-/// Least-recently-used eviction.
-#[derive(Debug)]
-pub struct LeastRecentlyUsed<K> {
-    /// Keys ordered from least to most recently used.
-    order: Vec<K>,
-}
-
-impl<K> Default for LeastRecentlyUsed<K> {
-    fn default() -> Self {
-        Self { order: Vec::new() }
-    }
-}
-
-impl<K: Eq + Clone> CacheStrategy<K> for LeastRecentlyUsed<K>
-where
-    K: Send,
-{
-    fn touch(&mut self, key: &K) {
-        if let Some(position) = self.order.iter().position(|k| k == key) {
-            let key = self.order.remove(position);
-            self.order.push(key);
-        }
-    }
-
-    fn insert(&mut self, key: K) {
-        if let Some(position) = self.order.iter().position(|k| *k == key) {
-            self.order.remove(position);
-        }
-        self.order.push(key);
-    }
-
-    fn remove(&mut self, key: &K) {
-        if let Some(position) = self.order.iter().position(|k| k == key) {
-            self.order.remove(position);
-        }
-    }
-
-    fn evict(&mut self) -> Option<K> {
-        if self.order.is_empty() {
-            None
-        } else {
-            Some(self.order.remove(0))
-        }
-    }
-}
 
 /// Hit/miss counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -75,20 +16,22 @@ pub struct CacheStatistics {
     pub evictions: u64,
 }
 
-/// A bounded cache holding `Arc<V>` values.
+/// A bounded cache holding `Arc<V>` values; when full, the entry looked up
+/// or inserted longest ago makes room.
 ///
 /// An evicted (or replaced, removed, cleared) value is dropped as soon as
 /// nobody who looked it up still holds it — which is when a value that owns
 /// recycled memory, like the reader's [`Pooled`](crate::Pooled) chunk
 /// buffers, gives it back.
-pub struct Cache<K, V, S = LeastRecentlyUsed<K>> {
+pub struct Cache<K, V> {
     capacity: usize,
     entries: HashMap<K, Arc<V>>,
-    strategy: S,
+    /// Keys ordered from least to most recently used.
+    order: Vec<K>,
     statistics: CacheStatistics,
 }
 
-impl<K: std::fmt::Debug, V, S> std::fmt::Debug for Cache<K, V, S> {
+impl<K: std::fmt::Debug, V> std::fmt::Debug for Cache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cache")
             .field("capacity", &self.capacity)
@@ -98,34 +41,18 @@ impl<K: std::fmt::Debug, V, S> std::fmt::Debug for Cache<K, V, S> {
     }
 }
 
-impl<K, V> Cache<K, V, LeastRecentlyUsed<K>>
+impl<K, V> Cache<K, V>
 where
-    K: Eq + Hash + Clone + Send,
+    K: Eq + Hash + Clone,
 {
-    /// Creates an LRU cache with the given capacity (at least 1).
+    /// Creates a cache with the given capacity (at least 1).
     pub fn new(capacity: usize) -> Self {
-        Self::with_strategy(capacity, LeastRecentlyUsed::default())
-    }
-}
-
-impl<K, V, S> Cache<K, V, S>
-where
-    K: Eq + Hash + Clone + Send,
-    S: CacheStrategy<K>,
-{
-    /// Creates a cache with an explicit eviction strategy.
-    pub fn with_strategy(capacity: usize, strategy: S) -> Self {
         Self {
             capacity: capacity.max(1),
             entries: HashMap::new(),
-            strategy,
+            order: Vec::new(),
             statistics: CacheStatistics::default(),
         }
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current number of entries.
@@ -143,13 +70,22 @@ where
         self.statistics
     }
 
+    /// Takes `key` out of the recency order, if it is in it.
+    fn forget(&mut self, key: &K) {
+        if let Some(position) = self.order.iter().position(|k| k == key) {
+            self.order.remove(position);
+        }
+    }
+
     /// Looks up a key, marking it as recently used.
     pub fn get(&mut self, key: &K) -> Option<Arc<V>> {
         match self.entries.get(key) {
             Some(value) => {
                 self.statistics.hits += 1;
-                self.strategy.touch(key);
-                Some(value.clone())
+                let value = value.clone();
+                self.forget(key);
+                self.order.push(key.clone());
+                Some(value)
             }
             None => {
                 self.statistics.misses += 1;
@@ -168,44 +104,30 @@ where
         self.entries.contains_key(key)
     }
 
-    /// Inserts a value, evicting as necessary.
+    /// Inserts a value as the most recently used, evicting as necessary.
     pub fn insert(&mut self, key: K, value: Arc<V>) {
-        if self.entries.contains_key(&key) {
-            self.entries.insert(key.clone(), value);
-            self.strategy.touch(&key);
-            return;
-        }
-        while self.entries.len() >= self.capacity {
-            match self.strategy.evict() {
-                Some(evicted) => {
-                    self.entries.remove(&evicted);
-                    self.statistics.evictions += 1;
-                }
-                None => break,
+        if !self.entries.contains_key(&key) {
+            while self.entries.len() >= self.capacity && !self.order.is_empty() {
+                let evicted = self.order.remove(0);
+                self.entries.remove(&evicted);
+                self.statistics.evictions += 1;
             }
         }
-        self.strategy.insert(key.clone());
+        self.forget(&key);
+        self.order.push(key.clone());
         self.entries.insert(key, value);
     }
 
     /// Removes a key.
     pub fn remove(&mut self, key: &K) -> Option<Arc<V>> {
-        self.strategy.remove(key);
+        self.forget(key);
         self.entries.remove(key)
     }
 
     /// Removes every entry.
     pub fn clear(&mut self) {
-        let keys: Vec<K> = self.entries.keys().cloned().collect();
-        for key in &keys {
-            self.strategy.remove(key);
-        }
+        self.order.clear();
         self.entries.clear();
-    }
-
-    /// Iterates over the currently cached keys (in arbitrary order).
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.entries.keys()
     }
 }
 

@@ -1,0 +1,197 @@
+//! Reads through a seek-point table that is not the reader's own: an index
+//! need not put one chunk in each of the reader's `chunk_size` ranges — one
+//! built at 32 KiB, or `ParallelCompressor`'s one point per BGZF block group,
+//! puts dozens into a default 4 MiB range — so what is decoded ahead through
+//! it goes by each chunk's own first bit, never by its range.  Whatever the
+//! reader's chunk size and thread count: the same bytes, every chunk decoded
+//! once and verified, and prefetches that are found.
+
+use std::io::{Read, Seek, SeekFrom};
+use std::sync::Arc;
+
+use rapidgzip_suite::compress::{
+    CompressionLevel, ContainerFormat, ParallelCompressor, ParallelCompressorOptions,
+};
+use rapidgzip_suite::core::{ParallelGzipReader, ParallelGzipReaderOptions};
+use rapidgzip_suite::datagen;
+use rapidgzip_suite::gzip::GzipWriter;
+use rapidgzip_suite::index::{GzipIndex, IndexFormat};
+use rapidgzip_suite::io::SharedFileReader;
+use rgz_trace::{instants, EventKind, TraceSink};
+
+mod common;
+use common::quiesce;
+
+const DATA_BYTES: usize = 2 << 20;
+
+fn corpus() -> Vec<u8> {
+    datagen::silesia_like(DATA_BYTES, 404)
+}
+
+/// A plain gzip file and the index a pass at 32 KiB chunks builds for it.
+fn gzip_with_fine_index(data: &[u8]) -> (Vec<u8>, Vec<u8>) {
+    let compressed = GzipWriter::default().compress(data);
+    let options = ParallelGzipReaderOptions {
+        parallelization: 2,
+        chunk_size: 32 * 1024,
+        ..Default::default()
+    };
+    let mut builder = ParallelGzipReader::from_bytes(compressed.clone(), options).unwrap();
+    let index = builder.build_full_index().unwrap();
+    (compressed, index.export_as(IndexFormat::V3))
+}
+
+/// A BGZF file and the index its compressor emits with it.
+fn bgzf_with_emitted_index(data: &[u8]) -> (Vec<u8>, Vec<u8>) {
+    let stream = ParallelCompressor::new(ParallelCompressorOptions {
+        level: CompressionLevel::Fast,
+        container: ContainerFormat::Bgzf,
+        chunk_size: 64 * 1024,
+        parallelization: 2,
+        ..Default::default()
+    })
+    .compress(data);
+    (stream.bytes, stream.index.export_as(IndexFormat::V3))
+}
+
+fn reader(
+    compressed: &[u8],
+    index: &[u8],
+    options: ParallelGzipReaderOptions,
+) -> ParallelGzipReader {
+    ParallelGzipReader::with_index(
+        SharedFileReader::from_bytes(compressed.to_vec()),
+        options,
+        GzipIndex::import(index).unwrap(),
+    )
+    .unwrap()
+}
+
+#[test]
+fn an_index_finer_than_the_readers_chunks_serves_every_chunk_once() {
+    let data = corpus();
+    let files = [
+        ("gzip, 32 KiB index", gzip_with_fine_index(&data)),
+        ("BGZF, emitted index", bgzf_with_emitted_index(&data)),
+    ];
+    // Chunk starts, chunk ends, a stride, and back again.
+    let tour: Vec<usize> = [0, 7, 3, 11, 12, 13, 5, 15, 1, 14, 2]
+        .into_iter()
+        .map(|step| step * (DATA_BYTES / 16 - 1021))
+        .chain([DATA_BYTES - 4096, 0])
+        .collect();
+    for (name, (compressed, index)) in &files {
+        let points = GzipIndex::import(index).unwrap().block_map;
+        // Many to a default chunk, and more than one to a small one.
+        assert!(points.len() >= 16, "{name}: {} seek points", points.len());
+        assert!(compressed.len() / points.len() < 48 * 1024, "{name}");
+        let non_empty = points
+            .points()
+            .iter()
+            .filter(|point| point.uncompressed_size > 0)
+            .count() as u64;
+        for chunk_size in [4 << 20, 64 << 10] {
+            for parallelization in [1usize, 2, 8] {
+                let run = format!("{name}, chunk {chunk_size}, P = {parallelization}");
+                let options = ParallelGzipReaderOptions {
+                    parallelization,
+                    chunk_size,
+                    ..Default::default()
+                };
+                let mut sequential = reader(compressed, index, options.clone());
+                assert_eq!(sequential.decompress_all().unwrap(), data, "{run}");
+                let statistics = sequential.statistics();
+                // No chunk decoded twice, none served unchecked.
+                assert_eq!(statistics.index_chunks, non_empty, "{run}: {statistics:?}");
+                assert_eq!(statistics.index_chunks_verified, non_empty, "{run}");
+                assert_eq!(statistics.index_chunks_unverified, 0, "{run}");
+                assert!(statistics.index_prefetch_hits > 0, "{run}: {statistics:?}");
+                assert_eq!(statistics.prefetches_issued, 0, "{run}");
+
+                let mut seeking = reader(compressed, index, options);
+                let mut buffer = vec![0u8; 4096];
+                for &offset in &tour {
+                    seeking.seek(SeekFrom::Start(offset as u64)).unwrap();
+                    seeking.read_exact(&mut buffer).unwrap();
+                    assert_eq!(buffer, data[offset..offset + 4096], "{run} at {offset}");
+                }
+                let statistics = seeking.statistics();
+                assert!(statistics.index_prefetch_hits > 0, "{run}: {statistics:?}");
+                assert_eq!(statistics.index_chunks_unverified, 0, "{run}");
+            }
+        }
+    }
+}
+
+/// The prefetch policy, pinned: which chunks one scripted walk over the
+/// table has decoded ahead, in which order, and how many of its reads found
+/// their chunk that way.  With one worker and every decode finished before
+/// the next read the walk is deterministic; the constants are what the
+/// commit before the index-aligned prefetches joined the pass's table of
+/// chunks recorded for it (`IndexAlignedPlan` over `FetchNextAdaptive`: full
+/// degree at first, doubling on each next chunk, one after a jump, clipped to
+/// the table, finished and no longer predicted chunks let go of once
+/// 2 × degree are held).
+#[test]
+fn the_prefetch_policy_is_the_recorded_one() {
+    let data = corpus();
+    let (compressed, index) = gzip_with_fine_index(&data);
+    let points = GzipIndex::import(&index).unwrap().block_map;
+    let points = points.points();
+    assert_eq!(points.len(), 16);
+
+    let trace = Arc::new(TraceSink::new_enabled());
+    let options = ParallelGzipReaderOptions {
+        parallelization: 1,
+        resolved_cache_chunks: 2,
+        ..Default::default()
+    }
+    .with_trace(Arc::clone(&trace));
+    let mut reader = reader(&compressed, &index, options);
+    let walk = [
+        0usize, 1, 2, 3, 10, 11, 5, 12, 13, 14, 15, 4, 12, 0, 1, 1, 2, 3, 4, 5, 6, 9, 7,
+    ];
+    let mut buffer = vec![0u8; 1024];
+    for &chunk in &walk {
+        let offset = points[chunk].uncompressed_offset + 100;
+        reader.seek(SeekFrom::Start(offset)).unwrap();
+        reader.read_exact(&mut buffer).unwrap();
+        assert_eq!(buffer, data[offset as usize..][..1024], "chunk {chunk}");
+        quiesce(&reader);
+    }
+
+    let mut issued = Vec::new();
+    let (mut hits, mut misses, mut evictions) = (0, 0, 0);
+    for track in trace.snapshot() {
+        for event in &track.events {
+            let EventKind::Instant { name, .. } = event.kind else {
+                continue;
+            };
+            match name {
+                instants::PREFETCH_ISSUE => {
+                    let key = event.meta.chunk.unwrap();
+                    let chunk = points
+                        .iter()
+                        .position(|point| point.compressed_bit_offset == key)
+                        .expect("every prefetch starts at a seek point");
+                    issued.push(chunk);
+                }
+                instants::PREFETCH_HIT => hits += 1,
+                instants::PREFETCH_MISS => misses += 1,
+                instants::PREFETCH_EVICT => evictions += 1,
+                _ => {}
+            }
+        }
+    }
+    assert_eq!(issued, RECORDED_ISSUES);
+    assert_eq!((hits, misses, evictions), RECORDED_HITS_MISSES_EVICTIONS);
+    let statistics = reader.statistics();
+    assert_eq!(statistics.index_prefetches_issued, issued.len() as u64);
+    assert_eq!(statistics.index_prefetch_hits, hits);
+    assert_eq!(statistics.index_chunks, hits + misses);
+}
+
+const RECORDED_ISSUES: [usize; 23] = [
+    1, 2, 3, 4, 5, 11, 12, 13, 6, 13, 14, 15, 5, 13, 1, 2, 3, 4, 5, 6, 7, 8, 10,
+];
+const RECORDED_HITS_MISSES_EVICTIONS: (u64, u64, u64) = (13, 9, 8);

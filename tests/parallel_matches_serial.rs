@@ -227,6 +227,9 @@ fn output_index_and_statistics_are_invariant_under_thread_count() {
                     "{run}: {statistics:?}"
                 );
                 assert_eq!(seek_points as u64, pinned_chunks, "{run}");
+                // A reader that reads on finds every chunk where the pass
+                // put it: none is let go of and decoded again.
+                assert_eq!(statistics.index_chunks, 0, "{run}: {statistics:?}");
                 assert_eq!(
                     statistics.speculative_bytes_u16 > 0 || statistics.speculative_bytes_u8 > 0,
                     statistics.speculative_chunks_used > 0,

@@ -10,14 +10,23 @@
 //! silently clean.
 
 use std::io::{Read, Seek, SeekFrom};
+use std::sync::Arc;
 
-use rapidgzip_suite::core::{ParallelGzipReader, ParallelGzipReaderOptions, VerificationMode};
+use rapidgzip_suite::core::{
+    CoreError, ParallelGzipReader, ParallelGzipReaderOptions, ReaderStatistics, VerificationMode,
+};
 use rapidgzip_suite::datagen;
 use rapidgzip_suite::gzip::{
     decompress_with_info, CompressorFrontend, FrontendKind, GzipWriter, MemberInfo,
 };
 use rapidgzip_suite::index::{GzipIndex, IndexFormat, SeekPoint};
 use rapidgzip_suite::interop::{export_index, import_index, AnyIndexFormat};
+use rapidgzip_suite::io::{FileReader, MemoryFileReader, SharedFileReader};
+use rapidgzip_suite::metrics::MetricsRegistry;
+use rgz_trace::{MetricsReport, TraceSink};
+
+mod common;
+use common::quiesce;
 
 fn options(verification: VerificationMode) -> ParallelGzipReaderOptions {
     ParallelGzipReaderOptions {
@@ -298,4 +307,117 @@ fn a_lying_index_is_an_error_not_a_panic() {
         error.to_string().contains("does not match"),
         "expected an index mismatch, got: {error}"
     );
+}
+
+#[test]
+fn a_chunk_that_fails_its_check_is_counted_nowhere_however_it_was_reached() {
+    // A chunk counts as served from the index, and as verified, once its
+    // bytes have passed every check — whether the read that wanted it decoded
+    // it itself or found what a prefetch had left: its error.
+    let (pristine, _, members) = stored_bgzf_corpus();
+    let index = build_index(&pristine);
+    let serialized = export_index(&index, AnyIndexFormat::Native(IndexFormat::V3));
+    let (member, byte) = flip_sites(&members)[1];
+    let mut corrupted = pristine.clone();
+    corrupted[byte] ^= 1 << 3;
+    let points = index.block_map.points();
+    let bad = points.partition_point(|point| point.compressed_bit_offset / 8 <= byte as u64) - 1;
+    assert!(bad >= 2 && bad + 3 < points.len(), "chunk {bad}");
+
+    let mut errors = Vec::new();
+    // A jump back from far ahead prefetches the one chunk after its target,
+    // and decodes the target on demand; a first read of the chunk before it
+    // has prefetched the target at full degree (2 x 4 threads).
+    for (route, first, misses) in [("on demand", bad + 3, 1), ("prefetched", bad - 1, 0)] {
+        let trace = Arc::new(TraceSink::new_enabled());
+        let registry = Arc::new(MetricsRegistry::new_enabled());
+        let mut reader = ParallelGzipReader::with_index(
+            SharedFileReader::from_bytes(corrupted.clone()),
+            options(VerificationMode::Full)
+                .with_trace(Arc::clone(&trace))
+                .with_metrics(Arc::clone(&registry)),
+            import_index(&serialized).unwrap().index,
+        )
+        .unwrap();
+        let mut buffer = vec![0u8; 512];
+        reader
+            .seek(SeekFrom::Start(points[first].uncompressed_offset))
+            .unwrap();
+        reader.read_exact(&mut buffer).unwrap();
+        quiesce(&reader);
+        let before = reader.statistics();
+        let misses_before = MetricsReport::from_sink(&trace).prefetch.misses;
+        assert_eq!(before.index_chunks, 1, "{route}");
+        assert_eq!(before.index_chunks_verified, 1, "{route}");
+
+        reader
+            .seek(SeekFrom::Start(points[bad].uncompressed_offset))
+            .unwrap();
+        let error = reader.read_exact(&mut buffer).expect_err(route);
+        quiesce(&reader);
+        let after = reader.statistics();
+        assert_eq!(after.index_chunks, 1, "{route}: {after:?}");
+        assert_eq!(after.index_chunks_verified, 1, "{route}: {after:?}");
+        assert_eq!(after.index_chunks_unverified, 0, "{route}: {after:?}");
+        assert_eq!(
+            MetricsReport::from_sink(&trace).prefetch.misses - misses_before,
+            misses,
+            "{route}: not the way the chunk was to be reached"
+        );
+        assert_eq!(
+            ReaderStatistics::from_metrics_snapshot(&registry.snapshot()),
+            after,
+            "{route}"
+        );
+        errors.push((error.kind(), error.to_string()));
+    }
+    assert_eq!(errors[0], errors[1]);
+    assert!(
+        errors[0].1.contains(&format!("member {member}")),
+        "expected the error to name member {member}, got: {}",
+        errors[0].1
+    );
+}
+
+/// A compressed file no pool thread can read: what a bug in a chunk task
+/// looks like from outside.
+struct PanicsOnWorkers(MemoryFileReader);
+
+impl FileReader for PanicsOnWorkers {
+    fn read_at(&self, offset: u64, buffer: &mut [u8]) -> std::io::Result<usize> {
+        let worker = std::thread::current()
+            .name()
+            .is_some_and(|name| name.starts_with("rgz-worker"));
+        assert!(!worker, "poisoned fixture: a read on a pool thread");
+        self.0.read_at(offset, buffer)
+    }
+
+    fn size(&self) -> u64 {
+        self.0.size()
+    }
+}
+
+#[test]
+fn a_panicking_prefetch_is_an_error_of_the_read_that_wanted_its_chunk() {
+    let data = datagen::base64_random(400_000, 205);
+    let compressed = GzipWriter::default().compress(&data);
+    let index = build_index(&compressed);
+    assert!(index.block_map.len() >= 4);
+    let mut reader = ParallelGzipReader::with_index(
+        SharedFileReader::new(PanicsOnWorkers(MemoryFileReader::new(compressed))),
+        options(VerificationMode::Full),
+        index,
+    )
+    .unwrap();
+    // The first chunk is decoded on this thread; the ones after it are
+    // prefetched on the pool, where every task panics.
+    match reader.decompress_all() {
+        Err(CoreError::Io(error)) => assert!(error.to_string().contains("panicked"), "{error}"),
+        other => panic!("expected the chunk task's panic as an error, got {other:?}"),
+    }
+    // The reader is none the worse for it: what it decodes itself, it serves.
+    let mut buffer = vec![0u8; 1000];
+    reader.seek(SeekFrom::Start(0)).unwrap();
+    reader.read_exact(&mut buffer).unwrap();
+    assert_eq!(buffer, data[..1000]);
 }
