@@ -1,92 +1,15 @@
 //! Figure 9: decompression bandwidth vs. core count, base64 random data.
 
 use rgz_bench::*;
-use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
-use rgz_io::SharedFileReader;
-
-fn scaling_run(kind: &str, make_data: fn(usize, u64) -> Vec<u8>, include_pugz: bool) {
-    let per_core = scaled(8 << 20, 1 << 20);
-    let chunk_size = scaled(512 * 1024, 128 * 1024);
-    println!(
-        "{:<28} cores:bandwidth-MB/s pairs (uncompressed bandwidth)",
-        "series"
-    );
-
-    // Single-threaded baselines, measured once on the single-core corpus.
-    let data1 = make_data(per_core, 1);
-    let compressed1 = rgz_gzip::GzipWriter::default().compress_pigz_like(&data1, 128 * 1024);
-    let (out, duration) = best_of(|| rgz_gzip::decompress(&compressed1).unwrap());
-    assert_eq!(out.len(), data1.len());
-    print_series_row(
-        "gzip (serial baseline)",
-        &[(1, bandwidth_mb_per_s(data1.len(), duration))],
-    );
-
-    let mut rapid_no_index = Vec::new();
-    let mut rapid_index = Vec::new();
-    let mut pugz_series = Vec::new();
-    for &cores in &core_counts() {
-        let data = make_data(per_core * cores, cores as u64);
-        let compressed = rgz_gzip::GzipWriter::default().compress_pigz_like(&data, 128 * 1024);
-        println!(
-            "# cores {cores}: corpus {} MB, compressed {} MB ({kind})",
-            data.len() / 1_000_000,
-            compressed.len() / 1_000_000
-        );
-
-        let options = ParallelGzipReaderOptions {
-            parallelization: cores,
-            chunk_size,
-            ..Default::default()
-        };
-        let shared = SharedFileReader::from_bytes(compressed.clone());
-
-        let (_, duration) = best_of(|| {
-            let mut reader = ParallelGzipReader::new(shared.clone(), options.clone()).unwrap();
-            let out = reader.decompress_all().unwrap();
-            assert_eq!(out.len(), data.len());
-        });
-        rapid_no_index.push((cores, bandwidth_mb_per_s(data.len(), duration)));
-
-        // Build the index once, then measure decompression with it.
-        let mut index_builder = ParallelGzipReader::new(shared.clone(), options.clone()).unwrap();
-        let index = index_builder.build_full_index().unwrap();
-        let (_, duration) = best_of(|| {
-            let mut reader =
-                ParallelGzipReader::with_index(shared.clone(), options.clone(), index.clone())
-                    .unwrap();
-            let out = reader.decompress_all().unwrap();
-            assert_eq!(out.len(), data.len());
-        });
-        rapid_index.push((cores, bandwidth_mb_per_s(data.len(), duration)));
-
-        if include_pugz {
-            let pugz = rgz_baselines::PugzDecompressor {
-                threads: cores,
-                chunk_size,
-                synchronized: true,
-            };
-            let (result, duration) = best_of(|| pugz.decompress(&compressed));
-            match result {
-                Ok(out) => {
-                    assert_eq!(out.len(), data.len());
-                    pugz_series.push((cores, bandwidth_mb_per_s(data.len(), duration)));
-                }
-                Err(_) => println!("# pugz cannot decompress this corpus (content restriction)"),
-            }
-        }
-    }
-    print_series_row("rapidgzip (no index)", &rapid_no_index);
-    print_series_row("rapidgzip (index)", &rapid_index);
-    if include_pugz && !pugz_series.is_empty() {
-        print_series_row("pugz (sync)", &pugz_series);
-    }
-}
 
 fn main() {
     print_header(
         "Figure 9 — parallel decompression of base64-encoded random data",
         "weak scaling: corpus grows with the core count; pigz-style compression",
+    );
+    println!(
+        "{:<28} cores:bandwidth-MB/s pairs (uncompressed bandwidth)",
+        "series"
     );
     scaling_run("base64", rgz_datagen::base64_random, true);
 }

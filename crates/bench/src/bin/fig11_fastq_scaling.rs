@@ -1,70 +1,11 @@
 //! Figure 11: decompression bandwidth vs. core count, FASTQ data.
 
 use rgz_bench::*;
-use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
-use rgz_io::SharedFileReader;
 
 fn main() {
     print_header(
         "Figure 11 — parallel decompression of FASTQ data",
         "the file format pugz was designed for; both tools are compared",
     );
-    let per_core = scaled(8 << 20, 1 << 20);
-    let chunk_size = scaled(512 * 1024, 128 * 1024);
-
-    let data1 = rgz_datagen::fastq_of_size(per_core, 1);
-    let compressed1 = rgz_gzip::GzipWriter::default().compress_pigz_like(&data1, 128 * 1024);
-    let (_, duration) = best_of(|| rgz_gzip::decompress(&compressed1).unwrap());
-    print_series_row(
-        "gzip (serial baseline)",
-        &[(1, bandwidth_mb_per_s(data1.len(), duration))],
-    );
-
-    let mut rapid_no_index = Vec::new();
-    let mut rapid_index = Vec::new();
-    let mut pugz_series = Vec::new();
-    for &cores in &core_counts() {
-        let data = rgz_datagen::fastq_of_size(per_core * cores, cores as u64);
-        let compressed = rgz_gzip::GzipWriter::default().compress_pigz_like(&data, 128 * 1024);
-        println!(
-            "# cores {cores}: corpus {} MB, compressed {} MB, ratio {:.2}",
-            data.len() / 1_000_000,
-            compressed.len() / 1_000_000,
-            data.len() as f64 / compressed.len() as f64
-        );
-        let options = ParallelGzipReaderOptions {
-            parallelization: cores,
-            chunk_size,
-            ..Default::default()
-        };
-        let shared = SharedFileReader::from_bytes(compressed.clone());
-        let (_, duration) = best_of(|| {
-            let mut reader = ParallelGzipReader::new(shared.clone(), options.clone()).unwrap();
-            assert_eq!(reader.decompress_all().unwrap().len(), data.len());
-        });
-        rapid_no_index.push((cores, bandwidth_mb_per_s(data.len(), duration)));
-
-        let mut index_builder = ParallelGzipReader::new(shared.clone(), options.clone()).unwrap();
-        let index = index_builder.build_full_index().unwrap();
-        let (_, duration) = best_of(|| {
-            let mut reader =
-                ParallelGzipReader::with_index(shared.clone(), options.clone(), index.clone())
-                    .unwrap();
-            assert_eq!(reader.decompress_all().unwrap().len(), data.len());
-        });
-        rapid_index.push((cores, bandwidth_mb_per_s(data.len(), duration)));
-
-        let pugz = rgz_baselines::PugzDecompressor {
-            threads: cores,
-            chunk_size,
-            synchronized: true,
-        };
-        if let (Ok(out), duration) = best_of(|| pugz.decompress(&compressed)) {
-            assert_eq!(out.len(), data.len());
-            pugz_series.push((cores, bandwidth_mb_per_s(data.len(), duration)));
-        }
-    }
-    print_series_row("rapidgzip (no index)", &rapid_no_index);
-    print_series_row("rapidgzip (index)", &rapid_index);
-    print_series_row("pugz (sync)", &pugz_series);
+    scaling_run("fastq", rgz_datagen::fastq_of_size, true);
 }

@@ -31,8 +31,8 @@ use rgz_deflate::block::{
 };
 use rgz_deflate::{
     inflate, inflate_single_symbol, inflate_speculative, inflate_two_stage, replace_markers,
-    replace_markers_to_slice, replace_markers_to_slice_scalar, replace_markers_to_slice_sparse,
-    BlockBoundary, BlockType, CompressorOptions, DeflateCompressor, SpeculativeOutput, MARKER_BASE,
+    replace_markers_to_slice, replace_markers_to_slice_scalar, BlockBoundary, BlockType,
+    CompressorOptions, DeflateCompressor, SpeculativeOutput, MARKER_BASE,
 };
 use rgz_metrics::MetricsRegistry;
 use rgz_trace::{chrome_trace_json, MetricsReport, TraceSink};
@@ -339,14 +339,13 @@ fn main() {
             duration,
         );
         if name == "silesia" {
-            // The text corpus's own symbols, every other one a marker: the
-            // table kernel the reader resolves a chunk with against the
-            // patch kernel it used to, into one buffer that exists.
+            // The text corpus's own symbols, every other one a marker, into
+            // one buffer that exists: what the reader resolves a chunk with.
             let mut resolved = vec![0u8; symbols.len()];
             let (_, duration) =
                 best_of(|| replace_markers_to_slice(&symbols, window, &mut resolved).unwrap());
             assert_eq!(resolved, tail);
-            let dense = row(
+            row(
                 &mut report,
                 json,
                 "Marker replacement (dense)",
@@ -354,28 +353,6 @@ fn main() {
                 symbols.len(),
                 duration,
             );
-            let (_, duration) = best_of(|| {
-                replace_markers_to_slice_sparse(&symbols, window, &mut resolved).unwrap()
-            });
-            assert_eq!(resolved, tail);
-            let patch = row(
-                &mut report,
-                json,
-                "Marker replacement (patch)",
-                "replace_markers_patch_mb_s",
-                symbols.len(),
-                duration,
-            );
-            let markers = symbols.iter().filter(|&&s| s >= MARKER_BASE).count();
-            if !json {
-                println!(
-                    "{:<28} {:>15.2}x [{:.0} % markers]",
-                    "  dense/patch",
-                    dense / patch,
-                    100.0 * markers as f64 / symbols.len() as f64
-                );
-            }
-            report.record("dense_vs_patch", dense / patch);
         }
         let (output, duration) = best_of(|| {
             let mut reader = BitReader::new(&compressed);

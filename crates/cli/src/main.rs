@@ -29,7 +29,6 @@
 //!                             latency percentiles, worker utilization,
 //!                             speculation waste, prefetch hit rate) to stderr;
 //!                             `=json` emits one machine-readable JSON line
-//!       --metrics[=json]      deprecated alias for --trace-report[=json]
 //!       --stats-interval <S>  print a live one-line progress report (input/
 //!                             output MB/s, ETA, window-cache hit rate, pool
 //!                             queue depth) to stderr every S seconds,
@@ -63,7 +62,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions, VerificationMode};
+use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions, ReaderStatistics, VerificationMode};
 use rgz_interop::AnyIndexFormat;
 use rgz_io::SharedFileReader;
 use rgz_metrics::{names, MetricsRegistry, SampleWindow, Sampler};
@@ -171,16 +170,6 @@ fn parse_arguments() -> Result<Options, String> {
                 options.trace_report = Some(ReportFormat::Text);
             }
             "--trace-report=json" => options.trace_report = Some(ReportFormat::Json),
-            // Deprecated spellings kept for one release so existing scripts
-            // and the perf harness keep working.
-            "--metrics" | "--metrics=text" => {
-                eprintln!("rgzip: warning: --metrics is deprecated; use --trace-report");
-                options.trace_report = Some(ReportFormat::Text);
-            }
-            "--metrics=json" => {
-                eprintln!("rgzip: warning: --metrics=json is deprecated; use --trace-report=json");
-                options.trace_report = Some(ReportFormat::Json);
-            }
             "--stats-interval" => {
                 let seconds: f64 = next_value(&mut arguments, "--stats-interval")?
                     .parse()
@@ -442,7 +431,15 @@ fn run(options: &Options) -> Result<(), String> {
         }
 
         if options.verbose {
-            let statistics = reader.statistics();
+            // Every figure below is read from one snapshot of the registry
+            // the reader and the layers under it count into, the one a
+            // --stats-interval line and a --metrics-export dump show; taken
+            // once window_statistics() has published the cache deltas and
+            // index() has seen the last marker replacement out.
+            let windows = reader.window_statistics();
+            let index = reader.index();
+            let snapshot = registry.snapshot();
+            let statistics = ReaderStatistics::from_metrics_snapshot(&snapshot);
             eprintln!(
                 "rgzip: chunks: {} speculative, {} window-known, {} on-demand, {} mismatches, \
                  {} prefetches issued, {} decoded from index",
@@ -480,8 +477,6 @@ fn run(options: &Options) -> Result<(), String> {
                 statistics.pool_queue_depth,
                 statistics.pool_tasks_inflight
             );
-            let windows = reader.window_statistics();
-            let index = reader.index();
             eprintln!(
                 "rgzip: index: {} seek points, {} windows; window memory: \
                  {} raw -> {} stored bytes ({:.2}x), {} pending compressions",
@@ -492,11 +487,6 @@ fn run(options: &Options) -> Result<(), String> {
                 windows.compression_ratio(),
                 windows.pending_compressions
             );
-            // The hit rate is computed from the registry snapshot rather than
-            // re-derived here: window_statistics() above already published the
-            // cache deltas, so the verbose line, the --stats-interval report
-            // and a --metrics-export dump all show the same numbers.
-            let snapshot = registry.snapshot();
             let cache_hits = snapshot
                 .counter(names::WINDOW_CACHE, &[("event", "hit")])
                 .unwrap_or(0);
@@ -551,7 +541,7 @@ fn run(options: &Options) -> Result<(), String> {
             eprintln!(
                 "rgzip: random access: {} chunk(s) verified against stored fragments, \
                  {} unverified (index carried no fragments)",
-                verification.index_chunks_verified, verification.index_chunks_unverified
+                statistics.index_chunks_verified, statistics.index_chunks_unverified
             );
         }
     }

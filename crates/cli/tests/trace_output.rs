@@ -219,8 +219,8 @@ fn trace_flag_emits_parseable_chrome_trace_covering_the_input() {
     assert!(number(&metrics, "wall_us") > 0.0);
 }
 
-/// The serial path still honors the deprecated `--metrics` spelling: it must
-/// behave exactly like `--trace-report` and print a deprecation warning.
+/// The serial path traces and reports like the parallel one; the `--metrics`
+/// spelling `--trace-report` once had is gone.
 #[test]
 fn serial_path_traces_and_reports_metrics() {
     let dir = TempDir::new("serial");
@@ -236,7 +236,7 @@ fn serial_path_traces_and_reports_metrics() {
         "--serial",
         "--trace",
         path_str(&trace_path),
-        "--metrics",
+        "--trace-report",
         "-o",
         path_str(&dir.file("out")),
         path_str(&dir.file("corpus.gz")),
@@ -256,15 +256,17 @@ fn serial_path_traces_and_reports_metrics() {
     });
     assert!(serial_span, "missing serial_decode span in the trace");
 
-    // Human-readable trace report on stderr, plus the deprecation notice.
+    // Human-readable trace report on stderr.
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
         stderr.contains("trace:") && stderr.contains("serial_decode"),
         "missing trace report:\n{stderr}"
     );
+    let rejected = run_rgz(&["--metrics", path_str(&dir.file("corpus.gz"))]);
+    let stderr = String::from_utf8_lossy(&rejected.stderr);
     assert!(
-        stderr.contains("--metrics is deprecated"),
-        "missing deprecation warning for --metrics:\n{stderr}"
+        !rejected.status.success() && stderr.contains("unknown argument: --metrics"),
+        "--metrics was not rejected:\n{stderr}"
     );
 }
 

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use rgz_index::{PointChecksums, SeekPoint};
-use rgz_trace::{instants, EventMeta, Outcome, Stage};
+use rgz_trace::{Outcome, Stage};
 use rgz_window::{CompressedWindow, WindowError};
 
 use crate::chunk::DirectChunk;
@@ -165,16 +165,8 @@ impl Shared {
         for chunk in &planned {
             let key = chunk.point.compressed_bit_offset;
             state.pass.chunks.insert(key, ChunkState::Decoding);
-            state.statistics.index_prefetches_issued += 1;
-            self.metrics.prefetch_issued_index.inc();
-            self.trace().instant(
-                instants::PREFETCH_ISSUE,
-                EventMeta {
-                    chunk: Some(key),
-                    bytes: Some(chunk.point.uncompressed_size),
-                    ..EventMeta::default()
-                },
-            );
+            self.metrics
+                .index_prefetch_issued(key, chunk.point.uncompressed_size);
         }
         planned
     }

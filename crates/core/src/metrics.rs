@@ -1,18 +1,23 @@
-//! Reader-level metric handles and the mapping between the live registry and
-//! [`ReaderStatistics`](crate::reader::ReaderStatistics).
+//! The reader's telemetry: one call per event, every sink behind it.
 //!
-//! Every counter the reader already tracks in `ReaderStatistics` has a
-//! registry twin, incremented at the same program point, so a registry
-//! snapshot and a `statistics()` call can never disagree.  The reverse
-//! mapping lives in [`ReaderStatistics::from_metrics_snapshot`]; a
-//! reconciliation test pins the two representations to each other.
+//! What happens to a chunk — issued, committed, wasted, served out of the
+//! index — is written once, by the [`ReaderMetrics`] method named after it:
+//! it adds to the event's `rgz_metrics` series and emits its `rgz_trace`
+//! instant, and no other code touches either.  Nothing is counted a second
+//! time for [`ReaderStatistics`]: `statistics()` reads the registry back
+//! through [`ReaderStatistics::from_metrics_snapshot`], so it, a snapshot and
+//! a Prometheus scrape are views of one store.  (The trace report folds its
+//! speculation and prefetch summaries from the instants — a trace is read
+//! without the process that wrote it.)
 
 use std::sync::Arc;
 
 use rgz_metrics::{
     exponential_buckets, names, Counter, Histogram, MetricsRegistry, MetricsSnapshot,
 };
+use rgz_trace::{instants, EventMeta, TraceSink};
 
+use crate::chunk::SpeculativeChunk;
 use crate::reader::ReaderStatistics;
 
 /// Latency buckets shared by every `rgz_stage_seconds` series: ~100 µs up to
@@ -21,31 +26,31 @@ fn stage_buckets() -> Vec<f64> {
     exponential_buckets(0.000_1, 4.0, 10)
 }
 
-/// Pre-resolved handles for every reader-owned series.
-///
-/// Handles are resolved once at reader construction; the hot paths touch
-/// only sharded relaxed atomics (or a single relaxed load when recording is
-/// disabled).  `disconnected()` gives inert handles for readers built
-/// without a registry so call sites stay unconditional.
+/// Handles for every reader-owned series, resolved once at construction, and
+/// the trace sink their events go to as well: an event is a handful of sharded
+/// relaxed atomic adds and, with the sink disabled, one relaxed load.  The
+/// counters are private: an event method is the only way to move one.
 #[derive(Debug)]
 pub(crate) struct ReaderMetrics {
     pub registry: Arc<MetricsRegistry>,
-    pub chunks_speculative: Counter,
-    pub chunks_on_demand: Counter,
-    pub chunks_window_known: Counter,
-    pub chunks_index: Counter,
-    pub chunks_wasted: Counter,
-    pub bytes_out: Counter,
-    pub bytes_wasted: Counter,
-    pub speculation_mismatches: Counter,
-    pub speculative_bytes_u16: Counter,
-    pub speculative_bytes_u8: Counter,
-    pub prefetch_issued_speculative: Counter,
-    pub prefetch_issued_index: Counter,
-    pub prefetch_hits: Counter,
+    trace: Arc<TraceSink>,
+    chunks_speculative: Counter,
+    chunks_on_demand: Counter,
+    chunks_window_known: Counter,
+    chunks_index: Counter,
+    chunks_wasted: Counter,
+    bytes_out: Counter,
+    bytes_wasted: Counter,
+    speculation_mismatches: Counter,
+    speculative_bytes_u16: Counter,
+    speculative_bytes_u8: Counter,
+    prefetch_issued_speculative: Counter,
+    prefetch_issued_index: Counter,
+    prefetch_hits: Counter,
+    /// Counted by the [`StreamVerifier`](crate::verify::StreamVerifier).
     pub verify_member: Counter,
-    pub verify_index_verified: Counter,
-    pub verify_index_unverified: Counter,
+    verify_index_verified: Counter,
+    verify_index_unverified: Counter,
     pub stage_decode_two_stage: Histogram,
     pub stage_decode_one_stage: Histogram,
     pub stage_marker_replace: Histogram,
@@ -55,38 +60,8 @@ pub(crate) struct ReaderMetrics {
 }
 
 impl ReaderMetrics {
-    /// Inert handles: every record call is a single relaxed load of a
-    /// never-enabled gate.
-    pub fn disconnected() -> Self {
-        Self {
-            registry: MetricsRegistry::shared_disabled(),
-            chunks_speculative: Counter::disconnected(),
-            chunks_on_demand: Counter::disconnected(),
-            chunks_window_known: Counter::disconnected(),
-            chunks_index: Counter::disconnected(),
-            chunks_wasted: Counter::disconnected(),
-            bytes_out: Counter::disconnected(),
-            bytes_wasted: Counter::disconnected(),
-            speculation_mismatches: Counter::disconnected(),
-            speculative_bytes_u16: Counter::disconnected(),
-            speculative_bytes_u8: Counter::disconnected(),
-            prefetch_issued_speculative: Counter::disconnected(),
-            prefetch_issued_index: Counter::disconnected(),
-            prefetch_hits: Counter::disconnected(),
-            verify_member: Counter::disconnected(),
-            verify_index_verified: Counter::disconnected(),
-            verify_index_unverified: Counter::disconnected(),
-            stage_decode_two_stage: Histogram::disconnected(),
-            stage_decode_one_stage: Histogram::disconnected(),
-            stage_marker_replace: Histogram::disconnected(),
-            stage_crc_fold: Histogram::disconnected(),
-            stage_prefetch_decode: Histogram::disconnected(),
-            stage_random_access: Histogram::disconnected(),
-        }
-    }
-
     /// Register (or re-resolve) every reader family on `registry`.
-    pub fn register(registry: &Arc<MetricsRegistry>) -> Self {
+    pub fn register(registry: &Arc<MetricsRegistry>, trace: Arc<TraceSink>) -> Self {
         let stage = |name: &str| {
             registry.histogram_with_labels(
                 names::STAGE_SECONDS,
@@ -125,6 +100,7 @@ impl ReaderMetrics {
         };
         Self {
             registry: Arc::clone(registry),
+            trace,
             chunks_speculative: decoded("speculative"),
             chunks_on_demand: decoded("on_demand"),
             chunks_window_known: decoded("window_known"),
@@ -164,16 +140,110 @@ impl ReaderMetrics {
             stage_random_access: stage("random_access"),
         }
     }
+
+    /// Everything the reader has counted so far, read back from the registry.
+    pub fn statistics(&self) -> ReaderStatistics {
+        ReaderStatistics::from_metrics_snapshot(&self.registry.snapshot())
+    }
+
+    fn instant(&self, name: &'static str, chunk: u64, member: Option<u64>, bytes: Option<u64>) {
+        let meta = EventMeta {
+            chunk: Some(chunk),
+            member,
+            bytes,
+            ..EventMeta::default()
+        };
+        self.trace.instant(name, meta);
+    }
+
+    /// `bytes` more of the output are decided, decoded the way `path` counts.
+    fn committed(&self, path: &Counter, bytes: u64) {
+        path.inc();
+        self.bytes_out.add(bytes);
+    }
+
+    /// A decode ahead of the pass went to the pool, for the range at `key`.
+    pub fn speculative_issued(&self, key: u64) {
+        self.prefetch_issued_speculative.inc();
+        self.instant(instants::SPEC_SUBMIT, key, None, None);
+    }
+
+    /// The pass committed a chunk decoded with its window unknown, the first
+    /// `wide_bytes` of its `length` as 16-bit symbols.
+    pub fn speculative_committed(&self, start_bit: u64, member: u64, length: u64, wide_bytes: u64) {
+        self.committed(&self.chunks_speculative, length);
+        self.speculative_bytes_u16.add(wide_bytes);
+        self.speculative_bytes_u8.add(length - wide_bytes);
+        self.instant(instants::SPEC_COMMIT, start_bit, Some(member), Some(length));
+    }
+
+    /// The pass committed a chunk decoded one-stage from where it stood:
+    /// `demanded`, or issued ahead and begun with the one before committed.
+    pub fn known_start_committed(&self, demanded: bool, start_bit: u64, member: u64, length: u64) {
+        if demanded {
+            self.committed(&self.chunks_on_demand, length);
+        } else {
+            self.committed(&self.chunks_window_known, length);
+            let name = instants::WINDOW_KNOWN_COMMIT;
+            self.instant(name, start_bit, Some(member), Some(length));
+        }
+    }
+
+    /// A speculatively decoded chunk will never be committed: decoded from a
+    /// block the pass did not arrive at (`mismatched`), or in a range it never
+    /// stopped in.
+    pub fn speculative_wasted(&self, chunk: &SpeculativeChunk, mismatched: bool) {
+        let (found_bit, bytes) = (chunk.found_bit_offset, chunk.output.len() as u64);
+        if mismatched {
+            self.speculation_mismatches.inc();
+        }
+        self.chunks_wasted.inc();
+        self.bytes_wasted.add(bytes);
+        self.instant(instants::SPEC_WASTE, found_bit, None, Some(bytes));
+    }
+
+    /// An index-aligned prefetch of the chunk at `key` went to the pool.
+    pub fn index_prefetch_issued(&self, key: u64, bytes: u64) {
+        self.prefetch_issued_index.inc();
+        self.instant(instants::PREFETCH_ISSUE, key, None, Some(bytes));
+    }
+
+    /// The reader found the chunk at `key` prefetched.
+    pub fn prefetch_hit(&self, key: u64) {
+        self.prefetch_hits.inc();
+        self.instant(instants::PREFETCH_HIT, key, None, None);
+    }
+
+    /// Nobody had the chunk at `key`: the reader decodes it itself.
+    pub fn prefetch_miss(&self, key: u64) {
+        self.instant(instants::PREFETCH_MISS, key, None, None);
+    }
+
+    /// A finished chunk the reader has not come for was let go of.
+    pub fn evicted(&self, key: u64) {
+        self.instant(instants::PREFETCH_EVICT, key, None, None);
+    }
+
+    /// A chunk decoded through the index reached the reader: `checked`
+    /// against fragments the index stores, or with none while `verifying`.
+    pub fn index_chunk_served(&self, bytes: u64, checked: bool, verifying: bool) {
+        self.committed(&self.chunks_index, bytes);
+        if checked {
+            self.verify_index_verified.inc();
+        } else if verifying {
+            self.verify_index_unverified.inc();
+        }
+    }
 }
 
 impl ReaderStatistics {
     /// Rebuild the reader-owned counters from a registry snapshot.
     ///
-    /// The inverse of the instrumentation: every field is read back from the
-    /// series the reader increments, so for a quiescent reader this equals
+    /// Every field is read back from the series the reader's events add to;
     /// [`ParallelGzipReader::statistics`](crate::ParallelGzipReader::statistics)
-    /// exactly (the reconciliation tests pin this).  Pool gauges are sampled
-    /// live and may lag while tasks are still in flight.
+    /// is this function over the reader's registry.  The `pool_*` fields are
+    /// whatever the registry holds of the pool — nothing, unless the registry
+    /// was attached to the reader — and lag while tasks are in flight.
     pub fn from_metrics_snapshot(snapshot: &MetricsSnapshot) -> Self {
         let counter =
             |name: &str, labels: &[(&str, &str)]| snapshot.counter(name, labels).unwrap_or(0);

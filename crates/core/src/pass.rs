@@ -44,7 +44,7 @@ use std::sync::Arc;
 use rgz_fetcher::Pooled;
 use rgz_index::{PointChecksums, SeekPoint};
 use rgz_io::FileReader;
-use rgz_trace::{instants, EventMeta, Outcome, Stage};
+use rgz_trace::{Outcome, Stage};
 
 use crate::chunk::{DirectChunk, SpeculativeChunk};
 use crate::reader::{ReaderState, Shared};
@@ -216,9 +216,7 @@ impl Shared {
             if state.pass.chunks.contains_key(&self.range_bit(guess)) {
                 continue;
             }
-            state.statistics.prefetches_issued += 1;
-            self.metrics.prefetch_issued_speculative.inc();
-            self.instant(instants::SPEC_SUBMIT, self.range_bit(guess));
+            self.metrics.speculative_issued(self.range_bit(guess));
             self.spawn_chunk_task(state, guess, false);
         }
         state.pass.next_unissued = state.pass.next_unissued.max(end);
@@ -290,7 +288,7 @@ impl Shared {
     /// Lets go of a finished chunk the reader has not come for.
     pub(crate) fn evict(&self, state: &mut ReaderState, key: u64) {
         state.pass.chunks.remove(&key);
-        self.instant(instants::PREFETCH_EVICT, key);
+        self.metrics.evicted(key);
     }
 
     /// A pool task: decodes the chunk starting in range `guess` whichever way
@@ -333,7 +331,7 @@ impl Shared {
         if state.pass.finished || self.guess_of(state.pass.next_start_bit) > guess {
             state.pass.chunks.remove(&key);
             if let Ok(Some(chunk)) = &decoded {
-                self.record_waste(&mut state, chunk, false);
+                self.metrics.speculative_wasted(chunk, false);
             }
             return Vec::new();
         }
@@ -421,23 +419,8 @@ impl Shared {
             &window,
             &result.window_usage,
         );
-        if demanded {
-            state.statistics.on_demand_chunks += 1;
-            self.metrics.chunks_on_demand.inc();
-        } else {
-            state.statistics.window_known_chunks += 1;
-            self.metrics.chunks_window_known.inc();
-            self.trace().instant(
-                instants::WINDOW_KNOWN_COMMIT,
-                EventMeta {
-                    chunk: Some(start_bit),
-                    member: Some(first_member),
-                    bytes: Some(length),
-                    ..EventMeta::default()
-                },
-            );
-        }
-        self.metrics.bytes_out.add(length);
+        self.metrics
+            .known_start_committed(demanded, start_bit, first_member, length);
         state.pass.chunks.remove(&self.range_bit(guess));
         self.ready(state, start_bit, result.data);
         self.advance(
@@ -491,7 +474,7 @@ impl Shared {
                 _ => None,
             };
             if let Some(chunk) = unusable {
-                self.record_waste(state, &chunk, true);
+                self.metrics.speculative_wasted(&chunk, true);
             }
             self.spawn_chunk_task(state, guess, true);
             break;
@@ -525,22 +508,8 @@ impl Shared {
             &window,
             &chunk.window_usage,
         );
-        state.statistics.speculative_chunks_used += 1;
-        state.statistics.speculative_bytes_u16 += wide_bytes;
-        state.statistics.speculative_bytes_u8 += length - wide_bytes;
-        self.metrics.chunks_speculative.inc();
-        self.metrics.speculative_bytes_u16.add(wide_bytes);
-        self.metrics.speculative_bytes_u8.add(length - wide_bytes);
-        self.metrics.bytes_out.add(length);
-        self.trace().instant(
-            instants::SPEC_COMMIT,
-            EventMeta {
-                chunk: Some(start_bit),
-                member: Some(first_member),
-                bytes: Some(length),
-                ..EventMeta::default()
-            },
-        );
+        self.metrics
+            .speculative_committed(start_bit, first_member, length, wide_bytes);
         state.pass.chunks.insert(start_bit, ChunkState::Resolving);
         let seq = state.pass.next_seq;
         self.advance(
@@ -600,32 +569,9 @@ impl Shared {
             .collect();
         for key in stale {
             if let Some(ChunkState::Markered(chunk)) = state.pass.chunks.remove(&key) {
-                self.record_waste(state, &chunk, false);
+                self.metrics.speculative_wasted(&chunk, false);
             }
         }
-    }
-
-    /// Counts a speculatively decoded chunk that will never be committed:
-    /// decoded from a block the pass did not arrive at (`mismatched`), or in a
-    /// range it never stopped in.
-    fn record_waste(&self, state: &mut ReaderState, chunk: &SpeculativeChunk, mismatched: bool) {
-        let bytes = chunk.output.len() as u64;
-        if mismatched {
-            state.statistics.speculative_mismatches += 1;
-            self.metrics.speculation_mismatches.inc();
-        }
-        state.statistics.speculative_chunks_wasted += 1;
-        state.statistics.speculative_bytes_wasted += bytes;
-        self.metrics.chunks_wasted.inc();
-        self.metrics.bytes_wasted.add(bytes);
-        self.trace().instant(
-            instants::SPEC_WASTE,
-            EventMeta {
-                chunk: Some(chunk.found_bit_offset),
-                bytes: Some(bytes),
-                ..EventMeta::default()
-            },
-        );
     }
 
     /// Hands a committed chunk's member fragments to the stream-ordered fold

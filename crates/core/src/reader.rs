@@ -8,7 +8,7 @@ use rgz_fetcher::{BufferPool, Cache, Pooled, Spawner, ThreadPool};
 use rgz_index::GzipIndex;
 use rgz_io::{FileReader, SharedFileReader};
 use rgz_metrics::MetricsRegistry;
-use rgz_trace::{instants, EventMeta, Stage, TraceSink};
+use rgz_trace::{Stage, TraceSink};
 
 use crate::chunk::ChunkDecoder;
 use crate::metrics::ReaderMetrics;
@@ -38,8 +38,9 @@ pub struct ParallelGzipReaderOptions {
     /// a single atomic load.
     pub trace: Option<Arc<TraceSink>>,
     /// Metrics registry every pipeline layer registers its series on.  `None`
-    /// (the default) leaves all handles disconnected: each record call is a
-    /// single relaxed load of a never-enabled gate, mirroring the trace sink.
+    /// (the default) has the reader count what [`ReaderStatistics`] reports
+    /// in a registry of its own, and the layers below it — worker pool,
+    /// buffer pool, window store, the compressed input — not at all.
     pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -67,9 +68,9 @@ impl ParallelGzipReaderOptions {
         }
     }
 
-    /// Sets the compressed chunk size.
+    /// Sets the compressed chunk size; a reader takes no less than 4 KiB.
     pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size.max(4 * 1024);
+        self.chunk_size = chunk_size.max(MIN_CHUNK_SIZE);
         self
     }
 
@@ -87,6 +88,10 @@ impl ParallelGzipReaderOptions {
 
     /// Attaches a metrics registry; every pipeline layer registers and
     /// updates its counters, gauges and latency histograms on it.
+    ///
+    /// The registry is the unit of aggregation: readers that share one add to
+    /// the same series, and [`ParallelGzipReader::statistics`] of each reports
+    /// the registry's totals, not the one reader's share.
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
         self
@@ -98,6 +103,9 @@ impl ParallelGzipReaderOptions {
         (self.parallelization * 2).max(1)
     }
 }
+
+/// What a `chunk_size` below it, zero included, is raised to.
+const MIN_CHUNK_SIZE: usize = 4 * 1024;
 
 /// Counters describing how the parallel reader behaved.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -178,7 +186,6 @@ pub(crate) struct ReaderState {
     pub reading_at: u64,
     /// What index-aligned reads have accessed, and so will next.
     pub strategy: FetchNextAdaptive,
-    pub statistics: ReaderStatistics,
 }
 
 /// What the reader shares with the tasks it has on the pool.  Nothing in
@@ -192,8 +199,8 @@ pub(crate) struct Shared {
     /// chunk.
     pub decoder: ChunkDecoder,
     pub spawner: Spawner,
-    /// Pre-resolved registry handles; disconnected when no registry was
-    /// attached, so the hot paths stay unconditional.
+    /// One method per reader event, every sink behind it: the registry the
+    /// statistics are read back from, the reader's own if none was attached.
     pub metrics: Arc<ReaderMetrics>,
     /// Stream-ordered CRC fold; a chunk's fragments go in on the worker that
     /// produced its bytes, before the reader can see them.
@@ -220,15 +227,6 @@ impl Shared {
     /// The sink every stage of the reader records into.
     pub(crate) fn trace(&self) -> &Arc<TraceSink> {
         &self.decoder.trace
-    }
-
-    /// Records that `name` happened to the chunk that goes by `key`.
-    pub(crate) fn instant(&self, name: &'static str, key: u64) {
-        let meta = EventMeta {
-            chunk: Some(key),
-            ..EventMeta::default()
-        };
-        self.trace().instant(name, meta);
     }
 
     /// Waits for [`Self::progress`].
@@ -264,42 +262,47 @@ impl ParallelGzipReader {
     /// Creates a reader over any [`SharedFileReader`].
     pub fn new(
         reader: SharedFileReader,
-        options: ParallelGzipReaderOptions,
+        mut options: ParallelGzipReaderOptions,
     ) -> Result<Self, CoreError> {
         let parallelization = options.parallelization.max(1);
+        options.chunk_size = options.chunk_size.max(MIN_CHUNK_SIZE);
         let trace = options
             .trace
             .clone()
             .unwrap_or_else(TraceSink::shared_disabled);
-        let metrics = match options.metrics.as_ref() {
-            Some(registry) => Arc::new(ReaderMetrics::register(registry)),
-            None => Arc::new(ReaderMetrics::disconnected()),
-        };
+        // The reader's own events are always counted — the statistics are read
+        // back from them — the layers below only into a registry attached.
+        let attached = options.metrics.clone();
+        let own = attached
+            .clone()
+            .unwrap_or_else(|| Arc::new(MetricsRegistry::new_enabled()));
+        let layers = attached.unwrap_or_else(MetricsRegistry::shared_disabled);
+        let metrics = Arc::new(ReaderMetrics::register(&own, trace.clone()));
         // Instrument the compressed input (read syscalls, bytes, latency)
         // only when a registry is attached; the wrapper adds one virtual
         // call per read otherwise.
         let reader = if options.metrics.is_some() {
-            reader.instrumented(Arc::clone(&metrics.registry))
+            reader.instrumented(Arc::clone(&layers))
         } else {
             reader
         };
         let pool = Arc::new(ThreadPool::new_observed(
             parallelization,
             trace.clone(),
-            Arc::clone(&metrics.registry),
+            Arc::clone(&layers),
         ));
         // Up to 2P + 1 chunks are on their way from decode to hand-over, and
         // when the consumer falls behind and catches up again, the number
         // breathes by P + 1: that many buffers of a kind may lie idle, so
         // that the pass neither frees nor creates one once it has them all.
-        let buffers = BufferPool::new(parallelization + 1, &metrics.registry);
+        let buffers = BufferPool::new(parallelization + 1, &layers);
         let mut index = GzipIndex::new();
         index.compressed_size = reader.size();
         // Seek-point windows compress on the shared pool as they are stored.
         index.window_map.set_pool(pool.clone());
         index.window_map.set_trace(trace.clone());
         if options.metrics.is_some() {
-            index.window_map.set_metrics(&metrics.registry);
+            index.window_map.set_metrics(&layers);
         }
         let mut verifier = StreamVerifier::new(options.verification);
         verifier.set_member_verified_counter(metrics.verify_member.clone());
@@ -322,7 +325,6 @@ impl ParallelGzipReader {
                     resolved_cache: Cache::new(options.resolved_cache_chunks.max(1)),
                     reading_at: 0,
                     strategy: FetchNextAdaptive::default(),
-                    statistics: ReaderStatistics::default(),
                 }),
                 progress: Condvar::new(),
                 options,
@@ -370,11 +372,8 @@ impl ParallelGzipReader {
                 .index
                 .window_map
                 .set_trace(this.shared.trace().clone());
-            if this.shared.options.metrics.is_some() {
-                state
-                    .index
-                    .window_map
-                    .set_metrics(&this.shared.metrics.registry);
+            if let Some(registry) = &this.shared.options.metrics {
+                state.index.window_map.set_metrics(registry);
             }
             if state.index.uncompressed_size == 0 {
                 state.index.uncompressed_size = state.index.effective_uncompressed_size();
@@ -409,10 +408,10 @@ impl ParallelGzipReader {
         self.shared.trace()
     }
 
-    /// Behaviour counters.  The `pool_*` fields are sampled live from the
-    /// worker pool at call time.
+    /// Behaviour counters, read back from [`Self::metrics`].  The `pool_*`
+    /// fields are sampled live from the worker pool at call time.
     pub fn statistics(&self) -> ReaderStatistics {
-        let mut statistics = self.shared.lock().statistics;
+        let mut statistics = self.shared.metrics.statistics();
         let pool = self.pool.statistics();
         statistics.pool_queue_depth = pool.queue_depth;
         statistics.pool_tasks_inflight = pool.tasks_inflight;
@@ -420,8 +419,9 @@ impl ParallelGzipReader {
         statistics
     }
 
-    /// The metrics registry this reader records into (the process-wide
-    /// disabled registry unless one was attached via the options).
+    /// The metrics registry this reader records into: the one attached via
+    /// the options, or else the reader's own, which holds the series behind
+    /// [`Self::statistics`] and nothing of the layers below.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.shared.metrics.registry
     }
@@ -439,7 +439,7 @@ impl ParallelGzipReader {
     /// and foreign imports carry no fragments).
     pub fn verification_statistics(&self) -> VerificationStatistics {
         let mut statistics = self.shared.verifier.lock().statistics();
-        let reader_statistics = self.shared.lock().statistics;
+        let reader_statistics = self.shared.metrics.statistics();
         statistics.index_chunks_verified = reader_statistics.index_chunks_verified;
         statistics.index_chunks_unverified = reader_statistics.index_chunks_unverified;
         statistics
@@ -579,9 +579,7 @@ impl ParallelGzipReader {
             }
             Some(ChunkState::Failed(error)) => return Err(error),
             Some(ChunkState::Prefetched(data)) => {
-                state.statistics.index_prefetch_hits += 1;
-                shared.metrics.prefetch_hits.inc();
-                shared.instant(instants::PREFETCH_HIT, key);
+                shared.metrics.prefetch_hit(key);
                 data
             }
             // Nobody has it: decoded on this thread, with the stored window
@@ -589,7 +587,7 @@ impl ParallelGzipReader {
             _ => {
                 let windows = state.index.window_map.clone();
                 drop(state);
-                shared.instant(instants::PREFETCH_MISS, key);
+                shared.metrics.prefetch_miss(key);
                 let _stage_timer = shared.metrics.stage_random_access.start_timer();
                 let window = || windows.try_get(key);
                 let data = shared.decode_indexed(Stage::RandomAccess, &chunk, window)?;
@@ -598,16 +596,10 @@ impl ParallelGzipReader {
             }
         };
         // One more chunk out of the index, every check there was passed.
-        state.statistics.index_chunks += 1;
-        shared.metrics.chunks_index.inc();
-        shared.metrics.bytes_out.add(data.len() as u64);
-        if chunk.checksums.is_some() {
-            state.statistics.index_chunks_verified += 1;
-            shared.metrics.verify_index_verified.inc();
-        } else if shared.verify() {
-            state.statistics.index_chunks_unverified += 1;
-            shared.metrics.verify_index_unverified.inc();
-        }
+        let checked = chunk.checksums.is_some();
+        shared
+            .metrics
+            .index_chunk_served(data.len() as u64, checked, shared.verify());
         state.resolved_cache.insert(key, data.clone());
         Ok(data)
     }
@@ -1185,6 +1177,25 @@ mod tests {
                 .unwrap();
         assert_eq!(reader.decompress_all().unwrap(), Vec::<u8>::new());
         assert_eq!(reader.uncompressed_size(), Some(0));
+    }
+
+    #[test]
+    fn a_chunk_size_below_the_floor_is_raised_to_it() {
+        // Set through the field, where no builder method sees it: zero used
+        // to divide the first read by it.
+        let data = silesia_like(300_000, 13);
+        let compressed = GzipWriter::default().compress(&data);
+        for chunk_size in [0, 1] {
+            for parallelization in [1, 2] {
+                let mut reader = ParallelGzipReader::from_bytes(
+                    compressed.clone(),
+                    options(parallelization, chunk_size),
+                )
+                .unwrap();
+                assert_eq!(reader.decompress_all().unwrap(), data);
+                assert_eq!(reader.options().chunk_size, 4 * 1024);
+            }
+        }
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub(crate) struct StreamVerifier {
     failure: Option<VerificationFailure>,
     /// Registry twin of `members_verified`
     /// (`rgz_verification_total{outcome="member_verified"}`); disconnected
-    /// unless the owning reader has a metrics registry attached.
+    /// until a reader hands its own in.
     members_verified_counter: Counter,
 }
 

@@ -193,3 +193,56 @@ fn trace_report_counters_match_registry_snapshot() {
     );
     assert_eq!(report.prefetch.hits, counter(names::PREFETCH_HITS, &[]));
 }
+
+#[test]
+fn a_reader_without_a_registry_counts_what_one_with_a_registry_counts() {
+    // One worker: every count is the same from run to run.  Enough chunks
+    // for the second read to find the first ones gone from the access cache.
+    let data = rgz_datagen::fastq_records(20_000, 3);
+    let compressed = GzipWriter::default().compress(&data);
+    let plain = ParallelGzipReaderOptions::with_parallelization(1).with_chunk_size(32 * 1024);
+    let registry = Arc::new(MetricsRegistry::new_enabled());
+    let attached = plain.clone().with_metrics(Arc::clone(&registry));
+    let [own, shared] = [plain, attached].map(|options| {
+        let mut reader = ParallelGzipReader::from_bytes(compressed.clone(), options).unwrap();
+        let mut restored = Vec::new();
+        reader.read_to_end(&mut restored).unwrap();
+        assert_eq!(restored, data);
+        // Back through the index the pass has built: prefetches, hits, and
+        // chunks checked against the fragments it stored.
+        reader.seek(SeekFrom::Start(0)).unwrap();
+        reader.read_to_end(&mut restored).unwrap();
+        quiesce(&reader);
+        reader
+    });
+    // What only an attached registry hears of aside: the pool.
+    let without_pool = |statistics: ReaderStatistics| ReaderStatistics {
+        pool_queue_depth: 0,
+        pool_tasks_inflight: 0,
+        pool_tasks_submitted: 0,
+        ..statistics
+    };
+    let statistics = without_pool(own.statistics());
+    assert!(statistics.window_known_chunks > 0, "{statistics:?}");
+    assert!(statistics.index_prefetch_hits > 0, "{statistics:?}");
+    assert!(statistics.index_chunks_verified > 0, "{statistics:?}");
+    assert_eq!(statistics, without_pool(shared.statistics()));
+    assert_eq!(
+        format!("{:?}", own.verification_statistics()),
+        format!("{:?}", shared.verification_statistics())
+    );
+    // The reader's own registry is where its statistics come from, and holds
+    // nothing of the layers below it.
+    assert!(!Arc::ptr_eq(own.metrics(), shared.metrics()));
+    let snapshot = own.metrics().snapshot();
+    assert_eq!(
+        ReaderStatistics::from_metrics_snapshot(&snapshot),
+        statistics
+    );
+    assert_eq!(
+        snapshot.counter_total(names::BYTES_OUT),
+        2 * data.len() as u64
+    );
+    assert_eq!(snapshot.counter_total(names::POOL_TASKS_TOTAL), 0);
+    assert_eq!(snapshot.counter_total(names::READ_BYTES), 0);
+}

@@ -194,8 +194,8 @@ const COPY_SLACK: usize = 32;
 
 /// Copies `length` elements from `distance` elements behind `from` to `from`,
 /// element for element.  Requires `1 <= distance <= from` and `from + length
-/// <= out.len()`.  The portable match copy: what the careful path uses, and
-/// the fast loop under `RGZ_FORCE_SCALAR`.
+/// <= out.len()`.  The match copy that writes nothing past the match: what
+/// the careful path uses, and the fast loop's is pinned to.
 fn copy_match_exact<T: Copy>(out: &mut [T], from: usize, distance: usize, length: usize) {
     let start = from - distance;
     // The output from `start` onwards repeats with period `distance`, so
@@ -239,14 +239,6 @@ fn copy_match_overshoot<T: Copy>(out: &mut [T], from: usize, distance: usize, le
         src += 16;
         dst += 16;
     }
-}
-
-/// [`copy_match_exact`] out of line: what `RGZ_FORCE_SCALAR` costs stays out
-/// of the fast loop's registers.
-#[cold]
-#[inline(never)]
-fn copy_match_exact_cold<T: Copy>(out: &mut [T], from: usize, distance: usize, length: usize) {
-    copy_match_exact(out, from, distance, length);
 }
 
 // --- output sinks --------------------------------------------------------------
@@ -725,7 +717,6 @@ fn decode_fast<S: Sink>(reader: &mut BitReader<'_>, tables: &BlockTables, sink: 
     let input = reader.data();
     let limit = sink.limit();
     let base = sink.base();
-    let scalar = rgz_bitio::scalar_forced();
     let output = sink.output();
     if output.buf.len() - output.len < FAST_OUTPUT_MARGIN
         && output.buf.len() < output.buf.capacity()
@@ -847,11 +838,7 @@ fn decode_fast<S: Sink>(reader: &mut BitReader<'_>, tables: &BlockTables, sink: 
                 refill!();
                 entry = tables.literal.main_entry(buffer);
             }
-            if scalar {
-                copy_match_exact_cold(out, from, distance, length);
-            } else {
-                copy_match_overshoot(out, from, distance, length);
-            }
+            copy_match_overshoot(out, from, distance, length);
             sink.note_copy(&out[from..len], from, distance);
             if more {
                 continue 'symbols;

@@ -170,18 +170,16 @@ pub fn replace_markers(symbols: &[u16], window: &[u8]) -> Result<Vec<u8>, Deflat
 /// On x86-64 the replacement runs through a SIMD kernel (AVX2 when detected
 /// at runtime, SSE2 otherwise — see [`active_isa`]): 16–32 symbols are
 /// classified per iteration as literal, marker inside the window, or bad;
-/// a block of literals is narrowed and stored in one go.  What happens to a
-/// block with markers depends on the input's length.  From
-/// [`TABLE_MIN_SYMBOLS`] on, it is looked up whole in a per-thread table of
-/// 64 Ki bytes — symbol `s` maps to itself below 256 and to its window byte
-/// from `MARKER_BASE` + (32 KiB − the window's length) on; nothing in between
-/// gets past the classification — with `vpgatherdd` under AVX2: the cost of a
-/// block no longer depends on how many of its lanes are markers, and in text
-/// half of them are.  A shorter input (the 32 KiB the next chunk's window is
-/// resolved from) would not repay copying the window into the table and
-/// patches its marker lanes one at a time.  Every other platform runs the
-/// scalar forms of the same two; all of them are pinned to the one-symbol-
-/// at-a-time reference (see [`replace_markers_into`]).
+/// a block of literals is narrowed and stored in one go, and a block with
+/// markers is looked up whole in a per-thread table of 64 Ki bytes — symbol
+/// `s` maps to itself below 256 and to its window byte from `MARKER_BASE` +
+/// (32 KiB − the window's length) on; nothing in between gets past the
+/// classification — with `vpgatherdd` under AVX2: the cost of a block does
+/// not depend on how many of its lanes are markers, and in text half of them
+/// are.  Setting the table up is a copy of the window, under a microsecond.
+/// Every other platform runs the scalar form of the same; all of them are
+/// pinned to the one-symbol-at-a-time reference (see
+/// [`replace_markers_into`]).
 ///
 /// # Panics
 ///
@@ -204,18 +202,6 @@ pub fn replace_markers_to_slice_scalar(
 ) -> Result<(), DeflateError> {
     assert_eq!(out.len(), symbols.len(), "one output byte per symbol");
     replace_scalar(symbols, window, out).1
-}
-
-/// [`replace_markers_to_slice`] through the kernel that inputs shorter than
-/// [`TABLE_MIN_SYMBOLS`] take, whatever the length: what the benches time the
-/// table kernel against.
-pub fn replace_markers_to_slice_sparse(
-    symbols: &[u16],
-    window: &[u8],
-    out: &mut [u8],
-) -> Result<(), DeflateError> {
-    assert_eq!(out.len(), symbols.len(), "one output byte per symbol");
-    replace_sparse(symbols, window, out).1
 }
 
 /// [`replace_markers_to_slice`] appending to `out`, which an error leaves
@@ -257,43 +243,13 @@ fn append_with(
     result
 }
 
-fn replace_dispatched(
-    symbols: &[u16],
-    window: &[u8],
-    out: &mut [u8],
-) -> (usize, Result<(), DeflateError>) {
-    if symbols.len() >= TABLE_MIN_SYMBOLS {
-        replace_dense(symbols, window, out)
-    } else {
-        replace_sparse(symbols, window, out)
-    }
-}
-
-/// The kernel for inputs too short to repay a table fill: literal lanes
-/// stored as a block, marker lanes patched one by one.
-fn replace_sparse(
-    symbols: &[u16],
-    window: &[u8],
-    out: &mut [u8],
-) -> (usize, Result<(), DeflateError>) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match simd::kernel() {
-            simd::Kernel::Avx2 => return simd::replace_avx2(symbols, window, out),
-            simd::Kernel::Sse2 => return simd::replace_sse2(symbols, window, out),
-            simd::Kernel::Scalar => {}
-        }
-    }
-    replace_scalar(symbols, window, out)
-}
-
 /// A table kernel: a [`ReplaceFn`] with this thread's lookup table, set up
 /// for the window, as a fourth argument.
 type TableKernel = fn(&[u16], &[u8], &mut [u8], &Table) -> (usize, Result<(), DeflateError>);
 
-/// The kernel for long inputs: every block with a marker in it goes through
-/// the lookup table.
-fn replace_dense(
+/// The kernel this machine runs: every block with a marker in it goes
+/// through the lookup table.
+fn replace_dispatched(
     symbols: &[u16],
     window: &[u8],
     out: &mut [u8],
@@ -308,12 +264,6 @@ fn replace_dense(
     let kernel: TableKernel = replace_scalar_table;
     with_table(window, |table| kernel(symbols, window, out, table))
 }
-
-/// Inputs of at least this many symbols resolve through the lookup table.
-/// Filling it is a copy of the window, so an input twice as long as the
-/// longest window pays at most half its own length for it, even one without
-/// a single marker to look up.
-pub const TABLE_MIN_SYMBOLS: usize = 2 * WINDOW_SIZE;
 
 /// One entry per 16-bit symbol, and four bytes more so that a 32-bit load at
 /// the last entry stays inside.
@@ -464,28 +414,22 @@ pub fn active_isa() -> &'static str {
 ///   path's exact `InvalidMarkerSymbol` error and partial output.
 ///
 /// A block of literals is narrowed to bytes and stored with one unaligned
-/// write (`packus`) by every kernel.  For a block with markers there are two
-/// shapes.  The *patch* kernels ([`replace_sse2`], [`replace_avx2`]) store the
-/// narrowed block all the same and then overwrite the marker lanes one by
-/// one, iterating the movemask bit-set: cheap where markers are rare — the
-/// ledger counts one in a thousand symbols on base64 — and a loop of sixteen
-/// dependent steps per block where they are not: one symbol in two on the
-/// text corpus, where this ran at a quarter of the speed.  The *table*
-/// kernels ([`replace_sse2_table`], [`replace_avx2_table`]) look the whole
-/// block up in a 64 Ki-entry byte table, by `vpgatherdd` or lane by lane,
-/// after the classification has vouched for every lane; `super::
-/// replace_dispatched` picks by input length.  Either way the vector loop
-/// stops in front of a block containing an invalid symbol or an
-/// out-of-window marker and leaves it, like the remainder, to the scalar
-/// reference, so the error and the count of bytes preceding it match
-/// bit-for-bit.
+/// write (`packus`).  A block with markers is looked up whole in a 64
+/// Ki-entry byte table, by `vpgatherdd` ([`replace_avx2_table`]) or lane by
+/// lane ([`replace_sse2_table`]), after the classification has vouched for
+/// every lane: what a block costs does not depend on how many of its lanes
+/// are markers — one symbol in two on the text corpus, one in a thousand on
+/// base64.  The vector loop stops in front of a block containing an invalid
+/// symbol or an out-of-window marker and leaves it, like the remainder, to
+/// the scalar reference, so the error and the count of bytes preceding it
+/// match bit-for-bit.
 // `unsafe` is confined to CPU intrinsics and stores whose bounds are
 // established by the up-front length assertion (workspace-wide policy:
 // unsafe only inside vetted SIMD kernel modules).
 #[allow(unsafe_code)]
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{finish_scalar, DeflateError, Table, MARKER_BASE, WINDOW_SIZE};
+    use super::{finish_scalar, DeflateError, Table, WINDOW_SIZE};
     use std::arch::x86_64::*;
 
     #[derive(Clone, Copy, PartialEq, Eq)]
@@ -510,129 +454,6 @@ mod simd {
         })
     }
 
-    /// Patches the marker lanes of one stored block and reports whether every
-    /// marker was inside the window.  `block` is the block's symbols, `dst`
-    /// its freshly stored literal bytes, `marker_bits` lane `i`'s marker flag
-    /// in bit `i`.
-    ///
-    /// # Safety
-    ///
-    /// `dst` must be valid for writes of `block.len()` bytes.
-    #[inline(always)]
-    unsafe fn patch_markers(
-        block: &[u16],
-        window: &[u8],
-        window_base: usize,
-        dst: *mut u8,
-        mut marker_bits: u32,
-    ) -> bool {
-        while marker_bits != 0 {
-            let lane = marker_bits.trailing_zeros() as usize;
-            let offset = (block[lane] - MARKER_BASE) as usize;
-            let Some(relative) = offset.checked_sub(window_base) else {
-                return false;
-            };
-            unsafe { dst.add(lane).write(window[relative]) };
-            marker_bits &= marker_bits - 1;
-        }
-        true
-    }
-
-    pub(super) fn replace_sse2(
-        symbols: &[u16],
-        window: &[u8],
-        out: &mut [u8],
-    ) -> (usize, Result<(), DeflateError>) {
-        assert!(out.len() >= symbols.len());
-        let window_base = WINDOW_SIZE - window.len();
-        let mut written = 0;
-        // SAFETY: `out` is at least as long as `symbols` (asserted above);
-        // each iteration stores the 16 bytes of one whole block of 16
-        // symbols at the block's own offset.
-        unsafe {
-            let base = out.as_mut_ptr();
-            for block in symbols.chunks_exact(16) {
-                let v0 = _mm_loadu_si128(block.as_ptr().cast());
-                let v1 = _mm_loadu_si128(block.as_ptr().add(8).cast());
-                // Lane classification (see module docs).
-                let zero = _mm_setzero_si128();
-                let literal0 = _mm_cmpeq_epi16(_mm_srli_epi16(v0, 8), zero);
-                let literal1 = _mm_cmpeq_epi16(_mm_srli_epi16(v1, 8), zero);
-                let marker0 = _mm_srai_epi16(v0, 15);
-                let marker1 = _mm_srai_epi16(v1, 15);
-                let marker_bits = _mm_movemask_epi8(_mm_packs_epi16(marker0, marker1)) as u32;
-                let classified_bits = _mm_movemask_epi8(_mm_packs_epi16(
-                    _mm_or_si128(literal0, marker0),
-                    _mm_or_si128(literal1, marker1),
-                )) as u32;
-                if classified_bits != 0xFFFF {
-                    break;
-                }
-                let dst = base.add(written);
-                _mm_storeu_si128(dst.cast(), _mm_packus_epi16(v0, v1));
-                if !patch_markers(block, window, window_base, dst, marker_bits) {
-                    break;
-                }
-                written += 16;
-            }
-        }
-        finish_scalar(symbols, window, out, written)
-    }
-
-    // `unsafe fn` (not the 1.86+ safe `#[target_feature]` form) keeps the
-    // crate buildable on the MSRV toolchain.
-    #[target_feature(enable = "avx2")]
-    unsafe fn replace_avx2_inner(
-        symbols: &[u16],
-        window: &[u8],
-        out: &mut [u8],
-    ) -> (usize, Result<(), DeflateError>) {
-        assert!(out.len() >= symbols.len());
-        let window_base = WINDOW_SIZE - window.len();
-        let mut written = 0;
-        // SAFETY: as in `replace_sse2`, with blocks of 32.
-        unsafe {
-            let base = out.as_mut_ptr();
-            for block in symbols.chunks_exact(32) {
-                let v0 = _mm256_loadu_si256(block.as_ptr().cast());
-                let v1 = _mm256_loadu_si256(block.as_ptr().add(16).cast());
-                let zero = _mm256_setzero_si256();
-                let literal0 = _mm256_cmpeq_epi16(_mm256_srli_epi16(v0, 8), zero);
-                let literal1 = _mm256_cmpeq_epi16(_mm256_srli_epi16(v1, 8), zero);
-                let marker0 = _mm256_srai_epi16(v0, 15);
-                let marker1 = _mm256_srai_epi16(v1, 15);
-                // 256-bit packs interleave 128-bit halves; permute the qwords
-                // back into symbol order so mask bit i = lane i.
-                let order = _mm256_permute4x64_epi64::<0b11_01_10_00>;
-                let marker_bits =
-                    _mm256_movemask_epi8(order(_mm256_packs_epi16(marker0, marker1))) as u32;
-                let classified_bits = _mm256_movemask_epi8(order(_mm256_packs_epi16(
-                    _mm256_or_si256(literal0, marker0),
-                    _mm256_or_si256(literal1, marker1),
-                ))) as u32;
-                if classified_bits != u32::MAX {
-                    break;
-                }
-                let dst = base.add(written);
-                _mm256_storeu_si256(dst.cast(), order(_mm256_packus_epi16(v0, v1)));
-                if !patch_markers(block, window, window_base, dst, marker_bits) {
-                    break;
-                }
-                written += 32;
-            }
-        }
-        finish_scalar(symbols, window, out, written)
-    }
-
-    pub(super) fn replace_avx2(
-        symbols: &[u16],
-        window: &[u8],
-        out: &mut [u8],
-    ) -> (usize, Result<(), DeflateError>) {
-        // SAFETY: `kernel()` returned Avx2, so the CPU supports it.
-        unsafe { replace_avx2_inner(symbols, window, out) }
-    }
-
     /// The largest offset *outside* a window of this length (−1 if there is
     /// none), for a signed greater-than against a lane's symbol with its
     /// sign bit flipped: that is the offset for a marker and negative for
@@ -650,7 +471,9 @@ mod simd {
     ) -> (usize, Result<(), DeflateError>) {
         assert!(out.len() >= symbols.len());
         let mut written = 0;
-        // SAFETY: as in `replace_sse2`.
+        // SAFETY: `out` is at least as long as `symbols` (asserted above), and
+        // the zip yields whole blocks of 16 symbols with the 16 bytes of
+        // `out` at the block's own offset; each is loaded and stored once.
         unsafe {
             let zero = _mm_setzero_si128();
             let sign = _mm_set1_epi16(i16::MIN);
@@ -680,6 +503,8 @@ mod simd {
         finish_scalar(symbols, window, out, written)
     }
 
+    // `unsafe fn` (not the 1.86+ safe `#[target_feature]` form) keeps the
+    // crate buildable on the MSRV toolchain.
     #[target_feature(enable = "avx2")]
     unsafe fn replace_avx2_table_inner(
         symbols: &[u16],
@@ -689,8 +514,9 @@ mod simd {
     ) -> (usize, Result<(), DeflateError>) {
         assert!(out.len() >= symbols.len());
         let mut written = 0;
-        // SAFETY: the stores are as in `replace_sse2`, with blocks of 32.
-        // Each gather lane loads the four bytes at `table + symbol`, a
+        // SAFETY: `out` is at least as long as `symbols` (asserted above);
+        // each iteration stores the 32 bytes of one whole block of 32 symbols
+        // at the block's own offset.  Each gather lane loads the four bytes at `table + symbol`, a
         // zero-extended `u16`: at most 65535 + 3, inside the `Table`'s
         // 65536 + 4 bytes.
         unsafe {
@@ -1329,29 +1155,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn long_inputs_take_the_table_and_match_scalar_around_the_threshold() {
-        let window: Vec<u8> = (0..WINDOW_SIZE).map(|i| (i % 249) as u8).collect();
-        for per_mille in DENSITIES_PER_MILLE {
-            for length in [
-                TABLE_MIN_SYMBOLS - 33,
-                TABLE_MIN_SYMBOLS - 1,
-                TABLE_MIN_SYMBOLS,
-                TABLE_MIN_SYMBOLS + 1,
-                TABLE_MIN_SYMBOLS + 31,
-                TABLE_MIN_SYMBOLS + 32,
-                TABLE_MIN_SYMBOLS + 33,
-            ] {
-                let mut symbols = symbols_with_markers(length, per_mille, window.len(), 41);
-                assert_simd_matches_scalar(&symbols, &window);
-                // A bad symbol deep inside: the error and the bytes before it.
-                symbols[TABLE_MIN_SYMBOLS - 40] = 256;
-                assert_simd_matches_scalar(&symbols, &window);
-                assert_simd_matches_scalar(&symbols, &window[1..]);
-            }
-        }
-    }
-
     proptest! {
         // Differential: the runtime-dispatched kernel (AVX2/SSE2 on x86-64)
         // must match the portable scalar reference bit-for-bit on arbitrary
@@ -1387,8 +1190,9 @@ mod tests {
         }
 
         // The table kernels (all of them, whichever the dispatch picked) and
-        // the dispatched entry points on inputs long enough for the table:
-        // marker density x window length x length, a bad symbol or none.
+        // the dispatched entry points, on inputs of a few blocks and of two
+        // windows' length: marker density x window length x length, a bad
+        // symbol or none.
         #[test]
         fn table_kernels_and_scalar_replacement_agree(
             seed in any::<u64>(),
@@ -1396,8 +1200,8 @@ mod tests {
             window_length in prop_oneof![
                 Just(0usize), Just(1usize), Just(WINDOW_SIZE - 1), Just(WINDOW_SIZE), 2usize..WINDOW_SIZE
             ],
-            length in prop_oneof![0usize..200, (TABLE_MIN_SYMBOLS - 40)..(TABLE_MIN_SYMBOLS + 40)],
-            bad in (any::<bool>(), 0usize..TABLE_MIN_SYMBOLS, any::<u16>()),
+            length in prop_oneof![0usize..200, 65_496usize..65_576],
+            bad in (any::<bool>(), 0usize..65_536, any::<u16>()),
         ) {
             let window: Vec<u8> = (0..window_length).map(|i| (i as u64 ^ seed) as u8).collect();
             let mut symbols =

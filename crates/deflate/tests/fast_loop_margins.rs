@@ -2,9 +2,9 @@
 //! of input, the output limit, the first matches of a call (into the window,
 //! to its first byte, past it), buffers with little or no room, short
 //! distances — each against the single-symbol reference decoder and against
-//! the values the reference is known to give.  The suite runs under
-//! `RGZ_FORCE_SCALAR=1` too (the CI `scalar-fallback` job), which swaps the
-//! loop's match copy for the portable one.
+//! the values the reference is known to give.  The loop has no kernel to
+//! swap: under `RGZ_FORCE_SCALAR=1` (the CI `scalar-fallback` job) the suite
+//! runs the same code, against marker replacement's scalar kernel.
 
 use rgz_bitio::{BitReader, BitWriter};
 use rgz_deflate::constants::{

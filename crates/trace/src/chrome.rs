@@ -2,9 +2,9 @@
 //!
 //! Emits the "JSON array format" understood by Perfetto and
 //! `chrome://tracing`: one `M` (metadata) event naming each thread track,
-//! then `X` (complete) events for spans, `i` for instants, and `C` for
-//! counters.  Timestamps and durations are microseconds since the trace
-//! epoch, which is what the format expects.
+//! then `X` (complete) events for spans and `i` for instants.  Timestamps
+//! and durations are microseconds since the trace epoch, which is what the
+//! format expects.
 
 use crate::{escape_json, EventKind, EventMeta, TraceSink};
 use std::fmt::Write as _;
@@ -71,11 +71,6 @@ pub fn chrome_trace_json(sink: &TraceSink) -> String {
                         track.tid,
                     )
                 }
-                EventKind::Counter { name, at_us, value } => format!(
-                    "{{\"name\":\"{name}\",\"ph\":\"C\",\"ts\":{at_us},\"pid\":{PID},\
-                     \"tid\":{},\"args\":{{\"value\":{value}}}}}",
-                    track.tid,
-                ),
             };
             push(rendered, &mut out);
         }
@@ -134,7 +129,6 @@ mod tests {
                 ..EventMeta::default()
             },
         );
-        sink.counter("spec_in_flight", 2);
 
         let json = chrome_trace_json(&sink);
         assert!(json.starts_with('['));
@@ -145,7 +139,6 @@ mod tests {
         assert!(json.contains("\"outcome\":\"committed\""));
         assert!(json.contains("\"chunk\":8"));
         assert!(json.contains("\"name\":\"spec_commit\",\"ph\":\"i\""));
-        assert!(json.contains("\"name\":\"spec_in_flight\",\"ph\":\"C\""));
     }
 
     #[test]

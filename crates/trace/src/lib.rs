@@ -4,7 +4,7 @@
 //! figures are explained by *where* chunk time goes (block finding vs.
 //! two-stage decode vs. marker replacement vs. verification).  This crate is
 //! the reproduction's equivalent instrument: a [`TraceSink`] that pipeline
-//! stages write timestamped spans, instant events, and counters into, plus
+//! stages write timestamped spans and instant events into, plus
 //! exporters for Chrome trace-event JSON ([`chrome_trace_json`], loadable in
 //! Perfetto / `chrome://tracing`) and an aggregated [`MetricsReport`]
 //! (per-stage latency percentiles, thread utilization, speculation waste,
@@ -182,12 +182,6 @@ pub enum EventKind {
     /// A point-in-time marker (speculation submit/commit/waste, prefetch
     /// issue/hit/evict, ...).
     Instant { name: &'static str, at_us: u64 },
-    /// A named monotonic counter sample.
-    Counter {
-        name: &'static str,
-        at_us: u64,
-        value: u64,
-    },
 }
 
 /// One recorded trace event.
@@ -355,22 +349,6 @@ impl TraceSink {
                 at_us: self.now_us(),
             },
             meta,
-        });
-    }
-
-    /// Records a named counter sample.
-    #[inline]
-    pub fn counter(&self, name: &'static str, value: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.record(Event {
-            kind: EventKind::Counter {
-                name,
-                at_us: self.now_us(),
-                value,
-            },
-            meta: EventMeta::default(),
         });
     }
 
@@ -582,7 +560,6 @@ mod tests {
             span.set_outcome(Outcome::Committed);
         }
         sink.instant("spec_commit", EventMeta::default());
-        sink.counter("bytes", 3);
         sink.record_span_since(Stage::TaskWait, 0, EventMeta::default(), Outcome::Ok);
         assert_eq!(sink.event_count(), 0);
         assert!(sink.snapshot().is_empty());

@@ -3,8 +3,8 @@
 //! [`MetricsReport::from_sink`] folds every recorded event into per-stage
 //! wall-time histograms (p50/p95/p99), per-thread utilization, a speculation
 //! waste summary, and a prefetch hit-rate summary.  The report renders three
-//! ways: human-readable text (`--verbose` / `--metrics`), a JSON object
-//! (`--metrics=json`), and a flat `String -> f64` map that `rgz_bench`
+//! ways: human-readable text (`--trace-report`), a JSON object
+//! (`--trace-report=json`), and a flat `String -> f64` map that `rgz_bench`
 //! embeds in its `--json` reports so `perf_compare` can gate on stage-level
 //! numbers.
 
@@ -144,8 +144,6 @@ pub struct MetricsReport {
     pub speculation: SpeculationSummary,
     /// Prefetch accounting.
     pub prefetch: PrefetchSummary,
-    /// Final value of every named counter (samples are monotonic).
-    pub counters: BTreeMap<&'static str, u64>,
 }
 
 impl MetricsReport {
@@ -210,11 +208,6 @@ impl MetricsReport {
                             instants::PREFETCH_EVICT => report.prefetch.evictions += 1,
                             _ => {}
                         }
-                    }
-                    EventKind::Counter { name, at_us, value } => {
-                        trace_start = trace_start.min(at_us);
-                        trace_end = trace_end.max(at_us);
-                        report.counters.insert(name, value);
                     }
                 }
             }
@@ -385,14 +378,7 @@ impl MetricsReport {
             self.prefetch.evictions,
             format_f64(self.prefetch.hit_rate())
         );
-        out.push_str(",\"counters\":{");
-        for (index, (name, value)) in self.counters.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{value}");
-        }
-        out.push_str("}}");
+        out.push('}');
         out
     }
 
@@ -517,7 +503,6 @@ mod tests {
         );
         sink.instant(instants::PREFETCH_HIT, EventMeta::default());
         sink.instant(instants::PREFETCH_MISS, EventMeta::default());
-        sink.counter("resolved_cache_len", 5);
 
         let report = MetricsReport::from_sink(&sink);
         let stage = report.stages["decode_one_stage"];
@@ -528,7 +513,6 @@ mod tests {
         assert_eq!(report.speculation.wasted_bytes, 100);
         assert!((report.speculation.waste_ratio() - 0.1).abs() < 1e-9);
         assert!((report.prefetch.hit_rate() - 0.5).abs() < 1e-9);
-        assert_eq!(report.counters["resolved_cache_len"], 5);
         assert_eq!(report.threads.len(), 1);
 
         let json = report.to_json();
