@@ -16,7 +16,7 @@
 
 use rgz_bitio::BitReader;
 use rgz_blockfinder::{BlockFinder, PugzLikeFinder};
-use rgz_deflate::{inflate, inflate_two_stage, replace_markers, resolve_window, StopReason};
+use rgz_deflate::{inflate, inflate_two_stage, replace_markers, resolve_window};
 use rgz_gzip::{parse_header, GzipError};
 
 /// Errors of the pugz-style decompressor.
@@ -290,11 +290,7 @@ fn decode_pugz_chunk(
 
     // Later chunks: decode from the found block in two-stage mode until the
     // next chunk's found block (or the end of the stream for the last one).
-    let outcome = inflate_two_stage(&mut reader, &mut symbols, stop_bit)?;
-    match outcome.stop_reason {
-        StopReason::StopOffsetReached | StopReason::EndOfStream => {}
-        StopReason::EndOfInput => {}
-    }
+    inflate_two_stage(&mut reader, &mut symbols, stop_bit)?;
     Ok(Some(StageOneChunk {
         chunk_index,
         symbols,

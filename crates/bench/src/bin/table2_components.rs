@@ -32,7 +32,7 @@ use rgz_deflate::block::{
 use rgz_deflate::{
     inflate, inflate_single_symbol, inflate_speculative, inflate_two_stage, replace_markers,
     replace_markers_to_slice, replace_markers_to_slice_scalar, BlockBoundary, BlockType,
-    CompressorOptions, DeflateCompressor, SpeculativeOutput, MARKER_BASE,
+    CompressorOptions, DeflateCompressor, SpeculativeOutput, WindowAnswer, MARKER_BASE,
 };
 use rgz_metrics::MetricsRegistry;
 use rgz_trace::{chrome_trace_json, MetricsReport, TraceSink};
@@ -345,7 +345,7 @@ fn main() {
             let (_, duration) =
                 best_of(|| replace_markers_to_slice(&symbols, window, &mut resolved).unwrap());
             assert_eq!(resolved, tail);
-            row(
+            let dense = row(
                 &mut report,
                 json,
                 "Marker replacement (dense)",
@@ -353,12 +353,66 @@ fn main() {
                 symbols.len(),
                 duration,
             );
+            // The same chunk with its window arriving when half its blocks
+            // are decoded — what a decode the pass catches up with sees — and
+            // the replacement of its prefix, against the two rows above: all
+            // of it 16 bits wide, and every symbol replaced.  Into the same
+            // buffers, recycled as the reader's are.
+            let ahead = blocks
+                .iter()
+                .filter(|block| block.bit_offset > start.bit_offset);
+            let halfway = ahead
+                .clone()
+                .nth(ahead.count() / 2)
+                .expect("several blocks");
+            let arrives_at = halfway.uncompressed_offset as usize - split;
+            let (mut wide, mut narrow) = (std::mem::take(&mut symbols), Vec::new());
+            let ((), duration) = best_of(|| {
+                let mut reader = BitReader::new(&compressed);
+                reader.seek_to_bit(start.bit_offset).unwrap();
+                wide.clear();
+                let mut output = SpeculativeOutput::from(std::mem::take(&mut wide));
+                inflate_speculative(
+                    &mut reader,
+                    &mut output,
+                    u64::MAX,
+                    || std::mem::take(&mut narrow),
+                    |decoded| match decoded >= arrives_at {
+                        true => WindowAnswer::Known(window),
+                        false => WindowAnswer::Unknown,
+                    },
+                )
+                .unwrap();
+                output.resolve_into(window, &mut resolved).unwrap();
+                (wide, narrow) = output.into_buffers();
+            });
+            assert_eq!(resolved, tail, "handed decode must round-trip");
+            let handed = row(
+                &mut report,
+                json,
+                "Inflate handed at 50 %",
+                "inflate_handed_silesia_mb_s",
+                tail.len(),
+                duration,
+            );
+            let ratio = handed * (1.0 / two_stage + 1.0 / dense);
+            if !json {
+                println!("{:<28} {:>15.2}x", "  handed/two-stage+replace", ratio);
+            }
+            report.record("handed_vs_two_stage_silesia", ratio);
         }
         let (output, duration) = best_of(|| {
             let mut reader = BitReader::new(&compressed);
             reader.seek_to_bit(start.bit_offset).unwrap();
             let mut output = SpeculativeOutput::new();
-            inflate_speculative(&mut reader, &mut output, u64::MAX, Vec::new).unwrap();
+            inflate_speculative(
+                &mut reader,
+                &mut output,
+                u64::MAX,
+                Vec::new,
+                WindowAnswer::never,
+            )
+            .unwrap();
             output
         });
         let wide_share = output.prefix().len() as f64 / tail.len() as f64;

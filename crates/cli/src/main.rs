@@ -458,14 +458,16 @@ fn run(options: &Options) -> Result<(), String> {
                 statistics.speculative_bytes_u16 + statistics.speculative_bytes_u8;
             eprintln!(
                 "rgzip: speculative decode: {} bytes as 16-bit marker symbols, {} bytes as \
-                 plain bytes after markers died out ({:.1} % at one-stage speed)",
+                 plain bytes after markers died out or the window arrived ({:.1} % at \
+                 one-stage speed), {} chunk(s) handed their window mid-decode",
                 statistics.speculative_bytes_u16,
                 statistics.speculative_bytes_u8,
                 if speculative_bytes > 0 {
                     100.0 * statistics.speculative_bytes_u8 as f64 / speculative_bytes as f64
                 } else {
                     0.0
-                }
+                },
+                statistics.speculative_chunks_handed
             );
             eprintln!(
                 "rgzip: index-aligned prefetch: {} issued, {} hits",

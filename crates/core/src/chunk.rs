@@ -6,8 +6,9 @@
 //!   is given a *guessed* chunk start (a multiple of the chunk size), locates
 //!   the next DEFLATE block with the block finder, and decodes in two-stage
 //!   mode producing 16-bit marker symbols because the preceding window is
-//!   unknown — but only until the last 32 KiB of output are marker-free (or a
-//!   gzip member ends), from where the rest of the chunk decodes straight to
+//!   unknown — but only until the last 32 KiB of output are marker-free, a
+//!   gzip member ends, or the caller, asked at each block boundary, has the
+//!   window after all: from there the rest of the chunk decodes straight to
 //!   bytes.  This can fail entirely (no block found) or latch onto a false
 //!   positive; both cases are handled gracefully by the orchestrator.
 //! * **Direct** ([`ChunkDecoder::decode_at`]): the exact block offset *and*
@@ -28,6 +29,7 @@ use rgz_bitio::BitReader;
 use rgz_blockfinder::{BlockFinder, CombinedBlockFinder};
 use rgz_deflate::{
     inflate, inflate_hashed, inflate_speculative, DeflateError, SpeculativeOutput, StopReason,
+    WindowAnswer,
 };
 use rgz_fetcher::{BufferPool, Pooled};
 use rgz_gzip::{parse_footer, parse_header, GzipError, GzipFooter};
@@ -427,6 +429,7 @@ impl ChunkDecoder {
                 StopReason::EndOfInput => {
                     return Err(CoreError::Deflate(DeflateError::UnexpectedEof));
                 }
+                StopReason::Abandoned => unreachable!("only a speculative decode is asked"),
                 StopReason::EndOfStream => {
                     let (footer, at_end_of_file) =
                         cross_member_boundary(&mut reader, range.reaches_file_end)?;
@@ -459,9 +462,16 @@ impl ChunkDecoder {
     /// decoding, with block-find and two-stage decode spans recorded into the
     /// trace (chunk id = the guessed bit offset).  Returns `Ok(None)` if no
     /// DEFLATE block could be found inside the guessed chunk range.
+    ///
+    /// `window` is asked at the block boundaries of the decode (see
+    /// [`inflate_speculative`]), with the bit of the file it started from and
+    /// the symbols it has out, for the window in front of that bit.  A decode
+    /// told to [`WindowAnswer::Abandon`] returns what it has by then: a chunk
+    /// that ends at that boundary.
     pub fn decode_speculative(
         &self,
         guess_index: usize,
+        mut window: impl FnMut(u64, usize) -> WindowAnswer<Arc<Vec<u8>>>,
     ) -> Result<Option<SpeculativeChunk>, CoreError> {
         let chunk_size = self.chunk_size;
         let guess_byte = (guess_index as u64) * chunk_size as u64;
@@ -474,7 +484,7 @@ impl ChunkDecoder {
 
         loop {
             let range = self.read_range(guess_byte, stop_byte.saturating_add(slack))?;
-            match self.decode_speculative_in_range(&range, guess_bit, stop_byte * 8) {
+            match self.decode_speculative_in_range(&range, guess_bit, stop_byte * 8, &mut window) {
                 SpeculativeOutcome::Found(chunk) => return Ok(Some(chunk)),
                 SpeculativeOutcome::NoBlock => return Ok(None),
                 SpeculativeOutcome::NeedMoreData if !range.reaches_file_end => {
@@ -490,6 +500,7 @@ impl ChunkDecoder {
         range: &CompressedRange,
         guess_bit: u64,
         stop_bit: u64,
+        window: &mut impl FnMut(u64, usize) -> WindowAnswer<Arc<Vec<u8>>>,
     ) -> SpeculativeOutcome {
         let range_start_bits = range.start_byte * 8;
         let range_end_byte = range.start_byte + range.bytes.len() as u64;
@@ -518,7 +529,8 @@ impl ChunkDecoder {
                 .span(Stage::DecodeTwoStage)
                 .chunk(guess_bit)
                 .compressed_range(range.start_byte + candidate / 8, range_end_byte);
-            match self.try_speculative_decode(range, candidate, relative_stop) {
+            let window = |decoded| window(range_start_bits + candidate, decoded);
+            match self.try_speculative_decode(range, candidate, relative_stop, window) {
                 Ok(decoded) => {
                     span.set_bytes(decoded.output.len() as u64);
                     span.set_marker_bytes(decoded.output.prefix().len() as u64);
@@ -557,6 +569,7 @@ impl ChunkDecoder {
         range: &CompressedRange,
         start: u64,
         relative_stop: u64,
+        mut window: impl FnMut(usize) -> WindowAnswer<Arc<Vec<u8>>>,
     ) -> Result<SpeculativeChunk, CoreError> {
         let mut reader = BitReader::new(&range.bytes);
         reader
@@ -569,14 +582,20 @@ impl ChunkDecoder {
         let mut reached_end_of_file = false;
         let mut member_ends = Vec::new();
         loop {
-            let outcome = inflate_speculative(&mut reader, &mut output, relative_stop, byte_buffer)
-                .map_err(CoreError::Deflate)?;
+            let outcome = inflate_speculative(
+                &mut reader,
+                &mut output,
+                relative_stop,
+                byte_buffer,
+                &mut window,
+            )
+            .map_err(CoreError::Deflate)?;
             block_count += outcome.blocks.len();
             // Only the chunk's first member can reference the preceding
             // window.
             window_usage.get_or_insert(outcome.window_usage);
             match outcome.stop_reason {
-                StopReason::StopOffsetReached => break,
+                StopReason::StopOffsetReached | StopReason::Abandoned => break,
                 StopReason::EndOfInput => {
                     return Err(CoreError::Deflate(DeflateError::UnexpectedEof));
                 }
@@ -659,7 +678,8 @@ pub(crate) mod tests {
         chunk_size: usize,
         guess_index: usize,
     ) -> Result<Option<SpeculativeChunk>, CoreError> {
-        decoder(reader, chunk_size, &MetricsRegistry::new()).decode_speculative(guess_index)
+        decoder(reader, chunk_size, &MetricsRegistry::new())
+            .decode_speculative(guess_index, |_, _| WindowAnswer::Unknown)
     }
 
     fn corpus(records: usize) -> Vec<u8> {
@@ -910,6 +930,79 @@ pub(crate) mod tests {
         );
     }
 
+    #[test]
+    fn a_speculative_decode_does_as_it_is_told_at_any_block_boundary() {
+        // Text: markers live to the end of every chunk, so that nothing but
+        // the answer switches a decode to bytes, or ends it.
+        let data = rgz_datagen::silesia_like(500_000, 9);
+        let writer = GzipWriter::new(rgz_deflate::CompressorOptions {
+            block_size: 8 * 1024,
+            ..Default::default()
+        });
+        let compressed = writer.compress(&data);
+        let chunk_size = 48 * 1024;
+        let shared = SharedFileReader::from_bytes(compressed.clone());
+        let metrics = MetricsRegistry::new();
+        let mut told = 0;
+        for guess in 1..compressed.len().div_ceil(chunk_size) {
+            // Never told anything: where it starts, and what it asks.
+            let mut asked = Vec::new();
+            let untold = decoder(&shared, chunk_size, &metrics)
+                .decode_speculative(guess, |found_bit, decoded| {
+                    asked.push((found_bit, decoded));
+                    WindowAnswer::Unknown
+                })
+                .unwrap()
+                .expect("a block in every range");
+            assert!(untold.output.tail().is_empty());
+            let start = untold.found_bit_offset;
+            let before = decode_chunk_at(&shared, 0, start, &[], true, chunk_size, false).unwrap();
+            assert_eq!(before.end_bit_offset, start, "block finder false positive");
+            let window = Arc::new(before.data[before.data.len() - 32 * 1024..].to_vec());
+            let stop = (guess as u64 + 1) * chunk_size as u64 * 8;
+            let direct =
+                decode_chunk_at(&shared, start, stop, &window, false, chunk_size, true).unwrap();
+
+            for (nth, &(_, at)) in asked.iter().enumerate() {
+                assert!(at >= 32 * 1024, "asked with {at} symbols out");
+                for answer in [
+                    WindowAnswer::Known(Arc::clone(&window)),
+                    WindowAnswer::Abandon,
+                ] {
+                    let mut asked_again = Vec::new();
+                    let chunk = decoder(&shared, chunk_size, &metrics)
+                        .decode_speculative(guess, |found_bit, decoded| {
+                            asked_again.push((found_bit, decoded));
+                            match asked_again.len() > nth {
+                                true => answer.clone(),
+                                false => WindowAnswer::Unknown,
+                            }
+                        })
+                        .unwrap()
+                        .unwrap();
+                    // Asked as before, and no more once told.
+                    assert_eq!(asked_again, asked[..=nth]);
+                    assert_eq!(chunk.found_bit_offset, start);
+                    assert_eq!(chunk.window_usage, direct.window_usage);
+                    assert_eq!(chunk.output.prefix().len(), at);
+                    let (end_bit, length) = (chunk.end_bit_offset, chunk.output.len());
+                    let (resolved, _) = chunk.output.resolve(&window, None).unwrap();
+                    assert_eq!(*resolved, direct.data[..length]);
+                    if answer == WindowAnswer::Abandon {
+                        // What there was: a chunk that ends at that boundary.
+                        assert_eq!(length, at);
+                        assert!(end_bit < direct.end_bit_offset);
+                    } else {
+                        assert_eq!(length, direct.data.len());
+                        assert_eq!(end_bit, direct.end_bit_offset);
+                    }
+                    told += 1;
+                }
+            }
+        }
+        assert!(told > 40, "{told} answers given");
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
 
@@ -1077,15 +1170,21 @@ pub(crate) mod tests {
             let chunks = compressed.len().div_ceil(chunk_size);
             let shared = SharedFileReader::from_bytes(compressed);
             // Not the true windows: all that matters is that both sides
-            // resolve against the same one.
-            let window = rgz_datagen::base64_random(32 * 1024, seed);
+            // resolve against the same one — and are handed it, two times in
+            // three, at the same point of their decodes.
+            let window = Arc::new(rgz_datagen::base64_random(32 * 1024, seed));
+            let handed_from = [usize::MAX, 0, 100_000][seed as usize % 3];
+            let hand = |_, decoded| match decoded >= handed_from {
+                true => WindowAnswer::Known(Arc::clone(&window)),
+                false => WindowAnswer::Unknown,
+            };
 
             let recycled_metrics = MetricsRegistry::new_enabled();
             let recycling = decoder(&shared, chunk_size, &recycled_metrics);
             let fresh_metrics = MetricsRegistry::new();
             let fresh = || decoder(&shared, chunk_size, &fresh_metrics);
             for guess in 0..chunks {
-                let speculative = recycling.decode_speculative(guess);
+                let speculative = recycling.decode_speculative(guess, hand);
                 // Where the direct decode starts: at the block the
                 // speculative one found, else at the guess itself.
                 let start = match &speculative {
@@ -1094,7 +1193,7 @@ pub(crate) mod tests {
                 };
                 proptest::prop_assert_eq!(
                     speculative_view(speculative, &window),
-                    speculative_view(fresh().decode_speculative(guess), &window)
+                    speculative_view(fresh().decode_speculative(guess, hand), &window)
                 );
                 // To a guessed stop, and as if an index had named it.
                 let direct = DirectChunk {

@@ -134,16 +134,20 @@ impl Shared {
         let targets = state.strategy.prefetch(degree, chunks);
 
         // Cap the decoded-but-unconsumed backlog: let go of finished chunks
-        // the strategy no longer predicts (random access moved elsewhere).
+        // the strategy no longer predicts (random access moved elsewhere) —
+        // and the reader is not about to take: the pass's last chunks wait
+        // here for a first read that follows it closely, beside the tasks of
+        // the ranges it ran past.
         if state.pass.chunks.len() >= degree.saturating_mul(2) {
             let points = state.index.block_map.points();
+            let wanted = accessed..targets.end;
             let unpredicted: Vec<u64> = state
                 .pass
                 .chunks
                 .iter()
                 .filter(|(key, chunk)| {
                     let predicted = |index: usize| points[index].compressed_bit_offset == **key;
-                    chunk.is_finished() && !targets.clone().any(predicted)
+                    chunk.is_finished() && !wanted.clone().any(predicted)
                 })
                 .map(|(&key, _)| key)
                 .collect();

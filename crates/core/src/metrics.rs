@@ -44,6 +44,7 @@ pub(crate) struct ReaderMetrics {
     speculation_mismatches: Counter,
     speculative_bytes_u16: Counter,
     speculative_bytes_u8: Counter,
+    speculative_handoffs: Counter,
     prefetch_issued_speculative: Counter,
     prefetch_issued_index: Counter,
     prefetch_hits: Counter,
@@ -123,6 +124,10 @@ impl ReaderMetrics {
             ),
             speculative_bytes_u16: speculative_bytes("u16"),
             speculative_bytes_u8: speculative_bytes("u8"),
+            speculative_handoffs: registry.counter(
+                names::SPECULATIVE_HANDOFFS,
+                "Speculative decodes handed their window while under way",
+            ),
             prefetch_issued_speculative: prefetch("speculative"),
             prefetch_issued_index: prefetch("index"),
             prefetch_hits: registry.counter(
@@ -175,6 +180,13 @@ impl ReaderMetrics {
         self.speculative_bytes_u16.add(wide_bytes);
         self.speculative_bytes_u8.add(length - wide_bytes);
         self.instant(instants::SPEC_COMMIT, start_bit, Some(member), Some(length));
+    }
+
+    /// The pass, arrived at `start_bit`, handed the speculative decode under
+    /// way from there its window, `wide_bytes` symbols into the chunk.
+    pub fn window_handed(&self, start_bit: u64, wide_bytes: u64) {
+        self.speculative_handoffs.inc();
+        self.instant(instants::WINDOW_HANDED, start_bit, None, Some(wide_bytes));
     }
 
     /// The pass committed a chunk decoded one-stage from where it stood:
@@ -266,6 +278,7 @@ impl ReaderStatistics {
             speculative_bytes_wasted: counter(names::BYTES_WASTED, &[]),
             speculative_bytes_u16: counter(names::SPECULATIVE_BYTES, &[("width", "u16")]),
             speculative_bytes_u8: counter(names::SPECULATIVE_BYTES, &[("width", "u8")]),
+            speculative_chunks_handed: counter(names::SPECULATIVE_HANDOFFS, &[]),
             pool_queue_depth: gauge(names::POOL_QUEUE_DEPTH),
             pool_tasks_inflight: gauge(names::POOL_TASKS_INFLIGHT),
             pool_tasks_submitted: counter(names::POOL_TASKS_TOTAL, &[]),

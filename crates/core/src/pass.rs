@@ -27,7 +27,9 @@
 //!            issued ahead            found a block          starts where the
 //!            or demanded             (or none)              pass stands
 //!   (none) ──────────────► Decoding ──────────► Markered ─────────────► Resolving ──► Ready
-//!                             │                 NoBlock ──► Decoding                    ▲
+//!                             │  │              NoBlock ──► Decoding                    ▲
+//!                             │  └─ window handed mid-decode: ─► Markered               │
+//!                             │     bytes from there                                    │
 //!                             │  the pass stood in its range when the task began:      │
 //!                             └──── decoded one-stage with the known window ───────────┘
 //! ```
@@ -36,11 +38,22 @@
 //! its chunk's exact first bit and window, and skips block finder, 16-bit
 //! symbols and marker replacement: with one worker that is every chunk, and
 //! the pass a serial decode with the writes overlapped.
+//!
+//! One that started before the pass arrived asks again at every block
+//! boundary of its decode ([`Shared::window_for`]; an atomic load while the
+//! pass is elsewhere).  Arrived at the block it started from, the pass hands
+//! it the window: the decode goes on one-stage, and the chunk enters the
+//! table `Markered` like any other — only that most of it is bytes already,
+//! the window after it its own tail, and the replacement left to do a prefix.
+//! Arrived anywhere else, the decode is of no use and stops.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
+use rgz_deflate::WindowAnswer;
 use rgz_fetcher::Pooled;
 use rgz_index::{PointChecksums, SeekPoint};
 use rgz_io::FileReader;
@@ -148,6 +161,18 @@ struct KnownStart {
     window: Arc<Vec<u8>>,
     seq: u64,
     first_member: u64,
+}
+
+impl KnownStart {
+    /// The chunk `pass` stands at.
+    fn of(pass: &SequentialPass) -> Self {
+        Self {
+            start_bit: pass.next_start_bit,
+            window: Arc::clone(&pass.window),
+            seq: pass.next_seq,
+            first_member: pass.next_member,
+        }
+    }
 }
 
 /// Marks a chunk failed if the task working on it unwinds, so that a reader
@@ -305,12 +330,7 @@ impl Shared {
                 state.pass.chunks.remove(&key);
                 return;
             }
-            (frontier == guess).then(|| KnownStart {
-                start_bit: pass.next_start_bit,
-                window: Arc::clone(&pass.window),
-                seq: pass.next_seq,
-                first_member: pass.next_member,
-            })
+            (frontier == guess).then(|| KnownStart::of(pass))
         };
         let replacements = match known {
             Some(known) => self.decode_known(guess, known, demanded),
@@ -319,16 +339,54 @@ impl Shared {
         self.run_replacements(replacements);
     }
 
+    /// What the pass knows of the window in front of `found_bit`, asked by
+    /// the speculative decode of range `guess` that started there and has
+    /// `decoded` symbols out: nothing, while it stands before the range; the
+    /// window, once it stands at that very bit; and that the decode is in
+    /// vain, once it stands anywhere else — in the range, which then starts
+    /// at another block than the finder's, or past it.
+    ///
+    /// Asked at every block boundary, so without the state lock for as long
+    /// as the pass is elsewhere: [`Shared::frontier`] follows
+    /// `next_start_bit` and publishes nothing — what is handed over is read
+    /// under the lock, and the pass cannot leave the range again before this
+    /// decode is done.
+    fn window_for(
+        &self,
+        guess: usize,
+        found_bit: u64,
+        decoded: usize,
+    ) -> WindowAnswer<Arc<Vec<u8>>> {
+        match self.guess_of(self.frontier.load(Relaxed)).cmp(&guess) {
+            Ordering::Less => WindowAnswer::Unknown,
+            Ordering::Greater => WindowAnswer::Abandon,
+            Ordering::Equal => {
+                let window = {
+                    let pass = &self.lock().pass;
+                    (pass.next_start_bit == found_bit).then(|| Arc::clone(&pass.window))
+                };
+                let Some(window) = window else {
+                    return WindowAnswer::Abandon;
+                };
+                self.metrics.window_handed(found_bit, decoded as u64);
+                WindowAnswer::Known(window)
+            }
+        }
+    }
+
     /// Decodes the chunk in range `guess` from the first block found there,
-    /// the window unknown, and commits it if the pass has arrived.
+    /// the window unknown until the pass arrives to hand it over, and commits
+    /// it if the pass has arrived.
     fn decode_guessed(self: &Arc<Self>, guess: usize) -> Vec<Replacement> {
         let decoded = {
             let _stage_timer = self.metrics.stage_decode_two_stage.start_timer();
-            self.decoder.decode_speculative(guess)
+            let window = |found_bit, decoded| self.window_for(guess, found_bit, decoded);
+            self.decoder.decode_speculative(guess, window)
         };
         let key = self.range_bit(guess);
         let mut state = self.lock();
-        if state.pass.finished || self.guess_of(state.pass.next_start_bit) > guess {
+        let frontier = self.guess_of(state.pass.next_start_bit);
+        if state.pass.finished || frontier > guess {
             state.pass.chunks.remove(&key);
             if let Ok(Some(chunk)) = &decoded {
                 self.metrics.speculative_wasted(chunk, false);
@@ -337,10 +395,22 @@ impl Shared {
         }
         // An error here is not the stream's: the decode from the chunk's true
         // start, which the lack of a result brings about, reports that.
-        let decoded = match decoded {
-            Ok(Some(chunk)) => ChunkState::Markered(chunk),
-            Ok(None) | Err(_) => ChunkState::NoBlock,
-        };
+        let decoded = decoded.ok().flatten();
+        let start_bit = state.pass.next_start_bit;
+        if frontier == guess
+            && decoded.as_ref().map(|chunk| chunk.found_bit_offset) != Some(start_bit)
+        {
+            // The pass stands in the range, and not where this decode began
+            // (and may have stopped for it): the chunk is decoded from there
+            // here and now, as the one the pass cannot move without.
+            if let Some(chunk) = &decoded {
+                self.metrics.speculative_wasted(chunk, true);
+            }
+            let known = KnownStart::of(&state.pass);
+            drop(state);
+            return self.decode_known(guess, known, true);
+        }
+        let decoded = decoded.map_or(ChunkState::NoBlock, ChunkState::Markered);
         state.pass.chunks.insert(key, decoded);
         self.commit_ready(&mut state)
     }
@@ -551,12 +621,14 @@ impl Shared {
         pass.next_member += members_ended;
         let passed = if reached_end_of_file || end_bit >= self.file_bits() {
             pass.finished = true;
+            self.frontier.store(u64::MAX, Relaxed);
             state.index.uncompressed_size = state.index.block_map.uncompressed_size();
             // Every decode from here on is direct: the symbol buffers the
             // last marker replacements give back are no use to anyone.
             self.decoder.buffers.retire_symbols();
             Bound::Unbounded
         } else {
+            self.frontier.store(end_bit, Relaxed);
             Bound::Excluded(self.range_bit(self.guess_of(end_bit)))
         };
         // Tasks still at work there count themselves when they are done.

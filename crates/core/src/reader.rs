@@ -2,6 +2,7 @@
 //! decompression, marker resolution, index construction and random access.
 
 use std::io::{Read, Seek, SeekFrom};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use rgz_fetcher::{BufferPool, Cache, Pooled, Spawner, ThreadPool};
@@ -157,9 +158,13 @@ pub struct ReaderStatistics {
     /// marker symbols: the window was unknown and markers were still alive.
     pub speculative_bytes_u16: u64,
     /// Bytes of the same chunks decoded straight to `u8` at one-stage speed,
-    /// after their last 32 KiB had become marker-free (or a gzip member had
-    /// ended).  A low share here is why a speculative decode was slow.
+    /// after their last 32 KiB had become marker-free, a gzip member had
+    /// ended, or the pass had handed the decode its window.  A low share here
+    /// is why a speculative decode was slow.
     pub speculative_bytes_u8: u64,
+    /// Speculative decodes the pass reached while they were under way and
+    /// handed their window, to finish one-stage.
+    pub speculative_chunks_handed: u64,
     /// Tasks currently waiting in the worker pool's queue (sampled live when
     /// [`ParallelGzipReader::statistics`] is called).
     pub pool_queue_depth: u64,
@@ -206,6 +211,10 @@ pub(crate) struct Shared {
     /// produced its bytes, before the reader can see them.
     pub verifier: parking_lot::Mutex<StreamVerifier>,
     state: Mutex<ReaderState>,
+    /// Where the pass stands: `next_start_bit` as [`Shared::advance`] last
+    /// set it, `u64::MAX` once the pass has finished — for the decodes under
+    /// way ahead of it, which look at every block boundary.
+    pub frontier: AtomicU64,
     /// Signalled whenever the pass moved or a chunk's bytes or failure
     /// arrived: everything the reader's thread waits for.
     pub progress: Condvar,
@@ -326,6 +335,7 @@ impl ParallelGzipReader {
                     reading_at: 0,
                     strategy: FetchNextAdaptive::default(),
                 }),
+                frontier: AtomicU64::new(0),
                 progress: Condvar::new(),
                 options,
             }),
@@ -1351,6 +1361,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_sequential_first_read_decodes_no_chunk_twice() {
+        // Takes longer over a chunk than a worker does to decode the next.
+        struct SlowWriter;
+        impl std::io::Write for SlowWriter {
+            fn write(&mut self, buffer: &[u8]) -> std::io::Result<usize> {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                Ok(buffer.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let data = fastq_records(20_000, 3);
+        let compressed = GzipWriter::default().compress(&data);
+        for parallelization in [1, 2] {
+            for chunk_size in [32 * 1024, 64 * 1024] {
+                // Right behind the pass, and far behind it.
+                for slow in [false, true] {
+                    let options = options(parallelization, chunk_size);
+                    let mut reader =
+                        ParallelGzipReader::from_bytes(compressed.clone(), options).unwrap();
+                    let read = if slow {
+                        reader.decompress_to(&mut SlowWriter).unwrap()
+                    } else {
+                        reader.read_to_end(&mut Vec::new()).unwrap() as u64
+                    };
+                    assert_eq!(read, data.len() as u64);
+                    let statistics = reader.statistics();
+                    let run = format!("P = {parallelization}, {chunk_size}, slow: {slow}");
+                    assert_eq!(statistics.index_chunks, 0, "{run}: {statistics:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_chunk_a_read_is_about_to_take_is_not_let_go_of() {
+        // The end of a pass with its reader right behind it: the last chunks
+        // committed wait in the table, beside the tasks of the ranges the
+        // pass ran past, which have yet to find that out.
+        let data = fastq_records(20_000, 3);
+        let compressed = GzipWriter::default().compress(&data);
+        let mut reader = ParallelGzipReader::from_bytes(compressed, options(1, 32 * 1024)).unwrap();
+        reader.build_full_index().unwrap();
+        let offset = {
+            let mut state = reader.shared.lock();
+            let state = &mut *state;
+            let ready = |chunk: &ChunkState| matches!(chunk, ChunkState::Ready(_));
+            let (&waiting, _) = state
+                .pass
+                .chunks
+                .iter()
+                .find(|(_, chunk)| ready(chunk))
+                .unwrap();
+            for key in 1..=reader.options().prefetch_degree() as u64 * 2 {
+                state
+                    .pass
+                    .chunks
+                    .insert(u64::MAX - key, ChunkState::Decoding);
+            }
+            let points = state.index.block_map.points();
+            let point = points
+                .iter()
+                .find(|point| point.compressed_bit_offset == waiting);
+            point.unwrap().uncompressed_offset
+        };
+        reader.seek(SeekFrom::Start(offset)).unwrap();
+        let mut buffer = [0u8; 100];
+        reader.read_exact(&mut buffer).unwrap();
+        assert_eq!(buffer, data[offset as usize..][..100]);
+        assert_eq!(reader.statistics().index_chunks, 0);
     }
 
     #[test]

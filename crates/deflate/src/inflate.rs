@@ -8,8 +8,10 @@
 //! decoding in the middle of a stream does not know the preceding window, so
 //! back-references into it emit 16-bit *marker* symbols which a later, much
 //! cheaper pass replaces once the window is known.  [`inflate_speculative`]
-//! stays in that mode only until the last 32 KiB of output are marker-free,
-//! then finishes through the one-stage path.
+//! stays in that mode only for as long as it has to, and finishes through the
+//! one-stage path from the first block boundary with 32 KiB of output behind
+//! it where either of two things holds: those 32 KiB are marker-free, or the
+//! caller, asked there, has come to know the window ([`WindowAnswer`]).
 //!
 //! Both paths run the same block loop and the same symbol decoders — a fast
 //! loop over two-level tables that runs wherever nothing can go wrong, a
@@ -64,6 +66,28 @@ pub enum StopReason {
     /// The input data ended exactly at a block boundary before the stream's
     /// final block (only possible when decoding a truncated prefix).
     EndOfInput,
+    /// The caller of [`inflate_speculative`], asked for the window at a block
+    /// boundary, answered [`WindowAnswer::Abandon`].
+    Abandoned,
+}
+
+/// What the caller of [`inflate_speculative`] knows, at a block boundary, of
+/// the window its decode lacks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowAnswer<W> {
+    /// Nothing yet: decode on as markers.
+    Unknown,
+    /// The up to 32 KiB that precede the call's first bit: decode on as bytes.
+    Known(W),
+    /// The decode is of no use any more: return what there is.
+    Abandon,
+}
+
+impl WindowAnswer<&'static [u8]> {
+    /// The answer of a caller that will never know the window.
+    pub fn never(_decoded: usize) -> Self {
+        Self::Unknown
+    }
 }
 
 /// Metadata describing one inflate call.
@@ -294,10 +318,10 @@ trait Sink {
         Ok(())
     }
 
-    /// Whether decoding should leave this sink at the next block boundary
-    /// (see [`MarkerSink::switch`]).
+    /// Whether decoding should leave this sink at the block boundary it
+    /// stands at (see [`MarkerSink::leave`]).
     #[inline]
-    fn wants_switch(&self) -> bool {
+    fn wants_switch(&mut self) -> bool {
         false
     }
 }
@@ -390,7 +414,7 @@ impl Sink for ByteSink<'_> {
 
 /// Two-stage sink: 16-bit output where values `< 256` are literals and
 /// values `>= MARKER_BASE` are markers into the unknown window.
-struct MarkerSink {
+struct MarkerSink<'a> {
     out: Output<u16>,
     /// Length of `out` when this inflate call started: the window boundary
     /// (data appended by previous calls is not referenced).
@@ -398,10 +422,14 @@ struct MarkerSink {
     usage: WindowUsage,
     /// Index into `out` from which on no symbol is a marker.
     marker_free_from: usize,
-    /// Ask the block loop to stop at the first block boundary where the last
-    /// [`WINDOW_SIZE`] symbols are marker-free: from there a byte decoder
-    /// seeded with those symbols needs no window (§2.2).
-    switch: bool,
+    /// Has the block loop stop at the first block boundary where a byte
+    /// decoder seeded with the last [`WINDOW_SIZE`] symbols can take over
+    /// (§2.2): they are marker-free, or this, asked with the number of symbols
+    /// this call has decoded, says their markers can be resolved (or that the
+    /// decode is to end).  It is asked only once this call has a window's
+    /// worth of symbols out, so that nothing decoded later reaches the window
+    /// itself and [`Self::usage`] is complete.  `None`: never stop.
+    leave: Option<&'a mut dyn FnMut(usize) -> bool>,
 }
 
 /// Moves `marker_free_from` past the last marker of `copied`, which now
@@ -417,19 +445,19 @@ fn track_last_marker(marker_free_from: &mut usize, copied: &[u16], from: usize, 
     }
 }
 
-impl MarkerSink {
-    fn new(out: Vec<u16>, switch: bool) -> Self {
+impl<'a> MarkerSink<'a> {
+    fn new(out: Vec<u16>, leave: Option<&'a mut dyn FnMut(usize) -> bool>) -> Self {
         Self {
             base: out.len(),
             marker_free_from: out.len(),
             out: Output::new(out),
             usage: WindowUsage::new(),
-            switch,
+            leave,
         }
     }
 }
 
-impl Sink for MarkerSink {
+impl Sink for MarkerSink<'_> {
     type Symbol = u16;
 
     #[inline]
@@ -498,8 +526,13 @@ impl Sink for MarkerSink {
     }
 
     #[inline]
-    fn wants_switch(&self) -> bool {
-        self.switch && self.out.len - self.marker_free_from >= WINDOW_SIZE
+    fn wants_switch(&mut self) -> bool {
+        let Some(leave) = &mut self.leave else {
+            return false;
+        };
+        let decoded = self.out.len - self.base;
+        self.out.len - self.marker_free_from >= WINDOW_SIZE
+            || (decoded >= WINDOW_SIZE && leave(decoded))
     }
 }
 
@@ -1038,7 +1071,7 @@ pub fn inflate_two_stage(
     out: &mut Vec<u16>,
     stop_offset: u64,
 ) -> Result<InflateOutcome, DeflateError> {
-    let mut sink = MarkerSink::new(std::mem::take(out), false);
+    let mut sink = MarkerSink::new(std::mem::take(out), None);
     let base = sink.base;
     let mut blocks = BlockLoop::new(true);
     let exit = blocks.run(reader, &mut sink, base, stop_offset);
@@ -1048,39 +1081,63 @@ pub fn inflate_two_stage(
 }
 
 /// Decodes DEFLATE blocks without knowing the preceding window, as 16-bit
-/// marker symbols only for as long as it has to (§2.2): at the first block
-/// boundary where the last 32 KiB of output contain no marker, those 32 KiB
-/// are narrowed to bytes and the rest decodes through the one-stage path at
-/// one-stage speed.  `out` that has already switched (by an earlier call, or
-/// by [`SpeculativeOutput::switch_to_bytes`] at a gzip member boundary, where
-/// the window is known to be empty) decodes one-stage from the start.
+/// marker symbols only for as long as it has to (§2.2).  At each block
+/// boundary with at least 32 KiB of this call's output behind it — so that
+/// nothing decoded from there on can reach the window itself — the output
+/// switches to bytes for either of two reasons:
+///
+/// * those 32 KiB contain no marker: they are narrowed to bytes;
+/// * `window`, asked there with the number of symbols decoded so far, answers
+///   [`WindowAnswer::Known`]: their markers are replaced from that window.
+///
+/// Either way they are all the history the rest of the chunk can reference,
+/// and it decodes through the one-stage path at one-stage speed.
+/// [`WindowAnswer::Abandon`] ends the call at that boundary instead, with
+/// [`StopReason::Abandoned`].  `out` that has already switched (by an earlier
+/// call, or by [`SpeculativeOutput::switch_to_bytes`] at a gzip member
+/// boundary, where the window is known to be empty) decodes one-stage from
+/// the start, and `window` is never asked.
 ///
 /// `byte_buffer` is asked for the buffer the byte tail goes into, at the
 /// switch and only then: a chunk that stays 16 bits wide never holds one.
 /// Its contents are discarded; hand in a recycled one of the right capacity
 /// or `Vec::new`.
 ///
-/// The outcome's `window_usage` covers the marker phase only: after the
-/// switch every reference resolves inside `out`.  As with the other entry
-/// points, what `out` holds after an error is unspecified — but it still
-/// owns every buffer it was given.
-pub fn inflate_speculative(
+/// The outcome's `window_usage` covers the marker phase only, and is that of
+/// the whole decode: after the switch every reference resolves inside `out`.
+/// As with the other entry points, what `out` holds after an error is
+/// unspecified — but it still owns every buffer it was given.
+pub fn inflate_speculative<W: std::ops::Deref<Target: AsRef<[u8]>>>(
     reader: &mut BitReader<'_>,
     out: &mut SpeculativeOutput,
     stop_offset: u64,
     byte_buffer: impl FnOnce() -> Vec<u8>,
+    mut window: impl FnMut(usize) -> WindowAnswer<W>,
 ) -> Result<InflateOutcome, DeflateError> {
     let start_len = out.len();
     let mut blocks = BlockLoop::new(true);
     let mut usage = WindowUsage::new();
     if !out.switched {
-        let mut sink = MarkerSink::new(std::mem::take(&mut out.prefix), true);
+        let mut answer = WindowAnswer::Unknown;
+        let mut leave = |decoded| {
+            answer = window(decoded);
+            !matches!(answer, WindowAnswer::Unknown)
+        };
+        let mut sink = MarkerSink::new(std::mem::take(&mut out.prefix), Some(&mut leave));
         let exit = blocks.run(reader, &mut sink, start_len, stop_offset);
         out.prefix = sink.out.finish();
         usage = sink.usage;
-        match exit? {
-            Some(stop_reason) => return Ok(blocks.into_outcome(stop_reason, reader, &usage, None)),
-            None => out.switch_to_bytes(byte_buffer),
+        let stop_reason = match (exit?, &answer) {
+            (Some(stop_reason), _) => Some(stop_reason),
+            (None, WindowAnswer::Abandon) => Some(StopReason::Abandoned),
+            (None, _) => None,
+        };
+        if let Some(stop_reason) = stop_reason {
+            return Ok(blocks.into_outcome(stop_reason, reader, &usage, None));
+        }
+        out.switch_to_bytes(byte_buffer);
+        if let WindowAnswer::Known(window) = answer {
+            out.resolve_history((*window).as_ref())?;
         }
     }
     let mut sink = ByteSink::new(&[], std::mem::take(&mut out.bytes), usize::MAX);

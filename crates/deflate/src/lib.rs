@@ -9,7 +9,7 @@
 //!   block finder.
 //! * [`inflate()`] / [`inflate_two_stage()`] — the two decoding paths, and
 //!   [`inflate_speculative()`], which starts as the second and finishes as the
-//!   first.
+//!   first once its markers have died out or its caller has learnt the window.
 //! * [`markers`] — marker replacement and window resolution (second stage).
 //! * [`compress`] — a complete DEFLATE compressor used to build test data
 //!   and benchmark corpora.
@@ -27,7 +27,7 @@ pub use block::{BlockType, DynamicHeader};
 pub use compress::{write_stored_block, CompressionLevel, CompressorOptions, DeflateCompressor};
 pub use inflate::{
     inflate, inflate_hashed, inflate_limited, inflate_single_symbol, inflate_speculative,
-    inflate_two_stage, BlockBoundary, InflateOutcome, StopReason, MARKER_BASE,
+    inflate_two_stage, BlockBoundary, InflateOutcome, StopReason, WindowAnswer, MARKER_BASE,
 };
 pub use markers::{
     active_isa as markers_active_isa, contains_markers, replace_markers, replace_markers_hashed,

@@ -645,7 +645,10 @@ pub fn resolve_window(symbols: &[u16], window: &[u8]) -> Result<Vec<u8>, Deflate
 
 /// Output of a speculative decode ([`crate::inflate_speculative`]): a 16-bit
 /// marker *prefix* followed, once the decoder has switched, by a plain byte
-/// *tail*.  Symbols map 1:1 to output bytes, so [`Self::len`] is the chunk's
+/// *tail*.  It switches for one of two reasons — the prefix's last 32 KiB
+/// hold no marker, or its caller has learnt the window they point into — and
+/// where its caller knows the window to be empty, after a gzip member's end.
+/// Symbols map 1:1 to output bytes, so [`Self::len`] is the chunk's
 /// decompressed size throughout.
 ///
 /// Both buffers are the caller's: the symbol buffer comes in through
@@ -658,8 +661,8 @@ pub struct SpeculativeOutput {
     pub(crate) prefix: Vec<u16>,
     /// Unused before the switch.  After it, the whole chunk's bytes:
     /// `prefix.len()` placeholders — the last [`WINDOW_SIZE`] of them
-    /// already holding the narrowed prefix symbols, which is all the history
-    /// the one-stage decoder can reach — then the tail it decoded.
+    /// already holding the prefix symbols, narrowed or resolved, which is all
+    /// the history the one-stage decoder can reach — then the tail it decoded.
     /// [`Self::resolve_into`] fills the placeholders in.
     pub(crate) bytes: Vec<u8>,
     pub(crate) switched: bool,
@@ -738,6 +741,16 @@ impl SpeculativeOutput {
         self.bytes.resize(history, 0);
         self.bytes
             .extend(self.prefix[history..].iter().map(|&symbol| symbol as u8));
+    }
+
+    /// Makes the history a switched output decodes on from the prefix's last
+    /// [`WINDOW_SIZE`] symbols with their markers replaced from `window`,
+    /// where [`Self::switch_to_bytes`] has left them narrowed: what the
+    /// one-stage decoder would have in their place.
+    pub(crate) fn resolve_history(&mut self, window: &[u8]) -> Result<(), DeflateError> {
+        let history = self.prefix.len().saturating_sub(WINDOW_SIZE)..self.prefix.len();
+        let resolved = &mut self.bytes[history.clone()];
+        replace_markers_to_slice(&self.prefix[history], window, resolved)
     }
 
     /// Replaces the prefix's markers with bytes from `window` (see

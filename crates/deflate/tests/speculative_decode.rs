@@ -1,7 +1,8 @@
 //! The speculative (hybrid) decoder against the one-stage decoder it must be
 //! indistinguishable from: `inflate_speculative` + marker replacement with the
 //! true window equals `inflate` with that window — same bytes, blocks, end
-//! position and window usage — or both fail.
+//! position and window usage — or both fail, whether and whenever that window
+//! is handed to the decode while it is under way.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -13,7 +14,8 @@ use rgz_deflate::constants::{
 };
 use rgz_deflate::{
     inflate, inflate_speculative, inflate_two_stage, write_stored_block, BlockType,
-    CompressionLevel, CompressorOptions, DeflateCompressor, SpeculativeOutput, Token, MARKER_BASE,
+    CompressionLevel, CompressorOptions, DeflateCompressor, SpeculativeOutput, Token, WindowAnswer,
+    MARKER_BASE,
 };
 use rgz_huffman::HuffmanEncoder;
 
@@ -26,12 +28,25 @@ struct Agreement {
     tail_len: usize,
 }
 
-/// Decodes `stream` from `start_bit` both ways and asserts they agree.
+/// Decodes `stream` from `start_bit` both ways and asserts they agree; the
+/// hybrid's caller never learns the window.
 fn assert_hybrid_matches_one_stage(
     stream: &[u8],
     start_bit: u64,
     stop_bit: u64,
     window: &[u8],
+) -> Agreement {
+    assert_handed_hybrid_matches_one_stage(stream, start_bit, stop_bit, window, usize::MAX)
+}
+
+/// Decodes `stream` from `start_bit` both ways and asserts they agree, the
+/// hybrid's caller knowing `window` from when `arrives_at` symbols are out.
+fn assert_handed_hybrid_matches_one_stage(
+    stream: &[u8],
+    start_bit: u64,
+    stop_bit: u64,
+    window: &[u8],
+    arrives_at: usize,
 ) -> Agreement {
     let reader_at = |bit| {
         let mut reader = BitReader::new(stream);
@@ -56,9 +71,20 @@ fn assert_hybrid_matches_one_stage(
         let mut reader = reader_at(start_bit).unwrap();
         symbols.clear();
         let mut output = SpeculativeOutput::from(std::mem::take(&mut symbols));
-        let hybrid = inflate_speculative(&mut reader, &mut output, stop_bit, || {
-            std::mem::take(&mut bytes)
-        });
+        let hybrid = inflate_speculative(
+            &mut reader,
+            &mut output,
+            stop_bit,
+            || std::mem::take(&mut bytes),
+            |decoded| {
+                assert!(decoded >= WINDOW_SIZE, "asked with {decoded} symbols out");
+                if decoded >= arrives_at {
+                    WindowAnswer::Known(window)
+                } else {
+                    WindowAnswer::Unknown
+                }
+            },
+        );
         let (prefix_len, tail_len) = (output.prefix().len(), output.tail().len());
         if hybrid.is_ok() {
             assert_eq!(prefix_len + tail_len, output.len());
@@ -156,6 +182,9 @@ proptest! {
         // with one bit flipped / cut short.
         corruption in 0usize..4,
         corrupt_at in 0usize..4_000_000,
+        // When the hybrid's caller learns the window, in symbols decoded: a
+        // third of the cases before it is first asked, a third never.
+        arrives_at in -300_000isize..600_000,
     ) {
         let data = mixed_corpus(seed, length);
         let options = CompressorOptions {
@@ -185,7 +214,70 @@ proptest! {
             3 => stream.truncate(corrupt_at % stream.len()),
             _ => {}
         }
-        assert_hybrid_matches_one_stage(&stream, start.bit_offset, stop_bit, window);
+        let arrives_at = if arrives_at > 300_000 { usize::MAX } else { arrives_at.max(0) as usize };
+        assert_handed_hybrid_matches_one_stage(&stream, start.bit_offset, stop_bit, window, arrives_at);
+    }
+}
+
+#[test]
+fn a_window_arriving_at_any_block_boundary_changes_nothing_but_the_switch() {
+    // Text keeps its markers alive to the end; in the mixed corpus they die
+    // out, and the decoder has switched before most arrivals.
+    for (marker_heavy, data) in [
+        (true, rgz_datagen::silesia_like(300_000, 20)),
+        (false, mixed_corpus(5, 300_000)),
+    ] {
+        let options = CompressorOptions {
+            block_size: 6 * 1024,
+            ..Default::default()
+        };
+        let stream = DeflateCompressor::new(options).compress(&data);
+        let mut reader = BitReader::new(&stream);
+        let blocks = inflate(&mut reader, &[], &mut Vec::new(), u64::MAX)
+            .unwrap()
+            .blocks;
+        let first = blocks
+            .iter()
+            .position(|block| block.uncompressed_offset as usize > WINDOW_SIZE)
+            .unwrap();
+        let start = blocks[first];
+        let split = start.uncompressed_offset as usize;
+        let window = &data[split - WINDOW_SIZE..split];
+        let decode = |arrives_at| {
+            assert_handed_hybrid_matches_one_stage(
+                &stream,
+                start.bit_offset,
+                u64::MAX,
+                window,
+                arrives_at,
+            )
+        };
+
+        let never = decode(usize::MAX);
+        assert_eq!(never.prefix_len + never.tail_len, data.len() - split);
+        assert_eq!(never.tail_len == 0, marker_heavy);
+        // Known before the decode is first asked: it switches at the first
+        // boundary with a window's worth of symbols out.
+        let eligible = |block: &&rgz_deflate::BlockBoundary| {
+            block.uncompressed_offset as usize - split >= WINDOW_SIZE
+        };
+        let earliest = blocks[first..].iter().find(eligible).unwrap();
+        let at_once = decode(0);
+        assert_eq!(
+            at_once.prefix_len,
+            earliest.uncompressed_offset as usize - split
+        );
+        assert!(blocks.len() - first > 30, "{} blocks", blocks.len() - first);
+        for block in blocks[first..].iter().filter(eligible) {
+            let boundary = block.uncompressed_offset as usize - split;
+            let seen = decode(boundary);
+            // The switch is at the boundary where the window arrived, unless
+            // the markers had died out before.
+            assert_eq!(seen.prefix_len, boundary.min(never.prefix_len));
+            // One symbol later is one boundary later.
+            let late = decode(boundary + 1);
+            assert!(late.prefix_len > boundary || never.prefix_len <= boundary);
+        }
     }
 }
 
@@ -238,7 +330,14 @@ fn hybrid_decode_switches_once_markers_die_out_and_never_when_they_do_not() {
     let mut reader = BitReader::new(&stream);
     reader.seek_to_bit(start.bit_offset).unwrap();
     let mut output = SpeculativeOutput::new();
-    inflate_speculative(&mut reader, &mut output, u64::MAX, Vec::new).unwrap();
+    inflate_speculative(
+        &mut reader,
+        &mut output,
+        u64::MAX,
+        Vec::new,
+        WindowAnswer::never,
+    )
+    .unwrap();
     assert_eq!(output.prefix(), &symbols[..seen.prefix_len]);
     assert!(symbols[seen.prefix_len - WINDOW_SIZE..]
         .iter()
@@ -403,7 +502,14 @@ fn stored_and_fixed_blocks_before_and_after_the_switch() {
 
     let mut reader = BitReader::new(&stream);
     let mut output = SpeculativeOutput::new();
-    let outcome = inflate_speculative(&mut reader, &mut output, u64::MAX, Vec::new).unwrap();
+    let outcome = inflate_speculative(
+        &mut reader,
+        &mut output,
+        u64::MAX,
+        Vec::new,
+        WindowAnswer::never,
+    )
+    .unwrap();
     let types: Vec<BlockType> = outcome.blocks.iter().map(|b| b.block_type).collect();
     assert_eq!(
         types,
@@ -418,6 +524,198 @@ fn stored_and_fixed_blocks_before_and_after_the_switch() {
         outcome.window_usage,
         vec![((WINDOW_SIZE - 5000) as u32, 30)]
     );
+}
+
+/// A Fixed block whose match into the window is still within the last 32 KiB
+/// when a Stored block ends past the first 32 KiB — no switch without the
+/// window — then Stored and Fixed blocks that copy, among other things, what
+/// that match produced.  Returns the stream and the offset of that boundary.
+fn markers_alive_at_a_stored_boundary() -> (Vec<u8>, usize) {
+    let payload: Vec<u8> = (0..20_000u32).map(|i| (i % 199) as u8).collect();
+    let mut writer = BitWriter::new();
+    let mut first = literals(20_000, 13);
+    first.push(Token::Match {
+        length: 30,
+        distance: 25_000,
+    });
+    first.push(Token::Literal(b'x'));
+    write_fixed_block(&mut writer, &first, false);
+    write_stored_block(&mut writer, &payload, false);
+    let boundary = 20_031 + payload.len();
+    write_stored_block(&mut writer, &payload[..1234], false);
+    write_fixed_block(
+        &mut writer,
+        &[
+            Token::Match {
+                length: 200,
+                distance: WINDOW_SIZE as u16,
+            },
+            // What the match into the window produced.
+            Token::Match {
+                length: 30,
+                distance: (boundary + 1234 + 200 - 20_000) as u16,
+            },
+            Token::Match {
+                length: 258,
+                distance: 1,
+            },
+        ],
+        true,
+    );
+    (writer.finish(), boundary)
+}
+
+#[test]
+fn stored_and_fixed_blocks_before_and_after_a_handed_window() {
+    let (stream, boundary) = markers_alive_at_a_stored_boundary();
+    let seen = assert_hybrid_matches_one_stage(&stream, 0, u64::MAX, &window());
+    assert_eq!(
+        seen.tail_len, 0,
+        "a marker in the last 32 KiB forbids the switch"
+    );
+    let seen = assert_handed_hybrid_matches_one_stage(&stream, 0, u64::MAX, &window(), 0);
+    assert_eq!(seen.prefix_len, boundary);
+    assert_eq!(seen.tail_len, 1234 + 200 + 30 + 258);
+    // Arrived while the next Stored block was copied: the switch is behind it.
+    let seen =
+        assert_handed_hybrid_matches_one_stage(&stream, 0, u64::MAX, &window(), boundary + 1);
+    assert_eq!(seen.prefix_len, boundary + 1234);
+    // A short window stands at the end of the marker space, as at the start
+    // of a stream: 25 000 back from 20 000 symbols in needs its last 5 000.
+    let short = &window()[WINDOW_SIZE - 5000..];
+    let seen = assert_handed_hybrid_matches_one_stage(&stream, 0, u64::MAX, short, 0);
+    assert_eq!(seen.prefix_len, boundary);
+}
+
+#[test]
+fn a_first_block_shorter_than_a_window_is_no_boundary_to_ask_at() {
+    let mut writer = BitWriter::new();
+    let mut first = vec![Token::Match {
+        length: 4,
+        distance: 9,
+    }];
+    first.extend(literals(1000, 14));
+    write_fixed_block(&mut writer, &first, false);
+    // Copies the markers forward, so that they are alive at its end.
+    let mut second = literals(20_000, 15);
+    second.push(Token::Match {
+        length: 4,
+        distance: 21_004,
+    });
+    second.extend(literals(12_000, 16));
+    write_fixed_block(&mut writer, &second, false);
+    write_fixed_block(&mut writer, &literals(100, 16), true);
+    let stream = writer.finish();
+    // The helper's closure asserts it is never asked with less than a
+    // window's worth of symbols out.
+    let seen = assert_handed_hybrid_matches_one_stage(&stream, 0, u64::MAX, &window(), 0);
+    assert_eq!(seen.prefix_len, 1004 + 20_004 + 12_000);
+    assert_eq!(seen.tail_len, 100);
+    let seen = assert_hybrid_matches_one_stage(&stream, 0, u64::MAX, &window());
+    assert_eq!(seen.tail_len, 0);
+}
+
+#[test]
+fn an_abandoned_decode_ends_at_the_boundary_it_was_told_at() {
+    let (stream, boundary) = markers_alive_at_a_stored_boundary();
+    let mut expected = Vec::new();
+    let whole = inflate(
+        &mut BitReader::new(&stream),
+        &window(),
+        &mut expected,
+        u64::MAX,
+    )
+    .unwrap();
+    let mut reader = BitReader::new(&stream);
+    let mut output = SpeculativeOutput::new();
+    let mut asked = Vec::new();
+    let outcome = inflate_speculative(
+        &mut reader,
+        &mut output,
+        u64::MAX,
+        || panic!("an abandoned decode needs no byte buffer"),
+        |decoded| {
+            asked.push(decoded);
+            match asked.len() {
+                1 => WindowAnswer::Unknown,
+                _ => WindowAnswer::<&[u8]>::Abandon,
+            }
+        },
+    )
+    .unwrap();
+    // Asked at the two boundaries past the first 32 KiB, and not again.
+    assert_eq!(asked, [boundary, boundary + 1234]);
+    assert_eq!(outcome.stop_reason, rgz_deflate::StopReason::Abandoned);
+    assert_eq!(outcome.blocks, whole.blocks[..3]);
+    assert_eq!(outcome.end_position, whole.blocks[3].bit_offset);
+    assert_eq!(reader.position(), outcome.end_position);
+    assert_eq!(outcome.window_usage, whole.window_usage);
+    assert!(!output.is_switched());
+    assert_eq!(output.len(), boundary + 1234);
+    assert_eq!(
+        output.resolve(&window()).unwrap(),
+        expected[..boundary + 1234]
+    );
+}
+
+#[test]
+fn an_output_switched_at_a_member_boundary_is_not_asked() {
+    // The first member ends with its markers alive; the caller switches, as
+    // the window in front of the second is known to be empty.
+    let mut writer = BitWriter::new();
+    let mut first = vec![Token::Match {
+        length: 5,
+        distance: 5,
+    }];
+    first.extend(literals(20_000, 17));
+    first.push(Token::Match {
+        length: 5,
+        distance: 20_005,
+    });
+    first.extend(literals(20_000, 18));
+    write_fixed_block(&mut writer, &first, true);
+    let first = writer.finish();
+    let mut writer = BitWriter::new();
+    write_fixed_block(&mut writer, &literals(WINDOW_SIZE, 18), false);
+    write_fixed_block(&mut writer, &literals(50, 19), true);
+    let second = writer.finish();
+
+    let mut output = SpeculativeOutput::new();
+    let mut asked = 0;
+    let outcome = inflate_speculative(
+        &mut BitReader::new(&first),
+        &mut output,
+        u64::MAX,
+        Vec::new,
+        |decoded| {
+            asked += 1;
+            WindowAnswer::never(decoded)
+        },
+    )
+    .unwrap();
+    // A stream's end is no boundary to go on from.
+    assert_eq!((asked, outcome.blocks.len()), (0, 1));
+    output.switch_to_bytes(Vec::new);
+    inflate_speculative(
+        &mut BitReader::new(&second),
+        &mut output,
+        u64::MAX,
+        Vec::new,
+        |_| -> WindowAnswer<&[u8]> { panic!("asked for a window that is known to be empty") },
+    )
+    .unwrap();
+    assert_eq!(output.prefix().len(), 40_010);
+    assert_eq!(output.tail().len(), WINDOW_SIZE + 50);
+    let mut expected = Vec::new();
+    inflate(
+        &mut BitReader::new(&first),
+        &window(),
+        &mut expected,
+        u64::MAX,
+    )
+    .unwrap();
+    inflate(&mut BitReader::new(&second), &[], &mut expected, u64::MAX).unwrap();
+    assert_eq!(output.resolve(&window()).unwrap(), expected);
 }
 
 /// The window the chunk after `output` needs, computed the slow way.
@@ -449,6 +747,7 @@ fn next_window_needs_the_previous_window_only_for_a_short_tail() {
             &mut output,
             stop_bit,
             Vec::new,
+            WindowAnswer::never,
         )
         .unwrap();
         (output, outcome)
@@ -488,6 +787,7 @@ fn next_window_needs_the_previous_window_only_for_a_short_tail() {
         &mut output,
         u64::MAX,
         Vec::new,
+        WindowAnswer::never,
     )
     .unwrap();
     let next = output.next_window(&previous).unwrap();
@@ -506,6 +806,7 @@ fn next_window_needs_the_previous_window_only_for_a_short_tail() {
         &mut output,
         u64::MAX,
         Vec::new,
+        WindowAnswer::never,
     )
     .unwrap();
     assert_eq!((output.prefix().len(), output.tail().len()), (6, 50));

@@ -49,6 +49,9 @@ pub mod names {
     /// Counter, label `width` ∈ {`u16`, `u8`}: bytes of committed speculative
     /// chunks decoded as marker symbols vs. after the switch to plain bytes.
     pub const SPECULATIVE_BYTES: &str = "rgz_speculative_bytes_total";
+    /// Counter: speculative decodes handed their window while under way, and
+    /// finished one-stage.
+    pub const SPECULATIVE_HANDOFFS: &str = "rgz_speculative_handoffs_total";
     /// Counter, label `kind` ∈ {`speculative`, `index`}.
     pub const PREFETCH_ISSUED: &str = "rgz_prefetch_issued_total";
     pub const PREFETCH_HITS: &str = "rgz_prefetch_hits_total";

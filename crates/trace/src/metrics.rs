@@ -28,6 +28,10 @@ pub mod instants {
     /// window known when its task began, decoded one-stage, and was
     /// committed (`bytes` = uncompressed size).
     pub const WINDOW_KNOWN_COMMIT: &str = "window_known_commit";
+    /// A speculative decode under way was handed its window, the pass having
+    /// arrived at the block it started from (`bytes` = symbols it had decoded
+    /// as 16-bit by then).
+    pub const WINDOW_HANDED: &str = "window_handed";
     /// An index-aligned prefetch decode was issued.
     pub const PREFETCH_ISSUE: &str = "prefetch_issue";
     /// A random-access read was served from a prefetched chunk.

@@ -131,7 +131,9 @@ fn an_index_finer_than_the_readers_chunks_serves_every_chunk_once() {
 /// chunks recorded for it (`IndexAlignedPlan` over `FetchNextAdaptive`: full
 /// degree at first, doubling on each next chunk, one after a jump, clipped to
 /// the table, finished and no longer predicted chunks let go of once
-/// 2 × degree are held).
+/// 2 × degree are held) — but for the two reads of the walk whose own chunk,
+/// prefetched and waiting, was among those let go of and decoded again on the
+/// spot: misses then, hits since the chunk a read is about to take stays.
 #[test]
 fn the_prefetch_policy_is_the_recorded_one() {
     let data = corpus();
@@ -194,4 +196,4 @@ fn the_prefetch_policy_is_the_recorded_one() {
 const RECORDED_ISSUES: [usize; 23] = [
     1, 2, 3, 4, 5, 11, 12, 13, 6, 13, 14, 15, 5, 13, 1, 2, 3, 4, 5, 6, 7, 8, 10,
 ];
-const RECORDED_HITS_MISSES_EVICTIONS: (u64, u64, u64) = (13, 9, 8);
+const RECORDED_HITS_MISSES_EVICTIONS: (u64, u64, u64) = (15, 7, 6);
