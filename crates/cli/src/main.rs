@@ -542,8 +542,12 @@ fn run(options: &Options) -> Result<(), String> {
             );
             eprintln!(
                 "rgzip: random access: {} chunk(s) verified against stored fragments, \
-                 {} unverified (index carried no fragments)",
-                statistics.index_chunks_verified, statistics.index_chunks_unverified
+                 {} unverified (index carried no fragments); {} slice(s) of them decoded \
+                 for later reads, {} bytes",
+                statistics.index_chunks_verified,
+                statistics.index_chunks_unverified,
+                statistics.index_slices,
+                statistics.index_slice_bytes
             );
         }
     }

@@ -27,13 +27,14 @@ use std::sync::Arc;
 
 use rgz_bitio::BitReader;
 use rgz_blockfinder::{BlockFinder, CombinedBlockFinder};
+use rgz_checksum::{crc32, crc32_combine};
 use rgz_deflate::{
-    inflate, inflate_hashed, inflate_speculative, DeflateError, SpeculativeOutput, StopReason,
+    inflate, inflate_speculative, BlockType, DeflateError, SpeculativeOutput, StopReason,
     WindowAnswer,
 };
 use rgz_fetcher::{BufferPool, Pooled};
 use rgz_gzip::{parse_footer, parse_header, GzipError, GzipFooter};
-use rgz_index::WINDOW_SIZE;
+use rgz_index::{CrcFragment, WINDOW_SIZE};
 use rgz_io::{FileReader, SharedFileReader};
 use rgz_trace::{Outcome, Stage, TraceSink};
 
@@ -65,6 +66,26 @@ pub struct ChunkResult {
     /// [`rgz_deflate::InflateOutcome::fast_fallback_blocks`]); used to tag
     /// decode spans with a *fallback* outcome.
     pub fast_fallback_blocks: u32,
+    /// `data` cut into stretches that decode by themselves: the first from
+    /// the chunk's own start, and, of an [`Extent::Chunk`], one more from the
+    /// first block boundary at least its `spacing` past the last.
+    pub(crate) segments: Vec<Segment>,
+}
+
+/// A stretch of a chunk's bytes from a Dynamic or Non-Compressed block
+/// boundary on: with the 32 KiB before it for a window, it decodes alone.
+#[derive(Debug)]
+pub(crate) struct Segment {
+    /// Absolute bit offset of its first block.
+    pub bit: u64,
+    /// Where in the chunk's bytes it starts.
+    pub offset: usize,
+    /// How many gzip members end in the chunk before it.
+    pub member: u64,
+    /// Its bytes split at gzip member ends, each piece hashed if the decode
+    /// verifies: folded with those of the segments around, they are the
+    /// chunk's [`ChunkResult::fragments`].
+    pub pieces: Vec<CrcFragment>,
 }
 
 impl ChunkResult {
@@ -288,13 +309,25 @@ pub(crate) struct DirectChunk<'a> {
     /// Up to 32 KiB of decompressed data preceding the chunk.
     pub window: &'a [u8],
     pub at_member_start: bool,
-    /// Whether `stop_bit_offset` is the next seek point of an index, where
-    /// the next chunk is *known* to start, rather than a guess (a multiple of
-    /// the chunk size) the chunk's last block may run well past.
-    pub stop_is_seek_point: bool,
+    pub extent: Extent,
     /// Hash the decompressed bytes per member fragment (CRC-32 on this
     /// thread) so the caller can fold them against member trailers.
     pub verify: bool,
+}
+
+/// What a direct decode is of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Extent {
+    /// A chunk of the pass: `stop_bit_offset` is a guess (a multiple of the
+    /// chunk size) that the chunk's last block may run well past.
+    Guessed,
+    /// A chunk of a seek-point table, to the next seek point, where the next
+    /// chunk is *known* to start; its interior points are harvested, at least
+    /// `spacing` bytes of output apart.
+    Chunk { spacing: usize },
+    /// From one interior point of such a chunk to another: a decode the
+    /// buffer pool is not to size the next chunk's buffers by.
+    Slice,
 }
 
 /// Bytes a direct decode reads past the next seek point: the decoder looks at
@@ -337,7 +370,6 @@ impl ChunkDecoder {
         let mut bytes = self.buffers.range();
         self.reader
             .read_range_into(start_byte, length as usize, &mut bytes)?;
-        self.buffers.note_range(bytes.len());
         let reaches_file_end = start_byte + bytes.len() as u64 >= file_size;
         Ok(CompressedRange {
             bytes,
@@ -351,13 +383,15 @@ impl ChunkDecoder {
     pub fn decode_at(&self, chunk: &DirectChunk<'_>) -> Result<ChunkResult, CoreError> {
         let start_byte = chunk.start_bit_offset / 8;
         let stop_byte = chunk.stop_bit_offset.div_ceil(8);
-        let mut slack = if chunk.stop_is_seek_point {
-            SEEK_POINT_SLACK
-        } else {
-            self.chunk_size.max(64 * 1024)
+        let mut slack = match chunk.extent {
+            Extent::Guessed => self.chunk_size.max(64 * 1024),
+            Extent::Chunk { .. } | Extent::Slice => SEEK_POINT_SLACK,
         } as u64;
         loop {
             let range = self.read_range(start_byte, stop_byte.saturating_add(slack))?;
+            if chunk.extent != Extent::Slice {
+                self.buffers.note_range(range.bytes.len());
+            }
             match self.decode_direct_in_range(&range, chunk) {
                 // The chunk extends past the range we read; widen and retry.
                 Err(_) if !range.reaches_file_end => slack = slack.saturating_mul(4),
@@ -390,6 +424,11 @@ impl ChunkDecoder {
             parse_header(&mut reader).map_err(CoreError::Gzip)?;
         }
 
+        let spacing = match chunk.extent {
+            Extent::Chunk { spacing } => spacing,
+            Extent::Guessed | Extent::Slice => usize::MAX,
+        };
+        let mut next_cut = spacing;
         let mut data = self.buffers.bytes();
         data.clear();
         let mut first_call = true;
@@ -399,28 +438,60 @@ impl ChunkDecoder {
         // One inflate call never crosses a member boundary, so each iteration
         // contributes exactly one CRC fragment.
         let mut fragments = Vec::new();
-        let mut fragment_start = 0usize;
+        let mut segments = vec![Segment {
+            bit: start_bit_offset,
+            offset: 0,
+            member: 0,
+            pieces: Vec::new(),
+        }];
         loop {
             let call_window = if first_call { window } else { &[] };
             first_call = false;
-            let outcome = if verify {
-                inflate_hashed(&mut reader, call_window, &mut data, relative_stop)
-            } else {
-                inflate(&mut reader, call_window, &mut data, relative_stop)
-            }
-            .map_err(CoreError::Deflate)?;
+            let call_start = data.len();
+            let outcome = inflate(&mut reader, call_window, &mut data, relative_stop)
+                .map_err(CoreError::Deflate)?;
             fast_fallback_blocks += outcome.fast_fallback_blocks;
             if window_usage.is_empty() {
                 // Only the first member of the chunk can reference the
                 // preceding window; later inflate calls get an empty window.
                 window_usage = outcome.window_usage.clone();
             }
-            let fragment = ChunkFragment {
-                crc32: outcome.crc32.unwrap_or(0),
-                length: (data.len() - fragment_start) as u64,
+            // The call's bytes are hashed a segment at a time — the cuts are
+            // at block boundaries far enough apart — and the hashes folded
+            // into the fragment's: what hashing them in one go comes to.
+            let mut fragment = ChunkFragment {
+                crc32: 0,
+                length: (data.len() - call_start) as u64,
                 trailer: None,
             };
-            fragment_start = data.len();
+            let mut piece_start = call_start;
+            let mut close_piece = |segments: &mut Vec<Segment>, end: usize| {
+                let piece = &data[std::mem::replace(&mut piece_start, end)..end];
+                let length = piece.len() as u64;
+                let crc32 = if verify { crc32(piece) } else { 0 };
+                fragment.crc32 = crc32_combine(fragment.crc32, crc32, length);
+                let last = segments.last_mut().expect("the chunk's own is the first");
+                last.pieces.push(CrcFragment { crc32, length });
+            };
+            for block in &outcome.blocks {
+                let offset = call_start + block.uncompressed_offset as usize;
+                if block.block_type == BlockType::Fixed || offset < next_cut {
+                    continue;
+                }
+                next_cut = offset.saturating_add(spacing);
+                // A segment that starts where a member does leaves no piece
+                // of that member behind.
+                if offset > call_start {
+                    close_piece(&mut segments, offset);
+                }
+                segments.push(Segment {
+                    bit: range_start_bits + block.bit_offset,
+                    offset,
+                    member: fragments.len() as u64,
+                    pieces: Vec::new(),
+                });
+            }
+            close_piece(&mut segments, data.len());
             match outcome.stop_reason {
                 StopReason::StopOffsetReached => {
                     fragments.push(fragment);
@@ -445,7 +516,9 @@ impl ChunkDecoder {
             }
         }
 
-        self.buffers.note_bytes(data.len());
+        if chunk.extent != Extent::Slice {
+            self.buffers.note_bytes(data.len());
+        }
         Ok(ChunkResult {
             start_bit_offset,
             end_bit_offset: range_start_bits + reader.position(),
@@ -454,6 +527,7 @@ impl ChunkDecoder {
             window_usage,
             fragments,
             fast_fallback_blocks,
+            segments,
         })
     }
 
@@ -484,6 +558,7 @@ impl ChunkDecoder {
 
         loop {
             let range = self.read_range(guess_byte, stop_byte.saturating_add(slack))?;
+            self.buffers.note_range(range.bytes.len());
             match self.decode_speculative_in_range(&range, guess_bit, stop_byte * 8, &mut window) {
                 SpeculativeOutcome::Found(chunk) => return Ok(Some(chunk)),
                 SpeculativeOutcome::NoBlock => return Ok(None),
@@ -667,7 +742,7 @@ pub(crate) mod tests {
             stop_bit_offset,
             window,
             at_member_start,
-            stop_is_seek_point: false,
+            extent: Extent::Guessed,
             verify,
         })
     }
@@ -1201,7 +1276,7 @@ pub(crate) mod tests {
                     stop_bit_offset: ((guess + 1) * chunk_size) as u64 * 8,
                     window: &window,
                     at_member_start: start == 0,
-                    stop_is_seek_point: guess % 2 == 1,
+                    extent: [Extent::Guessed, Extent::Chunk { spacing: 100_000 }][guess % 2],
                     verify: true,
                 };
                 proptest::prop_assert_eq!(

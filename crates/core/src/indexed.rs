@@ -1,21 +1,40 @@
 //! Reading through a seek-point table, imported or built by the pass: every
 //! chunk's first bit, window, length and (format v3) the CRC fragments of its
 //! bytes are known before its decode starts, so there is one way to decode it
-//! ([`Shared::decode_indexed`]) and two occasions — the reader asks for a
-//! chunk nobody has, and decodes it on its own thread, or the prefetch
-//! strategy predicts it, and a pool task puts it into the pass's table of
-//! chunks (`Decoding` → `Prefetched` | `Failed`) for the reader to find.
-//! Unlike a speculative decode these are *exact* chunks: each starts at a
-//! real seek point and stops at the next one, so none is wasted on a
-//! misguessed boundary.
+//! ([`Shared::decode_indexed`]) and three occasions — the reader asks for a
+//! chunk nobody has, and decodes it on its own thread; the prefetch strategy
+//! predicts it, and a pool task puts it into the pass's table of chunks
+//! (`Decoding` → `Prefetched` | `Failed`) for the reader to find; or the
+//! reader jumps into a chunk decoded before, and decodes only the *slice* of
+//! it that the read is of.  Unlike a speculative decode these are *exact*
+//! chunks: each starts at a real seek point and stops at the next one, so
+//! none is wasted on a misguessed boundary.
+//!
+//! **Slices.**  A chunk is the unit of parallel work, and for a seek the
+//! wrong one: megabytes decoded for the kilobytes asked for.  So a chunk's
+//! whole decode — its *first touch*, always, whichever of the first two
+//! occasions it is — harvests [`InteriorPoint`]s at block boundaries a MiB of
+//! output or more apart: the bit, the 32 KiB before it copied raw, and the
+//! CRC-32 of the bytes up to the next, hashed *instead of* the whole chunk
+//! and folded (`crc32_combine`) into the very fragments the index's are
+//! compared with.  An interior point is therefore what a seek point is — and
+//! taken only from bytes that had just passed every check the index affords,
+//! which is why first touches stay whole: with a v3 index, no byte is ever
+//! served that was not hashed against a CRC that chains back to the file's
+//! own.  The run of points around a later read makes an [`IndexedChunk`] like
+//! any other, for the same `decode_indexed`.  The tables are the reader's
+//! own: never exported, in memory only, least recently used chunk's first out
+//! once their windows exceed `resolved_cache_chunks × chunk_size` bytes.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use rgz_index::{PointChecksums, SeekPoint};
+use rgz_checksum::crc32_combine;
+use rgz_index::{PointChecksums, SeekPoint, WINDOW_SIZE};
 use rgz_trace::{Outcome, Stage};
 use rgz_window::{CompressedWindow, WindowError};
 
-use crate::chunk::DirectChunk;
+use crate::chunk::{DirectChunk, Extent, Segment};
 use crate::pass::{ChunkBytes, ChunkState, FailOnUnwind};
 use crate::reader::{ReaderState, Shared};
 use crate::verify::check_point_fragments;
@@ -29,6 +48,95 @@ pub(crate) struct IndexedChunk {
     /// The fragments its bytes must hash to, if the index stores them and
     /// the reader verifies.
     pub checksums: Option<Arc<PointChecksums>>,
+    /// [`Extent::Chunk`], or [`Extent::Slice`] for a run of interior points.
+    extent: Extent,
+}
+
+/// A seek point inside a chunk, harvested from its whole decode; the first
+/// of a chunk's is the chunk's own.
+pub(crate) struct InteriorPoint {
+    /// Where it is, and how far it is to the next.
+    point: SeekPoint,
+    /// The 32 KiB before it; the index has those of a chunk's own.
+    window: Option<Arc<Vec<u8>>>,
+    /// What the bytes up to the next hash to, if the chunk's were checked.
+    checksums: Option<PointChecksums>,
+}
+
+/// How far apart in a chunk's bytes its interior points are, at least.
+const INTERIOR_SPACING: usize = 1 << 20;
+
+/// The bytes of window `points` hold.
+fn window_bytes(points: &[InteriorPoint]) -> usize {
+    let windows = points.iter().filter_map(|point| point.window.as_ref());
+    windows.map(|window| window.len()).sum()
+}
+
+/// A slice to decode, and the window it starts with unless the index has it.
+pub(crate) type Slice = (IndexedChunk, Option<Arc<Vec<u8>>>);
+
+impl IndexedChunk {
+    /// The interior points that `segments` cut `data`, this chunk's bytes,
+    /// just checked, at.
+    fn interior_points(&self, segments: Vec<Segment>, data: &[u8]) -> Vec<InteriorPoint> {
+        let ends: Vec<usize> = segments[1..].iter().map(|next| next.offset).collect();
+        segments
+            .into_iter()
+            .zip(ends.into_iter().chain([data.len()]))
+            .map(|(segment, end)| InteriorPoint {
+                point: SeekPoint {
+                    compressed_bit_offset: segment.bit,
+                    uncompressed_offset: self.point.uncompressed_offset + segment.offset as u64,
+                    uncompressed_size: (end - segment.offset) as u64,
+                },
+                window: (segment.offset > 0).then(|| {
+                    let before = segment.offset.saturating_sub(WINDOW_SIZE)..segment.offset;
+                    Arc::new(data[before].to_vec())
+                }),
+                checksums: self.checksums.as_ref().map(|whole| PointChecksums {
+                    first_member: whole.first_member + segment.member,
+                    fragments: segment.pieces,
+                }),
+            })
+            .collect()
+    }
+
+    /// The run of `points`, all of this chunk's, around the bytes `wanted`.
+    fn slice(&self, points: &[InteriorPoint], wanted: Range<u64>) -> Slice {
+        let before = |offset: u64| points.partition_point(|p| p.point.uncompressed_offset < offset);
+        let first = before(wanted.start + 1).saturating_sub(1);
+        let end = before(wanted.end).max(first + 1);
+        let run = &points[first..end];
+        let checksums = run[0].checksums.clone().map(|mut merged| {
+            for next in run[1..].iter().filter_map(|point| point.checksums.as_ref()) {
+                let mut pieces = next.fragments.iter();
+                // A member cut in two by the point is one fragment again.
+                if merged.first_member + merged.fragments.len() as u64 > next.first_member {
+                    if let (Some(last), Some(first)) = (merged.fragments.last_mut(), pieces.next())
+                    {
+                        last.crc32 = crc32_combine(last.crc32, first.crc32, first.length);
+                        last.length += first.length;
+                    }
+                }
+                merged.fragments.extend(pieces);
+            }
+            Arc::new(merged)
+        });
+        let point = SeekPoint {
+            uncompressed_size: run.iter().map(|p| p.point.uncompressed_size).sum(),
+            ..run[0].point.clone()
+        };
+        let stop_bit = points
+            .get(end)
+            .map_or(self.stop_bit, |next| next.point.compressed_bit_offset);
+        let slice = IndexedChunk {
+            point,
+            stop_bit,
+            checksums,
+            extent: Extent::Slice,
+        };
+        (slice, run[0].window.clone())
+    }
 }
 
 impl Shared {
@@ -58,13 +166,61 @@ impl Shared {
             point,
             stop_bit,
             checksums,
+            extent: Extent::Chunk {
+                spacing: INTERIOR_SPACING,
+            },
         }
+    }
+
+    /// What to decode instead of the whole `index`th chunk for a read of the
+    /// bytes `wanted` there: nothing, unless the read is a jump — sequential
+    /// reads stay whole chunks, prefetched — nobody has the chunk's bytes,
+    /// and its interior points are known.  A jump served this way issues no
+    /// prefetch, and does not wait for one of its chunk under way.
+    pub(crate) fn plan_slice(
+        &self,
+        state: &mut ReaderState,
+        index: usize,
+        wanted: Range<u64>,
+    ) -> Option<Slice> {
+        let last = state.strategy.last()?;
+        let key = state.index.block_map.points()[index].compressed_bit_offset;
+        let prefetched = state.pass.chunks.get(&key);
+        if index == last
+            || index == last + 1
+            || state.resolved_cache.contains(&key)
+            || prefetched.is_some_and(ChunkState::is_finished)
+        {
+            return None;
+        }
+        let points = state.interior.get(&key)?;
+        state.strategy.on_access(index);
+        Some(self.indexed_chunk(state, index).slice(&points, wanted))
+    }
+
+    /// Keeps `points`, the interior points of the chunk at `key`, and lets go
+    /// of the chunks' longest unused until the windows held fit the budget.
+    fn keep_interior_points(&self, key: u64, points: Vec<InteriorPoint>) {
+        let budget = self.options.resolved_cache_chunks.max(1) * self.options.chunk_size;
+        let state = &mut *self.lock();
+        if let Some(replaced) = state.interior.remove(&key) {
+            state.interior_bytes -= window_bytes(&replaced);
+        }
+        state.interior_bytes += window_bytes(&points);
+        state.interior.insert(key, Arc::new(points));
+        while state.interior_bytes > budget {
+            let Some(oldest) = state.interior.remove_oldest() else {
+                break;
+            };
+            state.interior_bytes -= window_bytes(&oldest);
+        }
+        self.metrics.interior_windows_held(state.interior_bytes);
     }
 
     /// Decodes `chunk` from its seek point with the window `window` yields,
     /// and holds the bytes against everything the index says of them: `stage`
     /// is [`Stage::PrefetchDecode`] on the pool, ahead of the reader, and
-    /// [`Stage::RandomAccess`] on the reader's own thread.
+    /// [`Stage::RandomAccess`] on the reader's own thread, chunk or slice.
     ///
     /// Chunks decoded through the index are not folded into the stream
     /// verification; instead, when the index stores per-point CRC fragments
@@ -89,7 +245,7 @@ impl Shared {
                 stop_bit_offset: chunk.stop_bit,
                 window: &window,
                 at_member_start: key == 0,
-                stop_is_seek_point: true,
+                extent: chunk.extent,
                 verify: chunk.checksums.is_some(),
             })?;
             span.set_bytes(result.data.len() as u64);
@@ -101,6 +257,10 @@ impl Shared {
             }
             if let Some(checksums) = &chunk.checksums {
                 check_point_fragments(checksums, &result.fragments)?;
+            }
+            if result.segments.len() > 1 {
+                let points = chunk.interior_points(result.segments, &result.data);
+                self.keep_interior_points(key, points);
             }
             Ok(result.data)
         })();
@@ -216,5 +376,124 @@ impl Shared {
                 Err(error) => ChunkState::Failed(error),
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chunk::ChunkDecoder;
+    use rgz_deflate::{CompressionLevel, CompressorOptions};
+    use rgz_fetcher::BufferPool;
+    use rgz_gzip::GzipWriter;
+    use rgz_io::SharedFileReader;
+    use rgz_metrics::MetricsRegistry;
+    use rgz_trace::TraceSink;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Whatever blocks and members a chunk is made of, and wherever that
+        /// puts its interior points: the CRCs harvested with them fold to
+        /// the chunk's own fragments (or the whole decode would not have
+        /// passed), and every run of them — the slice some read would get —
+        /// decodes, through the same `decode_at`, to exactly its stretch of
+        /// the chunk's bytes and hashes to what its merged pieces say.
+        #[test]
+        fn every_run_of_interior_points_is_its_stretch_of_the_chunk(
+            seed in 0u64..1_000_000,
+            member_lengths in proptest::collection::vec(0usize..300_000, 1..5),
+            block_size in 1usize..48,
+            spacing in 1usize..150,
+            layout in 0usize..5,
+        ) {
+            let members: Vec<Vec<u8>> = member_lengths
+                .iter()
+                .enumerate()
+                .map(|(index, &length)| match (seed as usize + index) % 3 {
+                    0 => rgz_datagen::base64_random(length, seed),
+                    1 => rgz_datagen::silesia_like(length, seed),
+                    _ => rgz_datagen::fastq_of_size(length, seed),
+                })
+                .collect();
+            let parts: Vec<&[u8]> = members.iter().map(Vec::as_slice).collect();
+            let data = parts.concat();
+            let levels = [
+                CompressionLevel::Stored,
+                CompressionLevel::Huffman,
+                CompressionLevel::Fast,
+                CompressionLevel::Default,
+            ];
+            let writer = GzipWriter::new(CompressorOptions {
+                level: levels[layout % 4],
+                block_size: block_size * 1024,
+                ..Default::default()
+            });
+            let compressed = match layout {
+                // Empty stored blocks between the others: points of no bytes.
+                4 => writer.compress_pigz_like(&data, block_size * 3000),
+                _ => writer.compress_members(&parts),
+            };
+            let decoder = ChunkDecoder {
+                reader: SharedFileReader::from_bytes(compressed),
+                chunk_size: 1 << 20,
+                buffers: BufferPool::new(2, &MetricsRegistry::new()),
+                trace: TraceSink::shared_disabled(),
+            };
+            let decode = |chunk: &IndexedChunk, window: &[u8]| {
+                decoder.decode_at(&DirectChunk {
+                    start_bit_offset: chunk.point.compressed_bit_offset,
+                    stop_bit_offset: chunk.stop_bit,
+                    window,
+                    at_member_start: chunk.point.compressed_bit_offset == 0,
+                    extent: chunk.extent,
+                    verify: true,
+                })
+            };
+            let mut whole = IndexedChunk {
+                point: SeekPoint {
+                    compressed_bit_offset: 0,
+                    uncompressed_offset: 7_000_000,
+                    uncompressed_size: data.len() as u64,
+                },
+                stop_bit: u64::MAX,
+                checksums: None,
+                extent: Extent::Chunk { spacing: spacing * 1024 },
+            };
+            let result = decode(&whole, &[]).unwrap();
+            proptest::prop_assert!(result.data[..] == data[..]);
+            let fragments = result.fragments.iter().map(|f| (f.crc32, f.length));
+            whole.checksums = Some(Arc::new(PointChecksums::from_fragments(3, fragments)));
+            let points = whole.interior_points(result.segments, &result.data);
+            for first in 0..points.len() {
+                for last in first..points.len() {
+                    let from = points[first].point.uncompressed_offset;
+                    let to = points[last].point.uncompressed_offset
+                        + points[last].point.uncompressed_size.max(1);
+                    let (slice, window) = whole.slice(&points, from..to);
+                    let sliced = decode(&slice, &window.unwrap_or_default()).unwrap();
+                    let stretch = (from - 7_000_000) as usize..;
+                    proptest::prop_assert!(
+                        sliced.data[..] == data[stretch][..sliced.data.len()],
+                        "points {first}..={last} of {}", points.len()
+                    );
+                    proptest::prop_assert_eq!(
+                        sliced.data.len() as u64,
+                        slice.point.uncompressed_size
+                    );
+                    let checksums = slice.checksums.as_ref().unwrap();
+                    proptest::prop_assert!(
+                        check_point_fragments(checksums, &sliced.fragments).is_ok(),
+                        "points {first}..={last}: {checksums:?} vs {:?}", sliced.fragments
+                    );
+                    if (first, last) == (0, points.len() - 1) {
+                        let stored = whole.checksums.as_ref().unwrap();
+                        proptest::prop_assert!(
+                            check_point_fragments(stored, &sliced.fragments).is_ok()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

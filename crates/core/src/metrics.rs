@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use rgz_metrics::{
-    exponential_buckets, names, Counter, Histogram, MetricsRegistry, MetricsSnapshot,
+    exponential_buckets, names, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
 };
 use rgz_trace::{instants, EventMeta, TraceSink};
 
@@ -48,6 +48,10 @@ pub(crate) struct ReaderMetrics {
     prefetch_issued_speculative: Counter,
     prefetch_issued_index: Counter,
     prefetch_hits: Counter,
+    index_slices_checked: Counter,
+    index_slices_unchecked: Counter,
+    index_slice_bytes: Counter,
+    interior_window_bytes: Gauge,
     /// Counted by the [`StreamVerifier`](crate::verify::StreamVerifier).
     pub verify_member: Counter,
     verify_index_verified: Counter,
@@ -92,6 +96,13 @@ impl ReaderMetrics {
                 &[("width", width)],
             )
         };
+        let slices = |checked: &str| {
+            registry.counter_with_labels(
+                names::INDEX_SLICES,
+                "Reads served by decoding a slice of an index chunk between interior points",
+                &[("checked", checked)],
+            )
+        };
         let verify = |outcome: &str| {
             registry.counter_with_labels(
                 names::VERIFICATION,
@@ -133,6 +144,16 @@ impl ReaderMetrics {
             prefetch_hits: registry.counter(
                 names::PREFETCH_HITS,
                 "Index-path chunk requests served from a completed prefetch",
+            ),
+            index_slices_checked: slices("yes"),
+            index_slices_unchecked: slices("no"),
+            index_slice_bytes: registry.counter(
+                names::INDEX_SLICE_BYTES,
+                "Bytes decoded as slices of index chunks",
+            ),
+            interior_window_bytes: registry.gauge(
+                names::INTERIOR_WINDOW_BYTES,
+                "Bytes of raw window the reader's interior seek points hold",
             ),
             verify_member: verify("member_verified"),
             verify_index_verified: verify("index_verified"),
@@ -236,6 +257,23 @@ impl ReaderMetrics {
         self.instant(instants::PREFETCH_EVICT, key, None, None);
     }
 
+    /// A read got the `bytes` of a slice of the chunk at `key`, decoded from
+    /// an interior point of it — `checked` against the CRCs taken when the
+    /// whole chunk was.  The chunk it is of has been counted.
+    pub fn index_slice_served(&self, key: u64, bytes: u64, checked: bool) {
+        match checked {
+            true => self.index_slices_checked.inc(),
+            false => self.index_slices_unchecked.inc(),
+        }
+        self.index_slice_bytes.add(bytes);
+        self.instant(instants::INDEX_SLICE, key, None, Some(bytes));
+    }
+
+    /// The interior points of all chunks now hold `bytes` of window.
+    pub fn interior_windows_held(&self, bytes: usize) {
+        self.interior_window_bytes.set(bytes as i64);
+    }
+
     /// A chunk decoded through the index reached the reader: `checked`
     /// against fragments the index stores, or with none while `verifying`.
     pub fn index_chunk_served(&self, bytes: u64, checked: bool, verifying: bool) {
@@ -269,6 +307,9 @@ impl ReaderStatistics {
             prefetches_issued: counter(names::PREFETCH_ISSUED, &[("kind", "speculative")]),
             index_prefetches_issued: counter(names::PREFETCH_ISSUED, &[("kind", "index")]),
             index_prefetch_hits: counter(names::PREFETCH_HITS, &[]),
+            index_slices: counter(names::INDEX_SLICES, &[("checked", "yes")])
+                + counter(names::INDEX_SLICES, &[("checked", "no")]),
+            index_slice_bytes: counter(names::INDEX_SLICE_BYTES, &[]),
             index_chunks_verified: counter(names::VERIFICATION, &[("outcome", "index_verified")]),
             index_chunks_unverified: counter(
                 names::VERIFICATION,

@@ -59,7 +59,7 @@ use rgz_index::{PointChecksums, SeekPoint};
 use rgz_io::FileReader;
 use rgz_trace::{Outcome, Stage};
 
-use crate::chunk::{DirectChunk, SpeculativeChunk};
+use crate::chunk::{DirectChunk, Extent, SpeculativeChunk};
 use crate::reader::{ReaderState, Shared};
 use crate::verify::ChunkFragment;
 use crate::CoreError;
@@ -440,7 +440,7 @@ impl Shared {
             stop_bit_offset: self.range_bit(guess + 1),
             window: &window,
             at_member_start: start_bit == 0,
-            stop_is_seek_point: false,
+            extent: Extent::Guessed,
             verify: self.verify(),
         }) {
             Ok(result) => result,

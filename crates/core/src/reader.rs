@@ -12,6 +12,7 @@ use rgz_metrics::MetricsRegistry;
 use rgz_trace::{Stage, TraceSink};
 
 use crate::chunk::ChunkDecoder;
+use crate::indexed::InteriorPoint;
 use crate::metrics::ReaderMetrics;
 use crate::pass::{ChunkBytes, ChunkState, SequentialPass};
 use crate::strategy::FetchNextAdaptive;
@@ -138,6 +139,13 @@ pub struct ReaderStatistics {
     /// Reads that found their chunk already decoded (or decoding) by an
     /// index-aligned prefetch.
     pub index_prefetch_hits: u64,
+    /// Reads that jumped into a chunk decoded whole before and were served
+    /// by decoding a slice of it, from one of its interior seek points.  Not
+    /// among `index_chunks`, nor the verified or unverified: a slice is as
+    /// checked as the chunk it is of.
+    pub index_slices: u64,
+    /// The bytes those slices decoded to.
+    pub index_slice_bytes: u64,
     /// Index fast-path chunks whose decoded bytes were checked against the
     /// CRC fragments stored in a v3 index.
     pub index_chunks_verified: u64,
@@ -191,6 +199,11 @@ pub(crate) struct ReaderState {
     pub reading_at: u64,
     /// What index-aligned reads have accessed, and so will next.
     pub strategy: FetchNextAdaptive,
+    /// The interior seek points of the chunks decoded whole through the
+    /// index, by the chunk's first bit: see [`crate::indexed`].
+    pub interior: Cache<u64, Vec<InteriorPoint>>,
+    /// The bytes of window those hold.
+    pub interior_bytes: usize,
 }
 
 /// What the reader shares with the tasks it has on the pool.  Nothing in
@@ -256,6 +269,9 @@ pub struct ParallelGzipReader {
     shared: Arc<Shared>,
     /// Current logical read position in the decompressed stream.
     position: u64,
+    /// The slice decoded last and the offset of its first byte, until a read
+    /// elsewhere: where the calls that follow a sliced read up find theirs.
+    slice: Option<(u64, ChunkBytes)>,
 }
 
 impl std::fmt::Debug for ParallelGzipReader {
@@ -334,6 +350,8 @@ impl ParallelGzipReader {
                     resolved_cache: Cache::new(options.resolved_cache_chunks.max(1)),
                     reading_at: 0,
                     strategy: FetchNextAdaptive::default(),
+                    interior: Cache::new(usize::MAX),
+                    interior_bytes: 0,
                 }),
                 frontier: AtomicU64::new(0),
                 progress: Condvar::new(),
@@ -341,6 +359,7 @@ impl ParallelGzipReader {
             }),
             pool,
             position: 0,
+            slice: None,
         })
     }
 
@@ -515,7 +534,7 @@ impl ParallelGzipReader {
     pub fn decompress_to(&mut self, writer: &mut impl std::io::Write) -> Result<u64, CoreError> {
         self.position = 0;
         // The writer gets the chunks' own bytes, a slice at a time.
-        while let Some((data, offset)) = self.chunk_at_position()? {
+        while let Some((data, offset)) = self.chunk_at_position(HAND_OVER_BYTES)? {
             let end = data.len().min(offset + HAND_OVER_BYTES);
             writer.write_all(&data[offset..end])?;
             self.position += (end - offset) as u64;
@@ -614,11 +633,24 @@ impl ParallelGzipReader {
         Ok(data)
     }
 
-    /// The chunk covering the current position and the position's offset in
-    /// it, advancing the sequential pass as far as that takes; `None` at the
-    /// end of the stream.
-    fn chunk_at_position(&self) -> Result<Option<(ChunkBytes, usize)>, CoreError> {
-        let shared = &self.shared;
+    /// The chunk covering the current position — or a slice of it, for a
+    /// read of `wanted` bytes that jumps into one with interior points — and
+    /// the position's offset in it, advancing the sequential pass as far as
+    /// that takes; `None` at the end of the stream.
+    fn chunk_at_position(
+        &mut self,
+        wanted: usize,
+    ) -> Result<Option<(ChunkBytes, usize)>, CoreError> {
+        match &self.slice {
+            Some((start, data))
+                if (*start..*start + data.len() as u64).contains(&self.position) =>
+            {
+                return Ok(Some((Arc::clone(data), (self.position - start) as usize)));
+            }
+            // Its buffer is a chunk's: not held for a read that may never come.
+            _ => self.slice = None,
+        }
+        let shared = Arc::clone(&self.shared);
         loop {
             let mut state = shared.lock();
             let points = state.index.block_map.points();
@@ -648,6 +680,21 @@ impl ParallelGzipReader {
             let point = &points[index];
             let (key, start) = (point.compressed_bit_offset, point.uncompressed_offset);
             state.reading_at = key;
+            let reach = self.position..self.position.saturating_add(wanted as u64);
+            if let Some((slice, window)) = shared.plan_slice(&mut state, index, reach) {
+                let windows = state.index.window_map.clone();
+                drop(state);
+                let _stage_timer = shared.metrics.stage_random_access.start_timer();
+                let window = || window.map_or_else(|| windows.try_get(key), |raw| Ok(Some(raw)));
+                let data = shared.decode_indexed(Stage::RandomAccess, &slice, window)?;
+                let checked = slice.checksums.is_some();
+                shared
+                    .metrics
+                    .index_slice_served(key, data.len() as u64, checked);
+                let start = slice.point.uncompressed_offset;
+                self.slice = Some((start, Arc::clone(&data)));
+                return Ok(Some((data, (self.position - start) as usize)));
+            }
             // Keep the pool busy with the chunks after this one: the ranges
             // that follow while the pass is under way, and with a complete
             // seek-point table the exact chunks predicted to be read next.
@@ -675,7 +722,7 @@ impl ParallelGzipReader {
 
     /// Serves as many bytes as possible from the chunk covering `position`.
     fn read_at_position(&mut self, buffer: &mut [u8]) -> Result<usize, CoreError> {
-        let Some((data, chunk_offset)) = self.chunk_at_position()? else {
+        let Some((data, chunk_offset)) = self.chunk_at_position(buffer.len())? else {
             return Ok(0);
         };
         let count = (data.len() - chunk_offset).min(buffer.len());
@@ -707,15 +754,12 @@ impl Seek for ParallelGzipReader {
                 size as i128 + delta as i128
             }
         };
-        if new_position < 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "seek before the start of the stream",
-            ));
-        }
         // A seek only updates the position; all work happens on the next read
         // (§3.1).
-        self.position = new_position as u64;
+        self.position = u64::try_from(new_position).map_err(|_| {
+            let message = "seek before the start of the stream, or past what 64 bits address";
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, message)
+        })?;
         Ok(self.position)
     }
 }

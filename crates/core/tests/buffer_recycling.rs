@@ -261,3 +261,169 @@ fn chunks_a_reader_skips_do_not_stay() {
         }
     }
 }
+
+/// A file that compresses some twentyfold — a block of text over and over,
+/// a little noise between — so that a chunk of 64 KiB of it is over a MiB of
+/// output and holds an interior seek point, and the index of it.
+fn long_chunks(chunks: usize) -> (Vec<u8>, Vec<u8>, rgz_index::GzipIndex) {
+    const LONG_CHUNK_SIZE: usize = 64 * 1024;
+    let block = base64_random(24_000, 35);
+    let mut data = Vec::new();
+    let mut compressed = Vec::new();
+    while compressed.len() < chunks * LONG_CHUNK_SIZE {
+        for round in 0..200 {
+            data.extend_from_slice(&block);
+            data.extend_from_slice(&base64_random(1000, data.len() as u64 + round));
+        }
+        compressed = compress(&data);
+    }
+    let options = ParallelGzipReaderOptions {
+        parallelization: 2,
+        chunk_size: LONG_CHUNK_SIZE,
+        ..Default::default()
+    };
+    let index = ParallelGzipReader::from_bytes(compressed.clone(), options)
+        .unwrap()
+        .build_full_index()
+        .unwrap();
+    let points = index.block_map.points();
+    assert!(points.len() >= chunks, "{} chunks", points.len());
+    // Blocks of 16 KiB: a boundary to cut at soon after the MiB.
+    let long = |point: &rgz_index::SeekPoint| point.uncompressed_size > (1 << 20) + (64 << 10);
+    assert!(points[..points.len() - 1].iter().all(long), "{points:?}");
+    (data, compressed, index)
+}
+
+fn indexed_reader(
+    compressed: &[u8],
+    index: &rgz_index::GzipIndex,
+    parallelization: usize,
+    resolved_cache_chunks: usize,
+    registry: &Arc<MetricsRegistry>,
+) -> ParallelGzipReader {
+    let options = ParallelGzipReaderOptions {
+        parallelization,
+        chunk_size: 64 * 1024,
+        resolved_cache_chunks,
+        ..Default::default()
+    }
+    .with_metrics(Arc::clone(registry));
+    let file = rgz_io::SharedFileReader::from_bytes(compressed.to_vec());
+    ParallelGzipReader::with_index(file, options, index.clone()).unwrap()
+}
+
+fn interior_window_bytes(registry: &MetricsRegistry) -> u64 {
+    let held = registry.snapshot().gauge(names::INTERIOR_WINDOW_BYTES, &[]);
+    u64::try_from(held.unwrap_or(0)).unwrap()
+}
+
+/// Looks at the interior points' windows each time the reader hands over.
+struct WatchWindows<'a>(&'a MetricsRegistry, u64);
+
+impl Write for WatchWindows<'_> {
+    fn write(&mut self, buffer: &[u8]) -> std::io::Result<usize> {
+        self.1 = self.1.max(interior_window_bytes(self.0));
+        Ok(buffer.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn interior_points_stay_within_their_budget_and_the_oldest_chunks_go_first() {
+    // The reader's interior seek points hold 32 KiB of raw window each, at
+    // most `resolved_cache_chunks x chunk_size` bytes of it in all: here four
+    // windows, a chunk's worth each, under a read of four times as many
+    // chunks from end to end.
+    let (data, compressed, index) = long_chunks(16);
+    let points = index.block_map.points();
+    let budget = 2 * 64 * 1024;
+    for parallelization in [1usize, 2] {
+        let registry = Arc::new(MetricsRegistry::new_enabled());
+        let mut reader = indexed_reader(&compressed, &index, parallelization, 2, &registry);
+        let mut watch = WatchWindows(&registry, 0);
+        assert_eq!(reader.decompress_to(&mut watch).unwrap(), data.len() as u64);
+        let held = interior_window_bytes(&registry);
+        assert!(watch.1.max(held) <= budget, "{} bytes held", watch.1);
+        assert_eq!(held, budget, "room for four, and sixteen to keep");
+
+        // What is held is of the chunks decoded last.  The last two are in
+        // the access cache; a jump into one before them is a slice...
+        let mut buffer = vec![0u8; 1000];
+        let mut jump = |reader: &mut ParallelGzipReader, chunk: usize, offset: u64| {
+            let offset = points[chunk].uncompressed_offset + offset;
+            reader.seek(SeekFrom::Start(offset)).unwrap();
+            reader.read_exact(&mut buffer).unwrap();
+            assert_eq!(buffer, data[offset as usize..][..1000]);
+            let statistics = reader.statistics();
+            (statistics.index_chunks, statistics.index_slices)
+        };
+        let (last, past_the_point) = (points.len() - 1, (1 << 20) + 70_000);
+        let (chunks, slices) = jump(&mut reader, last - 1, past_the_point);
+        assert_eq!(slices, 0, "P = {parallelization}");
+        assert_eq!(jump(&mut reader, last - 2, past_the_point), (chunks, 1));
+        // ...and one into a chunk read long ago the whole chunk again, whose
+        // points then push out those of the chunk unused the longest.
+        assert_eq!(jump(&mut reader, 1, past_the_point), (chunks + 1, 1));
+        assert_eq!(interior_window_bytes(&registry), budget);
+        assert_eq!(jump(&mut reader, last - 2, 100), (chunks + 1, 2));
+        assert_eq!(jump(&mut reader, last - 5, 100), (chunks + 2, 2));
+    }
+}
+
+#[test]
+fn slices_teach_the_buffer_pool_nothing() {
+    // A slice is decoded into a chunk's buffers and leaves no note of its
+    // size: were it to, sixteen in a row — all a shelf remembers — would trim
+    // every idle buffer to a slice's size, and the next whole chunk regrow
+    // its own by doubling.
+    let (data, compressed, index) = long_chunks(8);
+    let points = index.block_map.points();
+    let registry = Arc::new(MetricsRegistry::new_enabled());
+    // Room for the points of eight chunks, of which the last four read are
+    // in the access cache.
+    let mut reader = indexed_reader(&compressed, &index, 2, 4, &registry);
+    assert_eq!(reader.decompress_all().unwrap(), data);
+    let fresh = |kind| takes(&registry, kind, "fresh");
+    let warm = (fresh("range"), fresh("u8"), idle_bytes(&registry));
+
+    let mut buffer = vec![0u8; 70_000];
+    let mut read = |reader: &mut ParallelGzipReader, offset: u64| {
+        reader.seek(SeekFrom::Start(offset)).unwrap();
+        reader.read_exact(&mut buffer).unwrap();
+        assert!(buffer[..] == data[offset as usize..][..70_000]);
+    };
+    let near = points.len() - 5;
+    for jump in 0..16 {
+        read(
+            &mut reader,
+            points[near - 2 * (jump % 2)].uncompressed_offset + 500_000,
+        );
+    }
+    assert_eq!(reader.statistics().index_slices, 16);
+    // All that lay idle still does, at its size, but for the one buffer the
+    // slice kept from the last read is in.
+    let largest = points
+        .iter()
+        .map(|point| point.uncompressed_size)
+        .max()
+        .unwrap();
+    let idle = idle_bytes(&registry);
+    assert!(
+        idle + largest + largest / 32 >= warm.2,
+        "{} idle bytes became {idle}: trimmed",
+        warm.2
+    );
+    // A read that goes on in its chunk takes the chunk whole: into a buffer
+    // that lay idle, as large as it needs.
+    let chunks = reader.statistics().index_chunks;
+    read(
+        &mut reader,
+        points[near - 2].uncompressed_offset + (1 << 20) + 200_000,
+    );
+    assert_eq!(reader.statistics().index_chunks, chunks + 1);
+    assert_eq!(reader.statistics().index_slices, 16);
+    assert_eq!((fresh("range"), fresh("u8")), (warm.0, warm.1));
+}

@@ -305,3 +305,97 @@ fn a_reader_without_a_registry_counts_what_one_with_a_registry_counts() {
     assert_eq!(snapshot.counter_total(names::POOL_TASKS_TOTAL), 0);
     assert_eq!(snapshot.counter_total(names::READ_BYTES), 0);
 }
+
+#[test]
+fn a_jump_heavy_readers_slices_are_counted_once_on_every_surface() {
+    use rgz_trace::{instants, EventKind, Stage};
+    // Text that compresses some twentyfold, so that a chunk of 64 KiB of it
+    // is over a MiB of output and holds an interior seek point.
+    let block = base64_random(24_000, 11);
+    let mut data = Vec::new();
+    for round in 0..500 {
+        data.extend_from_slice(&block);
+        data.extend_from_slice(&base64_random(1000, 100 + round));
+    }
+    let compressed = GzipWriter::default().compress(&data);
+    let plain = ParallelGzipReaderOptions::with_parallelization(2).with_chunk_size(64 * 1024);
+    let index = ParallelGzipReader::from_bytes(compressed.clone(), plain.clone())
+        .unwrap()
+        .build_full_index()
+        .unwrap();
+    let starts: Vec<u64> = index
+        .block_map
+        .points()
+        .iter()
+        .map(|point| point.uncompressed_offset)
+        .collect();
+    // Few enough for the interior points of all to be held at once.
+    assert!((6..=8).contains(&starts.len()), "{} chunks", starts.len());
+
+    let registry = Arc::new(MetricsRegistry::new_enabled());
+    let trace = Arc::new(TraceSink::new_enabled());
+    let options = plain
+        .with_metrics(Arc::clone(&registry))
+        .with_trace(Arc::clone(&trace));
+    let file = SharedFileReader::from_bytes(compressed);
+    let mut reader = ParallelGzipReader::with_index(file, options, index).unwrap();
+    // Every chunk's first touch takes it whole, last to first, which leaves
+    // the first four in the access cache; the jumps after, to and fro between
+    // two of the others, decode a slice each; and a read that goes on past
+    // its slice, the chunk.
+    let mut buffer = vec![0u8; 30_000];
+    let last = starts.len() - 1;
+    let jumps = (0..10).map(|jump| starts[last - 2 * (jump % 2)]);
+    for (round, chunk) in starts.iter().rev().copied().chain(jumps).enumerate() {
+        let offset = chunk + [100, 1_100_000][round / 2 % 2];
+        reader.seek(SeekFrom::Start(offset)).unwrap();
+        reader.read_exact(&mut buffer).unwrap();
+        assert!(buffer[..] == data[offset as usize..][..buffer.len()]);
+    }
+    reader.read_exact(&mut vec![0u8; 1_500_000]).unwrap();
+    quiesce(&reader);
+
+    let statistics = reader.statistics();
+    let snapshot = registry.snapshot();
+    assert_eq!(
+        ReaderStatistics::from_metrics_snapshot(&snapshot),
+        statistics
+    );
+    assert_eq!(statistics.index_slices, 10, "{statistics:?}");
+    let counter = |name: &str, labels: &[(&str, &str)]| snapshot.counter(name, labels).unwrap_or(0);
+    // A v3 index: every slice was hashed against CRCs taken from its chunk.
+    assert_eq!(
+        counter(names::INDEX_SLICES, &[("checked", "yes")]),
+        statistics.index_slices
+    );
+    assert_eq!(counter(names::INDEX_SLICES, &[("checked", "no")]), 0);
+    // The trace tells the same story, instant by instant...
+    let slices: Vec<u64> = trace
+        .snapshot()
+        .iter()
+        .flat_map(|track| &track.events)
+        .filter(|event| matches!(event.kind, EventKind::Instant { name, .. } if name == instants::INDEX_SLICE))
+        .map(|event| event.meta.bytes.unwrap())
+        .collect();
+    assert_eq!(slices.len() as u64, statistics.index_slices);
+    assert_eq!(slices.iter().sum::<u64>(), statistics.index_slice_bytes);
+    // ...and a slice is none of the things a whole chunk is: not an index
+    // chunk — those were each a prefetch's or a decode for want of one — and
+    // neither verified nor unverified again.
+    let report = MetricsReport::from_sink(&trace);
+    assert_eq!(
+        statistics.index_chunks,
+        report.prefetch.hits + report.prefetch.misses
+    );
+    assert_eq!(statistics.index_chunks_verified, statistics.index_chunks);
+    assert_eq!(statistics.index_chunks_unverified, 0);
+    // The reader's own thread decoded what no prefetch had: chunks and slices.
+    let on_this_thread = report.stages[Stage::RandomAccess.name()];
+    assert_eq!(
+        on_this_thread.count,
+        report.prefetch.misses + statistics.index_slices
+    );
+    let out = counter(names::BYTES_OUT, &[]);
+    assert!(on_this_thread.bytes <= out + statistics.index_slice_bytes);
+    assert!(statistics.index_slice_bytes < statistics.index_slices * 1_200_000);
+}

@@ -104,11 +104,6 @@ pub struct InflateOutcome {
     /// [`crate::markers::WindowUsage`]).  Empty when the data is
     /// self-contained.
     pub window_usage: Vec<(u32, u32)>,
-    /// CRC-32 of the bytes *this call* appended to the output, when decoding
-    /// through [`inflate_hashed`]; `None` for the unhashed entry points and
-    /// for two-stage decoding (marker symbols cannot be hashed before
-    /// replacement).
-    pub crc32: Option<u32>,
     /// Dynamic Blocks whose first symbol lies within the last few bytes of
     /// the input, where the fast loop's input margin never holds: decoded
     /// symbol by symbol.  Always zero for [`inflate_single_symbol`]; lets
@@ -567,14 +562,12 @@ impl BlockLoop {
         stop_reason: StopReason,
         reader: &BitReader<'_>,
         usage: &WindowUsage,
-        crc32: Option<u32>,
     ) -> InflateOutcome {
         InflateOutcome {
             blocks: self.blocks,
             stop_reason,
             end_position: reader.position(),
             window_usage: usage.intervals(),
-            crc32,
             fast_fallback_blocks: self.fast_fallback_blocks,
         }
     }
@@ -983,7 +976,7 @@ pub fn inflate(
     out: &mut Vec<u8>,
     stop_offset: u64,
 ) -> Result<InflateOutcome, DeflateError> {
-    inflate_impl(reader, window, out, stop_offset, usize::MAX, false, true)
+    inflate_impl(reader, window, out, stop_offset, usize::MAX, true)
 }
 
 /// [`inflate`] decoding through the single-symbol reference decoder instead
@@ -999,22 +992,7 @@ pub fn inflate_single_symbol(
     out: &mut Vec<u8>,
     stop_offset: u64,
 ) -> Result<InflateOutcome, DeflateError> {
-    inflate_impl(reader, window, out, stop_offset, usize::MAX, false, false)
-}
-
-/// [`inflate`] that additionally computes the CRC-32 of the bytes it appends
-/// to `out`, reported in [`InflateOutcome::crc32`].  Because one inflate call
-/// never crosses a gzip member boundary, the hash of one call is exactly the
-/// member-CRC fragment the verification pipeline folds with
-/// `crc32_combine` — and it is computed here, on the thread that decoded the
-/// data, so hashing parallelizes with decompression across chunks.
-pub fn inflate_hashed(
-    reader: &mut BitReader<'_>,
-    window: &[u8],
-    out: &mut Vec<u8>,
-    stop_offset: u64,
-) -> Result<InflateOutcome, DeflateError> {
-    inflate_impl(reader, window, out, stop_offset, usize::MAX, true, true)
+    inflate_impl(reader, window, out, stop_offset, usize::MAX, false)
 }
 
 /// [`inflate`] with an upper bound on the total length of `out`: decoding an
@@ -1028,7 +1006,7 @@ pub fn inflate_limited(
     stop_offset: u64,
     output_limit: usize,
 ) -> Result<InflateOutcome, DeflateError> {
-    inflate_impl(reader, window, out, stop_offset, output_limit, false, true)
+    inflate_impl(reader, window, out, stop_offset, output_limit, true)
 }
 
 fn inflate_impl(
@@ -1037,7 +1015,6 @@ fn inflate_impl(
     out: &mut Vec<u8>,
     stop_offset: u64,
     output_limit: usize,
-    hash_output: bool,
     fast: bool,
 ) -> Result<InflateOutcome, DeflateError> {
     let start_len = out.len();
@@ -1048,10 +1025,7 @@ fn inflate_impl(
     // recycled one that is to be reused whatever happened here.
     *out = sink.out.finish();
     let stop_reason = exit?.expect("a byte sink never asks to be switched out");
-    // Hashing after the decode loop keeps the per-byte hot path untouched;
-    // the slicing-by-eight CRC makes this one cheap linear pass.
-    let crc32 = hash_output.then(|| rgz_checksum::crc32(&out[start_len..]));
-    Ok(blocks.into_outcome(stop_reason, reader, &sink.usage, crc32))
+    Ok(blocks.into_outcome(stop_reason, reader, &sink.usage))
 }
 
 // --- two-stage decoding ----------------------------------------------------------
@@ -1077,7 +1051,7 @@ pub fn inflate_two_stage(
     let exit = blocks.run(reader, &mut sink, base, stop_offset);
     *out = sink.out.finish();
     let stop_reason = exit?.expect("the switch is off");
-    Ok(blocks.into_outcome(stop_reason, reader, &sink.usage, None))
+    Ok(blocks.into_outcome(stop_reason, reader, &sink.usage))
 }
 
 /// Decodes DEFLATE blocks without knowing the preceding window, as 16-bit
@@ -1133,7 +1107,7 @@ pub fn inflate_speculative<W: std::ops::Deref<Target: AsRef<[u8]>>>(
             (None, _) => None,
         };
         if let Some(stop_reason) = stop_reason {
-            return Ok(blocks.into_outcome(stop_reason, reader, &usage, None));
+            return Ok(blocks.into_outcome(stop_reason, reader, &usage));
         }
         out.switch_to_bytes(byte_buffer);
         if let WindowAnswer::Known(window) = answer {
@@ -1144,7 +1118,7 @@ pub fn inflate_speculative<W: std::ops::Deref<Target: AsRef<[u8]>>>(
     let exit = blocks.run(reader, &mut sink, start_len, stop_offset);
     out.bytes = sink.out.finish();
     let stop_reason = exit?.expect("a byte sink never asks to be switched out");
-    Ok(blocks.into_outcome(stop_reason, reader, &usage, None))
+    Ok(blocks.into_outcome(stop_reason, reader, &usage))
 }
 
 #[cfg(test)]
@@ -1177,24 +1151,6 @@ mod tests {
         let outcome = inflate(&mut reader, &[], &mut out, u64::MAX).unwrap();
         assert!(out.is_empty());
         assert!(outcome.stream_ended());
-    }
-
-    #[test]
-    fn inflate_hashed_reports_the_crc_of_the_appended_bytes() {
-        let data = b"hash me, hash me thoroughly ".repeat(3000);
-        let compressed = compress(&data);
-        let mut reader = BitReader::new(&compressed);
-        // Pre-existing buffer contents must not leak into the hash.
-        let mut out = b"prefix".to_vec();
-        let outcome = inflate_hashed(&mut reader, &[], &mut out, u64::MAX).unwrap();
-        assert_eq!(&out[6..], &data[..]);
-        assert_eq!(outcome.crc32, Some(rgz_checksum::crc32(&data)));
-
-        // The unhashed entry points report no checksum.
-        let mut reader = BitReader::new(&compressed);
-        let mut plain = Vec::new();
-        let outcome = inflate(&mut reader, &[], &mut plain, u64::MAX).unwrap();
-        assert_eq!(outcome.crc32, None);
     }
 
     #[test]

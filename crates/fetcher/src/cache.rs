@@ -124,6 +124,13 @@ where
         self.entries.remove(key)
     }
 
+    /// Evicts the entry looked up or inserted longest ago.
+    pub fn remove_oldest(&mut self) -> Option<Arc<V>> {
+        let oldest = self.order.first()?.clone();
+        self.statistics.evictions += 1;
+        self.remove(&oldest)
+    }
+
     /// Removes every entry.
     pub fn clear(&mut self) {
         self.order.clear();

@@ -5,7 +5,7 @@
 //! validated against in tests.
 
 use rgz_bitio::BitReader;
-use rgz_deflate::{inflate, inflate_hashed};
+use rgz_deflate::inflate;
 
 use crate::header::{parse_footer, parse_header, GzipHeader};
 use crate::GzipError;
@@ -102,20 +102,15 @@ impl GzipDecoder {
             };
 
             let member_start = out.len();
-            // One inflate call covers exactly one member, so the hashed
-            // decoder's per-call CRC is the member CRC the footer stores.
-            let outcome = if self.verify_checksums {
-                inflate_hashed(&mut reader, &[], &mut out, u64::MAX)?
-            } else {
-                inflate(&mut reader, &[], &mut out, u64::MAX)?
-            };
+            // One inflate call covers exactly one member.
+            let outcome = inflate(&mut reader, &[], &mut out, u64::MAX)?;
             if !outcome.stream_ended() {
                 return Err(GzipError::Truncated);
             }
             let footer = parse_footer(&mut reader)?;
             let member_data = &out[member_start..];
             if self.verify_checksums {
-                let computed = outcome.crc32.expect("hashed inflate reports a CRC");
+                let computed = rgz_checksum::crc32(member_data);
                 if computed != footer.crc32 {
                     return Err(GzipError::ChecksumMismatch {
                         stored: footer.crc32,

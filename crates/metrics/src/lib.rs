@@ -55,6 +55,12 @@ pub mod names {
     /// Counter, label `kind` ∈ {`speculative`, `index`}.
     pub const PREFETCH_ISSUED: &str = "rgz_prefetch_issued_total";
     pub const PREFETCH_HITS: &str = "rgz_prefetch_hits_total";
+    /// Counter, label `checked` ∈ {`yes`, `no`}: reads served by decoding a
+    /// slice of an index chunk from one of its interior points.
+    pub const INDEX_SLICES: &str = "rgz_index_slices_total";
+    pub const INDEX_SLICE_BYTES: &str = "rgz_index_slice_bytes_total";
+    /// Gauge: raw window bytes the reader's interior points hold.
+    pub const INTERIOR_WINDOW_BYTES: &str = "rgz_interior_window_bytes";
     /// Counter, label `outcome` ∈ {`member_verified`, `index_verified`,
     /// `index_unverified`}.
     pub const VERIFICATION: &str = "rgz_verification_total";

@@ -38,6 +38,9 @@ pub mod instants {
     pub const PREFETCH_HIT: &str = "prefetch_hit";
     /// A random-access read decoded on demand (no prefetched chunk).
     pub const PREFETCH_MISS: &str = "prefetch_miss";
+    /// A random-access read decoded a slice of its chunk, between interior
+    /// points (`bytes` = the slice's).
+    pub const INDEX_SLICE: &str = "index_slice";
     /// A prefetched chunk was evicted before being read.
     pub const PREFETCH_EVICT: &str = "prefetch_evict";
 }

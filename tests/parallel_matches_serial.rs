@@ -245,3 +245,155 @@ fn output_index_and_statistics_are_invariant_under_thread_count() {
         }
     }
 }
+
+/// Seeks through an index whose chunks are longer than the spacing of the
+/// reader's interior seek points (1 MiB of output): jumps, jumps backwards,
+/// reads that straddle a chunk end or an interior point, runs that turn
+/// sequential.  Whichever way a read is served — the whole chunk on its first
+/// touch, a slice of it after, the slice kept from the call before, the
+/// access cache, a prefetch — it is the serial decoder's bytes; the index the
+/// reader exports is byte for byte the one it was given; and with a v3 index
+/// nothing is served unverified, while a v1/v2/foreign one (no fragments)
+/// slices all the same and says so.
+#[test]
+fn seek_patterns_read_the_serial_decoders_bytes_whole_or_sliced() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rapidgzip_suite::index::IndexFormat;
+    use rapidgzip_suite::interop::{export_index, import_index, AnyIndexFormat};
+    use rapidgzip_suite::io::SharedFileReader;
+    use std::io::{Seek, SeekFrom};
+
+    let members = [
+        datagen::silesia_like(5 << 19, 31),
+        datagen::base64_random(7 << 19, 32),
+        Vec::new(),
+        datagen::fastq_of_size(3 << 20, 33),
+    ];
+    let parts: Vec<&[u8]> = members.iter().map(Vec::as_slice).collect();
+    // (name, file, chunk size): every chunk a few MiB of output.
+    let corpora = [
+        (
+            "silesia",
+            GzipWriter::default().compress(&datagen::silesia_like(9 << 20, 30)),
+            1 << 20,
+        ),
+        (
+            // 64 KiB members: slices start at and cross member boundaries.
+            "bgzf",
+            CompressorFrontend::new(FrontendKind::Bgzf, 6)
+                .compress(&datagen::base64_random(8 << 20, 34)),
+            2 << 20,
+        ),
+        (
+            "multi-member",
+            GzipWriter::default().compress_members(&parts),
+            1 << 20,
+        ),
+    ];
+    let v3 = AnyIndexFormat::Native(IndexFormat::V3);
+    for (name, compressed, chunk_size) in &corpora {
+        let serial = decompress(compressed).unwrap();
+        let length = serial.len() as u64;
+        let built = ParallelGzipReader::from_bytes(compressed.clone(), options(2, *chunk_size))
+            .unwrap()
+            .build_full_index()
+            .unwrap();
+        let exported = built.export();
+        let starts: Vec<u64> = built
+            .block_map
+            .points()
+            .iter()
+            .map(|point| point.uncompressed_offset)
+            .collect();
+        assert!(starts.len() >= 3, "{name}: {} chunks", starts.len());
+
+        let formats = [
+            v3,
+            AnyIndexFormat::Native(IndexFormat::V1),
+            AnyIndexFormat::Gztool,
+        ];
+        for (format, threads) in [(v3, 1), (v3, 2), (v3, 3), (v3, 8)]
+            .into_iter()
+            .chain(formats[1..].iter().map(|&format| (format, 2)))
+        {
+            let run = format!("{name} {format} P={threads}");
+            let imported = import_index(&export_index(&built, format)).unwrap().index;
+            // One chunk in the access cache, so that most jumps find none.
+            let one_cached = ParallelGzipReaderOptions {
+                resolved_cache_chunks: 1,
+                ..options(threads, *chunk_size)
+            };
+            let file = SharedFileReader::from_bytes(compressed.clone());
+            let mut reader = ParallelGzipReader::with_index(file, one_cached, imported).unwrap();
+            let mut rng = StdRng::seed_from_u64(threads as u64);
+            let mut buffer = vec![0u8; 3 << 20];
+            let mut check = |reader: &mut ParallelGzipReader, offset: u64, size: usize| {
+                let size = size.min((length - offset) as usize);
+                reader.seek(SeekFrom::Start(offset)).unwrap();
+                reader.read_exact(&mut buffer[..size]).unwrap();
+                let expected = &serial[offset as usize..offset as usize + size];
+                assert!(
+                    buffer[..size] == *expected,
+                    "{run}: {size} bytes at {offset}"
+                );
+            };
+            // First touches, in an order that is not a run.
+            for &start in starts.iter().rev() {
+                check(&mut reader, start + 5, 1000);
+            }
+            for round in 0..40 {
+                let offset = rng.gen_range(0..length - 1);
+                match round % 5 {
+                    // A jump, of a few bytes or across interior points.
+                    0 | 1 => check(&mut reader, offset, rng.gen_range(1..(5usize << 19))),
+                    // Over the end of a chunk.
+                    2 => {
+                        let end = starts[rng.gen_range(1..starts.len())];
+                        check(&mut reader, end - rng.gen_range(1..70_000), 140_000);
+                    }
+                    // Backwards, by a little and over an interior point.
+                    3 => {
+                        check(&mut reader, offset, 4096);
+                        check(&mut reader, offset.saturating_sub(3000), 4096);
+                        check(&mut reader, offset.saturating_sub(1 << 20), 4096);
+                    }
+                    // A run that goes on past the slice, and past the chunk.
+                    _ => {
+                        let mut position = offset;
+                        for _ in 0..9 {
+                            check(&mut reader, position, 400_000);
+                            position = (position + 400_000).min(length - 1);
+                        }
+                    }
+                }
+            }
+            let statistics = reader.statistics();
+            assert!(statistics.index_slices >= 10, "{run}: {statistics:?}");
+            // A slice is on average well short of a chunk.
+            assert!(
+                statistics.index_slice_bytes / statistics.index_slices
+                    < length / starts.len() as u64,
+                "{run}: {statistics:?}"
+            );
+            let verification = reader.verification_statistics();
+            if format == v3 {
+                assert_eq!(verification.index_chunks_unverified, 0, "{run}");
+                assert_eq!(
+                    verification.index_chunks_verified, statistics.index_chunks,
+                    "{run}"
+                );
+                assert!(
+                    reader.index().export() == exported,
+                    "{run}: the index changed"
+                );
+            } else {
+                assert_eq!(verification.index_chunks_verified, 0, "{run}");
+                assert_eq!(
+                    verification.index_chunks_unverified, statistics.index_chunks,
+                    "{run}"
+                );
+            }
+        }
+    }
+}

@@ -6,7 +6,7 @@ use std::io::{Read, Seek, SeekFrom};
 use rapidgzip_suite::core::{ParallelGzipReader, ParallelGzipReaderOptions};
 use rapidgzip_suite::datagen;
 use rapidgzip_suite::gzip::GzipWriter;
-use rapidgzip_suite::index::{GzipIndex, IndexFormat};
+use rapidgzip_suite::index::{GzipIndex, IndexFormat, SeekPoint};
 use rapidgzip_suite::io::SharedFileReader;
 
 fn options() -> ParallelGzipReaderOptions {
@@ -149,4 +149,43 @@ fn concurrent_access_at_two_offsets_through_clones_of_the_file() {
             });
         }
     });
+}
+
+#[test]
+fn a_seek_past_what_64_bits_address_is_an_error_not_a_wrap() {
+    // `std::io::Cursor`'s answer.  The target used to be computed in 128 bits
+    // and then cut to 64: position 9 after the first pair below.
+    let data = datagen::base64_random(100_000, 27);
+    let compressed = GzipWriter::default().compress(&data);
+    let mut reader = ParallelGzipReader::from_bytes(compressed.clone(), options()).unwrap();
+    assert_eq!(reader.seek(SeekFrom::Start(u64::MAX)).unwrap(), u64::MAX);
+    let error = reader.seek(SeekFrom::Current(10)).unwrap_err();
+    assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+    // A failed seek leaves the position where it was; a read there is at the
+    // end of the stream.
+    assert_eq!(reader.stream_position().unwrap(), u64::MAX);
+    assert_eq!(reader.read(&mut [0u8; 16]).unwrap(), 0);
+    assert_eq!(reader.seek(SeekFrom::Current(-1)).unwrap(), u64::MAX - 1);
+    let halfway = reader.seek(SeekFrom::Current(-1 - i64::MAX)).unwrap();
+    assert_eq!(halfway, (1u64 << 63) - 2);
+    let error = reader.seek(SeekFrom::Current(-1 - i64::MAX)).unwrap_err();
+    assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+
+    // From the end of a stream an index claims to be nearly 2^64 bytes long
+    // (only an index can: no file is): position 2^63 - 52 before.
+    let mut index = GzipIndex::new();
+    index.compressed_size = compressed.len() as u64;
+    let point = |uncompressed_offset, uncompressed_size| SeekPoint {
+        compressed_bit_offset: 0,
+        uncompressed_offset,
+        uncompressed_size,
+    };
+    index.add_seek_point(point(0, 100_000), &[]);
+    index.add_seek_point(point(u64::MAX - 100, 50), &[]);
+    let file = SharedFileReader::from_bytes(compressed);
+    let mut reader = ParallelGzipReader::with_index(file, options(), index).unwrap();
+    assert_eq!(reader.seek(SeekFrom::End(0)).unwrap(), u64::MAX - 50);
+    let error = reader.seek(SeekFrom::End(i64::MAX)).unwrap_err();
+    assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(reader.seek(SeekFrom::End(50)).unwrap(), u64::MAX);
 }

@@ -421,3 +421,138 @@ fn a_panicking_prefetch_is_an_error_of_the_read_that_wanted_its_chunk() {
     reader.read_exact(&mut buffer).unwrap();
     assert_eq!(buffer, data[..1000]);
 }
+
+/// A compressed file one bit of which flips when told to: a medium going bad
+/// under an open reader.  `flip` holds `byte << 3 | bit`, `u64::MAX` for none.
+struct FlipsLater {
+    file: MemoryFileReader,
+    flip: Arc<std::sync::atomic::AtomicU64>,
+}
+
+impl FileReader for FlipsLater {
+    fn read_at(&self, offset: u64, buffer: &mut [u8]) -> std::io::Result<usize> {
+        let read = self.file.read_at(offset, buffer)?;
+        let flip = self.flip.load(std::sync::atomic::Ordering::SeqCst);
+        if let Some(at) = (flip >> 3)
+            .checked_sub(offset)
+            .filter(|&at| at < read as u64)
+        {
+            buffer[at as usize] ^= 1 << (flip & 7);
+        }
+        Ok(read)
+    }
+
+    fn size(&self) -> u64 {
+        self.file.size()
+    }
+}
+
+#[test]
+fn a_slice_is_checked_like_its_chunk_was_and_a_failed_one_is_counted_nowhere() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    // A slice is decoded from an interior point a chunk's first, whole,
+    // index-verified decode left behind — and its bytes are hashed against the
+    // CRCs taken then.  Bytes that change *after* that decode are caught like
+    // any others: stored blocks (only a CRC can tell) and compressed ones.
+    let data = datagen::fastq_of_size(6 << 20, 206);
+    for level in [0u8, 1] {
+        let compressed = CompressorFrontend::new(FrontendKind::Bgzf, level).compress(&data);
+        let (_, members) = decompress_with_info(&compressed).unwrap();
+        // Chunks of 1.5 MiB of output: an interior point in each.
+        let chunk_size = compressed.len() / 4 - 50_000;
+        let reader_options = || ParallelGzipReaderOptions {
+            parallelization: 2,
+            chunk_size,
+            resolved_cache_chunks: 1,
+            ..Default::default()
+        };
+        let index = ParallelGzipReader::from_bytes(compressed.clone(), reader_options())
+            .unwrap()
+            .build_full_index()
+            .unwrap();
+        let starts: Vec<u64> = index
+            .block_map
+            .points()
+            .iter()
+            .map(|point| point.uncompressed_offset)
+            .collect();
+        assert!(starts.len() >= 4, "level {level}: {} chunks", starts.len());
+
+        let flip = Arc::new(AtomicU64::new(u64::MAX));
+        let registry = Arc::new(MetricsRegistry::new_enabled());
+        let file = FlipsLater {
+            file: MemoryFileReader::new(compressed.clone()),
+            flip: Arc::clone(&flip),
+        };
+        let serialized = export_index(&index, AnyIndexFormat::Native(IndexFormat::V3));
+        let mut reader = ParallelGzipReader::with_index(
+            SharedFileReader::new(file),
+            reader_options().with_metrics(Arc::clone(&registry)),
+            import_index(&serialized).unwrap().index,
+        )
+        .unwrap();
+        let mut buffer = vec![0u8; 4096];
+        let mut read = |reader: &mut ParallelGzipReader, offset: u64| {
+            reader.seek(SeekFrom::Start(offset)).unwrap();
+            let result = reader.read_exact(&mut buffer);
+            result.map(|()| assert!(buffer[..] == data[offset as usize..][..4096], "at {offset}"))
+        };
+        // Every chunk's first touch, and then a read from end to end, which
+        // takes what the jumps had prefetched.
+        for &start in starts.iter().rev() {
+            read(&mut reader, start + 9).unwrap();
+        }
+        assert_eq!(reader.decompress_all().unwrap().len(), data.len());
+        quiesce(&reader);
+        assert_eq!(reader.statistics().index_slices, 0, "level {level}");
+
+        // Past the interior point of the third chunk, a member in the middle
+        // of which the bit will flip; and a MiB before it, where none.
+        let target = starts[2] + (5 << 18);
+        let member = members
+            .iter()
+            .position(|m| m.uncompressed_start + m.uncompressed_size > target)
+            .unwrap();
+        let target = members[member].uncompressed_start + 100;
+        let byte = (members[member].compressed_start + members[member].compressed_end) / 2;
+        // Jumps away, each to where the slice kept from the last is not.
+        let mut away = [starts[0] + (5 << 18), starts[0] + 100].into_iter().cycle();
+        for bit in [0u64, 5] {
+            read(&mut reader, away.next().unwrap()).unwrap();
+            let before = reader.statistics();
+            assert!(before.index_slices > 0, "level {level}: {before:?}");
+
+            flip.store(byte << 3 | bit, Ordering::SeqCst);
+            let error = read(&mut reader, target).expect_err("a slice of changed bytes");
+            // A typed error: the CRC's, which names the member, unless the
+            // compressed bits stopped making sense before it came to that.
+            assert_eq!(error.kind(), std::io::ErrorKind::InvalidData, "{error}");
+            let message = error.to_string();
+            assert!(
+                message.contains(&format!("member {member}:"))
+                    || (level > 0 && (message.contains("DEFLATE") || message.contains("index"))),
+                "level {level} bit {bit}: {message}"
+            );
+            let after = reader.statistics();
+            assert_eq!(after, before, "level {level} bit {bit}");
+            assert_eq!(
+                ReaderStatistics::from_metrics_snapshot(&registry.snapshot()),
+                after
+            );
+            // The reads that follow in the chunk take it whole: no better.
+            read(&mut reader, target).expect_err("the chunk those bytes are in");
+            assert_eq!(reader.statistics(), before, "level {level} bit {bit}");
+            // The slice before decodes from bytes that did not change.
+            read(&mut reader, away.next().unwrap()).unwrap();
+            read(&mut reader, target - (1 << 20)).unwrap();
+            // And the medium's recovery is the read's.
+            flip.store(u64::MAX, Ordering::SeqCst);
+            read(&mut reader, away.next().unwrap()).unwrap();
+            read(&mut reader, target).unwrap();
+            let healed = reader.statistics();
+            assert_eq!(healed.index_slices, before.index_slices + 4, "{healed:?}");
+            assert_eq!(healed.index_chunks, before.index_chunks, "{healed:?}");
+        }
+        assert_eq!(reader.verification_statistics().index_chunks_unverified, 0);
+    }
+}

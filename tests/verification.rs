@@ -104,7 +104,7 @@ fn single_bit_corruption_is_always_detected() {
 /// corrupted member — same bytes and stream position when the flip decodes
 /// (detection then falls to the checksum layer, asserted above), the same
 /// error otherwise.  Note `single_bit_corruption_is_always_detected` already
-/// drives the fast path end to end, since `inflate_hashed` decodes through it.
+/// drives the fast path end to end, since the gzip decoder's `inflate` is it.
 #[test]
 fn corruption_matrix_fast_and_reference_decoders_agree() {
     use rapidgzip_suite::bitio::BitReader;
