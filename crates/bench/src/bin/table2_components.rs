@@ -34,7 +34,6 @@ use rgz_deflate::{
     replace_markers_to_slice, replace_markers_to_slice_scalar, BlockBoundary, BlockType,
     CompressorOptions, DeflateCompressor, SpeculativeOutput, WindowAnswer, MARKER_BASE,
 };
-use rgz_metrics::MetricsRegistry;
 use rgz_trace::{chrome_trace_json, MetricsReport, TraceSink};
 
 fn row(
@@ -609,64 +608,6 @@ fn main() {
         );
     }
     report.record("trace_overhead_ratio", overhead_ratio);
-
-    // Metrics overhead: the same shape of experiment for the telemetry
-    // registry, on the silesia-like corpus.  Disabled, every instrument is a
-    // single relaxed atomic load; enabled, counters land in per-thread
-    // sharded cells.  The `metrics_overhead_ratio` floor in
-    // bench/baseline.json gates the disabled->enabled regression.
-    let silesia = rgz_datagen::silesia_like(scaled(24 << 20, 3 << 20), 11);
-    let silesia_gz = rgz_gzip::GzipWriter::default().compress(&silesia);
-    let decode_metered = |registry: Option<Arc<MetricsRegistry>>| {
-        let mut options = ParallelGzipReaderOptions {
-            parallelization: available_cores().min(4),
-            chunk_size: 256 * 1024,
-            ..Default::default()
-        };
-        if let Some(registry) = registry {
-            options = options.with_metrics(registry);
-        }
-        let mut reader = ParallelGzipReader::from_bytes(silesia_gz.clone(), options).unwrap();
-        reader.decompress_all().unwrap()
-    };
-    assert_eq!(
-        decode_metered(None),
-        silesia,
-        "metered decode must round-trip"
-    );
-    let registry = Arc::new(MetricsRegistry::new_enabled());
-    let mut best_unmetered = std::time::Duration::MAX;
-    let mut best_metered = std::time::Duration::MAX;
-    for _ in 0..repetitions().max(3) {
-        let (_, duration) = time(|| decode_metered(None));
-        best_unmetered = best_unmetered.min(duration);
-        let (_, duration) = time(|| decode_metered(Some(registry.clone())));
-        best_metered = best_metered.min(duration);
-    }
-    let unmetered = row(
-        &mut report,
-        json,
-        "Parallel decode (no metrics)",
-        "decompress_unmetered_mb_s",
-        silesia.len(),
-        best_unmetered,
-    );
-    let metered = row(
-        &mut report,
-        json,
-        "Parallel decode (metrics)",
-        "decompress_metered_mb_s",
-        silesia.len(),
-        best_metered,
-    );
-    let metrics_ratio = metered / unmetered;
-    if !json {
-        println!(
-            "{:<28} {:>15.3}x",
-            "  metered/unmetered ratio", metrics_ratio
-        );
-    }
-    report.record("metrics_overhead_ratio", metrics_ratio);
 
     // The aggregated pipeline metrics ride along in the JSON report, and the
     // raw trace can be kept as a CI artifact.

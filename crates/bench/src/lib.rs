@@ -1,8 +1,8 @@
 //! Shared helpers for the benchmark harness.
 //!
 //! Every table and figure of the paper's evaluation section has a dedicated
-//! binary in `src/bin/` (see DESIGN.md §4 for the mapping); the Criterion
-//! benches under `benches/` cover the micro-benchmarks (Figure 7, Table 2).
+//! binary in `src/bin/`; the micro-benchmarks (Figure 7, Table 2) are the rows
+//! of `fig07_bitreader` and `table2_components`.
 //!
 //! All harness binaries accept `--quick` (or the environment variable
 //! `RGZ_BENCH_QUICK=1`) to run at CI-friendly sizes; without it they use

@@ -48,22 +48,6 @@ pub struct FilterStatistics {
 }
 
 impl FilterStatistics {
-    /// Sum of all rejection counters plus valid headers; equals
-    /// `tested_positions` after a full scan.
-    pub fn total_classified(&self) -> u64 {
-        self.invalid_final_block
-            + self.invalid_compression_type
-            + self.invalid_precode_size
-            + self.invalid_precode_code
-            + self.non_optimal_precode_code
-            + self.invalid_precode_encoded_data
-            + self.invalid_distance_code
-            + self.non_optimal_distance_code
-            + self.invalid_literal_code
-            + self.non_optimal_literal_code
-            + self.valid_headers
-    }
-
     /// Table rows in the paper's order, as (label, count) pairs.
     pub fn rows(&self) -> Vec<(&'static str, u64)> {
         vec![
@@ -818,7 +802,9 @@ mod tests {
         while let Some(found) = finder.find_next_with_statistics(&data, offset, &mut statistics) {
             offset = found + 1;
         }
-        assert_eq!(statistics.total_classified(), statistics.tested_positions);
+        // Every tested position is classified by exactly one row below the first.
+        let classified: u64 = statistics.rows()[1..].iter().map(|row| row.1).sum();
+        assert_eq!(classified, statistics.tested_positions);
         // Table 1: roughly half of all positions fail the final-block check
         // and a further ~3/8 fail the compression-type check.
         let half = statistics.tested_positions / 2;

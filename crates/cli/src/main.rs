@@ -215,7 +215,7 @@ fn run(options: &Options) -> Result<(), String> {
     }
 
     // One sink serves both decoder paths; it records nothing (a single
-    // relaxed atomic load per call site) unless tracing or metrics were
+    // relaxed atomic load per call site) unless a trace or its report was
     // requested.
     let trace = if options.trace.is_some() || options.trace_report.is_some() {
         Arc::new(TraceSink::new_enabled())
@@ -223,17 +223,10 @@ fn run(options: &Options) -> Result<(), String> {
         Arc::new(TraceSink::new())
     };
 
-    // The metrics registry backs three consumers — the live --stats-interval
-    // progress line, the Prometheus --metrics-export dump, and the hit-rate
-    // figures in the --verbose summary — so it is enabled whenever any of
-    // them was requested. Disabled, every instrument is one relaxed load.
-    let metrics_enabled =
-        options.verbose || options.stats_interval.is_some() || options.metrics_export.is_some();
-    let registry = if metrics_enabled {
-        Arc::new(MetricsRegistry::new_enabled())
-    } else {
-        MetricsRegistry::shared_disabled()
-    };
+    // The metrics registry backs three consumers: the live --stats-interval
+    // progress line, the Prometheus --metrics-export dump, and the --verbose
+    // summary.
+    let registry = Arc::new(MetricsRegistry::new());
 
     let mut sink: Box<dyn Write> = match &options.output {
         Some(path) => Box::new(std::io::BufWriter::new(
@@ -279,16 +272,14 @@ fn run(options: &Options) -> Result<(), String> {
             sink.write_all(&data).map_err(|e| e.to_string())?;
         }
     } else {
-        let mut reader_options = ParallelGzipReaderOptions {
+        let reader_options = ParallelGzipReaderOptions {
             parallelization: options.threads.max(1),
             chunk_size: options.chunk_size_kib.max(4) * 1024,
             verification: options.verification,
             ..Default::default()
         }
-        .with_trace(trace.clone());
-        if metrics_enabled {
-            reader_options = reader_options.with_metrics(Arc::clone(&registry));
-        }
+        .with_trace(trace.clone())
+        .with_metrics(Arc::clone(&registry));
         let compressed_size = std::fs::metadata(&options.file)
             .map(|metadata| metadata.len())
             .unwrap_or(0);
@@ -434,8 +425,7 @@ fn run(options: &Options) -> Result<(), String> {
             // Every figure below is read from one snapshot of the registry
             // the reader and the layers under it count into, the one a
             // --stats-interval line and a --metrics-export dump show; taken
-            // once window_statistics() has published the cache deltas and
-            // index() has seen the last marker replacement out.
+            // once index() has seen the last marker replacement out.
             let windows = reader.window_statistics();
             let index = reader.index();
             let snapshot = registry.snapshot();
@@ -489,13 +479,12 @@ fn run(options: &Options) -> Result<(), String> {
                 windows.compression_ratio(),
                 windows.pending_compressions
             );
-            let cache_hits = snapshot
-                .counter(names::WINDOW_CACHE, &[("event", "hit")])
-                .unwrap_or(0);
-            let cache_misses = snapshot
-                .counter(names::WINDOW_CACHE, &[("event", "miss")])
-                .unwrap_or(0);
-            let cache_lookups = cache_hits + cache_misses;
+            let cache = |event| {
+                let labels = [("event", event)];
+                snapshot.counter(names::WINDOW_CACHE, &labels).unwrap_or(0)
+            };
+            let cache_hits = cache("hit");
+            let cache_lookups = cache_hits + cache("miss");
             eprintln!(
                 "rgzip: window cache: {} hot ({} hits / {} lookups = {:.1} % hit rate, \
                  {} evictions), {} corrupt",
@@ -507,7 +496,7 @@ fn run(options: &Options) -> Result<(), String> {
                 } else {
                     0.0
                 },
-                windows.hot_cache.evictions,
+                cache("evicted"),
                 windows.corrupt_windows
             );
             // Chunk buffers (compressed ranges, 16-bit symbols, output bytes)
@@ -706,12 +695,8 @@ fn run_compress(options: &CompressOptions) -> Result<(), String> {
         std::fs::read(&options.file).map_err(|e| format!("cannot read {}: {e}", options.file))?;
     let input_bytes = data.len() as u64;
 
-    let registry = if options.metrics_export.is_some() {
-        Arc::new(MetricsRegistry::new_enabled())
-    } else {
-        MetricsRegistry::shared_disabled()
-    };
-    let mut compressor = ParallelCompressor::new(ParallelCompressorOptions {
+    let registry = MetricsRegistry::new();
+    let compressor = ParallelCompressor::new(ParallelCompressorOptions {
         level: CompressionLevel::from_numeric(options.level),
         container: if options.bgzf {
             ContainerFormat::Bgzf
@@ -722,10 +707,8 @@ fn run_compress(options: &CompressOptions) -> Result<(), String> {
         member_size: options.member_size_kib.max(1) * 1024,
         parallelization: options.threads.max(1),
         ..Default::default()
-    });
-    if options.metrics_export.is_some() {
-        compressor = compressor.with_metrics(&registry);
-    }
+    })
+    .with_metrics(&registry);
     let compress_start = std::time::Instant::now();
     let stream = compressor.compress_shared(std::sync::Arc::from(data));
     let compress_elapsed = compress_start.elapsed();

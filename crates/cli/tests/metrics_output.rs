@@ -83,6 +83,33 @@ fn verbose_count(stderr: &str, suffix: &str) -> u64 {
     panic!("no {suffix:?} count in: {line}");
 }
 
+/// The two numbers of the `--verbose` window-store line that
+/// `window_statistics()` reports — `rgzip: index: 11 seek points, 11 windows;
+/// window memory: 360448 raw -> 75991 stored bytes (4.74x), ...` — and the
+/// two gauges of the export that must equal them.
+fn assert_window_store_gauges_match_verbose(stderr: &str, export: &str) {
+    let line = stderr
+        .lines()
+        .find(|line| line.starts_with("rgzip: index:") && line.contains("window memory:"))
+        .unwrap_or_else(|| panic!("no window-store line in:\n{stderr}"));
+    let before = |suffix: &str| -> u64 {
+        let head = line.split(suffix).next().unwrap();
+        head.rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    let (windows, stored_bytes) = (before(" windows;"), before(" stored bytes"));
+    assert!(windows > 0 && stored_bytes > 0, "{line}");
+    assert_eq!(
+        series_value(export, "rgz_window_store_windows", None),
+        Some(windows),
+        "{line}"
+    );
+    assert_eq!(
+        series_value(export, "rgz_window_store_bytes", None),
+        Some(stored_bytes),
+        "{line}"
+    );
+}
+
 #[test]
 fn stats_interval_and_export_reconcile_with_verbose_statistics() {
     let dir = TempDir::new("reconcile");
@@ -93,6 +120,7 @@ fn stats_interval_and_export_reconcile_with_verbose_statistics() {
     let gz = dir.file("corpus.gz");
     std::fs::write(&gz, &compressed).unwrap();
     let export_path = dir.file("metrics.prom");
+    let index_path = dir.file("corpus.idx");
 
     let output = run_rgz(&[
         "--chunk-size",
@@ -102,6 +130,8 @@ fn stats_interval_and_export_reconcile_with_verbose_statistics() {
         "--verbose",
         "--stats-interval",
         "0.01",
+        "--export-index",
+        path_str(&index_path),
         "--metrics-export",
         path_str(&export_path),
         "-o",
@@ -178,6 +208,28 @@ fn stats_interval_and_export_reconcile_with_verbose_statistics() {
     assert!(buffers.ends_with(" MiB idle"), "{buffers}");
     assert!(takes("reused") > takes("fresh"), "{buffers}");
     assert!(export.contains("# TYPE rgz_buffer_pool_idle_bytes gauge"));
+
+    // So must the window store's gauges, whoever filled the store: the pass
+    // above, or — one more input — an import, before the reader that counts
+    // into the registry exists.
+    assert_window_store_gauges_match_verbose(&stderr, &export);
+    let output = run_rgz(&[
+        "-P",
+        "2",
+        "--verbose",
+        "--import-index",
+        path_str(&index_path),
+        "--metrics-export",
+        path_str(&export_path),
+        "-o",
+        path_str(&dir.file("out")),
+        path_str(&gz),
+    ]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "run failed: {stderr}");
+    assert_eq!(std::fs::read(dir.file("out")).unwrap(), data);
+    let export = std::fs::read_to_string(&export_path).unwrap();
+    assert_window_store_gauges_match_verbose(&stderr, &export);
 }
 
 #[test]

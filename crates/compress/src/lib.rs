@@ -32,14 +32,11 @@ use rgz_checksum::{crc32, crc32_combine};
 pub use rgz_deflate::CompressionLevel;
 use rgz_deflate::{write_stored_block, CompressorOptions, DeflateCompressor};
 use rgz_fetcher::ThreadPool;
-use rgz_gzip::bgzf::MAX_BGZF_INPUT_BLOCK;
+use rgz_gzip::bgzf::{write_bgzf_member, BGZF_HEADER_SIZE, MAX_BGZF_INPUT_BLOCK};
 use rgz_gzip::{GzipFooter, GzipHeader, BGZF_EOF_BLOCK, OS_UNIX};
 use rgz_index::{GzipIndex, PointChecksums, SeekPoint};
 use rgz_metrics::{exponential_buckets, names, Counter, Histogram, MetricsRegistry};
 
-/// Serialized size of the fixed BGZF member header (10 base bytes + 2-byte
-/// XLEN + 6-byte `BC` subfield).
-const BGZF_HEADER_SIZE: usize = 18;
 /// Serialized size of the minimal gzip header pigz-style members use.
 const PIGZ_HEADER_SIZE: usize = 10;
 
@@ -103,8 +100,8 @@ pub struct CompressedStream {
     pub chunks: usize,
 }
 
-/// Registry handles for the write path; disconnected unless a registry is
-/// attached with [`ParallelCompressor::with_metrics`].
+/// Registry handles for the write path: on the pool's registry, unless one
+/// is attached with [`ParallelCompressor::with_metrics`].
 struct CompressMetrics {
     chunks: Counter,
     members: Counter,
@@ -114,16 +111,6 @@ struct CompressMetrics {
 }
 
 impl CompressMetrics {
-    fn disconnected() -> Self {
-        Self {
-            chunks: Counter::disconnected(),
-            members: Counter::disconnected(),
-            bytes_in: Counter::disconnected(),
-            bytes_out: Counter::disconnected(),
-            encode_seconds: Histogram::disconnected(),
-        }
-    }
-
     fn register(registry: &MetricsRegistry) -> Self {
         Self {
             chunks: registry.counter(
@@ -192,13 +179,14 @@ impl ParallelCompressor {
         assert!(options.member_size > 0, "member_size must be non-zero");
         Self {
             options,
+            metrics: CompressMetrics::register(pool.metrics()),
             pool,
-            metrics: CompressMetrics::disconnected(),
         }
     }
 
     /// Attaches a metrics registry: chunk/member counts, input/output byte
-    /// totals and worker-side encode latency are recorded on it.
+    /// totals and worker-side encode latency are recorded on it instead of
+    /// the pool's.
     pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
         self.metrics = CompressMetrics::register(registry);
         self
@@ -439,35 +427,12 @@ fn encode_bgzf_span(
         let (block, rest) = remaining.split_at(take);
         remaining = rest;
 
-        let mut writer = BitWriter::with_capacity(block.len() / 3 + 64);
-        compressor.compress_into(block, &mut writer, true);
-        let deflate = writer.finish();
-
-        let header = GzipHeader {
+        let block_crc = write_bgzf_member(
+            &compressor,
+            block,
             modification_time,
             extra_flags,
-            operating_system: OS_UNIX,
-            extra_field: Some(vec![b'B', b'C', 2, 0, 0, 0]),
-            ..Default::default()
-        };
-        let mut header_bytes = header.to_bytes();
-        debug_assert_eq!(header_bytes.len(), BGZF_HEADER_SIZE);
-        let total_size = header_bytes.len() + deflate.len() + 8;
-        assert!(total_size <= u16::MAX as usize + 1, "BGZF block too large");
-        // Patch BSIZE (total member size - 1) into the last two bytes of the
-        // extra field.
-        let bsize_position = header_bytes.len() - 2;
-        header_bytes[bsize_position..].copy_from_slice(&((total_size - 1) as u16).to_le_bytes());
-
-        let block_crc = crc32(block);
-        bytes.extend_from_slice(&header_bytes);
-        bytes.extend_from_slice(&deflate);
-        bytes.extend_from_slice(
-            &GzipFooter {
-                crc32: block_crc,
-                uncompressed_size: block.len() as u32,
-            }
-            .to_bytes(),
+            &mut bytes,
         );
         blocks.push((block_crc, block.len() as u64));
 
@@ -594,7 +559,7 @@ mod tests {
     fn metrics_mirror_the_compressed_stream_exactly() {
         let data = text_corpus(300_000);
         for container in [ContainerFormat::Pigz, ContainerFormat::Bgzf] {
-            let registry = std::sync::Arc::new(rgz_metrics::MetricsRegistry::new_enabled());
+            let registry = std::sync::Arc::new(rgz_metrics::MetricsRegistry::new());
             let stream = ParallelCompressor::new(options(container))
                 .with_metrics(&registry)
                 .compress(&data);

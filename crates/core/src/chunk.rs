@@ -36,8 +36,9 @@ use rgz_fetcher::{BufferPool, Pooled};
 use rgz_gzip::{parse_footer, parse_header, GzipError, GzipFooter};
 use rgz_index::{CrcFragment, WINDOW_SIZE};
 use rgz_io::{FileReader, SharedFileReader};
-use rgz_trace::{Outcome, Stage, TraceSink};
+use rgz_trace::{Outcome, Stage};
 
+use crate::metrics::ReaderMetrics;
 use crate::verify::ChunkFragment;
 use crate::CoreError;
 
@@ -352,13 +353,13 @@ enum SpeculativeOutcome {
 
 /// Everything a chunk decode needs besides the chunk's offsets: the
 /// compressed input and the size of the chunks it is cut into, the pool its
-/// buffers come from, and the trace.  Cheap to clone into a task.
+/// buffers come from, and the reader's telemetry.  Cheap to clone into a task.
 #[derive(Clone)]
 pub(crate) struct ChunkDecoder {
     pub reader: SharedFileReader,
     pub chunk_size: usize,
     pub buffers: BufferPool,
-    pub trace: Arc<TraceSink>,
+    pub metrics: Arc<ReaderMetrics>,
 }
 
 impl ChunkDecoder {
@@ -586,7 +587,8 @@ impl ChunkDecoder {
         let mut search_from = relative_guess;
         loop {
             let candidate = {
-                let mut span = self.trace.span(Stage::BlockFind).chunk(guess_bit);
+                let trace = self.metrics.trace();
+                let mut span = trace.span(Stage::BlockFind).chunk(guess_bit);
                 match finder.find_next(&range.bytes, search_from) {
                     // The first candidate block may already belong to the
                     // next chunk, in which case this chunk has nothing to
@@ -599,11 +601,8 @@ impl ChunkDecoder {
                 }
             };
 
-            let mut span = self
-                .trace
-                .span(Stage::DecodeTwoStage)
-                .chunk(guess_bit)
-                .compressed_range(range.start_byte + candidate / 8, range_end_byte);
+            let mut span = self.metrics.stage(Stage::DecodeTwoStage, guess_bit);
+            span.set_compressed_range(range.start_byte + candidate / 8, range_end_byte);
             let window = |decoded| window(range_start_bits + candidate, decoded);
             match self.try_speculative_decode(range, candidate, relative_stop, window) {
                 Ok(decoded) => {
@@ -613,7 +612,7 @@ impl ChunkDecoder {
                         range.start_byte + candidate / 8,
                         range.start_byte + decoded.end_bit_offset.div_ceil(8),
                     );
-                    span.finish();
+                    drop(span);
                     // The decode worked in offsets relative to `range`.
                     return SpeculativeOutcome::Found(SpeculativeChunk {
                         requested_bit_offset: guess_bit,
@@ -719,11 +718,12 @@ pub(crate) mod tests {
         chunk_size: usize,
         metrics: &MetricsRegistry,
     ) -> ChunkDecoder {
+        let trace = rgz_trace::TraceSink::shared_disabled();
         ChunkDecoder {
             reader: reader.clone(),
             chunk_size,
             buffers: BufferPool::new(2, metrics),
-            trace: TraceSink::shared_disabled(),
+            metrics: Arc::new(ReaderMetrics::register(&Arc::default(), trace)),
         }
     }
 
@@ -1254,7 +1254,7 @@ pub(crate) mod tests {
                 false => WindowAnswer::Unknown,
             };
 
-            let recycled_metrics = MetricsRegistry::new_enabled();
+            let recycled_metrics = MetricsRegistry::new();
             let recycling = decoder(&shared, chunk_size, &recycled_metrics);
             let fresh_metrics = MetricsRegistry::new();
             let fresh = || decoder(&shared, chunk_size, &fresh_metrics);

@@ -234,7 +234,7 @@ impl Shared {
         window: impl FnOnce() -> Result<Option<Arc<Vec<u8>>>, WindowError>,
     ) -> Result<ChunkBytes, CoreError> {
         let key = chunk.point.compressed_bit_offset;
-        let mut span = self.trace().span(stage).chunk(key);
+        let mut span = self.metrics.stage(stage, key);
         if let Some(checksums) = &chunk.checksums {
             span.set_member(checksums.first_member);
         }
@@ -361,7 +361,6 @@ impl Shared {
     fn run_prefetch_task(&self, chunk: &IndexedChunk, record: Option<Arc<CompressedWindow>>) {
         let key = chunk.point.compressed_bit_offset;
         let _unwinding = FailOnUnwind { shared: self, key };
-        let _stage_timer = self.metrics.stage_prefetch_decode.start_timer();
         let decoded = self.decode_indexed(Stage::PrefetchDecode, chunk, || {
             let Some(record) = record else {
                 return Ok(None);
@@ -383,6 +382,7 @@ impl Shared {
 mod tests {
     use super::*;
     use crate::chunk::ChunkDecoder;
+    use crate::metrics::ReaderMetrics;
     use rgz_deflate::{CompressionLevel, CompressorOptions};
     use rgz_fetcher::BufferPool;
     use rgz_gzip::GzipWriter;
@@ -438,7 +438,10 @@ mod tests {
                 reader: SharedFileReader::from_bytes(compressed),
                 chunk_size: 1 << 20,
                 buffers: BufferPool::new(2, &MetricsRegistry::new()),
-                trace: TraceSink::shared_disabled(),
+                metrics: Arc::new(ReaderMetrics::register(
+                    &Arc::default(),
+                    TraceSink::shared_disabled(),
+                )),
             };
             let decode = |chunk: &IndexedChunk, window: &[u8]| {
                 decoder.decode_at(&DirectChunk {

@@ -8,14 +8,17 @@
 //! through [`ReaderStatistics::from_metrics_snapshot`], so it, a snapshot and
 //! a Prometheus scrape are views of one store.  (The trace report folds its
 //! speculation and prefetch summaries from the instants — a trace is read
-//! without the process that wrote it.)
+//! without the process that wrote it.)  A stage's duration is likewise taken
+//! once, by the [`StageTimer`] of [`ReaderMetrics::stage`]: what a trace's
+//! span says of it is what `rgz_stage_seconds` observed.
 
 use std::sync::Arc;
 
+use rgz_fetcher::StageTimer;
 use rgz_metrics::{
     exponential_buckets, names, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
 };
-use rgz_trace::{instants, EventMeta, TraceSink};
+use rgz_trace::{instants, EventMeta, Stage, TraceSink};
 
 use crate::chunk::SpeculativeChunk;
 use crate::reader::ReaderStatistics;
@@ -26,8 +29,19 @@ fn stage_buckets() -> Vec<f64> {
     exponential_buckets(0.000_1, 4.0, 10)
 }
 
+/// The stages of the reader's own that `rgz_stage_seconds` has a series of,
+/// under the name their trace spans go by.
+const TIMED_STAGES: [Stage; 6] = [
+    Stage::DecodeTwoStage,
+    Stage::DecodeOneStage,
+    Stage::MarkerReplace,
+    Stage::CrcFold,
+    Stage::PrefetchDecode,
+    Stage::RandomAccess,
+];
+
 /// Handles for every reader-owned series, resolved once at construction, and
-/// the trace sink their events go to as well: an event is a handful of sharded
+/// the trace sink their events go to as well: an event is a handful of
 /// relaxed atomic adds and, with the sink disabled, one relaxed load.  The
 /// counters are private: an event method is the only way to move one.
 #[derive(Debug)]
@@ -56,24 +70,20 @@ pub(crate) struct ReaderMetrics {
     pub verify_member: Counter,
     verify_index_verified: Counter,
     verify_index_unverified: Counter,
-    pub stage_decode_two_stage: Histogram,
-    pub stage_decode_one_stage: Histogram,
-    pub stage_marker_replace: Histogram,
-    pub stage_crc_fold: Histogram,
-    pub stage_prefetch_decode: Histogram,
-    pub stage_random_access: Histogram,
+    stages: [(Stage, Histogram); 6],
 }
 
 impl ReaderMetrics {
     /// Register (or re-resolve) every reader family on `registry`.
     pub fn register(registry: &Arc<MetricsRegistry>, trace: Arc<TraceSink>) -> Self {
-        let stage = |name: &str| {
-            registry.histogram_with_labels(
+        let stage = |stage: Stage| {
+            let histogram = registry.histogram_with_labels(
                 names::STAGE_SECONDS,
                 "Reader pipeline stage latency in seconds",
                 &stage_buckets(),
-                &[("stage", name)],
-            )
+                &[("stage", stage.name())],
+            );
+            (stage, histogram)
         };
         let decoded = |path: &str| {
             registry.counter_with_labels(
@@ -158,13 +168,22 @@ impl ReaderMetrics {
             verify_member: verify("member_verified"),
             verify_index_verified: verify("index_verified"),
             verify_index_unverified: verify("index_unverified"),
-            stage_decode_two_stage: stage("decode_two_stage"),
-            stage_decode_one_stage: stage("decode_one_stage"),
-            stage_marker_replace: stage("marker_replace"),
-            stage_crc_fold: stage("crc_fold"),
-            stage_prefetch_decode: stage("prefetch_decode"),
-            stage_random_access: stage("random_access"),
+            stages: TIMED_STAGES.map(stage),
         }
+    }
+
+    /// The sink every stage of the reader records into.
+    pub fn trace(&self) -> &Arc<TraceSink> {
+        &self.trace
+    }
+
+    /// Starts the clock of one of the [`TIMED_STAGES`], at work on the chunk
+    /// at `key`: its span and its `rgz_stage_seconds` observation end with
+    /// what is returned.
+    pub fn stage(&self, stage: Stage, key: u64) -> StageTimer<'_> {
+        let timed = self.stages.iter().find(|(timed, _)| *timed == stage);
+        let (_, histogram) = timed.expect("a stage rgz_stage_seconds has a series of");
+        StageTimer::start(self.trace.span(stage).chunk(key), histogram)
     }
 
     /// Everything the reader has counted so far, read back from the registry.
@@ -292,8 +311,7 @@ impl ReaderStatistics {
     /// Every field is read back from the series the reader's events add to;
     /// [`ParallelGzipReader::statistics`](crate::ParallelGzipReader::statistics)
     /// is this function over the reader's registry.  The `pool_*` fields are
-    /// whatever the registry holds of the pool — nothing, unless the registry
-    /// was attached to the reader — and lag while tasks are in flight.
+    /// the pool's gauges and counter as they stand: tasks may be in flight.
     pub fn from_metrics_snapshot(snapshot: &MetricsSnapshot) -> Self {
         let counter =
             |name: &str, labels: &[(&str, &str)]| snapshot.counter(name, labels).unwrap_or(0);

@@ -378,11 +378,8 @@ impl Shared {
     /// the window unknown until the pass arrives to hand it over, and commits
     /// it if the pass has arrived.
     fn decode_guessed(self: &Arc<Self>, guess: usize) -> Vec<Replacement> {
-        let decoded = {
-            let _stage_timer = self.metrics.stage_decode_two_stage.start_timer();
-            let window = |found_bit, decoded| self.window_for(guess, found_bit, decoded);
-            self.decoder.decode_speculative(guess, window)
-        };
+        let window = |found_bit, decoded| self.window_for(guess, found_bit, decoded);
+        let decoded = self.decoder.decode_speculative(guess, window);
         let key = self.range_bit(guess);
         let mut state = self.lock();
         let frontier = self.guess_of(state.pass.next_start_bit);
@@ -429,12 +426,8 @@ impl Shared {
             seq,
             first_member,
         } = known;
-        let _stage_timer = self.metrics.stage_decode_one_stage.start_timer();
-        let mut span = self
-            .trace()
-            .span(Stage::DecodeOneStage)
-            .chunk(start_bit)
-            .member(first_member);
+        let mut span = self.metrics.stage(Stage::DecodeOneStage, start_bit);
+        span.set_member(first_member);
         let mut result = match self.decoder.decode_at(&DirectChunk {
             start_bit_offset: start_bit,
             stop_bit_offset: self.range_bit(guess + 1),
@@ -457,7 +450,7 @@ impl Shared {
         } else {
             Outcome::Committed
         });
-        span.finish();
+        drop(span);
         let members_ended = result
             .fragments
             .iter()
@@ -663,8 +656,7 @@ impl Shared {
             first_member,
             fragments.iter().map(|f| (f.crc32, f.length)),
         );
-        let _fold = self.trace().span(Stage::CrcFold).chunk(start_bit);
-        let _crc_timer = self.metrics.stage_crc_fold.start_timer();
+        let _fold = self.metrics.stage(Stage::CrcFold, start_bit);
         self.verifier.lock().submit(seq, fragments);
         Some(checksums)
     }
@@ -701,12 +693,8 @@ impl Shared {
             shared: self,
             key: start_bit,
         };
-        let _stage_timer = self.metrics.stage_marker_replace.start_timer();
-        let mut span = self
-            .trace()
-            .span(Stage::MarkerReplace)
-            .chunk(start_bit)
-            .member(first_member);
+        let mut span = self.metrics.stage(Stage::MarkerReplace, start_bit);
+        span.set_member(first_member);
         span.set_bytes(chunk.output.len() as u64);
         let (data, checksums) = match chunk.resolve(&window, self.verify()) {
             Ok((data, fragments)) => (
@@ -720,7 +708,7 @@ impl Shared {
             }
         };
         span.set_outcome(Outcome::Committed);
-        span.finish();
+        drop(span);
         let mut state = self.lock();
         if let Some(checksums) = checksums {
             state.index.checksum_map.insert(start_bit, checksums);

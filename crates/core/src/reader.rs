@@ -39,10 +39,10 @@ pub struct ParallelGzipReaderOptions {
     /// default) uses the process-wide disabled sink, whose per-record cost is
     /// a single atomic load.
     pub trace: Option<Arc<TraceSink>>,
-    /// Metrics registry every pipeline layer registers its series on.  `None`
-    /// (the default) has the reader count what [`ReaderStatistics`] reports
-    /// in a registry of its own, and the layers below it — worker pool,
-    /// buffer pool, window store, the compressed input — not at all.
+    /// Metrics registry the reader and every layer below it — worker pool,
+    /// buffer pool, window store, the compressed input — register their
+    /// series on.  `None` (the default) gives the reader one of its own,
+    /// with the same series; see [`ParallelGzipReader::metrics`].
     pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -173,10 +173,10 @@ pub struct ReaderStatistics {
     /// Speculative decodes the pass reached while they were under way and
     /// handed their window, to finish one-stage.
     pub speculative_chunks_handed: u64,
-    /// Tasks currently waiting in the worker pool's queue (sampled live when
-    /// [`ParallelGzipReader::statistics`] is called).
+    /// Tasks currently waiting in the worker pool's queue (the gauge as it
+    /// stands when [`ParallelGzipReader::statistics`] is called).
     pub pool_queue_depth: u64,
-    /// Tasks currently executing on a worker thread (sampled likewise).
+    /// Tasks currently executing on a worker thread (likewise).
     pub pool_tasks_inflight: u64,
     /// Total tasks ever submitted to the worker pool.
     pub pool_tasks_submitted: u64,
@@ -217,8 +217,9 @@ pub(crate) struct Shared {
     /// chunk.
     pub decoder: ChunkDecoder,
     pub spawner: Spawner,
-    /// One method per reader event, every sink behind it: the registry the
-    /// statistics are read back from, the reader's own if none was attached.
+    /// One method per reader event, every sink behind it: the trace, and the
+    /// registry the statistics are read back from — the one attached, or the
+    /// reader's own — which the layers below count into as well.
     pub metrics: Arc<ReaderMetrics>,
     /// Stream-ordered CRC fold; a chunk's fragments go in on the worker that
     /// produced its bytes, before the reader can see them.
@@ -248,7 +249,7 @@ impl Shared {
 
     /// The sink every stage of the reader records into.
     pub(crate) fn trace(&self) -> &Arc<TraceSink> {
-        &self.decoder.trace
+        self.metrics.trace()
     }
 
     /// Waits for [`Self::progress`].
@@ -263,9 +264,10 @@ impl Shared {
 ///
 /// See the crate-level documentation for an overview of the architecture.
 pub struct ParallelGzipReader {
-    /// Declared before `shared`: when the reader goes, the workers finish
-    /// what is queued first, and what they leave behind is freed here.
-    pool: Arc<ThreadPool>,
+    /// Held for its drop, and declared before `shared`: when the reader goes,
+    /// the workers finish what is queued first, and what they leave behind is
+    /// freed here.
+    _pool: ThreadPool,
     shared: Arc<Shared>,
     /// Current logical read position in the decompressed stream.
     position: u64,
@@ -287,63 +289,55 @@ impl ParallelGzipReader {
     /// Creates a reader over any [`SharedFileReader`].
     pub fn new(
         reader: SharedFileReader,
-        mut options: ParallelGzipReaderOptions,
+        options: ParallelGzipReaderOptions,
     ) -> Result<Self, CoreError> {
+        let mut index = GzipIndex::new();
+        index.compressed_size = reader.size();
+        // A file of no bytes holds no chunk.
+        let pass = SequentialPass::new(reader.size() == 0);
+        Ok(Self::build(reader, options, index, pass))
+    }
+
+    /// The reader of `reader` that goes on from `pass` with `index`: the one
+    /// place its trace sink and its registry — the ones attached, or else the
+    /// disabled sink and a registry of its own — are handed to the layers
+    /// below, the input, both pools, the window store and the verifier.
+    fn build(
+        reader: SharedFileReader,
+        mut options: ParallelGzipReaderOptions,
+        index: GzipIndex,
+        pass: SequentialPass,
+    ) -> Self {
         let parallelization = options.parallelization.max(1);
         options.chunk_size = options.chunk_size.max(MIN_CHUNK_SIZE);
         let trace = options
             .trace
             .clone()
             .unwrap_or_else(TraceSink::shared_disabled);
-        // The reader's own events are always counted — the statistics are read
-        // back from them — the layers below only into a registry attached.
-        let attached = options.metrics.clone();
-        let own = attached
-            .clone()
-            .unwrap_or_else(|| Arc::new(MetricsRegistry::new_enabled()));
-        let layers = attached.unwrap_or_else(MetricsRegistry::shared_disabled);
-        let metrics = Arc::new(ReaderMetrics::register(&own, trace.clone()));
-        // Instrument the compressed input (read syscalls, bytes, latency)
-        // only when a registry is attached; the wrapper adds one virtual
-        // call per read otherwise.
-        let reader = if options.metrics.is_some() {
-            reader.instrumented(Arc::clone(&layers))
-        } else {
-            reader
-        };
-        let pool = Arc::new(ThreadPool::new_observed(
-            parallelization,
-            trace.clone(),
-            Arc::clone(&layers),
-        ));
-        // Up to 2P + 1 chunks are on their way from decode to hand-over, and
-        // when the consumer falls behind and catches up again, the number
-        // breathes by P + 1: that many buffers of a kind may lie idle, so
-        // that the pass neither frees nor creates one once it has them all.
-        let buffers = BufferPool::new(parallelization + 1, &layers);
-        let mut index = GzipIndex::new();
-        index.compressed_size = reader.size();
+        let registry = options.metrics.clone().unwrap_or_default();
+        let metrics = Arc::new(ReaderMetrics::register(&registry, trace.clone()));
+        let pool = ThreadPool::new_observed(parallelization, trace, Arc::clone(&registry));
         // Seek-point windows compress on the shared pool as they are stored.
-        index.window_map.set_pool(pool.clone());
-        index.window_map.set_trace(trace.clone());
-        if options.metrics.is_some() {
-            index.window_map.set_metrics(&layers);
-        }
-        let mut verifier = StreamVerifier::new(options.verification);
-        verifier.set_member_verified_counter(metrics.verify_member.clone());
-        // A file of no bytes holds no chunk.
-        let pass = SequentialPass::new(reader.size() == 0);
-        Ok(Self {
+        index.window_map.attach(&pool);
+        Self {
             shared: Arc::new(Shared {
                 decoder: ChunkDecoder {
-                    reader,
+                    reader: reader.instrumented(&registry),
                     chunk_size: options.chunk_size,
-                    buffers,
-                    trace,
+                    // Up to 2P + 1 chunks are on their way from decode to
+                    // hand-over, and when the consumer falls behind and
+                    // catches up again, the number breathes by P + 1: that
+                    // many buffers of a kind may lie idle, so that the pass
+                    // neither frees nor creates one once it has them all.
+                    buffers: BufferPool::new(parallelization + 1, &registry),
+                    metrics: Arc::clone(&metrics),
                 },
                 spawner: pool.spawner(),
+                verifier: parking_lot::Mutex::new(StreamVerifier::new(
+                    options.verification,
+                    metrics.verify_member.clone(),
+                )),
                 metrics,
-                verifier: parking_lot::Mutex::new(verifier),
                 state: Mutex::new(ReaderState {
                     index,
                     pass,
@@ -357,10 +351,10 @@ impl ParallelGzipReader {
                 progress: Condvar::new(),
                 options,
             }),
-            pool,
+            _pool: pool,
             position: 0,
             slice: None,
-        })
+        }
     }
 
     /// Creates a reader over an in-memory compressed buffer.
@@ -385,36 +379,22 @@ impl ParallelGzipReader {
     pub fn with_index(
         reader: SharedFileReader,
         options: ParallelGzipReaderOptions,
-        index: GzipIndex,
+        mut index: GzipIndex,
     ) -> Result<Self, CoreError> {
-        let this = Self::new(reader, options)?;
+        if index.uncompressed_size == 0 {
+            index.uncompressed_size = index.effective_uncompressed_size();
+        }
+        // Some foreign formats (gztool) record no compressed size, so an
+        // imported index may carry 0; re-exports must still write the real
+        // file size.
+        if index.compressed_size == 0 {
+            index.compressed_size = reader.size();
+        }
+        let mut pass = SequentialPass::new(true);
+        pass.next_uncompressed_offset = index.uncompressed_size;
+        let this = Self::build(reader, options, index, pass);
         // Nothing is decoded speculatively through an index.
         this.buffers().retire_symbols();
-        {
-            let mut state = this.shared.lock();
-            let uncompressed_size = index.uncompressed_size;
-            state.pass.finished = true;
-            state.pass.next_uncompressed_offset = uncompressed_size;
-            state.index = index;
-            state.index.window_map.set_pool(this.pool.clone());
-            state
-                .index
-                .window_map
-                .set_trace(this.shared.trace().clone());
-            if let Some(registry) = &this.shared.options.metrics {
-                state.index.window_map.set_metrics(registry);
-            }
-            if state.index.uncompressed_size == 0 {
-                state.index.uncompressed_size = state.index.effective_uncompressed_size();
-                state.pass.next_uncompressed_offset = state.index.uncompressed_size;
-            }
-            // Some foreign formats (gztool) record no compressed size, so
-            // an imported index may carry 0; re-exports must still write
-            // the real file size.
-            if state.index.compressed_size == 0 {
-                state.index.compressed_size = this.reader().size();
-            }
-        }
         Ok(this)
     }
 
@@ -437,20 +417,13 @@ impl ParallelGzipReader {
         self.shared.trace()
     }
 
-    /// Behaviour counters, read back from [`Self::metrics`].  The `pool_*`
-    /// fields are sampled live from the worker pool at call time.
+    /// Behaviour counters, read back from [`Self::metrics`].
     pub fn statistics(&self) -> ReaderStatistics {
-        let mut statistics = self.shared.metrics.statistics();
-        let pool = self.pool.statistics();
-        statistics.pool_queue_depth = pool.queue_depth;
-        statistics.pool_tasks_inflight = pool.tasks_inflight;
-        statistics.pool_tasks_submitted = pool.tasks_submitted;
-        statistics
+        self.shared.metrics.statistics()
     }
 
-    /// The metrics registry this reader records into: the one attached via
-    /// the options, or else the reader's own, which holds the series behind
-    /// [`Self::statistics`] and nothing of the layers below.
+    /// The metrics registry this reader and the layers below it record into:
+    /// the one attached via the options, or else the reader's own.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.shared.metrics.registry
     }
@@ -617,7 +590,6 @@ impl ParallelGzipReader {
                 let windows = state.index.window_map.clone();
                 drop(state);
                 shared.metrics.prefetch_miss(key);
-                let _stage_timer = shared.metrics.stage_random_access.start_timer();
                 let window = || windows.try_get(key);
                 let data = shared.decode_indexed(Stage::RandomAccess, &chunk, window)?;
                 state = shared.lock();
@@ -684,7 +656,6 @@ impl ParallelGzipReader {
             if let Some((slice, window)) = shared.plan_slice(&mut state, index, reach) {
                 let windows = state.index.window_map.clone();
                 drop(state);
-                let _stage_timer = shared.metrics.stage_random_access.start_timer();
                 let window = || window.map_or_else(|| windows.try_get(key), |raw| Ok(Some(raw)));
                 let data = shared.decode_indexed(Stage::RandomAccess, &slice, window)?;
                 let checked = slice.checksums.is_some();
@@ -769,6 +740,7 @@ mod tests {
     use super::*;
     use rgz_datagen::{base64_random, fastq_records, silesia_like};
     use rgz_gzip::{decompress, CompressorFrontend, FrontendKind, GzipWriter};
+    use rgz_metrics::names;
 
     fn options(parallelization: usize, chunk_size: usize) -> ParallelGzipReaderOptions {
         ParallelGzipReaderOptions {
@@ -965,7 +937,13 @@ mod tests {
                 );
             }
         }
-        assert!(third.window_statistics().hot_cache.hits > 0);
+        // A reader without an attached registry counts them in its own.
+        let hit = [("event", "hit")];
+        let hits = third
+            .metrics()
+            .snapshot()
+            .counter(names::WINDOW_CACHE, &hit);
+        assert!(hits.unwrap() > 0);
     }
 
     #[test]

@@ -105,18 +105,16 @@ pub(crate) struct StreamVerifier {
     member_length: u64,
     member_index: u64,
     stream_crc: u32,
-    members_verified: u64,
+    /// The reader's `rgz_verification_total{outcome="member_verified"}`.
+    members_verified: Counter,
     bytes_verified: u64,
     fragments_folded: u64,
     failure: Option<VerificationFailure>,
-    /// Registry twin of `members_verified`
-    /// (`rgz_verification_total{outcome="member_verified"}`); disconnected
-    /// until a reader hands its own in.
-    members_verified_counter: Counter,
 }
 
 impl StreamVerifier {
-    pub(crate) fn new(mode: VerificationMode) -> Self {
+    /// A verifier that counts the members it verifies in `members_verified`.
+    pub(crate) fn new(mode: VerificationMode, members_verified: Counter) -> Self {
         Self {
             mode,
             slots: BTreeMap::new(),
@@ -125,17 +123,11 @@ impl StreamVerifier {
             member_length: 0,
             member_index: 0,
             stream_crc: 0,
-            members_verified: 0,
+            members_verified,
             bytes_verified: 0,
             fragments_folded: 0,
             failure: None,
-            members_verified_counter: Counter::disconnected(),
         }
-    }
-
-    /// Mirrors every member-verification success into a registry counter.
-    pub(crate) fn set_member_verified_counter(&mut self, counter: Counter) {
-        self.members_verified_counter = counter;
     }
 
     /// Accepts the fragments of the chunk committed as sequence number
@@ -178,8 +170,7 @@ impl StreamVerifier {
                         actual: self.member_length,
                     });
                 } else {
-                    self.members_verified += 1;
-                    self.members_verified_counter.inc();
+                    self.members_verified.inc();
                 }
             }
             self.member_index += 1;
@@ -216,7 +207,7 @@ impl StreamVerifier {
     pub(crate) fn statistics(&self) -> VerificationStatistics {
         VerificationStatistics {
             mode: self.mode,
-            members_verified: self.members_verified,
+            members_verified: self.members_verified.value(),
             bytes_verified: self.bytes_verified,
             fragments_folded: self.fragments_folded,
             chunks_pending: self.slots.len(),
@@ -276,6 +267,11 @@ mod tests {
     use super::*;
     use rgz_checksum::crc32;
 
+    fn new_verifier(mode: VerificationMode) -> StreamVerifier {
+        let registry = rgz_metrics::MetricsRegistry::new();
+        StreamVerifier::new(mode, registry.counter("members_verified_total", "test"))
+    }
+
     fn fragment(data: &[u8], trailer: Option<GzipFooter>) -> ChunkFragment {
         ChunkFragment {
             crc32: crc32(data),
@@ -295,7 +291,7 @@ mod tests {
             uncompressed_size: whole.len() as u32,
         };
 
-        let mut verifier = StreamVerifier::new(VerificationMode::Full);
+        let mut verifier = new_verifier(VerificationMode::Full);
         // Chunk 1 arrives before chunk 0: folding must wait.
         verifier.submit(1, vec![fragment(&part_b, Some(footer))]);
         assert_eq!(verifier.statistics().members_verified, 0);
@@ -311,7 +307,7 @@ mod tests {
 
     #[test]
     fn wrong_trailer_crc_is_reported_with_the_member_index() {
-        let mut verifier = StreamVerifier::new(VerificationMode::Full);
+        let mut verifier = new_verifier(VerificationMode::Full);
         let good = GzipFooter {
             crc32: crc32(b"ok"),
             uncompressed_size: 2,
@@ -338,7 +334,7 @@ mod tests {
 
     #[test]
     fn wrong_isize_is_reported_even_when_the_crc_matches() {
-        let mut verifier = StreamVerifier::new(VerificationMode::Full);
+        let mut verifier = new_verifier(VerificationMode::Full);
         let footer = GzipFooter {
             crc32: crc32(b"payload"),
             uncompressed_size: 999,
@@ -356,7 +352,7 @@ mod tests {
 
     #[test]
     fn off_mode_accepts_anything() {
-        let mut verifier = StreamVerifier::new(VerificationMode::Off);
+        let mut verifier = new_verifier(VerificationMode::Off);
         let bad = GzipFooter {
             crc32: 1,
             uncompressed_size: 2,
@@ -427,7 +423,7 @@ mod tests {
 
     #[test]
     fn empty_member_verifies() {
-        let mut verifier = StreamVerifier::new(VerificationMode::Full);
+        let mut verifier = new_verifier(VerificationMode::Full);
         let footer = GzipFooter {
             crc32: 0,
             uncompressed_size: 0,

@@ -94,7 +94,7 @@ fn a_sequential_pass_takes_fresh_buffers_only_while_it_warms_up() {
             let chunks = compressed.len().div_ceil(CHUNK_SIZE);
             assert!(chunks >= 4 * in_flight, "{chunks} chunks");
 
-            let registry = Arc::new(MetricsRegistry::new_enabled());
+            let registry = Arc::new(MetricsRegistry::new());
             let mut reader = reader(&compressed, parallelization, &registry);
             let mut watch = Watch {
                 registry: &registry,
@@ -196,7 +196,7 @@ fn a_reader_dropped_mid_read_frees_every_buffer() {
     let data = silesia_like(4 * 1024 * 1024, 33);
     let compressed = compress(&data);
     for parallelization in [1usize, 3] {
-        let registry = Arc::new(MetricsRegistry::new_enabled());
+        let registry = Arc::new(MetricsRegistry::new());
         let mut reader = reader(&compressed, parallelization, &registry);
         // Far enough for speculative decodes and marker replacements to be
         // queued and running, then gone: the drop joins the workers, whose
@@ -228,7 +228,7 @@ fn chunks_a_reader_skips_do_not_stay() {
     for parallelization in [1usize, 2] {
         for build_index in [false, true] {
             let run = format!("P = {parallelization}, index build: {build_index}");
-            let registry = Arc::new(MetricsRegistry::new_enabled());
+            let registry = Arc::new(MetricsRegistry::new());
             let mut reader = reader(&compressed, parallelization, &registry);
             if build_index {
                 assert_eq!(
@@ -341,7 +341,7 @@ fn interior_points_stay_within_their_budget_and_the_oldest_chunks_go_first() {
     let points = index.block_map.points();
     let budget = 2 * 64 * 1024;
     for parallelization in [1usize, 2] {
-        let registry = Arc::new(MetricsRegistry::new_enabled());
+        let registry = Arc::new(MetricsRegistry::new());
         let mut reader = indexed_reader(&compressed, &index, parallelization, 2, &registry);
         let mut watch = WatchWindows(&registry, 0);
         assert_eq!(reader.decompress_to(&mut watch).unwrap(), data.len() as u64);
@@ -381,7 +381,7 @@ fn slices_teach_the_buffer_pool_nothing() {
     // its own by doubling.
     let (data, compressed, index) = long_chunks(8);
     let points = index.block_map.points();
-    let registry = Arc::new(MetricsRegistry::new_enabled());
+    let registry = Arc::new(MetricsRegistry::new());
     // Room for the points of eight chunks, of which the last four read are
     // in the access cache.
     let mut reader = indexed_reader(&compressed, &index, 2, 4, &registry);

@@ -42,7 +42,7 @@ fn a_reader_dropped_anywhere_in_the_pass_leaves_nothing_behind() {
     let mut shuffle = Shuffle(0x9E37_79B9_7F4A_7C15);
     for parallelization in [1usize, 2, 8] {
         for round in 0..200 {
-            let registry = Arc::new(MetricsRegistry::new_enabled());
+            let registry = Arc::new(MetricsRegistry::new());
             let options = ParallelGzipReaderOptions {
                 parallelization,
                 chunk_size,
@@ -111,7 +111,7 @@ fn an_indexed_reader_dropped_mid_tour_leaves_nothing_behind() {
     for parallelization in [1usize, 2, 8] {
         let mut left_behind = 0;
         for round in 0..100 {
-            let registry = Arc::new(MetricsRegistry::new_enabled());
+            let registry = Arc::new(MetricsRegistry::new());
             let options = ParallelGzipReaderOptions {
                 parallelization,
                 ..options.clone()

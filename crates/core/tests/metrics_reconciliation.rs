@@ -14,7 +14,7 @@ use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions, ReaderStatistics};
 use rgz_datagen::base64_random;
 use rgz_gzip::GzipWriter;
 use rgz_io::{FileReader, SharedFileReader};
-use rgz_metrics::{names, MetricsRegistry};
+use rgz_metrics::{names, MetricsRegistry, MetricsSnapshot, SeriesValue};
 use rgz_trace::{MetricsReport, TraceSink};
 
 fn compressed_corpus() -> (Vec<u8>, Vec<u8>) {
@@ -84,7 +84,7 @@ fn quiesce(reader: &ParallelGzipReader) {
 fn sequential_statistics_match_registry_snapshot() {
     let (data, compressed) = compressed_corpus();
     assert!(compressed.len() > (LATER_READS + 1) * 32 * 1024);
-    let registry = Arc::new(MetricsRegistry::new_enabled());
+    let registry = Arc::new(MetricsRegistry::new());
     // Some chunks are to be decoded speculatively, for the counters of that.
     let held_back = SharedFileReader::new(FirstChunkHeldBack {
         data: compressed,
@@ -161,7 +161,7 @@ fn random_access_statistics_match_registry_snapshot() {
     std::io::copy(&mut first, &mut std::io::sink()).unwrap();
     let index = first.index();
 
-    let registry = Arc::new(MetricsRegistry::new_enabled());
+    let registry = Arc::new(MetricsRegistry::new());
     let mut reader = ParallelGzipReader::with_index(
         rgz_io::SharedFileReader::from_bytes(compressed),
         options(&registry),
@@ -192,7 +192,7 @@ fn random_access_statistics_match_registry_snapshot() {
 #[test]
 fn trace_report_counters_match_registry_snapshot() {
     let (_, compressed) = compressed_corpus();
-    let registry = Arc::new(MetricsRegistry::new_enabled());
+    let registry = Arc::new(MetricsRegistry::new());
     let trace = Arc::new(TraceSink::new_enabled());
     let mut reader = ParallelGzipReader::from_bytes(
         compressed,
@@ -240,6 +240,24 @@ fn trace_report_counters_match_registry_snapshot() {
     assert_eq!(report.prefetch.hits, counter(names::PREFETCH_HITS, &[]));
 }
 
+/// Every series of `snapshot` with its counter's or gauge's value or its
+/// histogram's count.
+fn series(snapshot: &MetricsSnapshot) -> Vec<(&str, &[String], i128)> {
+    let families = snapshot.families.iter();
+    families
+        .flat_map(|family| {
+            family.series.iter().map(|series| {
+                let value = match &series.value {
+                    SeriesValue::Counter(value) => i128::from(*value),
+                    SeriesValue::Gauge(value) => i128::from(*value),
+                    SeriesValue::Histogram(histogram) => i128::from(histogram.count),
+                };
+                (family.name.as_str(), &series.label_values[..], value)
+            })
+        })
+        .collect()
+}
+
 #[test]
 fn a_reader_without_a_registry_counts_what_one_with_a_registry_counts() {
     // Enough chunks for the second read to find the first ones gone from the
@@ -247,9 +265,9 @@ fn a_reader_without_a_registry_counts_what_one_with_a_registry_counts() {
     let data = rgz_datagen::fastq_records(20_000, 3);
     let compressed = GzipWriter::default().compress(&data);
     let plain = ParallelGzipReaderOptions::with_parallelization(1).with_chunk_size(32 * 1024);
-    let registry = Arc::new(MetricsRegistry::new_enabled());
+    let registry = Arc::new(MetricsRegistry::new());
     let attached = plain.clone().with_metrics(Arc::clone(&registry));
-    let [own, shared] = [plain, attached].map(|options| {
+    let [own, shared] = [plain.clone(), attached.clone()].map(|options| {
         let mut reader = ParallelGzipReader::from_bytes(compressed.clone(), options).unwrap();
         let mut restored = Vec::new();
         reader.read_to_end(&mut restored).unwrap();
@@ -261,14 +279,7 @@ fn a_reader_without_a_registry_counts_what_one_with_a_registry_counts() {
         quiesce(&reader);
         reader
     });
-    // What only an attached registry hears of aside: the pool.
-    let without_pool = |statistics: ReaderStatistics| ReaderStatistics {
-        pool_queue_depth: 0,
-        pool_tasks_inflight: 0,
-        pool_tasks_submitted: 0,
-        ..statistics
-    };
-    let statistics = without_pool(own.statistics());
+    let statistics = own.statistics();
     assert!(statistics.window_known_chunks > 0, "{statistics:?}");
     assert!(statistics.index_prefetch_hits > 0, "{statistics:?}");
     assert!(statistics.index_chunks_verified > 0, "{statistics:?}");
@@ -290,20 +301,65 @@ fn a_reader_without_a_registry_counts_what_one_with_a_registry_counts() {
         format!("{:?}", own.verification_statistics()),
         format!("{:?}", shared.verification_statistics())
     );
-    // The reader's own registry is where its statistics come from, and holds
-    // nothing of the layers below it.
-    assert!(!Arc::ptr_eq(own.metrics(), shared.metrics()));
-    let snapshot = own.metrics().snapshot();
-    assert_eq!(
-        ReaderStatistics::from_metrics_snapshot(&snapshot),
-        statistics
-    );
-    assert_eq!(
-        snapshot.counter_total(names::BYTES_OUT),
-        2 * data.len() as u64
-    );
-    assert_eq!(snapshot.counter_total(names::POOL_TASKS_TOTAL), 0);
-    assert_eq!(snapshot.counter_total(names::READ_BYTES), 0);
+    // The reader's own registry is a registry like the one attached: where
+    // its statistics come from, no field set aside, and where the layers
+    // below it count — under the same series.
+    assert!(Arc::ptr_eq(shared.metrics(), &registry));
+    assert!(!Arc::ptr_eq(own.metrics(), &registry));
+    let [own_snapshot, shared_snapshot] = [&own, &shared].map(|reader| {
+        let snapshot = reader.metrics().snapshot();
+        assert_eq!(
+            ReaderStatistics::from_metrics_snapshot(&snapshot),
+            reader.statistics()
+        );
+        snapshot
+    });
+    let named = |snapshot| -> Vec<_> {
+        let series = series(snapshot).into_iter();
+        series.map(|(name, labels, _)| (name, labels)).collect()
+    };
+    assert_eq!(named(&own_snapshot), named(&shared_snapshot));
+    for snapshot in [&own_snapshot, &shared_snapshot] {
+        let total = |name| snapshot.counter_total(name);
+        assert_eq!(total(names::BYTES_OUT), 2 * data.len() as u64);
+        assert!(total(names::POOL_TASKS_TOTAL) >= chunks);
+        assert!(total(names::READ_BYTES) >= 2 * compressed.len() as u64);
+        assert_eq!(
+            snapshot.gauge(names::WINDOW_STORE_WINDOWS, &[]),
+            Some(chunks as i64)
+        );
+    }
+
+    // Through an index there is no such race — which chunks one worker is
+    // asked to prefetch, and which of them a read finds, is the strategy's
+    // doing alone — and the two count the same to the last series: pool
+    // tasks, reads of the input and window-store gauges included.
+    let index = own.index().export();
+    let attached = plain.clone().with_metrics(Arc::default());
+    let [own, shared] = [plain, attached].map(|options| {
+        let file = SharedFileReader::from_bytes(compressed.clone());
+        let index = rgz_index::GzipIndex::import(&index).unwrap();
+        let mut reader = ParallelGzipReader::with_index(file, options, index).unwrap();
+        let mut buffer = vec![0u8; 40_000];
+        for offset in [0u64, 40_000, 80_000, 900_000, 300_000, 340_000, 0] {
+            reader.seek(SeekFrom::Start(offset)).unwrap();
+            reader.read_exact(&mut buffer).unwrap();
+            assert!(buffer[..] == data[offset as usize..][..buffer.len()]);
+        }
+        quiesce(&reader);
+        reader
+    });
+    assert_eq!(own.statistics(), shared.statistics());
+    assert!(own.statistics().pool_tasks_submitted > 0);
+    // The buffer pool's aside, which tell a recycled buffer from a fresh one
+    // by who gave which back first.
+    let [own, shared] = [&own, &shared].map(|reader| reader.metrics().snapshot());
+    let unscheduled = |snapshot| -> Vec<_> {
+        let all = series(snapshot).into_iter();
+        all.filter(|(name, _, _)| !name.starts_with("rgz_buffer_pool"))
+            .collect()
+    };
+    assert_eq!(unscheduled(&own), unscheduled(&shared));
 }
 
 #[test]
@@ -332,7 +388,7 @@ fn a_jump_heavy_readers_slices_are_counted_once_on_every_surface() {
     // Few enough for the interior points of all to be held at once.
     assert!((6..=8).contains(&starts.len()), "{} chunks", starts.len());
 
-    let registry = Arc::new(MetricsRegistry::new_enabled());
+    let registry = Arc::new(MetricsRegistry::new());
     let trace = Arc::new(TraceSink::new_enabled());
     let options = plain
         .with_metrics(Arc::clone(&registry))

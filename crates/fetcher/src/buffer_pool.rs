@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn a_returned_buffer_is_the_next_one_taken_contents_and_all() {
-        let registry = MetricsRegistry::new_enabled();
+        let registry = MetricsRegistry::new();
         let pool = BufferPool::new(2, &registry);
         let mut first = pool.bytes();
         assert_eq!(first.capacity(), 0, "nothing to size a first buffer by");
@@ -336,7 +336,7 @@ mod tests {
 
     #[test]
     fn idle_buffers_are_bounded_in_number_and_size() {
-        let registry = MetricsRegistry::new_enabled();
+        let registry = MetricsRegistry::new();
         let pool = BufferPool::new(2, &registry);
         let mut loans: Vec<Pooled<u16>> = (0..5).map(|_| pool.symbols()).collect();
         for (loan, length) in loans.iter_mut().zip([800usize, 100, 100, 100, 100]) {
@@ -369,7 +369,7 @@ mod tests {
 
     #[test]
     fn a_buffer_too_small_for_the_recent_chunks_is_replaced_when_taken() {
-        let registry = MetricsRegistry::new_enabled();
+        let registry = MetricsRegistry::new();
         let pool = BufferPool::new(2, &registry);
         let (mut small, mut large) = (pool.bytes(), pool.bytes());
         small.resize(100, 1);
@@ -392,7 +392,7 @@ mod tests {
 
     #[test]
     fn detached_buffers_return_only_when_adopted() {
-        let registry = MetricsRegistry::new_enabled();
+        let registry = MetricsRegistry::new();
         let pool = BufferPool::new(1, &registry);
         let mut loan = pool.symbols();
         loan.resize(64, 9);
@@ -416,7 +416,7 @@ mod tests {
 
     #[test]
     fn buffers_outlive_the_pool_handle_and_come_home_from_any_thread() {
-        let registry = MetricsRegistry::new_enabled();
+        let registry = MetricsRegistry::new();
         let pool = BufferPool::new(2, &registry);
         let (mut first, mut second) = (pool.range(), pool.range());
         first.resize(4096, 0);

@@ -5,17 +5,6 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
-/// Hit/miss counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStatistics {
-    /// Number of `get` calls that found the key.
-    pub hits: u64,
-    /// Number of `get` calls that missed.
-    pub misses: u64,
-    /// Number of evictions performed.
-    pub evictions: u64,
-}
-
 /// A bounded cache holding `Arc<V>` values; when full, the entry looked up
 /// or inserted longest ago makes room.
 ///
@@ -28,7 +17,6 @@ pub struct Cache<K, V> {
     entries: HashMap<K, Arc<V>>,
     /// Keys ordered from least to most recently used.
     order: Vec<K>,
-    statistics: CacheStatistics,
 }
 
 impl<K: std::fmt::Debug, V> std::fmt::Debug for Cache<K, V> {
@@ -36,7 +24,6 @@ impl<K: std::fmt::Debug, V> std::fmt::Debug for Cache<K, V> {
         f.debug_struct("Cache")
             .field("capacity", &self.capacity)
             .field("len", &self.entries.len())
-            .field("statistics", &self.statistics)
             .finish()
     }
 }
@@ -51,7 +38,6 @@ where
             capacity: capacity.max(1),
             entries: HashMap::new(),
             order: Vec::new(),
-            statistics: CacheStatistics::default(),
         }
     }
 
@@ -65,11 +51,6 @@ where
         self.entries.is_empty()
     }
 
-    /// Hit/miss statistics.
-    pub fn statistics(&self) -> CacheStatistics {
-        self.statistics
-    }
-
     /// Takes `key` out of the recency order, if it is in it.
     fn forget(&mut self, key: &K) {
         if let Some(position) = self.order.iter().position(|k| k == key) {
@@ -79,43 +60,31 @@ where
 
     /// Looks up a key, marking it as recently used.
     pub fn get(&mut self, key: &K) -> Option<Arc<V>> {
-        match self.entries.get(key) {
-            Some(value) => {
-                self.statistics.hits += 1;
-                let value = value.clone();
-                self.forget(key);
-                self.order.push(key.clone());
-                Some(value)
-            }
-            None => {
-                self.statistics.misses += 1;
-                None
-            }
-        }
+        let value = self.entries.get(key)?.clone();
+        self.forget(key);
+        self.order.push(key.clone());
+        Some(value)
     }
 
-    /// Looks up a key without affecting eviction order or statistics.
+    /// Looks up a key without affecting eviction order.
     pub fn peek(&self, key: &K) -> Option<Arc<V>> {
         self.entries.get(key).cloned()
     }
 
-    /// Whether a key is present (does not affect statistics).
+    /// Whether a key is present (does not affect eviction order).
     pub fn contains(&self, key: &K) -> bool {
         self.entries.contains_key(key)
     }
 
-    /// Inserts a value as the most recently used, evicting as necessary.
-    pub fn insert(&mut self, key: K, value: Arc<V>) {
-        if !self.entries.contains_key(&key) {
-            while self.entries.len() >= self.capacity && !self.order.is_empty() {
-                let evicted = self.order.remove(0);
-                self.entries.remove(&evicted);
-                self.statistics.evictions += 1;
-            }
-        }
+    /// Inserts a value as the most recently used, and returns the one a full
+    /// cache evicted to make room for a new key.
+    pub fn insert(&mut self, key: K, value: Arc<V>) -> Option<Arc<V>> {
+        let full = !self.entries.contains_key(&key) && self.entries.len() >= self.capacity;
+        let evicted = if full { self.remove_oldest() } else { None };
         self.forget(&key);
         self.order.push(key.clone());
         self.entries.insert(key, value);
+        evicted
     }
 
     /// Removes a key.
@@ -127,7 +96,6 @@ where
     /// Evicts the entry looked up or inserted longest ago.
     pub fn remove_oldest(&mut self) -> Option<Arc<V>> {
         let oldest = self.order.first()?.clone();
-        self.statistics.evictions += 1;
         self.remove(&oldest)
     }
 
@@ -145,17 +113,17 @@ mod tests {
     #[test]
     fn basic_insert_get_and_capacity() {
         let mut cache: Cache<u64, String> = Cache::new(2);
-        cache.insert(1, Arc::new("one".into()));
-        cache.insert(2, Arc::new("two".into()));
+        assert!(cache.insert(1, Arc::new("one".into())).is_none());
+        assert!(cache.insert(2, Arc::new("two".into())).is_none());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&1).as_deref().map(String::as_str), Some("one"));
-        cache.insert(3, Arc::new("three".into()));
+        let evicted = cache.insert(3, Arc::new("three".into()));
+        assert_eq!(evicted.as_deref().map(String::as_str), Some("two"));
         assert_eq!(cache.len(), 2);
         // 2 was the least recently used (1 was touched by the get).
         assert!(cache.contains(&1));
         assert!(!cache.contains(&2));
         assert!(cache.contains(&3));
-        assert_eq!(cache.statistics().evictions, 1);
     }
 
     #[test]
@@ -178,25 +146,9 @@ mod tests {
         let mut cache: Cache<u32, u32> = Cache::new(2);
         cache.insert(1, Arc::new(10));
         cache.insert(2, Arc::new(20));
-        cache.insert(1, Arc::new(11));
+        assert!(cache.insert(1, Arc::new(11)).is_none());
         assert_eq!(cache.len(), 2);
         assert_eq!(*cache.get(&1).unwrap(), 11);
-        assert_eq!(cache.statistics().evictions, 0);
-    }
-
-    #[test]
-    fn statistics_count_hits_and_misses() {
-        let mut cache: Cache<u32, u32> = Cache::new(4);
-        cache.insert(1, Arc::new(1));
-        cache.get(&1);
-        cache.get(&2);
-        cache.get(&1);
-        let statistics = cache.statistics();
-        assert_eq!(statistics.hits, 2);
-        assert_eq!(statistics.misses, 1);
-        // peek affects neither.
-        cache.peek(&2);
-        assert_eq!(cache.statistics(), statistics);
     }
 
     #[test]
@@ -218,7 +170,7 @@ mod tests {
 
     #[test]
     fn evicted_values_give_themselves_back_once_unheld() {
-        let registry = rgz_metrics::MetricsRegistry::new_enabled();
+        let registry = rgz_metrics::MetricsRegistry::new();
         let pool = crate::BufferPool::new(2, &registry);
         let idle_bytes = || {
             let snapshot = registry.snapshot();

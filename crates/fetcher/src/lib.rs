@@ -11,11 +11,15 @@
 //!   the allocator, and through it the kernel, for each chunk.
 //! * [`Cache`] — a bounded least-recently-used cache: the reader's access
 //!   cache of chunks it has handed out, the window store's hot windows.
+//! * [`StageTimer`] — what the tasks are timed by: one clock per stage for
+//!   its trace span and its latency histogram.
 
 pub mod buffer_pool;
 pub mod cache;
+pub mod stage_timer;
 pub mod thread_pool;
 
 pub use buffer_pool::{BufferPool, Pooled};
-pub use cache::{Cache, CacheStatistics};
-pub use thread_pool::{PoolStatistics, Spawner, TaskHandle, ThreadPool};
+pub use cache::Cache;
+pub use stage_timer::StageTimer;
+pub use thread_pool::{Spawner, TaskHandle, ThreadPool};

@@ -12,13 +12,12 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver};
-use rgz_metrics::{exponential_buckets, Counter, Gauge, Histogram, MetricsRegistry};
+use rgz_metrics::{exponential_buckets, names, Counter, Gauge, Histogram, MetricsRegistry};
 use rgz_trace::{EventMeta, Outcome, Stage, TraceSink};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -96,26 +95,11 @@ impl Queue {
     }
 }
 
-/// Point-in-time pool occupancy, readable whether or not a metrics registry
-/// is attached (the counters below are always maintained; the registry
-/// gauges mirror them when one is wired in).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStatistics {
-    /// Tasks submitted but not yet picked up by a worker.
-    pub queue_depth: u64,
-    /// Tasks currently executing on a worker.
-    pub tasks_inflight: u64,
-    /// Total tasks ever submitted to this pool.
-    pub tasks_submitted: u64,
-}
-
-/// Always-on occupancy counters plus the optional registry mirrors.
+/// The pool's series on the registry it was built with: the only count kept
+/// of what is queued, in flight and submitted.
 struct PoolObservers {
-    queued: AtomicI64,
-    inflight: AtomicI64,
-    submitted: AtomicU64,
-    queue_depth_gauge: Gauge,
-    inflight_gauge: Gauge,
+    queue_depth: Gauge,
+    inflight: Gauge,
     tasks_total: Counter,
     task_wait_seconds: Histogram,
     metrics: Arc<MetricsRegistry>,
@@ -124,23 +108,20 @@ struct PoolObservers {
 impl PoolObservers {
     fn new(metrics: Arc<MetricsRegistry>) -> Self {
         Self {
-            queued: AtomicI64::new(0),
-            inflight: AtomicI64::new(0),
-            submitted: AtomicU64::new(0),
-            queue_depth_gauge: metrics.gauge(
-                "rgz_pool_queue_depth",
+            queue_depth: metrics.gauge(
+                names::POOL_QUEUE_DEPTH,
                 "Tasks submitted to the worker pool but not yet started.",
             ),
-            inflight_gauge: metrics.gauge(
-                "rgz_pool_tasks_inflight",
+            inflight: metrics.gauge(
+                names::POOL_TASKS_INFLIGHT,
                 "Tasks currently executing on a pool worker.",
             ),
             tasks_total: metrics.counter(
-                "rgz_pool_tasks_total",
+                names::POOL_TASKS_TOTAL,
                 "Total tasks submitted to the worker pool.",
             ),
             task_wait_seconds: metrics.histogram(
-                "rgz_pool_task_wait_seconds",
+                names::POOL_TASK_WAIT_SECONDS,
                 "Time a task spent queued before a worker picked it up.",
                 &exponential_buckets(0.000_05, 4.0, 10),
             ),
@@ -229,25 +210,19 @@ impl Spawner {
         // Capture the submit timestamp so the worker can record how long the
         // task sat in the queue; `None` (sink disabled) skips the span.
         let submitted_us = self.trace.is_enabled().then(|| self.trace.now_us());
-        // Same idea for the metrics histogram: no `Instant::now` unless the
-        // registry is live.
-        let submitted_at = self.observers.metrics.is_enabled().then(Instant::now);
+        let submitted_at = Instant::now();
         let trace = Arc::clone(&self.trace);
         let observers = Arc::clone(&self.observers);
-        observers.queued.fetch_add(1, Ordering::Relaxed);
-        observers.submitted.fetch_add(1, Ordering::Relaxed);
-        observers.queue_depth_gauge.inc();
+        observers.queue_depth.inc();
         observers.tasks_total.inc();
         let job: Job = Box::new(move || {
-            observers.queued.fetch_sub(1, Ordering::Relaxed);
-            observers.inflight.fetch_add(1, Ordering::Relaxed);
-            observers.queue_depth_gauge.dec();
-            observers.inflight_gauge.inc();
-            if let Some(submitted_at) = submitted_at {
-                observers
-                    .task_wait_seconds
-                    .observe(submitted_at.elapsed().as_secs_f64());
-            }
+            // In flight before it is out of the queue: whoever waits for the
+            // pool to go idle never sees a task in neither.
+            observers.inflight.inc();
+            observers.queue_depth.dec();
+            observers
+                .task_wait_seconds
+                .observe(submitted_at.elapsed().as_secs_f64());
             if let Some(submitted_us) = submitted_us {
                 trace.record_span_since(
                     Stage::TaskWait,
@@ -257,8 +232,7 @@ impl Spawner {
                 );
             }
             let outcome = catch_unwind(AssertUnwindSafe(task));
-            observers.inflight.fetch_sub(1, Ordering::Relaxed);
-            observers.inflight_gauge.dec();
+            observers.inflight.dec();
             // The receiver may have been dropped if the caller lost interest;
             // that is fine, the work is simply discarded.
             let _ = result_sender.send(outcome);
@@ -287,18 +261,15 @@ impl std::fmt::Debug for ThreadPool {
 }
 
 impl ThreadPool {
-    /// Spawns `size` worker threads (at least one).
+    /// Spawns `size` worker threads (at least one) that trace nothing and
+    /// count into a registry of the pool's own.
     pub fn new(size: usize) -> Self {
-        Self::new_traced(size, TraceSink::shared_disabled())
+        let metrics = Arc::new(MetricsRegistry::new());
+        Self::new_observed(size, TraceSink::shared_disabled(), metrics)
     }
 
-    /// Spawns `size` worker threads that report queue-wait spans to `trace`.
-    pub fn new_traced(size: usize, trace: Arc<TraceSink>) -> Self {
-        Self::new_observed(size, trace, MetricsRegistry::shared_disabled())
-    }
-
-    /// Spawns `size` worker threads reporting to both `trace` and the live
-    /// metrics registry (queue depth / inflight gauges, task-wait histogram).
+    /// Spawns `size` worker threads reporting queue-wait spans to `trace` and
+    /// queue depth, tasks in flight and task wait to `metrics`.
     pub fn new_observed(size: usize, trace: Arc<TraceSink>, metrics: Arc<MetricsRegistry>) -> Self {
         let size = size.max(1);
         let queue = Arc::new(Queue {
@@ -336,18 +307,7 @@ impl ThreadPool {
         self.workers.len()
     }
 
-    /// Current queue depth / inflight / submitted counts.
-    pub fn statistics(&self) -> PoolStatistics {
-        let observers = &self.spawner.observers;
-        PoolStatistics {
-            queue_depth: observers.queued.load(Ordering::Relaxed).max(0) as u64,
-            tasks_inflight: observers.inflight.load(Ordering::Relaxed).max(0) as u64,
-            tasks_submitted: observers.submitted.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The metrics registry the pool reports to (the shared disabled one
-    /// unless the pool was built with [`ThreadPool::new_observed`]).
+    /// The metrics registry the pool reports to.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.spawner.observers.metrics
     }
@@ -398,6 +358,12 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
+
+    fn queue_depth(pool: &ThreadPool) -> Option<i64> {
+        pool.metrics()
+            .snapshot()
+            .gauge(names::POOL_QUEUE_DEPTH, &[])
+    }
 
     #[test]
     fn runs_tasks_and_returns_results() {
@@ -465,7 +431,7 @@ mod tests {
     #[test]
     fn traced_pool_records_queue_wait_spans() {
         let trace = Arc::new(rgz_trace::TraceSink::new_enabled());
-        let pool = ThreadPool::new_traced(2, Arc::clone(&trace));
+        let pool = ThreadPool::new_observed(2, Arc::clone(&trace), Arc::default());
         let handles: Vec<_> = (0..10).map(|i| pool.submit(move || i)).collect();
         for handle in handles {
             handle.wait();
@@ -499,7 +465,7 @@ mod tests {
 
     #[test]
     fn pool_statistics_track_queue_and_inflight() {
-        let registry = Arc::new(rgz_metrics::MetricsRegistry::new_enabled());
+        let registry = Arc::new(rgz_metrics::MetricsRegistry::new());
         let pool = ThreadPool::new_observed(
             1,
             rgz_trace::TraceSink::shared_disabled(),
@@ -514,28 +480,21 @@ mod tests {
         started_rx.recv().unwrap();
         // One task running, queue another two behind it on the single worker.
         let queued: Vec<_> = (0..2).map(|i| pool.submit(move || i)).collect();
-        let stats = pool.statistics();
-        assert_eq!(stats.tasks_inflight, 1);
-        assert_eq!(stats.queue_depth, 2);
-        assert_eq!(stats.tasks_submitted, 3);
         let snapshot = registry.snapshot();
-        assert_eq!(snapshot.gauge("rgz_pool_tasks_inflight", &[]), Some(1));
-        assert_eq!(snapshot.gauge("rgz_pool_queue_depth", &[]), Some(2));
-        assert_eq!(snapshot.counter("rgz_pool_tasks_total", &[]), Some(3));
+        assert_eq!(snapshot.gauge(names::POOL_TASKS_INFLIGHT, &[]), Some(1));
+        assert_eq!(snapshot.gauge(names::POOL_QUEUE_DEPTH, &[]), Some(2));
+        assert_eq!(snapshot.counter(names::POOL_TASKS_TOTAL, &[]), Some(3));
         block_tx.send(()).unwrap();
         blocker.wait();
         for handle in queued {
             handle.wait();
         }
-        let stats = pool.statistics();
-        assert_eq!(stats.queue_depth, 0);
-        assert_eq!(stats.tasks_inflight, 0);
         let snapshot = registry.snapshot();
-        assert_eq!(snapshot.gauge("rgz_pool_queue_depth", &[]), Some(0));
-        assert_eq!(snapshot.gauge("rgz_pool_tasks_inflight", &[]), Some(0));
+        assert_eq!(snapshot.gauge(names::POOL_QUEUE_DEPTH, &[]), Some(0));
+        assert_eq!(snapshot.gauge(names::POOL_TASKS_INFLIGHT, &[]), Some(0));
         assert_eq!(
             snapshot
-                .histogram("rgz_pool_task_wait_seconds", &[])
+                .histogram(names::POOL_TASK_WAIT_SECONDS, &[])
                 .unwrap()
                 .count,
             3
@@ -566,7 +525,7 @@ mod tests {
             spawner.submit_urgent(record("urgent 2")),
             pool.submit(record("normal 3")),
         ];
-        assert_eq!(pool.statistics().queue_depth, 5);
+        assert_eq!(queue_depth(&pool), Some(5));
         release.send(()).unwrap();
         blocker.wait();
         for handle in handles {
@@ -617,7 +576,7 @@ mod tests {
                 drop(pool.submit_urgent(task));
             }
         }
-        assert_eq!(pool.statistics().queue_depth, 40);
+        assert_eq!(queue_depth(&pool), Some(40));
         let (dropping_tx, dropping) = std::sync::mpsc::channel::<()>();
         let releaser = std::thread::spawn(move || {
             dropping.recv().unwrap();

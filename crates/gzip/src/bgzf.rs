@@ -6,10 +6,14 @@
 //! jump from member to member without decoding, which is the trivially
 //! parallel fast path the paper describes.
 
-use rgz_checksum::Crc32;
+use rgz_checksum::crc32;
 use rgz_deflate::{CompressorOptions, DeflateCompressor};
 
 use crate::header::{GzipFooter, GzipHeader, OS_UNIX};
+
+/// Size of a BGZF member's header: the ten fixed bytes, XLEN and the one
+/// `BC` subfield.
+pub const BGZF_HEADER_SIZE: usize = 18;
 
 /// Maximum number of *input* bytes per BGZF block (the value htslib uses so
 /// that the compressed block always fits the 16-bit BSIZE field).
@@ -39,77 +43,69 @@ pub fn is_bgzf_header(header: &GzipHeader) -> Option<u16> {
     None
 }
 
-/// Writes BGZF files: fixed-size independently compressed gzip members with
-/// the `BC` extra field, terminated by the canonical EOF block.
-#[derive(Debug, Clone)]
-pub struct BgzfWriter {
-    options: CompressorOptions,
-    input_block_size: usize,
+/// Appends `block` to `out` as one BGZF member — a header whose `BC`
+/// subfield holds the member's size, the deflate stream `compressor` makes of
+/// the block, the trailer — and returns the block's CRC-32.
+pub fn write_bgzf_member(
+    compressor: &DeflateCompressor,
+    block: &[u8],
+    modification_time: u32,
+    extra_flags: u8,
+    out: &mut Vec<u8>,
+) -> u32 {
+    let deflate = compressor.compress(block);
+    let header = GzipHeader {
+        modification_time,
+        extra_flags,
+        operating_system: OS_UNIX,
+        extra_field: Some(vec![b'B', b'C', 2, 0, 0, 0]),
+        ..Default::default()
+    };
+    let mut header_bytes = header.to_bytes();
+    debug_assert_eq!(header_bytes.len(), BGZF_HEADER_SIZE);
+    let total_size = header_bytes.len() + deflate.len() + 8;
+    assert!(total_size <= u16::MAX as usize + 1, "BGZF block too large");
+    // BSIZE (total member size - 1) goes into the last two bytes of the
+    // extra field.
+    let bsize = (total_size - 1) as u16;
+    header_bytes[BGZF_HEADER_SIZE - 2..].copy_from_slice(&bsize.to_le_bytes());
+
+    let footer = GzipFooter {
+        crc32: crc32(block),
+        uncompressed_size: block.len() as u32,
+    };
+    out.extend_from_slice(&header_bytes);
+    out.extend_from_slice(&deflate);
+    out.extend_from_slice(&footer.to_bytes());
+    footer.crc32
 }
 
-impl Default for BgzfWriter {
-    fn default() -> Self {
-        Self::new(CompressorOptions::default())
-    }
+/// Writes BGZF files: independently compressed gzip members of
+/// [`MAX_BGZF_INPUT_BLOCK`] input bytes with the `BC` extra field, terminated
+/// by the canonical EOF block.
+#[derive(Debug, Clone, Default)]
+pub struct BgzfWriter {
+    options: CompressorOptions,
 }
 
 impl BgzfWriter {
     /// Creates a writer with explicit compressor options.
     pub fn new(options: CompressorOptions) -> Self {
-        Self {
-            options,
-            input_block_size: MAX_BGZF_INPUT_BLOCK,
-        }
-    }
-
-    /// Overrides the number of input bytes per BGZF block (must stay small
-    /// enough for the compressed block to fit in 64 KiB).
-    pub fn with_input_block_size(mut self, size: usize) -> Self {
-        assert!(size > 0 && size <= MAX_BGZF_INPUT_BLOCK);
-        self.input_block_size = size;
-        self
+        Self { options }
     }
 
     /// Compresses `data` into a BGZF file.
     pub fn compress(&self, data: &[u8]) -> Vec<u8> {
         let compressor = DeflateCompressor::new(self.options.clone());
         let mut out = Vec::new();
-        for chunk in data.chunks(self.input_block_size.max(1)) {
-            out.extend(Self::write_block(&compressor, chunk));
+        for block in data.chunks(MAX_BGZF_INPUT_BLOCK) {
+            write_bgzf_member(&compressor, block, 0, 0, &mut out);
         }
         if data.is_empty() {
-            out.extend(Self::write_block(&compressor, &[]));
+            write_bgzf_member(&compressor, &[], 0, 0, &mut out);
         }
         out.extend_from_slice(&BGZF_EOF_BLOCK);
         out
-    }
-
-    fn write_block(compressor: &DeflateCompressor, chunk: &[u8]) -> Vec<u8> {
-        let deflate = compressor.compress(chunk);
-        // Header with a placeholder BC subfield; BSIZE = total size - 1.
-        let header = GzipHeader {
-            operating_system: OS_UNIX,
-            extra_field: Some(vec![b'B', b'C', 2, 0, 0, 0]),
-            ..Default::default()
-        };
-        let mut header_bytes = header.to_bytes();
-        let total_size = header_bytes.len() + deflate.len() + 8;
-        assert!(total_size <= u16::MAX as usize + 1, "BGZF block too large");
-        let bsize = (total_size - 1) as u16;
-        // Patch the BSIZE into the last two bytes of the extra field.
-        let extra_position = header_bytes.len() - 2;
-        header_bytes[extra_position..].copy_from_slice(&bsize.to_le_bytes());
-
-        let mut crc = Crc32::new();
-        crc.update(chunk);
-        let footer = GzipFooter {
-            crc32: crc.finalize(),
-            uncompressed_size: chunk.len() as u32,
-        };
-        let mut block = header_bytes;
-        block.extend_from_slice(&deflate);
-        block.extend_from_slice(&footer.to_bytes());
-        block
     }
 }
 
@@ -177,16 +173,5 @@ mod tests {
         let header = crate::header::parse_header(&mut reader).unwrap();
         assert_eq!(is_bgzf_header(&header), None);
         assert!(block_offsets(&plain).is_err());
-    }
-
-    #[test]
-    fn small_input_block_size_is_respected() {
-        let data = vec![7u8; 10_000];
-        let compressed = BgzfWriter::default()
-            .with_input_block_size(1024)
-            .compress(&data);
-        let offsets = block_offsets(&compressed).unwrap();
-        assert_eq!(offsets.len(), 10 + 1);
-        assert_eq!(decompress(&compressed).unwrap(), data);
     }
 }

@@ -12,8 +12,6 @@ use crate::header::{GzipFooter, GzipHeader, OS_UNIX};
 pub struct GzipWriter {
     options: CompressorOptions,
     file_name: Option<Vec<u8>>,
-    modification_time: u32,
-    extra_field: Option<Vec<u8>>,
 }
 
 impl Default for GzipWriter {
@@ -28,26 +26,12 @@ impl GzipWriter {
         Self {
             options,
             file_name: None,
-            modification_time: 0,
-            extra_field: None,
         }
     }
 
     /// Sets the FNAME header field.
     pub fn with_file_name(mut self, name: impl Into<Vec<u8>>) -> Self {
         self.file_name = Some(name.into());
-        self
-    }
-
-    /// Sets the MTIME header field.
-    pub fn with_modification_time(mut self, seconds: u32) -> Self {
-        self.modification_time = seconds;
-        self
-    }
-
-    /// Sets a raw FEXTRA payload (used by the BGZF writer).
-    pub fn with_extra_field(mut self, extra: Vec<u8>) -> Self {
-        self.extra_field = Some(extra);
         self
     }
 
@@ -59,10 +43,8 @@ impl GzipWriter {
     /// Compresses `data` into a single gzip member.
     pub fn compress(&self, data: &[u8]) -> Vec<u8> {
         let header = GzipHeader {
-            modification_time: self.modification_time,
             operating_system: OS_UNIX,
             file_name: self.file_name.clone(),
-            extra_field: self.extra_field.clone(),
             ..Default::default()
         };
         let mut out = header.to_bytes();
@@ -94,7 +76,6 @@ impl GzipWriter {
     pub fn compress_pigz_like(&self, data: &[u8], chunk_size: usize) -> Vec<u8> {
         assert!(chunk_size > 0);
         let header = GzipHeader {
-            modification_time: self.modification_time,
             operating_system: OS_UNIX,
             file_name: self.file_name.clone(),
             ..Default::default()
@@ -138,16 +119,14 @@ mod tests {
 
     #[test]
     fn compressed_output_carries_header_fields() {
-        let writer = GzipWriter::default()
-            .with_file_name("data.bin")
-            .with_modification_time(1_650_000_000);
+        let writer = GzipWriter::default().with_file_name("data.bin");
         let compressed = writer.compress(b"payload");
         let (_, members) = decompress_with_info(&compressed).unwrap();
         assert_eq!(
             members[0].header.file_name.as_deref(),
             Some(b"data.bin".as_slice())
         );
-        assert_eq!(members[0].header.modification_time, 1_650_000_000);
+        assert_eq!(members[0].header.modification_time, 0);
     }
 
     #[test]

@@ -159,15 +159,6 @@ impl BlockMap {
         }
     }
 
-    /// Finds the seek point that starts exactly at the given compressed bit
-    /// offset.
-    pub fn find_by_compressed_offset(&self, bit_offset: u64) -> Option<&SeekPoint> {
-        self.points
-            .binary_search_by_key(&bit_offset, |p| p.compressed_bit_offset)
-            .ok()
-            .map(|i| &self.points[i])
-    }
-
     /// Total decompressed size covered by the seek points.
     pub fn uncompressed_size(&self) -> u64 {
         self.points
@@ -195,20 +186,11 @@ impl WindowMap {
         Self::default()
     }
 
-    /// Attaches a thread pool; subsequent insertions compress asynchronously.
-    pub fn set_pool(&self, pool: Arc<ThreadPool>) {
-        self.store.set_pool(pool);
-    }
-
-    /// Attaches a trace sink; window compress/inflate work records spans.
-    pub fn set_trace(&self, trace: Arc<rgz_trace::TraceSink>) {
-        self.store.set_trace(trace);
-    }
-
-    /// Attaches a metrics registry; the store mirrors its size and cache
-    /// counters into gauges/counters and times compress/inflate work.
-    pub fn set_metrics(&self, registry: &rgz_metrics::MetricsRegistry) {
-        self.store.set_metrics(registry);
+    /// Attaches the map to a reader's `pool`: subsequent insertions compress
+    /// on it, and the store traces and counts where the pool does — its
+    /// gauges starting at what the map already holds.
+    pub fn attach(&self, pool: &ThreadPool) {
+        self.store.attach(pool);
     }
 
     /// Number of stored windows.
@@ -890,19 +872,6 @@ mod tests {
         assert_eq!(map.find(1_000_000).unwrap().uncompressed_offset, 960_000);
         assert_eq!(map.find(u64::MAX).unwrap().uncompressed_offset, 49 * 64_000);
         assert_eq!(map.uncompressed_size(), 50 * 64_000);
-    }
-
-    #[test]
-    fn block_map_lookup_by_compressed_offset() {
-        let index = sample_index();
-        let point = index.block_map.points()[3].clone();
-        assert_eq!(
-            index
-                .block_map
-                .find_by_compressed_offset(point.compressed_bit_offset),
-            Some(&point)
-        );
-        assert!(index.block_map.find_by_compressed_offset(1).is_none());
     }
 
     #[test]

@@ -4,22 +4,19 @@
 //! The parallel decompressor needs many threads to read disjoint ranges of
 //! the same compressed file concurrently.  [`FileReader`] abstracts
 //! positional reads so the rest of the system works identically on regular
-//! files ([`StandardFileReader`]), in-memory buffers ([`MemoryFileReader`])
-//! and sequential-only sources such as pipes or Python file-like objects
-//! ([`SequentialFileReader`], which serialises access behind a lock — the
-//! stand-in for the paper's `PythonFileReader`).
+//! files ([`StandardFileReader`]) and in-memory buffers
+//! ([`MemoryFileReader`]).
 //!
 //! [`SharedFileReader`] is the cheaply clonable handle handed to worker
 //! threads; its strided-read throughput is what Figure 8 measures.
 
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
-use rgz_metrics::{exponential_buckets, Counter, Histogram, MetricsRegistry};
+use rgz_metrics::{exponential_buckets, names, Counter, Histogram, MetricsRegistry};
 
 /// Positional, thread-safe read access to a compressed input.
 pub trait FileReader: Send + Sync {
@@ -123,12 +120,6 @@ impl StandardFileReader {
         let size = file.metadata()?.len();
         Ok(Self { file, size })
     }
-
-    /// Wraps an already opened file.
-    pub fn from_file(file: File) -> io::Result<Self> {
-        let size = file.metadata()?.len();
-        Ok(Self { file, size })
-    }
 }
 
 impl FileReader for StandardFileReader {
@@ -140,44 +131,10 @@ impl FileReader for StandardFileReader {
 
     #[cfg(not(unix))]
     fn read_at(&self, offset: u64, buffer: &mut [u8]) -> io::Result<usize> {
-        use std::io::Read;
+        use std::io::{Read, Seek, SeekFrom};
         let mut clone = self.file.try_clone()?;
         clone.seek(SeekFrom::Start(offset))?;
         clone.read(buffer)
-    }
-
-    fn size(&self) -> u64 {
-        self.size
-    }
-}
-
-// --- sequential sources ------------------------------------------------------
-
-/// Adapts a sequential `Read + Seek` source (a pipe buffered to a temporary
-/// file, a Python file-like object, …) to the positional [`FileReader`]
-/// interface by serialising access behind a mutex.
-pub struct SequentialFileReader<R> {
-    inner: Mutex<R>,
-    size: u64,
-}
-
-impl<R: Read + Seek + Send> SequentialFileReader<R> {
-    /// Wraps a seekable sequential reader.
-    pub fn new(mut inner: R) -> io::Result<Self> {
-        let size = inner.seek(SeekFrom::End(0))?;
-        inner.seek(SeekFrom::Start(0))?;
-        Ok(Self {
-            inner: Mutex::new(inner),
-            size,
-        })
-    }
-}
-
-impl<R: Read + Seek + Send> FileReader for SequentialFileReader<R> {
-    fn read_at(&self, offset: u64, buffer: &mut [u8]) -> io::Result<usize> {
-        let mut guard = self.inner.lock();
-        guard.seek(SeekFrom::Start(offset))?;
-        guard.read(buffer)
     }
 
     fn size(&self) -> u64 {
@@ -195,7 +152,6 @@ impl<R: Read + Seek + Send> FileReader for SequentialFileReader<R> {
 /// twice by wasted speculation, which no higher layer can see.
 pub struct InstrumentedFileReader {
     inner: Arc<dyn FileReader>,
-    metrics: Arc<MetricsRegistry>,
     reads_total: Counter,
     read_bytes_total: Counter,
     read_seconds: Histogram,
@@ -203,23 +159,22 @@ pub struct InstrumentedFileReader {
 
 impl InstrumentedFileReader {
     /// Wraps `inner`, registering the I/O metric families on `metrics`.
-    pub fn new(inner: Arc<dyn FileReader>, metrics: Arc<MetricsRegistry>) -> Self {
+    pub fn new(inner: Arc<dyn FileReader>, metrics: &MetricsRegistry) -> Self {
         let reads_total = metrics.counter(
-            "rgz_read_calls_total",
+            names::READ_CALLS,
             "Positional read calls issued to the compressed input.",
         );
         let read_bytes_total = metrics.counter(
-            "rgz_read_bytes_total",
+            names::READ_BYTES,
             "Compressed bytes returned by positional reads (includes speculative re-reads).",
         );
         let read_seconds = metrics.histogram(
-            "rgz_read_seconds",
+            names::READ_SECONDS,
             "Latency of one positional read call.",
             &exponential_buckets(0.000_01, 4.0, 10),
         );
         Self {
             inner,
-            metrics,
             reads_total,
             read_bytes_total,
             read_seconds,
@@ -229,9 +184,6 @@ impl InstrumentedFileReader {
 
 impl FileReader for InstrumentedFileReader {
     fn read_at(&self, offset: u64, buffer: &mut [u8]) -> io::Result<usize> {
-        if !self.metrics.is_enabled() {
-            return self.inner.read_at(offset, buffer);
-        }
         let timer = self.read_seconds.start_timer();
         let result = self.inner.read_at(offset, buffer);
         match &result {
@@ -300,7 +252,7 @@ impl SharedFileReader {
 
     /// Returns a handle that reports every read to `metrics`
     /// (see [`InstrumentedFileReader`]).
-    pub fn instrumented(&self, metrics: Arc<MetricsRegistry>) -> SharedFileReader {
+    pub fn instrumented(&self, metrics: &MetricsRegistry) -> SharedFileReader {
         SharedFileReader {
             inner: Arc::new(InstrumentedFileReader::new(
                 Arc::clone(&self.inner),
@@ -323,7 +275,6 @@ impl FileReader for SharedFileReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
     fn sample_data(length: usize) -> Vec<u8> {
         (0..length).map(|i| (i % 251) as u8).collect()
@@ -383,22 +334,10 @@ mod tests {
     }
 
     #[test]
-    fn sequential_reader_serialises_positional_access() {
-        let data = sample_data(8192);
-        let reader = SequentialFileReader::new(Cursor::new(data.clone())).unwrap();
-        assert_eq!(reader.size(), 8192);
-        let mut buffer = [0u8; 128];
-        assert_eq!(reader.read_at(4000, &mut buffer).unwrap(), 128);
-        assert_eq!(&buffer[..], &data[4000..4128]);
-        assert_eq!(reader.read_at(0, &mut buffer).unwrap(), 128);
-        assert_eq!(&buffer[..], &data[..128]);
-    }
-
-    #[test]
     fn instrumented_reader_counts_calls_and_bytes() {
         let data = sample_data(4096);
-        let registry = Arc::new(rgz_metrics::MetricsRegistry::new_enabled());
-        let reader = SharedFileReader::from_bytes(data.clone()).instrumented(Arc::clone(&registry));
+        let registry = MetricsRegistry::new();
+        let reader = SharedFileReader::from_bytes(data.clone()).instrumented(&registry);
         assert_eq!(reader.read_range(0, 1000).unwrap(), &data[..1000]);
         assert_eq!(reader.read_range(4000, 200).unwrap(), &data[4000..]);
         let snapshot = registry.snapshot();
@@ -407,13 +346,6 @@ mod tests {
         assert_eq!(
             snapshot.histogram("rgz_read_seconds", &[]).unwrap().count,
             2
-        );
-        // A disabled registry must not count (and not pay for timers).
-        registry.set_enabled(false);
-        reader.read_range(0, 100).unwrap();
-        assert_eq!(
-            registry.snapshot().counter("rgz_read_calls_total", &[]),
-            Some(2)
         );
     }
 

@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn renders_help_type_and_series() {
-        let registry = MetricsRegistry::new_enabled();
+        let registry = MetricsRegistry::new();
         registry.counter("plain_total", "A plain counter.").add(3);
         registry
             .counter_with_labels("labeled_total", "By path.", &[("path", "a")])
@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative_with_inf_sum_count() {
-        let registry = MetricsRegistry::new_enabled();
+        let registry = MetricsRegistry::new();
         let histogram = registry.histogram("lat_seconds", "Latency.", &[0.5, 1.0]);
         histogram.observe(0.25);
         histogram.observe(0.75);
@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn escapes_help_and_label_values() {
-        let registry = MetricsRegistry::new_enabled();
+        let registry = MetricsRegistry::new();
         registry
             .counter_with_labels(
                 "esc_total",

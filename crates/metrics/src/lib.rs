@@ -2,24 +2,24 @@
 //!
 //! [`rgz_trace`](../rgz_trace/index.html) answers *"what happened during that
 //! run?"* — a structured event log read after the fact.  This crate answers
-//! *"what is the process doing right now?"*: a lock-free registry of
-//! monotonic [`Counter`]s, [`Gauge`]s and fixed-bucket [`Histogram`]s that a
+//! *"what is the process doing right now?"*: a registry of monotonic
+//! [`Counter`]s, [`Gauge`]s and fixed-bucket [`Histogram`]s that a
 //! long-running process can scrape continuously, the layer an `rgz serve`
 //! `/metrics` endpoint will mount unchanged.
 //!
-//! The gating discipline mirrors `rgz_trace::TraceSink`: every record call
-//! starts with a single relaxed atomic load of the registry-wide enabled
-//! flag and returns immediately when it is off, so instrumentation can stay
-//! compiled into every hot path.  When enabled, counters and histograms
-//! write to relaxed per-thread-sharded atomics (no locks, no CAS loops on
-//! the count path) which are summed on scrape; gauges are a single padded
-//! atomic cell because `set` semantics cannot be sharded.
+//! A registry is always on and an instrument is as plain as its traffic: the
+//! pipeline's events are *per chunk* — counted at PR 22 (every `add`, `set`
+//! and `observe` of a run; `bench/TRAJECTORY.md`): 29–35 instrument
+//! operations per 4 MiB chunk of a sequential pass, 10.5 per 64 KiB read
+//! through an index, a few thousand a second on any machine there is — so a
+//! counter is one relaxed `AtomicU64`, a histogram one row of buckets and a
+//! sum, and nothing is gated: unlike a trace sink, which stores an event per
+//! call, a registry stores nothing per call.
 //!
 //! ```
 //! use rgz_metrics::MetricsRegistry;
-//! use std::sync::Arc;
 //!
-//! let registry = Arc::new(MetricsRegistry::new_enabled());
+//! let registry = MetricsRegistry::new();
 //! let chunks = registry.counter_with_labels(
 //!     "rgz_chunks_decoded_total",
 //!     "Chunks decoded, by pipeline path.",
@@ -40,7 +40,8 @@ pub use sampler::{SampleWindow, Sampler, TimedSample};
 /// tests can never drift apart on spelling.
 pub mod names {
     // rgz_core: the parallel reader.
-    /// Counter, label `path` ∈ {`speculative`, `on_demand`, `index`}.
+    /// Counter, label `path` ∈ {`speculative`, `on_demand`, `window_known`,
+    /// `index`}.
     pub const CHUNKS_DECODED: &str = "rgz_chunks_decoded_total";
     pub const CHUNKS_WASTED: &str = "rgz_chunks_wasted_total";
     pub const BYTES_OUT: &str = "rgz_bytes_out_total";
@@ -102,73 +103,24 @@ pub mod names {
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-
-/// Number of per-thread shards behind each counter/histogram.  Threads are
-/// assigned a shard round-robin at first use; 16 covers the pool sizes the
-/// pipeline actually runs with while keeping scrape cost trivial.
-const SHARDS: usize = 16;
-
-static NEXT_THREAD_SLOT: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// This thread's shard index, assigned once on first metric write.
-    static THREAD_SHARD: usize =
-        (NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed) as usize) % SHARDS;
-}
-
-#[inline]
-fn shard_index() -> usize {
-    THREAD_SHARD.with(|slot| *slot)
-}
-
-/// A cache-line-padded atomic, so two shards never share a line.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedI64(AtomicI64);
 
 // ---------------------------------------------------------------------------
 // Metric handles
 // ---------------------------------------------------------------------------
 
-struct CounterCore {
-    enabled: Arc<AtomicBool>,
-    shards: [PaddedU64; SHARDS],
-}
-
-/// A monotonically increasing counter.
-///
-/// Handles are cheap `Arc` clones of the registered series; incrementing a
-/// disabled registry's counter costs one relaxed load.
+/// A monotonically increasing counter: a cheap `Arc` clone of the registered
+/// series.
 #[derive(Clone)]
 pub struct Counter {
-    core: Arc<CounterCore>,
+    value: Arc<AtomicU64>,
 }
 
 impl Counter {
-    fn new(enabled: Arc<AtomicBool>) -> Self {
-        Self {
-            core: Arc::new(CounterCore {
-                enabled,
-                shards: Default::default(),
-            }),
-        }
-    }
-
-    /// A counter wired to nothing: records are dropped. Useful as a default
-    /// before instrumentation is attached.
-    pub fn disconnected() -> Self {
-        Self::new(Arc::new(AtomicBool::new(false)))
-    }
-
     #[inline]
     pub fn inc(&self) {
         self.add(1);
@@ -176,21 +128,11 @@ impl Counter {
 
     #[inline]
     pub fn add(&self, n: u64) {
-        if !self.core.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        self.core.shards[shard_index()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Aggregated value across all thread shards.
     pub fn value(&self) -> u64 {
-        self.core
-            .shards
-            .iter()
-            .map(|shard| shard.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -202,48 +144,22 @@ impl fmt::Debug for Counter {
     }
 }
 
-struct GaugeCore {
-    enabled: Arc<AtomicBool>,
-    value: PaddedI64,
-}
-
 /// An instantaneous value that can go up and down (queue depth, resident
-/// bytes).  A single padded atomic cell: `set` is last-writer-wins, which a
-/// sharded representation cannot express.
+/// bytes); `set` is last-writer-wins.
 #[derive(Clone)]
 pub struct Gauge {
-    core: Arc<GaugeCore>,
+    value: Arc<AtomicI64>,
 }
 
 impl Gauge {
-    fn new(enabled: Arc<AtomicBool>) -> Self {
-        Self {
-            core: Arc::new(GaugeCore {
-                enabled,
-                value: PaddedI64::default(),
-            }),
-        }
-    }
-
-    /// A gauge wired to nothing: records are dropped.
-    pub fn disconnected() -> Self {
-        Self::new(Arc::new(AtomicBool::new(false)))
-    }
-
     #[inline]
     pub fn set(&self, value: i64) {
-        if !self.core.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        self.core.value.0.store(value, Ordering::Relaxed);
+        self.value.store(value, Ordering::Relaxed);
     }
 
     #[inline]
     pub fn add(&self, delta: i64) {
-        if !self.core.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        self.core.value.0.fetch_add(delta, Ordering::Relaxed);
+        self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
     #[inline]
@@ -257,7 +173,7 @@ impl Gauge {
     }
 
     pub fn value(&self) -> i64 {
-        self.core.value.0.load(Ordering::Relaxed)
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -269,18 +185,12 @@ impl fmt::Debug for Gauge {
     }
 }
 
-struct HistogramShard {
+struct HistogramCore {
+    bounds: Vec<f64>,
     /// One slot per finite bound plus the `+Inf` overflow bucket.
     buckets: Vec<AtomicU64>,
-    /// Sum of observed values as `f64` bits, updated with a CAS loop.  The
-    /// loop only ever contends with other threads mapped to the same shard.
+    /// Sum of observed values as `f64` bits, updated with a CAS loop.
     sum_bits: AtomicU64,
-}
-
-struct HistogramCore {
-    enabled: Arc<AtomicBool>,
-    bounds: Vec<f64>,
-    shards: Vec<HistogramShard>,
 }
 
 /// A fixed-bucket histogram (cumulative `le` buckets on exposition).
@@ -290,84 +200,45 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new(enabled: Arc<AtomicBool>, bounds: Vec<f64>) -> Self {
-        let shards = (0..SHARDS)
-            .map(|_| HistogramShard {
-                buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                sum_bits: AtomicU64::new(0f64.to_bits()),
-            })
-            .collect();
+    fn new(bounds: Vec<f64>) -> Self {
         Self {
             core: Arc::new(HistogramCore {
-                enabled,
+                buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+                sum_bits: AtomicU64::new(0f64.to_bits()),
                 bounds,
-                shards,
             }),
         }
     }
 
-    /// A histogram wired to nothing: records are dropped.
-    pub fn disconnected() -> Self {
-        Self::new(Arc::new(AtomicBool::new(false)), vec![1.0])
-    }
-
-    #[inline]
     pub fn observe(&self, value: f64) {
-        if !self.core.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        self.record(value);
-    }
-
-    fn record(&self, value: f64) {
-        let shard = &self.core.shards[shard_index()];
+        let core = &*self.core;
         // First bucket whose upper bound admits the value; values above every
         // finite bound land in the +Inf slot at the end.
-        let slot = self.core.bounds.partition_point(|bound| value > *bound);
-        shard.buckets[slot].fetch_add(1, Ordering::Relaxed);
-        let mut current = shard.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + value).to_bits();
-            match shard.sum_bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => current = seen,
-            }
-        }
+        let slot = core.bounds.partition_point(|bound| value > *bound);
+        core.buckets[slot].fetch_add(1, Ordering::Relaxed);
+        let add = |bits| Some((f64::from_bits(bits) + value).to_bits());
+        let _ = core
+            .sum_bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
     }
 
     /// Times a region and observes its duration in **seconds** on drop.
-    ///
-    /// When the registry is disabled this never calls `Instant::now`, so the
-    /// cost stays at the one relaxed load of the gate.
     #[inline]
     pub fn start_timer(&self) -> HistogramTimer {
-        let started = self.core.enabled.load(Ordering::Relaxed).then(Instant::now);
         HistogramTimer {
             histogram: self.clone(),
-            started,
+            started: Some(Instant::now()),
         }
     }
 
-    /// Aggregated (count, sum, per-bucket counts) across shards.  Bucket
-    /// counts are per-slot, not cumulative.
+    /// Count, sum and per-bucket counts (per slot, not cumulative).
     pub fn snapshot_values(&self) -> HistogramSnapshot {
-        let mut buckets = vec![0u64; self.core.bounds.len() + 1];
-        let mut sum = 0.0f64;
-        for shard in &self.core.shards {
-            for (slot, bucket) in shard.buckets.iter().enumerate() {
-                buckets[slot] += bucket.load(Ordering::Relaxed);
-            }
-            sum += f64::from_bits(shard.sum_bits.load(Ordering::Relaxed));
-        }
+        let load = |bucket: &AtomicU64| bucket.load(Ordering::Relaxed);
+        let buckets: Vec<u64> = self.core.buckets.iter().map(load).collect();
         HistogramSnapshot {
             bounds: self.core.bounds.clone(),
             count: buckets.iter().sum(),
-            sum,
+            sum: f64::from_bits(self.core.sum_bits.load(Ordering::Relaxed)),
             buckets,
         }
     }
@@ -400,7 +271,7 @@ impl HistogramTimer {
 impl Drop for HistogramTimer {
     fn drop(&mut self) {
         if let Some(started) = self.started.take() {
-            self.histogram.record(started.elapsed().as_secs_f64());
+            self.histogram.observe(started.elapsed().as_secs_f64());
         }
     }
 }
@@ -515,64 +386,31 @@ fn valid_label_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// The process-wide metric store: registration, aggregation, exposition.
+/// The metric store of a reader, a compressor or a whole process:
+/// registration, aggregation, exposition.
 ///
 /// Clone-free sharing is by `Arc<MetricsRegistry>`; every layer of the
 /// pipeline accepts one and registers its families at construction.
 /// Registration is get-or-create: asking for an existing `(name, labels)`
 /// series with a matching shape returns a handle to the same storage, so
 /// several components can share one registry without coordination.
+#[derive(Default)]
 pub struct MetricsRegistry {
-    enabled: Arc<AtomicBool>,
     families: Mutex<BTreeMap<String, Family>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MetricsRegistry")
-            .field("enabled", &self.is_enabled())
             .field("families", &self.families.lock().len())
             .finish()
     }
 }
 
 impl MetricsRegistry {
-    /// A registry with recording **disabled**: every record call is one
-    /// relaxed load.  Scrapes see registered families with zero values.
+    /// An empty registry; whatever is registered on it records from then on.
     pub fn new() -> Self {
-        Self {
-            enabled: Arc::new(AtomicBool::new(false)),
-            families: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// A registry with recording enabled.
-    pub fn new_enabled() -> Self {
-        let registry = Self::new();
-        registry.set_enabled(true);
-        registry
-    }
-
-    /// A process-wide disabled registry for "no metrics requested" wiring,
-    /// mirroring `TraceSink::shared_disabled`.  Never enable it: every
-    /// component defaulted to it would start recording into shared series.
-    pub fn shared_disabled() -> Arc<MetricsRegistry> {
-        static SHARED: OnceLock<Arc<MetricsRegistry>> = OnceLock::new();
-        Arc::clone(SHARED.get_or_init(|| Arc::new(MetricsRegistry::new())))
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
+        Self::default()
     }
 
     // -- registration -------------------------------------------------------
@@ -714,15 +552,18 @@ impl MetricsRegistry {
                 "{name} already registered with a different bucket layout"
             )));
         }
-        let enabled = Arc::clone(&self.enabled);
-        let family_bounds = family.bounds.clone();
+        let family_bounds = &family.bounds;
         let series = family
             .series
             .entry(label_values)
             .or_insert_with(|| match kind {
-                MetricKind::Counter => Series::Counter(Counter::new(enabled)),
-                MetricKind::Gauge => Series::Gauge(Gauge::new(enabled)),
-                MetricKind::Histogram => Series::Histogram(Histogram::new(enabled, family_bounds)),
+                MetricKind::Counter => Series::Counter(Counter {
+                    value: Arc::default(),
+                }),
+                MetricKind::Gauge => Series::Gauge(Gauge {
+                    value: Arc::default(),
+                }),
+                MetricKind::Histogram => Series::Histogram(Histogram::new(family_bounds.clone())),
             });
         Ok(series.clone())
     }
@@ -888,22 +729,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let registry = MetricsRegistry::new();
-        let counter = registry.counter("c_total", "help");
-        let gauge = registry.gauge("g", "help");
-        let histogram = registry.histogram("h", "help", &[1.0, 2.0]);
-        counter.add(5);
-        gauge.set(7);
-        histogram.observe(1.5);
-        assert_eq!(counter.value(), 0);
-        assert_eq!(gauge.value(), 0);
-        assert_eq!(histogram.snapshot_values().count, 0);
-    }
-
-    #[test]
     fn get_or_register_returns_the_same_storage() {
-        let registry = MetricsRegistry::new_enabled();
+        let registry = MetricsRegistry::new();
         let first = registry.counter_with_labels("c_total", "help", &[("path", "a")]);
         let second = registry.counter_with_labels("c_total", "help", &[("path", "a")]);
         first.add(2);
@@ -967,7 +794,7 @@ mod tests {
 
     #[test]
     fn gauge_tracks_ups_and_downs() {
-        let registry = MetricsRegistry::new_enabled();
+        let registry = MetricsRegistry::new();
         let gauge = registry.gauge("depth", "queue depth");
         gauge.inc();
         gauge.inc();
@@ -979,7 +806,7 @@ mod tests {
 
     #[test]
     fn histogram_bucket_boundaries_are_inclusive_upper_bounds() {
-        let registry = MetricsRegistry::new_enabled();
+        let registry = MetricsRegistry::new();
         let histogram = registry.histogram("h", "help", &[1.0, 5.0, 10.0]);
         // Exactly on a bound counts into that bound's bucket (le semantics).
         histogram.observe(1.0);
@@ -996,7 +823,7 @@ mod tests {
 
     #[test]
     fn histogram_timer_observes_seconds_and_discard_drops() {
-        let registry = MetricsRegistry::new_enabled();
+        let registry = MetricsRegistry::new();
         let histogram = registry.histogram("h_seconds", "help", &[10.0]);
         {
             let _timer = histogram.start_timer();
@@ -1018,11 +845,11 @@ mod tests {
 
     #[test]
     fn concurrent_increments_are_exact() {
-        // N threads x M metrics: totals must be exact despite sharding.
+        // N threads x M metrics: totals must be exact.
         const THREADS: usize = 8;
         const METRICS: usize = 4;
         const INCREMENTS: u64 = 10_000;
-        let registry = Arc::new(MetricsRegistry::new_enabled());
+        let registry = Arc::new(MetricsRegistry::new());
         let counters: Vec<Counter> = (0..METRICS)
             .map(|m| registry.counter(&format!("stress_{m}_total"), "stress"))
             .collect();
@@ -1056,13 +883,5 @@ mod tests {
                 (THREADS as u64) * INCREMENTS / 2
             ]
         );
-    }
-
-    #[test]
-    fn shared_disabled_is_a_singleton() {
-        let a = MetricsRegistry::shared_disabled();
-        let b = MetricsRegistry::shared_disabled();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(!a.is_enabled());
     }
 }

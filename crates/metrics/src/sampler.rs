@@ -36,13 +36,6 @@ impl SampleWindow {
         self.current.elapsed.saturating_sub(self.previous.elapsed)
     }
 
-    /// Increase of one counter series over the window.
-    pub fn counter_delta(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let now = self.current.snapshot.counter(name, labels).unwrap_or(0);
-        let before = self.previous.snapshot.counter(name, labels).unwrap_or(0);
-        now.saturating_sub(before)
-    }
-
     /// Increase of a whole counter family (summed over label values).
     pub fn counter_total_delta(&self, name: &str) -> u64 {
         self.current
@@ -186,7 +179,7 @@ mod tests {
 
     #[test]
     fn samples_accumulate_and_windows_expose_deltas() {
-        let registry = Arc::new(MetricsRegistry::new_enabled());
+        let registry = Arc::new(MetricsRegistry::new());
         let counter = registry.counter("ticks_total", "test");
         let gauge = registry.gauge("depth", "test");
         gauge.set(3);
@@ -211,7 +204,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded() {
-        let registry = Arc::new(MetricsRegistry::new_enabled());
+        let registry = Arc::new(MetricsRegistry::new());
         let sampler = Sampler::start(registry, Duration::from_millis(10), 2);
         std::thread::sleep(Duration::from_millis(120));
         assert!(sampler.samples().len() <= 2);
@@ -219,7 +212,7 @@ mod tests {
 
     #[test]
     fn observer_sees_every_tick_and_drop_stops_the_thread() {
-        let registry = Arc::new(MetricsRegistry::new_enabled());
+        let registry = Arc::new(MetricsRegistry::new());
         let counter = registry.counter("obs_total", "test");
         let seen = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let seen_in_observer = Arc::clone(&seen);

@@ -4,8 +4,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rgz_fetcher::{Cache, CacheStatistics, Spawner, TaskHandle, ThreadPool};
-use rgz_metrics::{exponential_buckets, Counter, Gauge, Histogram, MetricsRegistry};
+use rgz_fetcher::{Cache, Spawner, StageTimer, TaskHandle, ThreadPool};
+use rgz_metrics::{exponential_buckets, names, Counter, Gauge, Histogram, MetricsRegistry};
 use rgz_trace::{Outcome, Stage, TraceSink};
 
 use crate::compressed::{CompressedWindow, WindowError};
@@ -28,10 +28,9 @@ pub struct WindowStoreStatistics {
     /// Window bytes a raw (v1-style) index would hold for the same seek
     /// points, i.e. before sparsification and compression.
     pub original_bytes: usize,
-    /// Windows currently resident in the hot cache.
+    /// Windows currently resident in the hot cache; its hits, misses and
+    /// evictions are the [`names::WINDOW_CACHE`] series.
     pub hot_windows: usize,
-    /// Hit/miss/eviction counters of the hot cache.
-    pub hot_cache: CacheStatistics,
     /// Windows that failed checksum or structural validation on access.
     pub corrupt_windows: u64,
 }
@@ -50,9 +49,8 @@ enum Slot {
     Ready(Arc<CompressedWindow>),
 }
 
-/// Live-metric handles of a window store.  The counters mirror the hot
-/// cache's [`CacheStatistics`] exactly (published as deltas under the store
-/// lock), so a registry snapshot can never disagree with `statistics()`.
+/// The store's series on the registry it counts into: its own, until it is
+/// [attached](WindowStore::attach) to a pool's.
 struct StoreMetrics {
     stored_bytes: Gauge,
     windows: Gauge,
@@ -64,45 +62,33 @@ struct StoreMetrics {
 }
 
 impl StoreMetrics {
-    fn disconnected() -> Self {
-        Self {
-            stored_bytes: Gauge::disconnected(),
-            windows: Gauge::disconnected(),
-            cache_hits: Counter::disconnected(),
-            cache_misses: Counter::disconnected(),
-            cache_evictions: Counter::disconnected(),
-            compress_seconds: Histogram::disconnected(),
-            inflate_seconds: Histogram::disconnected(),
-        }
-    }
-
     fn register(registry: &MetricsRegistry) -> Self {
         let cache_event = |event| {
             registry.counter_with_labels(
-                "rgz_window_cache_total",
+                names::WINDOW_CACHE,
                 "Hot (decompressed) window cache events.",
                 &[("event", event)],
             )
         };
         Self {
             stored_bytes: registry.gauge(
-                "rgz_window_store_bytes",
+                names::WINDOW_STORE_BYTES,
                 "Compressed payload bytes currently held by the window store.",
             ),
             windows: registry.gauge(
-                "rgz_window_store_windows",
+                names::WINDOW_STORE_WINDOWS,
                 "Seek-point windows currently held by the window store.",
             ),
             cache_hits: cache_event("hit"),
             cache_misses: cache_event("miss"),
             cache_evictions: cache_event("evicted"),
             compress_seconds: registry.histogram(
-                "rgz_window_compress_seconds",
+                names::WINDOW_COMPRESS_SECONDS,
                 "Time to sparsify and deflate one seek-point window.",
                 &exponential_buckets(0.000_02, 4.0, 10),
             ),
             inflate_seconds: registry.histogram(
-                "rgz_window_inflate_seconds",
+                names::WINDOW_INFLATE_SECONDS,
                 "Time to re-inflate one stored window for random access.",
                 &exponential_buckets(0.000_02, 4.0, 10),
             ),
@@ -119,26 +105,9 @@ struct Inner {
     hot: Cache<u64, Vec<u8>>,
     corrupt_windows: u64,
     metrics: StoreMetrics,
-    /// Cache counters already published to the registry (delta tracking).
-    published_cache: CacheStatistics,
 }
 
 impl Inner {
-    /// Pushes hot-cache counter movement since the last publish into the
-    /// registry counters, keeping both views identical.
-    fn publish_cache_deltas(&mut self) {
-        let now = self.hot.statistics();
-        self.metrics
-            .cache_hits
-            .add(now.hits.saturating_sub(self.published_cache.hits));
-        self.metrics
-            .cache_misses
-            .add(now.misses.saturating_sub(self.published_cache.misses));
-        self.metrics
-            .cache_evictions
-            .add(now.evictions.saturating_sub(self.published_cache.evictions));
-        self.published_cache = now;
-    }
     /// Waits for an in-flight compression and caches the finished record.
     fn resolve(&mut self, offset: u64) -> Option<Arc<CompressedWindow>> {
         let slot = self.slots.get_mut(&offset)?;
@@ -162,7 +131,7 @@ impl Inner {
 ///
 /// The store is internally synchronised and meant to be shared (`Arc`)
 /// between an index, its reader and in-flight decompression tasks.  With a
-/// thread pool attached ([`WindowStore::set_pool`]), insertions dispatch the
+/// thread pool attached ([`WindowStore::attach`]), insertions dispatch the
 /// deflate compression asynchronously and only block when the record is
 /// actually needed (a later `get`, an export, or statistics that touch it).
 pub struct WindowStore {
@@ -201,27 +170,29 @@ impl WindowStore {
                 slots: HashMap::new(),
                 hot: Cache::new(capacity.max(1)),
                 corrupt_windows: 0,
-                metrics: StoreMetrics::disconnected(),
-                published_cache: CacheStatistics::default(),
+                metrics: StoreMetrics::register(&MetricsRegistry::new()),
             }),
         }
     }
 
-    /// Attaches a thread pool; subsequent insertions compress asynchronously
-    /// for as long as it lives, and on the inserting thread after that.
-    pub fn set_pool(&self, pool: Arc<ThreadPool>) {
-        self.inner.lock().pool = Some(pool.spawner());
-    }
-
-    /// Attaches a trace sink; window compress/inflate work records spans.
-    pub fn set_trace(&self, trace: Arc<TraceSink>) {
-        self.inner.lock().trace = trace;
-    }
-
-    /// Attaches a live metrics registry; store size, hot-cache events and
-    /// compress/inflate latencies are reported from then on.
-    pub fn set_metrics(&self, registry: &MetricsRegistry) {
-        self.inner.lock().metrics = StoreMetrics::register(registry);
+    /// Attaches the store to `pool`: subsequent insertions compress on it
+    /// for as long as it lives (on the inserting thread after that), and
+    /// compress/inflate work is traced and counted where the pool's tasks
+    /// are.  The gauges of the pool's registry start at what the store
+    /// already holds, an imported index's windows for one.
+    pub fn attach(&self, pool: &ThreadPool) {
+        let inner = &mut *self.inner.lock();
+        // What is still compressing reports to the gauge it started with.
+        let offsets: Vec<u64> = inner.slots.keys().copied().collect();
+        let records = offsets
+            .into_iter()
+            .filter_map(|offset| inner.resolve(offset));
+        let stored_bytes: usize = records.map(|record| record.stored_bytes()).sum();
+        inner.pool = Some(pool.spawner());
+        inner.trace = Arc::clone(pool.trace());
+        inner.metrics = StoreMetrics::register(pool.metrics());
+        inner.metrics.stored_bytes.set(stored_bytes as i64);
+        inner.metrics.windows.set(inner.slots.len() as i64);
     }
 
     /// Number of stored windows.
@@ -260,10 +231,10 @@ impl WindowStore {
         let stored_bytes = inner.metrics.stored_bytes.clone();
         let compress_seconds = inner.metrics.compress_seconds.clone();
         let traced_job = move || {
-            let timer = compress_seconds.start_timer();
-            let mut span = trace.span(Stage::WindowCompress).chunk(offset);
+            let span = trace.span(Stage::WindowCompress).chunk(offset);
+            let mut timer = StageTimer::start(span, &compress_seconds);
             let record = job();
-            span.set_bytes(u64::from(record.window_length));
+            timer.set_bytes(u64::from(record.window_length));
             drop(timer);
             stored_bytes.add(record.stored_bytes() as i64);
             record
@@ -308,29 +279,29 @@ impl WindowStore {
     /// Returns the decompressed (masked) window for `offset`, inflating and
     /// caching it if necessary.  `Ok(None)` means no window is stored there.
     pub fn get(&self, offset: u64) -> Result<Option<Arc<Vec<u8>>>, WindowError> {
-        let mut inner = self.inner.lock();
+        let inner = &mut *self.inner.lock();
         if let Some(hot) = inner.hot.get(&offset) {
-            inner.publish_cache_deltas();
+            inner.metrics.cache_hits.inc();
             return Ok(Some(hot));
         }
-        inner.publish_cache_deltas();
+        inner.metrics.cache_misses.inc();
         let Some(record) = inner.resolve(offset) else {
             return Ok(None);
         };
-        let trace = Arc::clone(&inner.trace);
-        let timer = inner.metrics.inflate_seconds.start_timer();
-        let mut span = trace.span(Stage::WindowInflate).chunk(offset);
+        let span = inner.trace.span(Stage::WindowInflate).chunk(offset);
+        let mut timer = StageTimer::start(span, &inner.metrics.inflate_seconds);
         match record.decompress() {
             Ok(window) => {
-                span.set_bytes(window.len() as u64);
+                timer.set_bytes(window.len() as u64);
                 drop(timer);
                 let window = Arc::new(window);
-                inner.hot.insert(offset, window.clone());
-                inner.publish_cache_deltas();
+                if inner.hot.insert(offset, window.clone()).is_some() {
+                    inner.metrics.cache_evictions.inc();
+                }
                 Ok(Some(window))
             }
             Err(error) => {
-                span.set_outcome(Outcome::Error);
+                timer.set_outcome(Outcome::Error);
                 timer.discard();
                 inner.corrupt_windows += 1;
                 Err(error)
@@ -349,11 +320,9 @@ impl WindowStore {
     /// reported once they complete.
     pub fn statistics(&self) -> WindowStoreStatistics {
         let mut inner = self.inner.lock();
-        inner.publish_cache_deltas();
         let mut statistics = WindowStoreStatistics {
             windows: inner.slots.len(),
             hot_windows: inner.hot.len(),
-            hot_cache: inner.hot.statistics(),
             corrupt_windows: inner.corrupt_windows,
             ..Default::default()
         };
@@ -409,9 +378,9 @@ mod tests {
 
     #[test]
     fn pool_backed_insertions_resolve_on_access() {
-        let pool = Arc::new(ThreadPool::new(4));
+        let pool = ThreadPool::new(4);
         let store = WindowStore::new();
-        store.set_pool(pool);
+        store.attach(&pool);
         let windows: Vec<Vec<u8>> = (0..16).map(|i| repetitive_window(i as u8)).collect();
         for (i, window) in windows.iter().enumerate() {
             store.insert(i as u64 * 1000, window.clone());
@@ -436,9 +405,8 @@ mod tests {
         // First access decompresses, second hits the hot cache.
         store.get(0).unwrap().unwrap();
         store.get(0).unwrap().unwrap();
-        let statistics = store.statistics();
-        assert!(statistics.hot_cache.hits >= 1);
-        assert!(statistics.hot_windows <= 2);
+        assert_eq!(store.inner.lock().metrics.cache_hits.value(), 1);
+        assert!(store.statistics().hot_windows <= 2);
         // Touch everything; the cache must stay within its bound.
         for offset in 0..4u64 {
             store.get(offset).unwrap().unwrap();
@@ -458,10 +426,14 @@ mod tests {
 
     #[test]
     fn metrics_mirror_store_and_cache_state() {
-        let registry = rgz_metrics::MetricsRegistry::new_enabled();
+        let registry = Arc::new(MetricsRegistry::new());
+        let pool = ThreadPool::new_observed(1, TraceSink::shared_disabled(), registry.clone());
         let store = WindowStore::with_hot_capacity(2);
-        store.set_metrics(&registry);
-        for offset in 0..3u64 {
+        // What the store holds when it is attached — an imported index's
+        // windows — is what the gauges start at.
+        store.insert(0, repetitive_window(0));
+        store.attach(&pool);
+        for offset in 1..3u64 {
             store.insert(offset, repetitive_window(offset as u8));
         }
         store.get(0).unwrap().unwrap(); // miss + inflate
@@ -470,35 +442,19 @@ mod tests {
         store.get(2).unwrap().unwrap(); // miss, evicts offset 0
         let statistics = store.statistics();
         let snapshot = registry.snapshot();
-        assert_eq!(snapshot.gauge("rgz_window_store_windows", &[]), Some(3));
+        assert_eq!(snapshot.gauge(names::WINDOW_STORE_WINDOWS, &[]), Some(3));
         assert_eq!(
-            snapshot.gauge("rgz_window_store_bytes", &[]),
+            snapshot.gauge(names::WINDOW_STORE_BYTES, &[]),
             Some(statistics.stored_bytes as i64)
         );
+        let cache = |event| snapshot.counter(names::WINDOW_CACHE, &[("event", event)]);
+        assert_eq!(cache("hit"), Some(1));
+        assert_eq!(cache("miss"), Some(3));
+        assert_eq!(cache("evicted"), Some(1));
+        let count = |name| snapshot.histogram(name, &[]).unwrap().count;
+        assert_eq!(count(names::WINDOW_COMPRESS_SECONDS), 2, "since attached");
         assert_eq!(
-            snapshot.counter("rgz_window_cache_total", &[("event", "hit")]),
-            Some(statistics.hot_cache.hits)
-        );
-        assert_eq!(
-            snapshot.counter("rgz_window_cache_total", &[("event", "miss")]),
-            Some(statistics.hot_cache.misses)
-        );
-        assert_eq!(
-            snapshot.counter("rgz_window_cache_total", &[("event", "evicted")]),
-            Some(statistics.hot_cache.evictions)
-        );
-        assert_eq!(
-            snapshot
-                .histogram("rgz_window_compress_seconds", &[])
-                .unwrap()
-                .count,
-            3
-        );
-        assert_eq!(
-            snapshot
-                .histogram("rgz_window_inflate_seconds", &[])
-                .unwrap()
-                .count,
+            count(names::WINDOW_INFLATE_SECONDS),
             3,
             "hits do not re-inflate"
         );

@@ -330,7 +330,7 @@ fn a_chunk_that_fails_its_check_is_counted_nowhere_however_it_was_reached() {
     // has prefetched the target at full degree (2 x 4 threads).
     for (route, first, misses) in [("on demand", bad + 3, 1), ("prefetched", bad - 1, 0)] {
         let trace = Arc::new(TraceSink::new_enabled());
-        let registry = Arc::new(MetricsRegistry::new_enabled());
+        let registry = Arc::new(MetricsRegistry::new());
         let mut reader = ParallelGzipReader::with_index(
             SharedFileReader::from_bytes(corrupted.clone()),
             options(VerificationMode::Full)
@@ -479,7 +479,7 @@ fn a_slice_is_checked_like_its_chunk_was_and_a_failed_one_is_counted_nowhere() {
         assert!(starts.len() >= 4, "level {level}: {} chunks", starts.len());
 
         let flip = Arc::new(AtomicU64::new(u64::MAX));
-        let registry = Arc::new(MetricsRegistry::new_enabled());
+        let registry = Arc::new(MetricsRegistry::new());
         let file = FlipsLater {
             file: MemoryFileReader::new(compressed.clone()),
             flip: Arc::clone(&flip),
