@@ -15,9 +15,11 @@
 //!   receives the chunks in completion order.
 
 use rgz_bitio::BitReader;
-use rgz_blockfinder::{BlockFinder, PugzLikeFinder};
+use rgz_blockfinder::BlockFinder;
 use rgz_deflate::{inflate, inflate_two_stage, replace_markers, resolve_window};
 use rgz_gzip::{parse_header, GzipError};
+
+use crate::dynamic::PugzLikeFinder;
 
 /// Errors of the pugz-style decompressor.
 #[derive(Debug)]

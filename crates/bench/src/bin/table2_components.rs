@@ -19,11 +19,11 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rgz_baselines::{CustomParseFinder, PugzLikeFinder, SkipLutFinder, TrialInflateFinder};
 use rgz_bench::*;
 use rgz_bitio::BitReader;
 use rgz_blockfinder::{
-    BlockFinder, CustomParseFinder, DynamicBlockFinder, PugzLikeFinder, SkipLutFinder,
-    TrialInflateFinder, UncompressedBlockFinder,
+    BlockFinder, CombinedBlockFinder, DynamicBlockFinder, UncompressedBlockFinder,
 };
 use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
 use rgz_deflate::block::{
@@ -195,7 +195,7 @@ fn main() {
         duration,
     );
     let (_, duration) = best_of(|| scan(&DynamicBlockFinder::new(), &random));
-    row(
+    let dynamic = row(
         &mut report,
         json,
         "DBF rapidgzip",
@@ -203,6 +203,22 @@ fn main() {
         random.len(),
         duration,
     );
+    // Every candidate of either kind, as a chunk decode walks them: the
+    // Non-Compressed Block finder's hits must not send the other over the
+    // same bits again.
+    let (_, duration) = best_of(|| {
+        let finder = CombinedBlockFinder::new();
+        finder.candidates(&random, 0, u64::MAX).count()
+    });
+    let walk = row(
+        &mut report,
+        json,
+        "DBF + NBF, all candidates",
+        "dbf_combined_walk_mb_s",
+        random.len(),
+        duration,
+    );
+    report.record("combined_walk_vs_dynamic", walk / dynamic);
     let (_, duration) = best_of(|| scan(&UncompressedBlockFinder::new(), &random));
     row(&mut report, json, "NBF", "nbf_mb_s", random.len(), duration);
 

@@ -23,30 +23,31 @@ impl UncompressedBlockFinder {
     /// final-block bit (assuming zero-length padding; stored-block offsets
     /// are inherently ambiguous, see the paper).
     pub fn find_next_offset(&self, data: &[u8], start_bit: u64) -> Option<u64> {
-        if data.len() < 5 {
-            return None;
-        }
-        // The candidate header occupies the high 3 bits of byte `b` and the
-        // LEN/NLEN pair occupies bytes `b + 1 .. b + 5`.  The earliest byte
-        // whose header bits lie at or after `start_bit` is derived from the
-        // bit offset of the final-block bit: (b * 8) + 5 >= start_bit.
-        let mut header_byte = (start_bit.saturating_add(2) / 8) as usize;
-        if (header_byte as u64) * 8 + 5 < start_bit {
-            header_byte += 1;
-        }
-        while header_byte + 5 <= data.len().saturating_sub(0) && header_byte + 4 < data.len() {
-            let header = data[header_byte];
-            // Final-block bit, both block-type bits and the padding must be 0.
-            if header >> 5 == 0 {
-                let length = u16::from_le_bytes([data[header_byte + 1], data[header_byte + 2]]);
-                let complement = u16::from_le_bytes([data[header_byte + 3], data[header_byte + 4]]);
-                if length == !complement {
-                    return Some(header_byte as u64 * 8 + 5);
-                }
-            }
-            header_byte += 1;
-        }
-        None
+        self.find_next_before(data, start_bit, u64::MAX)
+    }
+
+    /// The next candidate in `start_bit..until_bit`.
+    pub(crate) fn find_next_before(
+        &self,
+        data: &[u8],
+        start_bit: u64,
+        until_bit: u64,
+    ) -> Option<u64> {
+        // The candidate header occupies the high 3 bits of byte `b` — its
+        // final-block bit is bit `8b + 5` — and the LEN/NLEN pair bytes
+        // `b + 1 .. b + 5`: `b` runs over the bytes with that bit in range
+        // and four more behind them.
+        let bytes_before = |bit: u64| (bit.saturating_add(2) / 8) as usize;
+        let first = bytes_before(start_bit);
+        let end = bytes_before(until_bit).min(data.len().saturating_sub(4));
+        let mut headers = data.get(first..end + 4)?.windows(5);
+        // Final-block bit, both block-type bits and the padding must be 0,
+        // and NLEN the complement of LEN: tested without a branch between
+        // them, one byte in eight passing the first.
+        let found = headers.position(|header| {
+            (header[0] < 32) & (header[1] ^ header[3] == 0xFF) & (header[2] ^ header[4] == 0xFF)
+        })?;
+        Some((first + found) as u64 * 8 + 5)
     }
 }
 
@@ -105,6 +106,54 @@ mod tests {
         let mut out = Vec::new();
         let _ = rgz_deflate::inflate(&mut reader, &[], &mut out, second + 1);
         assert!(out.starts_with(b"second"));
+    }
+
+    #[test]
+    fn the_hit_is_the_first_position_the_definition_admits() {
+        // The smallest `8b + 5 >= start_bit` (and before the bound, if any)
+        // with three zero bits on top of byte `b` and LEN == !NLEN behind it.
+        let by_definition = |data: &[u8], start_bit: u64, until_bit: u64| {
+            (0..data.len().saturating_sub(4))
+                .filter(|&b| data[b] >> 5 == 0)
+                .filter(|&b| data[b + 1] == !data[b + 3] && data[b + 2] == !data[b + 4])
+                .map(|b| b as u64 * 8 + 5)
+                .find(|&bit| bit >= start_bit && bit < until_bit)
+        };
+        let mut rng = StdRng::seed_from_u64(96);
+        // Random bytes with candidates planted in them, and all zeros but
+        // for a few: a candidate at every byte, then none for a while.
+        let mut random: Vec<u8> = (0..40).map(|_| rng.gen()).collect();
+        for at in [3usize, 9, 10, 35] {
+            let (len, filler) = (rng.gen::<u16>().to_le_bytes(), rng.gen_range(0..32u8));
+            random[at..at + 5].copy_from_slice(&[filler, len[0], len[1], !len[0], !len[1]]);
+        }
+        let mut zeros = [0u8; 24];
+        zeros[1..3].fill(0xFF);
+        zeros[3..5].fill(0x00);
+        zeros[7] = 1;
+        let finder = UncompressedBlockFinder::new();
+        for data in [&random[..], &zeros[..], &zeros[..7], &[][..]] {
+            let mut hits = 0;
+            for start_bit in 0..96 {
+                let expected = by_definition(data, start_bit, u64::MAX);
+                assert_eq!(finder.find_next_offset(data, start_bit), expected);
+                hits += usize::from(expected.is_some());
+                for until_bit in [0, start_bit, start_bit + 7, start_bit + 40, 95] {
+                    assert_eq!(
+                        finder.find_next_before(data, start_bit, until_bit),
+                        by_definition(data, start_bit, until_bit),
+                        "{start_bit}..{until_bit} of {} bytes",
+                        data.len()
+                    );
+                }
+            }
+            assert_eq!(
+                hits > 0,
+                !data.is_empty(),
+                "{hits} hits in {} bytes",
+                data.len()
+            );
+        }
     }
 
     #[test]

@@ -23,10 +23,11 @@
 //! returns when its last user drops it.
 
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use rgz_bitio::BitReader;
-use rgz_blockfinder::{BlockFinder, CombinedBlockFinder};
+use rgz_blockfinder::CombinedBlockFinder;
 use rgz_checksum::{crc32, crc32_combine};
 use rgz_deflate::{
     inflate, inflate_speculative, BlockType, DeflateError, SpeculativeOutput, StopReason,
@@ -360,9 +361,28 @@ pub(crate) struct ChunkDecoder {
     pub chunk_size: usize,
     pub buffers: BufferPool,
     pub metrics: Arc<ReaderMetrics>,
+    /// The most bytes any decode of this reader has run past a guessed stop:
+    /// the length of the longest block met across one.
+    pub largest_overrun: Arc<AtomicU64>,
 }
 
 impl ChunkDecoder {
+    /// How far past a guessed stop a decode reads at first.  It ends with the
+    /// block that crosses the stop, so with blocks the length of the longest
+    /// seen so far — of gzip's tens of KiB, until the input shows otherwise —
+    /// twice that will do; a block longer still has the range widened and
+    /// the decode done again, once, and the ones after it read enough.
+    fn guessed_slack(&self) -> u64 {
+        let initial = (self.chunk_size / 8).max(64 * 1024) as u64;
+        initial.max(self.largest_overrun.load(Relaxed).saturating_mul(2))
+    }
+
+    /// Notes where a decode told to stop at `stop_bit` did.
+    fn note_overrun(&self, end_bit: u64, stop_bit: u64) {
+        let overrun = end_bit.saturating_sub(stop_bit).div_ceil(8);
+        self.largest_overrun.fetch_max(overrun, Relaxed);
+    }
+
     /// Reads the compressed range `[start_byte, end_byte)`, clamped to the
     /// file, into a pool buffer.
     fn read_range(&self, start_byte: u64, end_byte: u64) -> Result<CompressedRange, CoreError> {
@@ -385,9 +405,9 @@ impl ChunkDecoder {
         let start_byte = chunk.start_bit_offset / 8;
         let stop_byte = chunk.stop_bit_offset.div_ceil(8);
         let mut slack = match chunk.extent {
-            Extent::Guessed => self.chunk_size.max(64 * 1024),
-            Extent::Chunk { .. } | Extent::Slice => SEEK_POINT_SLACK,
-        } as u64;
+            Extent::Guessed => self.guessed_slack(),
+            Extent::Chunk { .. } | Extent::Slice => SEEK_POINT_SLACK as u64,
+        };
         loop {
             let range = self.read_range(start_byte, stop_byte.saturating_add(slack))?;
             if chunk.extent != Extent::Slice {
@@ -396,6 +416,10 @@ impl ChunkDecoder {
             match self.decode_direct_in_range(&range, chunk) {
                 // The chunk extends past the range we read; widen and retry.
                 Err(_) if !range.reaches_file_end => slack = slack.saturating_mul(4),
+                Ok(result) if chunk.extent == Extent::Guessed => {
+                    self.note_overrun(result.end_bit_offset, chunk.stop_bit_offset);
+                    return Ok(result);
+                }
                 attempt => return attempt,
             }
         }
@@ -555,13 +579,19 @@ impl ChunkDecoder {
         }
         let guess_bit = guess_byte * 8;
         let stop_byte = guess_byte + chunk_size as u64;
-        let mut slack = chunk_size as u64;
+        let mut slack = self.guessed_slack();
 
         loop {
-            let range = self.read_range(guess_byte, stop_byte.saturating_add(slack))?;
+            let range = {
+                let _span = self.metrics.trace().span(Stage::RangeRead).chunk(guess_bit);
+                self.read_range(guess_byte, stop_byte.saturating_add(slack))?
+            };
             self.buffers.note_range(range.bytes.len());
             match self.decode_speculative_in_range(&range, guess_bit, stop_byte * 8, &mut window) {
-                SpeculativeOutcome::Found(chunk) => return Ok(Some(chunk)),
+                SpeculativeOutcome::Found(chunk) => {
+                    self.note_overrun(chunk.end_bit_offset, stop_byte * 8);
+                    return Ok(Some(chunk));
+                }
                 SpeculativeOutcome::NoBlock => return Ok(None),
                 SpeculativeOutcome::NeedMoreData if !range.reaches_file_end => {
                     slack = slack.saturating_mul(4);
@@ -582,58 +612,60 @@ impl ChunkDecoder {
         let range_end_byte = range.start_byte + range.bytes.len() as u64;
         let relative_guess = guess_bit - range_start_bits;
         let relative_stop = stop_bit - range_start_bits;
+        // Every candidate that starts in the chunk's range, each bit of it
+        // searched once.  The first block found may already belong to the
+        // next chunk, in which case this one has nothing to offer.
         let finder = CombinedBlockFinder::new();
-
-        let mut search_from = relative_guess;
-        loop {
+        let mut candidates = finder.candidates(&range.bytes, relative_guess, relative_stop);
+        let mut rejected = [0u64; 2];
+        let (taken, outcome) = loop {
             let candidate = {
                 let trace = self.metrics.trace();
                 let mut span = trace.span(Stage::BlockFind).chunk(guess_bit);
-                match finder.find_next(&range.bytes, search_from) {
-                    // The first candidate block may already belong to the
-                    // next chunk, in which case this chunk has nothing to
-                    // offer.
-                    Some(candidate) if candidate < relative_stop => candidate,
-                    _ => {
-                        span.set_outcome(Outcome::NotFound);
-                        return SpeculativeOutcome::NoBlock;
-                    }
-                }
+                let Some(candidate) = candidates.next() else {
+                    span.set_outcome(Outcome::NotFound);
+                    break (None, SpeculativeOutcome::NoBlock);
+                };
+                candidate
             };
+            let start = candidate.bit_offset;
 
             let mut span = self.metrics.stage(Stage::DecodeTwoStage, guess_bit);
-            span.set_compressed_range(range.start_byte + candidate / 8, range_end_byte);
-            let window = |decoded| window(range_start_bits + candidate, decoded);
-            match self.try_speculative_decode(range, candidate, relative_stop, window) {
+            span.set_compressed_range(range.start_byte + start / 8, range_end_byte);
+            let window = |decoded| window(range_start_bits + start, decoded);
+            match self.try_speculative_decode(range, start, relative_stop, window) {
                 Ok(decoded) => {
                     span.set_bytes(decoded.output.len() as u64);
                     span.set_marker_bytes(decoded.output.prefix().len() as u64);
                     span.set_compressed_range(
-                        range.start_byte + candidate / 8,
+                        range.start_byte + start / 8,
                         range.start_byte + decoded.end_bit_offset.div_ceil(8),
                     );
-                    drop(span);
                     // The decode worked in offsets relative to `range`.
-                    return SpeculativeOutcome::Found(SpeculativeChunk {
+                    let chunk = SpeculativeChunk {
                         requested_bit_offset: guess_bit,
-                        found_bit_offset: range_start_bits + candidate,
+                        found_bit_offset: range_start_bits + start,
                         end_bit_offset: range_start_bits + decoded.end_bit_offset,
                         ..decoded
-                    });
+                    };
+                    break (Some(candidate.kind), SpeculativeOutcome::Found(chunk));
                 }
                 Err(error) if is_eof_like(&error) => {
                     // Could be a genuine block whose data extends past the
                     // range we read: ask the caller for more data.
                     span.set_outcome(Outcome::Error);
-                    return SpeculativeOutcome::NeedMoreData;
+                    break (None, SpeculativeOutcome::NeedMoreData);
                 }
                 Err(_) => {
-                    // False positive: try the next candidate.
+                    // False positive: on to the next candidate.
                     span.set_outcome(Outcome::NotFound);
-                    search_from = candidate + 1;
+                    rejected[candidate.kind as usize] += 1;
                 }
             }
-        }
+        };
+        let scanned_bytes = candidates.scanned_bytes().iter().sum();
+        self.metrics.block_searched(scanned_bytes, rejected, taken);
+        outcome
     }
 
     /// Decodes the chunk starting at bit `start` of `range`; the bit offsets
@@ -724,6 +756,7 @@ pub(crate) mod tests {
             chunk_size,
             buffers: BufferPool::new(2, metrics),
             metrics: Arc::new(ReaderMetrics::register(&Arc::default(), trace)),
+            largest_overrun: Arc::default(),
         }
     }
 
@@ -1127,6 +1160,78 @@ pub(crate) mod tests {
         let mut expected = first;
         expected.extend_from_slice(&second);
         (compressed, first_length, expected)
+    }
+
+    /// Six blocks of some 400 KiB each, compressed: any of them crosses six
+    /// 64 KiB chunk boundaries.
+    pub(crate) fn long_blocks() -> (Vec<u8>, Vec<u8>) {
+        let data = rgz_datagen::base64_random(6 * 540 * 1024, 41);
+        let writer = GzipWriter::new(rgz_deflate::CompressorOptions {
+            block_size: 540 * 1024,
+            ..Default::default()
+        });
+        (writer.compress(&data), data)
+    }
+
+    #[test]
+    fn the_slack_follows_the_longest_block_seen_across_a_stop() {
+        let (compressed, data) = long_blocks();
+        let chunk_size = 64 * 1024;
+        let chunk_bits = chunk_size as u64 * 8;
+        let guesses = compressed.len().div_ceil(chunk_size);
+        let shared = SharedFileReader::from_bytes(compressed);
+        let registry = MetricsRegistry::new();
+        let decoder = decoder(&shared, chunk_size, &registry);
+        let range_reads = || {
+            let snapshot = registry.snapshot();
+            ["fresh", "reused"].map(|result| {
+                let labels = [("kind", "range"), ("result", result)];
+                snapshot.counter(rgz_metrics::names::BUFFER_POOL_TAKES, &labels)
+            })
+        };
+        let range_reads = || range_reads().into_iter().flatten().sum::<u64>();
+
+        // As the pass goes with one worker: from where the last chunk ended
+        // to the first block boundary past the next multiple of the chunk
+        // size — the end of the block the chunk began with.
+        let (mut start, mut window, mut restored) = (0u64, Vec::new(), Vec::new());
+        let mut ends = Vec::new();
+        loop {
+            let chunk = decoder
+                .decode_at(&DirectChunk {
+                    start_bit_offset: start,
+                    stop_bit_offset: (start / chunk_bits + 1) * chunk_bits,
+                    window: &window,
+                    at_member_start: start == 0,
+                    extent: Extent::Guessed,
+                    verify: true,
+                })
+                .unwrap();
+            restored.extend_from_slice(&chunk.data);
+            window = chunk.next_window(&window);
+            start = chunk.end_bit_offset;
+            ends.push(start);
+            if chunk.reached_end_of_file {
+                break;
+            }
+        }
+        assert!(restored == data);
+        assert_eq!(ends.len(), 6);
+        let overrun = decoder.largest_overrun.load(Relaxed);
+        assert!((300_000..450_000).contains(&overrun), "{overrun}");
+        // The first block did not fit into its stop + 64 KiB, nor + 256 KiB;
+        // no other was decoded twice.
+        assert_eq!(range_reads(), 6 + 2);
+
+        // Neither is any speculative decode, and each block but the final
+        // one, which no finder looks for, is found.
+        let mut found = Vec::new();
+        for guess in 1..guesses {
+            let chunk = decoder.decode_speculative(guess, |_, _| WindowAnswer::Unknown);
+            found.extend(chunk.unwrap().map(|chunk| chunk.found_bit_offset));
+        }
+        assert!(ends[..4].iter().all(|block| found.contains(block)));
+        assert_eq!(range_reads(), 6 + 2 + (guesses as u64 - 1));
     }
 
     #[test]

@@ -442,6 +442,7 @@ mod tests {
                     &Arc::default(),
                     TraceSink::shared_disabled(),
                 )),
+                largest_overrun: Arc::default(),
             };
             let decode = |chunk: &IndexedChunk, window: &[u8]| {
                 decoder.decode_at(&DirectChunk {

@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use rgz_blockfinder::CandidateKind;
 use rgz_fetcher::StageTimer;
 use rgz_metrics::{
     exponential_buckets, names, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
@@ -59,6 +60,9 @@ pub(crate) struct ReaderMetrics {
     speculative_bytes_u16: Counter,
     speculative_bytes_u8: Counter,
     speculative_handoffs: Counter,
+    block_finder_scanned_bytes: Counter,
+    /// By [`CandidateKind`], rejected and taken.
+    block_finder_candidates: [[Counter; 2]; 2],
     prefetch_issued_speculative: Counter,
     prefetch_issued_index: Counter,
     prefetch_hits: Counter,
@@ -106,6 +110,13 @@ impl ReaderMetrics {
                 &[("width", width)],
             )
         };
+        let candidates = |kind: &str, verdict: &str| {
+            registry.counter_with_labels(
+                names::BLOCK_FINDER_CANDIDATES,
+                "Block starts the finder offered a speculative decode, by what became of them",
+                &[("kind", kind), ("verdict", verdict)],
+            )
+        };
         let slices = |checked: &str| {
             registry.counter_with_labels(
                 names::INDEX_SLICES,
@@ -149,6 +160,12 @@ impl ReaderMetrics {
                 names::SPECULATIVE_HANDOFFS,
                 "Speculative decodes handed their window while under way",
             ),
+            block_finder_scanned_bytes: registry.counter(
+                names::BLOCK_FINDER_SCANNED_BYTES,
+                "Compressed bytes searched for a block to start a speculative decode from",
+            ),
+            block_finder_candidates: ["uncompressed", "dynamic"]
+                .map(|kind| ["rejected", "taken"].map(|verdict| candidates(kind, verdict))),
             prefetch_issued_speculative: prefetch("speculative"),
             prefetch_issued_index: prefetch("index"),
             prefetch_hits: registry.counter(
@@ -220,6 +237,26 @@ impl ReaderMetrics {
         self.speculative_bytes_u16.add(wide_bytes);
         self.speculative_bytes_u8.add(length - wide_bytes);
         self.instant(instants::SPEC_COMMIT, start_bit, Some(member), Some(length));
+    }
+
+    /// A speculative decode searched its range for a block to start from, over
+    /// `scanned_bytes` by the two finders together: `rejected` counts the
+    /// candidates, by `CandidateKind as usize`, that did not decode, and
+    /// `taken` is the one that did.  (A search done again over a wider range
+    /// counts again: it is work done.)
+    pub fn block_searched(
+        &self,
+        scanned_bytes: u64,
+        rejected: [u64; 2],
+        taken: Option<CandidateKind>,
+    ) {
+        self.block_finder_scanned_bytes.add(scanned_bytes);
+        for (kind, rejected) in rejected.into_iter().enumerate() {
+            self.block_finder_candidates[kind][0].add(rejected);
+        }
+        if let Some(kind) = taken {
+            self.block_finder_candidates[kind as usize][1].inc();
+        }
     }
 
     /// The pass, arrived at `start_bit`, handed the speculative decode under

@@ -331,6 +331,7 @@ impl ParallelGzipReader {
                     // neither frees nor creates one once it has them all.
                     buffers: BufferPool::new(parallelization + 1, &registry),
                     metrics: Arc::clone(&metrics),
+                    largest_overrun: Arc::default(),
                 },
                 spawner: pool.spawner(),
                 verifier: parking_lot::Mutex::new(StreamVerifier::new(
@@ -1189,16 +1190,59 @@ mod tests {
 
     #[test]
     fn a_member_ending_at_the_range_end_does_not_truncate_the_stream() {
-        // Chunk 0's compressed range (chunk + slack = two chunks) ends exactly
+        // Chunk 0's compressed range (chunk + 64 KiB of slack) ends exactly
         // at the first member's end; the second member must still be read.
         let (compressed, first_length, expected) =
             crate::chunk::tests::single_block_member_then_another();
+        let chunk_size = first_length - 64 * 1024;
         let mut reader =
-            ParallelGzipReader::from_bytes(compressed, options(2, first_length / 2)).unwrap();
+            ParallelGzipReader::from_bytes(compressed, options(2, chunk_size)).unwrap();
         let restored = reader.decompress_all().unwrap();
         assert_eq!(restored.len(), expected.len());
         assert_eq!(restored, expected);
         assert_eq!(reader.verification_statistics().members_verified, 2);
+    }
+
+    #[test]
+    fn blocks_longer_than_the_slack_widen_the_range_once_not_chunk_after_chunk() {
+        let (compressed, data) = crate::chunk::tests::long_blocks();
+        let chunk_size = 64 * 1024;
+        let range_reads = |reader: &ParallelGzipReader| {
+            let snapshot = reader.metrics().snapshot();
+            ["fresh", "reused"].map(|result| {
+                let labels = [("kind", "range"), ("result", result)];
+                snapshot.counter(names::BUFFER_POOL_TAKES, &labels)
+            })
+        };
+        // One worker: every chunk from its known start, a block each, and on
+        // demand, the ranges decoded ahead being the ones it runs past.  The
+        // first reads 64 KiB past its stop, then 256 KiB, then the 1 MiB its
+        // block fits into; the others twice what that one ran past its stop.
+        let mut reader =
+            ParallelGzipReader::from_bytes(compressed.clone(), options(1, chunk_size)).unwrap();
+        assert_eq!(reader.decompress_all().unwrap(), data);
+        let statistics = reader.statistics();
+        let chunks = reader.index().block_map.len() as u64;
+        assert_eq!(
+            (chunks, statistics.on_demand_chunks),
+            (6, 6),
+            "{statistics:?}"
+        );
+        let reads: u64 = range_reads(&reader).into_iter().flatten().sum();
+        assert_eq!(reads, chunks + 2);
+
+        // More workers, and whichever ranges they got to before the pass had
+        // gone by: same bytes, same chunks, and still not three reads each.
+        let mut reader =
+            ParallelGzipReader::from_bytes(compressed, options(3, chunk_size)).unwrap();
+        assert_eq!(reader.decompress_all().unwrap(), data);
+        assert_eq!(reader.index().block_map.len() as u64, chunks);
+        let reads: u64 = range_reads(&reader).into_iter().flatten().sum();
+        let issued = reader.statistics().prefetches_issued;
+        assert!(
+            reads <= chunks + issued + 2,
+            "{reads} reads of {chunks} chunks"
+        );
     }
 
     #[test]

@@ -213,8 +213,8 @@ pub struct DynamicHeader {
     distance_count: usize,
 }
 
-/// HLIT and HDIST at their largest.
-const MAX_DYNAMIC_CODE_LENGTHS: usize = 286 + 30;
+/// HLIT at its largest, and what HDIST's five bits can hold.
+const MAX_DYNAMIC_CODE_LENGTHS: usize = 286 + 32;
 
 impl DynamicHeader {
     /// Code lengths of the literal/length alphabet (257 to 286 of them).
@@ -222,7 +222,8 @@ impl DynamicHeader {
         &self.lengths[..self.literal_count]
     }
 
-    /// Code lengths of the distance alphabet (1 to 30 of them).
+    /// Code lengths of the distance alphabet (1 to 30 of them in a block
+    /// that decodes).
     pub fn distance_lengths(&self) -> &[u8] {
         &self.lengths[self.literal_count..self.literal_count + self.distance_count]
     }
@@ -259,6 +260,20 @@ pub fn parse_dynamic_header(reader: &mut BitReader<'_>) -> Result<DynamicHeader,
             distance_count as u16,
         ));
     }
+    parse_code_lengths(reader, literal_count, distance_count)
+}
+
+/// The rest of a Dynamic Block header after HLIT and HDIST: HCLEN, the
+/// precode, and the `literal_count + distance_count` code lengths it encodes.
+///
+/// The counts are the caller's to check: the block finder, which reports
+/// what each candidate header fails on (Table 1), passes every HDIST the five
+/// bits can hold.
+pub fn parse_code_lengths(
+    reader: &mut BitReader<'_>,
+    literal_count: usize,
+    distance_count: usize,
+) -> Result<DynamicHeader, DeflateError> {
     let precode_count = reader.read(4)? as usize + 4;
 
     let mut precode_lengths = [0u8; PRECODE_ALPHABET_SIZE];

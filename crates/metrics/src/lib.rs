@@ -53,6 +53,12 @@ pub mod names {
     /// Counter: speculative decodes handed their window while under way, and
     /// finished one-stage.
     pub const SPECULATIVE_HANDOFFS: &str = "rgz_speculative_handoffs_total";
+    /// Counter: compressed bytes the block finders searched for speculative
+    /// decodes.
+    pub const BLOCK_FINDER_SCANNED_BYTES: &str = "rgz_block_finder_scanned_bytes_total";
+    /// Counter, labels `kind` ∈ {`dynamic`, `uncompressed`} and `verdict` ∈
+    /// {`taken`, `rejected`}: the candidates those searches came up with.
+    pub const BLOCK_FINDER_CANDIDATES: &str = "rgz_block_finder_candidates_total";
     /// Counter, label `kind` ∈ {`speculative`, `index`}.
     pub const PREFETCH_ISSUED: &str = "rgz_prefetch_issued_total";
     pub const PREFETCH_HITS: &str = "rgz_prefetch_hits_total";

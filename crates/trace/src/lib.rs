@@ -61,6 +61,8 @@ use std::time::Instant;
 /// Pipeline stage a span belongs to. One value per instrumented hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
+    /// Read of the compressed range a speculative chunk decode works on.
+    RangeRead,
     /// Speculative deflate-block search inside a chunk guess.
     BlockFind,
     /// Speculative two-stage decode (16-bit marker symbols, unknown window).
@@ -91,6 +93,7 @@ impl Stage {
     /// Stable snake_case name used in Chrome trace output and metrics keys.
     pub fn name(self) -> &'static str {
         match self {
+            Stage::RangeRead => "range_read",
             Stage::BlockFind => "block_find",
             Stage::DecodeTwoStage => "decode_two_stage",
             Stage::DecodeOneStage => "decode_one_stage",
@@ -106,7 +109,8 @@ impl Stage {
     }
 
     /// All stages, for exhaustive aggregation.
-    pub const ALL: [Stage; 11] = [
+    pub const ALL: [Stage; 12] = [
+        Stage::RangeRead,
         Stage::BlockFind,
         Stage::DecodeTwoStage,
         Stage::DecodeOneStage,
