@@ -1,7 +1,7 @@
 //! Figure 12: influence of the chunk size on decompression bandwidth.
 
 use rgz_bench::*;
-use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
+use rgz_core::ParallelGzipReaderOptions;
 use rgz_io::SharedFileReader;
 
 fn main() {
@@ -45,10 +45,7 @@ fn main() {
             chunk_size,
             ..Default::default()
         };
-        let (_, duration) = best_of(|| {
-            let mut reader = ParallelGzipReader::new(shared.clone(), options.clone()).unwrap();
-            assert_eq!(reader.decompress_all().unwrap().len(), data.len());
-        });
+        let (_, duration) = best_decompress_all(&shared, &options, None, data.len(), drop);
         let rapid = bandwidth_mb_per_s(data.len(), duration);
 
         let pugz = rgz_baselines::PugzDecompressor {

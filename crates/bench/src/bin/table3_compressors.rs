@@ -2,7 +2,7 @@
 //! parallel decompression bandwidth.
 
 use rgz_bench::*;
-use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
+use rgz_core::ParallelGzipReaderOptions;
 use rgz_gzip::{CompressorFrontend, FrontendKind};
 use rgz_io::SharedFileReader;
 
@@ -46,10 +46,7 @@ fn main() {
             ..Default::default()
         };
         let shared = SharedFileReader::from_bytes(compressed);
-        let (_, duration) = best_of(|| {
-            let mut reader = ParallelGzipReader::new(shared.clone(), options.clone()).unwrap();
-            assert_eq!(reader.decompress_all().unwrap().len(), data.len());
-        });
+        let (_, duration) = best_decompress_all(&shared, &options, None, data.len(), drop);
         println!(
             "{:<14} {:>12.2} {:>18.1}",
             frontend.label(),

@@ -49,10 +49,7 @@ fn main() {
             ..Default::default()
         };
         let shared = SharedFileReader::from_bytes(gzip_file.clone());
-        let (_, duration) = best_of(|| {
-            let mut reader = ParallelGzipReader::new(shared.clone(), options.clone()).unwrap();
-            assert_eq!(reader.decompress_all().unwrap().len(), data.len());
-        });
+        let (_, duration) = best_decompress_all(&shared, &options, None, data.len(), drop);
         row(
             "gzip",
             &gzip_file,
@@ -63,12 +60,7 @@ fn main() {
 
         let mut builder = ParallelGzipReader::new(shared.clone(), options.clone()).unwrap();
         let index = builder.build_full_index().unwrap();
-        let (_, duration) = best_of(|| {
-            let mut reader =
-                ParallelGzipReader::with_index(shared.clone(), options.clone(), index.clone())
-                    .unwrap();
-            assert_eq!(reader.decompress_all().unwrap().len(), data.len());
-        });
+        let (_, duration) = best_decompress_all(&shared, &options, Some(&index), data.len(), drop);
         row(
             "gzip",
             &gzip_file,

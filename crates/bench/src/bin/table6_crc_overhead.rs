@@ -8,7 +8,7 @@
 //! overhead is a few percent — this harness quantifies it per corpus.
 
 use rgz_bench::*;
-use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions, VerificationMode};
+use rgz_core::{ParallelGzipReaderOptions, VerificationMode};
 use rgz_gzip::GzipWriter;
 use rgz_io::SharedFileReader;
 
@@ -45,12 +45,8 @@ fn main() {
                 verification,
                 ..Default::default()
             };
-            let (reader, duration) = best_of(|| {
-                let mut reader = ParallelGzipReader::new(shared.clone(), options.clone()).unwrap();
-                let restored = reader.decompress_all().unwrap();
-                assert_eq!(restored.len(), data.len());
-                reader
-            });
+            let (reader, duration) =
+                best_decompress_all(&shared, &options, None, data.len(), |reader| reader);
             bandwidths[index] = bandwidth_mb_per_s(data.len(), duration);
             if verification == VerificationMode::Full {
                 members_verified = reader.verification_statistics().members_verified;

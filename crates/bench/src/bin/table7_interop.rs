@@ -11,9 +11,6 @@
 //! `--json` emits one [`rgz_bench::JsonReport`] line; `perf_compare` gates
 //! the hardware-independent `speedup_index_vs_speculative` ratio.
 
-use std::io::{Read, Seek, SeekFrom};
-use std::time::Duration;
-
 use rgz_bench::*;
 use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
 use rgz_gzip::GzipWriter;
@@ -27,33 +24,6 @@ fn options() -> ParallelGzipReaderOptions {
         chunk_size: scaled(1 << 20, 128 << 10),
         ..Default::default()
     }
-}
-
-/// Deterministic pseudo-random offsets covering the whole stream.
-fn access_offsets(total: usize, count: usize, read_size: usize) -> Vec<u64> {
-    let mut state = 0x2545F491_4F6CDD1Du64;
-    (0..count)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % (total - read_size) as u64
-        })
-        .collect()
-}
-
-fn timed_random_access(
-    reader: &mut ParallelGzipReader,
-    offsets: &[u64],
-    read_size: usize,
-) -> Duration {
-    let mut buffer = vec![0u8; read_size];
-    let start = std::time::Instant::now();
-    for &offset in offsets {
-        reader.seek(SeekFrom::Start(offset)).unwrap();
-        reader.read_exact(&mut buffer).unwrap();
-    }
-    start.elapsed()
 }
 
 fn main() {
@@ -71,7 +41,7 @@ fn main() {
     let accesses = scaled(48, 16);
     let data = rgz_datagen::base64_random(total, 61);
     let compressed = GzipWriter::default().compress_pigz_like(&data, 128 << 10);
-    let offsets = access_offsets(total, accesses, read_size);
+    let offsets = access_offsets(0x2545F491_4F6CDD1D, total, accesses, read_size);
     let touched = (accesses * read_size) as f64;
 
     // Build the index once (this is the producer side; its cost is the

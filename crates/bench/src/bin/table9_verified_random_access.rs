@@ -39,32 +39,8 @@ fn options(verification: VerificationMode) -> ParallelGzipReaderOptions {
     }
 }
 
-/// Deterministic pseudo-random offsets covering the whole stream.
-fn access_offsets(total: usize, count: usize, read_size: usize) -> Vec<u64> {
-    let mut state = 0x9E3779B9_7F4A7C15u64;
-    (0..count)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % (total - read_size) as u64
-        })
-        .collect()
-}
-
-fn timed_random_access(
-    reader: &mut ParallelGzipReader,
-    offsets: &[u64],
-    read_size: usize,
-) -> Duration {
-    let mut buffer = vec![0u8; read_size];
-    let start = std::time::Instant::now();
-    for &offset in offsets {
-        reader.seek(SeekFrom::Start(offset)).unwrap();
-        reader.read_exact(&mut buffer).unwrap();
-    }
-    start.elapsed()
-}
+/// Seed of the access offsets.
+const SEED: u64 = 0x9E3779B9_7F4A7C15;
 
 /// One sweep with a fresh reader, so every repetition decodes (and, when
 /// enabled, re-verifies) its chunks instead of hitting the resolved cache.
@@ -124,7 +100,7 @@ fn sliced_reads(report: &mut JsonReport, json: bool) {
         GzipIndex::import(&serialized).unwrap(),
     )
     .unwrap();
-    let mut offsets = access_offsets(usize::MAX, 1 << 10, 0).into_iter();
+    let mut offsets = access_offsets(SEED, usize::MAX, 1 << 10, 0).into_iter();
     let mut buffer = vec![0u8; read_size];
     let mut read_in = |reader: &mut ParallelGzipReader, chunk: usize| {
         let room = points[chunk].uncompressed_size - read_size as u64;
@@ -206,7 +182,7 @@ fn main() {
     let accesses = scaled(48, 16);
     let data = rgz_datagen::base64_random(total, 91);
     let compressed = GzipWriter::default().compress_pigz_like(&data, 128 << 10);
-    let offsets = access_offsets(total, accesses, read_size);
+    let offsets = access_offsets(SEED, total, accesses, read_size);
     let touched = (accesses * read_size) as f64;
 
     // Producer side: one sequential pass captures the fragments for free;

@@ -15,9 +15,11 @@
 //! per line; `perf_compare` diffs them and enforces the regression threshold.
 
 use std::collections::BTreeMap;
+use std::io::{Read, Seek, SeekFrom};
 use std::time::{Duration, Instant};
 
 use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
+use rgz_index::GzipIndex;
 use rgz_io::SharedFileReader;
 
 pub mod json;
@@ -163,6 +165,59 @@ pub fn best_of<T>(mut f: impl FnMut() -> T) -> (T, Duration) {
     (last_value.unwrap(), best.unwrap())
 }
 
+/// Best of [`repetitions`] decodes of `compressed` by a fresh reader's
+/// `decompress_all`, seeded with `index` where one is given, each checked to
+/// yield `size` bytes.  `finish` is handed each reader inside the timing; what
+/// it returns for the last comes back beside the best time.
+pub fn best_decompress_all<T>(
+    compressed: &SharedFileReader,
+    options: &ParallelGzipReaderOptions,
+    index: Option<&GzipIndex>,
+    size: usize,
+    finish: impl Fn(ParallelGzipReader) -> T,
+) -> (T, Duration) {
+    best_of(|| {
+        let mut reader = match index {
+            Some(index) => {
+                ParallelGzipReader::with_index(compressed.clone(), options.clone(), index.clone())
+            }
+            None => ParallelGzipReader::new(compressed.clone(), options.clone()),
+        }
+        .unwrap();
+        assert_eq!(reader.decompress_all().unwrap().len(), size);
+        finish(reader)
+    })
+}
+
+/// `count` deterministic pseudo-random offsets (xorshift from `seed`) at
+/// which a read of `read_size` bytes fits into a stream of `total` bytes.
+pub fn access_offsets(seed: u64, total: usize, count: usize, read_size: usize) -> Vec<u64> {
+    let mut state = seed;
+    (0..count)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % (total - read_size) as u64
+        })
+        .collect()
+}
+
+/// Wall time of a seek and a `read_size` read at every offset, in order.
+pub fn timed_random_access(
+    reader: &mut ParallelGzipReader,
+    offsets: &[u64],
+    read_size: usize,
+) -> Duration {
+    let mut buffer = vec![0u8; read_size];
+    let start = Instant::now();
+    for &offset in offsets {
+        reader.seek(SeekFrom::Start(offset)).unwrap();
+        reader.read_exact(&mut buffer).unwrap();
+    }
+    start.elapsed()
+}
+
 /// Bandwidth in MB/s (decimal megabytes, as in the paper).
 pub fn bandwidth_mb_per_s(bytes: usize, duration: Duration) -> f64 {
     bytes as f64 / 1e6 / duration.as_secs_f64().max(1e-9)
@@ -225,23 +280,13 @@ pub fn scaling_run(kind: &str, make_data: fn(usize, u64) -> Vec<u8>, include_pug
         };
         let shared = SharedFileReader::from_bytes(compressed.clone());
 
-        let (_, duration) = best_of(|| {
-            let mut reader = ParallelGzipReader::new(shared.clone(), options.clone()).unwrap();
-            let out = reader.decompress_all().unwrap();
-            assert_eq!(out.len(), data.len());
-        });
+        let (_, duration) = best_decompress_all(&shared, &options, None, data.len(), drop);
         rapid_no_index.push((cores, bandwidth_mb_per_s(data.len(), duration)));
 
         // Build the index once, then measure decompression with it.
         let mut index_builder = ParallelGzipReader::new(shared.clone(), options.clone()).unwrap();
         let index = index_builder.build_full_index().unwrap();
-        let (_, duration) = best_of(|| {
-            let mut reader =
-                ParallelGzipReader::with_index(shared.clone(), options.clone(), index.clone())
-                    .unwrap();
-            let out = reader.decompress_all().unwrap();
-            assert_eq!(out.len(), data.len());
-        });
+        let (_, duration) = best_decompress_all(&shared, &options, Some(&index), data.len(), drop);
         rapid_index.push((cores, bandwidth_mb_per_s(data.len(), duration)));
 
         if include_pugz {

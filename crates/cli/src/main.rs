@@ -31,8 +31,9 @@
 //!                             `=json` emits one machine-readable JSON line
 //!       --stats-interval <S>  print a live one-line progress report (input/
 //!                             output MB/s, ETA, window-cache hit rate, pool
-//!                             queue depth) to stderr every S seconds,
-//!                             computed from periodic metrics-registry samples
+//!                             queue depth) to stderr every S seconds of
+//!                             parallel decompression, computed from the
+//!                             metrics registry as the output is written
 //!       --metrics-export <P>  write every metric series in Prometheus text
 //!                             exposition format (0.0.4) to P at exit
 //!   -v, --verbose             print the selected SIMD kernels, reader
@@ -60,12 +61,13 @@
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions, ReaderStatistics, VerificationMode};
+use rgz_index::GzipIndex;
 use rgz_interop::AnyIndexFormat;
 use rgz_io::SharedFileReader;
-use rgz_metrics::{names, MetricsRegistry, SampleWindow, Sampler};
+use rgz_metrics::{names, MetricsRegistry, MetricsSnapshot};
 use rgz_trace::{chrome_trace_json, MetricsReport, Outcome, Stage, TraceSink};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -74,25 +76,41 @@ enum ReportFormat {
     Json,
 }
 
+/// Both verbs' options: the input file and the flags they share first, then
+/// those only decompression takes, then those only `compress` takes.
+#[derive(Default)]
 struct Options {
     file: String,
     threads: usize,
     chunk_size_kib: usize,
-    count_lines: bool,
     export_index: Option<String>,
-    import_index: Option<String>,
     index_format: AnyIndexFormat,
+    output: Option<String>,
+    verbose: bool,
+    metrics_export: Option<String>,
+
+    count_lines: bool,
+    import_index: Option<String>,
     verification: VerificationMode,
     serial: bool,
-    verbose: bool,
-    output: Option<String>,
     trace: Option<String>,
     trace_report: Option<ReportFormat>,
     stats_interval: Option<f64>,
-    metrics_export: Option<String>,
+
+    level: u8,
+    bgzf: bool,
+    member_size_kib: usize,
 }
 
-fn print_usage() {
+fn print_usage(compress: bool) {
+    if compress {
+        eprintln!("usage: rgzip compress [-l 0-9] [--bgzf] [-P N] [--chunk-size KiB]");
+        eprintln!("                      [--member-size KiB] [--export-index PATH]");
+        eprintln!("                      [--index-format v1|v2|v3|gztool|indexed-gzip]");
+        eprintln!("                      [--metrics-export PATH]");
+        eprintln!("                      [-v] [-o OUTPUT] FILE");
+        return;
+    }
     eprintln!("usage: rgzip [-d] [-P N] [--chunk-size KiB] [--count-lines]");
     eprintln!("             [--export-index PATH] [--import-index PATH]");
     eprintln!("             [--index-format v1|v2|v3|gztool|indexed-gzip]");
@@ -103,85 +121,73 @@ fn print_usage() {
     eprintln!("       rgzip compress [OPTIONS] FILE   (see `rgzip compress --help`)");
 }
 
-fn parse_arguments() -> Result<Options, String> {
-    let mut arguments = std::env::args().skip(1);
+/// Parses the arguments of decompression, or of `compress` if `compress`:
+/// the flags both take, each verb's own, and the input file.
+fn parse_arguments(
+    compress: bool,
+    mut arguments: impl Iterator<Item = String>,
+) -> Result<Options, String> {
     let mut options = Options {
-        file: String::new(),
         threads: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4),
-        chunk_size_kib: 4096,
-        count_lines: false,
-        export_index: None,
-        import_index: None,
-        index_format: AnyIndexFormat::default(),
-        verification: VerificationMode::default(),
-        serial: false,
-        verbose: false,
-        output: None,
-        trace: None,
-        trace_report: None,
-        stats_interval: None,
-        metrics_export: None,
+        chunk_size_kib: if compress { 128 } else { 4096 },
+        level: 6,
+        member_size_kib: 2048,
+        ..Options::default()
     };
-    let next_value = |arguments: &mut dyn Iterator<Item = String>, flag: &str| {
-        arguments
-            .next()
-            .ok_or_else(|| format!("missing value for {flag}"))
-    };
+    let decompress = !compress;
     while let Some(argument) = arguments.next() {
+        let mut value = |flag: &str| {
+            arguments
+                .next()
+                .ok_or_else(|| format!("missing value for {flag}"))
+        };
         match argument.as_str() {
             "-h" | "--help" => {
-                print_usage();
+                print_usage(compress);
                 std::process::exit(0);
             }
-            "-d" | "--decompress" => {}
-            "--verify" => options.verification = VerificationMode::Full,
-            "--no-verify" => options.verification = VerificationMode::Off,
-            "--serial" => options.serial = true,
             "-v" | "--verbose" => options.verbose = true,
-            "--count-lines" => options.count_lines = true,
-            "-P" | "--threads" => {
-                options.threads = next_value(&mut arguments, "-P")?
-                    .parse()
-                    .map_err(|e| format!("invalid thread count: {e}"))?;
-            }
+            "-P" | "--threads" => options.threads = parsed(value("-P")?, "thread count")?,
             "--chunk-size" => {
-                options.chunk_size_kib = next_value(&mut arguments, "--chunk-size")?
-                    .parse()
-                    .map_err(|e| format!("invalid chunk size: {e}"))?;
+                options.chunk_size_kib = parsed(value("--chunk-size")?, "chunk size")?;
             }
-            "--export-index" => {
-                options.export_index = Some(next_value(&mut arguments, "--export-index")?);
-            }
-            "--import-index" => {
-                options.import_index = Some(next_value(&mut arguments, "--import-index")?);
-            }
-            "--index-format" => {
-                options.index_format = next_value(&mut arguments, "--index-format")?.parse()?;
-            }
-            "-o" | "--output" => {
-                options.output = Some(next_value(&mut arguments, "-o")?);
-            }
-            "--trace" => {
-                options.trace = Some(next_value(&mut arguments, "--trace")?);
-            }
-            "--trace-report" | "--trace-report=text" => {
+            "--export-index" => options.export_index = Some(value("--export-index")?),
+            "--index-format" => options.index_format = value("--index-format")?.parse()?,
+            "-o" | "--output" => options.output = Some(value("-o")?),
+            "--metrics-export" => options.metrics_export = Some(value("--metrics-export")?),
+
+            "-d" | "--decompress" if decompress => {}
+            "--verify" if decompress => options.verification = VerificationMode::Full,
+            "--no-verify" if decompress => options.verification = VerificationMode::Off,
+            "--serial" if decompress => options.serial = true,
+            "--count-lines" if decompress => options.count_lines = true,
+            "--import-index" if decompress => options.import_index = Some(value("--import-index")?),
+            "--trace" if decompress => options.trace = Some(value("--trace")?),
+            "--trace-report" | "--trace-report=text" if decompress => {
                 options.trace_report = Some(ReportFormat::Text);
             }
-            "--trace-report=json" => options.trace_report = Some(ReportFormat::Json),
-            "--stats-interval" => {
-                let seconds: f64 = next_value(&mut arguments, "--stats-interval")?
-                    .parse()
-                    .map_err(|e| format!("invalid stats interval: {e}"))?;
+            "--trace-report=json" if decompress => options.trace_report = Some(ReportFormat::Json),
+            "--stats-interval" if decompress => {
+                let seconds: f64 = parsed(value("--stats-interval")?, "stats interval")?;
                 if !seconds.is_finite() || seconds <= 0.0 {
                     return Err(format!("invalid stats interval: {seconds} (expected > 0)"));
                 }
                 options.stats_interval = Some(seconds);
             }
-            "--metrics-export" => {
-                options.metrics_export = Some(next_value(&mut arguments, "--metrics-export")?);
+
+            "--bgzf" if compress => options.bgzf = true,
+            "-l" | "--level" if compress => {
+                options.level = parsed(value("-l")?, "level")?;
+                if options.level > 9 {
+                    return Err(format!("invalid level: {} (expected 0-9)", options.level));
+                }
             }
+            "--member-size" if compress => {
+                options.member_size_kib = parsed(value("--member-size")?, "member size")?;
+            }
+
             other if !other.starts_with('-') && options.file.is_empty() => {
                 options.file = other.to_string();
             }
@@ -194,8 +200,145 @@ fn parse_arguments() -> Result<Options, String> {
     Ok(options)
 }
 
+/// A flag's value, parsed; `what` names it in the error.
+fn parsed<T: std::str::FromStr>(value: String, what: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("invalid {what}: {e}"))
+}
+
+/// `part` as a percentage of `whole`, 0 of nothing.
+fn percent(part: u64, whole: u64) -> f64 {
+    if whole > 0 {
+        100.0 * part as f64 / whole as f64
+    } else {
+        0.0
+    }
+}
+
+/// Writes `index` to `path` in `format` and says so, with a warning if the
+/// format cannot keep the index's CRC-32 fragments.
+fn export_index(index: &GzipIndex, format: AnyIndexFormat, path: &str) -> Result<(), String> {
+    let (serialized, report) = rgz_interop::export_index_with_report(index, format);
+    std::fs::write(path, &serialized).map_err(|e| e.to_string())?;
+    eprintln!(
+        "rgzip: exported {format} index with {} seek points ({} bytes) to {path}",
+        index.block_map.len(),
+        serialized.len()
+    );
+    if report.checksummed_points_dropped > 0 {
+        eprintln!(
+            "rgzip: warning: {format} format cannot store CRC-32 fragments; dropped \
+             checksums for {} seek point(s) (use --index-format v3 to keep them)",
+            report.checksummed_points_dropped
+        );
+    }
+    Ok(())
+}
+
+/// Writes every series of `registry` to `path` in the Prometheus text format.
+///
+/// The export is written at exit rather than on a signal: without a signal
+/// handling dependency the process cannot observe SIGUSR1, so the final
+/// registry state is the one scrape this build can offer.
+fn export_metrics(registry: &MetricsRegistry, path: &str) -> Result<(), String> {
+    std::fs::write(path, registry.render_prometheus())
+        .map_err(|e| format!("cannot write metrics {path}: {e}"))?;
+    eprintln!("rgzip: wrote Prometheus metrics to {path}");
+    Ok(())
+}
+
+/// Where decompressed bytes go: the file or stdout, or — under
+/// `--count-lines` — nowhere but into a count of newlines.  With `progress`,
+/// every write is followed by a look at the clock.
+struct Output {
+    sink: Box<dyn Write>,
+    lines: Option<u64>,
+    progress: Option<Progress>,
+}
+
+impl Write for Output {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        let written = match &mut self.lines {
+            Some(lines) => {
+                *lines += bytes.iter().filter(|&&b| b == b'\n').count() as u64;
+                bytes.len()
+            }
+            None => self.sink.write(bytes)?,
+        };
+        if let Some(progress) = &mut self.progress {
+            progress.tick();
+        }
+        Ok(written)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.sink.flush()
+    }
+}
+
+/// The `--stats-interval` line: once the interval has passed, rates over the
+/// time since the line before, from one registry snapshot and the one kept
+/// from that line.
+struct Progress {
+    registry: Arc<MetricsRegistry>,
+    interval: Duration,
+    compressed_size: u64,
+    previous: (Instant, MetricsSnapshot),
+}
+
+impl Progress {
+    fn new(registry: Arc<MetricsRegistry>, seconds: f64, compressed_size: u64) -> Self {
+        Self {
+            interval: Duration::from_secs_f64(seconds).max(Duration::from_millis(10)),
+            compressed_size,
+            previous: (Instant::now(), registry.snapshot()),
+            registry,
+        }
+    }
+
+    fn tick(&mut self) {
+        let now = Instant::now();
+        let seconds = now.duration_since(self.previous.0);
+        if seconds < self.interval {
+            return;
+        }
+        let seconds = seconds.as_secs_f64();
+        let snapshot = self.registry.snapshot();
+        let previous = &self.previous.1;
+        let rate = |name| {
+            let total = snapshot.counter_total(name);
+            total.saturating_sub(previous.counter_total(name)) as f64 / seconds
+        };
+        let (in_rate, out_rate) = (rate(names::READ_BYTES), rate(names::BYTES_OUT));
+        let read_total = snapshot.counter_total(names::READ_BYTES);
+        let cache = |event| {
+            let labels = [("event", event)];
+            snapshot.counter(names::WINDOW_CACHE, &labels).unwrap_or(0)
+        };
+        let cache_hits = cache("hit");
+        let queue_depth = snapshot.gauge(names::POOL_QUEUE_DEPTH, &[]).unwrap_or(0);
+        let eta = if in_rate > 0.0 && self.compressed_size > read_total {
+            let remaining = (self.compressed_size - read_total) as f64;
+            format!("{:.0} s", remaining / in_rate)
+        } else {
+            "-".to_string()
+        };
+        eprintln!(
+            "rgzip: progress: {:.1} % in {:.1} MB/s out {:.1} MB/s \
+             eta {eta} cache {:.0} % queue {queue_depth}",
+            percent(read_total, self.compressed_size),
+            in_rate / 1e6,
+            out_rate / 1e6,
+            percent(cache_hits, cache_hits + cache("miss")),
+        );
+        self.previous = (now, snapshot);
+    }
+}
+
 fn run(options: &Options) -> Result<(), String> {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
 
     if options.verbose {
         // Which kernel each runtime-dispatched hot path selected on this
@@ -228,320 +371,27 @@ fn run(options: &Options) -> Result<(), String> {
     // summary.
     let registry = Arc::new(MetricsRegistry::new());
 
-    let mut sink: Box<dyn Write> = match &options.output {
+    let sink: Box<dyn Write> = match &options.output {
         Some(path) => Box::new(std::io::BufWriter::new(
             std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
         )),
         None => Box::new(std::io::BufWriter::new(std::io::stdout())),
     };
+    let mut output = Output {
+        sink,
+        lines: options.count_lines.then_some(0),
+        progress: None,
+    };
 
-    let total_bytes;
-    let mut line_count = 0u64;
-    // Throughput is reported over the decode loop alone: file opening, index
+    // Throughput is reported over the decode alone: file opening, index
     // import and index export all happen outside this window, so the MB/s
     // figure states what the decoder itself sustained.
-    let decode_elapsed;
-
-    if options.serial {
-        let compressed = std::fs::read(&options.file)
-            .map_err(|e| format!("cannot read {}: {e}", options.file))?;
-        let mut decoder = rgz_gzip::GzipDecoder::new();
-        if options.verification == VerificationMode::Off {
-            decoder = decoder.without_checksum_verification();
-        }
-        let decode_start = std::time::Instant::now();
-        let mut span = trace.span(Stage::SerialDecode);
-        let result = decoder.decompress(&compressed);
-        match &result {
-            Ok(data) => {
-                span.set_bytes(data.len() as u64);
-                span.set_outcome(Outcome::Committed);
-            }
-            Err(_) => span.set_outcome(Outcome::Error),
-        }
-        span.finish();
-        decode_elapsed = decode_start.elapsed();
-        let data = result.map_err(|e| e.to_string())?;
-        if options.verbose {
-            eprintln!("rgzip: serial decoder: no chunk or index statistics");
-        }
-        total_bytes = data.len() as u64;
-        if options.count_lines {
-            line_count = data.iter().filter(|&&b| b == b'\n').count() as u64;
-        } else {
-            sink.write_all(&data).map_err(|e| e.to_string())?;
-        }
+    let (total_bytes, decode_elapsed) = if options.serial {
+        decompress_serial(options, &trace, &mut output)?
     } else {
-        let reader_options = ParallelGzipReaderOptions {
-            parallelization: options.threads.max(1),
-            chunk_size: options.chunk_size_kib.max(4) * 1024,
-            verification: options.verification,
-            ..Default::default()
-        }
-        .with_trace(trace.clone())
-        .with_metrics(Arc::clone(&registry));
-        let compressed_size = std::fs::metadata(&options.file)
-            .map(|metadata| metadata.len())
-            .unwrap_or(0);
-        let shared = SharedFileReader::open(&options.file)
-            .map_err(|e| format!("cannot open {}: {e}", options.file))?;
-        let mut reader = match &options.import_index {
-            Some(path) => {
-                let serialized =
-                    std::fs::read(path).map_err(|e| format!("cannot read index {path}: {e}"))?;
-                let imported = rgz_interop::import_index(&serialized).map_err(|e| e.to_string())?;
-                if options.verbose || imported.windowless_points_dropped > 0 {
-                    eprintln!(
-                        "rgzip: imported {} index: {} seek points{}{}",
-                        imported.format,
-                        imported.index.block_map.len(),
-                        if imported.windowless_points_dropped > 0 {
-                            format!(
-                                ", dropped {} window-less point(s)",
-                                imported.windowless_points_dropped
-                            )
-                        } else {
-                            String::new()
-                        },
-                        if imported.synthesized_leading_point {
-                            ", synthesized a leading point"
-                        } else {
-                            ""
-                        }
-                    );
-                    if imported.checksummed_points > 0 {
-                        eprintln!(
-                            "rgzip: {} of {} seek points carry CRC-32 fragments; \
-                             random-access reads will be verified",
-                            imported.checksummed_points,
-                            imported.index.block_map.len()
-                        );
-                    } else {
-                        eprintln!(
-                            "rgzip: index stores no CRC-32 fragments; random-access \
-                             reads through it are NOT verified (re-export as v3 to fix)"
-                        );
-                    }
-                }
-                ParallelGzipReader::with_index(shared, reader_options, imported.index)
-            }
-            None => ParallelGzipReader::new(shared, reader_options),
-        }
-        .map_err(|e| e.to_string())?;
-
-        // The sampler thread snapshots the registry every interval and hands
-        // the observer two consecutive samples; everything on the progress
-        // line is computed from that delta window, so the live report and the
-        // final export can never disagree about what happened.
-        let sampler = options.stats_interval.map(|seconds| {
-            let observer = Box::new(move |window: &SampleWindow| {
-                let read_total = window.current.snapshot.counter_total(names::READ_BYTES);
-                let in_rate = window.rate_per_sec(names::READ_BYTES);
-                let out_rate = window.rate_per_sec(names::BYTES_OUT);
-                let cache_hits = window
-                    .current
-                    .snapshot
-                    .counter(names::WINDOW_CACHE, &[("event", "hit")])
-                    .unwrap_or(0);
-                let cache_misses = window
-                    .current
-                    .snapshot
-                    .counter(names::WINDOW_CACHE, &[("event", "miss")])
-                    .unwrap_or(0);
-                let cache_lookups = cache_hits + cache_misses;
-                let queue_depth = window.gauge(names::POOL_QUEUE_DEPTH, &[]).unwrap_or(0);
-                let percent_done = if compressed_size > 0 {
-                    100.0 * read_total as f64 / compressed_size as f64
-                } else {
-                    0.0
-                };
-                let eta = if in_rate > 0.0 && compressed_size > read_total {
-                    format!("{:.0} s", (compressed_size - read_total) as f64 / in_rate)
-                } else {
-                    "-".to_string()
-                };
-                eprintln!(
-                    "rgzip: progress: {percent_done:.1} % in {:.1} MB/s out {:.1} MB/s \
-                     eta {eta} cache {:.0} % queue {queue_depth}",
-                    in_rate / 1e6,
-                    out_rate / 1e6,
-                    if cache_lookups > 0 {
-                        100.0 * cache_hits as f64 / cache_lookups as f64
-                    } else {
-                        0.0
-                    },
-                );
-            }) as Box<dyn Fn(&SampleWindow) + Send>;
-            Sampler::start_with_observer(
-                Arc::clone(&registry),
-                Duration::from_secs_f64(seconds),
-                120,
-                Some(observer),
-            )
-        });
-
-        let decode_start = std::time::Instant::now();
-        let mut buffer = vec![0u8; 4 << 20];
-        let mut written = 0u64;
-        loop {
-            let read = std::io::Read::read(&mut reader, &mut buffer).map_err(|e| e.to_string())?;
-            if read == 0 {
-                break;
-            }
-            if options.count_lines {
-                line_count += buffer[..read].iter().filter(|&&b| b == b'\n').count() as u64;
-            } else {
-                sink.write_all(&buffer[..read]).map_err(|e| e.to_string())?;
-            }
-            written += read as u64;
-        }
-        decode_elapsed = decode_start.elapsed();
-        total_bytes = written;
-        // Joins the sampler thread so no progress line interleaves with the
-        // summary output below.
-        drop(sampler);
-
-        if let Some(path) = &options.export_index {
-            let index = reader.build_full_index().map_err(|e| e.to_string())?;
-            let (serialized, report) =
-                rgz_interop::export_index_with_report(&index, options.index_format);
-            std::fs::write(path, &serialized).map_err(|e| e.to_string())?;
-            eprintln!(
-                "rgzip: exported {} index with {} seek points ({} bytes) to {path}",
-                options.index_format,
-                index.block_map.len(),
-                serialized.len()
-            );
-            if report.checksummed_points_dropped > 0 {
-                eprintln!(
-                    "rgzip: warning: {} format cannot store CRC-32 fragments; dropped \
-                     checksums for {} seek point(s) (use --index-format v3 to keep them)",
-                    options.index_format, report.checksummed_points_dropped
-                );
-            }
-        }
-
-        if options.verbose {
-            // Every figure below is read from one snapshot of the registry
-            // the reader and the layers under it count into, the one a
-            // --stats-interval line and a --metrics-export dump show; taken
-            // once index() has seen the last marker replacement out.
-            let windows = reader.window_statistics();
-            let index = reader.index();
-            let snapshot = registry.snapshot();
-            let statistics = ReaderStatistics::from_metrics_snapshot(&snapshot);
-            eprintln!(
-                "rgzip: chunks: {} speculative, {} window-known, {} on-demand, {} mismatches, \
-                 {} prefetches issued, {} decoded from index",
-                statistics.speculative_chunks_used,
-                statistics.window_known_chunks,
-                statistics.on_demand_chunks,
-                statistics.speculative_mismatches,
-                statistics.prefetches_issued,
-                statistics.index_chunks
-            );
-            eprintln!(
-                "rgzip: speculation waste: {} chunk(s) discarded, {} bytes decoded in vain",
-                statistics.speculative_chunks_wasted, statistics.speculative_bytes_wasted
-            );
-            let speculative_bytes =
-                statistics.speculative_bytes_u16 + statistics.speculative_bytes_u8;
-            eprintln!(
-                "rgzip: speculative decode: {} bytes as 16-bit marker symbols, {} bytes as \
-                 plain bytes after markers died out or the window arrived ({:.1} % at \
-                 one-stage speed), {} chunk(s) handed their window mid-decode",
-                statistics.speculative_bytes_u16,
-                statistics.speculative_bytes_u8,
-                if speculative_bytes > 0 {
-                    100.0 * statistics.speculative_bytes_u8 as f64 / speculative_bytes as f64
-                } else {
-                    0.0
-                },
-                statistics.speculative_chunks_handed
-            );
-            eprintln!(
-                "rgzip: index-aligned prefetch: {} issued, {} hits",
-                statistics.index_prefetches_issued, statistics.index_prefetch_hits
-            );
-            eprintln!(
-                "rgzip: worker pool: {} tasks submitted, {} queued, {} in flight",
-                statistics.pool_tasks_submitted,
-                statistics.pool_queue_depth,
-                statistics.pool_tasks_inflight
-            );
-            eprintln!(
-                "rgzip: index: {} seek points, {} windows; window memory: \
-                 {} raw -> {} stored bytes ({:.2}x), {} pending compressions",
-                index.block_map.len(),
-                windows.windows,
-                windows.original_bytes,
-                windows.stored_bytes,
-                windows.compression_ratio(),
-                windows.pending_compressions
-            );
-            let cache = |event| {
-                let labels = [("event", event)];
-                snapshot.counter(names::WINDOW_CACHE, &labels).unwrap_or(0)
-            };
-            let cache_hits = cache("hit");
-            let cache_lookups = cache_hits + cache("miss");
-            eprintln!(
-                "rgzip: window cache: {} hot ({} hits / {} lookups = {:.1} % hit rate, \
-                 {} evictions), {} corrupt",
-                windows.hot_windows,
-                cache_hits,
-                cache_lookups,
-                if cache_lookups > 0 {
-                    100.0 * cache_hits as f64 / cache_lookups as f64
-                } else {
-                    0.0
-                },
-                cache("evicted"),
-                windows.corrupt_windows
-            );
-            // Chunk buffers (compressed ranges, 16-bit symbols, output bytes)
-            // the reader's pool handed out, from the same snapshot.
-            let buffer_takes = |result: &str| -> u64 {
-                ["range", "u16", "u8"]
-                    .iter()
-                    .filter_map(|kind| {
-                        let labels = [("kind", *kind), ("result", result)];
-                        snapshot.counter(names::BUFFER_POOL_TAKES, &labels)
-                    })
-                    .sum()
-            };
-            eprintln!(
-                "rgzip: buffers: {} reused, {} fresh, {:.1} MiB idle",
-                buffer_takes("reused"),
-                buffer_takes("fresh"),
-                snapshot
-                    .gauge(names::BUFFER_POOL_IDLE_BYTES, &[])
-                    .unwrap_or(0) as f64
-                    / (1 << 20) as f64
-            );
-            let verification = reader.verification_statistics();
-            eprintln!(
-                "rgzip: verification ({:?}): {} members verified, {} bytes hashed, \
-                 {} fragments folded, stream CRC-32 {:#010x}",
-                verification.mode,
-                verification.members_verified,
-                verification.bytes_verified,
-                verification.fragments_folded,
-                verification.stream_crc32
-            );
-            eprintln!(
-                "rgzip: random access: {} chunk(s) verified against stored fragments, \
-                 {} unverified (index carried no fragments); {} slice(s) of them decoded \
-                 for later reads, {} bytes",
-                statistics.index_chunks_verified,
-                statistics.index_chunks_unverified,
-                statistics.index_slices,
-                statistics.index_slice_bytes
-            );
-        }
-    }
-
-    sink.flush().map_err(|e| e.to_string())?;
+        decompress_parallel(options, &trace, &registry, &mut output)?
+    };
+    output.flush().map_err(|e| e.to_string())?;
 
     if let Some(path) = &options.trace {
         let json = chrome_trace_json(&trace);
@@ -561,18 +411,13 @@ fn run(options: &Options) -> Result<(), String> {
         }
         None => {}
     }
-    // The export is written at exit rather than on a signal: without a signal
-    // handling dependency the process cannot observe SIGUSR1, so the final
-    // registry state is the one scrape this build can offer.
     if let Some(path) = &options.metrics_export {
-        std::fs::write(path, registry.render_prometheus())
-            .map_err(|e| format!("cannot write metrics {path}: {e}"))?;
-        eprintln!("rgzip: wrote Prometheus metrics to {path}");
+        export_metrics(&registry, path)?;
     }
 
     let elapsed = start.elapsed();
-    if options.count_lines {
-        println!("{line_count}");
+    if let Some(lines) = output.lines {
+        println!("{lines}");
     }
     eprintln!(
         "rgzip: {} bytes decoded in {:.2} s ({:.1} MB/s, {} threads); {:.2} s total",
@@ -585,108 +430,246 @@ fn run(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-struct CompressOptions {
-    file: String,
-    level: u8,
-    bgzf: bool,
-    threads: usize,
-    chunk_size_kib: usize,
-    member_size_kib: usize,
-    export_index: Option<String>,
-    index_format: AnyIndexFormat,
-    output: Option<String>,
-    verbose: bool,
-    metrics_export: Option<String>,
+/// Decodes the file in one call of the serial decoder and hands the bytes to
+/// `output`; returns their count and the decode's duration.
+fn decompress_serial(
+    options: &Options,
+    trace: &TraceSink,
+    output: &mut Output,
+) -> Result<(u64, Duration), String> {
+    let file = &options.file;
+    let compressed = std::fs::read(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let mut decoder = rgz_gzip::GzipDecoder::new();
+    if options.verification == VerificationMode::Off {
+        decoder = decoder.without_checksum_verification();
+    }
+    let decode_start = Instant::now();
+    let mut span = trace.span(Stage::SerialDecode);
+    let result = decoder.decompress(&compressed);
+    match &result {
+        Ok(data) => {
+            span.set_bytes(data.len() as u64);
+            span.set_outcome(Outcome::Committed);
+        }
+        Err(_) => span.set_outcome(Outcome::Error),
+    }
+    span.finish();
+    let decode_elapsed = decode_start.elapsed();
+    let data = result.map_err(|e| e.to_string())?;
+    if options.verbose {
+        eprintln!("rgzip: serial decoder: no chunk or index statistics");
+    }
+    output.write_all(&data).map_err(|e| e.to_string())?;
+    Ok((data.len() as u64, decode_elapsed))
 }
 
-fn print_compress_usage() {
-    eprintln!("usage: rgzip compress [-l 0-9] [--bgzf] [-P N] [--chunk-size KiB]");
-    eprintln!("                      [--member-size KiB] [--export-index PATH]");
-    eprintln!("                      [--index-format v1|v2|v3|gztool|indexed-gzip]");
-    eprintln!("                      [--metrics-export PATH]");
-    eprintln!("                      [-v] [-o OUTPUT] FILE");
+/// Decodes the file with the parallel reader, which hands its chunks to
+/// `output` a slice at a time; returns the byte count and the duration of
+/// the hand-over.
+fn decompress_parallel(
+    options: &Options,
+    trace: &Arc<TraceSink>,
+    registry: &Arc<MetricsRegistry>,
+    output: &mut Output,
+) -> Result<(u64, Duration), String> {
+    let reader_options = ParallelGzipReaderOptions {
+        parallelization: options.threads.max(1),
+        chunk_size: options.chunk_size_kib.max(4) * 1024,
+        verification: options.verification,
+        ..Default::default()
+    }
+    .with_trace(Arc::clone(trace))
+    .with_metrics(Arc::clone(registry));
+    let compressed_size = std::fs::metadata(&options.file)
+        .map(|metadata| metadata.len())
+        .unwrap_or(0);
+    let shared = SharedFileReader::open(&options.file)
+        .map_err(|e| format!("cannot open {}: {e}", options.file))?;
+    let mut reader = match &options.import_index {
+        Some(path) => {
+            let index = import_index(path, options.verbose)?;
+            ParallelGzipReader::with_index(shared, reader_options, index)
+        }
+        None => ParallelGzipReader::new(shared, reader_options),
+    }
+    .map_err(|e| e.to_string())?;
+
+    output.progress = options
+        .stats_interval
+        .map(|seconds| Progress::new(Arc::clone(registry), seconds, compressed_size));
+    let decode_start = Instant::now();
+    // Errors read as through the reader's `Read`: an I/O error, the
+    // output's or the input's, as itself.
+    let total_bytes = reader
+        .decompress_to(output)
+        .map_err(|e| std::io::Error::from(e).to_string())?;
+    let decode_elapsed = decode_start.elapsed();
+    output.progress = None;
+
+    if let Some(path) = &options.export_index {
+        let index = reader.build_full_index().map_err(|e| e.to_string())?;
+        export_index(&index, options.index_format, path)?;
+    }
+    if options.verbose {
+        print_statistics(&reader, registry);
+    }
+    Ok((total_bytes, decode_elapsed))
 }
 
-fn parse_compress_arguments(
-    arguments: impl Iterator<Item = String>,
-) -> Result<CompressOptions, String> {
-    let mut arguments = arguments;
-    let mut options = CompressOptions {
-        file: String::new(),
-        level: 6,
-        bgzf: false,
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4),
-        chunk_size_kib: 128,
-        member_size_kib: 2048,
-        export_index: None,
-        index_format: AnyIndexFormat::default(),
-        output: None,
-        verbose: false,
-        metrics_export: None,
-    };
-    let next_value = |arguments: &mut dyn Iterator<Item = String>, flag: &str| {
-        arguments
-            .next()
-            .ok_or_else(|| format!("missing value for {flag}"))
-    };
-    while let Some(argument) = arguments.next() {
-        match argument.as_str() {
-            "-h" | "--help" => {
-                print_compress_usage();
-                std::process::exit(0);
+/// Reads the index at `path`, in whichever format it is, and tells what it
+/// holds when asked to or when points had to be dropped.
+fn import_index(path: &str, verbose: bool) -> Result<GzipIndex, String> {
+    let serialized = std::fs::read(path).map_err(|e| format!("cannot read index {path}: {e}"))?;
+    let imported = rgz_interop::import_index(&serialized).map_err(|e| e.to_string())?;
+    let points = imported.index.block_map.len();
+    if verbose || imported.windowless_points_dropped > 0 {
+        eprintln!(
+            "rgzip: imported {} index: {points} seek points{}{}",
+            imported.format,
+            if imported.windowless_points_dropped > 0 {
+                format!(
+                    ", dropped {} window-less point(s)",
+                    imported.windowless_points_dropped
+                )
+            } else {
+                String::new()
+            },
+            if imported.synthesized_leading_point {
+                ", synthesized a leading point"
+            } else {
+                ""
             }
-            "--bgzf" => options.bgzf = true,
-            "-v" | "--verbose" => options.verbose = true,
-            "-l" | "--level" => {
-                options.level = next_value(&mut arguments, "-l")?
-                    .parse()
-                    .map_err(|e| format!("invalid level: {e}"))?;
-                if options.level > 9 {
-                    return Err(format!("invalid level: {} (expected 0-9)", options.level));
-                }
-            }
-            "-P" | "--threads" => {
-                options.threads = next_value(&mut arguments, "-P")?
-                    .parse()
-                    .map_err(|e| format!("invalid thread count: {e}"))?;
-            }
-            "--chunk-size" => {
-                options.chunk_size_kib = next_value(&mut arguments, "--chunk-size")?
-                    .parse()
-                    .map_err(|e| format!("invalid chunk size: {e}"))?;
-            }
-            "--member-size" => {
-                options.member_size_kib = next_value(&mut arguments, "--member-size")?
-                    .parse()
-                    .map_err(|e| format!("invalid member size: {e}"))?;
-            }
-            "--export-index" => {
-                options.export_index = Some(next_value(&mut arguments, "--export-index")?);
-            }
-            "--index-format" => {
-                options.index_format = next_value(&mut arguments, "--index-format")?.parse()?;
-            }
-            "-o" | "--output" => {
-                options.output = Some(next_value(&mut arguments, "-o")?);
-            }
-            "--metrics-export" => {
-                options.metrics_export = Some(next_value(&mut arguments, "--metrics-export")?);
-            }
-            other if !other.starts_with('-') && options.file.is_empty() => {
-                options.file = other.to_string();
-            }
-            other => return Err(format!("unknown argument: {other}")),
+        );
+        if imported.checksummed_points > 0 {
+            eprintln!(
+                "rgzip: {} of {points} seek points carry CRC-32 fragments; \
+                 random-access reads will be verified",
+                imported.checksummed_points
+            );
+        } else {
+            eprintln!(
+                "rgzip: index stores no CRC-32 fragments; random-access \
+                 reads through it are NOT verified (re-export as v3 to fix)"
+            );
         }
     }
-    if options.file.is_empty() {
-        return Err("no input file given".to_string());
-    }
-    Ok(options)
+    Ok(imported.index)
 }
 
-fn run_compress(options: &CompressOptions) -> Result<(), String> {
+/// The `--verbose` summary of a parallel decode.
+fn print_statistics(reader: &ParallelGzipReader, registry: &MetricsRegistry) {
+    // Every figure below is read from one snapshot of the registry the
+    // reader and the layers under it count into, the one a --stats-interval
+    // line and a --metrics-export dump show; taken once index() has seen the
+    // last marker replacement out.
+    let windows = reader.window_statistics();
+    let index = reader.index();
+    let snapshot = registry.snapshot();
+    let statistics = ReaderStatistics::from_metrics_snapshot(&snapshot);
+    eprintln!(
+        "rgzip: chunks: {} speculative, {} window-known, {} on-demand, {} mismatches, \
+         {} prefetches issued, {} decoded from index",
+        statistics.speculative_chunks_used,
+        statistics.window_known_chunks,
+        statistics.on_demand_chunks,
+        statistics.speculative_mismatches,
+        statistics.prefetches_issued,
+        statistics.index_chunks
+    );
+    eprintln!(
+        "rgzip: speculation waste: {} chunk(s) discarded, {} bytes decoded in vain",
+        statistics.speculative_chunks_wasted, statistics.speculative_bytes_wasted
+    );
+    eprintln!(
+        "rgzip: speculative decode: {} bytes as 16-bit marker symbols, {} bytes as \
+         plain bytes after markers died out or the window arrived ({:.1} % at \
+         one-stage speed), {} chunk(s) handed their window mid-decode",
+        statistics.speculative_bytes_u16,
+        statistics.speculative_bytes_u8,
+        percent(
+            statistics.speculative_bytes_u8,
+            statistics.speculative_bytes_u16 + statistics.speculative_bytes_u8
+        ),
+        statistics.speculative_chunks_handed
+    );
+    eprintln!(
+        "rgzip: index-aligned prefetch: {} issued, {} hits",
+        statistics.index_prefetches_issued, statistics.index_prefetch_hits
+    );
+    eprintln!(
+        "rgzip: worker pool: {} tasks submitted, {} queued, {} in flight",
+        statistics.pool_tasks_submitted,
+        statistics.pool_queue_depth,
+        statistics.pool_tasks_inflight
+    );
+    eprintln!(
+        "rgzip: index: {} seek points, {} windows; window memory: \
+         {} raw -> {} stored bytes ({:.2}x), {} pending compressions",
+        index.block_map.len(),
+        windows.windows,
+        windows.original_bytes,
+        windows.stored_bytes,
+        windows.compression_ratio(),
+        windows.pending_compressions
+    );
+    let cache = |event| {
+        let labels = [("event", event)];
+        snapshot.counter(names::WINDOW_CACHE, &labels).unwrap_or(0)
+    };
+    let cache_hits = cache("hit");
+    let cache_lookups = cache_hits + cache("miss");
+    eprintln!(
+        "rgzip: window cache: {} hot ({} hits / {} lookups = {:.1} % hit rate, \
+         {} evictions), {} corrupt",
+        windows.hot_windows,
+        cache_hits,
+        cache_lookups,
+        percent(cache_hits, cache_lookups),
+        cache("evicted"),
+        windows.corrupt_windows
+    );
+    // Chunk buffers (compressed ranges, 16-bit symbols, output bytes) the
+    // reader's pool handed out, from the same snapshot.
+    let buffer_takes = |result: &str| -> u64 {
+        ["range", "u16", "u8"]
+            .iter()
+            .filter_map(|kind| {
+                let labels = [("kind", *kind), ("result", result)];
+                snapshot.counter(names::BUFFER_POOL_TAKES, &labels)
+            })
+            .sum()
+    };
+    eprintln!(
+        "rgzip: buffers: {} reused, {} fresh, {:.1} MiB idle",
+        buffer_takes("reused"),
+        buffer_takes("fresh"),
+        snapshot
+            .gauge(names::BUFFER_POOL_IDLE_BYTES, &[])
+            .unwrap_or(0) as f64
+            / (1 << 20) as f64
+    );
+    let verification = reader.verification_statistics();
+    eprintln!(
+        "rgzip: verification ({:?}): {} members verified, {} bytes hashed, \
+         {} fragments folded, stream CRC-32 {:#010x}",
+        verification.mode,
+        verification.members_verified,
+        verification.bytes_verified,
+        verification.fragments_folded,
+        verification.stream_crc32
+    );
+    eprintln!(
+        "rgzip: random access: {} chunk(s) verified against stored fragments, \
+         {} unverified (index carried no fragments); {} slice(s) of them decoded \
+         for later reads, {} bytes",
+        statistics.index_chunks_verified,
+        statistics.index_chunks_unverified,
+        statistics.index_slices,
+        statistics.index_slice_bytes
+    );
+}
+
+fn run_compress(options: &Options) -> Result<(), String> {
     use rgz_compress::{
         CompressionLevel, ContainerFormat, ParallelCompressor, ParallelCompressorOptions,
     };
@@ -709,8 +692,8 @@ fn run_compress(options: &CompressOptions) -> Result<(), String> {
         ..Default::default()
     })
     .with_metrics(&registry);
-    let compress_start = std::time::Instant::now();
-    let stream = compressor.compress_shared(std::sync::Arc::from(data));
+    let compress_start = Instant::now();
+    let stream = compressor.compress_shared(Arc::from(data));
     let compress_elapsed = compress_start.elapsed();
 
     let output_path = options
@@ -728,24 +711,8 @@ fn run_compress(options: &CompressOptions) -> Result<(), String> {
     }
 
     if let Some(path) = &options.export_index {
-        let (serialized, report) =
-            rgz_interop::export_index_with_report(&stream.index, options.index_format);
-        std::fs::write(path, &serialized).map_err(|e| e.to_string())?;
-        eprintln!(
-            "rgzip: exported {} index with {} seek points ({} bytes) to {path}",
-            options.index_format,
-            stream.index.block_map.len(),
-            serialized.len()
-        );
-        if report.checksummed_points_dropped > 0 {
-            eprintln!(
-                "rgzip: warning: {} format cannot store CRC-32 fragments; dropped \
-                 checksums for {} seek point(s) (use --index-format v3 to keep them)",
-                options.index_format, report.checksummed_points_dropped
-            );
-        }
+        export_index(&stream.index, options.index_format, path)?;
     }
-
     if options.verbose {
         eprintln!(
             "rgzip: layout: {} member(s), {} chunk(s), {} seek point(s), all with CRC fragments",
@@ -755,9 +722,7 @@ fn run_compress(options: &CompressOptions) -> Result<(), String> {
         );
     }
     if let Some(path) = &options.metrics_export {
-        std::fs::write(path, registry.render_prometheus())
-            .map_err(|e| format!("cannot write metrics {path}: {e}"))?;
-        eprintln!("rgzip: wrote Prometheus metrics to {path}");
+        export_metrics(&registry, path)?;
     }
     eprintln!(
         "rgzip: {} bytes compressed to {} ({:.2}x) in {:.2} s ({:.1} MB/s, {} threads)",
@@ -772,33 +737,24 @@ fn run_compress(options: &CompressOptions) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    if std::env::args().nth(1).as_deref() == Some("compress") {
-        return match parse_compress_arguments(std::env::args().skip(2)) {
-            Ok(options) => match run_compress(&options) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(message) => {
-                    eprintln!("rgzip: {message}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(message) => {
-                eprintln!("rgzip: {message}");
-                print_compress_usage();
-                ExitCode::from(2)
-            }
-        };
-    }
-    match parse_arguments() {
-        Ok(options) => match run(&options) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("rgzip: {message}");
-                ExitCode::FAILURE
-            }
-        },
+    let mut arguments = std::env::args().skip(1).peekable();
+    let compress = arguments.next_if_eq("compress").is_some();
+    let result = parse_arguments(compress, arguments).map(|options| {
+        if compress {
+            run_compress(&options)
+        } else {
+            run(&options)
+        }
+    });
+    match result {
+        Ok(Ok(())) => ExitCode::SUCCESS,
+        Ok(Err(message)) => {
+            eprintln!("rgzip: {message}");
+            ExitCode::FAILURE
+        }
         Err(message) => {
             eprintln!("rgzip: {message}");
-            print_usage();
+            print_usage(compress);
             ExitCode::from(2)
         }
     }

@@ -253,6 +253,41 @@ fn verified_decompression_reports_statistics() {
 }
 
 #[test]
+fn count_lines_prints_the_count_alone_in_every_mode() {
+    let dir = TempDir::new("count_lines");
+    // Text long enough that a 10 ms progress line comes up while it decodes.
+    let data = rgz_datagen::fastq_of_size(4_000_000, 82);
+    let lines = data.iter().filter(|&&b| b == b'\n').count();
+    let gz = dir.file("lines.gz");
+    std::fs::write(&gz, rgz_gzip::GzipWriter::default().compress(&data)).unwrap();
+    let index = dir.file("lines.idx");
+    let index = path_str(&index);
+    let modes: [&[&str]; 5] = [
+        &["--serial"],
+        &["-P", "1"],
+        // Exports the index the run after it reads through.
+        &["-P", "2", "--chunk-size", "64", "--export-index", index],
+        &["-P", "2", "--chunk-size", "64", "--import-index", index],
+        &["-P", "2", "--chunk-size", "64", "--stats-interval", "0.01"],
+    ];
+    for mode in modes {
+        let mut arguments = mode.to_vec();
+        arguments.extend(["--count-lines", path_str(&gz)]);
+        let output = run_rgz(&arguments);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{mode:?} failed: {stderr}");
+        assert_eq!(
+            String::from_utf8_lossy(&output.stdout),
+            format!("{lines}\n"),
+            "{mode:?}: {stderr}"
+        );
+        // The progress lines go to stderr, not among the count.
+        let progress = stderr.contains("rgzip: progress:");
+        assert_eq!(progress, mode.contains(&"--stats-interval"), "{stderr}");
+    }
+}
+
+#[test]
 fn verbose_serial_mode_still_works() {
     let dir = TempDir::new("serial");
     let data = rgz_datagen::base64_random(100_000, 79);

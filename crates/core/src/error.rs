@@ -18,25 +18,11 @@ pub enum CoreError {
     Index(IndexError),
     /// A stored seek-point window failed validation when it was needed.
     Window(WindowError),
-    /// No DEFLATE block could be found inside a chunk even though more
-    /// compressed data follows; decompression cannot be parallelized past
-    /// this point without falling back to sequential decoding.
-    NoBlockFound {
-        /// Guessed chunk start (bit offset) where the search began.
-        search_start_bits: u64,
-    },
     /// An imported index does not match the file (e.g. decoding from a seek
     /// point failed).
     IndexMismatch {
         /// The seek point's compressed bit offset.
         compressed_bit_offset: u64,
-    },
-    /// A seek targeted an offset beyond the end of the decompressed stream.
-    SeekOutOfRange {
-        /// Requested offset.
-        offset: u64,
-        /// Total decompressed size.
-        size: u64,
     },
     /// A gzip member's decompressed data does not hash to the CRC-32 its
     /// trailer stores (detected by the pipelined verification fold).
@@ -68,19 +54,12 @@ impl std::fmt::Display for CoreError {
             CoreError::Deflate(e) => write!(f, "DEFLATE error: {e}"),
             CoreError::Index(e) => write!(f, "index error: {e}"),
             CoreError::Window(e) => write!(f, "seek-point window error: {e}"),
-            CoreError::NoBlockFound { search_start_bits } => write!(
-                f,
-                "no DEFLATE block found searching from bit offset {search_start_bits}"
-            ),
             CoreError::IndexMismatch {
                 compressed_bit_offset,
             } => write!(
                 f,
                 "index does not match the file at compressed bit offset {compressed_bit_offset}"
             ),
-            CoreError::SeekOutOfRange { offset, size } => {
-                write!(f, "seek to {offset} is beyond the decompressed size {size}")
-            }
             CoreError::ChecksumMismatch {
                 member,
                 expected,
@@ -164,8 +143,8 @@ mod tests {
         }
         .into();
         assert!(window_error.to_string().contains("window"));
-        let back_to_io: std::io::Error = CoreError::NoBlockFound {
-            search_start_bits: 5,
+        let back_to_io: std::io::Error = CoreError::IndexMismatch {
+            compressed_bit_offset: 5,
         }
         .into();
         assert_eq!(back_to_io.kind(), std::io::ErrorKind::InvalidData);

@@ -66,11 +66,6 @@ where
         Some(value)
     }
 
-    /// Looks up a key without affecting eviction order.
-    pub fn peek(&self, key: &K) -> Option<Arc<V>> {
-        self.entries.get(key).cloned()
-    }
-
     /// Whether a key is present (does not affect eviction order).
     pub fn contains(&self, key: &K) -> bool {
         self.entries.contains_key(key)

@@ -152,11 +152,6 @@ impl<T> TaskHandle<T> {
     pub fn try_wait(&self) -> Option<std::thread::Result<T>> {
         self.receiver.try_recv().ok()
     }
-
-    /// Whether the task has finished (successfully or by panicking).
-    pub fn is_finished(&self) -> bool {
-        !self.receiver.is_empty()
-    }
 }
 
 /// Submits tasks to a [`ThreadPool`] without owning its threads.
@@ -331,15 +326,6 @@ impl ThreadPool {
     {
         self.spawner.submit(task)
     }
-
-    /// [`Spawner::submit_urgent`] on this pool.
-    pub fn submit_urgent<T, F>(&self, task: F) -> TaskHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.spawner.submit_urgent(task)
-    }
 }
 
 impl Drop for ThreadPool {
@@ -420,12 +406,20 @@ mod tests {
     #[test]
     fn is_finished_and_try_wait() {
         let pool = ThreadPool::new(1);
-        let handle = pool.submit(|| {
-            std::thread::sleep(Duration::from_millis(50));
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let handle = pool.submit(move || {
+            held.recv().unwrap();
             42
         });
-        assert!(handle.try_wait().is_none() || handle.is_finished());
-        assert_eq!(handle.wait(), 42);
+        assert!(handle.try_wait().is_none(), "the task is still held");
+        release.send(()).unwrap();
+        let result = loop {
+            match handle.try_wait() {
+                Some(result) => break result,
+                None => std::thread::yield_now(),
+            }
+        };
+        assert_eq!(result.unwrap(), 42);
     }
 
     #[test]
@@ -520,7 +514,7 @@ mod tests {
         let spawner = pool.spawner();
         let handles = vec![
             pool.submit(record("normal 1")),
-            pool.submit_urgent(record("urgent 1")),
+            spawner.submit_urgent(record("urgent 1")),
             spawner.submit(record("normal 2")),
             spawner.submit_urgent(record("urgent 2")),
             pool.submit(record("normal 3")),
@@ -560,20 +554,20 @@ mod tests {
         started.recv().unwrap();
         for index in 0..40 {
             let counter = counter.clone();
-            let spawner = spawner.clone();
+            let task_spawner = spawner.clone();
             let task = move || {
                 counter.fetch_add(1, Ordering::SeqCst);
                 // A task that submits a task, as a committing worker does —
                 // also while the pool is being dropped.
                 let counter = counter.clone();
-                drop(spawner.submit_urgent(move || {
+                drop(task_spawner.submit_urgent(move || {
                     counter.fetch_add(1, Ordering::SeqCst);
                 }));
             };
             if index % 2 == 0 {
                 drop(pool.submit(task));
             } else {
-                drop(pool.submit_urgent(task));
+                drop(spawner.submit_urgent(task));
             }
         }
         assert_eq!(queue_depth(&pool), Some(40));

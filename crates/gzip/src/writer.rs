@@ -11,7 +11,6 @@ use crate::header::{GzipFooter, GzipHeader, OS_UNIX};
 #[derive(Debug, Clone)]
 pub struct GzipWriter {
     options: CompressorOptions,
-    file_name: Option<Vec<u8>>,
 }
 
 impl Default for GzipWriter {
@@ -23,16 +22,7 @@ impl Default for GzipWriter {
 impl GzipWriter {
     /// Creates a writer with explicit compressor options.
     pub fn new(options: CompressorOptions) -> Self {
-        Self {
-            options,
-            file_name: None,
-        }
-    }
-
-    /// Sets the FNAME header field.
-    pub fn with_file_name(mut self, name: impl Into<Vec<u8>>) -> Self {
-        self.file_name = Some(name.into());
-        self
+        Self { options }
     }
 
     /// The compressor options this writer uses.
@@ -44,7 +34,6 @@ impl GzipWriter {
     pub fn compress(&self, data: &[u8]) -> Vec<u8> {
         let header = GzipHeader {
             operating_system: OS_UNIX,
-            file_name: self.file_name.clone(),
             ..Default::default()
         };
         let mut out = header.to_bytes();
@@ -77,7 +66,6 @@ impl GzipWriter {
         assert!(chunk_size > 0);
         let header = GzipHeader {
             operating_system: OS_UNIX,
-            file_name: self.file_name.clone(),
             ..Default::default()
         };
         let mut out = header.to_bytes();
@@ -119,8 +107,19 @@ mod tests {
 
     #[test]
     fn compressed_output_carries_header_fields() {
-        let writer = GzipWriter::default().with_file_name("data.bin");
-        let compressed = writer.compress(b"payload");
+        let written = GzipWriter::default().compress(b"payload");
+        let plain = GzipHeader {
+            operating_system: OS_UNIX,
+            ..Default::default()
+        };
+        assert_eq!(written[..10], plain.to_bytes());
+        // A named header in front of the same member body.
+        let named = GzipHeader {
+            file_name: Some(b"data.bin".to_vec()),
+            ..plain
+        };
+        let mut compressed = named.to_bytes();
+        compressed.extend_from_slice(&written[10..]);
         let (_, members) = decompress_with_info(&compressed).unwrap();
         assert_eq!(
             members[0].header.file_name.as_deref(),

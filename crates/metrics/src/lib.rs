@@ -31,9 +31,6 @@
 //! ```
 
 mod expose;
-mod sampler;
-
-pub use sampler::{SampleWindow, Sampler, TimedSample};
 
 /// Well-known metric names of the pipeline, so producers (the crates that
 /// register them), consumers (the CLI progress line, `--metrics-export`) and

@@ -210,11 +210,6 @@ impl WindowStore {
         self.inner.lock().slots.contains_key(&offset)
     }
 
-    /// The stored offsets, in arbitrary order.
-    pub fn offsets(&self) -> Vec<u64> {
-        self.inner.lock().slots.keys().copied().collect()
-    }
-
     fn insert_job(&self, offset: u64, job: impl FnOnce() -> CompressedWindow + Send + 'static) {
         let mut inner = self.inner.lock();
         // Invalidate any stale decompressed copy of a window being replaced,
