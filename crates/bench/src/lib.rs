@@ -45,9 +45,12 @@ pub fn json_mode() -> bool {
 /// CI `perf-smoke` job.
 ///
 /// Metric keys are sorted (BTreeMap) so output is diffable run to run.
+/// Which build of the inflate fast loop the numbers were taken with rides
+/// along as `"kernels":{"inflate":"isa"}` where it was named.
 #[derive(Debug, Clone)]
 pub struct JsonReport {
     bench: String,
+    inflate_isa: Option<&'static str>,
     metrics: BTreeMap<String, f64>,
 }
 
@@ -56,8 +59,14 @@ impl JsonReport {
     pub fn new(bench: &str) -> Self {
         Self {
             bench: bench.to_string(),
+            inflate_isa: None,
             metrics: BTreeMap::new(),
         }
+    }
+
+    /// Records that the inflate fast loop ran its `isa` build in this process.
+    pub fn name_inflate_isa(&mut self, isa: &'static str) {
+        self.inflate_isa = Some(isa);
     }
 
     /// Records one metric. Non-finite values are recorded as 0 (JSON has no
@@ -81,10 +90,17 @@ impl JsonReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"bench\":{},\"mode\":{},\"metrics\":{{",
+            "{{\"bench\":{},\"mode\":{},",
             json::escape_string(&self.bench),
             json::escape_string(if quick_mode() { "quick" } else { "full" }),
         ));
+        if let Some(isa) = self.inflate_isa {
+            out.push_str(&format!(
+                "\"kernels\":{{\"inflate\":{}}},",
+                json::escape_string(isa)
+            ));
+        }
+        out.push_str("\"metrics\":{");
         for (i, (key, value)) in self.metrics.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -323,6 +339,25 @@ mod tests {
         assert_eq!(*counts.last().unwrap(), available_cores());
         assert!(counts.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(counts[0], 1);
+    }
+
+    #[test]
+    fn a_report_names_the_inflate_build_and_parses_back() {
+        let mut report = JsonReport::new("table2_components");
+        report.name_inflate_isa("bmi2");
+        report.record("a_mb_s", 1.5);
+        let value = json::parse(&report.to_json()).unwrap();
+        let kernel = value
+            .get("kernels")
+            .and_then(|kernels| kernels.get("inflate"));
+        assert_eq!(kernel.and_then(JsonValue::as_str), Some("bmi2"));
+        let metric = value
+            .get("metrics")
+            .and_then(|metrics| metrics.get("a_mb_s"));
+        assert_eq!(metric.and_then(JsonValue::as_number), Some(1.5));
+        // No kernel named, no key.
+        let plain = json::parse(&JsonReport::new("fig07_bitreader").to_json()).unwrap();
+        assert!(plain.get("kernels").is_none());
     }
 
     #[test]

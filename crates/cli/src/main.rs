@@ -345,10 +345,11 @@ fn run(options: &Options) -> Result<(), String> {
         // machine (all of them fall back to "scalar"-family names under
         // RGZ_FORCE_SCALAR=1 or on CPUs without the fast ISAs).
         eprintln!(
-            "rgzip: kernels: crc32={}, marker-replacement={}, block-finder={}{}",
+            "rgzip: kernels: crc32={}, marker-replacement={}, block-finder={}, inflate={}{}",
             rgz_checksum::crc32_active_isa(),
             rgz_deflate::markers_active_isa(),
             rgz_blockfinder::finder_active_isa(),
+            rgz_deflate::inflate_active_isa(),
             if rgz_bitio::scalar_forced() {
                 " [RGZ_FORCE_SCALAR=1]"
             } else {

@@ -754,7 +754,7 @@ pub(crate) mod tests {
         ChunkDecoder {
             reader: reader.clone(),
             chunk_size,
-            buffers: BufferPool::new(2, metrics),
+            buffers: BufferPool::new(1, metrics),
             metrics: Arc::new(ReaderMetrics::register(&Arc::default(), trace)),
             largest_overrun: Arc::default(),
         }

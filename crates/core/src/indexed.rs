@@ -437,7 +437,7 @@ mod tests {
             let decoder = ChunkDecoder {
                 reader: SharedFileReader::from_bytes(compressed),
                 chunk_size: 1 << 20,
-                buffers: BufferPool::new(2, &MetricsRegistry::new()),
+                buffers: BufferPool::new(1, &MetricsRegistry::new()),
                 metrics: Arc::new(ReaderMetrics::register(
                     &Arc::default(),
                     TraceSink::shared_disabled(),

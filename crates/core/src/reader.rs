@@ -324,12 +324,7 @@ impl ParallelGzipReader {
                 decoder: ChunkDecoder {
                     reader: reader.instrumented(&registry),
                     chunk_size: options.chunk_size,
-                    // Up to 2P + 1 chunks are on their way from decode to
-                    // hand-over, and when the consumer falls behind and
-                    // catches up again, the number breathes by P + 1: that
-                    // many buffers of a kind may lie idle, so that the pass
-                    // neither frees nor creates one once it has them all.
-                    buffers: BufferPool::new(parallelization + 1, &registry),
+                    buffers: BufferPool::new(parallelization, &registry),
                     metrics: Arc::clone(&metrics),
                     largest_overrun: Arc::default(),
                 },

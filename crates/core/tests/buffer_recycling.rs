@@ -3,9 +3,12 @@
 //! provide, what lies idle stays within the bound the pool states, and a
 //! reader that goes away takes all of it with it.
 
+mod common;
+
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::sync::Arc;
 
+use common::FirstChunkHeldBack;
 use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
 use rgz_datagen::{base64_random, silesia_like};
 use rgz_deflate::CompressorOptions;
@@ -30,6 +33,15 @@ fn reader(
     parallelization: usize,
     registry: &Arc<MetricsRegistry>,
 ) -> ParallelGzipReader {
+    let file = rgz_io::SharedFileReader::from_bytes(compressed.to_vec());
+    reader_of(file, parallelization, registry)
+}
+
+fn reader_of(
+    file: rgz_io::SharedFileReader,
+    parallelization: usize,
+    registry: &Arc<MetricsRegistry>,
+) -> ParallelGzipReader {
     let options = ParallelGzipReaderOptions {
         parallelization,
         chunk_size: CHUNK_SIZE,
@@ -37,7 +49,7 @@ fn reader(
         ..Default::default()
     }
     .with_metrics(Arc::clone(registry));
-    ParallelGzipReader::from_bytes(compressed.to_vec(), options).unwrap()
+    ParallelGzipReader::new(file, options).unwrap()
 }
 
 fn takes(registry: &MetricsRegistry, kind: &str, result: &str) -> u64 {
@@ -131,7 +143,8 @@ fn a_sequential_pass_takes_fresh_buffers_only_while_it_warms_up() {
             // chunks decoded ahead and one being resolved holding symbols,
             // all of those and the cache holding bytes.  And one is
             // *replaced* only if a chunk larger than the sixteen before it
-            // was decoded while it lay idle, as at most P + 1 do at a time.
+            // was decoded while it lay idle, as at most a shelf-full do at a
+            // time: P + 1 range or symbol buffers, 2P + 1 byte buffers.
             // These corpora are of one kind from end to end and their chunks
             // a few 16 KiB blocks each, so that happens while the first
             // decodes find the largest size there is — once for a shelf-full
@@ -147,24 +160,33 @@ fn a_sequential_pass_takes_fresh_buffers_only_while_it_warms_up() {
             // rarer kind — never with one worker, and never where every
             // chunk is decoded ahead of the one before it.
             let changes = speculative.min(statistics.window_known_chunks) as usize;
+            let (shelf, byte_shelf) = (parallelization + 1, 2 * parallelization + 1);
             let in_use = [
-                ("range", parallelization + on_demand),
-                ("u16", 2 * parallelization + 1 + parallelization * changes),
-                ("u8", in_flight + 1),
+                ("range", parallelization + on_demand, shelf),
+                (
+                    "u16",
+                    2 * parallelization + 1 + parallelization * changes,
+                    shelf,
+                ),
+                ("u8", in_flight + 1, byte_shelf),
             ];
-            for (kind, in_use) in in_use {
+            for (kind, in_use, shelf) in in_use {
                 let fresh = takes(&registry, kind, "fresh");
-                let bound = in_use + 2 * (parallelization + 1);
+                let bound = in_use + 2 * shelf;
                 assert!(
                     fresh <= bound as u64,
                     "P = {parallelization}: {fresh} fresh {kind} buffers, bound {bound}"
                 );
             }
 
-            // The stated bound on what lies idle: per kind at most P + 1
-            // buffers, each at most 1/32 over the largest recent of its kind —
-            // a compressed range of a chunk and its slack, a chunk's symbols,
-            // a chunk's bytes.
+            // The stated bound on what lies idle: at most P + 1 range and
+            // symbol buffers and 2P + 1 byte buffers, each at most 1/32 over
+            // the largest recent of its kind — a compressed range of a chunk
+            // and its slack, a chunk's symbols, a chunk's bytes.  Byte
+            // buffers are kept two per worker and one over: a consumer that
+            // was descheduled while the workers decoded the whole window
+            // ahead gives all of theirs back at once, and a shelf of P + 1
+            // would free P of them for the next decodes to create anew.
             let index = reader.index();
             let largest_chunk = index
                 .block_map
@@ -174,8 +196,9 @@ fn a_sequential_pass_takes_fresh_buffers_only_while_it_warms_up() {
                 .max()
                 .unwrap();
             let largest_range = (CHUNK_SIZE + 64 * 1024) as u64;
-            let per_buffer_set = largest_range + 2 * largest_chunk + largest_chunk;
-            let idle_bound = (parallelization + 1) as u64 * (per_buffer_set + per_buffer_set / 32);
+            let per_shelf_slot = largest_range + 2 * largest_chunk;
+            let idle = shelf as u64 * per_shelf_slot + byte_shelf as u64 * largest_chunk;
+            let idle_bound = idle + idle / 32;
             assert!(
                 watch.most_idle_bytes.max(idle_bytes(&registry)) <= idle_bound,
                 "P = {parallelization}: {} bytes idle, bound {idle_bound}",
@@ -197,7 +220,17 @@ fn a_reader_dropped_mid_read_frees_every_buffer() {
     let compressed = compress(&data);
     for parallelization in [1usize, 3] {
         let registry = Arc::new(MetricsRegistry::new());
-        let mut reader = reader(&compressed, parallelization, &registry);
+        // With three workers some chunks are to be decoded speculatively,
+        // however fast a decode is beside a thread's wake-up: the first is
+        // held back until two decodes ahead of it have begun.
+        let mut reader = match parallelization {
+            1 => reader(&compressed, parallelization, &registry),
+            _ => reader_of(
+                FirstChunkHeldBack::shared(compressed.clone(), 2),
+                parallelization,
+                &registry,
+            ),
+        };
         // Far enough for speculative decodes and marker replacements to be
         // queued and running, then gone: the drop joins the workers, whose
         // tasks and results hold buffers and handles of the pool — and
@@ -369,7 +402,16 @@ fn interior_points_stay_within_their_budget_and_the_oldest_chunks_go_first() {
         assert_eq!(jump(&mut reader, 1, past_the_point), (chunks + 1, 1));
         assert_eq!(interior_window_bytes(&registry), budget);
         assert_eq!(jump(&mut reader, last - 2, 100), (chunks + 1, 2));
-        assert_eq!(jump(&mut reader, last - 5, 100), (chunks + 2, 2));
+        // Decodes ahead finish in any order, so the four chunks held last
+        // need not be the last four: one decode that stalls may finish after
+        // those of the chunks up to a prefetch degree past it.  A chunk that
+        // far before the last four has gone whatever the order.
+        let long_ago = last - 5 - 2 * parallelization;
+        assert_eq!(
+            jump(&mut reader, long_ago, 100),
+            (chunks + 2, 2),
+            "P = {parallelization}"
+        );
     }
 }
 
@@ -382,9 +424,10 @@ fn slices_teach_the_buffer_pool_nothing() {
     let (data, compressed, index) = long_chunks(8);
     let points = index.block_map.points();
     let registry = Arc::new(MetricsRegistry::new());
-    // Room for the points of eight chunks, of which the last four read are
-    // in the access cache.
-    let mut reader = indexed_reader(&compressed, &index, 2, 4, &registry);
+    // Room for the points of all ten chunks — which of them a smaller budget
+    // lets go of first depends on the order their decodes finish in — of
+    // which the last five read are in the access cache.
+    let mut reader = indexed_reader(&compressed, &index, 2, 5, &registry);
     assert_eq!(reader.decompress_all().unwrap(), data);
     let fresh = |kind| takes(&registry, kind, "fresh");
     let warm = (fresh("range"), fresh("u8"), idle_bytes(&registry));
@@ -395,7 +438,7 @@ fn slices_teach_the_buffer_pool_nothing() {
         reader.read_exact(&mut buffer).unwrap();
         assert!(buffer[..] == data[offset as usize..][..70_000]);
     };
-    let near = points.len() - 5;
+    let near = points.len() - 6;
     for jump in 0..16 {
         read(
             &mut reader,

@@ -18,6 +18,22 @@
 //! careful per-symbol step over the same tables for everywhere else, and the
 //! single-symbol reference that every error comes from — generic over the
 //! output `Sink`: `ByteSink` or `MarkerSink`.
+//!
+//! Whether the last 32 KiB are marker-free is a question of the block
+//! boundary, and is asked there: the marker phase keeps no account of
+//! markers as it copies.  At each boundary the `MarkerSink` looks back from
+//! the output's end, over the symbols it has not looked at yet and no
+//! further than a window back, and stops at the first marker it meets.  That
+//! is exact — the last marker among symbols looked at before is the last
+//! marker, unless a newer one turns up, and anything older than a window
+//! cannot decide the answer — and linear: no symbol is looked at twice, so a
+//! stream of tiny blocks costs what one of large blocks does.
+//!
+//! The fast loop is compiled twice from one source: as the crate is built,
+//! and with BMI1/BMI2 enabled (`shrx` for every variable shift, `bzhi` for
+//! every extra-bits mask).  [`active_isa`] names the build this process
+//! runs: the BMI2 one where the CPU has the instructions and
+//! `RGZ_FORCE_SCALAR` is not set, settled once.
 
 use rgz_bitio::{BitCursor, BitReader};
 use rgz_huffman::{
@@ -287,11 +303,6 @@ trait Sink {
         usize::MAX
     }
 
-    /// Tells the sink that the fast loop has copied `copied`, which now
-    /// starts at output index `from`, from `distance` elements before.
-    #[inline(always)]
-    fn note_copy(&mut self, _copied: &[Self::Symbol], _from: usize, _distance: usize) {}
-
     /// Appends a match from anywhere: this call's output, what the buffer
     /// held before, the window.  Every check is here.
     fn copy_match(&mut self, distance: usize, length: usize) -> Result<(), DeflateError>;
@@ -415,8 +426,11 @@ struct MarkerSink<'a> {
     /// (data appended by previous calls is not referenced).
     base: usize,
     usage: WindowUsage,
-    /// Index into `out` from which on no symbol is a marker.
+    /// Index into `out` from which on no symbol looked at is a marker.
     marker_free_from: usize,
+    /// Index into `out` up to which [`Self::wants_switch`] has looked for
+    /// markers.
+    scanned_to: usize,
     /// Has the block loop stop at the first block boundary where a byte
     /// decoder seeded with the last [`WINDOW_SIZE`] symbols can take over
     /// (§2.2): they are marker-free, or this, asked with the number of symbols
@@ -427,17 +441,24 @@ struct MarkerSink<'a> {
     leave: Option<&'a mut dyn FnMut(usize) -> bool>,
 }
 
-/// Moves `marker_free_from` past the last marker of `copied`, which now
-/// starts at output index `from` and was copied from `distance` elements
-/// before.  A source starting at or after the last marker copied none;
-/// otherwise the copy's own last marker is the new last marker.
-#[inline(always)]
-fn track_last_marker(marker_free_from: &mut usize, copied: &[u16], from: usize, distance: usize) {
-    if from - distance < *marker_free_from {
-        if let Some(last) = copied.iter().rposition(|&symbol| symbol >= MARKER_BASE) {
-            *marker_free_from = from + last + 1;
+/// The index of the last marker in `symbols`: a backward scan that tests 32
+/// symbols at a time for a set top bit (`MARKER_BASE` is `0x8000`), and
+/// stops at the first block that has one.
+fn last_marker(symbols: &[u16]) -> Option<usize> {
+    const BLOCK: usize = 32;
+    let blocks = symbols.rchunks_exact(BLOCK);
+    let head = blocks.remainder();
+    for (back, block) in blocks.enumerate() {
+        let block: &[u16; BLOCK] = block.try_into().expect("an exact chunk");
+        if block.iter().fold(0, |any, &symbol| any | symbol) >= MARKER_BASE {
+            let start = symbols.len() - (back + 1) * BLOCK;
+            return block
+                .iter()
+                .rposition(|&symbol| symbol >= MARKER_BASE)
+                .map(|last| start + last);
         }
     }
+    head.iter().rposition(|&symbol| symbol >= MARKER_BASE)
 }
 
 impl<'a> MarkerSink<'a> {
@@ -445,10 +466,23 @@ impl<'a> MarkerSink<'a> {
         Self {
             base: out.len(),
             marker_free_from: out.len(),
+            scanned_to: out.len(),
             out: Output::new(out),
             usage: WindowUsage::new(),
             leave,
         }
+    }
+
+    /// Moves `marker_free_from` past the last marker among the symbols
+    /// decoded since the last look, of which only the last [`WINDOW_SIZE`]
+    /// can still matter.  Requires a window's worth of symbols in `out`.
+    fn look_for_markers(&mut self) {
+        let end = self.out.len;
+        let from = self.scanned_to.max(end - WINDOW_SIZE);
+        if let Some(last) = last_marker(&self.out.buf[from..end]) {
+            self.marker_free_from = from + last + 1;
+        }
+        self.scanned_to = end;
     }
 }
 
@@ -468,11 +502,6 @@ impl Sink for MarkerSink<'_> {
     #[inline]
     fn base(&self) -> usize {
         self.base
-    }
-
-    #[inline(always)]
-    fn note_copy(&mut self, copied: &[u16], from: usize, distance: usize) {
-        track_last_marker(&mut self.marker_free_from, copied, from, distance);
     }
 
     fn copy_match(&mut self, distance: usize, length: usize) -> Result<(), DeflateError> {
@@ -504,12 +533,9 @@ impl Sink for MarkerSink<'_> {
                 *slot = MARKER_BASE + offset as u16;
             }
             from += from_window;
-            self.marker_free_from = from;
         }
         if from < end {
             copy_match_exact(&mut self.out.buf, from, distance, end - from);
-            let copied = &self.out.buf[from..end];
-            track_last_marker(&mut self.marker_free_from, copied, from, distance);
         }
         self.out.len = end;
         Ok(())
@@ -522,12 +548,13 @@ impl Sink for MarkerSink<'_> {
 
     #[inline]
     fn wants_switch(&mut self) -> bool {
-        let Some(leave) = &mut self.leave else {
-            return false;
-        };
         let decoded = self.out.len - self.base;
+        if self.leave.is_none() || decoded < WINDOW_SIZE {
+            return false;
+        }
+        self.look_for_markers();
         self.out.len - self.marker_free_from >= WINDOW_SIZE
-            || (decoded >= WINDOW_SIZE && leave(decoded))
+            || self.leave.as_mut().is_some_and(|leave| leave(decoded))
     }
 }
 
@@ -536,9 +563,10 @@ impl Sink for MarkerSink<'_> {
 /// What one inflate call carries from block to block, and from the marker
 /// phase to the byte phase of [`inflate_speculative`].
 struct BlockLoop {
-    /// Compressed blocks go through the fast loop, or, when off, through the
+    /// The build of [`decode_fast`] compressed blocks go through (and
+    /// [`decode_symbol_careful`] wherever it stops short), or `None` for the
     /// single-symbol reference decoder.
-    fast: bool,
+    fast: Option<FastLoop>,
     /// The fast loop's tables for Dynamic Blocks: `None` until the first such
     /// block has a valid header (a call that fails before, as a block
     /// finder's probes do, should not pay for 11 KiB of tables).
@@ -548,7 +576,7 @@ struct BlockLoop {
 }
 
 impl BlockLoop {
-    fn new(fast: bool) -> Self {
+    fn new(fast: Option<FastLoop>) -> Self {
         Self {
             fast,
             tables: None,
@@ -606,21 +634,23 @@ impl BlockLoop {
                     let length = read_stored_header(reader)?;
                     sink.push_stored(reader.take_bytes(length)?)?;
                 }
-                (BlockType::Fixed, true) => decode_block_fast(reader, BlockTables::fixed(), sink)?,
-                (BlockType::Fixed, false) => {
+                (BlockType::Fixed, Some(fast_loop)) => {
+                    decode_block_fast(reader, BlockTables::fixed(), sink, fast_loop)?
+                }
+                (BlockType::Fixed, None) => {
                     let codes = fixed_block_codes();
                     decode_block_reference(reader, &codes.literal, codes.distance.as_ref(), sink)?;
                 }
-                (BlockType::Dynamic, true) => {
+                (BlockType::Dynamic, Some(fast_loop)) => {
                     let header = parse_dynamic_header(reader)?;
                     let tables = self.tables.get_or_insert_with(BlockTables::new);
                     tables.build_dynamic(header)?;
                     if reader.remaining_bits() < 8 * FAST_INPUT_MARGIN as u64 {
                         self.fast_fallback_blocks += 1;
                     }
-                    decode_block_fast(reader, tables, sink)?;
+                    decode_block_fast(reader, tables, sink, fast_loop)?;
                 }
-                (BlockType::Dynamic, false) => {
+                (BlockType::Dynamic, None) => {
                     let codes = dynamic_block_codes(reader)?;
                     decode_block_reference(reader, &codes.literal, codes.distance.as_ref(), sink)?;
                 }
@@ -714,12 +744,106 @@ fn decode_block_fast<S: Sink>(
     reader: &mut BitReader<'_>,
     tables: &BlockTables,
     sink: &mut S,
+    fast_loop: FastLoop,
 ) -> Result<(), DeflateError> {
     loop {
-        if decode_fast(reader, tables, sink) || decode_symbol_careful(reader, tables, sink)? {
+        if fast_loop.decode(reader, tables, sink) || decode_symbol_careful(reader, tables, sink)? {
             return Ok(());
         }
     }
+}
+
+/// The two builds of [`decode_fast`]: as the crate is compiled, and with
+/// BMI1 and BMI2 enabled — the same source, tables and checks, with `shrx`
+/// for each variable shift and `bzhi` for each extra-bits mask.
+// `unsafe` is confined to calling the BMI2 build, which only a CPU that has
+// been asked for the instructions gets to (workspace-wide policy: unsafe only
+// inside vetted kernel modules).
+#[allow(unsafe_code)]
+mod fast_loop {
+    use super::{decode_fast, BitReader, BlockTables, Sink};
+
+    /// A build of the fast loop that this CPU can run.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) struct FastLoop {
+        /// Set by [`FastLoop::bmi2`] alone, once the CPU has said it has
+        /// BMI1 and BMI2.
+        bmi2: bool,
+    }
+
+    impl FastLoop {
+        /// The build for the crate's target, which every CPU it runs on can run.
+        pub(super) const PLAIN: Self = Self { bmi2: false };
+
+        /// The BMI2 build, if this CPU has the instructions.
+        pub(super) fn bmi2() -> Option<Self> {
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("bmi1") && is_x86_feature_detected!("bmi2") {
+                return Some(Self { bmi2: true });
+            }
+            None
+        }
+
+        /// The build this process decodes with, chosen on first use: BMI2
+        /// where the CPU has it, unless `RGZ_FORCE_SCALAR` pins the plain one.
+        pub(super) fn active() -> Self {
+            static ACTIVE: std::sync::OnceLock<FastLoop> = std::sync::OnceLock::new();
+            *ACTIVE.get_or_init(|| match rgz_bitio::scalar_forced() {
+                true => Self::PLAIN,
+                false => Self::bmi2().unwrap_or(Self::PLAIN),
+            })
+        }
+
+        pub(super) fn name(self) -> &'static str {
+            if self.bmi2 {
+                "bmi2"
+            } else {
+                "scalar"
+            }
+        }
+
+        /// [`decode_fast`] in this build.
+        #[inline]
+        pub(super) fn decode<S: Sink>(
+            self,
+            reader: &mut BitReader<'_>,
+            tables: &BlockTables,
+            sink: &mut S,
+        ) -> bool {
+            #[cfg(target_arch = "x86_64")]
+            if self.bmi2 {
+                // SAFETY: `bmi2` is set only by `FastLoop::bmi2`, after the
+                // CPU reported both instruction sets.
+                return unsafe { decode_fast_bmi2(reader, tables, sink) };
+            }
+            decode_fast(reader, tables, sink)
+        }
+    }
+
+    /// [`decode_fast`] compiled with BMI1 and BMI2.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have BMI1 and BMI2.
+    // `unsafe fn` (not the 1.86+ safe `#[target_feature]` form) keeps the
+    // crate buildable on the MSRV toolchain.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "bmi1", enable = "bmi2")]
+    unsafe fn decode_fast_bmi2<S: Sink>(
+        reader: &mut BitReader<'_>,
+        tables: &BlockTables,
+        sink: &mut S,
+    ) -> bool {
+        decode_fast(reader, tables, sink)
+    }
+}
+
+use fast_loop::FastLoop;
+
+/// Name of the fast-loop build [`inflate`] and its siblings run on this
+/// machine: `"bmi2"` or `"scalar"`.
+pub fn active_isa() -> &'static str {
+    FastLoop::active().name()
 }
 
 /// The fast loop: decodes symbols for as long as nothing can go wrong, and
@@ -739,6 +863,9 @@ fn decode_block_fast<S: Sink>(
 /// or for up to two literals (22), a length code with its extra bits (20)
 /// and, after one conditional refill, a distance (28).  The entry of the
 /// next iteration is looked up before a match is copied.
+///
+/// Always inlined: into each of its two builds ([`FastLoop`]).
+#[inline(always)]
 fn decode_fast<S: Sink>(reader: &mut BitReader<'_>, tables: &BlockTables, sink: &mut S) -> bool {
     let input = reader.data();
     let limit = sink.limit();
@@ -764,8 +891,9 @@ fn decode_fast<S: Sink>(reader: &mut BitReader<'_>, tables: &BlockTables, sink: 
     if next_byte > last_input || len > last_output {
         return false;
     }
-    // The buffer leaves the sink for the duration of the loop, so that the
-    // sink can be told about copies while the loop holds the slice.
+    // The buffer leaves the sink for the duration of the loop: held in a
+    // local, its pointer and length stay in registers (borrowed through the
+    // sink instead, the loop ran 3-4 % slower on base64).
     let mut buf = std::mem::take(&mut output.buf);
     let out = &mut buf[..];
 
@@ -865,7 +993,6 @@ fn decode_fast<S: Sink>(reader: &mut BitReader<'_>, tables: &BlockTables, sink: 
                 entry = tables.literal.main_entry(buffer);
             }
             copy_match_overshoot(out, from, distance, length);
-            sink.note_copy(&out[from..len], from, distance);
             if more {
                 continue 'symbols;
             }
@@ -976,7 +1103,8 @@ pub fn inflate(
     out: &mut Vec<u8>,
     stop_offset: u64,
 ) -> Result<InflateOutcome, DeflateError> {
-    inflate_impl(reader, window, out, stop_offset, usize::MAX, true)
+    let fast = Some(FastLoop::active());
+    inflate_impl(reader, window, out, stop_offset, usize::MAX, fast)
 }
 
 /// [`inflate`] decoding through the single-symbol reference decoder instead
@@ -992,7 +1120,7 @@ pub fn inflate_single_symbol(
     out: &mut Vec<u8>,
     stop_offset: u64,
 ) -> Result<InflateOutcome, DeflateError> {
-    inflate_impl(reader, window, out, stop_offset, usize::MAX, false)
+    inflate_impl(reader, window, out, stop_offset, usize::MAX, None)
 }
 
 /// [`inflate`] with an upper bound on the total length of `out`: decoding an
@@ -1006,7 +1134,8 @@ pub fn inflate_limited(
     stop_offset: u64,
     output_limit: usize,
 ) -> Result<InflateOutcome, DeflateError> {
-    inflate_impl(reader, window, out, stop_offset, output_limit, true)
+    let fast = Some(FastLoop::active());
+    inflate_impl(reader, window, out, stop_offset, output_limit, fast)
 }
 
 fn inflate_impl(
@@ -1015,7 +1144,7 @@ fn inflate_impl(
     out: &mut Vec<u8>,
     stop_offset: u64,
     output_limit: usize,
-    fast: bool,
+    fast: Option<FastLoop>,
 ) -> Result<InflateOutcome, DeflateError> {
     let start_len = out.len();
     let mut sink = ByteSink::new(window, std::mem::take(out), output_limit);
@@ -1047,7 +1176,7 @@ pub fn inflate_two_stage(
 ) -> Result<InflateOutcome, DeflateError> {
     let mut sink = MarkerSink::new(std::mem::take(out), None);
     let base = sink.base;
-    let mut blocks = BlockLoop::new(true);
+    let mut blocks = BlockLoop::new(Some(FastLoop::active()));
     let exit = blocks.run(reader, &mut sink, base, stop_offset);
     *out = sink.out.finish();
     let stop_reason = exit?.expect("the switch is off");
@@ -1089,7 +1218,7 @@ pub fn inflate_speculative<W: std::ops::Deref<Target: AsRef<[u8]>>>(
     mut window: impl FnMut(usize) -> WindowAnswer<W>,
 ) -> Result<InflateOutcome, DeflateError> {
     let start_len = out.len();
-    let mut blocks = BlockLoop::new(true);
+    let mut blocks = BlockLoop::new(Some(FastLoop::active()));
     let mut usage = WindowUsage::new();
     if !out.switched {
         let mut answer = WindowAnswer::Unknown;
@@ -1125,6 +1254,7 @@ pub fn inflate_speculative<W: std::ops::Deref<Target: AsRef<[u8]>>>(
 mod tests {
     use super::*;
     use crate::compress::{CompressionLevel, CompressorOptions, DeflateCompressor};
+    use crate::markers::contains_markers;
 
     fn compress(data: &[u8]) -> Vec<u8> {
         DeflateCompressor::new(CompressorOptions::default()).compress(data)
@@ -1356,25 +1486,97 @@ mod tests {
         ));
     }
 
-    /// Drives both decode paths over the same bytes and asserts identical
-    /// results: output, outcome metadata, and (on failure) the exact error.
-    fn assert_paths_agree(compressed: &[u8], window: &[u8]) {
-        let mut fast_reader = BitReader::new(compressed);
-        let mut fast_out = Vec::new();
-        let fast = inflate(&mut fast_reader, window, &mut fast_out, u64::MAX);
-        let mut reference_reader = BitReader::new(compressed);
-        let mut reference_out = Vec::new();
-        let reference =
-            inflate_single_symbol(&mut reference_reader, window, &mut reference_out, u64::MAX);
-        match (fast, reference) {
-            (Ok(fast), Ok(reference)) => {
-                assert_eq!(fast_out, reference_out);
-                assert_eq!(fast.stop_reason, reference.stop_reason);
-                assert_eq!(fast.end_position, reference.end_position);
-                assert_eq!(fast.window_usage, reference.window_usage);
-                assert_eq!(fast.blocks, reference.blocks);
+    /// What one decode came to: its output, and its outcome or error.
+    type Decoded<T> = (Vec<T>, Result<InflateOutcome, DeflateError>);
+
+    fn reader_at(compressed: &[u8], start_bit: u64) -> BitReader<'_> {
+        let mut reader = BitReader::new(compressed);
+        reader.seek_to_bit(start_bit).unwrap();
+        reader
+    }
+
+    /// One-stage decode of `compressed` from `start_bit` by the `fast` build,
+    /// or by the reference decoder.
+    fn decode_bytes(
+        compressed: &[u8],
+        start_bit: u64,
+        window: &[u8],
+        fast: Option<FastLoop>,
+    ) -> Decoded<u8> {
+        let mut out = Vec::new();
+        let mut reader = reader_at(compressed, start_bit);
+        let result = inflate_impl(&mut reader, window, &mut out, u64::MAX, usize::MAX, fast);
+        (out, result)
+    }
+
+    /// Two-stage [`decode_bytes`].
+    fn decode_symbols(compressed: &[u8], start_bit: u64, fast: Option<FastLoop>) -> Decoded<u16> {
+        let mut reader = reader_at(compressed, start_bit);
+        let mut sink = MarkerSink::new(Vec::new(), None);
+        let mut blocks = BlockLoop::new(fast);
+        let exit = blocks.run(&mut reader, &mut sink, 0, u64::MAX);
+        let result = exit.map(|stop_reason| {
+            let stop_reason = stop_reason.expect("the switch is off");
+            blocks.into_outcome(stop_reason, &reader, &sink.usage)
+        });
+        (sink.out.finish(), result)
+    }
+
+    fn assert_decodes_agree<T: PartialEq>(name: &str, fast: Decoded<T>, reference: &Decoded<T>) {
+        match (&fast.1, &reference.1) {
+            (Ok(outcome), Ok(expected)) => {
+                assert!(fast.0 == reference.0, "{name}: output differs");
+                assert_eq!(outcome.stop_reason, expected.stop_reason, "{name}");
+                assert_eq!(outcome.end_position, expected.end_position, "{name}");
+                assert_eq!(outcome.window_usage, expected.window_usage, "{name}");
+                assert_eq!(outcome.blocks, expected.blocks, "{name}");
             }
-            (fast, reference) => assert_eq!(fast.err(), reference.err()),
+            (outcome, expected) => {
+                assert_eq!(outcome.as_ref().err(), expected.as_ref().err(), "{name}")
+            }
+        }
+    }
+
+    /// The builds of the fast loop this CPU can run: the plain one, and the
+    /// BMI2 one where the CPU has the instructions (a CPU without skips it).
+    fn fast_loops() -> Vec<FastLoop> {
+        std::iter::once(FastLoop::PLAIN)
+            .chain(FastLoop::bmi2())
+            .collect()
+    }
+
+    /// Drives each build of the fast loop and the reference decoder over the
+    /// same bits, into bytes (with `window`) and into markers, and asserts
+    /// identical results: output, outcome metadata, and (on failure) the
+    /// exact error.
+    fn assert_paths_agree(compressed: &[u8], start_bit: u64, window: &[u8]) {
+        if start_bit > compressed.len() as u64 * 8 {
+            return;
+        }
+        let bytes = decode_bytes(compressed, start_bit, window, None);
+        let symbols = decode_symbols(compressed, start_bit, None);
+        for fast_loop in fast_loops() {
+            let name = format!("{} build, bytes", fast_loop.name());
+            assert_decodes_agree(
+                &name,
+                decode_bytes(compressed, start_bit, window, Some(fast_loop)),
+                &bytes,
+            );
+            let name = format!("{} build, markers", fast_loop.name());
+            assert_decodes_agree(
+                &name,
+                decode_symbols(compressed, start_bit, Some(fast_loop)),
+                &symbols,
+            );
+        }
+    }
+
+    #[test]
+    fn active_isa_names_a_build_this_cpu_runs() {
+        assert!(["bmi2", "scalar"].contains(&active_isa()));
+        assert!(fast_loops().contains(&FastLoop::active()));
+        if rgz_bitio::scalar_forced() {
+            assert_eq!(active_isa(), "scalar");
         }
     }
 
@@ -1396,7 +1598,7 @@ mod tests {
                 ..Default::default()
             };
             let compressed = DeflateCompressor::new(options).compress(&data);
-            assert_paths_agree(&compressed, &[]);
+            assert_paths_agree(&compressed, 0, &[]);
         }
     }
 
@@ -1422,22 +1624,12 @@ mod tests {
             .expect("need a block past the first 32 KiB");
         let split = boundary.uncompressed_offset as usize;
         let window = &data[split - WINDOW_SIZE..split];
-        let tail = &compressed[(boundary.bit_offset / 8) as usize..];
-        // Byte-aligned tails only (assert_paths_agree starts at bit 0), so
-        // pad by re-seeking instead when unaligned.
-        if boundary.bit_offset % 8 == 0 {
-            assert_paths_agree(tail, window);
-        }
-        let mut fast_reader = BitReader::new(&compressed);
-        fast_reader.seek_to_bit(boundary.bit_offset).unwrap();
-        let mut fast_out = Vec::new();
-        inflate(&mut fast_reader, window, &mut fast_out, u64::MAX).unwrap();
-        let mut reference_reader = BitReader::new(&compressed);
-        reference_reader.seek_to_bit(boundary.bit_offset).unwrap();
-        let mut reference_out = Vec::new();
-        inflate_single_symbol(&mut reference_reader, window, &mut reference_out, u64::MAX).unwrap();
-        assert_eq!(fast_out, reference_out);
-        assert_eq!(&fast_out[..], &data[split..]);
+        assert_paths_agree(&compressed, boundary.bit_offset, window);
+        let fast = Some(FastLoop::active());
+        let (out, _) = decode_bytes(&compressed, boundary.bit_offset, window, fast);
+        assert_eq!(&out[..], &data[split..]);
+        let (symbols, _) = decode_symbols(&compressed, boundary.bit_offset, fast);
+        assert!(contains_markers(&symbols));
     }
 
     /// Appends a match to `out` through either copy, the way the decode loops
@@ -1510,14 +1702,16 @@ mod tests {
         }
 
         /// The tentpole guarantee: on arbitrary compressible inputs, dynamic
-        /// block sizes and corruption (single-bit flips or truncation), the
-        /// multi-symbol fast path and the single-symbol reference decoder are
-        /// bit-for-bit identical — same bytes, same metadata, same errors.
+        /// block sizes, starts at any block and corruption (single-bit flips
+        /// or truncation), both builds of the multi-symbol fast path and the
+        /// single-symbol reference decoder are bit-for-bit identical — same
+        /// bytes or markers, same metadata, same errors.
         #[test]
         fn fast_and_reference_paths_are_identical(
             seed in proptest::prelude::any::<u64>(),
             length in 1usize..40_000,
             block_size in 4usize..64,
+            start_block in 0usize..8,
             // 0 encodes "no corruption" / "no truncation".
             flip_bit in 0usize..100_000,
             truncate_at in 0usize..100_000,
@@ -1540,6 +1734,12 @@ mod tests {
                 ..Default::default()
             };
             let mut compressed = DeflateCompressor::new(options).compress(&data);
+            let blocks = inflate(&mut BitReader::new(&compressed), &[], &mut Vec::new(), u64::MAX)
+                .unwrap()
+                .blocks;
+            let start = blocks[start_block % blocks.len()];
+            let split = start.uncompressed_offset as usize;
+            let window = &data[split.saturating_sub(WINDOW_SIZE)..split];
             if flip_bit > 0 {
                 let bit = flip_bit % (compressed.len() * 8);
                 compressed[bit / 8] ^= 1 << (bit % 8);
@@ -1547,7 +1747,7 @@ mod tests {
             if truncate_at > 0 {
                 compressed.truncate(truncate_at.min(compressed.len()));
             }
-            assert_paths_agree(&compressed, &[]);
+            assert_paths_agree(&compressed, start.bit_offset, window);
         }
     }
 

@@ -26,8 +26,9 @@ pub mod matchfinder;
 pub use block::{BlockType, DynamicHeader};
 pub use compress::{write_stored_block, CompressionLevel, CompressorOptions, DeflateCompressor};
 pub use inflate::{
-    inflate, inflate_limited, inflate_single_symbol, inflate_speculative, inflate_two_stage,
-    BlockBoundary, InflateOutcome, StopReason, WindowAnswer, MARKER_BASE,
+    active_isa as inflate_active_isa, inflate, inflate_limited, inflate_single_symbol,
+    inflate_speculative, inflate_two_stage, BlockBoundary, InflateOutcome, StopReason,
+    WindowAnswer, MARKER_BASE,
 };
 pub use markers::{
     active_isa as markers_active_isa, contains_markers, replace_markers, replace_markers_hashed,

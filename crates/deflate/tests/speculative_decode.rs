@@ -718,6 +718,201 @@ fn an_output_switched_at_a_member_boundary_is_not_asked() {
     assert_eq!(output.resolve(&window()).unwrap(), expected);
 }
 
+// --- switch points ---------------------------------------------------------------
+
+/// Where the marker phase of a decode that never learns its window must end,
+/// read off the all-16-bit decode of the same stretch: the first block
+/// boundary with a window's worth of symbols behind it that holds no marker.
+/// `None`: the markers live to the end.
+fn marker_free_boundary(symbols: &[u16], blocks: &[rgz_deflate::BlockBoundary]) -> Option<usize> {
+    blocks
+        .iter()
+        .map(|block| block.uncompressed_offset as usize)
+        .filter(|&at| at >= WINDOW_SIZE)
+        .find(|&at| {
+            symbols[at - WINDOW_SIZE..at]
+                .iter()
+                .all(|&s| s < MARKER_BASE)
+        })
+}
+
+/// Decodes `stream` from `start_bit` to `stop_bit` speculatively, the window
+/// arriving at the `arrivals` (in symbols decoded; `usize::MAX` for never),
+/// and asserts each decode leaves the 16-bit phase exactly where the oracle
+/// says — the marker-free boundary or the first boundary at or past the
+/// arrival, whichever comes first — asks for the window at every boundary
+/// a window's worth in before that and nowhere else, and holds the oracle's
+/// symbols, the one-stage tail and, resolved, the one-stage bytes.  Returns
+/// the oracle's boundary and the block offsets.
+fn assert_switches_where_the_oracle_says(
+    stream: &[u8],
+    start_bit: u64,
+    stop_bit: u64,
+    window: &[u8],
+    arrivals: impl Fn(&[usize]) -> Vec<usize>,
+) -> (Option<usize>, Vec<usize>) {
+    let reader_at = || {
+        let mut reader = BitReader::new(stream);
+        reader.seek_to_bit(start_bit).unwrap();
+        reader
+    };
+    let mut symbols = Vec::new();
+    let oracle = inflate_two_stage(&mut reader_at(), &mut symbols, stop_bit).unwrap();
+    let boundaries: Vec<usize> = oracle
+        .blocks
+        .iter()
+        .map(|block| block.uncompressed_offset as usize)
+        .collect();
+    let marker_free = marker_free_boundary(&symbols, &oracle.blocks);
+    let mut expected = Vec::new();
+    inflate(&mut reader_at(), window, &mut expected, stop_bit).unwrap();
+    assert_eq!(expected.len(), symbols.len());
+
+    for arrives_at in std::iter::once(usize::MAX).chain(arrivals(&boundaries)) {
+        let handed = boundaries
+            .iter()
+            .copied()
+            .find(|&at| at >= WINDOW_SIZE && at >= arrives_at);
+        let switch = match (marker_free, handed) {
+            (Some(free), Some(handed)) => Some(free.min(handed)),
+            (free, handed) => free.or(handed),
+        };
+        let mut asked = Vec::new();
+        let mut output = SpeculativeOutput::new();
+        let outcome = inflate_speculative(
+            &mut reader_at(),
+            &mut output,
+            stop_bit,
+            Vec::new,
+            |decoded| {
+                asked.push(decoded);
+                match decoded >= arrives_at {
+                    true => WindowAnswer::Known(window),
+                    false => WindowAnswer::Unknown,
+                }
+            },
+        )
+        .unwrap();
+        assert_eq!(outcome.blocks, oracle.blocks);
+        let prefix_len = switch.unwrap_or(symbols.len());
+        assert_eq!(
+            output.prefix().len(),
+            prefix_len,
+            "window at {arrives_at}: the oracle switches at {switch:?}"
+        );
+        assert!(output.prefix() == &symbols[..prefix_len]);
+        assert_eq!(output.is_switched(), switch.is_some());
+        assert!(output.tail() == &expected[prefix_len..]);
+        let eligible = boundaries
+            .iter()
+            .copied()
+            .filter(|&at| at >= WINDOW_SIZE && at < marker_free.unwrap_or(usize::MAX))
+            .filter(|&at| handed.is_none_or(|handed| at <= handed));
+        assert!(asked.iter().copied().eq(eligible), "asked at {asked:?}");
+        assert!(output.resolve(window).unwrap() == expected);
+    }
+    (marker_free, boundaries)
+}
+
+#[test]
+fn switch_points_are_the_oracles_on_mid_stream_stretches() {
+    for (name, data) in [
+        ("silesia", rgz_datagen::silesia_like(1_500_000, 41)),
+        ("base64", rgz_datagen::base64_random(1_500_000, 42)),
+        ("fastq", rgz_datagen::fastq_of_size(1_500_000, 43)),
+    ] {
+        let options = CompressorOptions {
+            block_size: 24 * 1024,
+            ..Default::default()
+        };
+        let stream = DeflateCompressor::new(options).compress(&data);
+        let blocks = inflate(&mut BitReader::new(&stream), &[], &mut Vec::new(), u64::MAX)
+            .unwrap()
+            .blocks;
+        assert!(blocks.len() > 40, "{name}: {} blocks", blocks.len());
+        // A chunk-sized stretch from a quarter in, and the second half to
+        // the end of the stream.
+        let quarter = blocks.len() / 4;
+        for (first, stop_bit) in [
+            (quarter, blocks[quarter + 20].bit_offset),
+            (blocks.len() / 2, u64::MAX),
+        ] {
+            let start = blocks[first];
+            let split = start.uncompressed_offset as usize;
+            let window = &data[split - WINDOW_SIZE..split];
+            // The window at every fourth boundary, and one symbol after one.
+            let arrivals = |boundaries: &[usize]| {
+                let mut at: Vec<usize> = boundaries.iter().copied().step_by(4).collect();
+                at.push(boundaries[boundaries.len() / 2] + 1);
+                at
+            };
+            let (marker_free, _) = assert_switches_where_the_oracle_says(
+                &stream,
+                start.bit_offset,
+                stop_bit,
+                window,
+                arrivals,
+            );
+            // Text keeps its markers alive, base64 loses them within a few
+            // blocks; FASTQ's record headers carry them for megabytes.
+            match name {
+                "silesia" => assert_eq!(marker_free, None),
+                "base64" => assert!(marker_free.is_some()),
+                _ => {}
+            }
+        }
+    }
+}
+
+#[test]
+fn switch_points_are_the_oracles_on_ten_thousand_tiny_blocks() {
+    // A match early in every 32 KiB reaches back exactly a window: in the
+    // first it copies from the window, in the next eight the markers that
+    // copy produced, so they stay alive through blocks of forty symbols
+    // each; from then on it reaches back less far, and they die out.
+    const SEGMENTS: usize = 13;
+    let mut tokens = Vec::new();
+    let (mut position, mut next_match) = (0, 100);
+    while position < SEGMENTS * WINDOW_SIZE {
+        if position == next_match {
+            let copies_markers = next_match < 9 * WINDOW_SIZE;
+            tokens.push(Token::Match {
+                length: 20,
+                distance: if copies_markers {
+                    WINDOW_SIZE as u16
+                } else {
+                    30_000
+                },
+            });
+            position += 20;
+            next_match += WINDOW_SIZE;
+        } else {
+            tokens.push(Token::Literal((position * 13 % 251) as u8));
+            position += 1;
+        }
+    }
+    let mut writer = BitWriter::new();
+    let blocks: Vec<&[Token]> = tokens.chunks(40).collect();
+    assert!(blocks.len() >= 10_000, "{} blocks", blocks.len());
+    for (i, block) in blocks.iter().enumerate() {
+        write_fixed_block(&mut writer, block, i + 1 == blocks.len());
+    }
+    let stream = writer.finish();
+    // The window at a boundary every thousand blocks and at the last two
+    // before the markers die out.
+    let last_marker = 8 * WINDOW_SIZE + 100 + 20;
+    let arrivals = |boundaries: &[usize]| {
+        let mut at: Vec<usize> = boundaries.iter().copied().step_by(1000).collect();
+        let dying = boundaries.partition_point(|&at| at < last_marker + WINDOW_SIZE);
+        at.extend([boundaries[dying - 1], boundaries[dying]]);
+        at
+    };
+    let (marker_free, boundaries) =
+        assert_switches_where_the_oracle_says(&stream, 0, u64::MAX, &window(), arrivals);
+    let dying = boundaries.partition_point(|&at| at < last_marker + WINDOW_SIZE);
+    assert_eq!(marker_free, Some(boundaries[dying]));
+}
+
 /// The window the chunk after `output` needs, computed the slow way.
 fn expected_next_window(output: &SpeculativeOutput, previous: &[u8]) -> Vec<u8> {
     let mut all = previous.to_vec();

@@ -11,9 +11,10 @@
 //! ([`BufferPool::note_range`] and its siblings), well before their buffers
 //! come back.
 //!
-//! **The bound.**  Per kind, at most `idle_limit` buffers lie idle, each of a
-//! capacity at most 1/32 over the largest of the last sixteen chunks noted
-//! (or its own contents, if nothing was).  A buffer is created only when
+//! **The bound.**  At most P + 1 buffers of a kind lie idle (2P + 1 byte
+//! buffers, for a reader of P workers), each of a capacity at most 1/32 over
+//! the largest of the last sixteen chunks noted (or its own contents, if
+//! nothing was).  A buffer is created only when
 //! none is idle, or in place of an idle one that has become too small, so
 //! buffers in use plus idle never outnumber the most that were ever in use at
 //! once: the pool recycles what was live anyway, it does not add to it.
@@ -45,19 +46,29 @@ impl std::fmt::Debug for BufferPool {
 }
 
 impl BufferPool {
-    /// A pool keeping at most `idle_limit` buffers of each kind idle,
+    /// The pool of a reader decoding `parallelization` chunks at once,
     /// counting on `metrics`: [`names::BUFFER_POOL_TAKES`] by
     /// kind (`range`, `u16`, `u8`) and result, and the
     /// [`names::BUFFER_POOL_IDLE_BYTES`] gauge.
-    pub fn new(idle_limit: usize, metrics: &MetricsRegistry) -> Self {
+    ///
+    /// Up to 2P + 1 chunks are on their way from decode to hand-over, and
+    /// when the consumer falls behind and catches up again, the number
+    /// breathes by P + 1: that many range and symbol buffers may lie idle,
+    /// so that the pass neither frees nor creates one once it has them all.
+    /// Byte buffers breathe deeper: a consumer descheduled while the workers
+    /// fill the whole decode-ahead window hands all 2P + 1 back in one
+    /// burst, and a shelf of P + 1 would free P of them for the next decodes
+    /// to create anew.
+    pub fn new(parallelization: usize, metrics: &MetricsRegistry) -> Self {
         let idle_bytes = metrics.gauge(
             names::BUFFER_POOL_IDLE_BYTES,
             "Capacity of the chunk buffers the reader's pool holds idle.",
         );
+        let (breath, burst) = (parallelization + 1, 2 * parallelization + 1);
         Self {
-            range: Arc::new(Shelf::new("range", idle_limit, metrics, &idle_bytes)),
-            symbols: Arc::new(Shelf::new("u16", idle_limit, metrics, &idle_bytes)),
-            bytes: Arc::new(Shelf::new("u8", idle_limit, metrics, &idle_bytes)),
+            range: Arc::new(Shelf::new("range", breath, metrics, &idle_bytes)),
+            symbols: Arc::new(Shelf::new("u16", breath, metrics, &idle_bytes)),
+            bytes: Arc::new(Shelf::new("u8", burst, metrics, &idle_bytes)),
         }
     }
 
@@ -314,7 +325,7 @@ mod tests {
     #[test]
     fn a_returned_buffer_is_the_next_one_taken_contents_and_all() {
         let registry = MetricsRegistry::new();
-        let pool = BufferPool::new(2, &registry);
+        let pool = BufferPool::new(1, &registry);
         let mut first = pool.bytes();
         assert_eq!(first.capacity(), 0, "nothing to size a first buffer by");
         first.extend_from_slice(&[7; 1000]);
@@ -337,15 +348,15 @@ mod tests {
     #[test]
     fn idle_buffers_are_bounded_in_number_and_size() {
         let registry = MetricsRegistry::new();
-        let pool = BufferPool::new(2, &registry);
+        let pool = BufferPool::new(1, &registry);
         let mut loans: Vec<Pooled<u16>> = (0..5).map(|_| pool.symbols()).collect();
         for (loan, length) in loans.iter_mut().zip([800usize, 100, 100, 100, 100]) {
             loan.reserve(4000);
             loan.resize(length, 1);
             pool.note_symbols(length);
         }
-        // Two stay, trimmed from 4000 elements to 1/32 over the largest
-        // of the recent chunks; three are freed.
+        // P + 1 = two stay, trimmed from 4000 elements to 1/32 over the
+        // largest of the recent chunks; three are freed.
         loans.clear();
         assert_eq!(idle_bytes(&registry), 2 * 825 * 2);
         // A new buffer starts out at that size.
@@ -353,6 +364,15 @@ mod tests {
         assert_eq!(fresh.capacity(), 825);
         assert_eq!(takes(&registry, "u16", "reused"), 2);
         assert_eq!(takes(&registry, "u16", "fresh"), 6);
+        // Of the kind that comes home in bursts, 2P + 1 = three stay.
+        let bytes: Vec<Pooled<u8>> = (0..5).map(|_| pool.bytes()).collect();
+        for mut loan in bytes {
+            loan.resize(10, 1);
+        }
+        assert_eq!(idle_bytes(&registry), 3 * 10);
+        let _kept: Vec<Pooled<u8>> = (0..5).map(|_| pool.bytes()).collect();
+        assert_eq!(takes(&registry, "u8", "reused"), 3);
+        assert_eq!(takes(&registry, "u8", "fresh"), 7);
 
         // The largest chunk is forgotten once RECENT others have passed.
         for _ in 0..RECENT {
@@ -370,7 +390,7 @@ mod tests {
     #[test]
     fn a_buffer_too_small_for_the_recent_chunks_is_replaced_when_taken() {
         let registry = MetricsRegistry::new();
-        let pool = BufferPool::new(2, &registry);
+        let pool = BufferPool::new(1, &registry);
         let (mut small, mut large) = (pool.bytes(), pool.bytes());
         small.resize(100, 1);
         large.resize(1000, 2);
@@ -417,7 +437,7 @@ mod tests {
     #[test]
     fn buffers_outlive_the_pool_handle_and_come_home_from_any_thread() {
         let registry = MetricsRegistry::new();
-        let pool = BufferPool::new(2, &registry);
+        let pool = BufferPool::new(1, &registry);
         let (mut first, mut second) = (pool.range(), pool.range());
         first.resize(4096, 0);
         second.resize(4096, 0);

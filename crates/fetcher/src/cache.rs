@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn evicted_values_give_themselves_back_once_unheld() {
         let registry = rgz_metrics::MetricsRegistry::new();
-        let pool = crate::BufferPool::new(2, &registry);
+        let pool = crate::BufferPool::new(1, &registry);
         let idle_bytes = || {
             let snapshot = registry.snapshot();
             snapshot.gauge(rgz_metrics::names::BUFFER_POOL_IDLE_BYTES, &[])
