@@ -1,22 +1,20 @@
-//! Table 5: seek-point index memory — raw (v1) vs. compressed vs. sparse
-//! windows.
+//! Table 5: seek-point index memory — raw vs. compressed vs. sparse windows.
 //!
 //! A raw index stores one 32 KiB window per chunk (~8 MiB of index per GiB
 //! of compressed input at the 4 MiB default chunk size).  The `rgz_window`
 //! store sparsifies each window down to the bytes its chunk actually
 //! references and deflate-compresses the result; this harness quantifies the
-//! effect per corpus and relates it to the serialized v1/v2 index sizes.
+//! effect per corpus and relates it to the size of the serialized v3 index.
 
 use rgz_bench::*;
 use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
 use rgz_gzip::GzipWriter;
-use rgz_index::IndexFormat;
 use rgz_io::SharedFileReader;
 
 fn main() {
     print_header(
         "Table 5 — index memory: raw vs. compressed vs. sparse windows",
-        "per corpus: serialized v1/v2 index size and in-memory window store",
+        "per corpus: serialized v3 index size and in-memory window store",
     );
     let total = scaled(64 << 20, 8 << 20);
     let chunk_size = scaled(1 << 20, 256 << 10);
@@ -27,8 +25,8 @@ fn main() {
     ];
 
     println!(
-        "{:<10} {:>7} {:>12} {:>12} {:>7} {:>12} {:>12} {:>12}",
-        "corpus", "points", "v1 bytes", "v2 bytes", "v1/v2", "raw win B", "masked B", "stored B"
+        "{:<10} {:>7} {:>12} {:>12} {:>12} {:>12} {:>7}",
+        "corpus", "points", "v3 bytes", "raw win B", "masked B", "stored B", "raw/v3"
     );
     for (name, data) in corpora {
         let compressed = GzipWriter::default().compress(&data);
@@ -42,19 +40,17 @@ fn main() {
         )
         .unwrap();
         let index = reader.build_full_index().unwrap();
-        let v1 = index.export_as(IndexFormat::V1);
-        let v2 = index.export_as(IndexFormat::V2);
+        let v3 = index.export();
         let statistics = reader.window_statistics();
         println!(
-            "{:<10} {:>7} {:>12} {:>12} {:>7.2} {:>12} {:>12} {:>12}",
+            "{:<10} {:>7} {:>12} {:>12} {:>12} {:>12} {:>7.2}",
             name,
             index.block_map.len(),
-            v1.len(),
-            v2.len(),
-            v1.len() as f64 / v2.len() as f64,
+            v3.len(),
             statistics.original_bytes,
             statistics.window_bytes,
             statistics.stored_bytes,
+            statistics.original_bytes as f64 / v3.len() as f64,
         );
     }
 }

@@ -14,7 +14,6 @@
 use rgz_bench::*;
 use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
 use rgz_gzip::GzipWriter;
-use rgz_index::IndexFormat;
 use rgz_interop::{export_index, import_index, AnyIndexFormat};
 use rgz_io::SharedFileReader;
 
@@ -49,7 +48,7 @@ fn main() {
     let mut producer = ParallelGzipReader::from_bytes(compressed.clone(), options()).unwrap();
     let index = producer.build_full_index().unwrap();
     let serialized: Vec<(AnyIndexFormat, Vec<u8>)> = [
-        AnyIndexFormat::Native(IndexFormat::V2),
+        AnyIndexFormat::Native,
         AnyIndexFormat::Gztool,
         AnyIndexFormat::IndexedGzip,
     ]
@@ -79,7 +78,7 @@ fn main() {
     }
     report.record("cold_access_speculative_mb_s", speculative_mb_s);
 
-    let mut indexed_v2_mb_s = 0f64;
+    let mut indexed_native_mb_s = 0f64;
     for (format, bytes) in &serialized {
         let (imported, import_time) = time(|| import_index(bytes).unwrap());
         let mut reader = ParallelGzipReader::with_index(
@@ -104,21 +103,21 @@ fn main() {
             );
         }
         let key = match format {
-            AnyIndexFormat::Native(_) => "v2",
+            AnyIndexFormat::Native => "v3",
             AnyIndexFormat::Gztool => "gztool",
             AnyIndexFormat::IndexedGzip => "indexed_gzip",
         };
         report.record(&format!("import_{key}_ms"), import_time.as_secs_f64() * 1e3);
         report.record(&format!("cold_access_{key}_mb_s"), mb_s);
-        if matches!(format, AnyIndexFormat::Native(_)) {
-            indexed_v2_mb_s = mb_s;
+        if *format == AnyIndexFormat::Native {
+            indexed_native_mb_s = mb_s;
         }
     }
     // The headline, hardware-independent ratio: how much faster cold random
     // access gets when any reusable index is present.
     report.record(
         "speedup_index_vs_speculative",
-        indexed_v2_mb_s / speculative_mb_s.max(1e-9),
+        indexed_native_mb_s / speculative_mb_s.max(1e-9),
     );
 
     if json {

@@ -12,11 +12,10 @@
 //!       --import-index <PATH> load a seek-point index from PATH; the format
 //!                             (native v1/v2/v3, gztool .gzi, indexed_gzip) is
 //!                             autodetected from the magic bytes
-//!       --index-format <FMT>  exported index format: v1 (raw windows),
-//!                             v2 (compressed windows),
-//!                             v3 (compressed windows + per-point CRC-32
-//!                             fragments for verified random access, default),
-//!                             gztool (.gzi) or indexed-gzip (GZIDX)
+//!       --index-format <FMT>  exported index format: v3 (compressed windows +
+//!                             per-point CRC-32 fragments for verified random
+//!                             access, default), gztool (.gzi) or
+//!                             indexed-gzip (GZIDX)
 //!       --verify              verify member CRC-32 and ISIZE trailers while
 //!                             decompressing (default)
 //!       --no-verify           skip checksum verification (faster, but silent
@@ -30,8 +29,8 @@
 //!                             speculation waste, prefetch hit rate) to stderr;
 //!                             `=json` emits one machine-readable JSON line
 //!       --stats-interval <S>  print a live one-line progress report (input/
-//!                             output MB/s, ETA, window-cache hit rate, pool
-//!                             queue depth) to stderr every S seconds of
+//!                             output MB/s, ETA, pool queue depth) to stderr
+//!                             every S seconds of
 //!                             parallel decompression, computed from the
 //!                             metrics registry as the output is written
 //!       --metrics-export <P>  write every metric series in Prometheus text
@@ -106,14 +105,14 @@ fn print_usage(compress: bool) {
     if compress {
         eprintln!("usage: rgzip compress [-l 0-9] [--bgzf] [-P N] [--chunk-size KiB]");
         eprintln!("                      [--member-size KiB] [--export-index PATH]");
-        eprintln!("                      [--index-format v1|v2|v3|gztool|indexed-gzip]");
+        eprintln!("                      [--index-format v3|gztool|indexed-gzip]");
         eprintln!("                      [--metrics-export PATH]");
         eprintln!("                      [-v] [-o OUTPUT] FILE");
         return;
     }
     eprintln!("usage: rgzip [-d] [-P N] [--chunk-size KiB] [--count-lines]");
     eprintln!("             [--export-index PATH] [--import-index PATH]");
-    eprintln!("             [--index-format v1|v2|v3|gztool|indexed-gzip]");
+    eprintln!("             [--index-format v3|gztool|indexed-gzip]");
     eprintln!("             [--verify|--no-verify] [--serial] [-v]");
     eprintln!("             [--trace PATH] [--trace-report[=json]]");
     eprintln!("             [--stats-interval SECS] [--metrics-export PATH]");
@@ -313,11 +312,6 @@ impl Progress {
         };
         let (in_rate, out_rate) = (rate(names::READ_BYTES), rate(names::BYTES_OUT));
         let read_total = snapshot.counter_total(names::READ_BYTES);
-        let cache = |event| {
-            let labels = [("event", event)];
-            snapshot.counter(names::WINDOW_CACHE, &labels).unwrap_or(0)
-        };
-        let cache_hits = cache("hit");
         let queue_depth = snapshot.gauge(names::POOL_QUEUE_DEPTH, &[]).unwrap_or(0);
         let eta = if in_rate > 0.0 && self.compressed_size > read_total {
             let remaining = (self.compressed_size - read_total) as f64;
@@ -327,11 +321,10 @@ impl Progress {
         };
         eprintln!(
             "rgzip: progress: {:.1} % in {:.1} MB/s out {:.1} MB/s \
-             eta {eta} cache {:.0} % queue {queue_depth}",
+             eta {eta} queue {queue_depth}",
             percent(read_total, self.compressed_size),
             in_rate / 1e6,
             out_rate / 1e6,
-            percent(cache_hits, cache_hits + cache("miss")),
         );
         self.previous = (now, snapshot);
     }
@@ -605,28 +598,13 @@ fn print_statistics(reader: &ParallelGzipReader, registry: &MetricsRegistry) {
     );
     eprintln!(
         "rgzip: index: {} seek points, {} windows; window memory: \
-         {} raw -> {} stored bytes ({:.2}x), {} pending compressions",
+         {} raw -> {} stored bytes ({:.2}x), {} pending compressions, {} corrupt",
         index.block_map.len(),
         windows.windows,
         windows.original_bytes,
         windows.stored_bytes,
         windows.compression_ratio(),
-        windows.pending_compressions
-    );
-    let cache = |event| {
-        let labels = [("event", event)];
-        snapshot.counter(names::WINDOW_CACHE, &labels).unwrap_or(0)
-    };
-    let cache_hits = cache("hit");
-    let cache_lookups = cache_hits + cache("miss");
-    eprintln!(
-        "rgzip: window cache: {} hot ({} hits / {} lookups = {:.1} % hit rate, \
-         {} evictions), {} corrupt",
-        windows.hot_windows,
-        cache_hits,
-        cache_lookups,
-        percent(cache_hits, cache_lookups),
-        cache("evicted"),
+        windows.pending_compressions,
         windows.corrupt_windows
     );
     // Chunk buffers (compressed ranges, 16-bit symbols, output bytes) the

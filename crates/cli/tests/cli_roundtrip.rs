@@ -39,6 +39,8 @@ fn path_str(path: &Path) -> &str {
     path.to_str().unwrap()
 }
 
+/// The native index, asked for by name and by default: the same v3 bytes,
+/// and the same output through either.
 #[test]
 fn index_export_reimport_round_trips_in_both_formats() {
     let dir = TempDir::new("roundtrip");
@@ -47,32 +49,42 @@ fn index_export_reimport_round_trips_in_both_formats() {
     let gz = dir.file("corpus.gz");
     std::fs::write(&gz, &compressed).unwrap();
 
-    let mut exported_sizes = Vec::new();
-    for format in ["v1", "v2"] {
-        let first_output = dir.file(&format!("first_{format}.out"));
-        let index = dir.file(&format!("index_{format}.rgzidx"));
-        let export = run_rgz(&[
-            "--chunk-size",
-            "64",
-            "-P",
-            "2",
-            "--index-format",
-            format,
+    let mut exported = Vec::new();
+    for format in [&["--index-format", "v3"][..], &[][..]] {
+        let name = exported.len();
+        let first_output = dir.file(&format!("first_{name}.out"));
+        let index = dir.file(&format!("index_{name}.rgzidx"));
+        let mut arguments = vec!["--chunk-size", "64", "-P", "2", "--verbose"];
+        arguments.extend_from_slice(format);
+        arguments.extend([
             "--export-index",
             path_str(&index),
             "-o",
             path_str(&first_output),
             path_str(&gz),
         ]);
-        assert!(
-            export.status.success(),
-            "export run failed: {}",
-            String::from_utf8_lossy(&export.stderr)
-        );
+        let export = run_rgz(&arguments);
+        let stderr = String::from_utf8_lossy(&export.stderr);
+        assert!(export.status.success(), "export run failed: {stderr}");
         assert_eq!(std::fs::read(&first_output).unwrap(), data);
-        exported_sizes.push(std::fs::metadata(&index).unwrap().len());
+        let serialized = std::fs::read(&index).unwrap();
+        assert_eq!(serialized[8..12], 3u32.to_le_bytes(), "not a v3 file");
+        // The compressed-window format must be substantially smaller than
+        // the raw windows it holds.
+        let raw: usize = stderr
+            .split(" raw -> ")
+            .next()
+            .and_then(|head| head.rsplit(' ').next())
+            .and_then(|raw| raw.parse().ok())
+            .unwrap_or_else(|| panic!("no raw window bytes in --verbose output:\n{stderr}"));
+        assert!(
+            serialized.len() * 2 < raw,
+            "v3 index ({}) not smaller than its raw windows ({raw})",
+            serialized.len()
+        );
+        exported.push(serialized);
 
-        let second_output = dir.file(&format!("second_{format}.out"));
+        let second_output = dir.file(&format!("second_{name}.out"));
         let import = run_rgz(&[
             "--chunk-size",
             "64",
@@ -104,11 +116,15 @@ fn index_export_reimport_round_trips_in_both_formats() {
         );
     }
 
-    // The compressed-window format must be substantially smaller than raw.
-    let (v1_size, v2_size) = (exported_sizes[0], exported_sizes[1]);
+    assert_eq!(exported[0], exported[1]);
+
+    // The versions before v3 are read, no longer written.
+    let refused = run_rgz(&["--index-format", "v1", path_str(&gz)]);
+    assert_eq!(refused.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&refused.stderr);
     assert!(
-        v2_size * 2 < v1_size,
-        "v2 index ({v2_size}) not smaller than v1 ({v1_size})"
+        stderr.contains("unknown index format 'v1' (expected v3, gztool or indexed-gzip)"),
+        "{stderr}"
     );
 }
 

@@ -1,7 +1,7 @@
 //! Process-level interop tests: run the real `rgz` binary to export an
-//! index in each supported format (native v1/v2, gztool `.gzi`,
-//! indexed_gzip), re-import it with autodetection, and byte-compare the
-//! decompressed output and random-access reads.
+//! index in each format it writes (native v3, gztool `.gzi`, indexed_gzip),
+//! re-import it with autodetection — a frozen native v2 file too — and
+//! byte-compare the decompressed output and random-access reads.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -41,7 +41,8 @@ fn path_str(path: &Path) -> &str {
     path.to_str().unwrap()
 }
 
-/// Export in every format, reimport with autodetection, compare the output.
+/// Export in every format written, reimport with autodetection, compare the
+/// output; and read through a native v2 file, which is no longer written.
 #[test]
 fn all_four_formats_round_trip_through_the_binary() {
     let dir = TempDir::new("formats");
@@ -50,7 +51,7 @@ fn all_four_formats_round_trip_through_the_binary() {
     let gz = dir.file("corpus.gz");
     std::fs::write(&gz, &compressed).unwrap();
 
-    for format in ["v1", "v2", "gztool", "indexed-gzip"] {
+    for format in ["v3", "gztool", "indexed-gzip"] {
         let index = dir.file(&format!("index.{format}"));
         let first_output = dir.file(&format!("first.{format}.out"));
         let export = run_rgz(&[
@@ -111,6 +112,34 @@ fn all_four_formats_round_trip_through_the_binary() {
             "{format}: missing index statistics:\n{stderr}"
         );
     }
+
+    let refused = run_rgz(&["--index-format", "v1", path_str(&gz)]);
+    assert_eq!(refused.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(
+        stderr.contains("unknown index format 'v1' (expected v3, gztool or indexed-gzip)"),
+        "{stderr}"
+    );
+
+    // The frozen v2 index of the golden fixture corpus.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let corpus = root.join("tests/fixtures/interop_corpus.gz");
+    let v2 = root.join("crates/index/tests/legacy/interop_corpus_v2.rgzidx");
+    let output = dir.file("v2.out");
+    let import = run_rgz(&[
+        "--import-index",
+        path_str(&v2),
+        "-o",
+        path_str(&output),
+        path_str(&corpus),
+    ]);
+    assert!(
+        import.status.success(),
+        "v2: import run failed: {}",
+        String::from_utf8_lossy(&import.stderr)
+    );
+    let expected = rgz_gzip::decompress(&std::fs::read(&corpus).unwrap()).unwrap();
+    assert_eq!(std::fs::read(&output).unwrap(), expected, "v2");
 }
 
 /// Cross-format conversion: gzip -> gztool index -> import -> re-export as

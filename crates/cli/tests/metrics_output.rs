@@ -147,12 +147,13 @@ fn stats_interval_and_export_reconcile_with_verbose_statistics() {
         .lines()
         .find(|line| line.starts_with("rgzip: progress:"))
         .unwrap_or_else(|| panic!("no progress line on stderr:\n{stderr}"));
-    for field in ["%", "in", "out", "MB/s", "eta", "cache", "queue"] {
+    for field in ["%", "in", "out", "MB/s", "eta", "queue"] {
         assert!(
             progress.contains(field),
             "progress line lacks {field:?}: {progress}"
         );
     }
+    assert!(!progress.contains("cache"), "{progress}");
 
     // The Prometheus dump must reconcile exactly with the --verbose counters:
     // both are rendered from the same registry after the pool went idle.

@@ -523,7 +523,7 @@ mod tests {
     fn index_exports_as_v3_and_reimports() {
         let data = text_corpus(180_000);
         let stream = ParallelCompressor::new(options(ContainerFormat::Pigz)).compress(&data);
-        let exported = stream.index.export_as(rgz_index::IndexFormat::V3);
+        let exported = stream.index.export();
         let imported = GzipIndex::import(&exported).unwrap();
         assert_eq!(imported.block_map.points(), stream.index.block_map.points());
         assert_eq!(imported.checksum_map.len(), stream.index.checksum_map.len());

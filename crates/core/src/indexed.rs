@@ -57,7 +57,9 @@ pub(crate) struct IndexedChunk {
 pub(crate) struct InteriorPoint {
     /// Where it is, and how far it is to the next.
     point: SeekPoint,
-    /// The 32 KiB before it; the index has those of a chunk's own.
+    /// The 32 KiB before it.  The index has those of a chunk's own, and a
+    /// slice from there inflates it anew: the budget below has no room for a
+    /// copy of a chunk's window beside those of its interior points.
     window: Option<Arc<Vec<u8>>>,
     /// What the bytes up to the next hash to, if the chunk's were checked.
     checksums: Option<PointChecksums>,

@@ -10,7 +10,7 @@
 //!   output bytes) a reader's tasks take and give back instead of going to
 //!   the allocator, and through it the kernel, for each chunk.
 //! * [`Cache`] — a bounded least-recently-used cache: the reader's access
-//!   cache of chunks it has handed out, the window store's hot windows.
+//!   cache of chunks it has handed out, and its interior seek points.
 //! * [`StageTimer`] — what the tasks are timed by: one clock per stage for
 //!   its trace span and its latency histogram.
 

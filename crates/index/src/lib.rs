@@ -13,12 +13,13 @@
 //! Windows are no longer held as raw 32 KiB buffers: [`WindowMap`] is backed
 //! by an [`rgz_window::WindowStore`] that deflate-compresses every window
 //! (optionally on a shared thread pool), sparsifies windows whose chunk is
-//! known to reference only part of them, and lazily re-inflates hot windows
-//! through a bounded cache.
+//! known to reference only part of them, and re-inflates a window whenever
+//! it is asked for.
 //!
 //! # Serialized formats
 //!
-//! All formats share the same header and trailing whole-file CRC-32:
+//! [`GzipIndex::export`] writes v3; [`GzipIndex::import`] reads v1, v2 and
+//! v3.  All three share the same header and trailing whole-file CRC-32:
 //!
 //! ```text
 //! magic              8 bytes  "RGZIDX01"
@@ -49,7 +50,8 @@
 //!
 //! A **v3** point record is the v2 record followed by optional per-span CRC
 //! fragments, so random-access reads through the index can be verified
-//! ([`PointChecksums`]):
+//! ([`PointChecksums`]).  A v3 file whose points carry no fragments says
+//! everything a v1 or v2 file can:
 //!
 //! ```text
 //! ...v2 record...,
@@ -64,7 +66,6 @@
 //! point's `uncompressed_size`.
 
 use std::collections::HashMap;
-use std::str::FromStr;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -171,10 +172,10 @@ impl BlockMap {
 /// Windows keyed by compressed bit offset (the paper's `WindowMap`).
 ///
 /// Backed by a shared [`WindowStore`]: windows are deflate-compressed (and
-/// sparsified when usage information is available) on insertion and lazily
-/// re-inflated on access through a bounded hot cache.  Clones share the same
-/// store, so the chunk fetcher, the index and in-flight decompression tasks
-/// can all hold references concurrently.
+/// sparsified when usage information is available) on insertion and
+/// re-inflated on every access.  Clones share the same store, so the reader,
+/// the index and in-flight decompression tasks can all hold references
+/// concurrently.
 #[derive(Debug, Default, Clone)]
 pub struct WindowMap {
     store: Arc<WindowStore>,
@@ -222,8 +223,8 @@ impl WindowMap {
         self.store.insert_compressed(compressed_bit_offset, record);
     }
 
-    /// Looks up (and lazily decompresses) the window for a compressed bit
-    /// offset.  Corrupt windows yield `None`; use [`WindowMap::try_get`] to
+    /// Looks up (and decompresses) the window for a compressed bit offset.
+    /// Corrupt windows yield `None`; use [`WindowMap::try_get`] to
     /// distinguish corruption from absence.
     pub fn get(&self, compressed_bit_offset: u64) -> Option<Arc<Vec<u8>>> {
         self.store.get(compressed_bit_offset).ok().flatten()
@@ -245,7 +246,7 @@ impl WindowMap {
         self.store.contains(compressed_bit_offset)
     }
 
-    /// Memory and cache counters of the backing store.
+    /// Memory counters of the backing store.
     pub fn statistics(&self) -> WindowStoreStatistics {
         self.store.statistics()
     }
@@ -301,9 +302,9 @@ impl PointChecksums {
 
 /// Per-seek-point CRC fragments keyed by compressed bit offset.
 ///
-/// Clones share the same storage (like [`WindowMap`]), so decompression
-/// workers can record a chunk's fragments concurrently while the reader and
-/// the index hold references.
+/// Clones share the same storage (like [`WindowMap`]): the reader records a
+/// chunk's fragments under its state lock, and an index it has handed out
+/// sees them.
 #[derive(Debug, Default, Clone)]
 pub struct ChecksumMap {
     store: Arc<Mutex<HashMap<u64, Arc<PointChecksums>>>>,
@@ -377,8 +378,8 @@ pub enum IndexError {
         /// The declared length.
         length: u64,
     },
-    /// A v2 window record is structurally invalid (unknown flags,
-    /// inconsistent lengths).
+    /// A compressed window record (v2 or v3) is structurally invalid
+    /// (unknown flags, inconsistent lengths).
     InvalidWindow,
     /// The header declares more seek points than the file could possibly
     /// hold — honouring the count would mean a huge allocation.
@@ -392,7 +393,8 @@ pub enum IndexError {
         point: u64,
     },
     /// A seek-point field is structurally invalid (e.g. a sub-byte bit count
-    /// outside `0..=7`, or a bit offset before the start of the file).
+    /// outside `0..=7`, or a bit offset before the start of the file), or
+    /// bytes are left over after the last one.
     InvalidPoint(&'static str),
 }
 
@@ -430,7 +432,7 @@ impl std::error::Error for IndexError {}
 /// file's format without depending on the converters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DetectedFormat {
-    /// The native `RGZIDX01` container (v1 or v2).
+    /// The native `RGZIDX01` container (v1, v2 or v3).
     Rgz,
     /// A gztool `.gzi` index (eight zero bytes, then `gzipindx`).
     Gztool,
@@ -474,46 +476,6 @@ pub fn detect_format(data: &[u8]) -> DetectedFormat {
         }
     }
     DetectedFormat::Unknown
-}
-
-/// Serialized index format version.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum IndexFormat {
-    /// Version 1: raw windows, one length-prefixed buffer per seek point.
-    V1,
-    /// Version 2: compressed-window records (flags byte, per-window CRC-32,
-    /// deflate payload) — typically several times smaller than v1.
-    V2,
-    /// Version 3: the v2 record plus optional per-span CRC fragments, so
-    /// random-access reads through the index can be verified.
-    #[default]
-    V3,
-}
-
-impl IndexFormat {
-    /// The version number written into the file header.
-    pub fn version(self) -> u32 {
-        match self {
-            IndexFormat::V1 => 1,
-            IndexFormat::V2 => 2,
-            IndexFormat::V3 => 3,
-        }
-    }
-}
-
-impl FromStr for IndexFormat {
-    type Err = String;
-
-    fn from_str(value: &str) -> Result<Self, Self::Err> {
-        match value {
-            "v1" | "V1" | "1" => Ok(IndexFormat::V1),
-            "v2" | "V2" | "2" => Ok(IndexFormat::V2),
-            "v3" | "V3" | "3" => Ok(IndexFormat::V3),
-            other => Err(format!(
-                "unknown index format '{other}' (expected v1, v2 or v3)"
-            )),
-        }
-    }
 }
 
 const MAGIC: &[u8; 8] = b"RGZIDX01";
@@ -565,24 +527,12 @@ impl GzipIndex {
         self.block_map.checked_push(point)
     }
 
-    /// Serialises the index in the default (v3, compressed windows plus
-    /// per-point CRC fragments) format.
+    /// Serialises the index as v3: each point's compressed window record and,
+    /// when the checksum map holds them, its CRC fragments.
     pub fn export(&self) -> Vec<u8> {
-        self.export_as(IndexFormat::default())
-    }
-
-    /// Serialises the index in an explicit format.
-    ///
-    /// v1 reconstructs each raw window (zero-padding sparsified ones back to
-    /// their original length, which decodes identically); v2 and v3 write the
-    /// compressed records as-is, and v3 appends each point's CRC fragments
-    /// when the checksum map holds them.  A window that fails its checksum on
-    /// v1 reconstruction is exported as empty — this can only happen to
-    /// records that were already corrupt when imported.
-    pub fn export_as(&self, format: IndexFormat) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&format.version().to_le_bytes());
+        out.extend_from_slice(&3u32.to_le_bytes());
         out.extend_from_slice(&self.compressed_size.to_le_bytes());
         out.extend_from_slice(&self.uncompressed_size.to_le_bytes());
         out.extend_from_slice(&(self.block_map.len() as u64).to_le_bytes());
@@ -590,58 +540,33 @@ impl GzipIndex {
             out.extend_from_slice(&point.compressed_bit_offset.to_le_bytes());
             out.extend_from_slice(&point.uncompressed_offset.to_le_bytes());
             out.extend_from_slice(&point.uncompressed_size.to_le_bytes());
-            let record = self.window_map.get_compressed(point.compressed_bit_offset);
-            match format {
-                IndexFormat::V1 => {
-                    let window = record
-                        .and_then(|r| r.decompress_padded().ok())
-                        .unwrap_or_default();
-                    out.extend_from_slice(&(window.len() as u32).to_le_bytes());
-                    out.extend_from_slice(&window);
+            match self.window_map.get_compressed(point.compressed_bit_offset) {
+                Some(record) => {
+                    // v1-imported windows sit in the store verbatim (the
+                    // import path skips compression to stay cheap); compress
+                    // them here so a v1 -> v3 conversion still shrinks the file.
+                    let record = record.recompressed().map_or(record, Arc::new);
+                    out.push(record.flags);
+                    out.extend_from_slice(&record.original_length.to_le_bytes());
+                    out.extend_from_slice(&record.window_length.to_le_bytes());
+                    out.extend_from_slice(&(record.payload.len() as u32).to_le_bytes());
+                    out.extend_from_slice(&record.checksum.to_le_bytes());
+                    out.extend_from_slice(&record.payload);
                 }
-                IndexFormat::V2 | IndexFormat::V3 => {
-                    match record {
-                        Some(record) => {
-                            // v1-imported windows sit in the store verbatim
-                            // (the import path skips compression to stay
-                            // cheap); compress them here so a v1 -> v2/v3
-                            // conversion still shrinks the file.
-                            let record = match record.recompressed() {
-                                Some(compressed) => Arc::new(compressed),
-                                None => record,
-                            };
-                            out.push(record.flags);
-                            out.extend_from_slice(&record.original_length.to_le_bytes());
-                            out.extend_from_slice(&record.window_length.to_le_bytes());
-                            out.extend_from_slice(&(record.payload.len() as u32).to_le_bytes());
-                            out.extend_from_slice(&record.checksum.to_le_bytes());
-                            out.extend_from_slice(&record.payload);
-                        }
-                        None => {
-                            out.push(0u8);
-                            out.extend_from_slice(&0u32.to_le_bytes()); // original_length
-                            out.extend_from_slice(&0u32.to_le_bytes()); // window_length
-                            out.extend_from_slice(&0u32.to_le_bytes()); // payload_length
-                            out.extend_from_slice(&0u32.to_le_bytes()); // checksum
-                        }
-                    }
-                    if format == IndexFormat::V3 {
-                        match self.checksum_map.get(point.compressed_bit_offset) {
-                            Some(checksums) => {
-                                out.push(1u8);
-                                out.extend_from_slice(&checksums.first_member.to_le_bytes());
-                                out.extend_from_slice(
-                                    &(checksums.fragments.len() as u32).to_le_bytes(),
-                                );
-                                for fragment in &checksums.fragments {
-                                    out.extend_from_slice(&fragment.crc32.to_le_bytes());
-                                    out.extend_from_slice(&fragment.length.to_le_bytes());
-                                }
-                            }
-                            None => out.push(0u8),
-                        }
+                // No flags, and zero lengths and checksum: an empty window.
+                None => out.extend_from_slice(&[0u8; 17]),
+            }
+            match self.checksum_map.get(point.compressed_bit_offset) {
+                Some(checksums) => {
+                    out.push(1u8);
+                    out.extend_from_slice(&checksums.first_member.to_le_bytes());
+                    out.extend_from_slice(&(checksums.fragments.len() as u32).to_le_bytes());
+                    for fragment in &checksums.fragments {
+                        out.extend_from_slice(&fragment.crc32.to_le_bytes());
+                        out.extend_from_slice(&fragment.length.to_le_bytes());
                     }
                 }
+                None => out.push(0u8),
             }
         }
         let checksum = crc32(&out);
@@ -649,9 +574,9 @@ impl GzipIndex {
         out
     }
 
-    /// Reconstructs an index previously produced by [`GzipIndex::export`] or
-    /// [`GzipIndex::export_as`] — v1 (raw windows), v2 (compressed-window
-    /// records) and v3 (v2 plus per-point CRC fragments) files are accepted.
+    /// Reconstructs an index from a native file: v3 as [`GzipIndex::export`]
+    /// writes it, or v1 (raw windows) and v2 (compressed-window records, no
+    /// fragments) as earlier versions of it did.
     pub fn import(data: &[u8]) -> Result<Self, IndexError> {
         if data.len() < MAGIC.len() + 4 + 8 + 8 + 8 + 4 {
             return Err(IndexError::Truncated);
@@ -660,8 +585,9 @@ impl GzipIndex {
             return Err(IndexError::BadMagic);
         }
         let stored_checksum = u32::from_le_bytes(data[data.len() - 4..].try_into().unwrap());
-        let computed = crc32(&data[..data.len() - 4]);
-        if stored_checksum != computed {
+        // Every record lies between the header and the trailer.
+        let data = &data[..data.len() - 4];
+        if stored_checksum != crc32(data) {
             return Err(IndexError::ChecksumMismatch);
         }
         let mut cursor = 8usize;
@@ -700,7 +626,7 @@ impl GzipIndex {
             2 => 41,
             _ => 42,
         };
-        let remaining = data.len().saturating_sub(cursor + 4);
+        let remaining = data.len().saturating_sub(cursor);
         if point_count > remaining / minimum_record {
             return Err(IndexError::PointCountTooLarge {
                 count: point_count as u64,
@@ -733,8 +659,8 @@ impl GzipIndex {
                 cursor += window_length;
                 // Store verbatim: compressing tens of thousands of windows
                 // inline (and single-threaded — no pool is attached yet)
-                // would turn import into a multi-second stall.  The v2
-                // exporter recompresses verbatim records on the way out.
+                // would turn import into a multi-second stall.  The exporter
+                // recompresses verbatim records on the way out.
                 index.window_map.insert_compressed(
                     point.compressed_bit_offset,
                     CompressedWindow::from_window_verbatim(window),
@@ -790,7 +716,7 @@ impl GzipIndex {
                             // the remaining bytes can hold is corrupt or
                             // hostile, and honouring it would mean a huge
                             // allocation.
-                            let remaining = data.len().saturating_sub(cursor + 4);
+                            let remaining = data.len().saturating_sub(cursor);
                             if fragment_count > remaining / 12 {
                                 return Err(IndexError::PointCountTooLarge {
                                     count: fragment_count as u64,
@@ -828,6 +754,9 @@ impl GzipIndex {
                 }
                 index.block_map.checked_push(point)?;
             }
+        }
+        if cursor != data.len() {
+            return Err(IndexError::InvalidPoint("bytes after the last seek point"));
         }
         Ok(index)
     }
@@ -917,12 +846,42 @@ mod tests {
         assert_eq!(map.get(7).unwrap().as_slice(), &window[..]);
     }
 
+    /// The frozen files of the versions no longer written (see
+    /// `tests/legacy_formats.rs`): what the hostile-input tests patch.
+    const V1: &[u8] = include_bytes!("../tests/legacy/small_v1.rgzidx");
+    const V2: &[u8] = include_bytes!("../tests/legacy/interop_corpus_v2.rgzidx");
+
+    /// `index` as a v1 file: every window raw, padded back to the length it
+    /// had before sparsification.
+    fn v1_file(index: &GzipIndex) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(&index.compressed_size.to_le_bytes());
+        out.extend_from_slice(&index.uncompressed_size.to_le_bytes());
+        out.extend_from_slice(&(index.block_map.len() as u64).to_le_bytes());
+        for point in index.block_map.points() {
+            let record = index.window_map.get_compressed(point.compressed_bit_offset);
+            let window = record.map_or(Vec::new(), |r| r.decompress_padded().unwrap());
+            for field in [
+                point.compressed_bit_offset,
+                point.uncompressed_offset,
+                point.uncompressed_size,
+            ] {
+                out.extend_from_slice(&field.to_le_bytes());
+            }
+            out.extend_from_slice(&(window.len() as u32).to_le_bytes());
+            out.extend_from_slice(&window);
+        }
+        let checksum = crc32(&out);
+        out.extend_from_slice(&checksum.to_le_bytes());
+        out
+    }
+
     #[test]
     fn export_import_round_trips_in_all_formats() {
         let index = sample_index();
-        for format in [IndexFormat::V1, IndexFormat::V2, IndexFormat::V3] {
-            let serialized = index.export_as(format);
-            let restored = GzipIndex::import(&serialized).unwrap();
+        let from_v1 = GzipIndex::import(&v1_file(&index)).unwrap();
+        for restored in [GzipIndex::import(&index.export()).unwrap(), from_v1] {
             assert_eq!(restored.compressed_size, index.compressed_size);
             assert_eq!(restored.uncompressed_size, index.uncompressed_size);
             assert_eq!(restored.block_map.points(), index.block_map.points());
@@ -933,80 +892,73 @@ mod tests {
                         .get(point.compressed_bit_offset)
                         .as_deref(),
                     index.window_map.get(point.compressed_bit_offset).as_deref(),
-                    "window mismatch in {format:?}"
                 );
             }
         }
     }
 
     #[test]
-    fn v2_export_is_much_smaller_than_v1_for_repetitive_windows() {
+    fn v3_export_is_much_smaller_than_the_raw_windows() {
         let index = sample_index();
-        let v1 = index.export_as(IndexFormat::V1);
-        let v2 = index.export_as(IndexFormat::V2);
+        let raw = index.window_map.statistics().original_bytes;
+        let v3 = index.export();
         assert!(
-            v2.len() * 4 <= v1.len(),
-            "v2 ({}) should be at least 4x smaller than v1 ({})",
-            v2.len(),
-            v1.len()
+            v3.len() * 4 <= raw,
+            "v3 ({}) should be at least 4x smaller than the raw windows ({raw})",
+            v3.len(),
         );
     }
 
     #[test]
     fn v1_import_is_verbatim_and_v2_reexport_still_compresses() {
-        let index = sample_index();
-        let from_v1 = GzipIndex::import(&index.export_as(IndexFormat::V1)).unwrap();
+        let from_v1 = GzipIndex::import(V1).unwrap();
         // Import stores windows verbatim (no per-window compression stall).
         let statistics = from_v1.window_map.statistics();
         assert_eq!(statistics.stored_bytes, statistics.original_bytes);
-        // ...but converting to v2 compresses on the way out.
-        let v2 = from_v1.export_as(IndexFormat::V2);
+        // ...but the export compresses them into v2-style records.
+        let v3 = from_v1.export();
         assert!(
-            v2.len() * 4 <= index.export_as(IndexFormat::V1).len(),
-            "v1 -> v2 conversion did not shrink the index"
+            v3.len() * 4 <= V1.len(),
+            "v1 -> v3 conversion did not shrink the index"
         );
-        let from_v2 = GzipIndex::import(&v2).unwrap();
-        for point in index.block_map.points() {
+        let from_v3 = GzipIndex::import(&v3).unwrap();
+        for point in from_v1.block_map.points() {
             assert_eq!(
-                from_v2
+                from_v3
                     .window_map
                     .get(point.compressed_bit_offset)
                     .as_deref(),
-                index.window_map.get(point.compressed_bit_offset).as_deref()
+                from_v1
+                    .window_map
+                    .get(point.compressed_bit_offset)
+                    .as_deref()
             );
         }
     }
 
     #[test]
     fn import_rejects_corruption() {
-        let index = sample_index();
-        let serialized = index.export_as(IndexFormat::V1);
         assert_eq!(GzipIndex::import(&[]).unwrap_err(), IndexError::Truncated);
         assert_eq!(
-            GzipIndex::import(&serialized[..20]).unwrap_err(),
+            GzipIndex::import(&V1[..20]).unwrap_err(),
             IndexError::Truncated
         );
-        let mut bad_magic = serialized.clone();
+        let mut bad_magic = V1.to_vec();
         bad_magic[0] = b'X';
         assert_eq!(
             GzipIndex::import(&bad_magic).unwrap_err(),
             IndexError::BadMagic
         );
-        let mut flipped = serialized.clone();
+        let mut flipped = V1.to_vec();
         let position = flipped.len() / 2;
         flipped[position] ^= 0xFF;
         assert_eq!(
             GzipIndex::import(&flipped).unwrap_err(),
             IndexError::ChecksumMismatch
         );
-        let mut bad_version = serialized.clone();
-        bad_version[8] = 99;
         // Fixing the checksum is required for the version error to surface.
-        let body_length = bad_version.len() - 4;
-        let checksum = rgz_checksum::crc32(&bad_version[..body_length]);
-        bad_version[body_length..].copy_from_slice(&checksum.to_le_bytes());
         assert_eq!(
-            GzipIndex::import(&bad_version).unwrap_err(),
+            import_with_patch(V1.to_vec(), 8, &[99]).unwrap_err(),
             IndexError::UnsupportedVersion(99)
         );
     }
@@ -1027,28 +979,12 @@ mod tests {
 
     #[test]
     fn v1_import_rejects_oversized_window_length_before_allocating() {
-        let mut index = GzipIndex::new();
-        index.add_seek_point(
-            SeekPoint {
-                compressed_bit_offset: 8,
-                uncompressed_offset: 0,
-                uncompressed_size: 100,
-            },
-            &[1, 2, 3, 4],
-        );
-        let serialized = index.export_as(IndexFormat::V1);
-        // The window length field of the single point lives right after the
-        // header (36 bytes) and the three u64 offsets (24 bytes).
+        // The window length field of the first point lives right after the
+        // header (36 bytes) and the three u64 offsets (24 bytes); the point
+        // has no window.
         let length_position = 36 + 24;
-        assert_eq!(
-            u32::from_le_bytes(
-                serialized[length_position..length_position + 4]
-                    .try_into()
-                    .unwrap()
-            ),
-            4
-        );
-        let result = import_with_patch(serialized, length_position, &u32::MAX.to_le_bytes());
+        assert_eq!(V1[length_position..length_position + 4], 0u32.to_le_bytes());
+        let result = import_with_patch(V1.to_vec(), length_position, &u32::MAX.to_le_bytes());
         assert_eq!(
             result.unwrap_err(),
             IndexError::WindowTooLarge {
@@ -1059,27 +995,17 @@ mod tests {
 
     #[test]
     fn v2_import_rejects_hostile_lengths_and_unknown_flags() {
-        let mut index = GzipIndex::new();
-        index.add_seek_point(
-            SeekPoint {
-                compressed_bit_offset: 8,
-                uncompressed_offset: 0,
-                uncompressed_size: 100,
-            },
-            &[1, 2, 3, 4],
-        );
-        let serialized = index.export_as(IndexFormat::V2);
         let record_position = 36 + 24; // flags byte of the first record
 
         // Unknown flag bits are rejected.
         assert_eq!(
-            import_with_patch(serialized.clone(), record_position, &[0x80]).unwrap_err(),
+            import_with_patch(V2.to_vec(), record_position, &[0x80]).unwrap_err(),
             IndexError::InvalidWindow
         );
         // Oversized window_length is rejected before any allocation.
         assert!(matches!(
             import_with_patch(
-                serialized.clone(),
+                V2.to_vec(),
                 record_position + 1 + 4,
                 &u32::MAX.to_le_bytes()
             )
@@ -1089,13 +1015,26 @@ mod tests {
         // Oversized payload_length likewise.
         assert!(matches!(
             import_with_patch(
-                serialized,
+                V2.to_vec(),
                 record_position + 1 + 4 + 4,
                 &u32::MAX.to_le_bytes()
             )
             .unwrap_err(),
             IndexError::WindowTooLarge { .. }
         ));
+    }
+
+    #[test]
+    fn bytes_between_the_last_point_and_the_trailer_are_rejected() {
+        let mut serialized = sample_index().export();
+        serialized.truncate(serialized.len() - 4);
+        serialized.extend_from_slice(&[0u8; 8]);
+        let checksum = crc32(&serialized);
+        serialized.extend_from_slice(&checksum.to_le_bytes());
+        assert_eq!(
+            GzipIndex::import(&serialized).unwrap_err(),
+            IndexError::InvalidPoint("bytes after the last seek point")
+        );
     }
 
     #[test]
@@ -1118,30 +1057,17 @@ mod tests {
         assert_eq!(&stored[..10], &window[1000..1010]);
         assert_eq!(&stored[stored.len() - 20..], &window[WINDOW_SIZE - 20..]);
 
-        for format in [IndexFormat::V1, IndexFormat::V2, IndexFormat::V3] {
-            let restored = GzipIndex::import(&index.export_as(format)).unwrap();
+        // v1 pads back to the original length; v3 keeps the masked shape.
+        for (file, expected_len) in [
+            (v1_file(&index), WINDOW_SIZE),
+            (index.export(), WINDOW_SIZE - 1000),
+        ] {
+            let restored = GzipIndex::import(&file).unwrap();
             let restored_window = restored.window_map.get(64).unwrap();
-            // v1 pads back to the original length; v2/v3 keep the masked
-            // shape.
-            let expected_len = match format {
-                IndexFormat::V1 => WINDOW_SIZE,
-                IndexFormat::V2 | IndexFormat::V3 => WINDOW_SIZE - 1000,
-            };
             assert_eq!(restored_window.len(), expected_len);
             let tail = &restored_window[restored_window.len() - 20..];
             assert_eq!(tail, &window[WINDOW_SIZE - 20..]);
         }
-    }
-
-    #[test]
-    fn index_format_parses_from_cli_strings() {
-        assert_eq!("v1".parse::<IndexFormat>().unwrap(), IndexFormat::V1);
-        assert_eq!("v2".parse::<IndexFormat>().unwrap(), IndexFormat::V2);
-        assert_eq!("2".parse::<IndexFormat>().unwrap(), IndexFormat::V2);
-        assert_eq!("v3".parse::<IndexFormat>().unwrap(), IndexFormat::V3);
-        assert_eq!("3".parse::<IndexFormat>().unwrap(), IndexFormat::V3);
-        assert!("v4".parse::<IndexFormat>().is_err());
-        assert_eq!(IndexFormat::default(), IndexFormat::V3);
     }
 
     /// The sample index with CRC fragments attached to every other point, to
@@ -1168,7 +1094,7 @@ mod tests {
     #[test]
     fn v3_round_trips_checksum_fragments_and_v2_drops_them() {
         let index = sample_index_with_checksums();
-        let restored = GzipIndex::import(&index.export_as(IndexFormat::V3)).unwrap();
+        let restored = GzipIndex::import(&index.export()).unwrap();
         assert_eq!(restored.checksum_map.len(), index.checksum_map.len());
         for point in index.block_map.points() {
             assert_eq!(
@@ -1178,10 +1104,9 @@ mod tests {
                 point.compressed_bit_offset
             );
         }
-        // The same index exported as v2 (or v1) simply has no fragments.
-        let as_v2 = GzipIndex::import(&index.export_as(IndexFormat::V2)).unwrap();
-        assert!(as_v2.checksum_map.is_empty());
-        let as_v1 = GzipIndex::import(&index.export_as(IndexFormat::V1)).unwrap();
+        // v2 and v1 files have no fragments to carry.
+        assert!(GzipIndex::import(V2).unwrap().checksum_map.is_empty());
+        let as_v1 = GzipIndex::import(&v1_file(&index)).unwrap();
         assert!(as_v1.checksum_map.is_empty());
     }
 
@@ -1224,7 +1149,7 @@ mod tests {
             8,
             PointChecksums::from_fragments(0, [(0x1234, 60), (0x5678, 40)]),
         );
-        let serialized = index.export_as(IndexFormat::V3);
+        let serialized = index.export();
         // Layout: header (36) + three u64 offsets (24) + v2 window record
         // (17 + payload) + presence byte + first_member u64 + count u32.
         let record_position = 36 + 24;
@@ -1318,13 +1243,13 @@ mod tests {
             prop_assert_eq!(restored.uncompressed_size, index.uncompressed_size);
         }
 
-        /// The satellite round-trip: random seek points with random window
-        /// contents and lengths (including empty windows), exported as v1,
-        /// imported, re-exported as v2, imported again — windows must be
-        /// byte-identical at every hop, and truncating the v2 file anywhere
-        /// must error rather than panic.
+        /// Random seek points with random window contents and lengths
+        /// (including empty windows), written as v1, imported, exported
+        /// (v3), imported again — windows must be byte-identical at every
+        /// hop, and truncating the v3 file anywhere must error rather than
+        /// panic.
         #[test]
-        fn v1_to_v2_round_trip_preserves_windows(
+        fn v1_to_v3_round_trip_preserves_windows(
             windows in proptest::collection::vec(
                 proptest::collection::vec(any::<u8>(), 0..2000),
                 1..12,
@@ -1348,23 +1273,22 @@ mod tests {
             }
             index.uncompressed_size = uncompressed;
 
-            let v1 = index.export_as(IndexFormat::V1);
-            let from_v1 = GzipIndex::import(&v1).unwrap();
-            let v2 = from_v1.export_as(IndexFormat::V2);
-            let from_v2 = GzipIndex::import(&v2).unwrap();
+            let from_v1 = GzipIndex::import(&v1_file(&index)).unwrap();
+            let v3 = from_v1.export();
+            let from_v3 = GzipIndex::import(&v3).unwrap();
 
-            prop_assert_eq!(from_v2.block_map.points(), index.block_map.points());
+            prop_assert_eq!(from_v3.block_map.points(), index.block_map.points());
             for (point, window) in index.block_map.points().iter().zip(&windows) {
-                let restored = from_v2
+                let restored = from_v3
                     .window_map
                     .get(point.compressed_bit_offset)
                     .expect("window lost in translation");
                 prop_assert_eq!(&restored[..], &window[..]);
             }
 
-            // A truncated v2 file must fail cleanly (checksum or length).
-            let cut = 1 + truncate_seed % (v2.len() - 1);
-            prop_assert!(GzipIndex::import(&v2[..cut]).is_err());
+            // A truncated v3 file must fail cleanly (checksum or length).
+            let cut = 1 + truncate_seed % (v3.len() - 1);
+            prop_assert!(GzipIndex::import(&v3[..cut]).is_err());
         }
     }
 }

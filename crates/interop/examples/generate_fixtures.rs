@@ -1,7 +1,7 @@
 //! Regenerates the golden interop fixtures under `tests/fixtures/`.
 //!
-//! The fixtures pin the exact bytes of every on-disk index format for a
-//! small deterministic corpus: `tests/golden_fixtures.rs` re-exports the
+//! The fixtures pin the exact bytes of every on-disk index format written
+//! (native v3, gztool, indexed_gzip) for a small deterministic corpus: `tests/golden_fixtures.rs` re-exports the
 //! same index and asserts byte equality, so any unintended change to a
 //! serialiser (or to the chunking/sparsification that feeds it) fails CI.
 //!
@@ -20,10 +20,12 @@
 //! Everything is derived from fixed seeds and fixed reader options; the
 //! output is identical on every platform (the vendored `rand` is part of
 //! the workspace precisely to keep the corpora deterministic).
+//!
+//! The native versions no longer written, v1 and v2, are not generated:
+//! their files are frozen under `crates/index/tests/legacy/`.
 
 use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
 use rgz_gzip::GzipWriter;
-use rgz_index::IndexFormat;
 use rgz_interop::{export_index, AnyIndexFormat};
 
 fn main() {
@@ -68,10 +70,7 @@ fn main() {
     for (name, format) in [
         ("interop_corpus.gzi", AnyIndexFormat::Gztool),
         ("interop_corpus.gzidx", AnyIndexFormat::IndexedGzip),
-        (
-            "interop_corpus.rgzidx",
-            AnyIndexFormat::Native(IndexFormat::V2),
-        ),
+        ("interop_corpus.rgzidx", AnyIndexFormat::Native),
     ] {
         let serialized = export_index(&index, format);
         std::fs::write(fixtures.join(name), &serialized).unwrap();

@@ -114,9 +114,9 @@ pub fn import(data: &[u8]) -> Result<ImportedIndex, IndexError> {
                 .get(cursor..cursor + window_size)
                 .ok_or(IndexError::Truncated)?;
             cursor += window_size;
-            // Stored verbatim (the file keeps windows uncompressed); the v2
-            // exporter recompresses on the way out, exactly like the native
-            // v1 import path.
+            // Stored verbatim (the file keeps windows uncompressed); the
+            // native exporter recompresses on the way out, exactly as after
+            // a native v1 import.
             Some(CompressedWindow::from_window_verbatim(stored))
         } else {
             None

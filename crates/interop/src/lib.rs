@@ -6,16 +6,16 @@
 //! native [`GzipIndex`] a citizen of that ecosystem:
 //!
 //! * [`import_index`] sniffs the magic bytes ([`rgz_index::detect_format`])
-//!   and parses native v1/v2, gztool v0 and indexed_gzip v0/v1 files into a
+//!   and parses native v1/v2/v3, gztool v0 and indexed_gzip v0/v1 files into a
 //!   [`GzipIndex`], normalising zran-style *(byte, bits)* offsets into
 //!   absolute bit offsets, deriving per-point spans, dropping window-less
 //!   interior points (reported, never silently) and synthesising a leading
 //!   point so the head of the file stays readable;
-//! * [`export_index`] writes any of the four formats; foreign windows go
-//!   through the same [`rgz_window`] records as native ones, so v2
-//!   sparsification/compression still applies on the way in and
-//!   zero-padding restores full windows on the way out;
-//! * [`AnyIndexFormat`] is the CLI-facing name for "one of the four".
+//! * [`export_index`] writes any of the three formats — native v3, gztool,
+//!   indexed_gzip; foreign windows go through the same [`rgz_window`]
+//!   records as native ones, so sparsification/compression still applies on
+//!   the way in and zero-padding restores full windows on the way out;
+//! * [`AnyIndexFormat`] is the CLI-facing name for "one of the three".
 //!
 //! Hostile files fail with typed [`IndexError`]s *before* any large
 //! allocation: declared point counts are bounded by the file length,
@@ -30,32 +30,25 @@ pub mod zlib;
 use std::str::FromStr;
 
 pub use convert::ImportedIndex;
-use rgz_index::{DetectedFormat, GzipIndex, IndexError, IndexFormat};
+use rgz_index::{DetectedFormat, GzipIndex, IndexError};
 
-/// Any index format this workspace can read and write: the two native
-/// container versions plus the two foreign formats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Any index format this workspace writes: the native container, as v3, and
+/// the two foreign formats.  (Native v1 and v2 files are still read.)
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum AnyIndexFormat {
-    /// The native `RGZIDX01` container (v1, v2 or v3).
-    Native(IndexFormat),
+    /// The native `RGZIDX01` container, version 3.
+    #[default]
+    Native,
     /// gztool's `.gzi` v0 format.
     Gztool,
     /// indexed_gzip's `GZIDX` format (written as version 1).
     IndexedGzip,
 }
 
-impl Default for AnyIndexFormat {
-    fn default() -> Self {
-        AnyIndexFormat::Native(IndexFormat::default())
-    }
-}
-
 impl std::fmt::Display for AnyIndexFormat {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AnyIndexFormat::Native(IndexFormat::V1) => write!(f, "v1"),
-            AnyIndexFormat::Native(IndexFormat::V2) => write!(f, "v2"),
-            AnyIndexFormat::Native(IndexFormat::V3) => write!(f, "v3"),
+            AnyIndexFormat::Native => write!(f, "v3"),
             AnyIndexFormat::Gztool => write!(f, "gztool"),
             AnyIndexFormat::IndexedGzip => write!(f, "indexed-gzip"),
         }
@@ -67,17 +60,12 @@ impl FromStr for AnyIndexFormat {
 
     fn from_str(value: &str) -> Result<Self, Self::Err> {
         match value {
+            "v3" => Ok(AnyIndexFormat::Native),
             "gztool" | "gzi" => Ok(AnyIndexFormat::Gztool),
             "indexed-gzip" | "indexed_gzip" | "gzidx" => Ok(AnyIndexFormat::IndexedGzip),
-            other => other
-                .parse::<IndexFormat>()
-                .map(AnyIndexFormat::Native)
-                .map_err(|_| {
-                    format!(
-                        "unknown index format '{other}' \
-                         (expected v1, v2, v3, gztool or indexed-gzip)"
-                    )
-                }),
+            other => Err(format!(
+                "unknown index format '{other}' (expected v3, gztool or indexed-gzip)"
+            )),
         }
     }
 }
@@ -106,7 +94,7 @@ pub fn import_index(data: &[u8]) -> Result<ImportedIndex, IndexError> {
 /// Serialises an index in the requested format.
 pub fn export_index(index: &GzipIndex, format: AnyIndexFormat) -> Vec<u8> {
     match format {
-        AnyIndexFormat::Native(native) => index.export_as(native),
+        AnyIndexFormat::Native => index.export(),
         AnyIndexFormat::Gztool => gztool::export(index),
         AnyIndexFormat::IndexedGzip => indexed_gzip::export(index),
     }
@@ -116,19 +104,19 @@ pub fn export_index(index: &GzipIndex, format: AnyIndexFormat) -> Vec<u8> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExportReport {
     /// Seek points whose stored CRC-32 fragments were dropped because the
-    /// target format (native v1/v2, gztool, indexed_gzip) cannot carry them.
+    /// target format (gztool, indexed_gzip) cannot carry them.
     /// Random-access reads through the exported file will be unverifiable.
     pub checksummed_points_dropped: usize,
 }
 
 /// Like [`export_index`], but also reports what the target format lost.
-/// Only native v3 preserves per-point checksum fragments.
+/// Only the native format preserves per-point checksum fragments.
 pub fn export_index_with_report(
     index: &GzipIndex,
     format: AnyIndexFormat,
 ) -> (Vec<u8>, ExportReport) {
     let dropped = match format {
-        AnyIndexFormat::Native(IndexFormat::V3) => 0,
+        AnyIndexFormat::Native => 0,
         _ => index.checksum_map.len(),
     };
     (
@@ -406,9 +394,7 @@ mod tests {
     #[test]
     fn format_names_parse_and_print() {
         for (name, format) in [
-            ("v1", AnyIndexFormat::Native(IndexFormat::V1)),
-            ("v2", AnyIndexFormat::Native(IndexFormat::V2)),
-            ("v3", AnyIndexFormat::Native(IndexFormat::V3)),
+            ("v3", AnyIndexFormat::Native),
             ("gztool", AnyIndexFormat::Gztool),
             ("gzi", AnyIndexFormat::Gztool),
             ("indexed-gzip", AnyIndexFormat::IndexedGzip),
@@ -424,13 +410,23 @@ mod tests {
     }
 
     #[test]
+    fn index_format_parses_from_cli_strings() {
+        // Only v3 is written; the versions before it, and every other
+        // spelling of a version, name what is accepted instead.
+        for name in ["v1", "v2", "1", "2", "3", "V1", "V2", "V3", "v4"] {
+            assert_eq!(
+                name.parse::<AnyIndexFormat>().unwrap_err(),
+                format!("unknown index format '{name}' (expected v3, gztool or indexed-gzip)")
+            );
+        }
+    }
+
+    #[test]
     fn native_files_pass_through_import_index() {
         let index = full_window_index(2);
-        for native in [IndexFormat::V1, IndexFormat::V2, IndexFormat::V3] {
-            let imported = import_index(&index.export_as(native)).unwrap();
-            assert_eq!(imported.format, DetectedFormat::Rgz);
-            assert_same_points_and_windows(&imported.index, &index);
-        }
+        let imported = import_index(&index.export()).unwrap();
+        assert_eq!(imported.format, DetectedFormat::Rgz);
+        assert_same_points_and_windows(&imported.index, &index);
         assert_eq!(
             import_index(b"not an index at all").unwrap_err(),
             IndexError::BadMagic
@@ -457,19 +453,13 @@ mod tests {
         let total = index.checksum_map.len();
         assert_eq!(total, 3);
 
-        let (serialized, report) =
-            export_index_with_report(&index, AnyIndexFormat::Native(IndexFormat::V3));
+        let (serialized, report) = export_index_with_report(&index, AnyIndexFormat::Native);
         assert_eq!(report.checksummed_points_dropped, 0);
         let imported = import_index(&serialized).unwrap();
         assert_eq!(imported.checksummed_points, total);
         assert_eq!(imported.index.checksum_map.len(), total);
 
-        for lossy in [
-            AnyIndexFormat::Native(IndexFormat::V1),
-            AnyIndexFormat::Native(IndexFormat::V2),
-            AnyIndexFormat::Gztool,
-            AnyIndexFormat::IndexedGzip,
-        ] {
+        for lossy in [AnyIndexFormat::Gztool, AnyIndexFormat::IndexedGzip] {
             let (serialized, report) = export_index_with_report(&index, lossy);
             assert_eq!(report.checksummed_points_dropped, total, "{lossy}");
             let imported = import_index(&serialized).unwrap();

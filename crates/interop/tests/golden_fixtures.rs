@@ -1,4 +1,4 @@
-//! Golden-fixture tests: the checked-in gztool / indexed_gzip / native
+//! Golden-fixture tests: the checked-in gztool / indexed_gzip / native v3
 //! index files under `tests/fixtures/` pin the exact serialised bytes of
 //! every exporter.  Any unintended change to a format writer — or to the
 //! chunking and window sparsification that feed it — shows up as a byte
@@ -11,7 +11,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::PathBuf;
 
 use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
-use rgz_index::{DetectedFormat, IndexFormat};
+use rgz_index::DetectedFormat;
 use rgz_interop::{export_index, import_index, AnyIndexFormat};
 use rgz_io::SharedFileReader;
 
@@ -41,10 +41,7 @@ fn exports_are_byte_identical_to_the_golden_fixtures() {
     for (name, format) in [
         ("interop_corpus.gzi", AnyIndexFormat::Gztool),
         ("interop_corpus.gzidx", AnyIndexFormat::IndexedGzip),
-        (
-            "interop_corpus.rgzidx",
-            AnyIndexFormat::Native(IndexFormat::V2),
-        ),
+        ("interop_corpus.rgzidx", AnyIndexFormat::Native),
     ] {
         let exported = export_index(&index, format);
         let golden = fixture(name);

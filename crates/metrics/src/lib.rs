@@ -86,8 +86,6 @@ pub mod names {
     // rgz_window: the seek-point window store.
     pub const WINDOW_STORE_BYTES: &str = "rgz_window_store_bytes";
     pub const WINDOW_STORE_WINDOWS: &str = "rgz_window_store_windows";
-    /// Counter, label `event` ∈ {`hit`, `miss`, `evicted`}.
-    pub const WINDOW_CACHE: &str = "rgz_window_cache_total";
     pub const WINDOW_COMPRESS_SECONDS: &str = "rgz_window_compress_seconds";
     pub const WINDOW_INFLATE_SECONDS: &str = "rgz_window_inflate_seconds";
 

@@ -122,7 +122,7 @@ impl CompressedWindow {
     /// Stores the last 32 KiB of `window` verbatim, skipping compression.
     ///
     /// This keeps bulk ingestion (the v1 index import path) a cheap memcpy
-    /// per window; consumers that want the record small (the v2 exporter)
+    /// per window; consumers that want the record small (the index exporter)
     /// recompress such records later via [`CompressedWindow::recompressed`],
     /// off the critical path.
     pub fn from_window_verbatim(window: &[u8]) -> Self {

@@ -8,8 +8,10 @@
 //! * **Window compression** — each window is deflate-compressed (reusing
 //!   [`rgz_deflate`]'s compressor) when it enters the store, optionally on a
 //!   shared [`rgz_fetcher::ThreadPool`] so the sequential first pass never
-//!   waits for it, and lazily re-inflated on access through a bounded
-//!   [`rgz_fetcher::Cache`] of hot decompressed windows.
+//!   waits for it, and re-inflated whenever a decode asks for it.  No
+//!   decompressed copy is kept: the one reader that asks twice is a later
+//!   slice of a chunk that starts at the chunk's own seek point (the
+//!   chunk's interior points hold their windows raw).
 //! * **Sparsity** — chunk decoding records which window bytes its
 //!   back-references actually touch ([`rgz_deflate::WindowUsage`]).  Leading
 //!   unreferenced bytes are dropped outright and interior/trailing
@@ -25,7 +27,7 @@ mod compressed;
 mod store;
 
 pub use compressed::{flags, CompressedWindow, WindowError, MAX_WINDOW_PAYLOAD};
-pub use store::{WindowStore, WindowStoreStatistics, DEFAULT_HOT_WINDOWS};
+pub use store::{WindowStore, WindowStoreStatistics};
 
 /// Maximum window size preceding a DEFLATE chunk (32 KiB, RFC 1951).
 pub const WINDOW_SIZE: usize = rgz_deflate::constants::WINDOW_SIZE;

@@ -1,20 +1,17 @@
-//! The window store: compressed records + a bounded cache of hot windows.
+//! The window store: one compressed record per seek point, inflated anew
+//! whenever it is asked for.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rgz_fetcher::{Cache, Spawner, StageTimer, TaskHandle, ThreadPool};
-use rgz_metrics::{exponential_buckets, names, Counter, Gauge, Histogram, MetricsRegistry};
+use rgz_fetcher::{Spawner, StageTimer, TaskHandle, ThreadPool};
+use rgz_metrics::{exponential_buckets, names, Gauge, Histogram, MetricsRegistry};
 use rgz_trace::{Outcome, Stage, TraceSink};
 
 use crate::compressed::{CompressedWindow, WindowError};
 
-/// Default capacity of the hot (decompressed) window cache: 32 windows is at
-/// most 1 MiB, enough to cover the prefetch span of a typical reader.
-pub const DEFAULT_HOT_WINDOWS: usize = 32;
-
-/// Aggregate memory/behaviour counters of a [`WindowStore`].
+/// Aggregate memory counters of a [`WindowStore`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WindowStoreStatistics {
     /// Number of stored windows (including in-flight compressions).
@@ -25,12 +22,9 @@ pub struct WindowStoreStatistics {
     pub stored_bytes: usize,
     /// Decompressed (masked) window bytes the payloads expand to.
     pub window_bytes: usize,
-    /// Window bytes a raw (v1-style) index would hold for the same seek
-    /// points, i.e. before sparsification and compression.
+    /// Window bytes before sparsification and compression: what raw 32 KiB
+    /// windows would take for the same seek points.
     pub original_bytes: usize,
-    /// Windows currently resident in the hot cache; its hits, misses and
-    /// evictions are the [`names::WINDOW_CACHE`] series.
-    pub hot_windows: usize,
     /// Windows that failed checksum or structural validation on access.
     pub corrupt_windows: u64,
 }
@@ -54,22 +48,12 @@ enum Slot {
 struct StoreMetrics {
     stored_bytes: Gauge,
     windows: Gauge,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    cache_evictions: Counter,
     compress_seconds: Histogram,
     inflate_seconds: Histogram,
 }
 
 impl StoreMetrics {
     fn register(registry: &MetricsRegistry) -> Self {
-        let cache_event = |event| {
-            registry.counter_with_labels(
-                names::WINDOW_CACHE,
-                "Hot (decompressed) window cache events.",
-                &[("event", event)],
-            )
-        };
         Self {
             stored_bytes: registry.gauge(
                 names::WINDOW_STORE_BYTES,
@@ -79,9 +63,6 @@ impl StoreMetrics {
                 names::WINDOW_STORE_WINDOWS,
                 "Seek-point windows currently held by the window store.",
             ),
-            cache_hits: cache_event("hit"),
-            cache_misses: cache_event("miss"),
-            cache_evictions: cache_event("evicted"),
             compress_seconds: registry.histogram(
                 names::WINDOW_COMPRESS_SECONDS,
                 "Time to sparsify and deflate one seek-point window.",
@@ -102,7 +83,6 @@ struct Inner {
     pool: Option<Spawner>,
     trace: Arc<TraceSink>,
     slots: HashMap<u64, Slot>,
-    hot: Cache<u64, Vec<u8>>,
     corrupt_windows: u64,
     metrics: StoreMetrics,
 }
@@ -126,8 +106,8 @@ impl Inner {
     }
 }
 
-/// Owns the windows of a seek-point index: compressed records plus a bounded
-/// LRU cache of hot decompressed windows.
+/// Owns the windows of a seek-point index: one compressed record each, and
+/// no decompressed copy — a window is read once per decode that needs it.
 ///
 /// The store is internally synchronised and meant to be shared (`Arc`)
 /// between an index, its reader and in-flight decompression tasks.  With a
@@ -143,7 +123,6 @@ impl std::fmt::Debug for WindowStore {
         let inner = self.inner.lock();
         f.debug_struct("WindowStore")
             .field("windows", &inner.slots.len())
-            .field("hot_windows", &inner.hot.len())
             .finish()
     }
 }
@@ -155,20 +134,14 @@ impl Default for WindowStore {
 }
 
 impl WindowStore {
-    /// Creates an empty store with the default hot-cache capacity and no
-    /// thread pool (compression runs inline on insert).
+    /// Creates an empty store with no thread pool (compression runs inline
+    /// on insert).
     pub fn new() -> Self {
-        Self::with_hot_capacity(DEFAULT_HOT_WINDOWS)
-    }
-
-    /// Creates an empty store with an explicit hot-cache capacity.
-    pub fn with_hot_capacity(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(Inner {
                 pool: None,
                 trace: TraceSink::shared_disabled(),
                 slots: HashMap::new(),
-                hot: Cache::new(capacity.max(1)),
                 corrupt_windows: 0,
                 metrics: StoreMetrics::register(&MetricsRegistry::new()),
             }),
@@ -212,11 +185,9 @@ impl WindowStore {
 
     fn insert_job(&self, offset: u64, job: impl FnOnce() -> CompressedWindow + Send + 'static) {
         let mut inner = self.inner.lock();
-        // Invalidate any stale decompressed copy of a window being replaced,
-        // and retire the replaced record's gauge contribution (waiting out an
+        // Retire the replaced record's gauge contribution (waiting out an
         // in-flight compression of the same offset — replacement of a pending
         // slot is pathological and correctness beats speed there).
-        inner.hot.remove(&offset);
         if inner.slots.contains_key(&offset) {
             if let Some(old) = inner.resolve(offset) {
                 inner.metrics.stored_bytes.add(-(old.stored_bytes() as i64));
@@ -259,7 +230,6 @@ impl WindowStore {
     /// Stores an already compressed record (the index import path).
     pub fn insert_compressed(&self, offset: u64, record: CompressedWindow) {
         let mut inner = self.inner.lock();
-        inner.hot.remove(&offset);
         if inner.slots.contains_key(&offset) {
             if let Some(old) = inner.resolve(offset) {
                 inner.metrics.stored_bytes.add(-(old.stored_bytes() as i64));
@@ -271,34 +241,29 @@ impl WindowStore {
         inner.metrics.windows.set(windows as i64);
     }
 
-    /// Returns the decompressed (masked) window for `offset`, inflating and
-    /// caching it if necessary.  `Ok(None)` means no window is stored there.
+    /// Returns the decompressed (masked) window for `offset`: the record is
+    /// looked up under the store's lock and inflated outside it.  `Ok(None)`
+    /// means no window is stored there.
     pub fn get(&self, offset: u64) -> Result<Option<Arc<Vec<u8>>>, WindowError> {
-        let inner = &mut *self.inner.lock();
-        if let Some(hot) = inner.hot.get(&offset) {
-            inner.metrics.cache_hits.inc();
-            return Ok(Some(hot));
-        }
-        inner.metrics.cache_misses.inc();
-        let Some(record) = inner.resolve(offset) else {
-            return Ok(None);
+        let (record, trace, inflate_seconds) = {
+            let inner = &mut *self.inner.lock();
+            let Some(record) = inner.resolve(offset) else {
+                return Ok(None);
+            };
+            let seconds = inner.metrics.inflate_seconds.clone();
+            (record, Arc::clone(&inner.trace), seconds)
         };
-        let span = inner.trace.span(Stage::WindowInflate).chunk(offset);
-        let mut timer = StageTimer::start(span, &inner.metrics.inflate_seconds);
+        let span = trace.span(Stage::WindowInflate).chunk(offset);
+        let mut timer = StageTimer::start(span, &inflate_seconds);
         match record.decompress() {
             Ok(window) => {
                 timer.set_bytes(window.len() as u64);
-                drop(timer);
-                let window = Arc::new(window);
-                if inner.hot.insert(offset, window.clone()).is_some() {
-                    inner.metrics.cache_evictions.inc();
-                }
-                Ok(Some(window))
+                Ok(Some(Arc::new(window)))
             }
             Err(error) => {
                 timer.set_outcome(Outcome::Error);
                 timer.discard();
-                inner.corrupt_windows += 1;
+                self.inner.lock().corrupt_windows += 1;
                 Err(error)
             }
         }
@@ -310,14 +275,13 @@ impl WindowStore {
         self.inner.lock().resolve(offset)
     }
 
-    /// Memory and behaviour counters.  Harvests compressions that already
+    /// Memory counters.  Harvests compressions that already
     /// finished but does not wait for ones still in flight; their sizes are
     /// reported once they complete.
     pub fn statistics(&self) -> WindowStoreStatistics {
         let mut inner = self.inner.lock();
         let mut statistics = WindowStoreStatistics {
             windows: inner.slots.len(),
-            hot_windows: inner.hot.len(),
             corrupt_windows: inner.corrupt_windows,
             ..Default::default()
         };
@@ -392,21 +356,16 @@ mod tests {
     }
 
     #[test]
-    fn hot_cache_serves_repeated_access_and_is_bounded() {
-        let store = WindowStore::with_hot_capacity(2);
-        for offset in 0..4u64 {
-            store.insert(offset, repetitive_window(offset as u8));
-        }
-        // First access decompresses, second hits the hot cache.
-        store.get(0).unwrap().unwrap();
-        store.get(0).unwrap().unwrap();
-        assert_eq!(store.inner.lock().metrics.cache_hits.value(), 1);
-        assert!(store.statistics().hot_windows <= 2);
-        // Touch everything; the cache must stay within its bound.
-        for offset in 0..4u64 {
-            store.get(offset).unwrap().unwrap();
-        }
-        assert!(store.statistics().hot_windows <= 2);
+    fn repeated_gets_inflate_the_record_each_time() {
+        let store = WindowStore::new();
+        store.insert(0, repetitive_window(0));
+        // No decompressed copy is kept: two reads are two windows.
+        let first = store.get(0).unwrap().unwrap();
+        let second = store.get(0).unwrap().unwrap();
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(first, second);
+        let inflations = store.inner.lock().metrics.inflate_seconds.snapshot_values();
+        assert_eq!(inflations.count, 2);
     }
 
     #[test]
@@ -420,10 +379,10 @@ mod tests {
     }
 
     #[test]
-    fn metrics_mirror_store_and_cache_state() {
+    fn metrics_mirror_store_state() {
         let registry = Arc::new(MetricsRegistry::new());
         let pool = ThreadPool::new_observed(1, TraceSink::shared_disabled(), registry.clone());
-        let store = WindowStore::with_hot_capacity(2);
+        let store = WindowStore::new();
         // What the store holds when it is attached — an imported index's
         // windows — is what the gauges start at.
         store.insert(0, repetitive_window(0));
@@ -431,10 +390,9 @@ mod tests {
         for offset in 1..3u64 {
             store.insert(offset, repetitive_window(offset as u8));
         }
-        store.get(0).unwrap().unwrap(); // miss + inflate
-        store.get(0).unwrap().unwrap(); // hit
-        store.get(1).unwrap().unwrap(); // miss
-        store.get(2).unwrap().unwrap(); // miss, evicts offset 0
+        for offset in [0, 0, 1, 2] {
+            store.get(offset).unwrap().unwrap();
+        }
         let statistics = store.statistics();
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.gauge(names::WINDOW_STORE_WINDOWS, &[]), Some(3));
@@ -442,17 +400,9 @@ mod tests {
             snapshot.gauge(names::WINDOW_STORE_BYTES, &[]),
             Some(statistics.stored_bytes as i64)
         );
-        let cache = |event| snapshot.counter(names::WINDOW_CACHE, &[("event", event)]);
-        assert_eq!(cache("hit"), Some(1));
-        assert_eq!(cache("miss"), Some(3));
-        assert_eq!(cache("evicted"), Some(1));
         let count = |name| snapshot.histogram(name, &[]).unwrap().count;
         assert_eq!(count(names::WINDOW_COMPRESS_SECONDS), 2, "since attached");
-        assert_eq!(
-            count(names::WINDOW_INFLATE_SECONDS),
-            3,
-            "hits do not re-inflate"
-        );
+        assert_eq!(count(names::WINDOW_INFLATE_SECONDS), 4, "one per get");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::io::{Read, Seek, SeekFrom};
 use rapidgzip_suite::core::{ParallelGzipReader, ParallelGzipReaderOptions};
 use rapidgzip_suite::datagen;
 use rapidgzip_suite::gzip::GzipWriter;
-use rapidgzip_suite::index::{GzipIndex, IndexFormat};
+use rapidgzip_suite::index::GzipIndex;
 use rapidgzip_suite::io::SharedFileReader;
 
 fn main() {
@@ -18,14 +18,14 @@ fn main() {
     let options = ParallelGzipReaderOptions::default().with_chunk_size(1 << 20);
 
     // Pass 1: decompress while building the index, then export it.  Windows
-    // are held compressed and sparsified in memory; the default v2 export
-    // writes those compressed records directly, while a v1 export
-    // reconstructs raw windows for compatibility with older readers.
+    // are held compressed and sparsified in memory, and the v3 export writes
+    // those compressed records directly, with each seek point's CRC-32
+    // fragments for verified random access.
     let start = std::time::Instant::now();
     let mut first = ParallelGzipReader::new(shared.clone(), options.clone()).unwrap();
     let size = first.decompress_all().unwrap().len();
     let index = first.build_full_index().unwrap();
-    let serialized = index.export_as(IndexFormat::V2);
+    let serialized = index.export();
     let first_pass = start.elapsed();
     println!(
         "pass 1 (no index): {size} bytes in {:.2} s; exported index of {} bytes / {} seek points",
@@ -33,14 +33,7 @@ fn main() {
         serialized.len(),
         index.block_map.len()
     );
-    let raw = index.export_as(IndexFormat::V1);
     let windows = first.window_statistics();
-    println!(
-        "index formats    : v1 (raw windows) {} bytes, v2 (compressed) {} bytes ({:.1}x smaller)",
-        raw.len(),
-        serialized.len(),
-        raw.len() as f64 / serialized.len() as f64
-    );
     println!(
         "window store     : {} windows, {} raw -> {} stored bytes in memory ({:.1}x)",
         windows.windows,

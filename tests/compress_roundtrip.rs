@@ -15,7 +15,7 @@ use rapidgzip_suite::compress::{
 use rapidgzip_suite::core::{ParallelGzipReader, ParallelGzipReaderOptions, VerificationMode};
 use rapidgzip_suite::datagen;
 use rapidgzip_suite::gzip::decompress;
-use rapidgzip_suite::index::{GzipIndex, IndexFormat};
+use rapidgzip_suite::index::GzipIndex;
 use rapidgzip_suite::io::SharedFileReader;
 
 fn compress(data: &[u8], level: CompressionLevel, container: ContainerFormat) -> CompressedStream {
@@ -81,7 +81,7 @@ fn emitted_index_serves_fully_verified_random_access() {
             let stream = compress(&data, CompressionLevel::Default, container);
             // Round-trip the index through the on-disk v3 container, exactly
             // like the CLI's --export-index/--import-index pair does.
-            let serialized = stream.index.export_as(IndexFormat::V3);
+            let serialized = stream.index.export();
             let index = GzipIndex::import(&serialized).unwrap();
             assert_eq!(index.block_map.len(), stream.index.block_map.len());
 
@@ -127,7 +127,7 @@ fn emitted_index_serves_fully_verified_random_access() {
 fn corruption_cannot_pass_verified_random_access() {
     let data = datagen::silesia_like(500_000, 903);
     let stream = compress(&data, CompressionLevel::Default, ContainerFormat::Pigz);
-    let index = GzipIndex::import(&stream.index.export_as(IndexFormat::V3)).unwrap();
+    let index = GzipIndex::import(&stream.index.export()).unwrap();
 
     // Flip one bit in the middle of the second member's chunk data.
     let points = stream.index.block_map.points();

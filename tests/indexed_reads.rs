@@ -15,7 +15,7 @@ use rapidgzip_suite::compress::{
 use rapidgzip_suite::core::{ParallelGzipReader, ParallelGzipReaderOptions};
 use rapidgzip_suite::datagen;
 use rapidgzip_suite::gzip::GzipWriter;
-use rapidgzip_suite::index::{GzipIndex, IndexFormat};
+use rapidgzip_suite::index::GzipIndex;
 use rapidgzip_suite::io::SharedFileReader;
 use rgz_trace::{instants, EventKind, TraceSink};
 
@@ -38,7 +38,7 @@ fn gzip_with_fine_index(data: &[u8]) -> (Vec<u8>, Vec<u8>) {
     };
     let mut builder = ParallelGzipReader::from_bytes(compressed.clone(), options).unwrap();
     let index = builder.build_full_index().unwrap();
-    (compressed, index.export_as(IndexFormat::V3))
+    (compressed, index.export())
 }
 
 /// A BGZF file and the index its compressor emits with it.
@@ -51,7 +51,7 @@ fn bgzf_with_emitted_index(data: &[u8]) -> (Vec<u8>, Vec<u8>) {
         ..Default::default()
     })
     .compress(data);
-    (stream.bytes, stream.index.export_as(IndexFormat::V3))
+    (stream.bytes, stream.index.export())
 }
 
 fn reader(

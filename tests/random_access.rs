@@ -2,12 +2,17 @@
 //! multiple offsets.
 
 use std::io::{Read, Seek, SeekFrom};
+use std::sync::Arc;
 
 use rapidgzip_suite::core::{ParallelGzipReader, ParallelGzipReaderOptions};
 use rapidgzip_suite::datagen;
 use rapidgzip_suite::gzip::GzipWriter;
-use rapidgzip_suite::index::{GzipIndex, IndexFormat, SeekPoint};
+use rapidgzip_suite::index::{GzipIndex, SeekPoint};
 use rapidgzip_suite::io::SharedFileReader;
+use rapidgzip_suite::metrics::{names, MetricsRegistry};
+
+mod common;
+use common::quiesce;
 
 fn options() -> ParallelGzipReaderOptions {
     ParallelGzipReaderOptions {
@@ -71,8 +76,9 @@ fn exported_index_survives_a_round_trip_to_disk() {
 
 #[test]
 fn v2_index_round_trips_through_disk_with_byte_identical_output() {
-    // Export in both formats, re-import each, and byte-compare full
-    // decompression and random access against the serial decoder's output.
+    // Export with and without fragments (what a v2 file holds), re-import
+    // each, and byte-compare full decompression and random access against
+    // the serial decoder's output.
     let data = datagen::silesia_like(1_200_000, 25);
     let compressed = GzipWriter::default().compress(&data);
     let expected = rapidgzip_suite::gzip::decompress(&compressed).unwrap();
@@ -82,13 +88,17 @@ fn v2_index_round_trips_through_disk_with_byte_identical_output() {
     let mut builder = ParallelGzipReader::new(shared.clone(), options()).unwrap();
     let index = builder.build_full_index().unwrap();
 
-    for format in [IndexFormat::V1, IndexFormat::V2] {
+    let bare = GzipIndex {
+        checksum_map: Default::default(),
+        ..index.clone()
+    };
+    for (format, index) in [("v3", &index), ("v3 without fragments", &bare)] {
         let path = std::env::temp_dir().join(format!(
-            "rgz_index_{:?}_{}.rgzidx",
-            format,
+            "rgz_index_{}_{}.rgzidx",
+            index.checksum_map.len(),
             std::process::id()
         ));
-        std::fs::write(&path, index.export_as(format)).unwrap();
+        std::fs::write(&path, index.export()).unwrap();
         let imported = GzipIndex::import(&std::fs::read(&path).unwrap()).unwrap();
         std::fs::remove_file(&path).ok();
 
@@ -98,15 +108,15 @@ fn v2_index_round_trips_through_disk_with_byte_identical_output() {
         reader.seek(SeekFrom::Start(900_000)).unwrap();
         reader.read_exact(&mut buffer).unwrap();
         assert_eq!(&buffer[..], &expected[900_000..904_096]);
-        assert_eq!(reader.decompress_all().unwrap(), expected, "{format:?}");
+        assert_eq!(reader.decompress_all().unwrap(), expected, "{format}");
     }
 }
 
 #[test]
-fn v2_index_is_at_least_4x_smaller_than_v1_on_the_base64_corpus() {
+fn v3_index_is_at_least_4x_smaller_than_its_raw_windows_on_the_base64_corpus() {
     // The acceptance criterion of the compressed/sparse window store: on the
-    // datagen base64 corpus the v2 export must be >= 4x smaller than the v1
-    // raw-window export, with decompression staying byte-identical.
+    // datagen base64 corpus the v3 export must be >= 4x smaller than the raw
+    // windows of its seek points, with decompression staying byte-identical.
     let data = datagen::base64_random(4 * 1024 * 1024, 26);
     let compressed = GzipWriter::default().compress(&data);
     let shared = SharedFileReader::from_bytes(compressed);
@@ -115,18 +125,77 @@ fn v2_index_is_at_least_4x_smaller_than_v1_on_the_base64_corpus() {
     let index = builder.build_full_index().unwrap();
     assert!(index.block_map.len() > 8, "need a multi-chunk index");
 
-    let v1 = index.export_as(IndexFormat::V1);
-    let v2 = index.export_as(IndexFormat::V2);
+    let raw = index.window_map.statistics().original_bytes;
+    let v3 = index.export();
     assert!(
-        v2.len() * 4 <= v1.len(),
-        "v2 export ({}) must be at least 4x smaller than v1 ({})",
-        v2.len(),
-        v1.len()
+        v3.len() * 4 <= raw,
+        "v3 export ({}) must be at least 4x smaller than its raw windows ({raw})",
+        v3.len(),
     );
 
-    let imported = GzipIndex::import(&v2).unwrap();
+    let imported = GzipIndex::import(&v3).unwrap();
     let mut reader = ParallelGzipReader::with_index(shared, options(), imported).unwrap();
     assert_eq!(reader.decompress_all().unwrap(), data);
+}
+
+#[test]
+fn a_slice_from_its_chunks_own_point_inflates_the_stored_window_every_time() {
+    // A chunk's first touch here is a prefetch, which inflates the window
+    // record itself; a later jump into the chunk's first MiB is a slice from
+    // the chunk's own seek point, whose window only the store has.  The store
+    // keeps no decompressed copy, so each such slice inflates it again.
+    let data = datagen::silesia_like(16 << 20, 23);
+    let compressed = GzipWriter::default().compress(&data);
+    let options = ParallelGzipReaderOptions {
+        parallelization: 2,
+        chunk_size: 768 << 10,
+        resolved_cache_chunks: 1,
+        ..Default::default()
+    };
+    let index = ParallelGzipReader::from_bytes(compressed.clone(), options.clone())
+        .unwrap()
+        .build_full_index()
+        .unwrap();
+    let starts: Vec<u64> = index
+        .block_map
+        .points()
+        .iter()
+        .map(|point| point.uncompressed_offset)
+        .collect();
+    assert!(starts.len() >= 5, "{} chunks", starts.len());
+    let registry = Arc::new(MetricsRegistry::new());
+    let file = SharedFileReader::from_bytes(compressed);
+    let options = options.with_metrics(Arc::clone(&registry));
+    let mut reader = ParallelGzipReader::with_index(file, options, index).unwrap();
+    let mut buffer = vec![0u8; 4096];
+    let mut read = |reader: &mut ParallelGzipReader, offset: u64| {
+        reader.seek(SeekFrom::Start(offset)).unwrap();
+        reader.read_exact(&mut buffer).unwrap();
+        assert!(buffer[..] == data[offset as usize..][..4096], "at {offset}");
+    };
+    let inflations = || {
+        let snapshot = registry.snapshot();
+        snapshot
+            .histogram(names::WINDOW_INFLATE_SECONDS, &[])
+            .unwrap()
+            .count
+    };
+
+    // Chunk 1 decoded here prefetches chunk 2, whose bytes the next read
+    // takes; a read of the last chunk pushes them out of the access cache.
+    read(&mut reader, starts[1]);
+    quiesce(&reader);
+    read(&mut reader, starts[2] + 10);
+    let last = starts[starts.len() - 1];
+    read(&mut reader, last);
+    for _ in 0..2 {
+        let (slices, before) = (reader.statistics().index_slices, inflations());
+        read(&mut reader, starts[2] + 100);
+        assert_eq!(reader.statistics().index_slices, slices + 1);
+        assert_eq!(inflations(), before + 1);
+        // Away, so that the next read does not find the slice kept.
+        read(&mut reader, last);
+    }
 }
 
 #[test]

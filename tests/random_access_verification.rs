@@ -4,7 +4,8 @@
 //! point CRC-32 fragments split at member boundaries), a single-bit flip in
 //! any chunk body is detected by a random-access read under
 //! [`VerificationMode::Full`] and the error names the offending member.
-//! The same read through a fragment-less index — native v1/v2 or a foreign
+//! The same read through a fragment-less index — native v1/v2 (here: a v3
+//! file whose points carry no fragments, which says the same) or a foreign
 //! gztool/indexed_gzip import — completes (the bytes still decode), but the
 //! reader's statistics must report the chunk as *unverified*, never as
 //! silently clean.
@@ -19,7 +20,7 @@ use rapidgzip_suite::datagen;
 use rapidgzip_suite::gzip::{
     decompress_with_info, CompressorFrontend, FrontendKind, GzipWriter, MemberInfo,
 };
-use rapidgzip_suite::index::{GzipIndex, IndexFormat, SeekPoint};
+use rapidgzip_suite::index::{GzipIndex, SeekPoint};
 use rapidgzip_suite::interop::{export_index, import_index, AnyIndexFormat};
 use rapidgzip_suite::io::{FileReader, MemoryFileReader, SharedFileReader};
 use rapidgzip_suite::metrics::MetricsRegistry;
@@ -62,15 +63,25 @@ fn indexed_reader(
     .unwrap()
 }
 
-/// The five on-disk formats a seek-point index round-trips through.  Only
-/// native v3 carries checksum fragments.
-fn all_formats() -> [AnyIndexFormat; 5] {
+/// `index` without its fragments: what a native v1 or v2 file says.
+fn without_fragments(index: &GzipIndex) -> GzipIndex {
+    GzipIndex {
+        checksum_map: Default::default(),
+        ..index.clone()
+    }
+}
+
+/// The files a seek-point index round-trips through, by name: native v3
+/// with its fragments, which alone can verify, and every file without.
+fn all_formats(index: &GzipIndex) -> [(&'static str, Vec<u8>); 4] {
     [
-        AnyIndexFormat::Native(IndexFormat::V1),
-        AnyIndexFormat::Native(IndexFormat::V2),
-        AnyIndexFormat::Native(IndexFormat::V3),
-        AnyIndexFormat::Gztool,
-        AnyIndexFormat::IndexedGzip,
+        ("v3", index.export()),
+        ("v3 without fragments", without_fragments(index).export()),
+        ("gztool", export_index(index, AnyIndexFormat::Gztool)),
+        (
+            "indexed-gzip",
+            export_index(index, AnyIndexFormat::IndexedGzip),
+        ),
     ]
 }
 
@@ -81,9 +92,9 @@ fn pristine_random_access_is_verified_only_with_native_v3() {
     let index = build_index(&compressed);
     assert!(index.checksum_map.len() >= index.block_map.len());
 
-    for format in all_formats() {
-        let verifiable = format == AnyIndexFormat::Native(IndexFormat::V3);
-        let imported = import_index(&export_index(&index, format)).unwrap();
+    for (format, serialized) in all_formats(&index) {
+        let verifiable = format == "v3";
+        let imported = import_index(&serialized).unwrap();
         assert_eq!(
             imported.checksummed_points > 0,
             verifiable,
@@ -148,7 +159,7 @@ fn chunk_body_bit_flips_are_detected_and_attributed_through_native_v3() {
     let (pristine, _, members) = stored_bgzf_corpus();
     let index = build_index(&pristine);
     // Go through the on-disk v3 container, not just the in-memory index.
-    let serialized = export_index(&index, AnyIndexFormat::Native(IndexFormat::V3));
+    let serialized = index.export();
 
     for (member, byte) in flip_sites(&members) {
         for bit in [0u8, 5] {
@@ -184,13 +195,8 @@ fn fragmentless_imports_complete_corrupted_reads_but_report_unverified() {
     let span = members[member].uncompressed_start as usize
         ..(members[member].uncompressed_start + members[member].uncompressed_size) as usize;
 
-    for format in [
-        AnyIndexFormat::Native(IndexFormat::V1),
-        AnyIndexFormat::Native(IndexFormat::V2),
-        AnyIndexFormat::Gztool,
-        AnyIndexFormat::IndexedGzip,
-    ] {
-        let imported = import_index(&export_index(&index, format)).unwrap();
+    for (format, serialized) in all_formats(&index).into_iter().skip(1) {
+        let imported = import_index(&serialized).unwrap();
         assert_eq!(imported.checksummed_points, 0, "{format}");
         let mut reader = indexed_reader(&corrupted, imported.index, VerificationMode::Full);
         reader.seek(SeekFrom::Start(span.start as u64)).unwrap();
@@ -226,19 +232,22 @@ fn decompress_all_counts_each_index_chunk_exactly_once() {
     let index = build_index(&compressed);
     let chunk_count = index.block_map.len() as u64;
 
-    for format in [IndexFormat::V2, IndexFormat::V3] {
-        let imported = GzipIndex::import(&index.export_as(format)).unwrap();
+    for (format, index) in [
+        ("v3 without fragments", without_fragments(&index)),
+        ("v3", index),
+    ] {
+        let imported = GzipIndex::import(&index.export()).unwrap();
         let mut reader = indexed_reader(&compressed, imported, VerificationMode::Full);
         assert_eq!(reader.decompress_all().unwrap(), data);
         let statistics = reader.statistics();
         assert_eq!(
             statistics.index_chunks, chunk_count,
-            "{format:?}: {statistics:?}"
+            "{format}: {statistics:?}"
         );
         assert_eq!(
             statistics.index_chunks_verified + statistics.index_chunks_unverified,
             chunk_count,
-            "{format:?}: {statistics:?}"
+            "{format}: {statistics:?}"
         );
     }
 }
@@ -316,7 +325,7 @@ fn a_chunk_that_fails_its_check_is_counted_nowhere_however_it_was_reached() {
     // it itself or found what a prefetch had left: its error.
     let (pristine, _, members) = stored_bgzf_corpus();
     let index = build_index(&pristine);
-    let serialized = export_index(&index, AnyIndexFormat::Native(IndexFormat::V3));
+    let serialized = index.export();
     let (member, byte) = flip_sites(&members)[1];
     let mut corrupted = pristine.clone();
     corrupted[byte] ^= 1 << 3;
@@ -484,7 +493,7 @@ fn a_slice_is_checked_like_its_chunk_was_and_a_failed_one_is_counted_nowhere() {
             file: MemoryFileReader::new(compressed.clone()),
             flip: Arc::clone(&flip),
         };
-        let serialized = export_index(&index, AnyIndexFormat::Native(IndexFormat::V3));
+        let serialized = index.export();
         let mut reader = ParallelGzipReader::with_index(
             SharedFileReader::new(file),
             reader_options().with_metrics(Arc::clone(&registry)),
