@@ -598,13 +598,12 @@ fn print_statistics(reader: &ParallelGzipReader, registry: &MetricsRegistry) {
     );
     eprintln!(
         "rgzip: index: {} seek points, {} windows; window memory: \
-         {} raw -> {} stored bytes ({:.2}x), {} pending compressions, {} corrupt",
+         {} raw -> {} stored bytes ({:.2}x), {} corrupt",
         index.block_map.len(),
         windows.windows,
         windows.original_bytes,
         windows.stored_bytes,
         windows.compression_ratio(),
-        windows.pending_compressions,
         windows.corrupt_windows
     );
     // Chunk buffers (compressed ranges, 16-bit symbols, output bytes) the

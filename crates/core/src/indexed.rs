@@ -32,7 +32,6 @@ use std::sync::Arc;
 use rgz_checksum::crc32_combine;
 use rgz_index::{PointChecksums, SeekPoint, WINDOW_SIZE};
 use rgz_trace::{Outcome, Stage};
-use rgz_window::{CompressedWindow, WindowError};
 
 use crate::chunk::{DirectChunk, Extent, Segment};
 use crate::pass::{ChunkBytes, ChunkState, FailOnUnwind};
@@ -219,9 +218,10 @@ impl Shared {
         self.metrics.interior_windows_held(state.interior_bytes);
     }
 
-    /// Decodes `chunk` from its seek point with the window `window` yields,
-    /// and holds the bytes against everything the index says of them: `stage`
-    /// is [`Stage::PrefetchDecode`] on the pool, ahead of the reader, and
+    /// Decodes `chunk` from its seek point — with `window`, an interior
+    /// point's own, or else the one the index's map inflates — and holds the
+    /// bytes against everything the index says of them: `stage` is
+    /// [`Stage::PrefetchDecode`] on the pool, ahead of the reader, and
     /// [`Stage::RandomAccess`] on the reader's own thread, chunk or slice.
     ///
     /// Chunks decoded through the index are not folded into the stream
@@ -233,7 +233,7 @@ impl Shared {
         &self,
         stage: Stage,
         chunk: &IndexedChunk,
-        window: impl FnOnce() -> Result<Option<Arc<Vec<u8>>>, WindowError>,
+        window: Option<Arc<Vec<u8>>>,
     ) -> Result<ChunkBytes, CoreError> {
         let key = chunk.point.compressed_bit_offset;
         let mut span = self.metrics.stage(stage, key);
@@ -241,7 +241,10 @@ impl Shared {
             span.set_member(checksums.first_member);
         }
         let decoded = (|| {
-            let window = window().map_err(CoreError::Window)?.unwrap_or_default();
+            let window = match window {
+                Some(window) => window,
+                None => self.windows.try_get(key)?.unwrap_or_default(),
+            };
             let result = self.decoder.decode_at(&DirectChunk {
                 start_bit_offset: key,
                 stop_bit_offset: chunk.stop_bit,
@@ -273,23 +276,22 @@ impl Shared {
         decoded.map(Arc::new)
     }
 
-    /// Which chunks to decode ahead now that the reader asks for the
-    /// `accessed`th of the table, each entered into the table as `Decoding`
-    /// — for [`Self::spawn_prefetches`] to start once the state lock is let
-    /// go of.
+    /// Puts the chunks to decode ahead, now that the reader asks for the
+    /// `accessed`th of the table, on the pool, each entered into the table as
+    /// `Decoding`.
     ///
     /// Active only once a complete seek-point table exists.  Consecutive
     /// reads within one chunk cannot change the prediction and stop here
     /// (which also keeps many small reads from looking like a long
     /// sequential run to the strategy).
-    pub(crate) fn plan_prefetches(
-        &self,
+    pub(crate) fn issue_index_prefetches(
+        self: &Arc<Self>,
         state: &mut ReaderState,
         accessed: usize,
-    ) -> Vec<IndexedChunk> {
+    ) {
         let chunks = state.index.block_map.len();
         if !state.pass.finished || chunks < 2 || state.strategy.last() == Some(accessed) {
-            return Vec::new();
+            return;
         }
         state.strategy.on_access(accessed);
         let degree = self.options.prefetch_degree();
@@ -317,7 +319,7 @@ impl Shared {
                 self.evict(state, key);
             }
             if state.pass.chunks.len() >= degree.saturating_mul(2) {
-                return Vec::new();
+                return;
             }
         }
 
@@ -328,48 +330,26 @@ impl Shared {
                 !state.pass.chunks.contains_key(&key) && !state.resolved_cache.contains(&key)
             })
             .collect();
-        for chunk in &planned {
+        for chunk in planned {
             let key = chunk.point.compressed_bit_offset;
             state.pass.chunks.insert(key, ChunkState::Decoding);
             self.metrics
                 .index_prefetch_issued(key, chunk.point.uncompressed_size);
-        }
-        planned
-    }
-
-    /// Puts the decodes of `planned` on the pool.  Looks their window
-    /// *records* up here, on the reader's thread and outside the state lock
-    /// — a record may still be compressing, on the pool a task would wait for
-    /// it on — and leaves the 32 KiB inflation itself to the worker instead
-    /// of delaying the read this prefetch is meant to hide.
-    pub(crate) fn spawn_prefetches(
-        self: &Arc<Self>,
-        planned: Vec<IndexedChunk>,
-        windows: &rgz_index::WindowMap,
-    ) {
-        for chunk in planned {
-            let record = windows.get_compressed(chunk.point.compressed_bit_offset);
             let shared = Arc::clone(self);
             // The table, not the handle, is where the result goes.
             drop(
                 self.spawner
-                    .submit(move || shared.run_prefetch_task(&chunk, record)),
+                    .submit(move || shared.run_prefetch_task(&chunk)),
             );
         }
     }
 
     /// A pool task: decodes `chunk` ahead of the reader and enters the bytes,
     /// or why there are none, into the table.
-    fn run_prefetch_task(&self, chunk: &IndexedChunk, record: Option<Arc<CompressedWindow>>) {
+    fn run_prefetch_task(&self, chunk: &IndexedChunk) {
         let key = chunk.point.compressed_bit_offset;
         let _unwinding = FailOnUnwind { shared: self, key };
-        let decoded = self.decode_indexed(Stage::PrefetchDecode, chunk, || {
-            let Some(record) = record else {
-                return Ok(None);
-            };
-            let _inflate = self.trace().span(Stage::WindowInflate).chunk(key);
-            record.decompress().map(Arc::new).map(Some)
-        });
+        let decoded = self.decode_indexed(Stage::PrefetchDecode, chunk, None);
         self.finish(
             key,
             match decoded {

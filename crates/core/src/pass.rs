@@ -466,6 +466,9 @@ impl Shared {
         );
         let next_window = result.next_window(&window);
         let length = result.data.len() as u64;
+        // The seek point's record, in the map before the point is.
+        self.windows
+            .insert_sparse(start_bit, &window, &result.window_usage);
 
         let mut state = self.lock();
         let state = &mut *state;
@@ -473,15 +476,11 @@ impl Shared {
         if let Some(checksums) = checksums {
             state.index.checksum_map.insert(start_bit, checksums);
         }
-        state.index.add_seek_point_sparse(
-            SeekPoint {
-                compressed_bit_offset: start_bit,
-                uncompressed_offset: state.pass.next_uncompressed_offset,
-                uncompressed_size: length,
-            },
-            &window,
-            &result.window_usage,
-        );
+        state.index.block_map.push(SeekPoint {
+            compressed_bit_offset: start_bit,
+            uncompressed_offset: state.pass.next_uncompressed_offset,
+            uncompressed_size: length,
+        });
         self.metrics
             .known_start_committed(demanded, start_bit, first_member, length);
         state.pass.chunks.remove(&self.range_bit(guess));
@@ -562,15 +561,13 @@ impl Shared {
         let first_member = state.pass.next_member;
         let length = chunk.output.len() as u64;
         let wide_bytes = chunk.output.prefix().len() as u64;
-        state.index.add_seek_point_sparse(
-            SeekPoint {
-                compressed_bit_offset: start_bit,
-                uncompressed_offset: state.pass.next_uncompressed_offset,
-                uncompressed_size: length,
-            },
-            &window,
-            &chunk.window_usage,
-        );
+        // Its window's record follows with the replacement (`Self::replace`),
+        // before the chunk leaves `Resolving`.
+        state.index.block_map.push(SeekPoint {
+            compressed_bit_offset: start_bit,
+            uncompressed_offset: state.pass.next_uncompressed_offset,
+            uncompressed_size: length,
+        });
         self.metrics
             .speculative_committed(start_bit, first_member, length, wide_bytes);
         state.pass.chunks.insert(start_bit, ChunkState::Resolving);
@@ -680,35 +677,45 @@ impl Shared {
     }
 
     /// Marker replacement of a committed chunk (§2.2): 16-bit symbols to the
-    /// bytes the reader is waiting for, hashed per member while they are hot.
+    /// bytes the reader is waiting for, hashed per member while they are hot;
+    /// then its seek point's window into the map, before the chunk leaves
+    /// `Resolving` — whether or not the replacement failed, for the point is
+    /// in the index either way.
     fn replace(&self, replacement: Replacement) {
         let Replacement {
             start_bit,
             seq,
             first_member,
             window,
-            chunk,
+            mut chunk,
         } = replacement;
         let _unwinding = FailOnUnwind {
             shared: self,
             key: start_bit,
         };
+        let usage = std::mem::take(&mut chunk.window_usage);
         let mut span = self.metrics.stage(Stage::MarkerReplace, start_bit);
         span.set_member(first_member);
         span.set_bytes(chunk.output.len() as u64);
-        let (data, checksums) = match chunk.resolve(&window, self.verify()) {
-            Ok((data, fragments)) => (
-                data,
-                self.fold_fragments(start_bit, seq, first_member, fragments),
-            ),
+        let resolved = chunk
+            .resolve(&window, self.verify())
+            .map(|(data, fragments)| {
+                let checksums = self.fold_fragments(start_bit, seq, first_member, fragments);
+                (data, checksums)
+            });
+        span.set_outcome(match resolved {
+            Ok(_) => Outcome::Committed,
+            Err(_) => Outcome::Error,
+        });
+        drop(span);
+        self.windows.insert_sparse(start_bit, &window, &usage);
+        let (data, checksums) = match resolved {
+            Ok(resolved) => resolved,
             Err(error) => {
-                span.set_outcome(Outcome::Error);
                 self.finish(start_bit, ChunkState::Failed(error));
                 return;
             }
         };
-        span.set_outcome(Outcome::Committed);
-        drop(span);
         let mut state = self.lock();
         if let Some(checksums) = checksums {
             state.index.checksum_map.insert(start_bit, checksums);

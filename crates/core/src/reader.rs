@@ -6,7 +6,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use rgz_fetcher::{BufferPool, Cache, Pooled, Spawner, ThreadPool};
-use rgz_index::GzipIndex;
+use rgz_index::{GzipIndex, WindowMap, WindowStoreStatistics};
 use rgz_io::{FileReader, SharedFileReader};
 use rgz_metrics::MetricsRegistry;
 use rgz_trace::{Stage, TraceSink};
@@ -40,7 +40,7 @@ pub struct ParallelGzipReaderOptions {
     /// a single atomic load.
     pub trace: Option<Arc<TraceSink>>,
     /// Metrics registry the reader and every layer below it — worker pool,
-    /// buffer pool, window store, the compressed input — register their
+    /// buffer pool, window map, the compressed input — register their
     /// series on.  `None` (the default) gives the reader one of its own,
     /// with the same series; see [`ParallelGzipReader::metrics`].
     pub metrics: Option<Arc<MetricsRegistry>>,
@@ -207,9 +207,9 @@ pub(crate) struct ReaderState {
 }
 
 /// What the reader shares with the tasks it has on the pool.  Nothing in
-/// here owns a thread — the pool is reached through a [`Spawner`], by the
-/// window store too — so whichever thread drops the last reference, a worker
-/// finishing a task of a reader that is gone included, joins nothing.
+/// here owns a thread — the pool is reached through a [`Spawner`] — so
+/// whichever thread drops the last reference, a worker finishing a task of a
+/// reader that is gone included, joins nothing.
 pub(crate) struct Shared {
     pub options: ParallelGzipReaderOptions,
     /// The compressed input, the chunk size and the chunk buffers — compressed
@@ -217,6 +217,10 @@ pub(crate) struct Shared {
     /// chunk.
     pub decoder: ChunkDecoder,
     pub spawner: Spawner,
+    /// The index's windows (a clone of `state.index.window_map`, the same
+    /// records): stored by the worker that commits a chunk and read by every
+    /// decode from a seek point, neither under the state lock.
+    pub windows: WindowMap,
     /// One method per reader event, every sink behind it: the trace, and the
     /// registry the statistics are read back from — the one attached, or the
     /// reader's own — which the layers below count into as well.
@@ -245,11 +249,6 @@ impl Shared {
     /// Whether chunks hash their bytes for the verifier.
     pub(crate) fn verify(&self) -> bool {
         self.options.verification == VerificationMode::Full
-    }
-
-    /// The sink every stage of the reader records into.
-    pub(crate) fn trace(&self) -> &Arc<TraceSink> {
-        self.metrics.trace()
     }
 
     /// Waits for [`Self::progress`].
@@ -301,7 +300,7 @@ impl ParallelGzipReader {
     /// The reader of `reader` that goes on from `pass` with `index`: the one
     /// place its trace sink and its registry — the ones attached, or else the
     /// disabled sink and a registry of its own — are handed to the layers
-    /// below, the input, both pools, the window store and the verifier.
+    /// below, the input, both pools, the window map and the verifier.
     fn build(
         reader: SharedFileReader,
         mut options: ParallelGzipReaderOptions,
@@ -316,9 +315,8 @@ impl ParallelGzipReader {
             .unwrap_or_else(TraceSink::shared_disabled);
         let registry = options.metrics.clone().unwrap_or_default();
         let metrics = Arc::new(ReaderMetrics::register(&registry, trace.clone()));
+        index.window_map.attach(&trace, &registry);
         let pool = ThreadPool::new_observed(parallelization, trace, Arc::clone(&registry));
-        // Seek-point windows compress on the shared pool as they are stored.
-        index.window_map.attach(&pool);
         Self {
             shared: Arc::new(Shared {
                 decoder: ChunkDecoder {
@@ -329,6 +327,7 @@ impl ParallelGzipReader {
                     largest_overrun: Arc::default(),
                 },
                 spawner: pool.spawner(),
+                windows: index.window_map.clone(),
                 verifier: parking_lot::Mutex::new(StreamVerifier::new(
                     options.verification,
                     metrics.verify_member.clone(),
@@ -410,7 +409,7 @@ impl ParallelGzipReader {
     /// The trace sink this reader records into (the process-wide disabled
     /// sink unless one was attached via the options).
     pub fn trace(&self) -> &Arc<TraceSink> {
-        self.shared.trace()
+        self.shared.metrics.trace()
     }
 
     /// Behaviour counters, read back from [`Self::metrics`].
@@ -424,10 +423,10 @@ impl ParallelGzipReader {
         &self.shared.metrics.registry
     }
 
-    /// Memory counters of the seek-point window store (compressed window
+    /// Memory counters of the seek-point window map (compressed window
     /// bytes vs. the raw bytes of the same windows).
-    pub fn window_statistics(&self) -> rgz_window::WindowStoreStatistics {
-        self.shared.lock().index.window_map.statistics()
+    pub fn window_statistics(&self) -> WindowStoreStatistics {
+        self.shared.windows.statistics()
     }
 
     /// Counters of the checksum verification pipeline: members verified,
@@ -583,11 +582,9 @@ impl ParallelGzipReader {
             // Nobody has it: decoded on this thread, with the stored window
             // lazily re-inflated from its compressed record.
             _ => {
-                let windows = state.index.window_map.clone();
                 drop(state);
                 shared.metrics.prefetch_miss(key);
-                let window = || windows.try_get(key);
-                let data = shared.decode_indexed(Stage::RandomAccess, &chunk, window)?;
+                let data = shared.decode_indexed(Stage::RandomAccess, &chunk, None)?;
                 state = shared.lock();
                 data
             }
@@ -650,9 +647,7 @@ impl ParallelGzipReader {
             state.reading_at = key;
             let reach = self.position..self.position.saturating_add(wanted as u64);
             if let Some((slice, window)) = shared.plan_slice(&mut state, index, reach) {
-                let windows = state.index.window_map.clone();
                 drop(state);
-                let window = || window.map_or_else(|| windows.try_get(key), |raw| Ok(Some(raw)));
                 let data = shared.decode_indexed(Stage::RandomAccess, &slice, window)?;
                 let checked = slice.checksums.is_some();
                 shared
@@ -666,13 +661,7 @@ impl ParallelGzipReader {
             // that follow while the pass is under way, and with a complete
             // seek-point table the exact chunks predicted to be read next.
             shared.issue_prefetches(&mut state, shared.guess_of(key));
-            let planned = shared.plan_prefetches(&mut state, index);
-            if !planned.is_empty() {
-                let windows = state.index.window_map.clone();
-                drop(state);
-                shared.spawn_prefetches(planned, &windows);
-                state = shared.lock();
-            }
+            shared.issue_index_prefetches(&mut state, index);
             let data = self.chunk_bytes(state, index, key)?;
             let chunk_offset = (self.position - start) as usize;
             // A cached chunk shorter than its seek point claims (a lying or
@@ -886,11 +875,9 @@ mod tests {
 
         // The export of the sparse/compressed windows must round-trip into
         // a reader whose output is byte-identical, through seeks included.
-        // (Exporting also waits for any still-running window compressions.)
         let serialized = index.export();
 
         let statistics = reader.window_statistics();
-        assert_eq!(statistics.pending_compressions, 0);
         assert!(
             statistics.stored_bytes * 2 < statistics.original_bytes,
             "windows not compressed: {statistics:?}"

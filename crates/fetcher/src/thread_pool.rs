@@ -147,18 +147,13 @@ impl<T> TaskHandle<T> {
             Err(_) => panic!("thread pool dropped the task without running it"),
         }
     }
-
-    /// Returns the result if the task already finished.
-    pub fn try_wait(&self) -> Option<std::thread::Result<T>> {
-        self.receiver.try_recv().ok()
-    }
 }
 
 /// Submits tasks to a [`ThreadPool`] without owning its threads.
 ///
-/// Anything a *task* holds on to — the reader's shared pass state, the
-/// window store — submits through one of these: dropping it on a worker
-/// thread joins nothing, so no task can end up waiting for its own thread.
+/// Anything a *task* holds on to — the reader's shared pass state — submits
+/// through one of these: dropping it on a worker thread joins nothing, so no
+/// task can end up waiting for its own thread.
 /// A spawner that outlives its pool runs what it is given on the calling
 /// thread.
 #[derive(Clone)]
@@ -307,12 +302,6 @@ impl ThreadPool {
         &self.spawner.observers.metrics
     }
 
-    /// The sink queue-wait spans are reported to (shared disabled sink when
-    /// the pool was built with [`ThreadPool::new`]).
-    pub fn trace(&self) -> &Arc<TraceSink> {
-        &self.spawner.trace
-    }
-
     /// A handle tasks can keep to submit more work to this pool.
     pub fn spawner(&self) -> Spawner {
         self.spawner.clone()
@@ -404,25 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn is_finished_and_try_wait() {
-        let pool = ThreadPool::new(1);
-        let (release, held) = std::sync::mpsc::channel::<()>();
-        let handle = pool.submit(move || {
-            held.recv().unwrap();
-            42
-        });
-        assert!(handle.try_wait().is_none(), "the task is still held");
-        release.send(()).unwrap();
-        let result = loop {
-            match handle.try_wait() {
-                Some(result) => break result,
-                None => std::thread::yield_now(),
-            }
-        };
-        assert_eq!(result.unwrap(), 42);
-    }
-
-    #[test]
     fn traced_pool_records_queue_wait_spans() {
         let trace = Arc::new(rgz_trace::TraceSink::new_enabled());
         let pool = ThreadPool::new_observed(2, Arc::clone(&trace), Arc::default());
@@ -449,12 +419,12 @@ mod tests {
 
     #[test]
     fn untraced_pool_records_nothing() {
-        let pool = ThreadPool::new(2);
-        assert!(!pool.trace().is_enabled());
+        let trace = Arc::new(rgz_trace::TraceSink::new());
+        let pool = ThreadPool::new_observed(2, Arc::clone(&trace), Arc::default());
         for handle in (0..4).map(|i| pool.submit(move || i)).collect::<Vec<_>>() {
             handle.wait();
         }
-        assert_eq!(pool.trace().event_count(), 0);
+        assert_eq!(trace.event_count(), 0);
     }
 
     #[test]

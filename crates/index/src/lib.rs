@@ -10,11 +10,11 @@
 //! translation), [`WindowMap`] (windows keyed by compressed offset) and
 //! [`GzipIndex`] which bundles them and supports export/import.
 //!
-//! Windows are no longer held as raw 32 KiB buffers: [`WindowMap`] is backed
-//! by an [`rgz_window::WindowStore`] that deflate-compresses every window
-//! (optionally on a shared thread pool), sparsifies windows whose chunk is
-//! known to reference only part of them, and re-inflates a window whenever
-//! it is asked for.
+//! Windows are not held as raw 32 KiB buffers: [`WindowMap`] keeps one
+//! [`rgz_window::CompressedWindow`] record per seek point — sparsified when
+//! its chunk is known to reference only part of the window, and
+//! deflate-compressed by the thread that inserts it — and re-inflates a
+//! window whenever it is asked for.
 //!
 //! # Serialized formats
 //!
@@ -71,8 +71,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use rgz_checksum::crc32;
-use rgz_fetcher::ThreadPool;
-use rgz_window::{flags, CompressedWindow, WindowError, WindowStore, WindowStoreStatistics};
+use rgz_window::{flags, CompressedWindow, WindowError};
+
+mod store;
+
+pub use store::{WindowMap, WindowStoreStatistics};
 
 /// Maximum window size stored per seek point.
 pub const WINDOW_SIZE: usize = rgz_window::WINDOW_SIZE;
@@ -166,89 +169,6 @@ impl BlockMap {
             .last()
             .map(|p| p.uncompressed_offset + p.uncompressed_size)
             .unwrap_or(0)
-    }
-}
-
-/// Windows keyed by compressed bit offset (the paper's `WindowMap`).
-///
-/// Backed by a shared [`WindowStore`]: windows are deflate-compressed (and
-/// sparsified when usage information is available) on insertion and
-/// re-inflated on every access.  Clones share the same store, so the reader,
-/// the index and in-flight decompression tasks can all hold references
-/// concurrently.
-#[derive(Debug, Default, Clone)]
-pub struct WindowMap {
-    store: Arc<WindowStore>,
-}
-
-impl WindowMap {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches the map to a reader's `pool`: subsequent insertions compress
-    /// on it, and the store traces and counts where the pool does — its
-    /// gauges starting at what the map already holds.
-    pub fn attach(&self, pool: &ThreadPool) {
-        self.store.attach(pool);
-    }
-
-    /// Number of stored windows.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// Stores the window preceding the block at `compressed_bit_offset`,
-    /// keeping only the last 32 KiB.
-    pub fn insert(&self, compressed_bit_offset: u64, window: &[u8]) {
-        self.store.insert(compressed_bit_offset, window.to_vec());
-    }
-
-    /// Stores the window keeping only the bytes in `usage` — marker-space
-    /// `(offset, length)` runs as produced by `rgz_deflate::WindowUsage` —
-    /// dropping leading unreferenced bytes and zeroing the rest.
-    pub fn insert_sparse(&self, compressed_bit_offset: u64, window: &[u8], usage: &[(u32, u32)]) {
-        self.store
-            .insert_sparse(compressed_bit_offset, window.to_vec(), usage.to_vec());
-    }
-
-    /// Stores an already compressed record (the import path).
-    pub fn insert_compressed(&self, compressed_bit_offset: u64, record: CompressedWindow) {
-        self.store.insert_compressed(compressed_bit_offset, record);
-    }
-
-    /// Looks up (and decompresses) the window for a compressed bit offset.
-    /// Corrupt windows yield `None`; use [`WindowMap::try_get`] to
-    /// distinguish corruption from absence.
-    pub fn get(&self, compressed_bit_offset: u64) -> Option<Arc<Vec<u8>>> {
-        self.store.get(compressed_bit_offset).ok().flatten()
-    }
-
-    /// Looks up the window, surfacing checksum/validation failures.
-    pub fn try_get(&self, compressed_bit_offset: u64) -> Result<Option<Arc<Vec<u8>>>, WindowError> {
-        self.store.get(compressed_bit_offset)
-    }
-
-    /// The compressed record for a seek point, if any (waits for an
-    /// in-flight compression to finish).
-    pub fn get_compressed(&self, compressed_bit_offset: u64) -> Option<Arc<CompressedWindow>> {
-        self.store.get_compressed(compressed_bit_offset)
-    }
-
-    /// Whether a window exists for the given offset.
-    pub fn contains(&self, compressed_bit_offset: u64) -> bool {
-        self.store.contains(compressed_bit_offset)
-    }
-
-    /// Memory counters of the backing store.
-    pub fn statistics(&self) -> WindowStoreStatistics {
-        self.store.statistics()
     }
 }
 

@@ -83,7 +83,7 @@ pub mod names {
     /// Gauge: capacity of the buffers the pool holds idle.
     pub const BUFFER_POOL_IDLE_BYTES: &str = "rgz_buffer_pool_idle_bytes";
 
-    // rgz_window: the seek-point window store.
+    // rgz_index::WindowMap: the seek-point windows.
     pub const WINDOW_STORE_BYTES: &str = "rgz_window_store_bytes";
     pub const WINDOW_STORE_WINDOWS: &str = "rgz_window_store_windows";
     pub const WINDOW_COMPRESS_SECONDS: &str = "rgz_window_compress_seconds";

@@ -9,14 +9,17 @@
 use std::io::{Read, Seek, SeekFrom};
 use std::sync::Arc;
 
+use rapidgzip_suite::checksum::crc32;
 use rapidgzip_suite::compress::{
     CompressionLevel, ContainerFormat, ParallelCompressor, ParallelCompressorOptions,
 };
-use rapidgzip_suite::core::{ParallelGzipReader, ParallelGzipReaderOptions};
+use rapidgzip_suite::core::{CoreError, ParallelGzipReader, ParallelGzipReaderOptions};
 use rapidgzip_suite::datagen;
 use rapidgzip_suite::gzip::GzipWriter;
 use rapidgzip_suite::index::GzipIndex;
 use rapidgzip_suite::io::SharedFileReader;
+use rapidgzip_suite::metrics::names;
+use rapidgzip_suite::window::WindowError;
 use rgz_trace::{instants, EventKind, TraceSink};
 
 mod common;
@@ -197,3 +200,81 @@ const RECORDED_ISSUES: [usize; 23] = [
     1, 2, 3, 4, 5, 11, 12, 13, 6, 13, 14, 15, 5, 13, 1, 2, 3, 4, 5, 6, 7, 8, 10,
 ];
 const RECORDED_HITS_MISSES_EVICTIONS: (u64, u64, u64) = (15, 7, 6);
+
+/// Where each seek point's stored window CRC-32 lies in a v3 index file.
+fn window_checksum_positions(index: &[u8]) -> Vec<usize> {
+    let u32_at = |at: usize| u32::from_le_bytes(index[at..at + 4].try_into().unwrap());
+    let points = u64::from_le_bytes(index[28..36].try_into().unwrap());
+    // Header; per point three u64 offsets, then flags u8, original and
+    // window length u32, payload length u32, CRC-32 u32, the payload, and the
+    // fragments' presence byte with what it announces.
+    let mut at = 36;
+    (0..points)
+        .map(|_| {
+            let checksum = at + 24 + 13;
+            at = checksum + 4 + u32_at(at + 24 + 9) as usize;
+            at += match index[at] {
+                1 => 1 + 8 + 4 + 12 * u32_at(at + 9) as usize,
+                _ => 1,
+            };
+            checksum
+        })
+        .collect()
+}
+
+/// Every window a decode through the index starts from is read through the
+/// index's window map, a prefetch's included: one sample of the inflate
+/// histogram each, and a corrupt record fails the read and is counted.
+#[test]
+fn prefetched_chunks_read_their_windows_through_the_map() {
+    let data = corpus();
+    let (compressed, index) = gzip_with_fine_index(&data);
+    let imported = GzipIndex::import(&index).unwrap();
+    let points = imported.block_map.points();
+    let options = ParallelGzipReaderOptions {
+        parallelization: 2,
+        chunk_size: 32 * 1024,
+        ..Default::default()
+    };
+
+    let mut pristine = reader(&compressed, &index, options.clone());
+    assert_eq!(pristine.decompress_all().unwrap(), data);
+    quiesce(&pristine);
+    let statistics = pristine.statistics();
+    assert!(statistics.index_prefetch_hits > 0, "{statistics:?}");
+    let with_window = points
+        .iter()
+        .filter(|point| point.uncompressed_size > 0)
+        .filter(|point| imported.window_map.contains(point.compressed_bit_offset))
+        .count() as u64;
+    let snapshot = pristine.metrics().snapshot();
+    let inflations = snapshot.histogram(names::WINDOW_INFLATE_SECONDS, &[]);
+    assert_eq!(inflations.unwrap().count, with_window);
+
+    // The third point's record: the first chunk is the reader's own to
+    // decode, the ones after it are prefetched while it does.
+    let mut corrupt = index.clone();
+    corrupt[window_checksum_positions(&index)[2]] ^= 1;
+    let body = corrupt.len() - 4;
+    let trailer = crc32(&corrupt[..body]);
+    corrupt[body..].copy_from_slice(&trailer.to_le_bytes());
+    let trace = Arc::new(TraceSink::new_enabled());
+    let mut reader = reader(
+        &compressed,
+        &corrupt,
+        options.with_trace(Arc::clone(&trace)),
+    );
+    match reader.decompress_all() {
+        Err(CoreError::Window(WindowError::ChecksumMismatch { .. })) => {}
+        other => panic!("expected a window checksum mismatch, got {other:?}"),
+    }
+    quiesce(&reader);
+    assert_eq!(reader.window_statistics().corrupt_windows, 1);
+    let prefetched = trace.snapshot().iter().any(|track| {
+        track.events.iter().any(|event| {
+            matches!(event.kind, EventKind::Instant { name, .. } if name == instants::PREFETCH_ISSUE)
+                && event.meta.chunk == Some(points[2].compressed_bit_offset)
+        })
+    });
+    assert!(prefetched, "the corrupt point's chunk was not prefetched");
+}
