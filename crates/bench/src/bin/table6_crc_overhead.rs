@@ -3,8 +3,8 @@
 //!
 //! The verification pipeline hashes every chunk's decompressed bytes on the
 //! worker thread that produced them and folds the per-chunk CRC-32 fragments
-//! with `crc32_combine` on the orchestrator (an O(log n) GF(2) product per
-//! fragment).  Because hashing parallelizes with decoding, the expected
+//! with `crc32_combine` on the orchestrator (O(log n) multiplications
+//! modulo the CRC polynomial per fragment, about a microsecond).  Because hashing parallelizes with decoding, the expected
 //! overhead is a few percent — this harness quantifies it per corpus.
 
 use rgz_bench::*;

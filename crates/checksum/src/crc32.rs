@@ -309,78 +309,170 @@ mod pclmul {
 
 // --- crc32_combine -----------------------------------------------------------
 //
-// CRCs over GF(2) are linear: appending `len2` zero bytes to the first buffer
-// corresponds to multiplying its CRC by x^(8*len2) modulo the CRC polynomial.
-// We represent that operator as a 32x32 bit matrix and exponentiate by
-// repeated squaring, the same approach zlib takes.
+// CRCs over GF(2) are linear: appending `len_b` zero bytes to the first buffer
+// multiplies its CRC by x^(8*len_b) modulo the CRC polynomial.  That power is
+// a product of the precomputed x^(2^k) mod p for the bits set in 8*len_b, each
+// product one 32-step shift-and-add: zlib's `multmodp`/`x2nmodp` (since
+// 1.2.12), in place of squaring a 32x32 bit matrix per bit of the length.
+// Polynomials are reflected like the CRC: x^0 is the top bit.
 
-type Matrix = [u32; 32];
+/// `x^(2^k) mod p` for `k` in `0..32`.  The multiplicative order of x modulo
+/// the CRC-32 polynomial divides 2^32 - 1, so x^(2^32) = x and the table
+/// repeats with period 32.
+const X2N_TABLE: [u32; 32] = build_x2n_table();
 
-fn matrix_times_vector(matrix: &Matrix, mut vector: u32) -> u32 {
-    let mut result = 0u32;
-    let mut index = 0;
-    while vector != 0 {
-        if vector & 1 != 0 {
-            result ^= matrix[index];
+const fn build_x2n_table() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    // x^1.
+    let mut power = 1u32 << 30;
+    table[0] = power;
+    let mut k = 1;
+    while k < 32 {
+        power = multmodp(power, power);
+        table[k] = power;
+        k += 1;
+    }
+    table
+}
+
+/// `a * b mod p`.
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut product = 0u32;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+            if a & (bit - 1) == 0 {
+                break;
+            }
         }
-        vector >>= 1;
-        index += 1;
+        bit >>= 1;
+        b = if b & 1 != 0 {
+            (b >> 1) ^ POLYNOMIAL
+        } else {
+            b >> 1
+        };
     }
-    result
+    product
 }
 
-fn matrix_square(destination: &mut Matrix, source: &Matrix) {
-    for (column, entry) in destination.iter_mut().enumerate() {
-        *entry = matrix_times_vector(source, source[column]);
+/// `x^(n * 2^k) mod p`.
+fn x2nmodp(mut n: u64, mut k: usize) -> u32 {
+    // x^0.
+    let mut power = 1u32 << 31;
+    while n != 0 {
+        if n & 1 != 0 {
+            power = multmodp(X2N_TABLE[k & 31], power);
+        }
+        n >>= 1;
+        k += 1;
     }
+    power
 }
 
-pub(crate) fn combine(crc_a: u32, crc_b: u32, mut len_b: u64) -> u32 {
+pub(crate) fn combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    // An empty second buffer leaves the first's CRC as it is, whatever
+    // `crc_b` says (the CRC of no bytes is 0).
     if len_b == 0 {
         return crc_a;
     }
-
-    // Operator for one zero bit.
-    let mut odd: Matrix = [0; 32];
-    odd[0] = POLYNOMIAL;
-    let mut row = 1u32;
-    for entry in odd.iter_mut().skip(1) {
-        *entry = row;
-        row <<= 1;
-    }
-    let mut even: Matrix = [0; 32];
-
-    // odd = operator for one zero bit; square it to get operators for
-    // 2, 4, 8, ... zero bits and apply those matching the binary
-    // representation of len_b * 8.
-    matrix_square(&mut even, &odd); // 2 bits
-    matrix_square(&mut odd, &even); // 4 bits
-
-    let mut crc = crc_a;
-    loop {
-        matrix_square(&mut even, &odd); // even = odd^2
-        if len_b & 1 != 0 {
-            crc = matrix_times_vector(&even, crc);
-        }
-        len_b >>= 1;
-        if len_b == 0 {
-            break;
-        }
-        matrix_square(&mut odd, &even);
-        if len_b & 1 != 0 {
-            crc = matrix_times_vector(&odd, crc);
-        }
-        len_b >>= 1;
-        if len_b == 0 {
-            break;
-        }
-    }
-    crc ^ crc_b
+    // x^(8 * len_b): `len_b` bytes of zeros.
+    multmodp(x2nmodp(len_b, 3), crc_a) ^ crc_b
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The matrix method zlib used before 1.2.12: the operator for one zero
+    /// bit as a 32x32 matrix over GF(2), squared for 2, 4, 8, ... bits and
+    /// applied for the bits set in `8 * len_b`.
+    fn combine_by_matrices(crc_a: u32, crc_b: u32, mut len_b: u64) -> u32 {
+        type Matrix = [u32; 32];
+        fn times(matrix: &Matrix, mut vector: u32) -> u32 {
+            let mut result = 0u32;
+            let mut index = 0;
+            while vector != 0 {
+                if vector & 1 != 0 {
+                    result ^= matrix[index];
+                }
+                vector >>= 1;
+                index += 1;
+            }
+            result
+        }
+        fn square(destination: &mut Matrix, source: &Matrix) {
+            for (column, entry) in destination.iter_mut().enumerate() {
+                *entry = times(source, source[column]);
+            }
+        }
+        if len_b == 0 {
+            return crc_a;
+        }
+        let mut odd: Matrix = [0; 32];
+        odd[0] = POLYNOMIAL;
+        for (row, entry) in odd.iter_mut().enumerate().skip(1) {
+            *entry = 1 << (row - 1);
+        }
+        let mut even: Matrix = [0; 32];
+        square(&mut even, &odd);
+        square(&mut odd, &even);
+        let mut crc = crc_a;
+        loop {
+            square(&mut even, &odd);
+            if len_b & 1 != 0 {
+                crc = times(&even, crc);
+            }
+            len_b >>= 1;
+            if len_b == 0 {
+                break;
+            }
+            square(&mut odd, &even);
+            if len_b & 1 != 0 {
+                crc = times(&odd, crc);
+            }
+            len_b >>= 1;
+            if len_b == 0 {
+                break;
+            }
+        }
+        crc ^ crc_b
+    }
+
+    proptest::proptest! {
+        /// Over random CRCs, at the lengths where the power table's index
+        /// wraps (bit 29 of a byte count is bit 32 of the bit count) and
+        /// wherever else a length may lie.
+        #[test]
+        fn combine_matches_the_matrix_method(
+            crc_a in proptest::prelude::any::<u32>(),
+            crc_b in proptest::prelude::any::<u32>(),
+            short in 0u64..100_000,
+            wrapping in (1u64 << 29)..(1u64 << 33),
+            any_length in proptest::prelude::any::<u64>(),
+        ) {
+            for length in [0, 1, 3, 4095, 65_537, short, short | 1, wrapping, any_length, u64::MAX] {
+                proptest::prop_assert_eq!(
+                    combine(crc_a, crc_b, length),
+                    combine_by_matrices(crc_a, crc_b, length),
+                    "length {}", length
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_power_table_repeats_every_32_entries() {
+        assert_eq!(multmodp(X2N_TABLE[31], X2N_TABLE[31]), X2N_TABLE[0]);
+        for k in [29u32, 30, 31, 32, 33] {
+            let length = 1u64 << k;
+            assert_eq!(
+                combine(0x1234_5678, 0x9abc_def0, length),
+                combine_by_matrices(0x1234_5678, 0x9abc_def0, length),
+                "length 2^{k}"
+            );
+        }
+    }
 
     #[test]
     fn table_zero_matches_bitwise_definition() {

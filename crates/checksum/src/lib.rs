@@ -39,9 +39,12 @@ pub fn adler32(data: &[u8]) -> u32 {
 /// buffers had been hashed in one pass.  `crc_b` is the CRC of the second
 /// buffer and `len_b` its length in bytes.
 ///
-/// This is the same construction `zlib`'s `crc32_combine` uses and allows the
-/// parallel decompressor to verify whole-stream checksums even though chunks
-/// are hashed independently on worker threads.
+/// The first CRC is multiplied by x^(8 * len_b) modulo the CRC polynomial —
+/// a product of precomputed x^(2^k) terms, one 32-step shift-and-add each, as
+/// zlib's `crc32_combine` does since 1.2.12: about a microsecond whatever the
+/// length.  This lets the parallel decompressor verify whole-stream checksums
+/// even though chunks are hashed independently on worker threads, and cut a
+/// chunk's hashes at every interior seek point for nothing.
 pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
     crc32::combine(crc_a, crc_b, len_b)
 }

@@ -69,8 +69,9 @@ pub struct ChunkResult {
     /// decode spans with a *fallback* outcome.
     pub fast_fallback_blocks: u32,
     /// `data` cut into stretches that decode by themselves: the first from
-    /// the chunk's own start, and, of an [`Extent::Chunk`], one more from the
-    /// first block boundary at least its `spacing` past the last.
+    /// the chunk's own start, and, of an [`Extent::Chunk`], one more from
+    /// every block boundary at least its `stop_spacing` past the last cut or
+    /// its `window_spacing` past the last windowed one.
     pub(crate) segments: Vec<Segment>,
 }
 
@@ -84,6 +85,11 @@ pub(crate) struct Segment {
     pub offset: usize,
     /// How many gzip members end in the chunk before it.
     pub member: u64,
+    /// Whether a decode may start here: the first block boundary at least an
+    /// [`Extent::Chunk`]'s `window_spacing` past the last such cut.  Other
+    /// cuts are only where a decode may stop.  The chunk's own start is not:
+    /// its window is the index's.
+    pub windowed: bool,
     /// Its bytes split at gzip member ends, each piece hashed if the decode
     /// verifies: folded with those of the segments around, they are the
     /// chunk's [`ChunkResult::fragments`].
@@ -324,9 +330,13 @@ pub(crate) enum Extent {
     /// chunk size) that the chunk's last block may run well past.
     Guessed,
     /// A chunk of a seek-point table, to the next seek point, where the next
-    /// chunk is *known* to start; its interior points are harvested, at least
-    /// `spacing` bytes of output apart.
-    Chunk { spacing: usize },
+    /// chunk is *known* to start; its interior points are harvested: a
+    /// windowed one at least `window_spacing` bytes of output past the last,
+    /// and between them stop points at least `stop_spacing` apart.
+    Chunk {
+        window_spacing: usize,
+        stop_spacing: usize,
+    },
     /// From one interior point of such a chunk to another: a decode the
     /// buffer pool is not to size the next chunk's buffers by.
     Slice,
@@ -449,11 +459,14 @@ impl ChunkDecoder {
             parse_header(&mut reader).map_err(CoreError::Gzip)?;
         }
 
-        let spacing = match chunk.extent {
-            Extent::Chunk { spacing } => spacing,
-            Extent::Guessed | Extent::Slice => usize::MAX,
+        let (window_spacing, stop_spacing) = match chunk.extent {
+            Extent::Chunk {
+                window_spacing,
+                stop_spacing,
+            } => (window_spacing, stop_spacing),
+            Extent::Guessed | Extent::Slice => (usize::MAX, usize::MAX),
         };
-        let mut next_cut = spacing;
+        let (mut next_window, mut next_stop) = (window_spacing, stop_spacing);
         let mut data = self.buffers.bytes();
         data.clear();
         let mut first_call = true;
@@ -467,6 +480,7 @@ impl ChunkDecoder {
             bit: start_bit_offset,
             offset: 0,
             member: 0,
+            windowed: false,
             pieces: Vec::new(),
         }];
         loop {
@@ -500,10 +514,14 @@ impl ChunkDecoder {
             };
             for block in &outcome.blocks {
                 let offset = call_start + block.uncompressed_offset as usize;
-                if block.block_type == BlockType::Fixed || offset < next_cut {
+                let windowed = offset >= next_window;
+                if block.block_type == BlockType::Fixed || (!windowed && offset < next_stop) {
                     continue;
                 }
-                next_cut = offset.saturating_add(spacing);
+                if windowed {
+                    next_window = offset.saturating_add(window_spacing);
+                }
+                next_stop = offset.saturating_add(stop_spacing);
                 // A segment that starts where a member does leaves no piece
                 // of that member behind.
                 if offset > call_start {
@@ -513,6 +531,7 @@ impl ChunkDecoder {
                     bit: range_start_bits + block.bit_offset,
                     offset,
                     member: fragments.len() as u64,
+                    windowed,
                     pieces: Vec::new(),
                 });
             }
@@ -1381,7 +1400,10 @@ pub(crate) mod tests {
                     stop_bit_offset: ((guess + 1) * chunk_size) as u64 * 8,
                     window: &window,
                     at_member_start: start == 0,
-                    extent: [Extent::Guessed, Extent::Chunk { spacing: 100_000 }][guess % 2],
+                    extent: [Extent::Guessed, Extent::Chunk {
+                        window_spacing: 100_000,
+                        stop_spacing: 20_000,
+                    }][guess % 2],
                     verify: true,
                 };
                 proptest::prop_assert_eq!(

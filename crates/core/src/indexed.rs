@@ -5,19 +5,24 @@
 //! chunk nobody has, and decodes it on its own thread; the prefetch strategy
 //! predicts it, and a pool task puts it into the pass's table of chunks
 //! (`Decoding` → `Prefetched` | `Failed`) for the reader to find; or the
-//! reader jumps into a chunk decoded before, and decodes only the *slice* of
-//! it that the read is of.  Unlike a speculative decode these are *exact*
+//! reader jumps into a chunk decoded before — a read after a seek that moved
+//! the position, into a chunk it did not read last — and decodes only the
+//! *slice* of it that the read is of.  Unlike a speculative decode these are *exact*
 //! chunks: each starts at a real seek point and stops at the next one, so
 //! none is wasted on a misguessed boundary.
 //!
 //! **Slices.**  A chunk is the unit of parallel work, and for a seek the
 //! wrong one: megabytes decoded for the kilobytes asked for.  So a chunk's
 //! whole decode — its *first touch*, always, whichever of the first two
-//! occasions it is — harvests [`InteriorPoint`]s at block boundaries a MiB of
-//! output or more apart: the bit, the 32 KiB before it copied raw, and the
-//! CRC-32 of the bytes up to the next, hashed *instead of* the whole chunk
-//! and folded (`crc32_combine`) into the very fragments the index's are
-//! compared with.  An interior point is therefore what a seek point is — and
+//! occasions it is — harvests [`InteriorPoint`]s at block boundaries: the
+//! bit, and the CRC-32 of the bytes up to the next, hashed *instead of* the
+//! whole chunk and folded (`crc32_combine`, a microsecond) into the very
+//! fragments the index's are compared with.  Those a MiB of output or more
+//! apart also keep the 32 KiB before them, copied raw: a slice starts at one
+//! of them (or at the chunk's own point).  Between them, *stop points* at
+//! every block boundary 64 KiB or more past the last cut keep no window, a
+//! hundred bytes each, and are where a slice ends: at the first point past
+//! the read.  An interior point is therefore what a seek point is — and
 //! taken only from bytes that had just passed every check the index affords,
 //! which is why first touches stay whole: with a v3 index, no byte is ever
 //! served that was not hashed against a CRC that chains back to the file's
@@ -56,16 +61,22 @@ pub(crate) struct IndexedChunk {
 pub(crate) struct InteriorPoint {
     /// Where it is, and how far it is to the next.
     point: SeekPoint,
-    /// The 32 KiB before it.  The index has those of a chunk's own, and a
-    /// slice from there inflates it anew: the budget below has no room for a
-    /// copy of a chunk's window beside those of its interior points.
+    /// The 32 KiB before it, if a slice may start here.  The index has those
+    /// of a chunk's own, and a slice from there inflates it anew: the budget
+    /// below has no room for a copy of a chunk's window beside those of its
+    /// interior points.  A stop point has none: a slice only ends there.
     window: Option<Arc<Vec<u8>>>,
     /// What the bytes up to the next hash to, if the chunk's were checked.
     checksums: Option<PointChecksums>,
 }
 
-/// How far apart in a chunk's bytes its interior points are, at least.
+/// How far apart in a chunk's bytes its windowed interior points are, at
+/// least.
 const INTERIOR_SPACING: usize = 1 << 20;
+
+/// How far apart in a chunk's bytes its interior points of either kind are,
+/// at least: how far past a read a slice may decode, less a block.
+const STOP_SPACING: usize = 64 << 10;
 
 /// The bytes of window `points` hold.
 fn window_bytes(points: &[InteriorPoint]) -> usize {
@@ -90,7 +101,7 @@ impl IndexedChunk {
                     uncompressed_offset: self.point.uncompressed_offset + segment.offset as u64,
                     uncompressed_size: (end - segment.offset) as u64,
                 },
-                window: (segment.offset > 0).then(|| {
+                window: segment.windowed.then(|| {
                     let before = segment.offset.saturating_sub(WINDOW_SIZE)..segment.offset;
                     Arc::new(data[before].to_vec())
                 }),
@@ -102,10 +113,15 @@ impl IndexedChunk {
             .collect()
     }
 
-    /// The run of `points`, all of this chunk's, around the bytes `wanted`.
+    /// The run of `points`, all of this chunk's, around the bytes `wanted`:
+    /// from the last windowed point (or the chunk's own) at or before them to
+    /// the first point of either kind at or past their end.
     fn slice(&self, points: &[InteriorPoint], wanted: Range<u64>) -> Slice {
         let before = |offset: u64| points.partition_point(|p| p.point.uncompressed_offset < offset);
-        let first = before(wanted.start + 1).saturating_sub(1);
+        let first = points[..before(wanted.start + 1)]
+            .iter()
+            .rposition(|point| point.window.is_some())
+            .unwrap_or(0);
         let end = before(wanted.end).max(first + 1);
         let run = &points[first..end];
         let checksums = run[0].checksums.clone().map(|mut merged| {
@@ -168,27 +184,28 @@ impl Shared {
             stop_bit,
             checksums,
             extent: Extent::Chunk {
-                spacing: INTERIOR_SPACING,
+                window_spacing: INTERIOR_SPACING,
+                stop_spacing: STOP_SPACING,
             },
         }
     }
 
     /// What to decode instead of the whole `index`th chunk for a read of the
-    /// bytes `wanted` there: nothing, unless the read is a jump — sequential
-    /// reads stay whole chunks, prefetched — nobody has the chunk's bytes,
-    /// and its interior points are known.  A jump served this way issues no
-    /// prefetch, and does not wait for one of its chunk under way.
+    /// bytes `wanted` there, one that follows a seek that moved the position
+    /// (a read that goes on from where the last one ended stays a whole
+    /// chunk, prefetched after): nothing, unless the chunk is not the one
+    /// read last — a read that goes on in it takes it whole — nobody has its
+    /// bytes, and its interior points are known.  A jump served this way
+    /// issues no prefetch, and does not wait for one of its chunk under way.
     pub(crate) fn plan_slice(
         &self,
         state: &mut ReaderState,
         index: usize,
         wanted: Range<u64>,
     ) -> Option<Slice> {
-        let last = state.strategy.last()?;
         let key = state.index.block_map.points()[index].compressed_bit_offset;
         let prefetched = state.pass.chunks.get(&key);
-        if index == last
-            || index == last + 1
+        if state.strategy.last() == Some(index)
             || state.resolved_cache.contains(&key)
             || prefetched.is_some_and(ChunkState::is_finished)
         {
@@ -263,7 +280,8 @@ impl Shared {
             if let Some(checksums) = &chunk.checksums {
                 check_point_fragments(checksums, &result.fragments)?;
             }
-            if result.segments.len() > 1 {
+            // Stop points alone start no slice.
+            if result.segments.iter().any(|segment| segment.windowed) {
                 let points = chunk.interior_points(result.segments, &result.data);
                 self.keep_interior_points(key, points);
             }
@@ -363,7 +381,7 @@ impl Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::ChunkDecoder;
+    use crate::chunk::{ChunkDecoder, ChunkResult};
     use crate::metrics::ReaderMetrics;
     use rgz_deflate::{CompressionLevel, CompressorOptions};
     use rgz_fetcher::BufferPool;
@@ -372,23 +390,31 @@ mod tests {
     use rgz_metrics::MetricsRegistry;
     use rgz_trace::TraceSink;
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+    /// Where the chunk of the tests below starts in the stream.
+    const CHUNK_START: u64 = 7_000_000;
 
-        /// Whatever blocks and members a chunk is made of, and wherever that
-        /// puts its interior points: the CRCs harvested with them fold to
-        /// the chunk's own fragments (or the whole decode would not have
-        /// passed), and every run of them — the slice some read would get —
-        /// decodes, through the same `decode_at`, to exactly its stretch of
-        /// the chunk's bytes and hashes to what its merged pieces say.
-        #[test]
-        fn every_run_of_interior_points_is_its_stretch_of_the_chunk(
-            seed in 0u64..1_000_000,
-            member_lengths in proptest::collection::vec(0usize..300_000, 1..5),
-            block_size in 1usize..48,
-            spacing in 1usize..150,
-            layout in 0usize..5,
-        ) {
+    /// A chunk of one to four members, decoded whole with the two spacings
+    /// given, and the interior points harvested from it.
+    struct Harvest {
+        data: Vec<u8>,
+        decoder: ChunkDecoder,
+        whole: IndexedChunk,
+        points: Vec<InteriorPoint>,
+    }
+
+    impl Harvest {
+        /// Members of `member_lengths` bytes of the three corpora, compressed
+        /// in blocks of `block_kib` KiB at one of four levels, or (`layout`
+        /// 4) pigz-like with empty stored blocks between the others: points
+        /// of no bytes.
+        fn new(
+            seed: u64,
+            member_lengths: &[usize],
+            block_kib: usize,
+            layout: usize,
+            window_spacing: usize,
+            stop_spacing: usize,
+        ) -> Self {
             let members: Vec<Vec<u8>> = member_lengths
                 .iter()
                 .enumerate()
@@ -408,12 +434,11 @@ mod tests {
             ];
             let writer = GzipWriter::new(CompressorOptions {
                 level: levels[layout % 4],
-                block_size: block_size * 1024,
+                block_size: block_kib * 1024,
                 ..Default::default()
             });
             let compressed = match layout {
-                // Empty stored blocks between the others: points of no bytes.
-                4 => writer.compress_pigz_like(&data, block_size * 3000),
+                4 => writer.compress_pigz_like(&data, block_kib * 3000),
                 _ => writer.compress_members(&parts),
             };
             let decoder = ChunkDecoder {
@@ -426,8 +451,37 @@ mod tests {
                 )),
                 largest_overrun: Arc::default(),
             };
-            let decode = |chunk: &IndexedChunk, window: &[u8]| {
-                decoder.decode_at(&DirectChunk {
+            let whole = IndexedChunk {
+                point: SeekPoint {
+                    compressed_bit_offset: 0,
+                    uncompressed_offset: CHUNK_START,
+                    uncompressed_size: data.len() as u64,
+                },
+                stop_bit: u64::MAX,
+                checksums: None,
+                extent: Extent::Chunk {
+                    window_spacing,
+                    stop_spacing,
+                },
+            };
+            let mut harvest = Self {
+                data,
+                decoder,
+                whole,
+                points: Vec::new(),
+            };
+            let result = harvest.decode(&harvest.whole, &[]);
+            assert!(result.data[..] == harvest.data[..]);
+            let fragments = result.fragments.iter().map(|f| (f.crc32, f.length));
+            let checksums = PointChecksums::from_fragments(3, fragments);
+            harvest.whole.checksums = Some(Arc::new(checksums));
+            harvest.points = harvest.whole.interior_points(result.segments, &result.data);
+            harvest
+        }
+
+        fn decode(&self, chunk: &IndexedChunk, window: &[u8]) -> ChunkResult {
+            self.decoder
+                .decode_at(&DirectChunk {
                     start_bit_offset: chunk.point.compressed_bit_offset,
                     stop_bit_offset: chunk.stop_bit,
                     window,
@@ -435,51 +489,178 @@ mod tests {
                     extent: chunk.extent,
                     verify: true,
                 })
-            };
-            let mut whole = IndexedChunk {
-                point: SeekPoint {
-                    compressed_bit_offset: 0,
-                    uncompressed_offset: 7_000_000,
-                    uncompressed_size: data.len() as u64,
-                },
-                stop_bit: u64::MAX,
-                checksums: None,
-                extent: Extent::Chunk { spacing: spacing * 1024 },
-            };
-            let result = decode(&whole, &[]).unwrap();
-            proptest::prop_assert!(result.data[..] == data[..]);
-            let fragments = result.fragments.iter().map(|f| (f.crc32, f.length));
-            whole.checksums = Some(Arc::new(PointChecksums::from_fragments(3, fragments)));
-            let points = whole.interior_points(result.segments, &result.data);
-            for first in 0..points.len() {
+                .unwrap()
+        }
+
+        /// Whether a slice may start at the `index`th point.
+        fn starts_a_slice(&self, index: usize) -> bool {
+            index == 0 || self.points[index].window.is_some()
+        }
+
+        /// Decodes the slice of the points around `wanted` and checks that it
+        /// is exactly its stretch of the chunk, hashed as its merged pieces
+        /// say; returns the slice.
+        fn check_slice(&self, wanted: Range<u64>) -> Result<IndexedChunk, String> {
+            let (slice, window) = self.whole.slice(&self.points, wanted.clone());
+            let sliced = self.decode(&slice, &window.unwrap_or_default());
+            let stretch = (slice.point.uncompressed_offset - CHUNK_START) as usize..;
+            if sliced.data[..] != self.data[stretch][..sliced.data.len()] {
+                return Err(format!("{wanted:?}: not its stretch"));
+            }
+            if sliced.data.len() as u64 != slice.point.uncompressed_size {
+                return Err(format!("{wanted:?}: {} bytes", sliced.data.len()));
+            }
+            let checksums = slice.checksums.as_ref().unwrap();
+            check_point_fragments(checksums, &sliced.fragments)
+                .map_err(|_| format!("{wanted:?}: {checksums:?} vs {:?}", sliced.fragments))?;
+            Ok(slice)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Whatever blocks and members a chunk is made of, and wherever that
+        /// puts its interior points: the CRCs harvested with them fold to
+        /// the chunk's own fragments (or the whole decode would not have
+        /// passed), and every run of them a slice can be — from a windowed
+        /// point or the chunk's own, to any point after — decodes, through
+        /// the same `decode_at`, to exactly its stretch of the chunk's bytes
+        /// and hashes to what its merged pieces say.
+        #[test]
+        fn every_run_of_interior_points_is_its_stretch_of_the_chunk(
+            seed in 0u64..1_000_000,
+            member_lengths in proptest::collection::vec(0usize..300_000, 1..5),
+            block_size in 1usize..48,
+            spacings in (1usize..150, 1usize..40),
+            layout in 0usize..5,
+        ) {
+            let harvest = Harvest::new(
+                seed,
+                &member_lengths,
+                block_size,
+                layout,
+                spacings.0 * 1024,
+                spacings.1 * 1024,
+            );
+            let points = &harvest.points;
+            for first in (0..points.len()).filter(|&index| harvest.starts_a_slice(index)) {
                 for last in first..points.len() {
                     let from = points[first].point.uncompressed_offset;
                     let to = points[last].point.uncompressed_offset
                         + points[last].point.uncompressed_size.max(1);
-                    let (slice, window) = whole.slice(&points, from..to);
-                    let sliced = decode(&slice, &window.unwrap_or_default()).unwrap();
-                    let stretch = (from - 7_000_000) as usize..;
-                    proptest::prop_assert!(
-                        sliced.data[..] == data[stretch][..sliced.data.len()],
-                        "points {first}..={last} of {}", points.len()
-                    );
-                    proptest::prop_assert_eq!(
-                        sliced.data.len() as u64,
-                        slice.point.uncompressed_size
-                    );
-                    let checksums = slice.checksums.as_ref().unwrap();
-                    proptest::prop_assert!(
-                        check_point_fragments(checksums, &sliced.fragments).is_ok(),
-                        "points {first}..={last}: {checksums:?} vs {:?}", sliced.fragments
-                    );
+                    let slice = harvest
+                        .check_slice(from..to)
+                        .map_err(|error| format!("points {first}..={last}: {error}"))
+                        .unwrap();
                     if (first, last) == (0, points.len() - 1) {
-                        let stored = whole.checksums.as_ref().unwrap();
+                        let sliced = harvest.decode(&slice, &[]);
+                        let stored = harvest.whole.checksums.as_ref().unwrap();
                         proptest::prop_assert!(
                             check_point_fragments(stored, &sliced.fragments).is_ok()
                         );
                     }
                 }
             }
+        }
+
+        /// A read of any bytes of the chunk gets the slice from the last
+        /// windowed point (or the chunk's own) at or before its first byte to
+        /// the first point of either kind at or past its end — the chunk's
+        /// end if none is — and that slice is exactly its stretch.
+        #[test]
+        fn a_slice_runs_from_a_windowed_point_to_the_first_point_past_the_read(
+            seed in 0u64..1_000_000,
+            member_lengths in proptest::collection::vec(1usize..300_000, 1..4),
+            block_size in 1usize..32,
+            spacings in (1usize..150, 1usize..40),
+            layout in 0usize..5,
+            reads in proptest::collection::vec((0u64..1 << 32, 0u64..1 << 32), 1..8),
+        ) {
+            let harvest = Harvest::new(
+                seed,
+                &member_lengths,
+                block_size,
+                layout,
+                spacings.0 * 1024,
+                spacings.1 * 1024,
+            );
+            let points = &harvest.points;
+            let length = harvest.data.len() as u64;
+            for (start, reach) in reads {
+                let start = start % length;
+                let end = start + 1 + reach % (length - start).min(200_000);
+                let wanted = CHUNK_START + start..CHUNK_START + end;
+                let slice = harvest.check_slice(wanted.clone()).unwrap();
+                let from = slice.point.uncompressed_offset;
+                let to = from + slice.point.uncompressed_size;
+                proptest::prop_assert!(from <= wanted.start && to >= wanted.end, "{:?}", wanted);
+                let first = points
+                    .iter()
+                    .position(|point| point.point.uncompressed_offset == from)
+                    .unwrap();
+                proptest::prop_assert!(harvest.starts_a_slice(first));
+                let later_start = (first + 1..points.len()).find(|&index| {
+                    harvest.starts_a_slice(index)
+                        && points[index].point.uncompressed_offset <= wanted.start
+                });
+                proptest::prop_assert_eq!(later_start, None, "{:?}", wanted);
+                let stop = points
+                    .iter()
+                    .map(|point| point.point.uncompressed_offset)
+                    .find(|&offset| offset >= wanted.end)
+                    .unwrap_or(CHUNK_START + length);
+                proptest::prop_assert_eq!(to, stop, "{:?}", wanted);
+            }
+        }
+    }
+
+    #[test]
+    fn stop_points_leave_the_windowed_points_where_one_cut_a_mib_put_them() {
+        // The parent rule cut at the first Dynamic or Stored boundary a MiB
+        // of output or more past the last cut, and nowhere else.  Stop
+        // points in between must not move those cuts, or the windows a
+        // budget holds would be others.
+        for (seed, block_kib, layout) in [(1u64, 16, 3), (2, 7, 2), (3, 40, 1), (4, 5, 4)] {
+            let lengths = [3 << 20, 500_000, 2 << 20];
+            let both = Harvest::new(
+                seed,
+                &lengths,
+                block_kib,
+                layout,
+                INTERIOR_SPACING,
+                STOP_SPACING,
+            );
+            let parent = Harvest::new(
+                seed,
+                &lengths,
+                block_kib,
+                layout,
+                INTERIOR_SPACING,
+                usize::MAX,
+            );
+            // Where each windowed point is, and its window.
+            let windowed = |harvest: &Harvest| {
+                let points = harvest.points.iter();
+                let windowed = points.filter_map(|point| {
+                    let at = &point.point;
+                    let window = point.window.as_deref()?;
+                    Some((
+                        at.compressed_bit_offset,
+                        at.uncompressed_offset,
+                        window.clone(),
+                    ))
+                });
+                windowed.collect::<Vec<_>>()
+            };
+            assert!(windowed(&parent).len() >= 3, "seed {seed}");
+            assert_eq!(
+                parent.points.len(),
+                windowed(&parent).len() + 1,
+                "seed {seed}"
+            );
+            assert!(windowed(&both) == windowed(&parent), "seed {seed}");
+            assert!(both.points.len() > 4 * parent.points.len(), "seed {seed}");
         }
     }
 }

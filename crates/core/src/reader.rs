@@ -270,6 +270,9 @@ pub struct ParallelGzipReader {
     shared: Arc<Shared>,
     /// Current logical read position in the decompressed stream.
     position: u64,
+    /// Whether a seek has moved `position` since the last read: the next
+    /// read is a jump, and may be served by a slice.
+    jumped: bool,
     /// The slice decoded last and the offset of its first byte, until a read
     /// elsewhere: where the calls that follow a sliced read up find theirs.
     slice: Option<(u64, ChunkBytes)>,
@@ -348,6 +351,7 @@ impl ParallelGzipReader {
             }),
             _pool: pool,
             position: 0,
+            jumped: false,
             slice: None,
         }
     }
@@ -501,6 +505,7 @@ impl ParallelGzipReader {
     /// bytes written.
     pub fn decompress_to(&mut self, writer: &mut impl std::io::Write) -> Result<u64, CoreError> {
         self.position = 0;
+        self.jumped = false;
         // The writer gets the chunks' own bytes, a slice at a time.
         while let Some((data, offset)) = self.chunk_at_position(HAND_OVER_BYTES)? {
             let end = data.len().min(offset + HAND_OVER_BYTES);
@@ -599,9 +604,10 @@ impl ParallelGzipReader {
     }
 
     /// The chunk covering the current position — or a slice of it, for a
-    /// read of `wanted` bytes that jumps into one with interior points — and
-    /// the position's offset in it, advancing the sequential pass as far as
-    /// that takes; `None` at the end of the stream.
+    /// read of `wanted` bytes that jumps into one with interior points (see
+    /// [`Shared::plan_slice`]) — and the position's offset in it, advancing
+    /// the sequential pass as far as that takes; `None` at the end of the
+    /// stream.
     fn chunk_at_position(
         &mut self,
         wanted: usize,
@@ -646,7 +652,12 @@ impl ParallelGzipReader {
             let (key, start) = (point.compressed_bit_offset, point.uncompressed_offset);
             state.reading_at = key;
             let reach = self.position..self.position.saturating_add(wanted as u64);
-            if let Some((slice, window)) = shared.plan_slice(&mut state, index, reach) {
+            let planned = if self.jumped {
+                shared.plan_slice(&mut state, index, reach)
+            } else {
+                None
+            };
+            if let Some((slice, window)) = planned {
                 drop(state);
                 let data = shared.decode_indexed(Stage::RandomAccess, &slice, window)?;
                 let checked = slice.checksums.is_some();
@@ -678,7 +689,9 @@ impl ParallelGzipReader {
 
     /// Serves as many bytes as possible from the chunk covering `position`.
     fn read_at_position(&mut self, buffer: &mut [u8]) -> Result<usize, CoreError> {
-        let Some((data, chunk_offset)) = self.chunk_at_position(buffer.len())? else {
+        let found = self.chunk_at_position(buffer.len());
+        self.jumped = false;
+        let Some((data, chunk_offset)) = found? else {
             return Ok(0);
         };
         let count = (data.len() - chunk_offset).min(buffer.len());
@@ -710,12 +723,14 @@ impl Seek for ParallelGzipReader {
                 size as i128 + delta as i128
             }
         };
-        // A seek only updates the position; all work happens on the next read
-        // (§3.1).
-        self.position = u64::try_from(new_position).map_err(|_| {
+        // A seek only updates the position, and notes whether it moved; all
+        // work happens on the next read (§3.1).
+        let new_position = u64::try_from(new_position).map_err(|_| {
             let message = "seek before the start of the stream, or past what 64 bits address";
             std::io::Error::new(std::io::ErrorKind::InvalidInput, message)
         })?;
+        self.jumped |= new_position != self.position;
+        self.position = new_position;
         Ok(self.position)
     }
 }

@@ -5,9 +5,9 @@
 //! own decompressed bytes on the worker thread that produced them, split
 //! into [`ChunkFragment`]s at gzip member boundaries.  The
 //! [`StreamVerifier`] then folds those per-chunk CRC-32 fragments in stream
-//! order with `crc32_combine` — an O(log n) GF(2) matrix product per
-//! fragment, so the sequential folding cost is negligible compared to
-//! decompression — and compares the accumulated value against each member's
+//! order with `crc32_combine` — O(log n) multiplications modulo the CRC
+//! polynomial per fragment, about a microsecond, so the sequential folding
+//! cost is negligible compared to decompression — and compares the accumulated value against each member's
 //! trailer CRC-32 and ISIZE.
 
 use std::collections::BTreeMap;

@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use rapidgzip_suite::core::{ParallelGzipReader, ParallelGzipReaderOptions};
 use rapidgzip_suite::datagen;
+use rapidgzip_suite::deflate::CompressorOptions;
 use rapidgzip_suite::gzip::GzipWriter;
 use rapidgzip_suite::index::{GzipIndex, SeekPoint};
 use rapidgzip_suite::io::SharedFileReader;
@@ -257,4 +258,86 @@ fn a_seek_past_what_64_bits_address_is_an_error_not_a_wrap() {
     let error = reader.seek(SeekFrom::End(i64::MAX)).unwrap_err();
     assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
     assert_eq!(reader.seek(SeekFrom::End(50)).unwrap(), u64::MAX);
+}
+
+#[test]
+fn a_read_after_a_seek_slices_its_chunk_and_one_that_goes_on_takes_it_whole() {
+    // Text that compresses some sixfold — a block over and over, a little
+    // noise between — in chunks of 256 KiB: 1.5 MiB or more of output each,
+    // one windowed interior point, and stop points every 64 KiB or so.  Two
+    // chunks in the access cache give the interior points room for sixteen
+    // windows: every chunk's are kept.
+    let block = datagen::base64_random(4000, 41);
+    let mut data = Vec::new();
+    for round in 0..4500u64 {
+        data.extend_from_slice(&block);
+        data.extend_from_slice(&datagen::base64_random(1000, round));
+    }
+    let compressed = GzipWriter::new(CompressorOptions {
+        block_size: 16 * 1024,
+        ..Default::default()
+    })
+    .compress(&data);
+    let options = ParallelGzipReaderOptions {
+        parallelization: 2,
+        chunk_size: 256 * 1024,
+        resolved_cache_chunks: 2,
+        ..Default::default()
+    };
+    let index = ParallelGzipReader::from_bytes(compressed.clone(), options.clone())
+        .unwrap()
+        .build_full_index()
+        .unwrap();
+    let starts: Vec<u64> = index
+        .block_map
+        .points()
+        .iter()
+        .map(|point| point.uncompressed_offset)
+        .chain([data.len() as u64])
+        .collect();
+    let chunks = starts.len() - 1;
+    assert!(chunks >= 6, "{chunks} chunks");
+    let long = starts
+        .windows(2)
+        .take(chunks - 1)
+        .all(|chunk| chunk[1] - chunk[0] > 1_200_000);
+    assert!(long, "{starts:?}");
+
+    // First touch of every chunk; the last two stay in the access cache.
+    let file = SharedFileReader::from_bytes(compressed);
+    let mut reader = ParallelGzipReader::with_index(file, options, index).unwrap();
+    assert!(reader.decompress_all().unwrap() == data);
+    quiesce(&reader);
+    let mut buffer = vec![0u8; 1000];
+    let mut read = |reader: &mut ParallelGzipReader, seek: Option<u64>| {
+        if let Some(offset) = seek {
+            reader.seek(SeekFrom::Start(offset)).unwrap();
+        }
+        let offset = reader.stream_position().unwrap() as usize;
+        reader.read_exact(&mut buffer).unwrap();
+        assert!(buffer[..] == data[offset..][..1000], "at {offset}");
+        let statistics = reader.statistics();
+        (
+            statistics.index_slices,
+            statistics.index_chunks,
+            statistics.index_prefetches_issued,
+        )
+    };
+    let (slices, whole, prefetches) = read(&mut reader, Some(starts[1] + 300_000));
+
+    // A jump into the chunk after the one read last is a slice.
+    let after = read(&mut reader, Some(starts[2] + 600_000));
+    assert_eq!(after, (slices + 1, whole, prefetches));
+
+    // A seek to where the last read ended is no jump: the read that goes on
+    // from the end of chunk 3 into chunk 4 takes chunk 4 whole.
+    assert_eq!(read(&mut reader, Some(starts[4] - 1000)).0, slices + 2);
+    assert_eq!(reader.seek(SeekFrom::Current(0)).unwrap(), starts[4]);
+    let (went_on, took, _) = read(&mut reader, None);
+    assert_eq!((went_on, took), (slices + 2, whole + 1));
+
+    // Nor is a read that runs on across the end of a chunk without one: the
+    // end of chunk 0 is a slice, chunk 1 is taken whole.
+    let (across, took, _) = read(&mut reader, Some(starts[1] - 500));
+    assert_eq!((across, took), (slices + 3, whole + 2));
 }
