@@ -560,7 +560,9 @@ impl ChunkDecoder {
             }
         }
 
-        if chunk.extent != Extent::Slice {
+        // A seek point's chunk was noted by the length the index gives it
+        // before it began.
+        if chunk.extent == Extent::Guessed {
             self.buffers.note_bytes(data.len());
         }
         Ok(ChunkResult {

@@ -2,9 +2,9 @@
 //! chunk's first bit, window, length and (format v3) the CRC fragments of its
 //! bytes are known before its decode starts, so there is one way to decode it
 //! ([`Shared::decode_indexed`]) and three occasions — the reader asks for a
-//! chunk nobody has, and decodes it on its own thread; the prefetch strategy
-//! predicts it, and a pool task puts it into the pass's table of chunks
-//! (`Decoding` → `Prefetched` | `Failed`) for the reader to find; or the
+//! chunk nobody has, and decodes it on its own thread; a read of a chunk
+//! before it prefetches it, and a pool task puts it into the pass's table of
+//! chunks (`Decoding` → `Prefetched` | `Failed`) for the reader to find; or the
 //! reader jumps into a chunk decoded before — a read after a seek that moved
 //! the position, into a chunk it did not read last — and decodes only the
 //! *slice* of it that the read is of.  Unlike a speculative decode these are *exact*
@@ -191,12 +191,12 @@ impl Shared {
     }
 
     /// What to decode instead of the whole `index`th chunk for a read of the
-    /// bytes `wanted` there, one that follows a seek that moved the position
-    /// (a read that goes on from where the last one ended stays a whole
-    /// chunk, prefetched after): nothing, unless the chunk is not the one
-    /// read last — a read that goes on in it takes it whole — nobody has its
-    /// bytes, and its interior points are known.  A jump served this way
-    /// issues no prefetch, and does not wait for one of its chunk under way.
+    /// bytes `wanted` there that jumps into it — follows a seek that moved
+    /// the position, into a chunk other than the one read last (a read that
+    /// goes on from where the last one ended, or stays in its chunk, takes
+    /// the chunk whole): nothing, unless nobody has the chunk's bytes and its
+    /// interior points are known.  A jump served this way issues no
+    /// prefetch, and does not wait for one of its chunk under way.
     pub(crate) fn plan_slice(
         &self,
         state: &mut ReaderState,
@@ -205,14 +205,10 @@ impl Shared {
     ) -> Option<Slice> {
         let key = state.index.block_map.points()[index].compressed_bit_offset;
         let prefetched = state.pass.chunks.get(&key);
-        if state.strategy.last() == Some(index)
-            || state.resolved_cache.contains(&key)
-            || prefetched.is_some_and(ChunkState::is_finished)
-        {
+        if state.resolved_cache.contains(&key) || prefetched.is_some_and(ChunkState::is_finished) {
             return None;
         }
         let points = state.interior.get(&key)?;
-        state.strategy.on_access(index);
         Some(self.indexed_chunk(state, index).slice(&points, wanted))
     }
 
@@ -262,6 +258,18 @@ impl Shared {
                 Some(window) => window,
                 None => self.windows.try_get(key)?.unwrap_or_default(),
             };
+            if let Extent::Chunk { .. } = chunk.extent {
+                // The index says how long the chunk is: its bytes' buffer is
+                // taken at that length, not grown to it in the decode's hands
+                // — and at no more than its bits could inflate to (a 258-byte
+                // match per two bits), whatever the index claims.
+                let bits = chunk.stop_bit.min(self.file_bits()).saturating_sub(key);
+                let most = (bits / 2).saturating_mul(258);
+                let length = chunk.point.uncompressed_size.min(most);
+                self.decoder
+                    .buffers
+                    .note_bytes(usize::try_from(length).unwrap_or(usize::MAX));
+            }
             let result = self.decoder.decode_at(&DirectChunk {
                 start_bit_offset: key,
                 stop_bit_offset: chunk.stop_bit,
@@ -294,46 +302,48 @@ impl Shared {
         decoded.map(Arc::new)
     }
 
-    /// Puts the chunks to decode ahead, now that the reader asks for the
-    /// `accessed`th of the table, on the pool, each entered into the table as
-    /// `Decoding`.
+    /// Puts the chunks to decode ahead, now that the reader takes the
+    /// `accessed`th of the table whole, on the pool, each entered into the
+    /// table as `Decoding`: none if it is the chunk read `last` (another read
+    /// in it says nothing new), the one after it if the read `jumped`, and
+    /// else the prefetch degree's after it — those neither in the table nor
+    /// in the access cache.
     ///
-    /// Active only once a complete seek-point table exists.  Consecutive
-    /// reads within one chunk cannot change the prediction and stop here
-    /// (which also keeps many small reads from looking like a long
-    /// sequential run to the strategy).
+    /// Active only once a complete seek-point table exists.
     pub(crate) fn issue_index_prefetches(
         self: &Arc<Self>,
         state: &mut ReaderState,
         accessed: usize,
+        last: Option<usize>,
+        jumped: bool,
     ) {
-        let chunks = state.index.block_map.len();
-        if !state.pass.finished || chunks < 2 || state.strategy.last() == Some(accessed) {
+        if !state.pass.finished || last == Some(accessed) {
             return;
         }
-        state.strategy.on_access(accessed);
         let degree = self.options.prefetch_degree();
-        let targets = state.strategy.prefetch(degree, chunks);
+        let count = if jumped { 1 } else { degree };
+        let chunks = state.index.block_map.len();
+        let targets = accessed + 1..(accessed + 1 + count).min(chunks);
 
         // Cap the decoded-but-unconsumed backlog: let go of finished chunks
-        // the strategy no longer predicts (random access moved elsewhere) —
-        // and the reader is not about to take: the pass's last chunks wait
-        // here for a first read that follows it closely, beside the tasks of
-        // the ranges it ran past.
+        // that are neither this read's nor among those it prefetches (random
+        // access moved elsewhere) — the pass's last chunks wait here for a
+        // first read that follows it closely, beside the tasks of the ranges
+        // it ran past.
         if state.pass.chunks.len() >= degree.saturating_mul(2) {
             let points = state.index.block_map.points();
             let wanted = accessed..targets.end;
-            let unpredicted: Vec<u64> = state
+            let elsewhere: Vec<u64> = state
                 .pass
                 .chunks
                 .iter()
                 .filter(|(key, chunk)| {
-                    let predicted = |index: usize| points[index].compressed_bit_offset == **key;
-                    chunk.is_finished() && !wanted.clone().any(predicted)
+                    let is_key = |index: usize| points[index].compressed_bit_offset == **key;
+                    chunk.is_finished() && !wanted.clone().any(is_key)
                 })
                 .map(|(&key, _)| key)
                 .collect();
-            for key in unpredicted {
+            for key in elsewhere {
                 self.evict(state, key);
             }
             if state.pass.chunks.len() >= degree.saturating_mul(2) {

@@ -50,7 +50,6 @@ mod indexed;
 mod metrics;
 mod pass;
 mod reader;
-mod strategy;
 mod verify;
 
 pub use chunk::{ChunkResult, SpeculativeChunk};

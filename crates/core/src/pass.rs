@@ -209,7 +209,7 @@ impl Shared {
         guess as u64 * self.chunk_bits()
     }
 
-    fn file_bits(&self) -> u64 {
+    pub(crate) fn file_bits(&self) -> u64 {
         self.decoder.reader.size() * 8
     }
 

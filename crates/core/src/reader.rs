@@ -15,7 +15,6 @@ use crate::chunk::ChunkDecoder;
 use crate::indexed::InteriorPoint;
 use crate::metrics::ReaderMetrics;
 use crate::pass::{ChunkBytes, ChunkState, SequentialPass};
-use crate::strategy::FetchNextAdaptive;
 use crate::verify::{StreamVerifier, VerificationMode, VerificationStatistics};
 use crate::{CoreError, DEFAULT_CHUNK_SIZE};
 
@@ -28,7 +27,10 @@ pub struct ParallelGzipReaderOptions {
     pub parallelization: usize,
     /// Compressed chunk size in bytes (the paper's default is 4 MiB).
     pub chunk_size: usize,
-    /// Capacity of the cache of resolved chunks kept for random access.
+    /// Capacity of the cache of resolved chunks kept for random access —
+    /// and, times `chunk_size`, the bytes of window the interior seek points
+    /// of chunks decoded whole through an index may hold, which slices of
+    /// them start from.
     pub resolved_cache_chunks: usize,
     /// Whether to verify member CRC-32s and ISIZEs during the sequential
     /// pass.  [`VerificationMode::Full`] (the default) hashes every
@@ -191,14 +193,14 @@ pub(crate) struct ReaderState {
     /// The sequential pass and its table of chunks: the prefetch cache,
     /// everything decoded ahead of the reader, through the index too.
     pub pass: SequentialPass,
-    /// The access cache: the chunks the reader took last, least recently
-    /// used out first, keyed like the table by compressed bit offset.
+    /// The access cache: the chunks the reader took whole last, least
+    /// recently used out first, keyed like the table by compressed bit
+    /// offset — where a read that comes back to one finds it.
     pub resolved_cache: Cache<u64, Pooled<u8>>,
-    /// First bit of the chunk the reader asked for last, `u64::MAX` if that
+    /// First bit of the chunk of the last read that reached this state (one
+    /// inside the bytes the reader holds reaches none), `u64::MAX` if that
     /// was one the pass has yet to reach.
     pub reading_at: u64,
-    /// What index-aligned reads have accessed, and so will next.
-    pub strategy: FetchNextAdaptive,
     /// The interior seek points of the chunks decoded whole through the
     /// index, by the chunk's first bit: see [`crate::indexed`].
     pub interior: Cache<u64, Vec<InteriorPoint>>,
@@ -270,12 +272,20 @@ pub struct ParallelGzipReader {
     shared: Arc<Shared>,
     /// Current logical read position in the decompressed stream.
     position: u64,
+    // Where the reader is, three facts that decide each read: one inside
+    // `held` is answered from it without the state lock; one that `jumped`
+    // into a chunk other than the `last` may be a slice; any other takes its
+    // chunk whole, with as many after it prefetched as `last` and `jumped`
+    // say (`Shared::issue_index_prefetches`).
+    /// The bytes the last read came from — a whole chunk or a slice — and
+    /// the offset of their first byte, until a read elsewhere.
+    held: Option<(u64, ChunkBytes)>,
+    /// The seek-point index of the chunk of the last read that reached the
+    /// table.
+    last: Option<usize>,
     /// Whether a seek has moved `position` since the last read: the next
-    /// read is a jump, and may be served by a slice.
+    /// read is a jump.
     jumped: bool,
-    /// The slice decoded last and the offset of its first byte, until a read
-    /// elsewhere: where the calls that follow a sliced read up find theirs.
-    slice: Option<(u64, ChunkBytes)>,
 }
 
 impl std::fmt::Debug for ParallelGzipReader {
@@ -341,7 +351,6 @@ impl ParallelGzipReader {
                     pass,
                     resolved_cache: Cache::new(options.resolved_cache_chunks.max(1)),
                     reading_at: 0,
-                    strategy: FetchNextAdaptive::default(),
                     interior: Cache::new(usize::MAX),
                     interior_bytes: 0,
                 }),
@@ -351,8 +360,9 @@ impl ParallelGzipReader {
             }),
             _pool: pool,
             position: 0,
+            held: None,
+            last: None,
             jumped: false,
-            slice: None,
         }
     }
 
@@ -612,14 +622,15 @@ impl ParallelGzipReader {
         &mut self,
         wanted: usize,
     ) -> Result<Option<(ChunkBytes, usize)>, CoreError> {
-        match &self.slice {
+        match &self.held {
             Some((start, data))
                 if (*start..*start + data.len() as u64).contains(&self.position) =>
             {
                 return Ok(Some((Arc::clone(data), (self.position - start) as usize)));
             }
-            // Its buffer is a chunk's: not held for a read that may never come.
-            _ => self.slice = None,
+            // Let go of first: a slice's buffer is a chunk's, not to be held
+            // beside the next one.
+            _ => self.held = None,
         }
         let shared = Arc::clone(&self.shared);
         loop {
@@ -651,29 +662,33 @@ impl ParallelGzipReader {
             let point = &points[index];
             let (key, start) = (point.compressed_bit_offset, point.uncompressed_offset);
             state.reading_at = key;
+            let last = self.last.replace(index);
             let reach = self.position..self.position.saturating_add(wanted as u64);
-            let planned = if self.jumped {
+            let planned = if self.jumped && last != Some(index) {
                 shared.plan_slice(&mut state, index, reach)
             } else {
                 None
             };
-            if let Some((slice, window)) = planned {
-                drop(state);
-                let data = shared.decode_indexed(Stage::RandomAccess, &slice, window)?;
-                let checked = slice.checksums.is_some();
-                shared
-                    .metrics
-                    .index_slice_served(key, data.len() as u64, checked);
-                let start = slice.point.uncompressed_offset;
-                self.slice = Some((start, Arc::clone(&data)));
-                return Ok(Some((data, (self.position - start) as usize)));
-            }
-            // Keep the pool busy with the chunks after this one: the ranges
-            // that follow while the pass is under way, and with a complete
-            // seek-point table the exact chunks predicted to be read next.
-            shared.issue_prefetches(&mut state, shared.guess_of(key));
-            shared.issue_index_prefetches(&mut state, index);
-            let data = self.chunk_bytes(state, index, key)?;
+            let (start, data) = match planned {
+                Some((slice, window)) => {
+                    drop(state);
+                    let data = shared.decode_indexed(Stage::RandomAccess, &slice, window)?;
+                    let checked = slice.checksums.is_some();
+                    shared
+                        .metrics
+                        .index_slice_served(key, data.len() as u64, checked);
+                    (slice.point.uncompressed_offset, data)
+                }
+                None => {
+                    // Keep the pool busy with the chunks after this one: the
+                    // ranges that follow while the pass is under way, and
+                    // with a complete seek-point table the exact chunks
+                    // after it.
+                    shared.issue_prefetches(&mut state, shared.guess_of(key));
+                    shared.issue_index_prefetches(&mut state, index, last, self.jumped);
+                    (start, self.chunk_bytes(state, index, key)?)
+                }
+            };
             let chunk_offset = (self.position - start) as usize;
             // A cached chunk shorter than its seek point claims (a lying or
             // stale index) must error like the decode's own length check
@@ -683,6 +698,7 @@ impl ParallelGzipReader {
                     compressed_bit_offset: key,
                 });
             }
+            self.held = Some((start, Arc::clone(&data)));
             return Ok(Some((data, chunk_offset)));
         }
     }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 /// A bounded cache holding `Arc<V>` values; when full, the entry looked up
 /// or inserted longest ago makes room.
 ///
-/// An evicted (or replaced, removed, cleared) value is dropped as soon as
+/// An evicted (or replaced, removed) value is dropped as soon as
 /// nobody who looked it up still holds it — which is when a value that owns
 /// recycled memory, like the reader's [`Pooled`](crate::Pooled) chunk
 /// buffers, gives it back.
@@ -41,16 +41,6 @@ where
         }
     }
 
-    /// Current number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Takes `key` out of the recency order, if it is in it.
     fn forget(&mut self, key: &K) {
         if let Some(position) = self.order.iter().position(|k| k == key) {
@@ -71,15 +61,15 @@ where
         self.entries.contains_key(key)
     }
 
-    /// Inserts a value as the most recently used, and returns the one a full
-    /// cache evicted to make room for a new key.
-    pub fn insert(&mut self, key: K, value: Arc<V>) -> Option<Arc<V>> {
-        let full = !self.entries.contains_key(&key) && self.entries.len() >= self.capacity;
-        let evicted = if full { self.remove_oldest() } else { None };
+    /// Inserts a value as the most recently used; a full cache evicts the
+    /// entry used longest ago to make room for a new key.
+    pub fn insert(&mut self, key: K, value: Arc<V>) {
+        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
+            self.remove_oldest();
+        }
         self.forget(&key);
         self.order.push(key.clone());
         self.entries.insert(key, value);
-        evicted
     }
 
     /// Removes a key.
@@ -93,12 +83,6 @@ where
         let oldest = self.order.first()?.clone();
         self.remove(&oldest)
     }
-
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        self.order.clear();
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]
@@ -108,17 +92,19 @@ mod tests {
     #[test]
     fn basic_insert_get_and_capacity() {
         let mut cache: Cache<u64, String> = Cache::new(2);
-        assert!(cache.insert(1, Arc::new("one".into())).is_none());
-        assert!(cache.insert(2, Arc::new("two".into())).is_none());
-        assert_eq!(cache.len(), 2);
+        cache.insert(1, Arc::new("one".into()));
+        cache.insert(2, Arc::new("two".into()));
+        // Nothing evicted while there is room.
+        assert!(cache.contains(&1) && cache.contains(&2));
         assert_eq!(cache.get(&1).as_deref().map(String::as_str), Some("one"));
-        let evicted = cache.insert(3, Arc::new("three".into()));
-        assert_eq!(evicted.as_deref().map(String::as_str), Some("two"));
-        assert_eq!(cache.len(), 2);
-        // 2 was the least recently used (1 was touched by the get).
+        cache.insert(3, Arc::new("three".into()));
+        // 2 was the least recently used (1 was touched by the get), and is
+        // the one evicted: two entries again.
         assert!(cache.contains(&1));
         assert!(!cache.contains(&2));
         assert!(cache.contains(&3));
+        assert_eq!(cache.get(&2), None);
+        assert_eq!(cache.get(&3).as_deref().map(String::as_str), Some("three"));
     }
 
     #[test]
@@ -141,9 +127,11 @@ mod tests {
         let mut cache: Cache<u32, u32> = Cache::new(2);
         cache.insert(1, Arc::new(10));
         cache.insert(2, Arc::new(20));
-        assert!(cache.insert(1, Arc::new(11)).is_none());
-        assert_eq!(cache.len(), 2);
+        cache.insert(1, Arc::new(11));
+        // Nothing evicted: both keys still there.
+        assert!(cache.contains(&1) && cache.contains(&2));
         assert_eq!(*cache.get(&1).unwrap(), 11);
+        assert_eq!(*cache.get(&2).unwrap(), 20);
     }
 
     #[test]
@@ -154,13 +142,18 @@ mod tests {
         }
         assert_eq!(cache.remove(&2).map(|v| *v), Some(2));
         assert_eq!(cache.remove(&2), None);
-        cache.clear();
-        assert!(cache.is_empty());
-        // The strategy state must be consistent: inserting after clear works.
+        // Cleared by removing every key.
+        for i in [0, 1, 3] {
+            assert_eq!(cache.remove(&i).map(|v| *v), Some(i));
+        }
+        assert!((0..4).all(|i| !cache.contains(&i)));
+        // The recency order must be consistent: inserting after clearing
+        // works, and keeps the capacity's last four.
         for i in 10..20 {
             cache.insert(i, Arc::new(i));
         }
-        assert_eq!(cache.len(), 4);
+        assert!((10..16).all(|i| !cache.contains(&i)));
+        assert!((16..20).all(|i| cache.contains(&i)));
     }
 
     #[test]
@@ -187,7 +180,7 @@ mod tests {
         );
         drop(held);
         assert_eq!(idle_bytes(), Some(100));
-        cache.clear();
+        cache.remove(&2);
         assert_eq!(idle_bytes(), Some(200));
     }
 
@@ -196,7 +189,7 @@ mod tests {
         let mut cache: Cache<u32, u32> = Cache::new(0);
         cache.insert(1, Arc::new(1));
         cache.insert(2, Arc::new(2));
-        assert_eq!(cache.len(), 1);
+        assert!(!cache.contains(&1));
         assert!(cache.contains(&2));
     }
 }

@@ -1,7 +1,8 @@
 //! What the reader's chunk tasks run on and keep their memory in (§3.1–§3.2,
 //! Figure 5): a thread pool, a buffer pool and an LRU cache.  What is
 //! decoded ahead, and where it waits for the reader, is `rgz_core`'s table
-//! of chunks; the prefetch strategy that fills it lives there too.
+//! of chunks; which chunks the reader has decoded ahead is decided there
+//! too.
 //!
 //! * [`ThreadPool`] — a fixed-size worker pool with joinable task handles, an
 //!   urgent lane in front of the normal one, and a [`Spawner`] for tasks that
