@@ -21,6 +21,11 @@
 //! runs past the guessed boundary, and take every large buffer — the range,
 //! the symbols, the bytes — from the reader's [`BufferPool`], to which each
 //! returns when its last user drops it.
+//!
+//! Both record the chunk's gzip members the same way: as
+//! [`ChunkFragment`]s, one per member that ends in the chunk and one for the
+//! rest unless the chunk ends the file; and both read what follows a member
+//! with [`next_member`], the serial decoder's rule.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -34,7 +39,7 @@ use rgz_deflate::{
     WindowAnswer,
 };
 use rgz_fetcher::{BufferPool, Pooled};
-use rgz_gzip::{parse_footer, parse_header, GzipError, GzipFooter};
+use rgz_gzip::{next_member, parse_footer, parse_header, GzipError, GzipFooter};
 use rgz_index::{CrcFragment, WINDOW_SIZE};
 use rgz_io::{FileReader, SharedFileReader};
 use rgz_trace::{Outcome, Stage};
@@ -45,9 +50,7 @@ use crate::CoreError;
 
 /// Result of a direct (window-known) chunk decode.
 #[derive(Debug)]
-pub struct ChunkResult {
-    /// Absolute bit offset decoding started at.
-    pub start_bit_offset: u64,
+pub(crate) struct ChunkResult {
     /// Absolute bit offset at which the next chunk starts.
     pub end_bit_offset: u64,
     /// Decompressed bytes of this chunk.
@@ -60,8 +63,10 @@ pub struct ChunkResult {
     pub window_usage: Vec<(u32, u32)>,
     /// `data` split at gzip member boundaries, each fragment carrying the
     /// CRC-32 of its bytes (when decoded with `verify`) and, for fragments
-    /// that end a member, the member's trailer.  The verification pipeline
-    /// folds these in stream order.
+    /// that end a member, the member's trailer: one per member that ends in
+    /// the chunk, and one without a trailer for the rest unless the chunk
+    /// ends the file.  The verification pipeline folds these in stream
+    /// order.
     pub fragments: Vec<ChunkFragment>,
     /// Dynamic Blocks too close to the end of the input for the inflate
     /// fast loop (see
@@ -111,9 +116,7 @@ impl ChunkResult {
 
 /// Result of a speculative (two-stage) chunk decode.
 #[derive(Debug)]
-pub struct SpeculativeChunk {
-    /// Guessed bit offset the block search started from.
-    pub requested_bit_offset: u64,
+pub(crate) struct SpeculativeChunk {
     /// Bit offset of the block the finder located (the chunk's actual start).
     pub found_bit_offset: u64,
     /// Absolute bit offset at which the next chunk starts.
@@ -126,49 +129,33 @@ pub struct SpeculativeChunk {
     /// by the decoder as it emits markers, so nobody has to rescan the
     /// symbols.  Non-empty exactly when the output contains markers.
     pub window_usage: Vec<(u32, u32)>,
-    /// Number of DEFLATE blocks decoded.
-    pub block_count: usize,
     /// Whether the end of the compressed file was reached.
     pub reached_end_of_file: bool,
-    /// Gzip member boundaries inside the chunk: `(end offset in the output,
-    /// trailer)` per member that *ends* within this chunk, in order.
-    /// Symbols map 1:1 to output bytes, so these offsets split the resolved
-    /// data into per-member CRC fragments after marker replacement.
-    pub member_ends: Vec<(u64, GzipFooter)>,
+    /// The output split at gzip member boundaries as a direct decode splits
+    /// it ([`ChunkResult::fragments`]), not hashed yet: symbols map 1:1 to
+    /// output bytes, so the lengths hold for the resolved bytes too.
+    pub fragments: Vec<ChunkFragment>,
 }
 
 impl SpeculativeChunk {
     /// Replaces the chunk's markers with bytes from `window`, the 32 KiB in
-    /// front of it, and returns its bytes split at the gzip member boundaries
-    /// like [`ChunkResult::fragments`] — hashed, right here on the thread
-    /// that resolved them, if `verify` is set.
+    /// front of it, and returns its bytes with its [`Self::fragments`] —
+    /// hashed, right here on the thread that resolved them, if `verify` is
+    /// set.
     pub(crate) fn resolve(
         self,
         window: &[u8],
         verify: bool,
     ) -> Result<(Pooled<u8>, Vec<ChunkFragment>), CoreError> {
-        let ends: Vec<usize> = self
-            .member_ends
-            .iter()
-            .map(|&(end, _)| end as usize)
-            .collect();
-        let (data, crcs) = self
-            .output
-            .resolve(window, verify.then_some(&ends[..]))
-            .map_err(CoreError::Deflate)?;
-        let mut fragments = Vec::with_capacity(crcs.len());
-        let mut start = 0u64;
-        for (index, crc32) in crcs.into_iter().enumerate() {
-            let (length, trailer) = match self.member_ends.get(index) {
-                Some(&(end, footer)) => (end - start, Some(footer)),
-                None => (data.len() as u64 - start, None),
-            };
-            fragments.push(ChunkFragment {
-                crc32,
-                length,
-                trailer,
-            });
-            start += length;
+        let mut fragments = self.fragments;
+        let data = self.output.resolve(window).map_err(CoreError::Deflate)?;
+        if verify {
+            let mut start = 0;
+            for fragment in &mut fragments {
+                let end = start + fragment.length as usize;
+                fragment.crc32 = crc32(&data[start..end]);
+                start = end;
+            }
         }
         Ok((data, fragments))
     }
@@ -200,28 +187,16 @@ impl PooledOutput {
     }
 
     /// Replaces the markers with bytes from `window` and returns the chunk's
-    /// bytes, with the CRC-32 of each fragment `fragment_ends` delimits (see
-    /// [`rgz_deflate::replace_markers_hashed`]) if it is given.  The symbol
-    /// buffer is back in the pool when this returns.
-    pub(crate) fn resolve(
-        mut self,
-        window: &[u8],
-        fragment_ends: Option<&[usize]>,
-    ) -> Result<(Pooled<u8>, Vec<u32>), DeflateError> {
+    /// bytes.  The symbol buffer is back in the pool when this returns.
+    pub(crate) fn resolve(mut self, window: &[u8]) -> Result<Pooled<u8>, DeflateError> {
         // A switched output already holds the buffer its bytes are in.
         let mut data = if self.output.is_switched() {
             self.buffers.adopt_bytes(Vec::new())
         } else {
             self.buffers.bytes()
         };
-        let crcs = match fragment_ends {
-            Some(ends) => self.output.resolve_hashed_into(window, ends, &mut data)?,
-            None => {
-                self.output.resolve_into(window, &mut data)?;
-                Vec::new()
-            }
-        };
-        Ok((data, crcs))
+        self.output.resolve_into(window, &mut data)?;
+        Ok(data)
     }
 }
 
@@ -265,44 +240,22 @@ fn is_eof_like(error: &CoreError) -> bool {
     }
 }
 
-/// Parses the gzip footer at the current (possibly unaligned) position and,
-/// if another member follows, its header too.  Returns the parsed footer and
-/// `true` if the end of the file was reached (only trailing zero padding or
-/// nothing remains).
-///
-/// The reader only sees a compressed *range*: too little left of it to hold
-/// another member is the end of the file only if the range
-/// `reaches_file_end`, and a truncation — the caller widens the range and
-/// retries — otherwise.
+/// Parses the gzip footer at the reader's position in `range` and what
+/// follows it (see [`next_member`]): returns the footer and whether the file
+/// ends there.  What the range cannot decide is a truncation, for the caller
+/// to widen the range and retry.
 fn cross_member_boundary(
     reader: &mut BitReader<'_>,
-    reaches_file_end: bool,
+    range: &CompressedRange,
 ) -> Result<(GzipFooter, bool), CoreError> {
     let footer = parse_footer(reader).map_err(CoreError::Gzip)?;
-    // Trailing padding / end of file detection.
-    loop {
-        if reader.remaining_bits() < 8 * 18 {
-            let position = (reader.position() / 8) as usize;
-            let rest = &reader.data()[position..];
-            if reaches_file_end && rest.iter().all(|&b| b == 0) {
-                return Ok((footer, true));
-            }
-            // Something follows (or may, beyond the range) but what is here
-            // is too short to be a member: treat as truncation so the caller
-            // can grow the range.
-            return Err(CoreError::Gzip(GzipError::Truncated));
+    match next_member(reader, range.reaches_file_end) {
+        Ok(next) => Ok((footer, next.is_none())),
+        Err(GzipError::TrailingGarbage { offset }) => {
+            let offset = range.start_byte + offset;
+            Err(CoreError::Gzip(GzipError::TrailingGarbage { offset }))
         }
-        let position = (reader.position() / 8) as usize;
-        if reader.data()[position] == 0 && reader.data()[position + 1] == 0 {
-            // Zero padding between members (rare but legal for bgzip -
-            // produced files); skip one byte and re-check.
-            reader
-                .consume(8)
-                .map_err(|_| CoreError::Gzip(GzipError::Truncated))?;
-            continue;
-        }
-        parse_header(reader).map_err(CoreError::Gzip)?;
-        return Ok((footer, false));
+        Err(error) => Err(CoreError::Gzip(error)),
     }
 }
 
@@ -546,8 +499,7 @@ impl ChunkDecoder {
                 }
                 StopReason::Abandoned => unreachable!("only a speculative decode is asked"),
                 StopReason::EndOfStream => {
-                    let (footer, at_end_of_file) =
-                        cross_member_boundary(&mut reader, range.reaches_file_end)?;
+                    let (footer, at_end_of_file) = cross_member_boundary(&mut reader, range)?;
                     fragments.push(ChunkFragment {
                         trailer: Some(footer),
                         ..fragment
@@ -566,7 +518,6 @@ impl ChunkDecoder {
             self.buffers.note_bytes(data.len());
         }
         Ok(ChunkResult {
-            start_bit_offset,
             end_bit_offset: range_start_bits + reader.position(),
             data,
             reached_end_of_file,
@@ -664,7 +615,6 @@ impl ChunkDecoder {
                     );
                     // The decode worked in offsets relative to `range`.
                     let chunk = SpeculativeChunk {
-                        requested_bit_offset: guess_bit,
                         found_bit_offset: range_start_bits + start,
                         end_bit_offset: range_start_bits + decoded.end_bit_offset,
                         ..decoded
@@ -705,9 +655,9 @@ impl ChunkDecoder {
         let byte_buffer = || self.buffers.bytes().detach();
         let mut output = PooledOutput::new(&self.buffers);
         let mut window_usage = None;
-        let mut block_count = 0usize;
         let mut reached_end_of_file = false;
-        let mut member_ends = Vec::new();
+        let mut fragments = Vec::new();
+        let mut fragment_start = 0;
         loop {
             let outcome = inflate_speculative(
                 &mut reader,
@@ -717,19 +667,29 @@ impl ChunkDecoder {
                 &mut window,
             )
             .map_err(CoreError::Deflate)?;
-            block_count += outcome.blocks.len();
             // Only the chunk's first member can reference the preceding
             // window.
             window_usage.get_or_insert(outcome.window_usage);
+            let fragment = ChunkFragment {
+                crc32: 0,
+                length: (output.len() - fragment_start) as u64,
+                trailer: None,
+            };
+            fragment_start = output.len();
             match outcome.stop_reason {
-                StopReason::StopOffsetReached | StopReason::Abandoned => break,
+                StopReason::StopOffsetReached | StopReason::Abandoned => {
+                    fragments.push(fragment);
+                    break;
+                }
                 StopReason::EndOfInput => {
                     return Err(CoreError::Deflate(DeflateError::UnexpectedEof));
                 }
                 StopReason::EndOfStream => {
-                    let (footer, at_end_of_file) =
-                        cross_member_boundary(&mut reader, range.reaches_file_end)?;
-                    member_ends.push((output.len() as u64, footer));
+                    let (footer, at_end_of_file) = cross_member_boundary(&mut reader, range)?;
+                    fragments.push(ChunkFragment {
+                        trailer: Some(footer),
+                        ..fragment
+                    });
                     if at_end_of_file {
                         reached_end_of_file = true;
                         break;
@@ -747,14 +707,12 @@ impl ChunkDecoder {
         self.buffers.note_symbols(output.prefix().len());
         self.buffers.note_bytes(output.len());
         Ok(SpeculativeChunk {
-            requested_bit_offset: start,
             found_bit_offset: start,
             end_bit_offset: reader.position(),
             output,
             window_usage: window_usage.unwrap_or_default(),
-            block_count,
             reached_end_of_file,
-            member_ends,
+            fragments,
         })
     }
 }
@@ -908,19 +866,21 @@ pub(crate) mod tests {
         let speculative = decode_speculative_chunk(&shared, chunk_size, 1)
             .unwrap()
             .expect("a block must be found in chunk 1");
-        assert_eq!(speculative.requested_bit_offset, (chunk_size as u64) * 8);
         assert_eq!(speculative.found_bit_offset, chunk0.end_bit_offset);
-        assert!(speculative.block_count >= 1);
-        assert!(
-            speculative.member_ends.is_empty(),
-            "a mid-member chunk records no member boundary"
+        // A mid-member chunk records no member boundary: one fragment, all of
+        // its output, no trailer.
+        assert_eq!(speculative.fragments.len(), 1);
+        assert_eq!(
+            speculative.fragments[0].length,
+            speculative.output.len() as u64
         );
+        assert!(speculative.fragments[0].trailer.is_none());
 
         // Resolving its markers with chunk 0's window yields the original data.
         let window_start = chunk0.data.len().saturating_sub(32 * 1024);
-        let (resolved, _) = speculative
+        let resolved = speculative
             .output
-            .resolve(&chunk0.data[window_start..], None)
+            .resolve(&chunk0.data[window_start..])
             .unwrap();
         let offset = chunk0.data.len();
         assert_eq!(&resolved[..], &data[offset..offset + resolved.len()]);
@@ -948,12 +908,13 @@ pub(crate) mod tests {
         let mut recorded = Vec::new();
         for guess in 1..compressed.len().div_ceil(chunk_size) {
             if let Some(chunk) = decode_speculative_chunk(&shared, chunk_size, guess).unwrap() {
-                recorded.extend(chunk.member_ends);
+                let ends = chunk.fragments.iter();
+                recorded.extend(ends.filter_map(|f| Some((f.length, f.trailer?))));
             }
         }
         let crc_a = rgz_checksum::crc32(&part_a);
         assert!(
-            recorded.iter().any(|&(end, footer)| end > 0
+            recorded.iter().any(|&(length, footer)| length > 0
                 && footer.crc32 == crc_a
                 && footer.uncompressed_size == part_a.len() as u32),
             "no speculative chunk recorded member A's trailer: {recorded:?}"
@@ -989,7 +950,7 @@ pub(crate) mod tests {
 
     /// Every speculative chunk `compressed` offers at `chunk_size` against
     /// the direct decode from the same block with the true window: same
-    /// bytes, end offset, window usage, member ends and trailers.  Returns
+    /// bytes, end offset, window usage and fragments, hashed.  Returns
     /// how many chunks were compared and how many of them decoded part of
     /// their output as plain bytes.
     fn assert_speculative_chunks_match_direct_decode(
@@ -1016,21 +977,11 @@ pub(crate) mod tests {
             assert_eq!(speculative.end_bit_offset, direct.end_bit_offset);
             assert_eq!(speculative.reached_end_of_file, direct.reached_end_of_file);
             assert_eq!(speculative.window_usage, direct.window_usage);
-            let mut fragment_end = 0;
-            let direct_member_ends: Vec<(u64, GzipFooter)> = direct
-                .fragments
-                .iter()
-                .filter_map(|fragment| {
-                    fragment_end += fragment.length;
-                    Some((fragment_end, fragment.trailer?))
-                })
-                .collect();
-            assert_eq!(speculative.member_ends, direct_member_ends);
             compared += 1;
             switched += usize::from(!speculative.output.tail().is_empty());
-            let (resolved, crcs) = speculative.output.resolve(window, Some(&[])).unwrap();
+            let (resolved, fragments) = speculative.resolve(window, true).unwrap();
             assert_eq!(*resolved, *direct.data);
-            assert_eq!(crcs, [rgz_checksum::crc32(&resolved)]);
+            assert_eq!(fragments, direct.fragments);
         }
         (compared, switched)
     }
@@ -1115,7 +1066,7 @@ pub(crate) mod tests {
                     assert_eq!(chunk.window_usage, direct.window_usage);
                     assert_eq!(chunk.output.prefix().len(), at);
                     let (end_bit, length) = (chunk.end_bit_offset, chunk.output.len());
-                    let (resolved, _) = chunk.output.resolve(&window, None).unwrap();
+                    let resolved = chunk.output.resolve(&window).unwrap();
                     assert_eq!(*resolved, direct.data[..length]);
                     if answer == WindowAnswer::Abandon {
                         // What there was: a chunk that ends at that boundary.
@@ -1284,8 +1235,7 @@ pub(crate) mod tests {
     fn direct_view(result: Result<ChunkResult, CoreError>) -> String {
         match result {
             Ok(chunk) => format!(
-                "{} {} {} {:?} {:?} {} {:08x} {}",
-                chunk.start_bit_offset,
+                "{} {} {:?} {:?} {} {:08x} {}",
                 chunk.end_bit_offset,
                 chunk.reached_end_of_file,
                 chunk.window_usage,
@@ -1304,22 +1254,19 @@ pub(crate) mod tests {
         window: &[u8],
     ) -> String {
         match result {
-            Ok(Some(chunk)) => format!(
-                "{} {} {} {:?} {} {} {:?} {} {} {:?}",
-                chunk.requested_bit_offset,
-                chunk.found_bit_offset,
-                chunk.end_bit_offset,
-                chunk.window_usage,
-                chunk.block_count,
-                chunk.reached_end_of_file,
-                chunk.member_ends,
-                chunk.output.prefix().len(),
-                chunk.output.tail().len(),
-                chunk
-                    .output
-                    .resolve(window, Some(&[]))
-                    .map(|(data, crcs)| (data.len(), crcs)),
-            ),
+            Ok(Some(chunk)) => {
+                let view = format!(
+                    "{} {} {:?} {} {} {}",
+                    chunk.found_bit_offset,
+                    chunk.end_bit_offset,
+                    chunk.window_usage,
+                    chunk.reached_end_of_file,
+                    chunk.output.prefix().len(),
+                    chunk.output.tail().len(),
+                );
+                let resolved = chunk.resolve(window, true);
+                format!("{view} {:?}", resolved.map(|(data, f)| (data.len(), f)))
+            }
             Ok(None) => "no block".to_string(),
             Err(error) => format!("{error:?}"),
         }

@@ -52,10 +52,9 @@ mod pass;
 mod reader;
 mod verify;
 
-pub use chunk::{ChunkResult, SpeculativeChunk};
 pub use error::CoreError;
 pub use reader::{ParallelGzipReader, ParallelGzipReaderOptions, ReaderStatistics};
-pub use verify::{ChunkFragment, VerificationMode, VerificationStatistics};
+pub use verify::{VerificationMode, VerificationStatistics};
 
 /// Default compressed chunk size (4 MiB, the paper's default).
 pub const DEFAULT_CHUNK_SIZE: usize = 4 * 1024 * 1024;

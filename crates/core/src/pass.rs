@@ -175,6 +175,11 @@ impl KnownStart {
     }
 }
 
+/// How many gzip members end in a chunk with these fragments.
+fn members_ended(fragments: &[ChunkFragment]) -> u64 {
+    fragments.iter().filter(|f| f.trailer.is_some()).count() as u64
+}
+
 /// Marks a chunk failed if the task working on it unwinds, so that a reader
 /// waiting for the chunk gets an error and not silence.
 pub(crate) struct FailOnUnwind<'a> {
@@ -451,11 +456,7 @@ impl Shared {
             Outcome::Committed
         });
         drop(span);
-        let members_ended = result
-            .fragments
-            .iter()
-            .filter(|fragment| fragment.trailer.is_some())
-            .count() as u64;
+        let members_ended = members_ended(&result.fragments);
         // Into the fold before anyone can see the bytes: a reader that has
         // them all has every member checked.
         let checksums = self.fold_fragments(
@@ -577,7 +578,7 @@ impl Shared {
             chunk.end_bit_offset,
             length,
             next_window,
-            chunk.member_ends.len() as u64,
+            members_ended(&chunk.fragments),
             chunk.reached_end_of_file,
         );
         Replacement {

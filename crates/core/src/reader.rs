@@ -635,16 +635,7 @@ impl ParallelGzipReader {
         let shared = Arc::clone(&self.shared);
         loop {
             let mut state = shared.lock();
-            let points = state.index.block_map.points();
-            // The last seek point at or before the position, if it reaches it.
-            let covering = points
-                .partition_point(|point| point.uncompressed_offset <= self.position)
-                .checked_sub(1)
-                .filter(|&index| {
-                    let point = &points[index];
-                    self.position < point.uncompressed_offset + point.uncompressed_size
-                });
-            let Some(index) = covering else {
+            let Some(index) = state.index.block_map.find(self.position) else {
                 // The index does not (yet) cover the position.
                 let finished = state.pass.finished;
                 state.reading_at = u64::MAX;
@@ -659,7 +650,7 @@ impl ParallelGzipReader {
                 self.advance_one_chunk()?;
                 continue;
             };
-            let point = &points[index];
+            let point = &state.index.block_map.points()[index];
             let (key, start) = (point.compressed_bit_offset, point.uncompressed_offset);
             state.reading_at = key;
             let last = self.last.replace(index);
@@ -1510,8 +1501,7 @@ mod tests {
             for (range_bit, found) in [(0u64, 0u64), (64 * 1024 * 8, 64 * 1024 * 8 + 1)] {
                 state.pass.chunks.insert(
                     range_bit,
-                    ChunkState::Markered(crate::SpeculativeChunk {
-                        requested_bit_offset: found,
+                    ChunkState::Markered(crate::chunk::SpeculativeChunk {
                         found_bit_offset: found,
                         end_bit_offset: found + 8,
                         output: crate::chunk::PooledOutput::adopt(
@@ -1519,9 +1509,8 @@ mod tests {
                             reader.buffers(),
                         ),
                         window_usage: Vec::new(),
-                        block_count: 1,
                         reached_end_of_file: false,
-                        member_ends: Vec::new(),
+                        fragments: Vec::new(),
                     }),
                 );
             }

@@ -40,7 +40,7 @@ pub enum VerificationMode {
 /// compressed range spans members is split at each boundary, so every
 /// fragment can be attributed to exactly one trailer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkFragment {
+pub(crate) struct ChunkFragment {
     /// CRC-32 of the fragment's decompressed bytes (0 when hashing is off).
     pub crc32: u32,
     /// Length of the fragment in decompressed bytes.

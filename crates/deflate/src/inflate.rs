@@ -1254,7 +1254,7 @@ pub fn inflate_speculative<W: std::ops::Deref<Target: AsRef<[u8]>>>(
 mod tests {
     use super::*;
     use crate::compress::{CompressionLevel, CompressorOptions, DeflateCompressor};
-    use crate::markers::contains_markers;
+    use crate::markers::tests::{contains_markers, window_usage_of};
 
     fn compress(data: &[u8]) -> Vec<u8> {
         DeflateCompressor::new(CompressorOptions::default()).compress(data)
@@ -1409,7 +1409,7 @@ mod tests {
         assert!(!two_stage.window_usage.is_empty());
         assert_eq!(
             two_stage.window_usage,
-            WindowUsage::from_symbols(&symbols).intervals()
+            window_usage_of(&symbols).intervals()
         );
 
         // One-stage decode of the same range with the true window must report

@@ -31,9 +31,9 @@ pub use inflate::{
     WindowAnswer, MARKER_BASE,
 };
 pub use markers::{
-    active_isa as markers_active_isa, contains_markers, replace_markers, replace_markers_hashed,
-    replace_markers_into, replace_markers_into_scalar, replace_markers_to_slice,
-    replace_markers_to_slice_scalar, resolve_window, SpeculativeOutput, WindowUsage,
+    active_isa as markers_active_isa, replace_markers, replace_markers_hashed,
+    replace_markers_to_slice, replace_markers_to_slice_scalar, resolve_window, SpeculativeOutput,
+    WindowUsage,
 };
 pub use matchfinder::{BlockTokenizer, HtMatchFinder, Token, TokenBlock};
 /// The Huffman layer under the block codes and the compressor, for callers

@@ -4,13 +4,6 @@ use crate::constants::WINDOW_SIZE;
 use crate::inflate::MARKER_BASE;
 use crate::DeflateError;
 
-/// Returns `true` if any symbol in `symbols` is a marker that still needs a
-/// window to be resolved.
-#[inline]
-pub fn contains_markers(symbols: &[u16]) -> bool {
-    symbols.iter().any(|&s| s >= MARKER_BASE)
-}
-
 /// Tracks which bytes of the 32 KiB window preceding a chunk are actually
 /// referenced by the chunk's back-references (sparsity tracking).
 ///
@@ -134,17 +127,6 @@ impl WindowUsage {
         }
         intervals
     }
-
-    /// Builds the usage map of a two-stage chunk from its marker symbols.
-    pub fn from_symbols(symbols: &[u16]) -> Self {
-        let mut usage = Self::new();
-        for &symbol in symbols {
-            if symbol >= MARKER_BASE {
-                usage.mark((symbol - MARKER_BASE) as usize, 1);
-            }
-        }
-        usage
-    }
 }
 
 /// Replaces marker symbols with bytes from `window` and returns the resolved
@@ -178,8 +160,7 @@ pub fn replace_markers(symbols: &[u16], window: &[u8]) -> Result<Vec<u8>, Deflat
 /// not depend on how many of its lanes are markers, and in text half of them
 /// are.  Setting the table up is a copy of the window, under a microsecond.
 /// Every other platform runs the scalar form of the same; all of them are
-/// pinned to the one-symbol-at-a-time reference (see
-/// [`replace_markers_into`]).
+/// pinned to the one-symbol-at-a-time reference by differential tests.
 ///
 /// # Panics
 ///
@@ -204,47 +185,10 @@ pub fn replace_markers_to_slice_scalar(
     replace_scalar(symbols, window, out).1
 }
 
-/// [`replace_markers_to_slice`] appending to `out`, which an error leaves
-/// holding exactly the bytes that precede the offending symbol.
-pub fn replace_markers_into(
-    symbols: &[u16],
-    window: &[u8],
-    out: &mut Vec<u8>,
-) -> Result<(), DeflateError> {
-    append_with(replace_dispatched, symbols, window, out)
-}
-
-/// Portable scalar reference for [`replace_markers_into`]; the differential
-/// proptests assert the SIMD kernels match it bit-for-bit, partial
-/// error-path output included.
-pub fn replace_markers_into_scalar(
-    symbols: &[u16],
-    window: &[u8],
-    out: &mut Vec<u8>,
-) -> Result<(), DeflateError> {
-    append_with(replace_scalar, symbols, window, out)
-}
-
-/// A replacement kernel: resolves `symbols` into the front of `out` (at least
-/// as long) and reports how many bytes it wrote before it stopped, and why if
-/// that is not all of them.
-type ReplaceFn = fn(&[u16], &[u8], &mut [u8]) -> (usize, Result<(), DeflateError>);
-
-fn append_with(
-    kernel: ReplaceFn,
-    symbols: &[u16],
-    window: &[u8],
-    out: &mut Vec<u8>,
-) -> Result<(), DeflateError> {
-    let start = out.len();
-    out.resize(start + symbols.len(), 0);
-    let (written, result) = kernel(symbols, window, &mut out[start..]);
-    out.truncate(start + written);
-    result
-}
-
-/// A table kernel: a [`ReplaceFn`] with this thread's lookup table, set up
-/// for the window, as a fourth argument.
+/// A table kernel: resolves `symbols` into the front of `out` (at least as
+/// long) with this thread's lookup table, set up for the window, and reports
+/// how many bytes it wrote before it stopped, and why if that is not all of
+/// them.
 type TableKernel = fn(&[u16], &[u8], &mut [u8], &Table) -> (usize, Result<(), DeflateError>);
 
 /// The kernel this machine runs: every block with a marker in it goes
@@ -637,7 +581,8 @@ pub fn resolve_window(symbols: &[u16], window: &[u8]) -> Result<Vec<u8>, Deflate
         let take = (WINDOW_SIZE - symbols.len()).min(window.len());
         let mut combined = Vec::with_capacity(take + symbols.len());
         combined.extend_from_slice(&window[window.len() - take..]);
-        replace_markers_into(symbols, window, &mut combined)?;
+        combined.resize(take + symbols.len(), 0);
+        replace_markers_to_slice(symbols, window, &mut combined[take..])?;
         debug_assert!(combined.len() <= WINDOW_SIZE);
         Ok(combined)
     }
@@ -775,18 +720,6 @@ impl SpeculativeOutput {
         }
     }
 
-    /// [`Self::resolve_into`] for the verification pipeline; returns the
-    /// fragment CRCs as in [`replace_markers_hashed`].
-    pub fn resolve_hashed_into(
-        &mut self,
-        window: &[u8],
-        fragment_ends: &[usize],
-        out: &mut Vec<u8>,
-    ) -> Result<Vec<u32>, DeflateError> {
-        self.resolve_into(window, out)?;
-        hash_fragments(out, fragment_ends)
-    }
-
     /// [`Self::resolve_into`] a buffer of its own.
     pub fn resolve(mut self, window: &[u8]) -> Result<Vec<u8>, DeflateError> {
         let mut out = Vec::new();
@@ -811,7 +744,7 @@ impl SpeculativeOutput {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -989,10 +922,10 @@ mod tests {
             MARKER_BASE + 7, // duplicate marker counts once
             MARKER_BASE + 4000,
         ];
-        let usage = WindowUsage::from_symbols(&symbols);
+        let usage = window_usage_of(&symbols);
         assert_eq!(usage.used_bytes(), 3);
         assert_eq!(usage.intervals(), vec![(7, 2), (4000, 1)]);
-        assert!(WindowUsage::from_symbols(&[1, 2, 255]).is_empty());
+        assert!(window_usage_of(&[1, 2, 255]).is_empty());
     }
 
     #[test]
@@ -1001,23 +934,21 @@ mod tests {
     }
 
     /// Asserts the dispatched replacement and the scalar reference agree on
-    /// `symbols`/`window`: same `Result`, same output bytes — including the
-    /// partial output preceding an error — and untouched prefix preserved.
+    /// `symbols`/`window`, over destinations that are not zeroed: same
+    /// `Result`, same count of bytes written, same bytes — the partial
+    /// output preceding an error included.
     fn assert_simd_matches_scalar(symbols: &[u16], window: &[u8]) {
-        let prefix = b"prefix-".to_vec();
-        let mut simd_out = prefix.clone();
-        let mut scalar_out = prefix;
-        let simd_result = replace_markers_into(symbols, window, &mut simd_out);
-        let scalar_result = replace_markers_into_scalar(symbols, window, &mut scalar_out);
+        let mut simd_out = vec![0xA5u8; symbols.len()];
+        let mut scalar_out = vec![0xA5u8; symbols.len()];
+        let (simd_written, simd_result) = replace_dispatched(symbols, window, &mut simd_out);
+        let (scalar_written, scalar_result) = replace_scalar(symbols, window, &mut scalar_out);
         assert_eq!(simd_result, scalar_result, "result mismatch");
-        assert_eq!(simd_out, scalar_out, "output mismatch (partial included)");
-        // The slice form, over a destination that is not zeroed.
-        let mut in_place = vec![0xA5u8; symbols.len()];
-        let slice_result = replace_markers_to_slice(symbols, window, &mut in_place);
-        assert_eq!(slice_result, scalar_result, "slice-form result mismatch");
-        if slice_result.is_ok() {
-            assert_eq!(in_place, scalar_out[7..], "slice-form output mismatch");
-        }
+        assert_eq!(simd_written, scalar_written, "bytes written mismatch");
+        assert_eq!(
+            simd_out[..simd_written],
+            scalar_out[..scalar_written],
+            "output mismatch (partial included)"
+        );
     }
 
     #[test]
@@ -1301,5 +1232,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Whether any symbol in `symbols` is a marker that still needs a window
+    /// to be resolved.
+    pub(crate) fn contains_markers(symbols: &[u16]) -> bool {
+        symbols.iter().any(|&s| s >= MARKER_BASE)
+    }
+
+    /// The usage map of a two-stage chunk, read off its marker symbols.
+    pub(crate) fn window_usage_of(symbols: &[u16]) -> WindowUsage {
+        let mut usage = WindowUsage::new();
+        for &symbol in symbols {
+            if symbol >= MARKER_BASE {
+                usage.mark((symbol - MARKER_BASE) as usize, 1);
+            }
+        }
+        usage
     }
 }

@@ -7,7 +7,7 @@
 use rgz_bitio::BitReader;
 use rgz_deflate::inflate;
 
-use crate::header::{parse_footer, parse_header, GzipHeader};
+use crate::header::{next_member, parse_footer, parse_header, GzipHeader};
 use crate::GzipError;
 
 /// Information about one gzip member of a file.
@@ -27,11 +27,12 @@ pub struct MemberInfo {
     pub block_count: usize,
 }
 
-/// A configurable single-threaded gzip decoder.
+/// A single-threaded gzip decoder: one member after another, each checked
+/// against its footer unless told otherwise, for as long as
+/// [`next_member`] finds another.
 #[derive(Debug, Clone)]
 pub struct GzipDecoder {
     verify_checksums: bool,
-    allow_trailing_zeros: bool,
 }
 
 impl Default for GzipDecoder {
@@ -45,7 +46,6 @@ impl GzipDecoder {
     pub fn new() -> Self {
         Self {
             verify_checksums: true,
-            allow_trailing_zeros: true,
         }
     }
 
@@ -69,38 +69,9 @@ impl GzipDecoder {
         let mut reader = BitReader::new(data);
         let mut out: Vec<u8> = Vec::new();
         let mut members = Vec::new();
-
-        loop {
-            if reader.is_at_end() {
-                break;
-            }
-            // Accept trailing NUL padding after the last member (gzip does).
-            if self.allow_trailing_zeros && !members.is_empty() {
-                let position = (reader.position() / 8) as usize;
-                if data[position..].iter().all(|&b| b == 0) {
-                    break;
-                }
-            }
-            if reader.remaining_bits() < 8 * 18 {
-                return Err(if members.is_empty() {
-                    GzipError::Truncated
-                } else {
-                    GzipError::TrailingGarbage {
-                        offset: reader.position() / 8,
-                    }
-                });
-            }
-            let compressed_start = reader.position() / 8;
-            let header = match parse_header(&mut reader) {
-                Ok(header) => header,
-                Err(GzipError::BadMagic { .. }) if !members.is_empty() => {
-                    return Err(GzipError::TrailingGarbage {
-                        offset: compressed_start,
-                    })
-                }
-                Err(error) => return Err(error),
-            };
-
+        let mut compressed_start = 0;
+        let mut next = Some(parse_header(&mut reader)?);
+        while let Some(header) = next {
             let member_start = out.len();
             // One inflate call covers exactly one member.
             let outcome = inflate(&mut reader, &[], &mut out, u64::MAX)?;
@@ -125,17 +96,17 @@ impl GzipDecoder {
                     });
                 }
             }
+            let compressed_end = reader.position() / 8;
             members.push(MemberInfo {
                 header,
                 compressed_start,
-                compressed_end: reader.position() / 8,
+                compressed_end,
                 uncompressed_start: member_start as u64,
                 uncompressed_size: member_data.len() as u64,
                 block_count: outcome.blocks.len(),
             });
-        }
-        if members.is_empty() {
-            return Err(GzipError::Truncated);
+            compressed_start = compressed_end;
+            next = next_member(&mut reader, true)?;
         }
         Ok((out, members))
     }

@@ -151,6 +151,35 @@ pub fn parse_footer(reader: &mut BitReader<'_>) -> Result<GzipFooter, GzipError>
     })
 }
 
+/// Reads what follows a member's footer, at the reader's byte-aligned
+/// position, by the one rule both decoders keep: nothing, or only zero bytes,
+/// to the end of the file is the end (`None`); a gzip magic starts another
+/// member, whose header is parsed; anything else is
+/// [`GzipError::TrailingGarbage`] at its first byte (an offset into the
+/// reader's data).
+///
+/// `to_end` says whether the reader holds the rest of the file.  One that
+/// does not gets [`GzipError::Truncated`] for what its bytes cannot decide:
+/// zeros that may or may not run to the end, or a magic cut in half.
+pub fn next_member(
+    reader: &mut BitReader<'_>,
+    to_end: bool,
+) -> Result<Option<GzipHeader>, GzipError> {
+    debug_assert_eq!(reader.position() % 8, 0);
+    let offset = reader.position() / 8;
+    let rest = reader.data().get(offset as usize..).unwrap_or_default();
+    let zeros = rest.iter().all(|&byte| byte == 0);
+    if rest.starts_with(&MAGIC) {
+        parse_header(reader).map(Some)
+    } else if !to_end && (zeros || rest == [MAGIC[0]]) {
+        Err(GzipError::Truncated)
+    } else if zeros {
+        Ok(None)
+    } else {
+        Err(GzipError::TrailingGarbage { offset })
+    }
+}
+
 impl GzipHeader {
     /// Serialises this header to bytes.  `header_size` and `had_header_crc`
     /// are recomputed, not honoured.
@@ -278,6 +307,35 @@ mod tests {
         let bytes = header.to_bytes();
         for cut in [1usize, 5, 9, 12] {
             assert!(parse(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn what_follows_a_member_is_the_end_a_member_or_garbage() {
+        let next = |bytes: &[u8], to_end| next_member(&mut BitReader::new(bytes), to_end);
+        let member = GzipHeader::default().to_bytes();
+        for to_end in [true, false] {
+            assert!(matches!(next(&member, to_end), Ok(Some(_))));
+            assert_eq!(
+                next(b"\0garbage", to_end),
+                Err(GzipError::TrailingGarbage { offset: 0 })
+            );
+            assert_eq!(
+                next(&[0x1F, 0x8C], to_end),
+                Err(GzipError::TrailingGarbage { offset: 0 })
+            );
+            assert_eq!(next(&member[..5], to_end), Err(GzipError::Truncated));
+        }
+        // Only a reader that holds the rest of the file can tell the end, or
+        // a lone first magic byte, for what it is.
+        assert_eq!(next(&[], true), Ok(None));
+        assert_eq!(next(&[0; 64], true), Ok(None));
+        assert_eq!(
+            next(&[0x1F], true),
+            Err(GzipError::TrailingGarbage { offset: 0 })
+        );
+        for tail in [&[][..], &[0; 64], &[0x1F]] {
+            assert_eq!(next(tail, false), Err(GzipError::Truncated));
         }
     }
 

@@ -12,7 +12,7 @@ pub mod writer;
 pub use bgzf::{is_bgzf_header, BgzfWriter, BGZF_EOF_BLOCK};
 pub use decoder::{decompress, decompress_with_info, GzipDecoder, MemberInfo};
 pub use frontend::{CompressorFrontend, FrontendKind};
-pub use header::{parse_footer, parse_header, GzipFooter, GzipHeader, OS_UNIX};
+pub use header::{next_member, parse_footer, parse_header, GzipFooter, GzipHeader, OS_UNIX};
 pub use writer::GzipWriter;
 
 use rgz_deflate::DeflateError;

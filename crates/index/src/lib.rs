@@ -68,8 +68,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use rgz_checksum::crc32;
 use rgz_window::{flags, CompressedWindow, WindowError};
 
@@ -148,19 +146,16 @@ impl BlockMap {
         Ok(())
     }
 
-    /// Finds the last seek point whose uncompressed offset is `<= offset`.
-    pub fn find(&self, offset: u64) -> Option<&SeekPoint> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let position = self
-            .points
-            .partition_point(|p| p.uncompressed_offset <= offset);
-        if position == 0 {
-            None
-        } else {
-            Some(&self.points[position - 1])
-        }
+    /// The index of the seek point whose bytes hold `offset`: the last one
+    /// at or before it, if it reaches that far.
+    pub fn find(&self, offset: u64) -> Option<usize> {
+        let points = &self.points;
+        points
+            .partition_point(|p| p.uncompressed_offset <= offset)
+            .checked_sub(1)
+            .filter(|&index| {
+                offset < points[index].uncompressed_offset + points[index].uncompressed_size
+            })
     }
 
     /// Total decompressed size covered by the seek points.
@@ -221,13 +216,9 @@ impl PointChecksums {
 }
 
 /// Per-seek-point CRC fragments keyed by compressed bit offset.
-///
-/// Clones share the same storage (like [`WindowMap`]): the reader records a
-/// chunk's fragments under its state lock, and an index it has handed out
-/// sees them.
 #[derive(Debug, Default, Clone)]
 pub struct ChecksumMap {
-    store: Arc<Mutex<HashMap<u64, Arc<PointChecksums>>>>,
+    store: HashMap<u64, Arc<PointChecksums>>,
 }
 
 impl ChecksumMap {
@@ -238,33 +229,36 @@ impl ChecksumMap {
 
     /// Number of seek points with stored fragments.
     pub fn len(&self) -> usize {
-        self.store.lock().len()
+        self.store.len()
     }
 
     /// Whether any point has stored fragments.
     pub fn is_empty(&self) -> bool {
-        self.store.lock().is_empty()
+        self.store.is_empty()
     }
 
     /// Whether fragments exist for the given seek point.
     pub fn contains(&self, compressed_bit_offset: u64) -> bool {
-        self.store.lock().contains_key(&compressed_bit_offset)
+        self.store.contains_key(&compressed_bit_offset)
     }
 
     /// Stores the fragments for a seek point.
-    pub fn insert(&self, compressed_bit_offset: u64, checksums: PointChecksums) {
+    pub fn insert(&mut self, compressed_bit_offset: u64, checksums: PointChecksums) {
         self.store
-            .lock()
             .insert(compressed_bit_offset, Arc::new(checksums));
     }
 
     /// Looks up the fragments for a seek point.
     pub fn get(&self, compressed_bit_offset: u64) -> Option<Arc<PointChecksums>> {
-        self.store.lock().get(&compressed_bit_offset).cloned()
+        self.store.get(&compressed_bit_offset).cloned()
     }
 }
 
 /// A complete seek index: block map + window map + stream totals.
+///
+/// A clone copies everything but the [`WindowMap`], which clones share: the
+/// reader's workers insert windows into it outside the lock that guards the
+/// rest of the reader's index.
 #[derive(Debug, Default, Clone)]
 pub struct GzipIndex {
     /// Offset translation.
@@ -272,7 +266,7 @@ pub struct GzipIndex {
     /// Windows for each seek point.
     pub window_map: WindowMap,
     /// Per-point CRC fragments for verified random access (empty for v1/v2
-    /// and foreign imports; clones share storage).
+    /// and foreign imports).
     pub checksum_map: ChecksumMap,
     /// Size of the compressed file in bytes (0 if unknown).
     pub compressed_size: u64,
@@ -715,11 +709,15 @@ mod tests {
     fn block_map_find_returns_covering_point() {
         let index = sample_index();
         let map = &index.block_map;
-        assert_eq!(map.find(0).unwrap().uncompressed_offset, 0);
-        assert_eq!(map.find(63_999).unwrap().uncompressed_offset, 0);
-        assert_eq!(map.find(64_000).unwrap().uncompressed_offset, 64_000);
-        assert_eq!(map.find(1_000_000).unwrap().uncompressed_offset, 960_000);
-        assert_eq!(map.find(u64::MAX).unwrap().uncompressed_offset, 49 * 64_000);
+        assert_eq!(map.find(0), Some(0));
+        assert_eq!(map.find(63_999), Some(0));
+        assert_eq!(map.find(64_000), Some(1));
+        assert_eq!(map.find(1_000_000), Some(15));
+        assert_eq!(map.find(50 * 64_000 - 1), Some(49));
+        // Past the end of the last point's bytes no point covers an offset.
+        assert_eq!(map.find(50 * 64_000), None);
+        assert_eq!(map.find(u64::MAX), None);
+        assert_eq!(BlockMap::new().find(0), None);
         assert_eq!(map.uncompressed_size(), 50 * 64_000);
     }
 
@@ -993,7 +991,7 @@ mod tests {
     /// The sample index with CRC fragments attached to every other point, to
     /// exercise the both-present-and-absent paths of the v3 record.
     fn sample_index_with_checksums() -> GzipIndex {
-        let index = sample_index();
+        let mut index = sample_index();
         for (i, point) in index.block_map.points().iter().enumerate() {
             if i % 2 == 0 {
                 index.checksum_map.insert(

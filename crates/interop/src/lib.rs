@@ -434,7 +434,7 @@ mod tests {
     }
 
     /// Attaches a stored CRC fragment to every seek point of `index`.
-    fn checksum_every_point(index: &GzipIndex) {
+    fn checksum_every_point(index: &mut GzipIndex) {
         for (position, point) in index.block_map.points().iter().enumerate() {
             index.checksum_map.insert(
                 point.compressed_bit_offset,
@@ -448,8 +448,8 @@ mod tests {
 
     #[test]
     fn only_native_v3_round_trips_checksum_fragments() {
-        let index = full_window_index(2);
-        checksum_every_point(&index);
+        let mut index = full_window_index(2);
+        checksum_every_point(&mut index);
         let total = index.checksum_map.len();
         assert_eq!(total, 3);
 

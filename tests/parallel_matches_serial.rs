@@ -400,3 +400,114 @@ fn seek_patterns_read_the_serial_decoders_bytes_whole_or_sliced() {
         }
     }
 }
+
+/// What may follow a gzip member is read one way by the serial decoder and
+/// the parallel reader alike: zeros to the end of the file are padding, a
+/// gzip magic starts a member, anything else is trailing garbage at its first
+/// byte.  So the reader returns the serial decoder's bytes or its error,
+/// offset included, whatever the thread count and chunk size.
+#[test]
+fn what_follows_a_member_is_read_as_the_serial_decoder_reads_it() {
+    use rapidgzip_suite::core::CoreError;
+    use rapidgzip_suite::gzip::GzipError;
+
+    let a = GzipWriter::default().compress(&datagen::silesia_like(300_000, 1));
+    let b = GzipWriter::default().compress(&datagen::base64_random(200_000, 2));
+    let ab = [&a[..], &b[..]].concat();
+    assert_eq!((a.len(), ab.len()), (84_355, 239_492));
+    let ascii = b"THIS IS NOT GZIP DATA AT ALL, NOT EVEN CLOSE";
+    let garbage_at = |offset| Err(GzipError::TrailingGarbage { offset });
+    let rows: [(&str, Vec<u8>, Result<usize, GzipError>); 7] = [
+        (
+            "a, 1 zero byte, b",
+            [&a, &[0][..], &b].concat(),
+            garbage_at(84_355),
+        ),
+        (
+            "a, 64 zero bytes, b",
+            [&a, &[0; 64][..], &b].concat(),
+            garbage_at(84_355),
+        ),
+        (
+            "a, b, 7 B of garbage",
+            [&ab, &b"garbage"[..]].concat(),
+            garbage_at(239_492),
+        ),
+        (
+            "a, b, 44 B of ASCII",
+            [&ab, &ascii[..]].concat(),
+            garbage_at(239_492),
+        ),
+        (
+            "a, 5 B of b",
+            [&a, &b[..5]].concat(),
+            Err(GzipError::Truncated),
+        ),
+        (
+            "a, b short by 3 B",
+            ab[..ab.len() - 3].to_vec(),
+            Err(GzipError::Truncated),
+        ),
+        (
+            "a, b, 512 zero bytes",
+            [&ab, &[0; 512][..]].concat(),
+            Ok(500_000),
+        ),
+    ];
+    for (row, file, pinned) in rows {
+        let serial = decompress(&file);
+        assert_eq!(
+            serial.as_ref().map(Vec::len),
+            pinned.as_ref().copied(),
+            "serial: {row}"
+        );
+        for threads in [1, 2, 3] {
+            for chunk_size in [32 << 10, 4 << 20] {
+                let run = format!("{row}, P = {threads}, chunk {chunk_size}");
+                let parallel =
+                    ParallelGzipReader::from_bytes(file.clone(), options(threads, chunk_size))
+                        .and_then(|mut reader| reader.decompress_all())
+                        .map_err(|error| match error {
+                            CoreError::Gzip(error) => error,
+                            other => panic!("{run}: not a gzip error: {other:?}"),
+                        });
+                match (&parallel, &serial) {
+                    (Ok(parallel), Ok(serial)) => assert!(parallel == serial, "{run}"),
+                    _ => assert_eq!(parallel.map(|out| out.len()), pinned, "{run}"),
+                }
+            }
+        }
+    }
+}
+
+/// A chunk records its members the same way whether it was decoded
+/// speculatively or with its window known, so the fragments folded into the
+/// member checksums do not depend on how many threads decoded ahead.
+#[test]
+fn fragments_folded_do_not_depend_on_the_thread_count() {
+    let one = datagen::silesia_like(700_000, 1);
+    let members = [
+        one.clone(),
+        datagen::base64_random(500_000, 2),
+        datagen::fastq_of_size(600_000, 3),
+    ];
+    let parts: Vec<&[u8]> = members.iter().map(Vec::as_slice).collect();
+    let files = [
+        ("one member", GzipWriter::default().compress(&one), 64 << 10),
+        (
+            "three members",
+            GzipWriter::default().compress_members(&parts),
+            256 << 10,
+        ),
+    ];
+    for (name, compressed, chunk_size) in files {
+        let folded = [1, 2, 3, 8].map(|threads| {
+            let mut reader =
+                ParallelGzipReader::from_bytes(compressed.clone(), options(threads, chunk_size))
+                    .unwrap();
+            reader.decompress_all().unwrap();
+            reader.verification_statistics().fragments_folded
+        });
+        assert!(folded.iter().all(|&n| n == folded[0]), "{name}: {folded:?}");
+    }
+}
