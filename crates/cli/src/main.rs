@@ -41,6 +41,10 @@
 //!   -o, --output <PATH>       write output to PATH instead of stdout
 //!   -h, --help                show this help
 //!
+//! FILE may be `-` for standard input.  Input that is not a regular file —
+//! `-`, a pipe, a FIFO — has no size to cut chunks of: it is read whole and
+//! decoded as `--serial` decodes, and takes no index to import or export.
+//!
 //! The `compress` verb runs the chunk-parallel write path instead:
 //!
 //!   -l, --level <0-9>         gzip-style compression level (default: 6)
@@ -116,7 +120,7 @@ fn print_usage(compress: bool) {
     eprintln!("             [--verify|--no-verify] [--serial] [-v]");
     eprintln!("             [--trace PATH] [--trace-report[=json]]");
     eprintln!("             [--stats-interval SECS] [--metrics-export PATH]");
-    eprintln!("             [-o OUTPUT] FILE");
+    eprintln!("             [-o OUTPUT] FILE|-");
     eprintln!("       rgzip compress [OPTIONS] FILE   (see `rgzip compress --help`)");
 }
 
@@ -187,7 +191,10 @@ fn parse_arguments(
                 options.member_size_kib = parsed(value("--member-size")?, "member size")?;
             }
 
-            other if !other.starts_with('-') && options.file.is_empty() => {
+            other
+                if options.file.is_empty()
+                    && (!other.starts_with('-') || (decompress && other == "-")) =>
+            {
                 options.file = other.to_string();
             }
             other => return Err(format!("unknown argument: {other}")),
@@ -196,7 +203,24 @@ fn parse_arguments(
     if options.file.is_empty() {
         return Err("no input file given".to_string());
     }
+    if decompress && is_stream(&options.file) {
+        if options.import_index.is_some() || options.export_index.is_some() {
+            return Err(format!(
+                "{} is not a regular file: it is decoded serially, with no index to \
+                 import or export",
+                options.file
+            ));
+        }
+        options.serial = true;
+    }
     Ok(options)
+}
+
+/// Whether `file` is standard input or another input that is not a regular
+/// file — a pipe, a FIFO — and so is read whole.  A path that cannot be
+/// looked at is not: opening it says why.
+fn is_stream(file: &str) -> bool {
+    file == "-" || std::fs::metadata(file).is_ok_and(|metadata| !metadata.is_file())
 }
 
 /// A flag's value, parsed; `what` names it in the error.
@@ -424,15 +448,23 @@ fn run(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Decodes the file in one call of the serial decoder and hands the bytes to
-/// `output`; returns their count and the decode's duration.
+/// Decodes the file — standard input for `-` — in one call of the serial
+/// decoder and hands the bytes to `output`; returns their count and the
+/// decode's duration.
 fn decompress_serial(
     options: &Options,
     trace: &TraceSink,
     output: &mut Output,
 ) -> Result<(u64, Duration), String> {
     let file = &options.file;
-    let compressed = std::fs::read(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let compressed = if file == "-" {
+        let mut compressed = Vec::new();
+        std::io::Read::read_to_end(&mut std::io::stdin().lock(), &mut compressed)
+            .map(|_| compressed)
+    } else {
+        std::fs::read(file)
+    }
+    .map_err(|e| format!("cannot read {file}: {e}"))?;
     let mut decoder = rgz_gzip::GzipDecoder::new();
     if options.verification == VerificationMode::Off {
         decoder = decoder.without_checksum_verification();
@@ -636,14 +668,21 @@ fn print_statistics(reader: &ParallelGzipReader, registry: &MetricsRegistry) {
         verification.fragments_folded,
         verification.stream_crc32
     );
+    let options = reader.options();
     eprintln!(
         "rgzip: random access: {} chunk(s) verified against stored fragments, \
          {} unverified (index carried no fragments); {} slice(s) of them decoded \
-         for later reads, {} bytes",
+         for later reads, {} bytes ({:.1} KiB each on average); interior windows \
+         {} of {} bytes",
         statistics.index_chunks_verified,
         statistics.index_chunks_unverified,
         statistics.index_slices,
-        statistics.index_slice_bytes
+        statistics.index_slice_bytes,
+        statistics.index_slice_bytes as f64 / statistics.index_slices.max(1) as f64 / 1024.0,
+        snapshot
+            .gauge(names::INTERIOR_WINDOW_BYTES, &[])
+            .unwrap_or(0),
+        options.resolved_cache_chunks.max(1) * options.chunk_size
     );
 }
 

@@ -1,8 +1,9 @@
 //! Process-level integration tests: run the real `rgz` binary to export a
 //! seek-point index, re-import it, and byte-compare the decompressed output.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn binary() -> &'static str {
     env!("CARGO_BIN_EXE_rgz")
@@ -321,4 +322,67 @@ fn verbose_serial_mode_still_works() {
     ]);
     assert!(output.status.success());
     assert_eq!(std::fs::read(dir.file("out")).unwrap(), data);
+}
+
+/// Runs `rgz` with `input` written to its standard input, a pipe.
+fn run_rgz_piped(arguments: &[&str], input: Vec<u8>) -> Output {
+    let mut child = Command::new(binary())
+        .args(arguments)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn the rgz binary");
+    let mut stdin = child.stdin.take().unwrap();
+    // Written beside the wait, or a full stdout pipe would block them both;
+    // a child that exits without reading all of it closes the pipe.
+    let writer = std::thread::spawn(move || stdin.write_all(&input));
+    let output = child.wait_with_output().unwrap();
+    drop(writer.join().unwrap());
+    output
+}
+
+/// A pipe has no size: through `-` or `/dev/stdin` it is read whole and
+/// decoded serially, to the same bytes and exit 0 — never taken for an empty
+/// file — and asking for an index of it is a usage error.
+#[test]
+fn a_pipe_is_decoded_whole_through_dash_and_dev_stdin() {
+    let data = rgz_datagen::silesia_like(400_000, 81);
+    let compressed = rgz_gzip::GzipWriter::default().compress(&data);
+    for input in ["-", "/dev/stdin"] {
+        let output = run_rgz_piped(&["-d", "-P", "2", input], compressed.clone());
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{input}: {stderr}");
+        assert!(
+            output.stdout == data,
+            "{input}: {} bytes",
+            output.stdout.len()
+        );
+
+        let dir = TempDir::new("pipe_index");
+        let index = dir.file("pipe.rgzidx");
+        for flag in ["--export-index", "--import-index"] {
+            let arguments = [flag, path_str(&index), input];
+            let output = run_rgz_piped(&arguments, compressed.clone());
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(2), "{input} {flag}: {stderr}");
+            assert!(stderr.contains("not a regular file"), "{stderr}");
+        }
+    }
+}
+
+/// A file of no bytes is a truncated gzip stream in parallel as serially.
+#[test]
+fn an_empty_file_is_a_truncated_stream() {
+    let dir = TempDir::new("empty");
+    let (empty, out) = (dir.file("empty.gz"), dir.file("out"));
+    std::fs::write(&empty, b"").unwrap();
+    for mode in [&["-P", "2"][..], &["--serial"][..]] {
+        let mut arguments = mode.to_vec();
+        arguments.extend(["-o", path_str(&out), path_str(&empty)]);
+        let output = run_rgz(&arguments);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{mode:?}: {stderr}");
+        assert!(stderr.contains("truncated"), "{mode:?}: {stderr}");
+    }
 }

@@ -17,19 +17,26 @@
 //! occasions it is — harvests [`InteriorPoint`]s at block boundaries: the
 //! bit, and the CRC-32 of the bytes up to the next, hashed *instead of* the
 //! whole chunk and folded (`crc32_combine`, a microsecond) into the very
-//! fragments the index's are compared with.  Those a MiB of output or more
-//! apart also keep the 32 KiB before them, copied raw: a slice starts at one
-//! of them (or at the chunk's own point).  Between them, *stop points* at
-//! every block boundary 64 KiB or more past the last cut keep no window, a
-//! hundred bytes each, and are where a slice ends: at the first point past
-//! the read.  An interior point is therefore what a seek point is — and
-//! taken only from bytes that had just passed every check the index affords,
-//! which is why first touches stay whole: with a v3 index, no byte is ever
-//! served that was not hashed against a CRC that chains back to the file's
-//! own.  The run of points around a later read makes an [`IndexedChunk`] like
-//! any other, for the same `decode_indexed`.  The tables are the reader's
-//! own: never exported, in memory only, least recently used chunk's first out
-//! once their windows exceed `resolved_cache_chunks × chunk_size` bytes.
+//! fragments the index's are compared with.  Those [`window_spacing`] bytes
+//! of output or more apart also keep the 32 KiB before them, copied raw: a
+//! slice starts at one of them (or at the chunk's own point).  That spacing
+//! is a MiB unless the first touch serves a read that jumped, or decodes a
+//! chunk whose points are held already, through a complete table: then it
+//! is the closest at which the windows of every chunk of the table fit the
+//! budget below together, so a slice starts a few hundred KiB before a read
+//! instead of up to a MiB — while a pass that reads on from chunk to chunk
+//! keeps no windows nobody would start from.
+//! Between them, *stop points* at every block boundary 64 KiB or more past
+//! the last cut keep no window, a hundred bytes each, and are where a slice
+//! ends: at the first point past the read.  An interior point is therefore
+//! what a seek point is — and taken only from bytes that had just passed
+//! every check the index affords, which is why first touches stay whole:
+//! with a v3 index, no byte is ever served that was not hashed against a CRC
+//! that chains back to the file's own.  The run of points around a later
+//! read makes an [`IndexedChunk`] like any other, for the same
+//! `decode_indexed`.  The tables are the reader's own: never exported, in
+//! memory only, least recently used chunk's first out once their windows
+//! exceed `resolved_cache_chunks × chunk_size` bytes.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -71,12 +78,22 @@ pub(crate) struct InteriorPoint {
 }
 
 /// How far apart in a chunk's bytes its windowed interior points are, at
-/// least.
+/// least, unless its first touch serves a read that jumped: the most
+/// [`window_spacing`] gives.
 const INTERIOR_SPACING: usize = 1 << 20;
 
 /// How far apart in a chunk's bytes its interior points of either kind are,
 /// at least: how far past a read a slice may decode, less a block.
 const STOP_SPACING: usize = 64 << 10;
+
+/// The spacing of windowed interior points at which those of every chunk of
+/// a table of `covered` bytes of output fit `budget` bytes of window
+/// together — a 32 KiB window per spacing — no closer than a stop point's
+/// and no further apart than [`INTERIOR_SPACING`].
+fn window_spacing(covered: u64, budget: usize) -> usize {
+    let spacing = (WINDOW_SIZE as u128 * u128::from(covered)).div_ceil(budget.max(1) as u128);
+    spacing.clamp(STOP_SPACING as u128, INTERIOR_SPACING as u128) as usize
+}
 
 /// The bytes of window `points` hold.
 fn window_bytes(points: &[InteriorPoint]) -> usize {
@@ -157,8 +174,23 @@ impl IndexedChunk {
 }
 
 impl Shared {
-    /// The `index`th chunk of the seek-point table.
-    pub(crate) fn indexed_chunk(&self, state: &ReaderState, index: usize) -> IndexedChunk {
+    /// The bytes of window the interior points of all chunks may hold.
+    fn window_budget(&self) -> usize {
+        self.options.resolved_cache_chunks.max(1) * self.options.chunk_size
+    }
+
+    /// The `index`th chunk of the seek-point table, for a read that `jumped`
+    /// or not.  Through a complete table, a whole decode for one that did —
+    /// or of a chunk whose interior points are held already: a reader that
+    /// comes back to a chunk is seeking, and its windows were paid for —
+    /// keeps its windowed interior points as close as [`window_spacing`] lets
+    /// them be.
+    pub(crate) fn indexed_chunk(
+        &self,
+        state: &ReaderState,
+        index: usize,
+        jumped: bool,
+    ) -> IndexedChunk {
         let points = state.index.block_map.points();
         let point = points[index].clone();
         let key = point.compressed_bit_offset;
@@ -179,12 +211,19 @@ impl Shared {
         } else {
             None
         };
+        let seeking = jumped || state.interior.contains(&key);
+        let window_spacing = if seeking && state.pass.finished {
+            let covered = state.index.block_map.uncompressed_size();
+            window_spacing(covered, self.window_budget())
+        } else {
+            INTERIOR_SPACING
+        };
         IndexedChunk {
             point,
             stop_bit,
             checksums,
             extent: Extent::Chunk {
-                window_spacing: INTERIOR_SPACING,
+                window_spacing,
                 stop_spacing: STOP_SPACING,
             },
         }
@@ -209,13 +248,16 @@ impl Shared {
             return None;
         }
         let points = state.interior.get(&key)?;
-        Some(self.indexed_chunk(state, index).slice(&points, wanted))
+        Some(
+            self.indexed_chunk(state, index, true)
+                .slice(&points, wanted),
+        )
     }
 
     /// Keeps `points`, the interior points of the chunk at `key`, and lets go
     /// of the chunks' longest unused until the windows held fit the budget.
     fn keep_interior_points(&self, key: u64, points: Vec<InteriorPoint>) {
-        let budget = self.options.resolved_cache_chunks.max(1) * self.options.chunk_size;
+        let budget = self.window_budget();
         let state = &mut *self.lock();
         if let Some(replaced) = state.interior.remove(&key) {
             state.interior_bytes -= window_bytes(&replaced);
@@ -305,9 +347,9 @@ impl Shared {
     /// Puts the chunks to decode ahead, now that the reader takes the
     /// `accessed`th of the table whole, on the pool, each entered into the
     /// table as `Decoding`: none if it is the chunk read `last` (another read
-    /// in it says nothing new), the one after it if the read `jumped`, and
-    /// else the prefetch degree's after it — those neither in the table nor
-    /// in the access cache.
+    /// in it says nothing new), the one after it if the read `jumped` — its
+    /// interior points kept as a jump's are — and else the prefetch degree's
+    /// after it — those neither in the table nor in the access cache.
     ///
     /// Active only once a complete seek-point table exists.
     pub(crate) fn issue_index_prefetches(
@@ -352,7 +394,7 @@ impl Shared {
         }
 
         let planned: Vec<IndexedChunk> = targets
-            .map(|index| self.indexed_chunk(state, index))
+            .map(|index| self.indexed_chunk(state, index, jumped))
             .filter(|chunk| {
                 let key = chunk.point.compressed_bit_offset;
                 !state.pass.chunks.contains_key(&key) && !state.resolved_cache.contains(&key)
@@ -623,6 +665,19 @@ mod tests {
                 proptest::prop_assert_eq!(to, stop, "{:?}", wanted);
             }
         }
+    }
+
+    #[test]
+    fn windows_are_spaced_so_that_a_whole_table_fits_the_budget() {
+        // The ledger's seek file: 159.4 MB of output, a 4-chunk cache of 4 MiB
+        // chunks.  A window every 304 KiB, 32 KiB each, is 16 MiB of window.
+        assert_eq!(window_spacing(159_383_552, 16 << 20), 311_296);
+        // A small file could keep a window at every stop point...
+        assert_eq!(window_spacing(1_000_000, 16 << 20), STOP_SPACING);
+        assert_eq!(window_spacing(0, 16 << 20), STOP_SPACING);
+        // ...and a large one keeps them a MiB apart, as a pass does.
+        assert_eq!(window_spacing(1 << 30, 16 << 20), INTERIOR_SPACING);
+        assert_eq!(window_spacing(u64::MAX, 1), INTERIOR_SPACING);
     }
 
     #[test]

@@ -305,9 +305,12 @@ impl ParallelGzipReader {
     ) -> Result<Self, CoreError> {
         let mut index = GzipIndex::new();
         index.compressed_size = reader.size();
-        // A file of no bytes holds no chunk.
-        let pass = SequentialPass::new(reader.size() == 0);
-        Ok(Self::build(reader, options, index, pass))
+        Ok(Self::build(
+            reader,
+            options,
+            index,
+            SequentialPass::new(false),
+        ))
     }
 
     /// The reader of `reader` that goes on from `pass` with `index`: the one
@@ -560,7 +563,8 @@ impl ParallelGzipReader {
     /// The bytes of the `index`th chunk of the seek-point table, which starts
     /// at bit `key`: out of the access cache; out of the table, once the
     /// decode or marker replacement it may be in there is done; or, if nobody
-    /// has them, decoded here and now from its seek point.
+    /// has them, decoded here and now from its seek point, as a read that
+    /// [`Self::jumped`] or not.
     fn chunk_bytes<'a>(
         &'a self,
         mut state: MutexGuard<'a, ReaderState>,
@@ -578,7 +582,7 @@ impl ParallelGzipReader {
             Some(chunk) if chunk.is_finished() => state.pass.chunks.remove(&key),
             _ => None,
         };
-        let chunk = shared.indexed_chunk(&state, index);
+        let chunk = shared.indexed_chunk(&state, index, self.jumped);
         let data = match taken {
             Some(ChunkState::Ready(data)) => {
                 state.resolved_cache.insert(key, data.clone());

@@ -114,11 +114,21 @@ pub struct StandardFileReader {
 }
 
 impl StandardFileReader {
-    /// Opens `path` for shared positional reading.
+    /// Opens `path` for shared positional reading.  Only a regular file has a
+    /// size to read ranges of: a pipe, a FIFO or a device is an
+    /// [`io::ErrorKind::InvalidInput`] error, not a file of no bytes.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
+        let path = path.as_ref();
         let file = File::open(path)?;
-        let size = file.metadata()?.len();
-        Ok(Self { file, size })
+        let metadata = file.metadata()?;
+        if !metadata.is_file() {
+            let message = format!("{} is not a regular file", path.display());
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, message));
+        }
+        Ok(Self {
+            file,
+            size: metadata.len(),
+        })
     }
 }
 
@@ -331,6 +341,17 @@ mod tests {
             &data[1234..1234 + 4096]
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn what_is_not_a_regular_file_is_an_error_not_an_empty_file() {
+        // A pipe's, a FIFO's or a device's metadata says 0 bytes: no size to
+        // read ranges of, and no file of no bytes either.
+        for path in ["/dev/null", "/dev/zero"] {
+            let error = SharedFileReader::open(path).unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::InvalidInput, "{path}");
+        }
     }
 
     #[test]

@@ -417,7 +417,7 @@ fn what_follows_a_member_is_read_as_the_serial_decoder_reads_it() {
     assert_eq!((a.len(), ab.len()), (84_355, 239_492));
     let ascii = b"THIS IS NOT GZIP DATA AT ALL, NOT EVEN CLOSE";
     let garbage_at = |offset| Err(GzipError::TrailingGarbage { offset });
-    let rows: [(&str, Vec<u8>, Result<usize, GzipError>); 7] = [
+    let rows: [(&str, Vec<u8>, Result<usize, GzipError>); 8] = [
         (
             "a, 1 zero byte, b",
             [&a, &[0][..], &b].concat(),
@@ -453,6 +453,7 @@ fn what_follows_a_member_is_read_as_the_serial_decoder_reads_it() {
             [&ab, &[0; 512][..]].concat(),
             Ok(500_000),
         ),
+        ("an empty file", Vec::new(), Err(GzipError::Truncated)),
     ];
     for (row, file, pinned) in rows {
         let serial = decompress(&file);

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use rapidgzip_suite::core::{ParallelGzipReader, ParallelGzipReaderOptions};
 use rapidgzip_suite::datagen;
-use rapidgzip_suite::deflate::CompressorOptions;
+use rapidgzip_suite::deflate::{CompressionLevel, CompressorOptions};
 use rapidgzip_suite::gzip::GzipWriter;
 use rapidgzip_suite::index::{GzipIndex, SeekPoint};
 use rapidgzip_suite::io::SharedFileReader;
@@ -340,4 +340,160 @@ fn a_read_after_a_seek_slices_its_chunk_and_one_that_goes_on_takes_it_whole() {
     // end of chunk 0 is a slice, chunk 1 is taken whole.
     let (across, took, _) = read(&mut reader, Some(starts[1] - 500));
     assert_eq!((across, took), (slices + 3, whole + 2));
+}
+
+/// Bytes of each read below, the ledger's seek read.
+const READ: u64 = 64 << 10;
+/// Bytes of output per deflate block of [`jump_file`].
+const BLOCK: u64 = 16 << 10;
+/// How far apart a chunk's interior points are at least: a slice ends at the
+/// first past its read.
+const STOP_SPACING: u64 = 64 << 10;
+
+/// Base64 text in blocks of 16 KiB, compressed some 1.3-fold, in chunks of
+/// 1 MiB: eight chunks of 1.3 MiB of output, indexed.  Three chunks in the
+/// access cache give the interior points 3 MiB of window: room for one every
+/// 107 KiB of all eight chunks.
+fn jump_file() -> (Vec<u8>, Vec<u8>, GzipIndex, ParallelGzipReaderOptions) {
+    let data = datagen::base64_random(10 << 20, 43);
+    let compressed = GzipWriter::new(CompressorOptions {
+        level: CompressionLevel::Fast,
+        block_size: BLOCK as usize,
+        ..Default::default()
+    })
+    .compress(&data);
+    let options = ParallelGzipReaderOptions {
+        parallelization: 2,
+        chunk_size: 1 << 20,
+        resolved_cache_chunks: 3,
+        ..Default::default()
+    };
+    let index = ParallelGzipReader::from_bytes(compressed.clone(), options.clone())
+        .unwrap()
+        .build_full_index()
+        .unwrap();
+    assert_eq!(index.block_map.len(), 8);
+    (data, compressed, index, options)
+}
+
+/// Where each chunk of `index` starts, and the end of the last.
+fn chunk_starts(index: &GzipIndex) -> Vec<u64> {
+    let points = index.block_map.points().iter();
+    let starts = points.map(|point| point.uncompressed_offset);
+    starts
+        .chain([index.block_map.uncompressed_size()])
+        .collect()
+}
+
+fn interior_window_bytes(registry: &MetricsRegistry) -> u64 {
+    let held = registry.snapshot().gauge(names::INTERIOR_WINDOW_BYTES, &[]);
+    u64::try_from(held.unwrap_or(0)).unwrap()
+}
+
+#[test]
+fn a_jump_keeps_its_chunks_windows_as_close_as_the_budget_lets_them_be() {
+    // A whole decode for a read that jumped keeps a window every 32 KiB x
+    // (bytes the table covers / window budget), here every 107 KiB, not
+    // every MiB: the windows of all eight chunks fit the budget together, so
+    // after a tour that decodes each chunk once, no jump decodes a chunk
+    // whole again, and each slice starts at most that far — and a block —
+    // before its read.
+    let (data, compressed, index, options) = jump_file();
+    let starts = chunk_starts(&index);
+    let chunks = starts.len() - 1;
+    let budget = 3 << 20;
+    let spacing = (32 * 1024 * data.len() as u64).div_ceil(budget);
+    assert_eq!(spacing, 109_227);
+    let registry = Arc::new(MetricsRegistry::new());
+    let file = SharedFileReader::from_bytes(compressed);
+    let options = options.with_metrics(Arc::clone(&registry));
+    let mut reader = ParallelGzipReader::with_index(file, options, index).unwrap();
+
+    // Twenty tours of 64 KiB reads, each inside its chunk and a jump into
+    // another chunk than the read before.  The first tour goes through the
+    // chunks in order, so that the one chunk each read prefetches is the
+    // next one's.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut draw = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut buffer = vec![0u8; READ as usize];
+    let (mut previous, mut slices, mut sliced) = (chunks - 1, 0u64, 0u64);
+    for tour in 0..20 {
+        for step in 0..chunks {
+            let chunk = match tour {
+                0 => step,
+                _ => (previous + 1 + draw() as usize % (chunks - 1)) % chunks,
+            };
+            let room = starts[chunk + 1] - starts[chunk] - READ;
+            let offset = starts[chunk] + draw() % room;
+            let before = reader.statistics();
+            reader.seek(SeekFrom::Start(offset)).unwrap();
+            reader.read_exact(&mut buffer).unwrap();
+            assert!(
+                buffer[..] == data[offset as usize..][..READ as usize],
+                "at {offset}"
+            );
+            let after = reader.statistics();
+            let read = format!("tour {tour}, chunk {chunk}, at {offset}");
+            assert!(interior_window_bytes(&registry) <= budget, "{read}");
+            if tour > 0 {
+                assert_eq!(after.index_chunks, before.index_chunks, "{read}");
+            }
+            if after.index_slices > before.index_slices {
+                let bytes = after.index_slice_bytes - before.index_slice_bytes;
+                // From the last window at or before the read to the first
+                // point past it: a block past each spacing at most.
+                let most = spacing + READ + STOP_SPACING + 2 * BLOCK;
+                assert!(bytes <= most, "{read}: a slice of {bytes} bytes");
+                slices += 1;
+                sliced += bytes;
+            }
+            previous = chunk;
+        }
+    }
+    // The five chunks out of the access cache are read by slices, 83 times.
+    // With windows a MiB apart those slices decode 566 542 bytes each on
+    // average; at this spacing 151 407, and less than half the former.
+    assert!(slices > 80, "{slices} slices");
+    let mean = sliced / slices;
+    assert!(mean * 2 < 566_542, "{mean} bytes per slice");
+
+    // A read that runs on across the end of chunk 1 takes chunk 2 whole, and
+    // prefetches the chunks after it, as a read that goes on does; but a
+    // chunk decoded before keeps its windows as close as they were.
+    quiesce(&reader);
+    let (held, before) = (interior_window_bytes(&registry), reader.statistics());
+    let offset = starts[2] - READ / 2;
+    reader.seek(SeekFrom::Start(offset)).unwrap();
+    reader.read_exact(&mut buffer).unwrap();
+    assert!(buffer[..] == data[offset as usize..][..READ as usize]);
+    quiesce(&reader);
+    let after = reader.statistics();
+    assert!(after.index_prefetches_issued > before.index_prefetches_issued);
+    assert_eq!(interior_window_bytes(&registry), held);
+}
+
+#[test]
+fn a_read_that_goes_on_from_chunk_to_chunk_keeps_its_windows_a_mib_apart() {
+    // A read that never jumps keeps the windows of its chunks a MiB apart,
+    // whatever the budget would allow: one in each chunk of more than a MiB
+    // of output, whose blocks of 16 KiB put a boundary at the MiB exactly.
+    let (data, compressed, index, options) = jump_file();
+    let starts = chunk_starts(&index);
+    let long = starts
+        .windows(2)
+        .filter(|chunk| chunk[1] - chunk[0] > 1 << 20);
+    let expected = long.count() as u64 * 32 * 1024;
+    assert_eq!(expected, 7 * 32 * 1024);
+    let registry = Arc::new(MetricsRegistry::new());
+    let file = SharedFileReader::from_bytes(compressed);
+    let options = options.with_metrics(Arc::clone(&registry));
+    let mut reader = ParallelGzipReader::with_index(file, options, index).unwrap();
+    assert!(reader.decompress_all().unwrap() == data);
+    quiesce(&reader);
+    assert_eq!(interior_window_bytes(&registry), expected);
 }
