@@ -30,6 +30,10 @@ use rgz_gzip::GzipWriter;
 use rgz_index::GzipIndex;
 use rgz_io::SharedFileReader;
 
+/// The pass's own table of chunks, out of the index it exported.
+#[path = "../../../../tests/common/chunk_table.rs"]
+mod chunk_table;
+
 fn options(verification: VerificationMode) -> ParallelGzipReaderOptions {
     ParallelGzipReaderOptions {
         parallelization: available_cores(),
@@ -72,9 +76,10 @@ fn median_ms(mut samples: Vec<Duration>) -> f64 {
     samples[samples.len() / 2].as_secs_f64() * 1e3
 }
 
-/// 64 KiB reads through a v3 index of chunks a dozen MiB of output long:
-/// each chunk's first touch — the whole chunk, decoded and checked — and then
-/// a tour of jumps that find their chunk's interior points known.
+/// 64 KiB reads through a v3 index of chunks a dozen MiB of output long —
+/// the pass's own table, which its export splits a MiB apart: each chunk's
+/// first touch — the whole chunk, decoded and checked — and then a tour of
+/// jumps that find their chunk's interior points known.
 fn sliced_reads(report: &mut JsonReport, json: bool) {
     let read_size = 64 << 10;
     let options = ParallelGzipReaderOptions {
@@ -86,10 +91,11 @@ fn sliced_reads(report: &mut JsonReport, json: bool) {
     };
     let data = rgz_datagen::silesia_like(scaled(96 << 20, 28 << 20), 92);
     let compressed = GzipWriter::default().compress(&data);
-    let index = ParallelGzipReader::from_bytes(compressed.clone(), options.clone())
+    let exported = ParallelGzipReader::from_bytes(compressed.clone(), options.clone())
         .unwrap()
         .build_full_index()
         .unwrap();
+    let index = chunk_table::chunk_table(&exported, options.chunk_size);
     let serialized = index.export();
     let points = index.block_map.points();
     assert!(points.len() >= 4, "{} chunks", points.len());

@@ -24,8 +24,10 @@
 //!
 //! Both record the chunk's gzip members the same way: as
 //! [`ChunkFragment`]s, one per member that ends in the chunk and one for the
-//! rest unless the chunk ends the file; and both read what follows a member
-//! with [`next_member`], the serial decoder's rule.
+//! rest unless the chunk ends the file; both read what follows a member
+//! with [`next_member`], the serial decoder's rule; and both cut a chunk of
+//! the pass into [`Segment`]s at the same block boundaries, a MiB of output
+//! apart — the seek points its export is split into.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -35,8 +37,8 @@ use rgz_bitio::BitReader;
 use rgz_blockfinder::CombinedBlockFinder;
 use rgz_checksum::{crc32, crc32_combine};
 use rgz_deflate::{
-    inflate, inflate_speculative, BlockType, DeflateError, SpeculativeOutput, StopReason,
-    WindowAnswer,
+    inflate, inflate_speculative, BlockBoundary, BlockType, DeflateError, SpeculativeOutput,
+    StopReason, WindowAnswer,
 };
 use rgz_fetcher::{BufferPool, Pooled};
 use rgz_gzip::{next_member, parse_footer, parse_header, GzipError, GzipFooter};
@@ -48,7 +50,8 @@ use crate::metrics::ReaderMetrics;
 use crate::verify::ChunkFragment;
 use crate::CoreError;
 
-/// Result of a direct (window-known) chunk decode.
+/// Result of a direct (window-known) chunk decode, or of a speculative one
+/// resolved.
 #[derive(Debug)]
 pub(crate) struct ChunkResult {
     /// Absolute bit offset at which the next chunk starts.
@@ -74,15 +77,14 @@ pub(crate) struct ChunkResult {
     /// decode spans with a *fallback* outcome.
     pub fast_fallback_blocks: u32,
     /// `data` cut into stretches that decode by themselves: the first from
-    /// the chunk's own start, and, of an [`Extent::Chunk`], one more from
-    /// every block boundary at least its `stop_spacing` past the last cut or
-    /// its `window_spacing` past the last windowed one.
+    /// the chunk's own start, and one more at every cut the [`Cutter`] of
+    /// its extent makes.
     pub(crate) segments: Vec<Segment>,
 }
 
 /// A stretch of a chunk's bytes from a Dynamic or Non-Compressed block
 /// boundary on: with the 32 KiB before it for a window, it decodes alone.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Segment {
     /// Absolute bit offset of its first block.
     pub bit: u64,
@@ -90,15 +92,123 @@ pub(crate) struct Segment {
     pub offset: usize,
     /// How many gzip members end in the chunk before it.
     pub member: u64,
-    /// Whether a decode may start here: the first block boundary at least an
-    /// [`Extent::Chunk`]'s `window_spacing` past the last such cut.  Other
-    /// cuts are only where a decode may stop.  The chunk's own start is not:
-    /// its window is the index's.
+    /// Whether a decode may start here: a windowed cut of the [`Cutter`].
+    /// Other cuts are only where a decode may stop.  The chunk's own start is
+    /// not: its window is the index's.
     pub windowed: bool,
     /// Its bytes split at gzip member ends, each piece hashed if the decode
     /// verifies: folded with those of the segments around, they are the
     /// chunk's [`ChunkResult::fragments`].
     pub pieces: Vec<CrcFragment>,
+}
+
+/// How far apart in a chunk's bytes its windowed cuts are, at least: the
+/// spacing of the seek points a pass's chunks are split into on export, and
+/// of the interior points a whole decode through an index keeps unless
+/// [`crate::indexed`] keeps them closer.
+pub(crate) const INTERIOR_SPACING: usize = 1 << 20;
+
+/// Where a decode cuts its chunk's bytes into [`Segment`]s: at the first
+/// Dynamic or Non-Compressed block boundary at least `window_spacing` bytes
+/// of output past the chunk's start or the last windowed cut — a windowed
+/// cut — and, between those, at the first one at least `stop_spacing` past
+/// the last cut of either kind.  It sees blocks only, so both decoders cut a
+/// chunk alike.
+struct Cutter {
+    window_spacing: usize,
+    stop_spacing: usize,
+    next_window: usize,
+    next_stop: usize,
+}
+
+impl Cutter {
+    /// The cutter of a decode of `extent`: a pass's chunk is cut every
+    /// [`INTERIOR_SPACING`], with no stop points; a slice not at all.
+    fn new(extent: Extent) -> Self {
+        let (window_spacing, stop_spacing) = match extent {
+            Extent::Guessed => (INTERIOR_SPACING, usize::MAX),
+            Extent::Chunk {
+                window_spacing,
+                stop_spacing,
+            } => (window_spacing, stop_spacing),
+            Extent::Slice => (usize::MAX, usize::MAX),
+        };
+        Self {
+            window_spacing,
+            stop_spacing,
+            next_window: window_spacing,
+            next_stop: stop_spacing,
+        }
+    }
+
+    /// Cuts `segments` at each of `blocks`, a call's that began `call_start`
+    /// bytes into the chunk, after `member` gzip members ended in it; `bit`
+    /// makes a block's bit offset the file's.
+    fn cut(
+        &mut self,
+        segments: &mut Vec<Segment>,
+        blocks: &[BlockBoundary],
+        call_start: usize,
+        member: usize,
+        bit: u64,
+    ) {
+        for block in blocks {
+            let offset = call_start + block.uncompressed_offset as usize;
+            let windowed = offset >= self.next_window;
+            if block.block_type == BlockType::Fixed || (!windowed && offset < self.next_stop) {
+                continue;
+            }
+            if windowed {
+                self.next_window = offset.saturating_add(self.window_spacing);
+            }
+            self.next_stop = offset.saturating_add(self.stop_spacing);
+            segments.push(Segment {
+                bit: bit + block.bit_offset,
+                offset,
+                member: member as u64,
+                windowed,
+                pieces: Vec::new(),
+            });
+        }
+    }
+}
+
+/// Splits `data`, a chunk's bytes, into the pieces its `segments` and its
+/// `fragments` (by their lengths) cut it into, each hashed if `verify`, and
+/// folds every fragment's CRC-32 from those of its pieces (`crc32_combine`):
+/// what hashing each fragment whole comes to, and no more hashing than that.
+/// A segment that starts where a member does leaves no piece of that member
+/// behind.
+fn hash_pieces(
+    data: &[u8],
+    fragments: &mut [ChunkFragment],
+    segments: &mut [Segment],
+    verify: bool,
+) {
+    let mut next = 1;
+    let mut call_start = 0;
+    for (member, fragment) in fragments.iter_mut().enumerate() {
+        let call_end = call_start + fragment.length as usize;
+        let mut piece_start = call_start;
+        let mut close_piece = |segment: &mut Segment, end: usize| {
+            let piece = &data[std::mem::replace(&mut piece_start, end)..end];
+            let length = piece.len() as u64;
+            let crc32 = if verify { crc32(piece) } else { 0 };
+            if verify {
+                fragment.crc32 = crc32_combine(fragment.crc32, crc32, length);
+            }
+            segment.pieces.push(CrcFragment { crc32, length });
+        };
+        while next < segments.len() && segments[next].member == member as u64 {
+            let offset = segments[next].offset;
+            if offset > call_start {
+                close_piece(&mut segments[next - 1], offset);
+            }
+            next += 1;
+        }
+        close_piece(&mut segments[next - 1], call_end);
+        call_start = call_end;
+    }
 }
 
 impl ChunkResult {
@@ -135,29 +245,29 @@ pub(crate) struct SpeculativeChunk {
     /// it ([`ChunkResult::fragments`]), not hashed yet: symbols map 1:1 to
     /// output bytes, so the lengths hold for the resolved bytes too.
     pub fragments: Vec<ChunkFragment>,
+    /// The output cut as a direct decode of the pass cuts it
+    /// ([`ChunkResult::segments`]), its pieces not hashed yet.
+    pub segments: Vec<Segment>,
 }
 
 impl SpeculativeChunk {
     /// Replaces the chunk's markers with bytes from `window`, the 32 KiB in
-    /// front of it, and returns its bytes with its [`Self::fragments`] —
-    /// hashed, right here on the thread that resolved them, if `verify` is
-    /// set.
-    pub(crate) fn resolve(
-        self,
-        window: &[u8],
-        verify: bool,
-    ) -> Result<(Pooled<u8>, Vec<ChunkFragment>), CoreError> {
-        let mut fragments = self.fragments;
+    /// front of it: the chunk as a direct decode would have given it, its
+    /// fragments and segments hashed, right here on the thread that resolved
+    /// them, if `verify` is set.
+    pub(crate) fn resolve(self, window: &[u8], verify: bool) -> Result<ChunkResult, CoreError> {
+        let (mut fragments, mut segments) = (self.fragments, self.segments);
         let data = self.output.resolve(window).map_err(CoreError::Deflate)?;
-        if verify {
-            let mut start = 0;
-            for fragment in &mut fragments {
-                let end = start + fragment.length as usize;
-                fragment.crc32 = crc32(&data[start..end]);
-                start = end;
-            }
-        }
-        Ok((data, fragments))
+        hash_pieces(&data, &mut fragments, &mut segments, verify);
+        Ok(ChunkResult {
+            end_bit_offset: self.end_bit_offset,
+            data,
+            reached_end_of_file: self.reached_end_of_file,
+            window_usage: self.window_usage,
+            fragments,
+            fast_fallback_blocks: 0,
+            segments,
+        })
     }
 }
 
@@ -412,14 +522,7 @@ impl ChunkDecoder {
             parse_header(&mut reader).map_err(CoreError::Gzip)?;
         }
 
-        let (window_spacing, stop_spacing) = match chunk.extent {
-            Extent::Chunk {
-                window_spacing,
-                stop_spacing,
-            } => (window_spacing, stop_spacing),
-            Extent::Guessed | Extent::Slice => (usize::MAX, usize::MAX),
-        };
-        let (mut next_window, mut next_stop) = (window_spacing, stop_spacing);
+        let mut cutter = Cutter::new(chunk.extent);
         let mut data = self.buffers.bytes();
         data.clear();
         let mut first_call = true;
@@ -427,7 +530,8 @@ impl ChunkDecoder {
         let mut fast_fallback_blocks = 0u32;
         let mut window_usage = Vec::new();
         // One inflate call never crosses a member boundary, so each iteration
-        // contributes exactly one CRC fragment.
+        // contributes exactly one CRC fragment, hashed with the segments'
+        // pieces once the chunk is decoded.
         let mut fragments = Vec::new();
         let mut segments = vec![Segment {
             bit: start_bit_offset,
@@ -448,47 +552,19 @@ impl ChunkDecoder {
                 // preceding window; later inflate calls get an empty window.
                 window_usage = outcome.window_usage.clone();
             }
-            // The call's bytes are hashed a segment at a time — the cuts are
-            // at block boundaries far enough apart — and the hashes folded
-            // into the fragment's: what hashing them in one go comes to.
-            let mut fragment = ChunkFragment {
+            let fragment = ChunkFragment {
                 crc32: 0,
                 length: (data.len() - call_start) as u64,
                 trailer: None,
             };
-            let mut piece_start = call_start;
-            let mut close_piece = |segments: &mut Vec<Segment>, end: usize| {
-                let piece = &data[std::mem::replace(&mut piece_start, end)..end];
-                let length = piece.len() as u64;
-                let crc32 = if verify { crc32(piece) } else { 0 };
-                fragment.crc32 = crc32_combine(fragment.crc32, crc32, length);
-                let last = segments.last_mut().expect("the chunk's own is the first");
-                last.pieces.push(CrcFragment { crc32, length });
-            };
-            for block in &outcome.blocks {
-                let offset = call_start + block.uncompressed_offset as usize;
-                let windowed = offset >= next_window;
-                if block.block_type == BlockType::Fixed || (!windowed && offset < next_stop) {
-                    continue;
-                }
-                if windowed {
-                    next_window = offset.saturating_add(window_spacing);
-                }
-                next_stop = offset.saturating_add(stop_spacing);
-                // A segment that starts where a member does leaves no piece
-                // of that member behind.
-                if offset > call_start {
-                    close_piece(&mut segments, offset);
-                }
-                segments.push(Segment {
-                    bit: range_start_bits + block.bit_offset,
-                    offset,
-                    member: fragments.len() as u64,
-                    windowed,
-                    pieces: Vec::new(),
-                });
-            }
-            close_piece(&mut segments, data.len());
+            let member = fragments.len();
+            cutter.cut(
+                &mut segments,
+                &outcome.blocks,
+                call_start,
+                member,
+                range_start_bits,
+            );
             match outcome.stop_reason {
                 StopReason::StopOffsetReached => {
                     fragments.push(fragment);
@@ -512,6 +588,7 @@ impl ChunkDecoder {
             }
         }
 
+        hash_pieces(&data, &mut fragments, &mut segments, verify);
         // A seek point's chunk was noted by the length the index gives it
         // before it began.
         if chunk.extent == Extent::Guessed {
@@ -658,6 +735,16 @@ impl ChunkDecoder {
         let mut reached_end_of_file = false;
         let mut fragments = Vec::new();
         let mut fragment_start = 0;
+        // Bit offsets in the file's terms, unlike the others here.
+        let range_start_bits = range.start_byte * 8;
+        let mut cutter = Cutter::new(Extent::Guessed);
+        let mut segments = vec![Segment {
+            bit: range_start_bits + start,
+            offset: 0,
+            member: 0,
+            windowed: false,
+            pieces: Vec::new(),
+        }];
         loop {
             let outcome = inflate_speculative(
                 &mut reader,
@@ -670,6 +757,14 @@ impl ChunkDecoder {
             // Only the chunk's first member can reference the preceding
             // window.
             window_usage.get_or_insert(outcome.window_usage);
+            let member = fragments.len();
+            cutter.cut(
+                &mut segments,
+                &outcome.blocks,
+                fragment_start,
+                member,
+                range_start_bits,
+            );
             let fragment = ChunkFragment {
                 crc32: 0,
                 length: (output.len() - fragment_start) as u64,
@@ -713,6 +808,7 @@ impl ChunkDecoder {
             window_usage: window_usage.unwrap_or_default(),
             reached_end_of_file,
             fragments,
+            segments,
         })
     }
 }
@@ -950,15 +1046,15 @@ pub(crate) mod tests {
 
     /// Every speculative chunk `compressed` offers at `chunk_size` against
     /// the direct decode from the same block with the true window: same
-    /// bytes, end offset, window usage and fragments, hashed.  Returns
-    /// how many chunks were compared and how many of them decoded part of
-    /// their output as plain bytes.
+    /// bytes, end offset, window usage, fragments and segments, hashed.
+    /// Returns how many chunks were compared, how many of them decoded part
+    /// of their output as plain bytes, and how many cuts they made.
     fn assert_speculative_chunks_match_direct_decode(
         compressed: &[u8],
         chunk_size: usize,
-    ) -> (usize, usize) {
+    ) -> (usize, usize, usize) {
         let shared = SharedFileReader::from_bytes(compressed.to_vec());
-        let (mut compared, mut switched) = (0, 0);
+        let (mut compared, mut switched, mut cuts) = (0, 0, 0);
         for guess in 1..compressed.len().div_ceil(chunk_size) {
             let Some(speculative) = decode_speculative_chunk(&shared, chunk_size, guess).unwrap()
             else {
@@ -979,11 +1075,13 @@ pub(crate) mod tests {
             assert_eq!(speculative.window_usage, direct.window_usage);
             compared += 1;
             switched += usize::from(!speculative.output.tail().is_empty());
-            let (resolved, fragments) = speculative.resolve(window, true).unwrap();
-            assert_eq!(*resolved, *direct.data);
-            assert_eq!(fragments, direct.fragments);
+            let resolved = speculative.resolve(window, true).unwrap();
+            assert_eq!(*resolved.data, *direct.data);
+            assert_eq!(resolved.fragments, direct.fragments);
+            assert_eq!(resolved.segments, direct.segments);
+            cuts += resolved.segments.len() - 1;
         }
-        (compared, switched)
+        (compared, switched, cuts)
     }
 
     #[test]
@@ -1001,13 +1099,41 @@ pub(crate) mod tests {
             ..Default::default()
         });
         let compressed = writer.compress_members(&parts);
-        let (compared, switched) =
+        let (compared, switched, _) =
             assert_speculative_chunks_match_direct_decode(&compressed, 16 * 1024);
         assert!(compared >= 8, "{compared} chunks compared");
         assert!(
             (2..compared).contains(&switched),
             "{switched} of {compared}"
         );
+    }
+
+    #[test]
+    fn a_speculative_chunk_is_cut_where_a_direct_decode_cuts_it() {
+        // Text that compresses some twentyfold, in blocks of 16 KiB: chunks
+        // of 96 KiB are two MiB of output or so, cut a MiB apart, and one
+        // holds a member boundary.
+        let block = rgz_datagen::base64_random(24_000, 35);
+        let members: Vec<Vec<u8>> = [(120, 1), (100, 2)]
+            .map(|(rounds, seed)| {
+                let mut member = Vec::new();
+                for round in 0..rounds {
+                    member.extend_from_slice(&block);
+                    member.extend_from_slice(&rgz_datagen::base64_random(1000, seed + round));
+                }
+                member
+            })
+            .into();
+        let parts: Vec<&[u8]> = members.iter().map(Vec::as_slice).collect();
+        let writer = GzipWriter::new(rgz_deflate::CompressorOptions {
+            block_size: 16 * 1024,
+            ..Default::default()
+        });
+        let compressed = writer.compress_members(&parts);
+        let (compared, _, cuts) =
+            assert_speculative_chunks_match_direct_decode(&compressed, 96 * 1024);
+        assert!(compared >= 2, "{compared} chunks compared");
+        assert!(cuts >= compared, "{cuts} cuts in {compared} chunks");
     }
 
     #[test]
@@ -1265,7 +1391,9 @@ pub(crate) mod tests {
                     chunk.output.tail().len(),
                 );
                 let resolved = chunk.resolve(window, true);
-                format!("{view} {:?}", resolved.map(|(data, f)| (data.len(), f)))
+                let resolved =
+                    resolved.map(|chunk| (chunk.data.len(), chunk.fragments, chunk.segments));
+                format!("{view} {resolved:?}")
             }
             Ok(None) => "no block".to_string(),
             Err(error) => format!("{error:?}"),

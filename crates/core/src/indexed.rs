@@ -6,7 +6,7 @@
 //! before it prefetches it, and a pool task puts it into the pass's table of
 //! chunks (`Decoding` → `Prefetched` | `Failed`) for the reader to find; or the
 //! reader jumps into a chunk decoded before — a read after a seek that moved
-//! the position, into a chunk it did not read last — and decodes only the
+//! the position, into a chunk it did not last take whole — and decodes only the
 //! *slice* of it that the read is of.  Unlike a speculative decode these are *exact*
 //! chunks: each starts at a real seek point and stops at the next one, so
 //! none is wasted on a misguessed boundary.
@@ -34,9 +34,17 @@
 //! with a v3 index, no byte is ever served that was not hashed against a CRC
 //! that chains back to the file's own.  The run of points around a later
 //! read makes an [`IndexedChunk`] like any other, for the same
-//! `decode_indexed`.  The tables are the reader's own: never exported, in
-//! memory only, least recently used chunk's first out once their windows
-//! exceed `resolved_cache_chunks × chunk_size` bytes.
+//! `decode_indexed`.  The tables are the reader's own: in memory only, least
+//! recently used chunk's first out once their windows exceed
+//! `resolved_cache_chunks × chunk_size` bytes.  What an export holds instead
+//! are the pass's cuts: the same rule at a MiB, with no stop points, so a
+//! table the pass built is a point every MiB or so once imported.
+//!
+//! **The access cache** keeps the chunks read whole last by the same budget:
+//! while the compressed bytes from their seek points to the next fit
+//! `resolved_cache_chunks × chunk_size` — three or four of the pass's
+//! chunks, dozens of points a MiB of output apart — and always the one read
+//! last.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -45,9 +53,9 @@ use rgz_checksum::crc32_combine;
 use rgz_index::{PointChecksums, SeekPoint, WINDOW_SIZE};
 use rgz_trace::{Outcome, Stage};
 
-use crate::chunk::{DirectChunk, Extent, Segment};
+use crate::chunk::{DirectChunk, Extent, Segment, INTERIOR_SPACING};
 use crate::pass::{ChunkBytes, ChunkState, FailOnUnwind};
-use crate::reader::{ReaderState, Shared};
+use crate::reader::{ReaderState, Resolved, Shared};
 use crate::verify::check_point_fragments;
 use crate::CoreError;
 
@@ -67,20 +75,45 @@ pub(crate) struct IndexedChunk {
 /// of a chunk's is the chunk's own.
 pub(crate) struct InteriorPoint {
     /// Where it is, and how far it is to the next.
-    point: SeekPoint,
+    pub point: SeekPoint,
     /// The 32 KiB before it, if a slice may start here.  The index has those
     /// of a chunk's own, and a slice from there inflates it anew: the budget
     /// below has no room for a copy of a chunk's window beside those of its
     /// interior points.  A stop point has none: a slice only ends there.
-    window: Option<Arc<Vec<u8>>>,
+    pub window: Option<Arc<Vec<u8>>>,
     /// What the bytes up to the next hash to, if the chunk's were checked.
-    checksums: Option<PointChecksums>,
+    pub checksums: Option<PointChecksums>,
 }
 
-/// How far apart in a chunk's bytes its windowed interior points are, at
-/// least, unless its first touch serves a read that jumped: the most
-/// [`window_spacing`] gives.
-const INTERIOR_SPACING: usize = 1 << 20;
+/// The points `segments` cut `data` at: the bytes of the chunk at `chunk`,
+/// its first in gzip member `first_member` if they were hashed.
+pub(crate) fn interior_points(
+    chunk: &SeekPoint,
+    first_member: Option<u64>,
+    segments: Vec<Segment>,
+    data: &[u8],
+) -> Vec<InteriorPoint> {
+    let ends: Vec<usize> = segments[1..].iter().map(|next| next.offset).collect();
+    segments
+        .into_iter()
+        .zip(ends.into_iter().chain([data.len()]))
+        .map(|(segment, end)| InteriorPoint {
+            point: SeekPoint {
+                compressed_bit_offset: segment.bit,
+                uncompressed_offset: chunk.uncompressed_offset + segment.offset as u64,
+                uncompressed_size: (end - segment.offset) as u64,
+            },
+            window: segment.windowed.then(|| {
+                let before = segment.offset.saturating_sub(WINDOW_SIZE)..segment.offset;
+                Arc::new(data[before].to_vec())
+            }),
+            checksums: first_member.map(|first_member| PointChecksums {
+                first_member: first_member + segment.member,
+                fragments: segment.pieces,
+            }),
+        })
+        .collect()
+}
 
 /// How far apart in a chunk's bytes its interior points of either kind are,
 /// at least: how far past a read a slice may decode, less a block.
@@ -108,26 +141,8 @@ impl IndexedChunk {
     /// The interior points that `segments` cut `data`, this chunk's bytes,
     /// just checked, at.
     fn interior_points(&self, segments: Vec<Segment>, data: &[u8]) -> Vec<InteriorPoint> {
-        let ends: Vec<usize> = segments[1..].iter().map(|next| next.offset).collect();
-        segments
-            .into_iter()
-            .zip(ends.into_iter().chain([data.len()]))
-            .map(|(segment, end)| InteriorPoint {
-                point: SeekPoint {
-                    compressed_bit_offset: segment.bit,
-                    uncompressed_offset: self.point.uncompressed_offset + segment.offset as u64,
-                    uncompressed_size: (end - segment.offset) as u64,
-                },
-                window: segment.windowed.then(|| {
-                    let before = segment.offset.saturating_sub(WINDOW_SIZE)..segment.offset;
-                    Arc::new(data[before].to_vec())
-                }),
-                checksums: self.checksums.as_ref().map(|whole| PointChecksums {
-                    first_member: whole.first_member + segment.member,
-                    fragments: segment.pieces,
-                }),
-            })
-            .collect()
+        let first_member = self.checksums.as_ref().map(|whole| whole.first_member);
+        interior_points(&self.point, first_member, segments, data)
     }
 
     /// The run of `points`, all of this chunk's, around the bytes `wanted`:
@@ -174,9 +189,38 @@ impl IndexedChunk {
 }
 
 impl Shared {
-    /// The bytes of window the interior points of all chunks may hold.
+    /// The bytes of window the interior points of all chunks may hold, and
+    /// of compressed input the chunks in the access cache may span.
     fn window_budget(&self) -> usize {
         self.options.resolved_cache_chunks.max(1) * self.options.chunk_size
+    }
+
+    /// Keeps `data`, the bytes of `chunk`, in the access cache, and lets go
+    /// of the chunks there used longest ago — never this one — while the
+    /// compressed bytes they span exceed the budget: a table of points a MiB
+    /// of output apart keeps as many as span four of the pass's chunks.
+    pub(crate) fn keep_resolved(
+        &self,
+        state: &mut ReaderState,
+        chunk: &IndexedChunk,
+        data: ChunkBytes,
+    ) {
+        let key = chunk.point.compressed_bit_offset;
+        let span = chunk.stop_bit.min(self.file_bits()).saturating_sub(key) / 8;
+        if let Some(replaced) = state.resolved_cache.remove(&key) {
+            state.resolved_span -= replaced.span;
+        }
+        state.resolved_span += span;
+        state
+            .resolved_cache
+            .insert(key, Arc::new(Resolved { data, span }));
+        // The newest goes last, once it is all there is.
+        while state.resolved_span > span.max(self.window_budget() as u64) {
+            let Some(oldest) = state.resolved_cache.remove_oldest() else {
+                break;
+            };
+            state.resolved_span -= oldest.span;
+        }
     }
 
     /// The `index`th chunk of the seek-point table, for a read that `jumped`
@@ -231,11 +275,12 @@ impl Shared {
 
     /// What to decode instead of the whole `index`th chunk for a read of the
     /// bytes `wanted` there that jumps into it — follows a seek that moved
-    /// the position, into a chunk other than the one read last (a read that
-    /// goes on from where the last one ended, or stays in its chunk, takes
-    /// the chunk whole): nothing, unless nobody has the chunk's bytes and its
-    /// interior points are known.  A jump served this way issues no
-    /// prefetch, and does not wait for one of its chunk under way.
+    /// the position, into a chunk other than the one the last read took
+    /// whole (a read that goes on from where the last one ended, or stays in
+    /// a chunk taken whole, takes the chunk whole): nothing, unless nobody
+    /// has the chunk's bytes and its interior points are known.  A jump
+    /// served this way issues no prefetch, and does not wait for one of its
+    /// chunk under way.
     pub(crate) fn plan_slice(
         &self,
         state: &mut ReaderState,
@@ -347,9 +392,12 @@ impl Shared {
     /// Puts the chunks to decode ahead, now that the reader takes the
     /// `accessed`th of the table whole, on the pool, each entered into the
     /// table as `Decoding`: none if it is the chunk read `last` (another read
-    /// in it says nothing new), the one after it if the read `jumped` — its
-    /// interior points kept as a jump's are — and else the prefetch degree's
-    /// after it — those neither in the table nor in the access cache.
+    /// in it says nothing new) or the read `jumped` into a chunk of the access
+    /// cache (a tour back to where it was, which decodes nothing: at points a
+    /// MiB apart, most of a random tour's reads), the one after it if the
+    /// read otherwise `jumped` — its interior points kept as a jump's are —
+    /// and else the prefetch degree's after it — those neither in the table
+    /// nor in the access cache.
     ///
     /// Active only once a complete seek-point table exists.
     pub(crate) fn issue_index_prefetches(
@@ -359,7 +407,9 @@ impl Shared {
         last: Option<usize>,
         jumped: bool,
     ) {
-        if !state.pass.finished || last == Some(accessed) {
+        let key = state.index.block_map.points()[accessed].compressed_bit_offset;
+        let revisit = jumped && state.resolved_cache.contains(&key);
+        if !state.pass.finished || last == Some(accessed) || revisit {
             return;
         }
         let degree = self.options.prefetch_degree();

@@ -46,6 +46,12 @@
 //! table `Markered` like any other — only that most of it is bytes already,
 //! the window after it its own tail, and the replacement left to do a prefix.
 //! Arrived anywhere else, the decode is of no use and stops.
+//!
+//! Either way a committed chunk is cut at the first Dynamic or Non-Compressed
+//! block boundary a MiB of output past its start or its last cut, the same
+//! boundaries whichever decoder ran: [`crate::ParallelGzipReader::index`]
+//! splits it there, each cut with its CRC fragments and the 32 KiB before it,
+//! kept verbatim until `index()` has the pool compress it.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -58,8 +64,10 @@ use rgz_fetcher::Pooled;
 use rgz_index::{PointChecksums, SeekPoint};
 use rgz_io::FileReader;
 use rgz_trace::{Outcome, Stage};
+use rgz_window::CompressedWindow;
 
-use crate::chunk::{DirectChunk, Extent, SpeculativeChunk};
+use crate::chunk::{DirectChunk, Extent, Segment, SpeculativeChunk};
+use crate::indexed::interior_points;
 use crate::reader::{ReaderState, Shared};
 use crate::verify::ChunkFragment;
 use crate::CoreError;
@@ -145,9 +153,14 @@ impl SequentialPass {
     }
 }
 
+/// A seek point of the exported index, and the CRC fragments of its bytes
+/// if they were hashed.
+pub(crate) type ExportedPoint = (SeekPoint, Option<PointChecksums>);
+
 /// A committed speculative chunk on its way to a marker replacement.
 pub(crate) struct Replacement {
     start_bit: u64,
+    uncompressed_offset: u64,
     seq: u64,
     first_member: u64,
     /// The window the chunk's markers point into.
@@ -158,6 +171,7 @@ pub(crate) struct Replacement {
 /// What a task that found the pass standing in its range knows of its chunk.
 struct KnownStart {
     start_bit: u64,
+    uncompressed_offset: u64,
     window: Arc<Vec<u8>>,
     seq: u64,
     first_member: u64,
@@ -168,6 +182,7 @@ impl KnownStart {
     fn of(pass: &SequentialPass) -> Self {
         Self {
             start_bit: pass.next_start_bit,
+            uncompressed_offset: pass.next_uncompressed_offset,
             window: Arc::clone(&pass.window),
             seq: pass.next_seq,
             first_member: pass.next_member,
@@ -427,6 +442,7 @@ impl Shared {
     ) -> Vec<Replacement> {
         let KnownStart {
             start_bit,
+            uncompressed_offset,
             window,
             seq,
             first_member,
@@ -467,21 +483,29 @@ impl Shared {
         );
         let next_window = result.next_window(&window);
         let length = result.data.len() as u64;
-        // The seek point's record, in the map before the point is.
+        let point = SeekPoint {
+            compressed_bit_offset: start_bit,
+            uncompressed_offset,
+            uncompressed_size: length,
+        };
+        // The seek point's record, in the map before the point is, and its
+        // cuts' records.
         self.windows
             .insert_sparse(start_bit, &window, &result.window_usage);
+        let segments = std::mem::take(&mut result.segments);
+        let split = self.split_for_export(&point, first_member, &result.data, segments);
 
         let mut state = self.lock();
         let state = &mut *state;
         debug_assert_eq!(state.pass.next_start_bit, start_bit);
+        debug_assert_eq!(state.pass.next_uncompressed_offset, uncompressed_offset);
         if let Some(checksums) = checksums {
             state.index.checksum_map.insert(start_bit, checksums);
         }
-        state.index.block_map.push(SeekPoint {
-            compressed_bit_offset: start_bit,
-            uncompressed_offset: state.pass.next_uncompressed_offset,
-            uncompressed_size: length,
-        });
+        if let Some(split) = split {
+            state.split_points.insert(start_bit, split);
+        }
+        state.index.block_map.push(point);
         self.metrics
             .known_start_committed(demanded, start_bit, first_member, length);
         state.pass.chunks.remove(&self.range_bit(guess));
@@ -559,6 +583,7 @@ impl Shared {
     ) -> Replacement {
         let window = Arc::clone(&state.pass.window);
         let start_bit = state.pass.next_start_bit;
+        let uncompressed_offset = state.pass.next_uncompressed_offset;
         let first_member = state.pass.next_member;
         let length = chunk.output.len() as u64;
         let wide_bytes = chunk.output.prefix().len() as u64;
@@ -566,7 +591,7 @@ impl Shared {
         // before the chunk leaves `Resolving`.
         state.index.block_map.push(SeekPoint {
             compressed_bit_offset: start_bit,
-            uncompressed_offset: state.pass.next_uncompressed_offset,
+            uncompressed_offset,
             uncompressed_size: length,
         });
         self.metrics
@@ -583,6 +608,7 @@ impl Shared {
         );
         Replacement {
             start_bit,
+            uncompressed_offset,
             seq,
             first_member,
             window,
@@ -659,6 +685,67 @@ impl Shared {
         Some(checksums)
     }
 
+    /// The seek points the exported index splits `chunk`, just committed,
+    /// into if its decode cut it: its own, up to the first cut, and one at
+    /// each cut, with the CRC fragments of their bytes if the pass hashes.
+    /// Each cut's window — the 32 KiB of `data` before it — goes into the map
+    /// here, verbatim: a copy, where its deflate waits for `index()`
+    /// ([`Self::compress_windows`]).
+    fn split_for_export(
+        &self,
+        chunk: &SeekPoint,
+        first_member: u64,
+        data: &[u8],
+        segments: Vec<Segment>,
+    ) -> Option<Vec<ExportedPoint>> {
+        if segments.len() < 2 {
+            return None;
+        }
+        let first_member = self.verify().then_some(first_member);
+        let points = interior_points(chunk, first_member, segments, data);
+        let split = points.into_iter().map(|cut| {
+            if let Some(window) = &cut.window {
+                let record = CompressedWindow::from_window_verbatim(window);
+                self.windows
+                    .insert_compressed(cut.point.compressed_bit_offset, record);
+            }
+            // Trimmed of empty trailing pieces, as the chunk's own are.
+            let checksums = cut.checksums.map(|checksums| {
+                let fragments = checksums.fragments.iter();
+                PointChecksums::from_fragments(
+                    checksums.first_member,
+                    fragments.map(|fragment| (fragment.crc32, fragment.length)),
+                )
+            });
+            (cut.point, checksums)
+        });
+        Some(split.collect())
+    }
+
+    /// Compresses the windows at `keys`, put into the map verbatim by
+    /// [`Self::split_for_export`], on the pool — a share per worker, each
+    /// window once — and waits for them.
+    pub(crate) fn compress_windows(&self, keys: Vec<u64>) {
+        let share = keys.len().div_ceil(self.options.parallelization.max(1));
+        let tasks: Vec<_> = keys
+            .chunks(share.max(1))
+            .map(|keys| {
+                let (windows, keys) = (self.windows.clone(), keys.to_vec());
+                self.spawner.submit(move || {
+                    for key in keys {
+                        let record = windows.get_compressed(key);
+                        if let Some(compressed) = record.and_then(|record| record.recompressed()) {
+                            windows.insert_compressed(key, compressed);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for task in tasks {
+            task.wait();
+        }
+    }
+
     /// Replaces the markers of the first of `replacements` on this thread,
     /// the one the reader needs first, and leaves the others to whichever
     /// worker is free first — this one, if the others stay busy.
@@ -678,13 +765,14 @@ impl Shared {
     }
 
     /// Marker replacement of a committed chunk (§2.2): 16-bit symbols to the
-    /// bytes the reader is waiting for, hashed per member while they are hot;
-    /// then its seek point's window into the map, before the chunk leaves
-    /// `Resolving` — whether or not the replacement failed, for the point is
-    /// in the index either way.
+    /// bytes the reader is waiting for, hashed per member and cut while they
+    /// are hot; then its seek point's window into the map, before the chunk
+    /// leaves `Resolving` — whether or not the replacement failed, for the
+    /// point is in the index either way — and its cuts'.
     fn replace(&self, replacement: Replacement) {
         let Replacement {
             start_bit,
+            uncompressed_offset,
             seq,
             first_member,
             window,
@@ -698,30 +786,39 @@ impl Shared {
         let mut span = self.metrics.stage(Stage::MarkerReplace, start_bit);
         span.set_member(first_member);
         span.set_bytes(chunk.output.len() as u64);
-        let resolved = chunk
-            .resolve(&window, self.verify())
-            .map(|(data, fragments)| {
-                let checksums = self.fold_fragments(start_bit, seq, first_member, fragments);
-                (data, checksums)
-            });
+        let resolved = chunk.resolve(&window, self.verify()).map(|mut result| {
+            let fragments = std::mem::take(&mut result.fragments);
+            let checksums = self.fold_fragments(start_bit, seq, first_member, fragments);
+            (result, checksums)
+        });
         span.set_outcome(match resolved {
             Ok(_) => Outcome::Committed,
             Err(_) => Outcome::Error,
         });
         drop(span);
         self.windows.insert_sparse(start_bit, &window, &usage);
-        let (data, checksums) = match resolved {
+        let (mut result, checksums) = match resolved {
             Ok(resolved) => resolved,
             Err(error) => {
                 self.finish(start_bit, ChunkState::Failed(error));
                 return;
             }
         };
+        let point = SeekPoint {
+            compressed_bit_offset: start_bit,
+            uncompressed_offset,
+            uncompressed_size: result.data.len() as u64,
+        };
+        let segments = std::mem::take(&mut result.segments);
+        let split = self.split_for_export(&point, first_member, &result.data, segments);
         let mut state = self.lock();
         if let Some(checksums) = checksums {
             state.index.checksum_map.insert(start_bit, checksums);
         }
-        self.ready(&mut state, start_bit, data);
+        if let Some(split) = split {
+            state.split_points.insert(start_bit, split);
+        }
+        self.ready(&mut state, start_bit, result.data);
         drop(state);
         self.progress.notify_all();
     }

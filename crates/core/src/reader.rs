@@ -1,12 +1,13 @@
 //! The `ParallelGzipReader`: orchestration of speculative chunk
 //! decompression, marker resolution, index construction and random access.
 
+use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use rgz_fetcher::{BufferPool, Cache, Pooled, Spawner, ThreadPool};
-use rgz_index::{GzipIndex, WindowMap, WindowStoreStatistics};
+use rgz_fetcher::{BufferPool, Cache, Spawner, ThreadPool};
+use rgz_index::{BlockMap, GzipIndex, WindowMap, WindowStoreStatistics};
 use rgz_io::{FileReader, SharedFileReader};
 use rgz_metrics::MetricsRegistry;
 use rgz_trace::{Stage, TraceSink};
@@ -14,7 +15,7 @@ use rgz_trace::{Stage, TraceSink};
 use crate::chunk::ChunkDecoder;
 use crate::indexed::InteriorPoint;
 use crate::metrics::ReaderMetrics;
-use crate::pass::{ChunkBytes, ChunkState, SequentialPass};
+use crate::pass::{ChunkBytes, ChunkState, ExportedPoint, SequentialPass};
 use crate::verify::{StreamVerifier, VerificationMode, VerificationStatistics};
 use crate::{CoreError, DEFAULT_CHUNK_SIZE};
 
@@ -27,10 +28,11 @@ pub struct ParallelGzipReaderOptions {
     pub parallelization: usize,
     /// Compressed chunk size in bytes (the paper's default is 4 MiB).
     pub chunk_size: usize,
-    /// Capacity of the cache of resolved chunks kept for random access —
-    /// and, times `chunk_size`, the bytes of window the interior seek points
-    /// of chunks decoded whole through an index may hold, which slices of
-    /// them start from.
+    /// Times `chunk_size`, the budget of what random access keeps: the
+    /// compressed bytes the chunks in the cache of resolved chunks may span —
+    /// this many of the pass's own, more of a finer index's — and the bytes
+    /// of window the interior seek points of chunks decoded whole through an
+    /// index may hold, which slices of them start from.
     pub resolved_cache_chunks: usize,
     /// Whether to verify member CRC-32s and ISIZEs during the sequential
     /// pass.  [`VerificationMode::Full`] (the default) hashes every
@@ -188,15 +190,29 @@ pub struct ReaderStatistics {
 /// one call.
 const HAND_OVER_BYTES: usize = 1 << 20;
 
+/// A chunk in the access cache.
+pub(crate) struct Resolved {
+    pub data: ChunkBytes,
+    /// The compressed bytes from its seek point to the next.
+    pub span: u64,
+}
+
 pub(crate) struct ReaderState {
+    /// The reader's own seek-point table: one point per chunk of the pass,
+    /// or the index imported.
     pub index: GzipIndex,
+    /// The points [`ParallelGzipReader::index`] splits each chunk of the pass
+    /// that the pass cut into, by the chunk's first bit.
+    pub split_points: HashMap<u64, Vec<ExportedPoint>>,
     /// The sequential pass and its table of chunks: the prefetch cache,
     /// everything decoded ahead of the reader, through the index too.
     pub pass: SequentialPass,
     /// The access cache: the chunks the reader took whole last, least
     /// recently used out first, keyed like the table by compressed bit
     /// offset — where a read that comes back to one finds it.
-    pub resolved_cache: Cache<u64, Pooled<u8>>,
+    pub resolved_cache: Cache<u64, Resolved>,
+    /// The compressed bytes those span.
+    pub resolved_span: u64,
     /// First bit of the chunk of the last read that reached this state (one
     /// inside the bytes the reader holds reaches none), `u64::MAX` if that
     /// was one the pass has yet to reach.
@@ -274,15 +290,15 @@ pub struct ParallelGzipReader {
     position: u64,
     // Where the reader is, three facts that decide each read: one inside
     // `held` is answered from it without the state lock; one that `jumped`
-    // into a chunk other than the `last` may be a slice; any other takes its
-    // chunk whole, with as many after it prefetched as `last` and `jumped`
-    // say (`Shared::issue_index_prefetches`).
+    // may be a slice unless the `last` read took its chunk whole; any other
+    // takes its chunk whole, with as many after it prefetched as `last` and
+    // `jumped` say (`Shared::issue_index_prefetches`).
     /// The bytes the last read came from — a whole chunk or a slice — and
     /// the offset of their first byte, until a read elsewhere.
     held: Option<(u64, ChunkBytes)>,
     /// The seek-point index of the chunk of the last read that reached the
-    /// table.
-    last: Option<usize>,
+    /// table, and whether that read took it whole.
+    last: Option<(usize, bool)>,
     /// Whether a seek has moved `position` since the last read: the next
     /// read is a jump.
     jumped: bool,
@@ -351,8 +367,10 @@ impl ParallelGzipReader {
                 metrics,
                 state: Mutex::new(ReaderState {
                     index,
+                    split_points: HashMap::new(),
                     pass,
-                    resolved_cache: Cache::new(options.resolved_cache_chunks.max(1)),
+                    resolved_cache: Cache::new(usize::MAX),
+                    resolved_span: 0,
                     reading_at: 0,
                     interior: Cache::new(usize::MAX),
                     interior_bytes: 0,
@@ -481,18 +499,50 @@ impl ParallelGzipReader {
     /// Returns a copy of the index built so far.  Call after reading the
     /// whole stream (or [`ParallelGzipReader::build_full_index`]) to get a
     /// complete index suitable for export.
+    ///
+    /// The pass's chunks come split at their cuts: a seek point at the first
+    /// Dynamic or Non-Compressed block a MiB of output or more past the
+    /// chunk's start or the last cut, each with its window and the CRC
+    /// fragments of its bytes — so that a read through the index decodes a
+    /// MiB or so, not a chunk.  The cuts' windows, kept verbatim since the
+    /// pass, are compressed on the pool before this returns, once.  The
+    /// reader's own table stays one point per chunk.
     pub fn index(&self) -> GzipIndex {
         let mut state = self.shared.lock();
         // Wait for the marker replacements in flight first: each one records
-        // its seek point's CRC fragments as it finishes, and an export taken
-        // before that would silently lose verification data for the last
-        // chunks.
+        // its seek point's CRC fragments and cuts as it finishes, and an
+        // export taken before that would silently lose verification data for
+        // the last chunks.
         while state.pass.is_resolving() {
             state = self.shared.wait(state);
         }
         let mut index = state.index.clone();
+        let mut cuts = Vec::new();
+        if !state.split_points.is_empty() {
+            let mut block_map = BlockMap::new();
+            for point in state.index.block_map.points() {
+                let Some(split) = state.split_points.get(&point.compressed_bit_offset) else {
+                    block_map.push(point.clone());
+                    continue;
+                };
+                for (point, checksums) in split {
+                    let key = point.compressed_bit_offset;
+                    if let Some(checksums) = checksums {
+                        index.checksum_map.insert(key, checksums.clone());
+                    }
+                    if key != split[0].0.compressed_bit_offset {
+                        cuts.push(key);
+                    }
+                    block_map.push(point.clone());
+                }
+            }
+            index.block_map = block_map;
+        }
         index.uncompressed_size = index.block_map.uncompressed_size();
         state.index.uncompressed_size = index.uncompressed_size;
+        drop(state);
+        // The index shares the map: an export finds them compressed.
+        self.shared.compress_windows(cuts);
         index
     }
 
@@ -573,7 +623,7 @@ impl ParallelGzipReader {
     ) -> Result<ChunkBytes, CoreError> {
         let shared = &self.shared;
         if let Some(cached) = state.resolved_cache.get(&key) {
-            return Ok(cached);
+            return Ok(Arc::clone(&cached.data));
         }
         while let Some(ChunkState::Decoding | ChunkState::Resolving) = state.pass.chunks.get(&key) {
             state = shared.wait(state);
@@ -585,7 +635,7 @@ impl ParallelGzipReader {
         let chunk = shared.indexed_chunk(&state, index, self.jumped);
         let data = match taken {
             Some(ChunkState::Ready(data)) => {
-                state.resolved_cache.insert(key, data.clone());
+                shared.keep_resolved(&mut state, &chunk, Arc::clone(&data));
                 drop(state);
                 // The worker that produced these bytes has handed their CRC
                 // fragments in; fail the read if the fold caught a trailer
@@ -613,7 +663,7 @@ impl ParallelGzipReader {
         shared
             .metrics
             .index_chunk_served(data.len() as u64, checked, shared.verify());
-        state.resolved_cache.insert(key, data.clone());
+        shared.keep_resolved(&mut state, &chunk, Arc::clone(&data));
         Ok(data)
     }
 
@@ -657,13 +707,14 @@ impl ParallelGzipReader {
             let point = &state.index.block_map.points()[index];
             let (key, start) = (point.compressed_bit_offset, point.uncompressed_offset);
             state.reading_at = key;
-            let last = self.last.replace(index);
             let reach = self.position..self.position.saturating_add(wanted as u64);
-            let planned = if self.jumped && last != Some(index) {
+            // A jump may slice its chunk unless the last read took it whole.
+            let planned = if self.jumped && self.last != Some((index, true)) {
                 shared.plan_slice(&mut state, index, reach)
             } else {
                 None
             };
+            let last = self.last.replace((index, planned.is_none()));
             let (start, data) = match planned {
                 Some((slice, window)) => {
                     drop(state);
@@ -680,6 +731,7 @@ impl ParallelGzipReader {
                     // with a complete seek-point table the exact chunks
                     // after it.
                     shared.issue_prefetches(&mut state, shared.guess_of(key));
+                    let last = last.map(|(last, _)| last);
                     shared.issue_index_prefetches(&mut state, index, last, self.jumped);
                     (start, self.chunk_bytes(state, index, key)?)
                 }
@@ -993,20 +1045,107 @@ mod tests {
 
     #[test]
     fn sequential_pass_captures_fragments_for_every_seek_point() {
-        let data = silesia_like(1_500_000, 60);
-        let compressed = GzipWriter::default().compress(&data);
-        let mut reader =
-            ParallelGzipReader::from_bytes(compressed, options(4, 128 * 1024)).unwrap();
-        // `index()` waits for in-flight workers, so every point's fragments
-        // are present even though speculative chunks insert asynchronously.
-        let index = reader.build_full_index().unwrap();
-        assert!(index.block_map.len() > 2);
-        assert_eq!(index.checksum_map.len(), index.block_map.len());
-        for point in index.block_map.points() {
-            let checksums = index.checksum_map.get(point.compressed_bit_offset).unwrap();
-            let total: u64 = checksums.fragments.iter().map(|f| f.length).sum();
-            assert_eq!(total, point.uncompressed_size);
+        // Chunks of less than a MiB of output, and chunks of three MiB, which
+        // the export splits at a seek point every MiB.
+        for (length, chunk_size) in [(1_500_000, 128 * 1024), (6 << 20, 1 << 20)] {
+            let data = silesia_like(length, 60);
+            let compressed = GzipWriter::default().compress(&data);
+            let mut reader =
+                ParallelGzipReader::from_bytes(compressed, options(4, chunk_size)).unwrap();
+            // `index()` waits for in-flight workers, so every point's
+            // fragments are present even though speculative chunks insert
+            // asynchronously.
+            let index = reader.build_full_index().unwrap();
+            assert!(index.block_map.len() > 2);
+            assert_eq!(index.checksum_map.len(), index.block_map.len());
+            for point in index.block_map.points() {
+                let checksums = index.checksum_map.get(point.compressed_bit_offset).unwrap();
+                let total: u64 = checksums.fragments.iter().map(|f| f.length).sum();
+                assert_eq!(total, point.uncompressed_size);
+            }
         }
+    }
+
+    /// The seek points of `index` whose chunks `reader` holds in its access
+    /// cache, and the compressed bytes they span.
+    fn cached(reader: &ParallelGzipReader, index: &GzipIndex) -> (usize, u64) {
+        let state = reader.shared.lock();
+        let points = index.block_map.points().iter();
+        let held =
+            points.filter(|point| state.resolved_cache.contains(&point.compressed_bit_offset));
+        (held.count(), state.resolved_span)
+    }
+
+    #[test]
+    fn the_access_cache_holds_as_many_chunks_as_span_its_budget() {
+        // Blocks of 8 KiB, Huffman codes only: a chunk of the pass ends a few
+        // KiB past its range, and a read through a table of chunks an eighth
+        // as long keeps eight times as many, nearly.
+        let data = base64_random(3 << 20, 81);
+        let compressed = GzipWriter::new(rgz_deflate::CompressorOptions {
+            level: rgz_deflate::CompressionLevel::Huffman,
+            block_size: 8 * 1024,
+            ..Default::default()
+        })
+        .compress(&data);
+        let chunk_size = 256 * 1024;
+        let budget = 4 * chunk_size as u64;
+        let table = |chunk_size| {
+            let mut pass =
+                ParallelGzipReader::from_bytes(compressed.clone(), options(2, chunk_size)).unwrap();
+            pass.build_full_index().unwrap()
+        };
+        let read_through = |index: &GzipIndex| {
+            let mut reader = ParallelGzipReader::with_index(
+                SharedFileReader::from_bytes(compressed.clone()),
+                options(2, chunk_size),
+                index.clone(),
+            )
+            .unwrap();
+            assert_eq!(reader.decompress_all().unwrap(), data);
+            cached(&reader, index)
+        };
+        // The pass's own table, kept by the reader that built it...
+        let mut reader =
+            ParallelGzipReader::from_bytes(compressed.clone(), options(2, chunk_size)).unwrap();
+        assert_eq!(reader.decompress_all().unwrap(), data);
+        let own = reader.shared.lock().index.clone();
+        let (held, span) = cached(&reader, &own);
+        assert!((3..=4).contains(&held), "{held} chunks");
+        assert!(span <= budget, "{span} bytes");
+        // ...or imported: four chunks of the pass, three if they run over.
+        let (held, span) = read_through(&table(chunk_size));
+        assert!((3..=4).contains(&held), "{held} chunks");
+        assert!(span <= budget, "{span} bytes");
+        // Points an eighth as far apart: thirty-two, and never more span.
+        let fine = table(chunk_size / 8);
+        assert!(fine.block_map.len() > 40);
+        let (held, span) = read_through(&fine);
+        assert!(held >= 8 * 4 - 1, "{held} chunks");
+        assert!(span <= budget, "{span} bytes");
+    }
+
+    #[test]
+    fn a_chunk_spanning_more_than_the_budget_is_still_kept() {
+        let data = base64_random(1 << 20, 82);
+        let compressed = GzipWriter::default().compress(&data);
+        let mut pass =
+            ParallelGzipReader::from_bytes(compressed.clone(), options(2, 512 * 1024)).unwrap();
+        let index = pass.build_full_index().unwrap();
+        // A budget of one 4 KiB chunk, and chunks a hundred times that.
+        let mut reader = ParallelGzipReader::with_index(
+            SharedFileReader::from_bytes(compressed),
+            ParallelGzipReaderOptions {
+                resolved_cache_chunks: 1,
+                ..options(1, 4096)
+            },
+            index.clone(),
+        )
+        .unwrap();
+        assert_eq!(reader.decompress_all().unwrap(), data);
+        let (held, span) = cached(&reader, &index);
+        assert_eq!(held, 1);
+        assert!(span > 4096, "{span} bytes");
     }
 
     #[test]
@@ -1515,6 +1654,7 @@ mod tests {
                         window_usage: Vec::new(),
                         reached_end_of_file: false,
                         fragments: Vec::new(),
+                        segments: Vec::new(),
                     }),
                 );
             }

@@ -8,7 +8,7 @@ mod common;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::sync::Arc;
 
-use common::FirstChunkHeldBack;
+use common::{chunk_table, FirstChunkHeldBack};
 use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions};
 use rgz_datagen::{base64_random, silesia_like};
 use rgz_deflate::CompressorOptions;
@@ -319,6 +319,7 @@ fn long_chunks(chunks: usize) -> (Vec<u8>, Vec<u8>, rgz_index::GzipIndex) {
         .unwrap()
         .build_full_index()
         .unwrap();
+    let index = chunk_table(&index, LONG_CHUNK_SIZE);
     let points = index.block_map.points();
     assert!(points.len() >= chunks, "{} chunks", points.len());
     // Blocks of 16 KiB: a boundary to cut at soon after the MiB.
@@ -459,13 +460,13 @@ fn slices_teach_the_buffer_pool_nothing() {
         "{} idle bytes became {idle}: trimmed",
         warm.2
     );
-    // A read that goes on in its chunk takes the chunk whole: into a buffer
-    // that lay idle, as large as it needs.
+    // A read that goes on past the end of the last slice takes its chunk
+    // whole: into a buffer that lay idle, as large as it needs.
     let chunks = reader.statistics().index_chunks;
-    read(
-        &mut reader,
-        points[near - 2].uncompressed_offset + (1 << 20) + 200_000,
-    );
+    let offset = reader.stream_position().unwrap() as usize;
+    let mut on = vec![0u8; 300_000];
+    reader.read_exact(&mut on).unwrap();
+    assert!(on[..] == data[offset..][..on.len()]);
     assert_eq!(reader.statistics().index_chunks, chunks + 1);
     assert_eq!(reader.statistics().index_slices, 16);
     assert_eq!((fresh("range"), fresh("u8")), (warm.0, warm.1));

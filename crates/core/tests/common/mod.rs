@@ -4,6 +4,12 @@ use std::sync::{Condvar, Mutex};
 
 use rgz_io::{FileReader, SharedFileReader};
 
+#[allow(dead_code)]
+#[path = "../../../../tests/common/chunk_table.rs"]
+mod chunk_table;
+#[allow(unused_imports)]
+pub use chunk_table::chunk_table;
+
 /// A file whose first bytes are held back until `later_reads` reads of what
 /// follows have begun: the pass cannot commit its first chunk before the
 /// decodes issued ahead of it have run, window unknown, whatever the build

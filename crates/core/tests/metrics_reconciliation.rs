@@ -12,7 +12,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::FirstChunkHeldBack;
+use common::{chunk_table, FirstChunkHeldBack};
 
 use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions, ReaderStatistics};
 use rgz_datagen::base64_random;
@@ -352,6 +352,7 @@ fn a_jump_heavy_readers_slices_are_counted_once_on_every_surface() {
         .unwrap()
         .build_full_index()
         .unwrap();
+    let index = chunk_table(&index, 64 * 1024);
     let starts: Vec<u64> = index
         .block_map
         .points()

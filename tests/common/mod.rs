@@ -4,6 +4,11 @@ use std::time::{Duration, Instant};
 
 use rapidgzip_suite::core::ParallelGzipReader;
 
+#[allow(dead_code)]
+mod chunk_table;
+#[allow(unused_imports)]
+pub use chunk_table::chunk_table;
+
 /// Waits until no task is queued or running on the reader's pool: what was
 /// decoded ahead is done, and the counters stand still.
 pub fn quiesce(reader: &ParallelGzipReader) {

@@ -149,6 +149,7 @@ fn the_prefetch_policy_is_the_recorded_one() {
     let trace = Arc::new(TraceSink::new_enabled());
     let options = ParallelGzipReaderOptions {
         parallelization: 1,
+        chunk_size: 32 * 1024,
         resolved_cache_chunks: 2,
         ..Default::default()
     }
@@ -283,6 +284,51 @@ fn a_read_prefetches_by_the_chunk_it_read_last_and_whether_it_jumped() {
     assert_eq!(prefetch_instants(&trace, &points), (issued, instants));
 }
 
+/// A jump whose chunk is in the access cache decodes nothing, and prefetches
+/// nothing either: at a point a MiB long that is most of a tour's reads, and
+/// the neighbour a prefetch would decode is one the tour is not going to.
+#[test]
+fn a_jump_into_a_cached_chunk_prefetches_nothing() {
+    let data = corpus();
+    let (compressed, index) = gzip_with_fine_index(&data);
+    let points = GzipIndex::import(&index)
+        .unwrap()
+        .block_map
+        .points()
+        .to_vec();
+    assert!(points.len() >= 16);
+    let trace = Arc::new(TraceSink::new_enabled());
+    let options = ParallelGzipReaderOptions {
+        parallelization: 1,
+        ..Default::default()
+    }
+    .with_trace(Arc::clone(&trace));
+    let mut reader = reader(&compressed, &index, options);
+    let mut buffer = vec![0u8; 1024];
+    let mut jump_into = |reader: &mut ParallelGzipReader, chunk: usize| {
+        let offset = points[chunk].uncompressed_offset + 100;
+        reader.seek(SeekFrom::Start(offset)).unwrap();
+        reader.read_exact(&mut buffer).unwrap();
+        assert_eq!(buffer, data[offset as usize..][..1024], "chunk {chunk}");
+        quiesce(reader);
+        prefetch_instants(&trace, &points).0
+    };
+    // Each jump decodes its chunk and prefetches the next, until the table
+    // of chunks decoded ahead is full and lets go of the oldest: chunk 1.
+    for chunk in [0, 3, 6, 9, 12] {
+        jump_into(&mut reader, chunk);
+    }
+    let issued = prefetch_instants(&trace, &points).0;
+    assert_eq!(issued, [1, 4, 7, 10, 13]);
+    let before = reader.statistics();
+    // Chunk 0 is in the access cache; chunk 1 is nowhere.
+    assert_eq!(jump_into(&mut reader, 0), issued);
+    let after = reader.statistics();
+    assert_eq!(after.index_chunks, before.index_chunks);
+    // One that has to decode its chunk still prefetches the next.
+    assert_eq!(jump_into(&mut reader, 14).last(), Some(&15));
+}
+
 /// A whole chunk's buffer is taken at the length the index gives it, but an
 /// index is believed only as far as the chunk's bits could inflate: a point
 /// that claims exabytes is an error when read, not an allocation of them.
@@ -390,4 +436,144 @@ fn prefetched_chunks_read_their_windows_through_the_map() {
         })
     });
     assert!(prefetched, "the corrupt point's chunk was not prefetched");
+}
+
+/// Output a block of [`exported_file`] covers: its longest.
+const EXPORT_BLOCK: usize = 64 << 10;
+
+/// A pass's chunks of [`exported_file`]: 1 MiB of it compressed, some three
+/// of output.
+const EXPORT_CHUNK: usize = 1 << 20;
+
+/// 7 MiB of text in one gzip member of 64 KiB blocks.
+fn exported_file() -> (Vec<u8>, Vec<u8>) {
+    let data = datagen::silesia_like(7 << 20, 421);
+    let compressed = GzipWriter::new(rapidgzip_suite::deflate::CompressorOptions {
+        block_size: EXPORT_BLOCK,
+        ..Default::default()
+    })
+    .compress(&data);
+    (data, compressed)
+}
+
+/// The index a pass at `parallelization` threads exports, and how many
+/// chunks it decoded.
+fn exported_index(compressed: &[u8], parallelization: usize) -> (GzipIndex, u64) {
+    let options = ParallelGzipReaderOptions {
+        parallelization,
+        chunk_size: EXPORT_CHUNK,
+        ..Default::default()
+    };
+    let mut pass = ParallelGzipReader::from_bytes(compressed.to_vec(), options).unwrap();
+    let index = pass.build_full_index().unwrap();
+    let statistics = pass.statistics();
+    let chunks = statistics.speculative_chunks_used
+        + statistics.window_known_chunks
+        + statistics.on_demand_chunks;
+    (index, chunks)
+}
+
+#[test]
+fn a_pass_exports_a_seek_point_every_mib_and_a_block() {
+    let (data, compressed) = exported_file();
+    let (index, chunks) = exported_index(&compressed, 2);
+    assert!(chunks >= 2, "{chunks} chunks");
+    let points = index.block_map.points();
+    // Chunk starts and cuts alike, each with its window and fragments.
+    assert!(points.len() as u64 >= data.len() as u64 >> 20, "{points:?}");
+    assert!(points.len() as u64 > chunks);
+    for point in points {
+        let most = (EXPORT_CHUNK + EXPORT_BLOCK) as u64;
+        assert!(point.uncompressed_size <= most, "{point:?}");
+        let checksums = index.checksum_map.get(point.compressed_bit_offset).unwrap();
+        let covered: u64 = checksums.fragments.iter().map(|f| f.length).sum();
+        assert_eq!(covered, point.uncompressed_size, "{point:?}");
+        assert!(
+            index.window_map.contains(point.compressed_bit_offset)
+                || point.uncompressed_offset == 0
+        );
+    }
+    assert_eq!(index.block_map.uncompressed_size(), data.len() as u64);
+}
+
+#[test]
+fn the_exported_index_does_not_depend_on_the_thread_count() {
+    let (_, compressed) = exported_file();
+    let exports = [1, 2, 3].map(|parallelization| exported_index(&compressed, parallelization));
+    let bytes = exports.each_ref().map(|(index, _)| index.export());
+    assert!(bytes[0] == bytes[1], "P = 1 and 2 differ");
+    assert!(bytes[0] == bytes[2], "P = 1 and 3 differ");
+    // More points than chunks: the export splits them.
+    let (index, chunks) = &exports[0];
+    assert!(index.block_map.len() as u64 > *chunks);
+}
+
+#[test]
+fn a_cold_read_through_an_exported_index_decodes_a_mib_not_a_chunk() {
+    let (data, compressed) = exported_file();
+    let exported = exported_index(&compressed, 2).0.export();
+    let points = GzipIndex::import(&exported).unwrap().block_map;
+    // Reads inside one point each: the first, a middle one and the last.
+    let middle = points.find(3 << 20).unwrap();
+    let picked = [0, middle, points.len() - 1].map(|index| {
+        let point = &points.points()[index];
+        assert!(point.uncompressed_size > (64 << 10) + 100, "{point:?}");
+        point.uncompressed_offset as usize + 100
+    });
+    for offset in picked {
+        let options = ParallelGzipReaderOptions {
+            parallelization: 1,
+            chunk_size: EXPORT_CHUNK,
+            ..Default::default()
+        };
+        let mut fresh = reader(&compressed, &exported, options);
+        let mut buffer = vec![0u8; 64 << 10];
+        fresh.seek(SeekFrom::Start(offset as u64)).unwrap();
+        fresh.read_exact(&mut buffer).unwrap();
+        assert!(buffer[..] == data[offset..][..buffer.len()], "at {offset}");
+        let statistics = fresh.statistics();
+        assert_eq!(statistics.index_chunks, 1, "at {offset}: {statistics:?}");
+        assert_eq!(statistics.index_chunks_verified, 1, "at {offset}");
+        assert_eq!(statistics.index_slices, 0, "at {offset}");
+        // The bytes the one chunk served were all that was decoded for it.
+        let decoded = fresh.metrics().snapshot().counter_total(names::BYTES_OUT);
+        let point = &points.points()[points.find(offset as u64).unwrap()];
+        assert_eq!(decoded, point.uncompressed_size, "at {offset}");
+        assert!(
+            decoded <= (EXPORT_CHUNK + EXPORT_BLOCK) as u64,
+            "{decoded} bytes"
+        );
+    }
+}
+
+#[test]
+fn a_table_of_bgzf_members_keeps_more_than_four_of_them() {
+    // The access cache counts the compressed bytes its chunks span: sixteen
+    // MiB of them at the default chunk size, every 64 KiB member of this
+    // file.  Counting them as four chunks would keep four.
+    let data = corpus();
+    let (compressed, index) = bgzf_with_emitted_index(&data);
+    let points = GzipIndex::import(&index).unwrap().block_map;
+    let options = ParallelGzipReaderOptions {
+        parallelization: 1,
+        ..Default::default()
+    };
+    let mut bgzf = reader(&compressed, &index, options);
+    assert_eq!(bgzf.decompress_all().unwrap(), data);
+    quiesce(&bgzf);
+    let decoded = bgzf.statistics().index_chunks;
+    // Back through the last eight members, each where it was left.
+    let members = points
+        .points()
+        .iter()
+        .filter(|point| point.uncompressed_size > 0);
+    let last: Vec<u64> = members.map(|point| point.uncompressed_offset).collect();
+    assert!(last.len() > 8);
+    let mut byte = [0u8; 1];
+    for &offset in last.iter().rev().take(8) {
+        bgzf.seek(SeekFrom::Start(offset)).unwrap();
+        bgzf.read_exact(&mut byte).unwrap();
+        assert_eq!(byte[0], data[offset as usize]);
+    }
+    assert_eq!(bgzf.statistics().index_chunks, decoded);
 }

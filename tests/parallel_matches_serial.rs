@@ -140,8 +140,9 @@ fn observe(
 /// reported them at every thread count; the commit that let a task decode
 /// from a known start added the 64 KiB and the stored-only rows from its
 /// parent.  Which path decoded a chunk is no longer pinned, only that every
-/// seek point is some path's: the chunk counts must *add up* to the pinned
-/// ones.
+/// chunk is some path's: the chunk counts must *add up* to the pinned ones.
+/// The index bytes of the 4 and 64 MiB rows were pinned anew when the export
+/// began to split each chunk at a seek point every MiB of output.
 #[test]
 fn output_index_and_statistics_are_invariant_under_thread_count() {
     let multi_member = [
@@ -166,8 +167,8 @@ fn output_index_and_statistics_are_invariant_under_thread_count() {
             [
                 "45e4b821 772538 19fca300 134 3 0",
                 "45e4b821 385846 44c626c8 67 2 0",
-                "45e4b821 5897 dea433e0 1 1 0",
-                "45e4b821 106 f976ad1a 0 1 0",
+                "45e4b821 132787 304e07fb 1 1 0",
+                "45e4b821 126996 23d392c3 0 1 0",
             ],
         ),
         (
@@ -177,8 +178,8 @@ fn output_index_and_statistics_are_invariant_under_thread_count() {
             [
                 "0f08e733 410531 717f9c8b 129 2 0",
                 "0f08e733 203155 b3326a50 64 2 0",
-                "0f08e733 3398 c4625678 1 1 0",
-                "0f08e733 106 cfa2b8b5 0 1 0",
+                "0f08e733 137518 ac19b8d7 1 1 0",
+                "0f08e733 134226 7f2d9d93 0 1 0",
             ],
         ),
         (
@@ -188,8 +189,8 @@ fn output_index_and_statistics_are_invariant_under_thread_count() {
             [
                 "df4238ca 644039 bbd7c871 134 1 0",
                 "df4238ca 324137 188b6168 67 1 0",
-                "df4238ca 5858 95ac34b3 1 1 0",
-                "df4238ca 130 468ce9b2 0 1 0",
+                "df4238ca 136443 5223ebdc 1 1 0",
+                "df4238ca 130715 ef6aeb9a 0 1 0",
             ],
         ),
         (
@@ -203,8 +204,8 @@ fn output_index_and_statistics_are_invariant_under_thread_count() {
             [
                 "1e763ce8 4858 58782633 0 73 0",
                 "1e763ce8 4804 0c87d409 0 72 0",
-                "1e763ce8 1024 17209691 0 2 0",
-                "1e763ce8 970 91a6fe96 0 1 0",
+                "1e763ce8 77102 998e30aa 0 2 0",
+                "1e763ce8 102396 3ed378e6 0 1 0",
             ],
         ),
     ];
@@ -226,7 +227,9 @@ fn output_index_and_statistics_are_invariant_under_thread_count() {
                     pinned_chunks,
                     "{run}: {statistics:?}"
                 );
-                assert_eq!(seek_points as u64, pinned_chunks, "{run}");
+                // The export splits the pass's chunks at a seek point every
+                // MiB of output or so: the pinned index bytes say where.
+                assert!(seek_points as u64 >= pinned_chunks, "{run}");
                 // A reader that reads on finds every chunk where the pass
                 // put it: none is let go of and decoded again.
                 assert_eq!(statistics.index_chunks, 0, "{run}: {statistics:?}");

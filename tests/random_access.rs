@@ -13,7 +13,7 @@ use rapidgzip_suite::io::SharedFileReader;
 use rapidgzip_suite::metrics::{names, MetricsRegistry};
 
 mod common;
-use common::quiesce;
+use common::{chunk_table, quiesce};
 
 fn options() -> ParallelGzipReaderOptions {
     ParallelGzipReaderOptions {
@@ -157,6 +157,7 @@ fn a_slice_from_its_chunks_own_point_inflates_the_stored_window_every_time() {
         .unwrap()
         .build_full_index()
         .unwrap();
+    let index = chunk_table(&index, options.chunk_size);
     let starts: Vec<u64> = index
         .block_map
         .points()
@@ -288,6 +289,7 @@ fn a_read_after_a_seek_slices_its_chunk_and_one_that_goes_on_takes_it_whole() {
         .unwrap()
         .build_full_index()
         .unwrap();
+    let index = chunk_table(&index, options.chunk_size);
     let starts: Vec<u64> = index
         .block_map
         .points()
@@ -342,6 +344,31 @@ fn a_read_after_a_seek_slices_its_chunk_and_one_that_goes_on_takes_it_whole() {
     assert_eq!((across, took), (slices + 3, whole + 2));
 }
 
+#[test]
+fn a_jump_back_into_a_chunk_read_by_a_slice_is_a_slice_again() {
+    // The last read took a slice of a chunk: a jump elsewhere in that chunk,
+    // past the slice, is a slice of its own, not the whole chunk.
+    let (data, compressed, index, options) = jump_file();
+    let starts = chunk_starts(&index);
+    let file = SharedFileReader::from_bytes(compressed);
+    let mut reader = ParallelGzipReader::with_index(file, options, index).unwrap();
+    // First touch of every chunk; the last ones stay in the access cache.
+    assert!(reader.decompress_all().unwrap() == data);
+    quiesce(&reader);
+    let mut buffer = vec![0u8; READ as usize];
+    let mut jump = |reader: &mut ParallelGzipReader, offset: u64| {
+        reader.seek(SeekFrom::Start(offset)).unwrap();
+        reader.read_exact(&mut buffer).unwrap();
+        assert!(buffer[..] == data[offset as usize..][..READ as usize]);
+        let statistics = reader.statistics();
+        (statistics.index_slices, statistics.index_chunks)
+    };
+    let (slices, chunks) = jump(&mut reader, starts[1] + 100_000);
+    assert_eq!((slices, chunks), (1, 8));
+    assert_eq!(jump(&mut reader, starts[1] + 1_150_000), (2, 8));
+    assert_eq!(jump(&mut reader, starts[1] + 500_000), (3, 8));
+}
+
 /// Bytes of each read below, the ledger's seek read.
 const READ: u64 = 64 << 10;
 /// Bytes of output per deflate block of [`jump_file`].
@@ -351,7 +378,7 @@ const BLOCK: u64 = 16 << 10;
 const STOP_SPACING: u64 = 64 << 10;
 
 /// Base64 text in blocks of 16 KiB, compressed some 1.3-fold, in chunks of
-/// 1 MiB: eight chunks of 1.3 MiB of output, indexed.  Three chunks in the
+/// 1 MiB: eight chunks of 1.3 MiB of output, and the table of them.  Three chunks in the
 /// access cache give the interior points 3 MiB of window: room for one every
 /// 107 KiB of all eight chunks.
 fn jump_file() -> (Vec<u8>, Vec<u8>, GzipIndex, ParallelGzipReaderOptions) {
@@ -372,6 +399,7 @@ fn jump_file() -> (Vec<u8>, Vec<u8>, GzipIndex, ParallelGzipReaderOptions) {
         .unwrap()
         .build_full_index()
         .unwrap();
+    let index = chunk_table(&index, options.chunk_size);
     assert_eq!(index.block_map.len(), 8);
     (data, compressed, index, options)
 }
