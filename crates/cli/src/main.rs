@@ -668,7 +668,6 @@ fn print_statistics(reader: &ParallelGzipReader, registry: &MetricsRegistry) {
         verification.fragments_folded,
         verification.stream_crc32
     );
-    let options = reader.options();
     eprintln!(
         "rgzip: random access: {} chunk(s) verified against stored fragments, \
          {} unverified (index carried no fragments); {} slice(s) of them decoded \
@@ -682,7 +681,7 @@ fn print_statistics(reader: &ParallelGzipReader, registry: &MetricsRegistry) {
         snapshot
             .gauge(names::INTERIOR_WINDOW_BYTES, &[])
             .unwrap_or(0),
-        options.resolved_cache_chunks.max(1) * options.chunk_size
+        reader.options().cache_budget()
     );
 }
 

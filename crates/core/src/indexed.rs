@@ -34,28 +34,33 @@
 //! with a v3 index, no byte is ever served that was not hashed against a CRC
 //! that chains back to the file's own.  The run of points around a later
 //! read makes an [`IndexedChunk`] like any other, for the same
-//! `decode_indexed`.  The tables are the reader's own: in memory only, least
-//! recently used chunk's first out once their windows exceed
-//! `resolved_cache_chunks × chunk_size` bytes.  What an export holds instead
-//! are the pass's cuts: the same rule at a MiB, with no stop points, so a
-//! table the pass built is a point every MiB or so once imported.
+//! `decode_indexed`.  The tables are the reader's own, in memory only.  What
+//! an export holds instead are the pass's cuts: the same rule at a MiB, with
+//! no stop points, so a table the pass built is a point every MiB or so once
+//! imported.
 //!
-//! **The access cache** keeps the chunks read whole last by the same budget:
-//! while the compressed bytes from their seek points to the next fit
-//! `resolved_cache_chunks × chunk_size` — three or four of the pass's
-//! chunks, dozens of points a MiB of output apart — and always the one read
-//! last.
+//! **What random access keeps** follows one rule, a [`Cache`] each: the
+//! interior points of the chunks decoded whole, and the bytes of the chunks
+//! read whole last (the access cache), are kept until they weigh more than
+//! [`cache_budget`] bytes, `resolved_cache_chunks × chunk_size`, and then
+//! the least recently used chunk's go first — never those just kept.  A
+//! chunk's points weigh the bytes of window they hold, and are not kept at
+//! all if they alone weigh more; its bytes weigh the compressed bytes from
+//! its seek point to the next, and are kept however many those are: three
+//! or four of the pass's chunks fit, dozens of points a MiB of output apart.
+//!
+//! [`Cache`]: crate::cache::Cache
+//! [`cache_budget`]: crate::ParallelGzipReaderOptions::cache_budget
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use rgz_checksum::crc32_combine;
 use rgz_index::{PointChecksums, SeekPoint, WINDOW_SIZE};
 use rgz_trace::{Outcome, Stage};
 
 use crate::chunk::{DirectChunk, Extent, Segment, INTERIOR_SPACING};
 use crate::pass::{ChunkBytes, ChunkState, FailOnUnwind};
-use crate::reader::{ReaderState, Resolved, Shared};
+use crate::reader::{ReaderState, Shared};
 use crate::verify::check_point_fragments;
 use crate::CoreError;
 
@@ -128,12 +133,6 @@ fn window_spacing(covered: u64, budget: usize) -> usize {
     spacing.clamp(STOP_SPACING as u128, INTERIOR_SPACING as u128) as usize
 }
 
-/// The bytes of window `points` hold.
-fn window_bytes(points: &[InteriorPoint]) -> usize {
-    let windows = points.iter().filter_map(|point| point.window.as_ref());
-    windows.map(|window| window.len()).sum()
-}
-
 /// A slice to decode, and the window it starts with unless the index has it.
 pub(crate) type Slice = (IndexedChunk, Option<Arc<Vec<u8>>>);
 
@@ -158,16 +157,7 @@ impl IndexedChunk {
         let run = &points[first..end];
         let checksums = run[0].checksums.clone().map(|mut merged| {
             for next in run[1..].iter().filter_map(|point| point.checksums.as_ref()) {
-                let mut pieces = next.fragments.iter();
-                // A member cut in two by the point is one fragment again.
-                if merged.first_member + merged.fragments.len() as u64 > next.first_member {
-                    if let (Some(last), Some(first)) = (merged.fragments.last_mut(), pieces.next())
-                    {
-                        last.crc32 = crc32_combine(last.crc32, first.crc32, first.length);
-                        last.length += first.length;
-                    }
-                }
-                merged.fragments.extend(pieces);
+                merged.append(next);
             }
             Arc::new(merged)
         });
@@ -189,16 +179,10 @@ impl IndexedChunk {
 }
 
 impl Shared {
-    /// The bytes of window the interior points of all chunks may hold, and
-    /// of compressed input the chunks in the access cache may span.
-    fn window_budget(&self) -> usize {
-        self.options.resolved_cache_chunks.max(1) * self.options.chunk_size
-    }
-
-    /// Keeps `data`, the bytes of `chunk`, in the access cache, and lets go
-    /// of the chunks there used longest ago — never this one — while the
-    /// compressed bytes they span exceed the budget: a table of points a MiB
-    /// of output apart keeps as many as span four of the pass's chunks.
+    /// Keeps `data`, the bytes of `chunk`, in the access cache, weighed by
+    /// the compressed bytes from its seek point to the next: a table of
+    /// points a MiB of output apart keeps as many as span four of the pass's
+    /// chunks.
     pub(crate) fn keep_resolved(
         &self,
         state: &mut ReaderState,
@@ -207,20 +191,7 @@ impl Shared {
     ) {
         let key = chunk.point.compressed_bit_offset;
         let span = chunk.stop_bit.min(self.file_bits()).saturating_sub(key) / 8;
-        if let Some(replaced) = state.resolved_cache.remove(&key) {
-            state.resolved_span -= replaced.span;
-        }
-        state.resolved_span += span;
-        state
-            .resolved_cache
-            .insert(key, Arc::new(Resolved { data, span }));
-        // The newest goes last, once it is all there is.
-        while state.resolved_span > span.max(self.window_budget() as u64) {
-            let Some(oldest) = state.resolved_cache.remove_oldest() else {
-                break;
-            };
-            state.resolved_span -= oldest.span;
-        }
+        state.resolved_cache.insert(key, data, span);
     }
 
     /// The `index`th chunk of the seek-point table, for a read that `jumped`
@@ -255,10 +226,10 @@ impl Shared {
         } else {
             None
         };
-        let seeking = jumped || state.interior.contains(&key);
+        let seeking = jumped || state.interior.contains(key);
         let window_spacing = if seeking && state.pass.finished {
             let covered = state.index.block_map.uncompressed_size();
-            window_spacing(covered, self.window_budget())
+            window_spacing(covered, self.options.cache_budget())
         } else {
             INTERIOR_SPACING
         };
@@ -289,33 +260,29 @@ impl Shared {
     ) -> Option<Slice> {
         let key = state.index.block_map.points()[index].compressed_bit_offset;
         let prefetched = state.pass.chunks.get(&key);
-        if state.resolved_cache.contains(&key) || prefetched.is_some_and(ChunkState::is_finished) {
+        if state.resolved_cache.contains(key) || prefetched.is_some_and(ChunkState::is_finished) {
             return None;
         }
-        let points = state.interior.get(&key)?;
+        let points = state.interior.get(key)?;
         Some(
             self.indexed_chunk(state, index, true)
                 .slice(&points, wanted),
         )
     }
 
-    /// Keeps `points`, the interior points of the chunk at `key`, and lets go
-    /// of the chunks' longest unused until the windows held fit the budget.
+    /// Keeps `points`, the interior points of the chunk at `key`, weighed by
+    /// the bytes of window they hold — unless they alone weigh more than the
+    /// budget.
     fn keep_interior_points(&self, key: u64, points: Vec<InteriorPoint>) {
-        let budget = self.window_budget();
+        let windows = points.iter().filter_map(|point| point.window.as_ref());
+        let weight: usize = windows.map(|window| window.len()).sum();
+        if weight > self.options.cache_budget() {
+            return;
+        }
         let state = &mut *self.lock();
-        if let Some(replaced) = state.interior.remove(&key) {
-            state.interior_bytes -= window_bytes(&replaced);
-        }
-        state.interior_bytes += window_bytes(&points);
-        state.interior.insert(key, Arc::new(points));
-        while state.interior_bytes > budget {
-            let Some(oldest) = state.interior.remove_oldest() else {
-                break;
-            };
-            state.interior_bytes -= window_bytes(&oldest);
-        }
-        self.metrics.interior_windows_held(state.interior_bytes);
+        state.interior.insert(key, Arc::new(points), weight as u64);
+        self.metrics
+            .interior_windows_held(state.interior.weight() as usize);
     }
 
     /// Decodes `chunk` from its seek point — with `window`, an interior
@@ -408,7 +375,7 @@ impl Shared {
         jumped: bool,
     ) {
         let key = state.index.block_map.points()[accessed].compressed_bit_offset;
-        let revisit = jumped && state.resolved_cache.contains(&key);
+        let revisit = jumped && state.resolved_cache.contains(key);
         if !state.pass.finished || last == Some(accessed) || revisit {
             return;
         }
@@ -447,7 +414,7 @@ impl Shared {
             .map(|index| self.indexed_chunk(state, index, jumped))
             .filter(|chunk| {
                 let key = chunk.point.compressed_bit_offset;
-                !state.pass.chunks.contains_key(&key) && !state.resolved_cache.contains(&key)
+                !state.pass.chunks.contains_key(&key) && !state.resolved_cache.contains(key)
             })
             .collect();
         for chunk in planned {

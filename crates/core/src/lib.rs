@@ -44,6 +44,7 @@
 //! assert_eq!(restored, data);
 //! ```
 
+mod cache;
 mod chunk;
 mod error;
 mod indexed;

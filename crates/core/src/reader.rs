@@ -6,12 +6,13 @@ use std::io::{Read, Seek, SeekFrom};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use rgz_fetcher::{BufferPool, Cache, Spawner, ThreadPool};
+use rgz_fetcher::{BufferPool, Pooled, Spawner, ThreadPool};
 use rgz_index::{BlockMap, GzipIndex, WindowMap, WindowStoreStatistics};
 use rgz_io::{FileReader, SharedFileReader};
 use rgz_metrics::MetricsRegistry;
 use rgz_trace::{Stage, TraceSink};
 
+use crate::cache::Cache;
 use crate::chunk::ChunkDecoder;
 use crate::indexed::InteriorPoint;
 use crate::metrics::ReaderMetrics;
@@ -28,11 +29,12 @@ pub struct ParallelGzipReaderOptions {
     pub parallelization: usize,
     /// Compressed chunk size in bytes (the paper's default is 4 MiB).
     pub chunk_size: usize,
-    /// Times `chunk_size`, the budget of what random access keeps: the
-    /// compressed bytes the chunks in the cache of resolved chunks may span —
-    /// this many of the pass's own, more of a finer index's — and the bytes
-    /// of window the interior seek points of chunks decoded whole through an
-    /// index may hold, which slices of them start from.
+    /// Times `chunk_size`, the budget of what random access keeps
+    /// ([`Self::cache_budget`]): the compressed bytes the chunks in the cache
+    /// of resolved chunks may span — this many of the pass's own, more of a
+    /// finer index's — and the bytes of window the interior seek points of
+    /// chunks decoded whole through an index may hold, which slices of them
+    /// start from.
     pub resolved_cache_chunks: usize,
     /// Whether to verify member CRC-32s and ISIZEs during the sequential
     /// pass.  [`VerificationMode::Full`] (the default) hashes every
@@ -101,6 +103,12 @@ impl ParallelGzipReaderOptions {
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
         self
+    }
+
+    /// The budget of what random access keeps, in bytes:
+    /// `resolved_cache_chunks × chunk_size`.
+    pub fn cache_budget(&self) -> usize {
+        self.resolved_cache_chunks.max(1) * self.chunk_size
     }
 
     /// How many chunks ahead of the last access to prefetch: twice the
@@ -190,13 +198,6 @@ pub struct ReaderStatistics {
 /// one call.
 const HAND_OVER_BYTES: usize = 1 << 20;
 
-/// A chunk in the access cache.
-pub(crate) struct Resolved {
-    pub data: ChunkBytes,
-    /// The compressed bytes from its seek point to the next.
-    pub span: u64,
-}
-
 pub(crate) struct ReaderState {
     /// The reader's own seek-point table: one point per chunk of the pass,
     /// or the index imported.
@@ -207,21 +208,19 @@ pub(crate) struct ReaderState {
     /// The sequential pass and its table of chunks: the prefetch cache,
     /// everything decoded ahead of the reader, through the index too.
     pub pass: SequentialPass,
-    /// The access cache: the chunks the reader took whole last, least
-    /// recently used out first, keyed like the table by compressed bit
-    /// offset — where a read that comes back to one finds it.
-    pub resolved_cache: Cache<u64, Resolved>,
-    /// The compressed bytes those span.
-    pub resolved_span: u64,
+    /// The access cache: the chunks the reader took whole last, keyed like
+    /// the table by compressed bit offset — where a read that comes back to
+    /// one finds it — and weighed by the compressed bytes from their seek
+    /// point to the next.
+    pub resolved_cache: Cache<Pooled<u8>>,
     /// First bit of the chunk of the last read that reached this state (one
     /// inside the bytes the reader holds reaches none), `u64::MAX` if that
     /// was one the pass has yet to reach.
     pub reading_at: u64,
     /// The interior seek points of the chunks decoded whole through the
-    /// index, by the chunk's first bit: see [`crate::indexed`].
-    pub interior: Cache<u64, Vec<InteriorPoint>>,
-    /// The bytes of window those hold.
-    pub interior_bytes: usize,
+    /// index, by the chunk's first bit, weighed by the bytes of window they
+    /// hold: see [`crate::indexed`].
+    pub interior: Cache<Vec<InteriorPoint>>,
 }
 
 /// What the reader shares with the tasks it has on the pool.  Nothing in
@@ -349,6 +348,7 @@ impl ParallelGzipReader {
         let metrics = Arc::new(ReaderMetrics::register(&registry, trace.clone()));
         index.window_map.attach(&trace, &registry);
         let pool = ThreadPool::new_observed(parallelization, trace, Arc::clone(&registry));
+        let budget = options.cache_budget() as u64;
         Self {
             shared: Arc::new(Shared {
                 decoder: ChunkDecoder {
@@ -369,11 +369,9 @@ impl ParallelGzipReader {
                     index,
                     split_points: HashMap::new(),
                     pass,
-                    resolved_cache: Cache::new(usize::MAX),
-                    resolved_span: 0,
+                    resolved_cache: Cache::new(budget),
                     reading_at: 0,
-                    interior: Cache::new(usize::MAX),
-                    interior_bytes: 0,
+                    interior: Cache::new(budget),
                 }),
                 frontier: AtomicU64::new(0),
                 progress: Condvar::new(),
@@ -622,8 +620,8 @@ impl ParallelGzipReader {
         key: u64,
     ) -> Result<ChunkBytes, CoreError> {
         let shared = &self.shared;
-        if let Some(cached) = state.resolved_cache.get(&key) {
-            return Ok(Arc::clone(&cached.data));
+        if let Some(cached) = state.resolved_cache.get(key) {
+            return Ok(cached);
         }
         while let Some(ChunkState::Decoding | ChunkState::Resolving) = state.pass.chunks.get(&key) {
             state = shared.wait(state);
@@ -1072,8 +1070,8 @@ mod tests {
         let state = reader.shared.lock();
         let points = index.block_map.points().iter();
         let held =
-            points.filter(|point| state.resolved_cache.contains(&point.compressed_bit_offset));
-        (held.count(), state.resolved_span)
+            points.filter(|point| state.resolved_cache.contains(point.compressed_bit_offset));
+        (held.count(), state.resolved_cache.weight())
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! **The bound.**  At most P + 1 buffers of a kind lie idle (2P + 1 byte
 //! buffers, for a reader of P workers), each of a capacity at most 1/32 over
 //! the largest of the last sixteen chunks noted (or its own contents, if
-//! nothing was).  A buffer is created only when
-//! none is idle, or in place of an idle one that has become too small, so
-//! buffers in use plus idle never outnumber the most that were ever in use at
-//! once: the pool recycles what was live anyway, it does not add to it.
+//! nothing was).  A buffer is created only when none is idle, or in place of
+//! an idle one when all have become too small, so buffers in use plus idle
+//! never outnumber the most that were ever in use at once: the pool recycles
+//! what was live anyway, it does not add to it.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -225,7 +225,14 @@ impl<T> Shelf<T> {
     fn take(shelf: &Arc<Self>) -> Pooled<T> {
         let (recycled, largest, capacity) = {
             let mut state = shelf.state.lock();
-            (state.idle.pop(), state.largest(), state.capacity())
+            let largest = state.largest();
+            // The warmest buffer large enough, else the warmest: a buffer
+            // that came back last may be smaller than one before it, when a
+            // decode noted a larger chunk while it was out.
+            let idle = &mut state.idle;
+            let fits = idle.iter().rposition(|buffer| buffer.capacity() >= largest);
+            let recycled = fits.or(idle.len().checked_sub(1)).map(|at| idle.remove(at));
+            (recycled, largest, state.capacity())
         };
         if let Some(buffer) = &recycled {
             shelf.published(-(buffer.capacity() as i64));
@@ -408,6 +415,29 @@ mod tests {
         assert_eq!(takes(&registry, "u8", "reused"), 1);
         assert_eq!(takes(&registry, "u8", "fresh"), 3);
         assert_eq!(idle_bytes(&registry), 0);
+    }
+
+    #[test]
+    fn a_buffer_large_enough_is_taken_before_a_warmer_one_too_small() {
+        let registry = MetricsRegistry::new();
+        let pool = BufferPool::new(1, &registry);
+        // Two decodes at once; the one of the larger range gives its buffer
+        // back first, the other's comes back a byte short of it.
+        let (mut short, mut large) = (pool.range(), pool.range());
+        pool.note_range(1000);
+        large.resize(1000, 2);
+        pool.note_range(999);
+        short.resize(999, 1);
+        drop(large);
+        drop(short);
+        let taken = pool.range();
+        assert_eq!(taken[..], [2; 1000]);
+        assert_eq!(takes(&registry, "range", "reused"), 1);
+        assert_eq!(takes(&registry, "range", "fresh"), 2);
+        // Only with none large enough idle is one replaced.
+        let replaced = pool.range();
+        assert_eq!((replaced.len(), replaced.capacity()), (0, 1031));
+        assert_eq!(takes(&registry, "range", "fresh"), 3);
     }
 
     #[test]

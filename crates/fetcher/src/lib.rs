@@ -1,8 +1,8 @@
 //! What the reader's chunk tasks run on and keep their memory in (§3.1–§3.2,
-//! Figure 5): a thread pool, a buffer pool and an LRU cache.  What is
-//! decoded ahead, and where it waits for the reader, is `rgz_core`'s table
-//! of chunks; which chunks the reader has decoded ahead is decided there
-//! too.
+//! Figure 5): a thread pool and a buffer pool.  What is decoded ahead, and
+//! where it waits for the reader, is `rgz_core`'s table of chunks; which
+//! chunks the reader has decoded ahead, and what random access keeps of
+//! them, is decided there too.
 //!
 //! * [`ThreadPool`] — a fixed-size worker pool with joinable task handles, an
 //!   urgent lane in front of the normal one, and a [`Spawner`] for tasks that
@@ -10,17 +10,13 @@
 //! * [`BufferPool`] — the chunk buffers (compressed range, 16-bit symbols,
 //!   output bytes) a reader's tasks take and give back instead of going to
 //!   the allocator, and through it the kernel, for each chunk.
-//! * [`Cache`] — a bounded least-recently-used cache: the reader's access
-//!   cache of chunks it has handed out, and its interior seek points.
 //! * [`StageTimer`] — what the tasks are timed by: one clock per stage for
 //!   its trace span and its latency histogram.
 
 pub mod buffer_pool;
-pub mod cache;
 pub mod stage_timer;
 pub mod thread_pool;
 
 pub use buffer_pool::{BufferPool, Pooled};
-pub use cache::Cache;
 pub use stage_timer::StageTimer;
 pub use thread_pool::{Spawner, TaskHandle, ThreadPool};

@@ -68,7 +68,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use rgz_checksum::crc32;
+use rgz_checksum::{crc32, crc32_combine};
 use rgz_window::{flags, CompressedWindow, WindowError};
 
 mod store;
@@ -212,6 +212,20 @@ impl PointChecksums {
             first_member,
             fragments,
         }
+    }
+
+    /// Extends the record over `next`, the span that follows this one: a
+    /// member the cut between the two split is one fragment again, its
+    /// CRC-32s joined by `crc32_combine`.
+    pub fn append(&mut self, next: &PointChecksums) {
+        let mut pieces = next.fragments.iter();
+        if self.first_member + self.fragments.len() as u64 > next.first_member {
+            if let (Some(last), Some(first)) = (self.fragments.last_mut(), pieces.next()) {
+                last.crc32 = crc32_combine(last.crc32, first.crc32, first.length);
+                last.length += first.length;
+            }
+        }
+        self.fragments.extend(pieces);
     }
 }
 
@@ -680,6 +694,35 @@ impl GzipIndex {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn appended_spans_fold_to_the_record_of_both() {
+        // Three members, and the record of `pieces`, the first in member `first`.
+        let members: [&[u8]; 3] = [b"first member ", b"the second one, ", b"and the third"];
+        let record = |first: u64, pieces: &[&[u8]]| {
+            PointChecksums::from_fragments(
+                first,
+                pieces
+                    .iter()
+                    .map(|piece| (crc32(piece), piece.len() as u64)),
+            )
+        };
+        let whole = record(0, &members);
+        // A cut inside the second member: its two halves are one fragment.
+        let (head, tail) = members[1].split_at(5);
+        let mut run = record(0, &[members[0], head]);
+        run.append(&record(1, &[tail, members[2]]));
+        assert_eq!(run, whole);
+        // A cut where the second member ends: nothing to join.
+        let mut run = record(0, &members[..2]);
+        run.append(&record(2, &members[2..]));
+        assert_eq!(run, whole);
+        // Nor where it starts, with the spans of one member each.
+        let mut run = record(0, &members[..1]);
+        run.append(&record(1, &members[1..2]));
+        run.append(&record(2, &members[2..]));
+        assert_eq!(run, whole);
+    }
 
     fn sample_index() -> GzipIndex {
         let mut index = GzipIndex::new();

@@ -2,15 +2,15 @@
 //! by the integration tests of both packages and `table9_verified_random_access`
 //! (each includes this file by path).
 
-use rgz_checksum::crc32_combine;
 use rgz_index::{BlockMap, ChecksumMap, GzipIndex, PointChecksums, SeekPoint};
 
 /// The seek-point table of the pass at `chunk_size` that exported `index`:
 /// one point per chunk.  The export splits a chunk at a seek point every MiB
 /// or so of output; this merges those back into the chunk, with their CRC
-/// fragments folded to the chunk's — a chunk's cuts lie in the compressed
-/// range its start does, and every chunk starts in a range of its own.  For
-/// reads of chunks longer than a MiB, which only the reader's own table has.
+/// fragments folded to the chunk's (`PointChecksums::append`) — a chunk's
+/// cuts lie in the compressed range its start does, and every chunk starts
+/// in a range of its own.  For reads of chunks longer than a MiB, which only
+/// the reader's own table has.
 pub fn chunk_table(index: &GzipIndex, chunk_size: usize) -> GzipIndex {
     let range = |point: &SeekPoint| point.compressed_bit_offset / (chunk_size as u64 * 8);
     let mut chunks: Vec<(SeekPoint, Option<PointChecksums>)> = Vec::new();
@@ -26,15 +26,7 @@ pub fn chunk_table(index: &GzipIndex, chunk_size: usize) -> GzipIndex {
         };
         chunk.uncompressed_size += point.uncompressed_size;
         *merged = merged.take().zip(checksums).map(|(mut merged, next)| {
-            let mut pieces = next.fragments.into_iter();
-            // A member the cut split is one fragment again.
-            if merged.first_member + merged.fragments.len() as u64 > next.first_member {
-                if let (Some(last), Some(first)) = (merged.fragments.last_mut(), pieces.next()) {
-                    last.crc32 = crc32_combine(last.crc32, first.crc32, first.length);
-                    last.length += first.length;
-                }
-            }
-            merged.fragments.extend(pieces);
+            merged.append(&next);
             merged
         });
     }
