@@ -22,23 +22,25 @@
 //! the symbols, the bytes — from the reader's [`BufferPool`], to which each
 //! returns when its last user drops it.
 //!
-//! Both record the chunk's gzip members the same way: as
-//! [`ChunkFragment`]s, one per member that ends in the chunk and one for the
-//! rest unless the chunk ends the file; both read what follows a member
-//! with [`next_member`], the serial decoder's rule; and both cut a chunk of
-//! the pass into [`Segment`]s at the same block boundaries, a MiB of output
-//! apart — the seek points its export is split into.
+//! Both hand each inflate call to one [`Assembly`], which keeps a chunk's
+//! bookkeeping for both: its gzip members as [`ChunkFragment`]s, one per
+//! member that ends in the chunk and one for the rest unless the chunk ends
+//! the file; what follows a member, read with [`next_member`], the serial
+//! decoder's rule; and the chunk cut into [`Segment`]s at the same block
+//! boundaries, a MiB of output apart — the seek points its export is split
+//! into.  The direct decoder adds its fast-loop fallbacks, the speculative
+//! one its switch to bytes at a member's end.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use rgz_bitio::BitReader;
-use rgz_blockfinder::CombinedBlockFinder;
+use rgz_blockfinder::{CandidateKind, CombinedBlockFinder};
 use rgz_checksum::{crc32, crc32_combine};
 use rgz_deflate::{
-    inflate, inflate_speculative, BlockBoundary, BlockType, DeflateError, SpeculativeOutput,
-    StopReason, WindowAnswer,
+    inflate, inflate_speculative, BlockBoundary, BlockType, DeflateError, InflateOutcome,
+    SpeculativeOutput, StopReason, WindowAnswer,
 };
 use rgz_fetcher::{BufferPool, Pooled};
 use rgz_gzip::{next_member, parse_footer, parse_header, GzipError, GzipFooter};
@@ -229,6 +231,9 @@ impl ChunkResult {
 pub(crate) struct SpeculativeChunk {
     /// Bit offset of the block the finder located (the chunk's actual start).
     pub found_bit_offset: u64,
+    /// The first bit a decode of the same chunk may start at: see
+    /// [`StartBits`].
+    pub earliest_bit_offset: u64,
     /// Absolute bit offset at which the next chunk starts.
     pub end_bit_offset: u64,
     /// Decoded output: a 16-bit marker prefix plus, from where the decoder
@@ -250,7 +255,52 @@ pub(crate) struct SpeculativeChunk {
     pub segments: Vec<Segment>,
 }
 
+/// The bits of the file a speculative chunk may start at.  The finder puts
+/// a Non-Compressed block's three header bits right before the byte its
+/// lengths start at, as if it had no padding; it may have up to seven bits
+/// of it, all zero.  Read from any zero bit of those, the header is the same
+/// and aligns to the same byte: the chunk is the same.  A Dynamic block
+/// starts where it was found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StartBits {
+    pub earliest: u64,
+    pub found: u64,
+}
+
+impl StartBits {
+    /// The bits a chunk found at bit `found` of `range`, by a finder of
+    /// `kind`, may start at, in the file's terms.
+    fn of(kind: CandidateKind, range: &CompressedRange, found: u64) -> Self {
+        let is_zero = |bit: u64| range.bytes[(bit / 8) as usize] >> (bit % 8) & 1 == 0;
+        let padding = match kind {
+            CandidateKind::Uncompressed => (1..=found.min(7))
+                .take_while(|&back| is_zero(found - back))
+                .count() as u64,
+            CandidateKind::Dynamic => 0,
+        };
+        let range_bit = range.start_byte * 8;
+        Self {
+            earliest: range_bit + found - padding,
+            found: range_bit + found,
+        }
+    }
+
+    /// Whether a decode from `bit` — where the pass stands — decodes the
+    /// chunk a decode from these does.
+    pub(crate) fn admit(self, bit: u64) -> bool {
+        (self.earliest..=self.found).contains(&bit)
+    }
+}
+
 impl SpeculativeChunk {
+    /// The bits the chunk may start at.
+    pub(crate) fn start(&self) -> StartBits {
+        StartBits {
+            earliest: self.earliest_bit_offset,
+            found: self.found_bit_offset,
+        }
+    }
+
     /// Replaces the chunk's markers with bytes from `window`, the 32 KiB in
     /// front of it: the chunk as a direct decode would have given it, its
     /// fragments and segments hashed, right here on the thread that resolved
@@ -338,16 +388,11 @@ impl Drop for PooledOutput {
     }
 }
 
-fn is_eof_like_deflate(error: &DeflateError) -> bool {
-    matches!(error, DeflateError::UnexpectedEof)
-}
-
 fn is_eof_like(error: &CoreError) -> bool {
-    match error {
-        CoreError::Deflate(e) => is_eof_like_deflate(e),
-        CoreError::Gzip(GzipError::Truncated) => true,
-        _ => false,
-    }
+    matches!(
+        error,
+        CoreError::Deflate(DeflateError::UnexpectedEof) | CoreError::Gzip(GzipError::Truncated)
+    )
 }
 
 /// Parses the gzip footer at the reader's position in `range` and what
@@ -366,6 +411,78 @@ fn cross_member_boundary(
             Err(CoreError::Gzip(GzipError::TrailingGarbage { offset }))
         }
         Err(error) => Err(CoreError::Gzip(error)),
+    }
+}
+
+/// What a decode makes of its inflate calls, whichever decoder ran them: a
+/// call ends at the chunk's stop or at the end of a gzip member, so each is
+/// one [`ChunkFragment`]; its blocks are cut by the [`Cutter`] of the
+/// chunk's extent; only the first can reference the window before the chunk;
+/// and after a member the next call starts past its trailer.
+struct Assembly {
+    cutter: Cutter,
+    segments: Vec<Segment>,
+    /// One per call, not hashed yet.
+    fragments: Vec<ChunkFragment>,
+    /// The first call's.
+    window_usage: Option<Vec<(u32, u32)>>,
+    reached_end_of_file: bool,
+    /// The chunk's bytes the calls so far decoded.
+    decoded: usize,
+}
+
+impl Assembly {
+    /// The assembly of a decode of `extent` from bit `start` of the file.
+    fn new(extent: Extent, start: u64) -> Self {
+        Self {
+            cutter: Cutter::new(extent),
+            segments: vec![Segment {
+                bit: start,
+                offset: 0,
+                member: 0,
+                windowed: false,
+                pieces: Vec::new(),
+            }],
+            fragments: Vec::new(),
+            window_usage: None,
+            reached_end_of_file: false,
+            decoded: 0,
+        }
+    }
+
+    /// Takes in `call`, which decoded the chunk's bytes up to `decoded` from
+    /// `reader` over `range`; past the end of a member, reads what follows
+    /// its trailer.  Returns whether the chunk is done.
+    fn take(
+        &mut self,
+        call: InflateOutcome,
+        decoded: usize,
+        reader: &mut BitReader<'_>,
+        range: &CompressedRange,
+    ) -> Result<bool, CoreError> {
+        let call_start = std::mem::replace(&mut self.decoded, decoded);
+        let member = self.fragments.len();
+        let bit = range.start_byte * 8;
+        self.cutter
+            .cut(&mut self.segments, &call.blocks, call_start, member, bit);
+        self.window_usage.get_or_insert(call.window_usage);
+        let mut fragment = ChunkFragment {
+            crc32: 0,
+            length: (decoded - call_start) as u64,
+            trailer: None,
+        };
+        let done = match call.stop_reason {
+            StopReason::StopOffsetReached | StopReason::Abandoned => true,
+            StopReason::EndOfInput => return Err(CoreError::Deflate(DeflateError::UnexpectedEof)),
+            StopReason::EndOfStream => {
+                let (footer, at_end_of_file) = cross_member_boundary(reader, range)?;
+                fragment.trailer = Some(footer);
+                self.reached_end_of_file = at_end_of_file;
+                at_end_of_file
+            }
+        };
+        self.fragments.push(fragment);
+        Ok(done)
     }
 }
 
@@ -522,72 +639,23 @@ impl ChunkDecoder {
             parse_header(&mut reader).map_err(CoreError::Gzip)?;
         }
 
-        let mut cutter = Cutter::new(chunk.extent);
+        let mut assembly = Assembly::new(chunk.extent, start_bit_offset);
         let mut data = self.buffers.bytes();
         data.clear();
-        let mut first_call = true;
-        let mut reached_end_of_file = false;
         let mut fast_fallback_blocks = 0u32;
-        let mut window_usage = Vec::new();
-        // One inflate call never crosses a member boundary, so each iteration
-        // contributes exactly one CRC fragment, hashed with the segments'
-        // pieces once the chunk is decoded.
-        let mut fragments = Vec::new();
-        let mut segments = vec![Segment {
-            bit: start_bit_offset,
-            offset: 0,
-            member: 0,
-            windowed: false,
-            pieces: Vec::new(),
-        }];
+        let mut call_window = window;
         loop {
-            let call_window = if first_call { window } else { &[] };
-            first_call = false;
-            let call_start = data.len();
-            let outcome = inflate(&mut reader, call_window, &mut data, relative_stop)
+            let call = inflate(&mut reader, call_window, &mut data, relative_stop)
                 .map_err(CoreError::Deflate)?;
-            fast_fallback_blocks += outcome.fast_fallback_blocks;
-            if window_usage.is_empty() {
-                // Only the first member of the chunk can reference the
-                // preceding window; later inflate calls get an empty window.
-                window_usage = outcome.window_usage.clone();
-            }
-            let fragment = ChunkFragment {
-                crc32: 0,
-                length: (data.len() - call_start) as u64,
-                trailer: None,
-            };
-            let member = fragments.len();
-            cutter.cut(
-                &mut segments,
-                &outcome.blocks,
-                call_start,
-                member,
-                range_start_bits,
-            );
-            match outcome.stop_reason {
-                StopReason::StopOffsetReached => {
-                    fragments.push(fragment);
-                    break;
-                }
-                StopReason::EndOfInput => {
-                    return Err(CoreError::Deflate(DeflateError::UnexpectedEof));
-                }
-                StopReason::Abandoned => unreachable!("only a speculative decode is asked"),
-                StopReason::EndOfStream => {
-                    let (footer, at_end_of_file) = cross_member_boundary(&mut reader, range)?;
-                    fragments.push(ChunkFragment {
-                        trailer: Some(footer),
-                        ..fragment
-                    });
-                    if at_end_of_file {
-                        reached_end_of_file = true;
-                        break;
-                    }
-                }
+            // A member after the first has no window to reference.
+            call_window = &[];
+            fast_fallback_blocks += call.fast_fallback_blocks;
+            if assembly.take(call, data.len(), &mut reader, range)? {
+                break;
             }
         }
 
+        let (mut fragments, mut segments) = (assembly.fragments, assembly.segments);
         hash_pieces(&data, &mut fragments, &mut segments, verify);
         // A seek point's chunk was noted by the length the index gives it
         // before it began.
@@ -597,8 +665,8 @@ impl ChunkDecoder {
         Ok(ChunkResult {
             end_bit_offset: range_start_bits + reader.position(),
             data,
-            reached_end_of_file,
-            window_usage,
+            reached_end_of_file: assembly.reached_end_of_file,
+            window_usage: assembly.window_usage.unwrap_or_default(),
             fragments,
             fast_fallback_blocks,
             segments,
@@ -612,14 +680,14 @@ impl ChunkDecoder {
     /// DEFLATE block could be found inside the guessed chunk range.
     ///
     /// `window` is asked at the block boundaries of the decode (see
-    /// [`inflate_speculative`]), with the bit of the file it started from and
-    /// the symbols it has out, for the window in front of that bit.  A decode
-    /// told to [`WindowAnswer::Abandon`] returns what it has by then: a chunk
-    /// that ends at that boundary.
+    /// [`inflate_speculative`]), with the bits of the file it may have
+    /// started from and the symbols it has out, for the window in front of
+    /// them.  A decode told to [`WindowAnswer::Abandon`] returns what it has
+    /// by then: a chunk that ends at that boundary.
     pub fn decode_speculative(
         &self,
         guess_index: usize,
-        mut window: impl FnMut(u64, usize) -> WindowAnswer<Arc<Vec<u8>>>,
+        mut window: impl FnMut(StartBits, usize) -> WindowAnswer<Arc<Vec<u8>>>,
     ) -> Result<Option<SpeculativeChunk>, CoreError> {
         let chunk_size = self.chunk_size;
         let guess_byte = (guess_index as u64) * chunk_size as u64;
@@ -655,7 +723,7 @@ impl ChunkDecoder {
         range: &CompressedRange,
         guess_bit: u64,
         stop_bit: u64,
-        window: &mut impl FnMut(u64, usize) -> WindowAnswer<Arc<Vec<u8>>>,
+        window: &mut impl FnMut(StartBits, usize) -> WindowAnswer<Arc<Vec<u8>>>,
     ) -> SpeculativeOutcome {
         let range_start_bits = range.start_byte * 8;
         let range_end_byte = range.start_byte + range.bytes.len() as u64;
@@ -678,24 +746,17 @@ impl ChunkDecoder {
                 candidate
             };
             let start = candidate.bit_offset;
+            let bits = StartBits::of(candidate.kind, range, start);
 
             let mut span = self.metrics.stage(Stage::DecodeTwoStage, guess_bit);
             span.set_compressed_range(range.start_byte + start / 8, range_end_byte);
-            let window = |decoded| window(range_start_bits + start, decoded);
-            match self.try_speculative_decode(range, start, relative_stop, window) {
-                Ok(decoded) => {
-                    span.set_bytes(decoded.output.len() as u64);
-                    span.set_marker_bytes(decoded.output.prefix().len() as u64);
-                    span.set_compressed_range(
-                        range.start_byte + start / 8,
-                        range.start_byte + decoded.end_bit_offset.div_ceil(8),
-                    );
-                    // The decode worked in offsets relative to `range`.
-                    let chunk = SpeculativeChunk {
-                        found_bit_offset: range_start_bits + start,
-                        end_bit_offset: range_start_bits + decoded.end_bit_offset,
-                        ..decoded
-                    };
+            let window = |decoded| window(bits, decoded);
+            match self.try_speculative_decode(range, bits, relative_stop, window) {
+                Ok(chunk) => {
+                    span.set_bytes(chunk.output.len() as u64);
+                    span.set_marker_bytes(chunk.output.prefix().len() as u64);
+                    let end_byte = chunk.end_bit_offset.div_ceil(8);
+                    span.set_compressed_range(range.start_byte + start / 8, end_byte);
                     break (Some(candidate.kind), SpeculativeOutcome::Found(chunk));
                 }
                 Err(error) if is_eof_like(&error) => {
@@ -716,37 +777,24 @@ impl ChunkDecoder {
         outcome
     }
 
-    /// Decodes the chunk starting at bit `start` of `range`; the bit offsets
-    /// of the returned chunk are relative to `range`.
+    /// Decodes the chunk of `range` that starts at `start`.
     fn try_speculative_decode(
         &self,
         range: &CompressedRange,
-        start: u64,
+        start: StartBits,
         relative_stop: u64,
         mut window: impl FnMut(usize) -> WindowAnswer<Arc<Vec<u8>>>,
     ) -> Result<SpeculativeChunk, CoreError> {
+        let range_start_bits = range.start_byte * 8;
         let mut reader = BitReader::new(&range.bytes);
         reader
-            .seek_to_bit(start)
+            .seek_to_bit(start.found - range_start_bits)
             .map_err(|_| CoreError::Deflate(DeflateError::UnexpectedEof))?;
         let byte_buffer = || self.buffers.bytes().detach();
         let mut output = PooledOutput::new(&self.buffers);
-        let mut window_usage = None;
-        let mut reached_end_of_file = false;
-        let mut fragments = Vec::new();
-        let mut fragment_start = 0;
-        // Bit offsets in the file's terms, unlike the others here.
-        let range_start_bits = range.start_byte * 8;
-        let mut cutter = Cutter::new(Extent::Guessed);
-        let mut segments = vec![Segment {
-            bit: range_start_bits + start,
-            offset: 0,
-            member: 0,
-            windowed: false,
-            pieces: Vec::new(),
-        }];
+        let mut assembly = Assembly::new(Extent::Guessed, start.found);
         loop {
-            let outcome = inflate_speculative(
+            let call = inflate_speculative(
                 &mut reader,
                 &mut output,
                 relative_stop,
@@ -754,46 +802,12 @@ impl ChunkDecoder {
                 &mut window,
             )
             .map_err(CoreError::Deflate)?;
-            // Only the chunk's first member can reference the preceding
-            // window.
-            window_usage.get_or_insert(outcome.window_usage);
-            let member = fragments.len();
-            cutter.cut(
-                &mut segments,
-                &outcome.blocks,
-                fragment_start,
-                member,
-                range_start_bits,
-            );
-            let fragment = ChunkFragment {
-                crc32: 0,
-                length: (output.len() - fragment_start) as u64,
-                trailer: None,
-            };
-            fragment_start = output.len();
-            match outcome.stop_reason {
-                StopReason::StopOffsetReached | StopReason::Abandoned => {
-                    fragments.push(fragment);
-                    break;
-                }
-                StopReason::EndOfInput => {
-                    return Err(CoreError::Deflate(DeflateError::UnexpectedEof));
-                }
-                StopReason::EndOfStream => {
-                    let (footer, at_end_of_file) = cross_member_boundary(&mut reader, range)?;
-                    fragments.push(ChunkFragment {
-                        trailer: Some(footer),
-                        ..fragment
-                    });
-                    if at_end_of_file {
-                        reached_end_of_file = true;
-                        break;
-                    }
-                    // The next member starts with an empty window: nothing
-                    // after this point can reference the markers.
-                    output.switch_to_bytes(byte_buffer);
-                }
+            if assembly.take(call, output.len(), &mut reader, range)? {
+                break;
             }
+            // The next member starts with an empty window: nothing after
+            // this point can reference the markers.
+            output.switch_to_bytes(byte_buffer);
         }
         // The decodes that start before this chunk's buffers come back are
         // to find theirs as large already; its bytes need a buffer of this
@@ -802,13 +816,14 @@ impl ChunkDecoder {
         self.buffers.note_symbols(output.prefix().len());
         self.buffers.note_bytes(output.len());
         Ok(SpeculativeChunk {
-            found_bit_offset: start,
-            end_bit_offset: reader.position(),
+            found_bit_offset: start.found,
+            earliest_bit_offset: start.earliest,
+            end_bit_offset: range_start_bits + reader.position(),
             output,
-            window_usage: window_usage.unwrap_or_default(),
-            reached_end_of_file,
-            fragments,
-            segments,
+            window_usage: assembly.window_usage.unwrap_or_default(),
+            reached_end_of_file: assembly.reached_end_of_file,
+            fragments: assembly.fragments,
+            segments: assembly.segments,
         })
     }
 }

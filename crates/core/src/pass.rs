@@ -41,11 +41,20 @@
 //!
 //! One that started before the pass arrived asks again at every block
 //! boundary of its decode ([`Shared::window_for`]; an atomic load while the
-//! pass is elsewhere).  Arrived at the block it started from, the pass hands
-//! it the window: the decode goes on one-stage, and the chunk enters the
-//! table `Markered` like any other — only that most of it is bytes already,
-//! the window after it its own tail, and the replacement left to do a prefix.
-//! Arrived anywhere else, the decode is of no use and stops.
+//! pass is elsewhere).  Arrived at a bit the decode may have started from
+//! ([`StartBits`]: the block found, and for a stored block the zero bits of
+//! its padding before it), the pass hands it the window: the decode goes on
+//! one-stage, and the chunk enters the table `Markered` like any other — only
+//! that most of it is bytes already, the window after it its own tail, and
+//! the replacement left to do a prefix.  Arrived anywhere else, the decode is
+//! of no use and stops.
+//!
+//! A speculative chunk the pass cannot use takes one road, whoever finds it
+//! — the task that decoded it, or the one that committed the chunk before:
+//! into the table, where [`Shared::commit_ready`] counts it wasted and queues
+//! the decode from the pass's bit on the urgent lane.  And a chunk's commit
+//! ends in one tail, whichever decoder made its bytes ([`Shared::store`]):
+//! fold, window record, export split, then its bytes into the table.
 //!
 //! Either way a committed chunk is cut at the first Dynamic or Non-Compressed
 //! block boundary a MiB of output past its start or its last cut, the same
@@ -57,7 +66,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 use rgz_deflate::WindowAnswer;
 use rgz_fetcher::Pooled;
@@ -66,7 +75,7 @@ use rgz_io::FileReader;
 use rgz_trace::{Outcome, Stage};
 use rgz_window::CompressedWindow;
 
-use crate::chunk::{DirectChunk, Extent, Segment, SpeculativeChunk};
+use crate::chunk::{ChunkResult, DirectChunk, Extent, Segment, SpeculativeChunk, StartBits};
 use crate::indexed::interior_points;
 use crate::reader::{ReaderState, Shared};
 use crate::verify::ChunkFragment;
@@ -157,19 +166,10 @@ impl SequentialPass {
 /// if they were hashed.
 pub(crate) type ExportedPoint = (SeekPoint, Option<PointChecksums>);
 
-/// A committed speculative chunk on its way to a marker replacement.
-pub(crate) struct Replacement {
-    start_bit: u64,
-    uncompressed_offset: u64,
-    seq: u64,
-    first_member: u64,
-    /// The window the chunk's markers point into.
-    window: Arc<Vec<u8>>,
-    chunk: SpeculativeChunk,
-}
-
-/// What a task that found the pass standing in its range knows of its chunk.
-struct KnownStart {
+/// Where the pass stands, as the chunk committed there needs it: its seek
+/// point's first bit and offset, the window in front of it, its place in the
+/// stream-ordered fold and the gzip member it starts in.
+struct Position {
     start_bit: u64,
     uncompressed_offset: u64,
     window: Arc<Vec<u8>>,
@@ -177,8 +177,8 @@ struct KnownStart {
     first_member: u64,
 }
 
-impl KnownStart {
-    /// The chunk `pass` stands at.
+impl Position {
+    /// Where `pass` stands.
     fn of(pass: &SequentialPass) -> Self {
         Self {
             start_bit: pass.next_start_bit,
@@ -188,6 +188,22 @@ impl KnownStart {
             first_member: pass.next_member,
         }
     }
+
+    /// The seek point of a chunk of `length` bytes committed here.
+    fn point(&self, length: u64) -> SeekPoint {
+        SeekPoint {
+            compressed_bit_offset: self.start_bit,
+            uncompressed_offset: self.uncompressed_offset,
+            uncompressed_size: length,
+        }
+    }
+}
+
+/// A committed speculative chunk on its way to a marker replacement; its
+/// markers point into `at.window`.
+pub(crate) struct Replacement {
+    at: Position,
+    chunk: SpeculativeChunk,
 }
 
 /// How many gzip members end in a chunk with these fragments.
@@ -350,7 +366,7 @@ impl Shared {
                 state.pass.chunks.remove(&key);
                 return;
             }
-            (frontier == guess).then(|| KnownStart::of(pass))
+            (frontier == guess).then(|| Position::of(pass))
         };
         let replacements = match known {
             Some(known) => self.decode_known(guess, known, demanded),
@@ -359,12 +375,12 @@ impl Shared {
         self.run_replacements(replacements);
     }
 
-    /// What the pass knows of the window in front of `found_bit`, asked by
-    /// the speculative decode of range `guess` that started there and has
+    /// What the pass knows of the window in front of `start`, asked by the
+    /// speculative decode of range `guess` that started there and has
     /// `decoded` symbols out: nothing, while it stands before the range; the
-    /// window, once it stands at that very bit; and that the decode is in
-    /// vain, once it stands anywhere else — in the range, which then starts
-    /// at another block than the finder's, or past it.
+    /// window, once it stands at a bit `start` admits; and that the decode is
+    /// in vain, once it stands anywhere else — in the range, which then
+    /// starts at another block than the finder's, or past it.
     ///
     /// Asked at every block boundary, so without the state lock for as long
     /// as the pass is elsewhere: [`Shared::frontier`] follows
@@ -374,36 +390,33 @@ impl Shared {
     fn window_for(
         &self,
         guess: usize,
-        found_bit: u64,
+        start: StartBits,
         decoded: usize,
     ) -> WindowAnswer<Arc<Vec<u8>>> {
         match self.guess_of(self.frontier.load(Relaxed)).cmp(&guess) {
             Ordering::Less => WindowAnswer::Unknown,
             Ordering::Greater => WindowAnswer::Abandon,
             Ordering::Equal => {
-                let window = {
-                    let pass = &self.lock().pass;
-                    (pass.next_start_bit == found_bit).then(|| Arc::clone(&pass.window))
-                };
-                let Some(window) = window else {
+                let pass = &self.lock().pass;
+                if !start.admit(pass.next_start_bit) {
                     return WindowAnswer::Abandon;
-                };
-                self.metrics.window_handed(found_bit, decoded as u64);
-                WindowAnswer::Known(window)
+                }
+                self.metrics.window_handed(start.found, decoded as u64);
+                WindowAnswer::Known(Arc::clone(&pass.window))
             }
         }
     }
 
     /// Decodes the chunk in range `guess` from the first block found there,
-    /// the window unknown until the pass arrives to hand it over, and commits
-    /// it if the pass has arrived.
+    /// the window unknown until the pass arrives to hand it over, and enters
+    /// it into the table for [`Self::commit_ready`] to commit — or to have
+    /// decoded again from where the pass arrived, if that is another block.
     fn decode_guessed(self: &Arc<Self>, guess: usize) -> Vec<Replacement> {
-        let window = |found_bit, decoded| self.window_for(guess, found_bit, decoded);
+        let window = |start, decoded| self.window_for(guess, start, decoded);
         let decoded = self.decoder.decode_speculative(guess, window);
         let key = self.range_bit(guess);
         let mut state = self.lock();
-        let frontier = self.guess_of(state.pass.next_start_bit);
-        if state.pass.finished || frontier > guess {
+        if state.pass.finished || self.guess_of(state.pass.next_start_bit) > guess {
             state.pass.chunks.remove(&key);
             if let Ok(Some(chunk)) = &decoded {
                 self.metrics.speculative_wasted(chunk, false);
@@ -413,47 +426,27 @@ impl Shared {
         // An error here is not the stream's: the decode from the chunk's true
         // start, which the lack of a result brings about, reports that.
         let decoded = decoded.ok().flatten();
-        let start_bit = state.pass.next_start_bit;
-        if frontier == guess
-            && decoded.as_ref().map(|chunk| chunk.found_bit_offset) != Some(start_bit)
-        {
-            // The pass stands in the range, and not where this decode began
-            // (and may have stopped for it): the chunk is decoded from there
-            // here and now, as the one the pass cannot move without.
-            if let Some(chunk) = &decoded {
-                self.metrics.speculative_wasted(chunk, true);
-            }
-            let known = KnownStart::of(&state.pass);
-            drop(state);
-            return self.decode_known(guess, known, true);
-        }
         let decoded = decoded.map_or(ChunkState::NoBlock, ChunkState::Markered);
         state.pass.chunks.insert(key, decoded);
         self.commit_ready(&mut state)
     }
 
-    /// Decodes the chunk in range `guess` from its known first bit with its
-    /// known window, straight to bytes, and commits it and what follows on it.
+    /// Decodes the chunk in range `guess` from `at`, where the pass stands,
+    /// with its window, straight to bytes, and commits it and what follows on
+    /// it.
     fn decode_known(
         self: &Arc<Self>,
         guess: usize,
-        known: KnownStart,
+        at: Position,
         demanded: bool,
     ) -> Vec<Replacement> {
-        let KnownStart {
-            start_bit,
-            uncompressed_offset,
-            window,
-            seq,
-            first_member,
-        } = known;
-        let mut span = self.metrics.stage(Stage::DecodeOneStage, start_bit);
-        span.set_member(first_member);
+        let mut span = self.metrics.stage(Stage::DecodeOneStage, at.start_bit);
+        span.set_member(at.first_member);
         let mut result = match self.decoder.decode_at(&DirectChunk {
-            start_bit_offset: start_bit,
+            start_bit_offset: at.start_bit,
             stop_bit_offset: self.range_bit(guess + 1),
-            window: &window,
-            at_member_start: start_bit == 0,
+            window: &at.window,
+            at_member_start: at.start_bit == 0,
             extent: Extent::Guessed,
             verify: self.verify(),
         }) {
@@ -465,58 +458,34 @@ impl Shared {
             }
         };
         span.set_bytes(result.data.len() as u64);
-        span.set_compressed_range(start_bit / 8, result.end_bit_offset.div_ceil(8));
+        span.set_compressed_range(at.start_bit / 8, result.end_bit_offset.div_ceil(8));
         span.set_outcome(if result.fast_fallback_blocks > 0 {
             Outcome::Fallback
         } else {
             Outcome::Committed
         });
         drop(span);
-        let members_ended = members_ended(&result.fragments);
-        // Into the fold before anyone can see the bytes: a reader that has
-        // them all has every member checked.
-        let checksums = self.fold_fragments(
-            start_bit,
-            seq,
-            first_member,
-            std::mem::take(&mut result.fragments),
-        );
-        let next_window = result.next_window(&window);
         let length = result.data.len() as u64;
-        let point = SeekPoint {
-            compressed_bit_offset: start_bit,
-            uncompressed_offset,
-            uncompressed_size: length,
+        let next_window = result.next_window(&at.window);
+        let members_ended = members_ended(&result.fragments);
+        let (end_bit, end_of_file) = (result.end_bit_offset, result.reached_end_of_file);
+        let usage = std::mem::take(&mut result.window_usage);
+        let key = self.range_bit(guess);
+        let Some(mut state) = self.store(&at, key, &usage, Ok(result)) else {
+            return Vec::new();
         };
-        // The seek point's record, in the map before the point is, and its
-        // cuts' records.
-        self.windows
-            .insert_sparse(start_bit, &window, &result.window_usage);
-        let segments = std::mem::take(&mut result.segments);
-        let split = self.split_for_export(&point, first_member, &result.data, segments);
-
-        let mut state = self.lock();
         let state = &mut *state;
-        debug_assert_eq!(state.pass.next_start_bit, start_bit);
-        debug_assert_eq!(state.pass.next_uncompressed_offset, uncompressed_offset);
-        if let Some(checksums) = checksums {
-            state.index.checksum_map.insert(start_bit, checksums);
-        }
-        if let Some(split) = split {
-            state.split_points.insert(start_bit, split);
-        }
-        state.index.block_map.push(point);
+        debug_assert_eq!(state.pass.next_start_bit, at.start_bit);
+        state.index.block_map.push(at.point(length));
         self.metrics
-            .known_start_committed(demanded, start_bit, first_member, length);
-        state.pass.chunks.remove(&self.range_bit(guess));
-        self.ready(state, start_bit, result.data);
+            .known_start_committed(demanded, at.start_bit, at.first_member, length);
         self.advance(
             state,
-            result.end_bit_offset,
+            end_bit,
             length,
             next_window,
             members_ended,
-            result.reached_end_of_file,
+            end_of_file,
         );
         self.commit_ready(state)
     }
@@ -526,7 +495,8 @@ impl Shared {
     /// ones, in stream order, for their markers to be replaced.  A chunk
     /// decoded from somewhere else than where the pass arrived, or not at all
     /// for want of a block to start from, goes back to the pool to be decoded
-    /// from there, ahead of everything else.
+    /// from there, ahead of everything else: the one road for a speculative
+    /// chunk the pass cannot use, wherever the pass found it.
     ///
     /// Every transition of a chunk that others wait for happens under the
     /// state lock and ends here or in [`Self::finish`] or [`Self::replace`]:
@@ -544,13 +514,14 @@ impl Shared {
                 break;
             }
             // What cannot be committed: a chunk decoded from another block
-            // than the one the pass arrived at; one whose markers point
-            // outside the data there is, so that not even the window after
-            // it resolves; the first chunk, which nothing precedes and which
-            // is decoded as what it is, the start of a gzip member.
+            // than the one the pass arrived at (`StartBits`); one whose
+            // markers point outside the data there is, so that not even the
+            // window after it resolves; the first chunk, which nothing
+            // precedes and which is decoded as what it is, the start of a
+            // gzip member.
             let unusable = match state.pass.chunks.remove(&key) {
                 Some(ChunkState::Markered(chunk)) => {
-                    let next_window = (chunk.found_bit_offset == start_bit && start_bit != 0)
+                    let next_window = (chunk.start().admit(start_bit) && start_bit != 0)
                         .then(|| chunk.output.next_window(&state.pass.window));
                     if let Some(Ok(next_window)) = next_window {
                         replacements.push(self.commit_speculative(state, chunk, next_window));
@@ -570,34 +541,32 @@ impl Shared {
         replacements
     }
 
-    /// Commits `chunk`, decoded from exactly where the pass stands, and moves
-    /// the pass to where it ends.  `next_window` is the window for the chunk
+    /// Commits `chunk`, decoded from where the pass stands, and moves the
+    /// pass to where it ends.  `next_window` is the window for the chunk
     /// after it, resolved from this one's last 32 KiB — all that has to
     /// happen in stream order, and nothing at all once the chunk's byte tail
     /// spans a window.
     fn commit_speculative(
         &self,
         state: &mut ReaderState,
-        chunk: SpeculativeChunk,
+        mut chunk: SpeculativeChunk,
         next_window: Vec<u8>,
     ) -> Replacement {
-        let window = Arc::clone(&state.pass.window);
-        let start_bit = state.pass.next_start_bit;
-        let uncompressed_offset = state.pass.next_uncompressed_offset;
-        let first_member = state.pass.next_member;
+        let at = Position::of(&state.pass);
         let length = chunk.output.len() as u64;
         let wide_bytes = chunk.output.prefix().len() as u64;
-        // Its window's record follows with the replacement (`Self::replace`),
-        // before the chunk leaves `Resolving`.
-        state.index.block_map.push(SeekPoint {
-            compressed_bit_offset: start_bit,
-            uncompressed_offset,
-            uncompressed_size: length,
-        });
+        // The chunk starts where its window's record is keyed: at the pass's
+        // bit, which a stored block's padding may put before the finder's.
+        chunk.segments[0].bit = at.start_bit;
+        // That record follows with the replacement (`Self::replace`), before
+        // the chunk leaves `Resolving`.
+        state.index.block_map.push(at.point(length));
         self.metrics
-            .speculative_committed(start_bit, first_member, length, wide_bytes);
-        state.pass.chunks.insert(start_bit, ChunkState::Resolving);
-        let seq = state.pass.next_seq;
+            .speculative_committed(at.start_bit, at.first_member, length, wide_bytes);
+        state
+            .pass
+            .chunks
+            .insert(at.start_bit, ChunkState::Resolving);
         self.advance(
             state,
             chunk.end_bit_offset,
@@ -606,14 +575,7 @@ impl Shared {
             members_ended(&chunk.fragments),
             chunk.reached_end_of_file,
         );
-        Replacement {
-            start_bit,
-            uncompressed_offset,
-            seq,
-            first_member,
-            window,
-            chunk,
-        }
+        Replacement { at, chunk }
     }
 
     /// Moves the pass past the chunk just committed where it stands, and
@@ -766,60 +728,70 @@ impl Shared {
 
     /// Marker replacement of a committed chunk (§2.2): 16-bit symbols to the
     /// bytes the reader is waiting for, hashed per member and cut while they
-    /// are hot; then its seek point's window into the map, before the chunk
-    /// leaves `Resolving` — whether or not the replacement failed, for the
-    /// point is in the index either way — and its cuts'.
+    /// are hot, and stored.
     fn replace(&self, replacement: Replacement) {
-        let Replacement {
-            start_bit,
-            uncompressed_offset,
-            seq,
-            first_member,
-            window,
-            mut chunk,
-        } = replacement;
+        let Replacement { at, mut chunk } = replacement;
         let _unwinding = FailOnUnwind {
             shared: self,
-            key: start_bit,
+            key: at.start_bit,
         };
         let usage = std::mem::take(&mut chunk.window_usage);
-        let mut span = self.metrics.stage(Stage::MarkerReplace, start_bit);
-        span.set_member(first_member);
+        let mut span = self.metrics.stage(Stage::MarkerReplace, at.start_bit);
+        span.set_member(at.first_member);
         span.set_bytes(chunk.output.len() as u64);
-        let resolved = chunk.resolve(&window, self.verify()).map(|mut result| {
-            let fragments = std::mem::take(&mut result.fragments);
-            let checksums = self.fold_fragments(start_bit, seq, first_member, fragments);
-            (result, checksums)
-        });
+        let resolved = chunk.resolve(&at.window, self.verify());
         span.set_outcome(match resolved {
             Ok(_) => Outcome::Committed,
             Err(_) => Outcome::Error,
         });
         drop(span);
-        self.windows.insert_sparse(start_bit, &window, &usage);
-        let (mut result, checksums) = match resolved {
-            Ok(resolved) => resolved,
+        if let Some(state) = self.store(&at, at.start_bit, &usage, resolved) {
+            drop(state);
+            self.progress.notify_all();
+        }
+    }
+
+    /// The end of every commit, whichever decoder made `decoded` of the
+    /// chunk committed at `at`.  Outside the state lock: the seek point's
+    /// window record — the bytes of `at.window` that `usage` says the chunk
+    /// references — into the map, before the point can be read through, and
+    /// whether or not the decode failed, for a speculative chunk's point is
+    /// in the index either way; the chunk's fragments into the fold; its cuts
+    /// split for export.  Then, under the lock, their checksums and split
+    /// points into the index, and its bytes into the table in place of
+    /// `key`, what it went by until now.  Returns the state, still locked, or
+    /// `None` if the chunk failed: the error then waits under `key`.
+    fn store(
+        &self,
+        at: &Position,
+        key: u64,
+        usage: &[(u32, u32)],
+        decoded: Result<ChunkResult, CoreError>,
+    ) -> Option<MutexGuard<'_, ReaderState>> {
+        self.windows.insert_sparse(at.start_bit, &at.window, usage);
+        let mut result = match decoded {
+            Ok(result) => result,
             Err(error) => {
-                self.finish(start_bit, ChunkState::Failed(error));
-                return;
+                self.finish(key, ChunkState::Failed(error));
+                return None;
             }
         };
-        let point = SeekPoint {
-            compressed_bit_offset: start_bit,
-            uncompressed_offset,
-            uncompressed_size: result.data.len() as u64,
-        };
+        // Into the fold before anyone can see the bytes: a reader that has
+        // them all has every member checked.
+        let fragments = std::mem::take(&mut result.fragments);
+        let checksums = self.fold_fragments(at.start_bit, at.seq, at.first_member, fragments);
+        let point = at.point(result.data.len() as u64);
         let segments = std::mem::take(&mut result.segments);
-        let split = self.split_for_export(&point, first_member, &result.data, segments);
+        let split = self.split_for_export(&point, at.first_member, &result.data, segments);
         let mut state = self.lock();
         if let Some(checksums) = checksums {
-            state.index.checksum_map.insert(start_bit, checksums);
+            state.index.checksum_map.insert(at.start_bit, checksums);
         }
         if let Some(split) = split {
-            state.split_points.insert(start_bit, split);
+            state.split_points.insert(at.start_bit, split);
         }
-        self.ready(&mut state, start_bit, result.data);
-        drop(state);
-        self.progress.notify_all();
+        state.pass.chunks.remove(&key);
+        self.ready(&mut state, at.start_bit, result.data);
+        Some(state)
     }
 }

@@ -289,15 +289,16 @@ pub struct ParallelGzipReader {
     position: u64,
     // Where the reader is, three facts that decide each read: one inside
     // `held` is answered from it without the state lock; one that `jumped`
-    // may be a slice unless the `last` read took its chunk whole; any other
-    // takes its chunk whole, with as many after it prefetched as `last` and
-    // `jumped` say (`Shared::issue_index_prefetches`).
+    // may be a slice (`Shared::plan_slice` declines a chunk the access cache
+    // holds, which a chunk taken whole is until others push it out); any
+    // other takes its chunk whole, with as many after it prefetched as
+    // `last` and `jumped` say (`Shared::issue_index_prefetches`).
     /// The bytes the last read came from — a whole chunk or a slice — and
     /// the offset of their first byte, until a read elsewhere.
     held: Option<(u64, ChunkBytes)>,
     /// The seek-point index of the chunk of the last read that reached the
-    /// table, and whether that read took it whole.
-    last: Option<(usize, bool)>,
+    /// table.
+    last: Option<usize>,
     /// Whether a seek has moved `position` since the last read: the next
     /// read is a jump.
     jumped: bool,
@@ -706,13 +707,12 @@ impl ParallelGzipReader {
             let (key, start) = (point.compressed_bit_offset, point.uncompressed_offset);
             state.reading_at = key;
             let reach = self.position..self.position.saturating_add(wanted as u64);
-            // A jump may slice its chunk unless the last read took it whole.
-            let planned = if self.jumped && self.last != Some((index, true)) {
+            let planned = if self.jumped {
                 shared.plan_slice(&mut state, index, reach)
             } else {
                 None
             };
-            let last = self.last.replace((index, planned.is_none()));
+            let last = self.last.replace(index);
             let (start, data) = match planned {
                 Some((slice, window)) => {
                     drop(state);
@@ -729,7 +729,6 @@ impl ParallelGzipReader {
                     // with a complete seek-point table the exact chunks
                     // after it.
                     shared.issue_prefetches(&mut state, shared.guess_of(key));
-                    let last = last.map(|(last, _)| last);
                     shared.issue_index_prefetches(&mut state, index, last, self.jumped);
                     (start, self.chunk_bytes(state, index, key)?)
                 }
@@ -1644,6 +1643,7 @@ mod tests {
                     range_bit,
                     ChunkState::Markered(crate::chunk::SpeculativeChunk {
                         found_bit_offset: found,
+                        earliest_bit_offset: found,
                         end_bit_offset: found + 8,
                         output: crate::chunk::PooledOutput::adopt(
                             vec![0u16; 100].into(),
