@@ -592,6 +592,7 @@ fn print_statistics(reader: &ParallelGzipReader, registry: &MetricsRegistry) {
     let index = reader.index();
     let snapshot = registry.snapshot();
     let statistics = ReaderStatistics::from_metrics_snapshot(&snapshot);
+    let gauge = |name: &str| snapshot.gauge(name, &[]).unwrap_or(0);
     eprintln!(
         "rgzip: chunks: {} speculative, {} window-known, {} on-demand, {} mismatches, \
          {} prefetches issued, {} decoded from index",
@@ -653,10 +654,7 @@ fn print_statistics(reader: &ParallelGzipReader, registry: &MetricsRegistry) {
         "rgzip: buffers: {} reused, {} fresh, {:.1} MiB idle",
         buffer_takes("reused"),
         buffer_takes("fresh"),
-        snapshot
-            .gauge(names::BUFFER_POOL_IDLE_BYTES, &[])
-            .unwrap_or(0) as f64
-            / (1 << 20) as f64
+        gauge(names::BUFFER_POOL_IDLE_BYTES) as f64 / (1 << 20) as f64
     );
     let verification = reader.verification_statistics();
     eprintln!(
@@ -672,15 +670,16 @@ fn print_statistics(reader: &ParallelGzipReader, registry: &MetricsRegistry) {
         "rgzip: random access: {} chunk(s) verified against stored fragments, \
          {} unverified (index carried no fragments); {} slice(s) of them decoded \
          for later reads, {} bytes ({:.1} KiB each on average); interior windows \
-         {} of {} bytes",
+         {} of {} bytes; access cache: {} chunk(s) spanning {} of {} bytes",
         statistics.index_chunks_verified,
         statistics.index_chunks_unverified,
         statistics.index_slices,
         statistics.index_slice_bytes,
         statistics.index_slice_bytes as f64 / statistics.index_slices.max(1) as f64 / 1024.0,
-        snapshot
-            .gauge(names::INTERIOR_WINDOW_BYTES, &[])
-            .unwrap_or(0),
+        gauge(names::INTERIOR_WINDOW_BYTES),
+        reader.options().cache_budget(),
+        gauge(names::ACCESS_CACHE_CHUNKS),
+        gauge(names::ACCESS_CACHE_BYTES),
         reader.options().cache_budget()
     );
 }

@@ -110,6 +110,24 @@ fn assert_window_store_gauges_match_verbose(stderr: &str, export: &str) {
     );
 }
 
+/// A decode that never seeks keeps no chunk for random access: the access
+/// cache's gauges read 0 in the export, and so does `--verbose`'s
+/// `access cache: 0 chunk(s) spanning 0 of 16777216 bytes`.
+fn assert_access_cache_empty(stderr: &str, export: &str) {
+    for gauge in ["rgz_access_cache_chunks", "rgz_access_cache_bytes"] {
+        assert!(export.contains(&format!("# TYPE {gauge} gauge")), "{gauge}");
+        assert_eq!(series_value(export, gauge, None), Some(0), "{gauge}");
+    }
+    let line = stderr
+        .lines()
+        .find(|line| line.starts_with("rgzip: random access:"))
+        .unwrap_or_else(|| panic!("no random-access line in:\n{stderr}"));
+    assert!(
+        line.contains("; access cache: 0 chunk(s) spanning 0 of "),
+        "{line}"
+    );
+}
+
 #[test]
 fn stats_interval_and_export_reconcile_with_verbose_statistics() {
     let dir = TempDir::new("reconcile");
@@ -214,6 +232,10 @@ fn stats_interval_and_export_reconcile_with_verbose_statistics() {
     // above, or — one more input — an import, before the reader that counts
     // into the registry exists.
     assert_window_store_gauges_match_verbose(&stderr, &export);
+    let decoded =
+        ["speculative", "window-known", "on-demand"].map(|path| verbose_count(&stderr, path));
+    assert!(decoded.iter().sum::<u64>() > 1, "{stderr}");
+    assert_access_cache_empty(&stderr, &export);
     let output = run_rgz(&[
         "-P",
         "2",
@@ -231,6 +253,7 @@ fn stats_interval_and_export_reconcile_with_verbose_statistics() {
     assert_eq!(std::fs::read(dir.file("out")).unwrap(), data);
     let export = std::fs::read_to_string(&export_path).unwrap();
     assert_window_store_gauges_match_verbose(&stderr, &export);
+    assert_access_cache_empty(&stderr, &export);
 }
 
 #[test]

@@ -64,6 +64,11 @@ impl<V> Cache<V> {
     pub(crate) fn weight(&self) -> u64 {
         self.weight
     }
+
+    /// How many entries there are.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
 }
 
 #[cfg(test)]

@@ -41,13 +41,15 @@
 //!
 //! **What random access keeps** follows one rule, a [`Cache`] each: the
 //! interior points of the chunks decoded whole, and the bytes of the chunks
-//! read whole last (the access cache), are kept until they weigh more than
-//! [`cache_budget`] bytes, `resolved_cache_chunks × chunk_size`, and then
-//! the least recently used chunk's go first — never those just kept.  A
-//! chunk's points weigh the bytes of window they hold, and are not kept at
-//! all if they alone weigh more; its bytes weigh the compressed bytes from
-//! its seek point to the next, and are kept however many those are: three
-//! or four of the pass's chunks fit, dozens of points a MiB of output apart.
+//! read whole last by a reader that has sought (the access cache), are kept
+//! until they weigh more than [`cache_budget`] bytes, `resolved_cache_chunks
+//! × chunk_size`, and then the least recently used chunk's go first — never
+//! those just kept.  A chunk's points weigh the bytes of window they hold,
+//! and are not kept at all if they alone weigh more; its bytes weigh the
+//! compressed bytes from its seek point to the next, and are kept however
+//! many those are: three or four of the pass's chunks fit, dozens of points
+//! a MiB of output apart.  A reader that never sought — a stream, which
+//! does not come back — keeps no chunk's bytes past the read it is in.
 //!
 //! [`Cache`]: crate::cache::Cache
 //! [`cache_budget`]: crate::ParallelGzipReaderOptions::cache_budget
@@ -179,10 +181,10 @@ impl IndexedChunk {
 }
 
 impl Shared {
-    /// Keeps `data`, the bytes of `chunk`, in the access cache, weighed by
-    /// the compressed bytes from its seek point to the next: a table of
-    /// points a MiB of output apart keeps as many as span four of the pass's
-    /// chunks.
+    /// Keeps `data`, the bytes of `chunk` that a reader which has sought took
+    /// whole, in the access cache, weighed by the compressed bytes from its
+    /// seek point to the next: a table of points a MiB of output apart keeps
+    /// as many as span four of the pass's chunks.
     pub(crate) fn keep_resolved(
         &self,
         state: &mut ReaderState,
@@ -191,7 +193,10 @@ impl Shared {
     ) {
         let key = chunk.point.compressed_bit_offset;
         let span = chunk.stop_bit.min(self.file_bits()).saturating_sub(key) / 8;
-        state.resolved_cache.insert(key, data, span);
+        let cache = &mut state.resolved_cache;
+        cache.insert(key, data, span);
+        // Only an insert evicts.
+        self.metrics.access_cache_held(cache.len(), cache.weight());
     }
 
     /// The `index`th chunk of the seek-point table, for a read that `jumped`

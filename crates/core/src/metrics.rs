@@ -70,6 +70,8 @@ pub(crate) struct ReaderMetrics {
     index_slices_unchecked: Counter,
     index_slice_bytes: Counter,
     interior_window_bytes: Gauge,
+    access_cache_bytes: Gauge,
+    access_cache_chunks: Gauge,
     /// Counted by the [`StreamVerifier`](crate::verify::StreamVerifier).
     pub verify_member: Counter,
     verify_index_verified: Counter,
@@ -181,6 +183,14 @@ impl ReaderMetrics {
             interior_window_bytes: registry.gauge(
                 names::INTERIOR_WINDOW_BYTES,
                 "Bytes of raw window the reader's interior seek points hold",
+            ),
+            access_cache_bytes: registry.gauge(
+                names::ACCESS_CACHE_BYTES,
+                "Compressed bytes the chunks of the reader's access cache span",
+            ),
+            access_cache_chunks: registry.gauge(
+                names::ACCESS_CACHE_CHUNKS,
+                "Chunks the reader's access cache holds",
             ),
             verify_member: verify("member_verified"),
             verify_index_verified: verify("index_verified"),
@@ -328,6 +338,13 @@ impl ReaderMetrics {
     /// The interior points of all chunks now hold `bytes` of window.
     pub fn interior_windows_held(&self, bytes: usize) {
         self.interior_window_bytes.set(bytes as i64);
+    }
+
+    /// The access cache now holds `chunks` chunks spanning `bytes`
+    /// compressed bytes.
+    pub fn access_cache_held(&self, chunks: usize, bytes: u64) {
+        self.access_cache_chunks.set(chunks as i64);
+        self.access_cache_bytes.set(bytes as i64);
     }
 
     /// A chunk decoded through the index reached the reader: `checked`

@@ -83,7 +83,7 @@ use crate::CoreError;
 
 /// A chunk's decompressed bytes, in a buffer of the reader's
 /// [`rgz_fetcher::BufferPool`]: it goes back there when the last holder — the
-/// pass's table, the resolved cache, a read in progress — lets go.
+/// pass's table, the access cache, a read in progress — lets go.
 pub(crate) type ChunkBytes = Arc<Pooled<u8>>;
 
 /// Where a chunk decoded ahead of the reader is on its way to it.
@@ -254,8 +254,9 @@ impl Shared {
     /// `base` + the prefetch degree (2 × `parallelization`) that none has
     /// been issued for yet.
     ///
-    /// This is what bounds the pass's memory: beyond the chunk being read and
-    /// the resolved cache, at most *degree* chunks are decoded or decoding at
+    /// This is what bounds the pass's memory: beyond the chunk being read —
+    /// and, for a reader that has sought, the access cache — at most
+    /// *degree* chunks are decoded or decoding at
     /// any time, however long the reader takes over a chunk — committed ones
     /// as bytes, one byte per byte; the not yet committed, at most as many as
     /// there are workers and then some, as 16-bit symbols for as far as their

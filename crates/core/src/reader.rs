@@ -34,7 +34,9 @@ pub struct ParallelGzipReaderOptions {
     /// of resolved chunks may span — this many of the pass's own, more of a
     /// finer index's — and the bytes of window the interior seek points of
     /// chunks decoded whole through an index may hold, which slices of them
-    /// start from.
+    /// start from.  Only a reader that has sought fills the cache of
+    /// resolved chunks: one that streams holds the chunk it reads and none
+    /// behind it.
     pub resolved_cache_chunks: usize,
     /// Whether to verify member CRC-32s and ISIZEs during the sequential
     /// pass.  [`VerificationMode::Full`] (the default) hashes every
@@ -106,7 +108,9 @@ impl ParallelGzipReaderOptions {
     }
 
     /// The budget of what random access keeps, in bytes:
-    /// `resolved_cache_chunks × chunk_size`.
+    /// `resolved_cache_chunks × chunk_size` of compressed span in the access
+    /// cache, which only a reader that has sought fills, and as many bytes
+    /// of interior windows.
     pub fn cache_budget(&self) -> usize {
         self.resolved_cache_chunks.max(1) * self.chunk_size
     }
@@ -208,10 +212,11 @@ pub(crate) struct ReaderState {
     /// The sequential pass and its table of chunks: the prefetch cache,
     /// everything decoded ahead of the reader, through the index too.
     pub pass: SequentialPass,
-    /// The access cache: the chunks the reader took whole last, keyed like
-    /// the table by compressed bit offset — where a read that comes back to
-    /// one finds it — and weighed by the compressed bytes from their seek
-    /// point to the next.
+    /// The access cache: the chunks the reader took whole last, once it has
+    /// sought (a reader that never did keeps none), keyed like the table by
+    /// compressed bit offset — where a read that comes back to one finds it
+    /// — and weighed by the compressed bytes from their seek point to the
+    /// next.
     pub resolved_cache: Cache<Pooled<u8>>,
     /// First bit of the chunk of the last read that reached this state (one
     /// inside the bytes the reader holds reaches none), `u64::MAX` if that
@@ -287,12 +292,14 @@ pub struct ParallelGzipReader {
     shared: Arc<Shared>,
     /// Current logical read position in the decompressed stream.
     position: u64,
-    // Where the reader is, three facts that decide each read: one inside
+    // Where the reader is, four facts that decide each read: one inside
     // `held` is answered from it without the state lock; one that `jumped`
     // may be a slice (`Shared::plan_slice` declines a chunk the access cache
-    // holds, which a chunk taken whole is until others push it out); any
-    // other takes its chunk whole, with as many after it prefetched as
-    // `last` and `jumped` say (`Shared::issue_index_prefetches`).
+    // holds, which a chunk taken whole by a reader that has `sought` is
+    // until others push it out); any other takes its chunk whole, with as
+    // many after it prefetched as `last` and `jumped` say
+    // (`Shared::issue_index_prefetches`).  A reader that never sought holds
+    // the chunk it reads and nothing behind it.
     /// The bytes the last read came from — a whole chunk or a slice — and
     /// the offset of their first byte, until a read elsewhere.
     held: Option<(u64, ChunkBytes)>,
@@ -302,6 +309,9 @@ pub struct ParallelGzipReader {
     /// Whether a seek has moved `position` since the last read: the next
     /// read is a jump.
     jumped: bool,
+    /// Whether a seek has ever moved `position`: only then does a chunk
+    /// taken whole enter the access cache, for a read that comes back.
+    sought: bool,
 }
 
 impl std::fmt::Debug for ParallelGzipReader {
@@ -383,6 +393,7 @@ impl ParallelGzipReader {
             held: None,
             last: None,
             jumped: false,
+            sought: false,
         }
     }
 
@@ -613,7 +624,8 @@ impl ParallelGzipReader {
     /// at bit `key`: out of the access cache; out of the table, once the
     /// decode or marker replacement it may be in there is done; or, if nobody
     /// has them, decoded here and now from its seek point, as a read that
-    /// [`Self::jumped`] or not.
+    /// [`Self::jumped`] or not.  The bytes enter the access cache if the
+    /// reader has [`Self::sought`].
     fn chunk_bytes<'a>(
         &'a self,
         mut state: MutexGuard<'a, ReaderState>,
@@ -632,9 +644,16 @@ impl ParallelGzipReader {
             _ => None,
         };
         let chunk = shared.indexed_chunk(&state, index, self.jumped);
+        // Only a reader that seeks comes back; a stream lets each chunk's
+        // buffer go back to the pool once it has read on.
+        let keep = |state: &mut ReaderState, data: &ChunkBytes| {
+            if self.sought {
+                shared.keep_resolved(state, &chunk, Arc::clone(data));
+            }
+        };
         let data = match taken {
             Some(ChunkState::Ready(data)) => {
-                shared.keep_resolved(&mut state, &chunk, Arc::clone(&data));
+                keep(&mut state, &data);
                 drop(state);
                 // The worker that produced these bytes has handed their CRC
                 // fragments in; fail the read if the fold caught a trailer
@@ -662,7 +681,7 @@ impl ParallelGzipReader {
         shared
             .metrics
             .index_chunk_served(data.len() as u64, checked, shared.verify());
-        shared.keep_resolved(&mut state, &chunk, Arc::clone(&data));
+        keep(&mut state, &data);
         Ok(data)
     }
 
@@ -790,6 +809,7 @@ impl Seek for ParallelGzipReader {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, message)
         })?;
         self.jumped |= new_position != self.position;
+        self.sought |= self.jumped;
         self.position = new_position;
         Ok(self.position)
     }
@@ -1073,6 +1093,49 @@ mod tests {
         (held.count(), state.resolved_cache.weight())
     }
 
+    /// The whole stream, read by a reader that has sought: one that keeps
+    /// the chunks it takes whole in its access cache.
+    fn read_after_a_seek(reader: &mut ParallelGzipReader) -> Vec<u8> {
+        reader.seek(SeekFrom::Start(1)).unwrap();
+        reader.decompress_all().unwrap()
+    }
+
+    #[test]
+    fn only_a_reader_that_has_sought_keeps_chunks_for_random_access() {
+        let data = silesia_like(2 << 20, 83);
+        let compressed = GzipWriter::default().compress(&data);
+        let mut reader =
+            ParallelGzipReader::from_bytes(compressed, options(2, 128 * 1024)).unwrap();
+        let gauges = |reader: &ParallelGzipReader| {
+            let snapshot = reader.metrics().snapshot();
+            let gauge = |name| snapshot.gauge(name, &[]).unwrap_or(0) as u64;
+            (
+                gauge(names::ACCESS_CACHE_CHUNKS) as usize,
+                gauge(names::ACCESS_CACHE_BYTES),
+            )
+        };
+        // A stream keeps nothing behind the chunk it reads...
+        assert_eq!(reader.decompress_all().unwrap(), data);
+        let index = reader.shared.lock().index.clone();
+        assert!(index.block_map.len() > 4);
+        assert_eq!(cached(&reader, &index), (0, 0));
+        assert_eq!(gauges(&reader), (0, 0));
+        // ...nor does a seek to where the reader already is make it seek.
+        assert_eq!(reader.seek(SeekFrom::End(0)).unwrap(), data.len() as u64);
+        assert_eq!(reader.read(&mut [0u8; 1]).unwrap(), 0);
+        assert_eq!(cached(&reader, &index), (0, 0));
+        // One that moved it keeps the chunk its next read takes whole.
+        let offset = 1_000_000;
+        reader.seek(SeekFrom::Start(offset as u64)).unwrap();
+        let mut buffer = [0u8; 1000];
+        reader.read_exact(&mut buffer).unwrap();
+        assert_eq!(buffer[..], data[offset..][..1000]);
+        let (held, span) = cached(&reader, &index);
+        assert_eq!(held, 1);
+        assert!(span > 0);
+        assert_eq!(gauges(&reader), (held, span));
+    }
+
     #[test]
     fn the_access_cache_holds_as_many_chunks_as_span_its_budget() {
         // Blocks of 8 KiB, Huffman codes only: a chunk of the pass ends a few
@@ -1099,13 +1162,13 @@ mod tests {
                 index.clone(),
             )
             .unwrap();
-            assert_eq!(reader.decompress_all().unwrap(), data);
+            assert_eq!(read_after_a_seek(&mut reader), data);
             cached(&reader, index)
         };
         // The pass's own table, kept by the reader that built it...
         let mut reader =
             ParallelGzipReader::from_bytes(compressed.clone(), options(2, chunk_size)).unwrap();
-        assert_eq!(reader.decompress_all().unwrap(), data);
+        assert_eq!(read_after_a_seek(&mut reader), data);
         let own = reader.shared.lock().index.clone();
         let (held, span) = cached(&reader, &own);
         assert!((3..=4).contains(&held), "{held} chunks");
@@ -1139,7 +1202,7 @@ mod tests {
             index.clone(),
         )
         .unwrap();
-        assert_eq!(reader.decompress_all().unwrap(), data);
+        assert_eq!(read_after_a_seek(&mut reader), data);
         let (held, span) = cached(&reader, &index);
         assert_eq!(held, 1);
         assert!(span > 4096, "{span} bytes");

@@ -100,9 +100,9 @@ fn a_sequential_pass_takes_fresh_buffers_only_while_it_warms_up() {
         let compressed = compress(data);
         for parallelization in [1usize, 2, 3] {
             // Buffers in flight from one end of the pipeline to the other:
-            // up to 2P chunks decoded ahead, one being resolved, and the
-            // resolved cache.
-            let in_flight = 2 * parallelization + 1 + CACHE_CHUNKS;
+            // up to 2P chunks decoded ahead and one being resolved.  A
+            // stream feeds no access cache.
+            let in_flight = 2 * parallelization + 1;
             let chunks = compressed.len().div_ceil(CHUNK_SIZE);
             assert!(chunks >= 4 * in_flight, "{chunks} chunks");
 
@@ -141,7 +141,7 @@ fn a_sequential_pass_takes_fresh_buffers_only_while_it_warms_up() {
             // more buffers were *created* than can be in use at once: P
             // decodes and the sequential pass's own reading a range, 2P
             // chunks decoded ahead and one being resolved holding symbols,
-            // all of those and the cache holding bytes.  And one is
+            // all of those and the chunk being read holding bytes.  And one is
             // *replaced* only if a chunk larger than the sixteen before it
             // was decoded while it lay idle, as at most a shelf-full do at a
             // time: P + 1 range or symbol buffers, 2P + 1 byte buffers.
@@ -211,7 +211,68 @@ fn a_sequential_pass_takes_fresh_buffers_only_while_it_warms_up() {
             drop(reader);
             assert_eq!(idle_bytes(&registry), 0);
         }
+
+        // The same stream through an imported table of a point at every
+        // block: the access cache's budget has room for ten or more of
+        // them, a byte buffer each, but a stream keeps none.  Decoded ahead
+        // and handed over whole, its chunks create no more byte buffers
+        // than above.
+        let index = fine_table(&compressed);
+        for parallelization in [1usize, 2, 3] {
+            let registry = Arc::new(MetricsRegistry::new());
+            let file = rgz_io::SharedFileReader::from_bytes(compressed.clone());
+            let options = ParallelGzipReaderOptions {
+                parallelization,
+                chunk_size: CHUNK_SIZE,
+                resolved_cache_chunks: CACHE_CHUNKS,
+                ..Default::default()
+            }
+            .with_metrics(Arc::clone(&registry));
+            let mut reader = ParallelGzipReader::with_index(file, options, index.clone()).unwrap();
+            let read = reader.decompress_to(&mut std::io::sink()).unwrap();
+            assert_eq!(read, data.len() as u64);
+            let statistics = reader.statistics();
+            assert_eq!(
+                statistics.index_chunks as usize,
+                index.block_map.len(),
+                "{statistics:?}"
+            );
+            let (fresh, bound) = (takes(&registry, "u8", "fresh"), byte_bound(parallelization));
+            assert!(
+                fresh <= bound as u64,
+                "P = {parallelization}, fine table: {fresh} fresh u8 buffers, bound {bound}"
+            );
+        }
     }
+}
+
+/// The most byte buffers a sequential read at `parallelization` creates, the
+/// `u8` bound of the pass above: as many as may hold bytes at once — 2P
+/// chunks decoded ahead, one resolved, the one read — and two shelf-fulls
+/// of replacements.
+fn byte_bound(parallelization: usize) -> usize {
+    2 * parallelization + 2 + 2 * (2 * parallelization + 1)
+}
+
+/// The imported table of a pass at an eighth of `CHUNK_SIZE` over
+/// `compressed`: a point at every one of its 16 KiB blocks, several to a
+/// chunk of `CHUNK_SIZE`.
+fn fine_table(compressed: &[u8]) -> rgz_index::GzipIndex {
+    let options = ParallelGzipReaderOptions {
+        parallelization: 2,
+        chunk_size: CHUNK_SIZE / 8,
+        ..Default::default()
+    };
+    let mut pass = ParallelGzipReader::from_bytes(compressed.to_vec(), options).unwrap();
+    let index = pass.build_full_index().unwrap();
+    let index = rgz_index::GzipIndex::import(&index.export()).unwrap();
+    let chunks = compressed.len().div_ceil(CHUNK_SIZE);
+    assert!(
+        index.block_map.len() >= 2 * chunks,
+        "{} points",
+        index.block_map.len()
+    );
+    index
 }
 
 #[test]
@@ -378,6 +439,8 @@ fn interior_points_stay_within_their_budget_and_the_oldest_chunks_go_first() {
         let registry = Arc::new(MetricsRegistry::new());
         let mut reader = indexed_reader(&compressed, &index, parallelization, 2, &registry);
         let mut watch = WatchWindows(&registry, 0);
+        // A reader that has sought keeps the chunks it reads whole.
+        reader.seek(SeekFrom::Start(1)).unwrap();
         assert_eq!(reader.decompress_to(&mut watch).unwrap(), data.len() as u64);
         let held = interior_window_bytes(&registry);
         assert!(watch.1.max(held) <= budget, "{} bytes held", watch.1);

@@ -65,6 +65,11 @@ pub mod names {
     pub const INDEX_SLICE_BYTES: &str = "rgz_index_slice_bytes_total";
     /// Gauge: raw window bytes the reader's interior points hold.
     pub const INTERIOR_WINDOW_BYTES: &str = "rgz_interior_window_bytes";
+    /// Gauge: compressed bytes the chunks of the reader's access cache span,
+    /// from each one's seek point to the next.
+    pub const ACCESS_CACHE_BYTES: &str = "rgz_access_cache_bytes";
+    /// Gauge: chunks the reader's access cache holds.
+    pub const ACCESS_CACHE_CHUNKS: &str = "rgz_access_cache_chunks";
     /// Counter, label `outcome` ∈ {`member_verified`, `index_verified`,
     /// `index_unverified`}.
     pub const VERIFICATION: &str = "rgz_verification_total";
