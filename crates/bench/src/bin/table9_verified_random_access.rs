@@ -13,8 +13,18 @@
 //! around the read instead of all of it — `slice_vs_chunk_read_speedup`,
 //! checked against the same CRCs.
 //!
+//! A third takes a tour of 128 seeded 64 KiB reads through the reader that
+//! made the pass, once it has read the file, and through a fresh reader of
+//! the index it exports: one table, so the 90th percentiles of the two should
+//! match (`imported_vs_same_reader_p90`), and their means, which count the
+//! reads beyond — a whole chunk decoded at each chunk's first touch, where
+//! the export has a point every MiB.  Beside it, the MB/s of a second whole
+//! read on the same reader and of a first one on the fresh reader, at one and
+//! two threads.
+//!
 //! `--json` emits one [`rgz_bench::JsonReport`] line; `perf_compare` gates
-//! `verified_vs_unverified_ratio` and `slice_vs_chunk_read_speedup`.  The
+//! `verified_vs_unverified_ratio`, `slice_vs_chunk_read_speedup` and
+//! `imported_vs_same_reader_p90`.  The
 //! design target of the first is <= 10% overhead
 //! (a ratio of 0.9); the checked-in floor sits at 0.85 to leave measurement
 //! margin on loaded CI runners while still catching pathological
@@ -25,12 +35,14 @@ use std::io::{Read, Seek, SeekFrom};
 use std::time::Duration;
 
 use rgz_bench::*;
-use rgz_core::{ParallelGzipReader, ParallelGzipReaderOptions, VerificationMode};
+use rgz_core::{
+    ParallelGzipReader, ParallelGzipReaderOptions, VerificationMode, DEFAULT_CHUNK_SIZE,
+};
 use rgz_gzip::GzipWriter;
 use rgz_index::GzipIndex;
 use rgz_io::SharedFileReader;
 
-/// The pass's own table of chunks, out of the index it exported.
+/// The pass's table of chunks, out of the index it exported.
 #[path = "../../../../tests/common/chunk_table.rs"]
 mod chunk_table;
 
@@ -77,7 +89,8 @@ fn median_ms(mut samples: Vec<Duration>) -> f64 {
 }
 
 /// 64 KiB reads through a v3 index of chunks a dozen MiB of output long —
-/// the pass's own table, which its export splits a MiB apart: each chunk's
+/// the chunks the pass decoded, merged back from the points a MiB apart it
+/// cut them into: each chunk's
 /// first touch — the whole chunk, decoded and checked — and then a tour of
 /// jumps that find their chunk's interior points known.
 fn sliced_reads(report: &mut JsonReport, json: bool) {
@@ -171,6 +184,81 @@ fn sliced_reads(report: &mut JsonReport, json: bool) {
         slice_bytes / read_size as f64,
     );
     report.record("slice_vs_chunk_read_speedup", speedup);
+}
+
+/// Seeded 64 KiB reads over a file of a dozen chunks of the pass, through the
+/// reader that made the pass after it read the file, and through a fresh
+/// reader of its export; then a second whole read of the same reader against
+/// a first of a fresh one.
+fn tour_after_the_pass(report: &mut JsonReport, json: bool) {
+    let read_size = 64 << 10;
+    let data = rgz_datagen::silesia_like(scaled(128 << 20, 32 << 20), 3);
+    let compressed = GzipWriter::default().compress(&data);
+    // A reader that has read the file, and the fresh reader of its export.
+    let readers = |parallelization| {
+        let options = ParallelGzipReaderOptions {
+            parallelization,
+            chunk_size: scaled(DEFAULT_CHUNK_SIZE, 1 << 20),
+            ..Default::default()
+        };
+        let mut same = ParallelGzipReader::from_bytes(compressed.clone(), options.clone()).unwrap();
+        assert!(same.decompress_all().unwrap() == data);
+        let index = GzipIndex::import(&same.index().export()).unwrap();
+        let file = SharedFileReader::from_bytes(compressed.clone());
+        [
+            same,
+            ParallelGzipReader::with_index(file, options, index).unwrap(),
+        ]
+    };
+    // Ten or more reads lie beyond the 90th percentile.
+    let offsets = access_offsets(SEED, data.len(), 128, read_size);
+    let mut buffer = vec![0u8; read_size];
+    // The best of three tours a side, each with fresh readers, so that a
+    // drift of the machine reaches both alike.
+    let [mut same, mut imported] = [[f64::MAX; 2]; 2];
+    for _ in 0..3 {
+        let tours = readers(available_cores()).map(|mut reader| {
+            let mut reads: Vec<Duration> = offsets
+                .iter()
+                .map(|&offset| {
+                    let (_, elapsed) = time(|| {
+                        reader.seek(SeekFrom::Start(offset)).unwrap();
+                        reader.read_exact(&mut buffer).unwrap();
+                    });
+                    assert!(buffer[..] == data[offset as usize..][..read_size]);
+                    elapsed
+                })
+                .collect();
+            reads.sort();
+            // The mean holds what lies beyond: a chunk's whole first touch.
+            let mean = reads.iter().sum::<Duration>() / reads.len() as u32;
+            [reads[reads.len() * 9 / 10], mean].map(|time| time.as_secs_f64() * 1e3)
+        });
+        for (best, tour) in [&mut same, &mut imported].into_iter().zip(tours) {
+            *best = [0, 1].map(|figure| best[figure].min(tour[figure]));
+        }
+    }
+    let ratio = imported[0] / same[0].max(1e-9);
+    for (reader, [p90, mean]) in [("same_reader", same), ("imported", imported)] {
+        report.record(&format!("{reader}_tour_p90_ms"), p90);
+        report.record(&format!("{reader}_tour_mean_ms"), mean);
+        if !json {
+            println!("64 KiB reads after the pass, {reader}: p90 {p90:.2} ms, mean {mean:.2} ms");
+        }
+    }
+    report.record("imported_vs_same_reader_p90", ratio);
+    for parallelization in [1, 2] {
+        let [second, first] = readers(parallelization).map(|mut reader| {
+            let (read, elapsed) = time(|| reader.decompress_all().unwrap());
+            assert!(read == data);
+            bandwidth_mb_per_s(data.len(), elapsed)
+        });
+        report.record(&format!("second_read_p{parallelization}_mb_s"), second);
+        report.record(&format!("imported_read_p{parallelization}_mb_s"), first);
+        if !json {
+            println!("whole read, P = {parallelization}: {second:.1} MB/s the same reader's second, {first:.1} the first of one of its export");
+        }
+    }
 }
 
 fn main() {
@@ -283,6 +371,7 @@ fn main() {
     report.record("verified_access_mb_s", verified_mb_s);
     report.record("verified_vs_unverified_ratio", ratio);
     sliced_reads(&mut report, json);
+    tour_after_the_pass(&mut report, json);
 
     if json {
         report.emit();

@@ -46,6 +46,14 @@ impl<V> Cache<V> {
         self.position(key).is_some()
     }
 
+    /// The entry of the greatest key at or before `key`, if any (does not
+    /// affect eviction order).
+    pub(crate) fn at_or_before(&self, key: u64) -> Option<(u64, &Arc<V>)> {
+        let entries = self.entries.iter().filter(|entry| entry.0 <= key);
+        let entry = entries.max_by_key(|entry| entry.0)?;
+        Some((entry.0, &entry.1))
+    }
+
     /// Inserts `value`, of `weight`, as the most recently used, in place of
     /// what `key` held, and evicts the least recently used others while the
     /// cache weighs more than its budget.

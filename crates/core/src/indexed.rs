@@ -35,9 +35,11 @@
 //! that chains back to the file's own.  The run of points around a later
 //! read makes an [`IndexedChunk`] like any other, for the same
 //! `decode_indexed`.  The tables are the reader's own, in memory only.  What
-//! an export holds instead are the pass's cuts: the same rule at a MiB, with
-//! no stop points, so a table the pass built is a point every MiB or so once
-//! imported.
+//! the seek-point table holds instead are the pass's cuts: the same rule at a
+//! MiB, with no stop points, so a table the pass built is a point every MiB
+//! or so, in the reader that built it as in one that imports it.  A point
+//! inside a chunk the pass's table of chunks or the access cache holds is read
+//! from that chunk's bytes ([`holder`]), never decoded again from a cut.
 //!
 //! **What random access keeps** follows one rule, a [`Cache`] each: the
 //! interior points of the chunks decoded whole, and the bytes of the chunks
@@ -135,6 +137,61 @@ fn window_spacing(covered: u64, budget: usize) -> usize {
     spacing.clamp(STOP_SPACING as u128, INTERIOR_SPACING as u128) as usize
 }
 
+/// The index of the first point of `points` at bit `key` that has bytes, if
+/// any: a point of no bytes may share its bit with the next.
+pub(crate) fn point_at(points: &[SeekPoint], key: u64) -> Option<usize> {
+    let first = points.partition_point(|point| point.compressed_bit_offset < key);
+    let mut at = points[first..]
+        .iter()
+        .take_while(|p| p.compressed_bit_offset == key);
+    Some(first + at.position(|point| point.uncompressed_size > 0)?)
+}
+
+/// The first bit past `key` of the points of `state`'s table from the
+/// `next`th on — points are sorted by compressed offset (enforced on import)
+/// — or, past the last, the file's end or where a pass under way stands.
+fn stop_bit(state: &ReaderState, next: usize, key: u64) -> u64 {
+    let points = state.index.block_map.points().iter().skip(next);
+    let end = if state.pass.finished {
+        u64::MAX
+    } else {
+        state.pass.next_start_bit
+    };
+    let mut bits = points.map(|point| point.compressed_bit_offset);
+    bits.find(|&bit| bit > key).unwrap_or(end)
+}
+
+/// The points of `points` whose bytes are the `length` from the `first`th's
+/// on, and at least that one.
+fn spanned(points: &[SeekPoint], first: usize, length: usize) -> Range<usize> {
+    let end = points[first].uncompressed_offset + length as u64;
+    let count = points[first..].partition_point(|point| point.uncompressed_offset < end);
+    first..first + count.max(1)
+}
+
+/// The points of the table whose bytes are held with the `index`th's, if
+/// someone holds them: the chunk of the pass's table or of the access cache
+/// whose bytes they are — one of the pass's holds those of its cuts — or a
+/// decode of the point that failed, which holds its error.
+pub(crate) fn holder(state: &ReaderState, index: usize) -> Option<Range<usize>> {
+    let points = state.index.block_map.points();
+    let key = points[index].compressed_bit_offset;
+    let mut decoded = state.pass.chunks.range(..=key).rev();
+    let decoded = decoded.find_map(|(&first, chunk)| match chunk {
+        ChunkState::Ready(data) | ChunkState::Prefetched(data) => Some((first, data.len())),
+        ChunkState::Failed(_) if first == key => Some((first, 0)),
+        _ => None,
+    });
+    let cached = state.resolved_cache.at_or_before(key);
+    let cached = cached.map(|(first, data)| (first, data.len()));
+    let (first, length) = decoded
+        .into_iter()
+        .chain(cached)
+        .max_by_key(|held| held.0)?;
+    let held = spanned(points, point_at(points, first)?, length);
+    held.contains(&index).then_some(held)
+}
+
 /// A slice to decode, and the window it starts with unless the index has it.
 pub(crate) type Slice = (IndexedChunk, Option<Arc<Vec<u8>>>);
 
@@ -181,18 +238,20 @@ impl IndexedChunk {
 }
 
 impl Shared {
-    /// Keeps `data`, the bytes of `chunk` that a reader which has sought took
-    /// whole, in the access cache, weighed by the compressed bytes from its
-    /// seek point to the next: a table of points a MiB of output apart keeps
-    /// as many as span four of the pass's chunks.
-    pub(crate) fn keep_resolved(
-        &self,
-        state: &mut ReaderState,
-        chunk: &IndexedChunk,
-        data: ChunkBytes,
-    ) {
-        let key = chunk.point.compressed_bit_offset;
-        let span = chunk.stop_bit.min(self.file_bits()).saturating_sub(key) / 8;
+    /// Keeps `data`, the bytes from the seek point at `key` on that a reader
+    /// which has sought took whole, in the access cache, weighed by the
+    /// compressed bytes from that point to the first past them: a chunk of
+    /// the pass weighs all of its own, however many points it was cut into,
+    /// and a table of points a MiB of output apart keeps as many as span four
+    /// of the pass's chunks.
+    pub(crate) fn keep_resolved(&self, state: &mut ReaderState, key: u64, data: ChunkBytes) {
+        let points = state.index.block_map.points();
+        let first = point_at(points, key).expect("bytes taken start at a point");
+        let past = spanned(points, first, data.len()).end;
+        let span = stop_bit(state, past, key)
+            .min(self.file_bits())
+            .saturating_sub(key)
+            / 8;
         let cache = &mut state.resolved_cache;
         cache.insert(key, data, span);
         // Only an insert evicts.
@@ -214,18 +273,7 @@ impl Shared {
         let points = state.index.block_map.points();
         let point = points[index].clone();
         let key = point.compressed_bit_offset;
-        // Points are sorted by compressed offset (enforced on import).  The
-        // last one's chunk ends with the file, or where a pass still under
-        // way stands.
-        let stop_bit = points[index + 1..]
-            .iter()
-            .map(|next| next.compressed_bit_offset)
-            .find(|&next| next > key)
-            .unwrap_or(if state.pass.finished {
-                u64::MAX
-            } else {
-                state.pass.next_start_bit
-            });
+        let stop_bit = stop_bit(state, index + 1, key);
         let checksums = if self.verify() {
             state.index.checksum_map.get(key)
         } else {
@@ -253,10 +301,10 @@ impl Shared {
     /// bytes `wanted` there that jumps into it — follows a seek that moved
     /// the position, into a chunk other than the one the last read took
     /// whole (a read that goes on from where the last one ended, or stays in
-    /// a chunk taken whole, takes the chunk whole): nothing, unless nobody
-    /// has the chunk's bytes and its interior points are known.  A jump
-    /// served this way issues no prefetch, and does not wait for one of its
-    /// chunk under way.
+    /// a chunk taken whole, takes the chunk whole) — and whose bytes nobody
+    /// holds ([`holder`]): nothing, unless its interior points are known.  A
+    /// jump served this way issues no prefetch, and does not wait for one of
+    /// its chunk under way.
     pub(crate) fn plan_slice(
         &self,
         state: &mut ReaderState,
@@ -264,10 +312,6 @@ impl Shared {
         wanted: Range<u64>,
     ) -> Option<Slice> {
         let key = state.index.block_map.points()[index].compressed_bit_offset;
-        let prefetched = state.pass.chunks.get(&key);
-        if state.resolved_cache.contains(key) || prefetched.is_some_and(ChunkState::is_finished) {
-            return None;
-        }
         let points = state.interior.get(key)?;
         Some(
             self.indexed_chunk(state, index, true)
@@ -361,33 +405,52 @@ impl Shared {
         decoded.map(Arc::new)
     }
 
-    /// Puts the chunks to decode ahead, now that the reader takes the
-    /// `accessed`th of the table whole, on the pool, each entered into the
-    /// table as `Decoding`: none if it is the chunk read `last` (another read
-    /// in it says nothing new) or the read `jumped` into a chunk of the access
-    /// cache (a tour back to where it was, which decodes nothing: at points a
-    /// MiB apart, most of a random tour's reads), the one after it if the
-    /// read otherwise `jumped` — its interior points kept as a jump's are —
-    /// and else the prefetch degree's after it — those neither in the table
-    /// nor in the access cache.
+    /// Puts the chunks to decode ahead, now that the reader takes the bytes
+    /// of the points `taken` of the table whole, on the pool, each entered
+    /// into the table as `Decoding`: none if they are those read `last`
+    /// (another read in them says nothing new) or the read `jumped` into a
+    /// chunk of the access cache (a tour back to where it was, which decodes
+    /// nothing: at points a MiB apart, most of a random tour's reads), the
+    /// one after them if the read otherwise `jumped` — its interior points
+    /// kept as a jump's are — and else the prefetch degree's after them —
+    /// those neither in the table nor in the access cache.  A chunk there
+    /// counts once, however many points it holds, and a point of no bytes not
+    /// at all: past a pass's end, the chunks a stream is about to read are
+    /// those it prefetches.
     ///
     /// Active only once a complete seek-point table exists.
     pub(crate) fn issue_index_prefetches(
         self: &Arc<Self>,
         state: &mut ReaderState,
-        accessed: usize,
-        last: Option<usize>,
+        taken: Range<usize>,
+        last: Option<u64>,
         jumped: bool,
     ) {
-        let key = state.index.block_map.points()[accessed].compressed_bit_offset;
+        let points = state.index.block_map.points();
+        let key = points[taken.start].compressed_bit_offset;
         let revisit = jumped && state.resolved_cache.contains(key);
-        if !state.pass.finished || last == Some(accessed) || revisit {
+        if !state.pass.finished || last == Some(key) || revisit {
             return;
         }
         let degree = self.options.prefetch_degree();
         let count = if jumped { 1 } else { degree };
-        let chunks = state.index.block_map.len();
-        let targets = accessed + 1..(accessed + 1 + count).min(chunks);
+        let mut targets = Vec::new();
+        let mut next = taken.end;
+        while targets.len() < count && next < points.len() {
+            // A point of no bytes, such as a chunk's cut at an empty last
+            // block, has nothing to decode.
+            if points[next].uncompressed_size == 0 {
+                next += 1;
+                continue;
+            }
+            let held = holder(state, next).unwrap_or(next..next + 1);
+            targets.push(held.start);
+            next = held.end.max(next + 1);
+        }
+        let targeted = targets
+            .iter()
+            .map(|&index| points[index].compressed_bit_offset);
+        let wanted: Vec<u64> = targeted.chain([key]).collect();
 
         // Cap the decoded-but-unconsumed backlog: let go of finished chunks
         // that are neither this read's nor among those it prefetches (random
@@ -395,16 +458,11 @@ impl Shared {
         // first read that follows it closely, beside the tasks of the ranges
         // it ran past.
         if state.pass.chunks.len() >= degree.saturating_mul(2) {
-            let points = state.index.block_map.points();
-            let wanted = accessed..targets.end;
             let elsewhere: Vec<u64> = state
                 .pass
                 .chunks
                 .iter()
-                .filter(|(key, chunk)| {
-                    let is_key = |index: usize| points[index].compressed_bit_offset == **key;
-                    chunk.is_finished() && !wanted.clone().any(is_key)
-                })
+                .filter(|(key, chunk)| chunk.is_finished() && !wanted.contains(key))
                 .map(|(&key, _)| key)
                 .collect();
             for key in elsewhere {
@@ -416,6 +474,7 @@ impl Shared {
         }
 
         let planned: Vec<IndexedChunk> = targets
+            .into_iter()
             .map(|index| self.indexed_chunk(state, index, jumped))
             .filter(|chunk| {
                 let key = chunk.point.compressed_bit_offset;

@@ -54,13 +54,17 @@
 //! into the table, where [`Shared::commit_ready`] counts it wasted and queues
 //! the decode from the pass's bit on the urgent lane.  And a chunk's commit
 //! ends in one tail, whichever decoder made its bytes ([`Shared::store`]):
-//! fold, window record, export split, then its bytes into the table.
+//! fold, window records, its points into the seek-point table, then its
+//! bytes into the table of chunks.
 //!
 //! Either way a committed chunk is cut at the first Dynamic or Non-Compressed
 //! block boundary a MiB of output past its start or its last cut, the same
-//! boundaries whichever decoder ran: [`crate::ParallelGzipReader::index`]
-//! splits it there, each cut with its CRC fragments and the 32 KiB before it,
-//! kept verbatim until `index()` has the pool compress it.
+//! boundaries whichever decoder ran, and its one point in the reader's
+//! seek-point table becomes a point at its start and one at each cut, each
+//! with its CRC fragments and the 32 KiB before it — kept verbatim until
+//! [`crate::ParallelGzipReader::index`] has the pool compress it.  The table
+//! a reader seeks through after its pass is the one it exports; the bytes of
+//! a chunk still in the table of chunks serve all of its points.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -161,10 +165,6 @@ impl SequentialPass {
             .any(|chunk| matches!(chunk, ChunkState::Resolving))
     }
 }
-
-/// A seek point of the exported index, and the CRC fragments of its bytes
-/// if they were hashed.
-pub(crate) type ExportedPoint = (SeekPoint, Option<PointChecksums>);
 
 /// Where the pass stands, as the chunk committed there needs it: its seek
 /// point's first bit and offset, the window in front of it, its place in the
@@ -477,7 +477,6 @@ impl Shared {
         };
         let state = &mut *state;
         debug_assert_eq!(state.pass.next_start_bit, at.start_bit);
-        state.index.block_map.push(at.point(length));
         self.metrics
             .known_start_committed(demanded, at.start_bit, at.first_member, length);
         self.advance(
@@ -602,7 +601,6 @@ impl Shared {
         let passed = if reached_end_of_file || end_bit >= self.file_bits() {
             pass.finished = true;
             self.frontier.store(u64::MAX, Relaxed);
-            state.index.uncompressed_size = state.index.block_map.uncompressed_size();
             // Every decode from here on is direct: the symbol buffers the
             // last marker replacements give back are no use to anyone.
             self.decoder.buffers.retire_symbols();
@@ -648,25 +646,25 @@ impl Shared {
         Some(checksums)
     }
 
-    /// The seek points the exported index splits `chunk`, just committed,
-    /// into if its decode cut it: its own, up to the first cut, and one at
-    /// each cut, with the CRC fragments of their bytes if the pass hashes.
-    /// Each cut's window — the 32 KiB of `data` before it — goes into the map
-    /// here, verbatim: a copy, where its deflate waits for `index()`
-    /// ([`Self::compress_windows`]).
-    fn split_for_export(
+    /// The seek points `chunk`, just committed, is split into if its decode
+    /// cut it: its own, up to the first cut, and one at each cut, with the
+    /// CRC fragments of their bytes if the pass hashes; none if it was not
+    /// cut.  Each cut's window — the 32 KiB of `data` before it — goes into
+    /// the map here, before the cut can be read through, verbatim: a copy,
+    /// where its deflate waits for `index()` ([`Self::compress_windows`]).
+    fn cut(
         &self,
         chunk: &SeekPoint,
         first_member: u64,
         data: &[u8],
         segments: Vec<Segment>,
-    ) -> Option<Vec<ExportedPoint>> {
+    ) -> Vec<(SeekPoint, Option<PointChecksums>)> {
         if segments.len() < 2 {
-            return None;
+            return Vec::new();
         }
         let first_member = self.verify().then_some(first_member);
         let points = interior_points(chunk, first_member, segments, data);
-        let split = points.into_iter().map(|cut| {
+        let cuts = points.into_iter().map(|cut| {
             if let Some(window) = &cut.window {
                 let record = CompressedWindow::from_window_verbatim(window);
                 self.windows
@@ -682,11 +680,11 @@ impl Shared {
             });
             (cut.point, checksums)
         });
-        Some(split.collect())
+        cuts.collect()
     }
 
     /// Compresses the windows at `keys`, put into the map verbatim by
-    /// [`Self::split_for_export`], on the pool — a share per worker, each
+    /// [`Self::cut`], on the pool — a share per worker, each
     /// window once — and waits for them.
     pub(crate) fn compress_windows(&self, keys: Vec<u64>) {
         let share = keys.len().div_ceil(self.options.parallelization.max(1));
@@ -757,11 +755,12 @@ impl Shared {
     /// window record — the bytes of `at.window` that `usage` says the chunk
     /// references — into the map, before the point can be read through, and
     /// whether or not the decode failed, for a speculative chunk's point is
-    /// in the index either way; the chunk's fragments into the fold; its cuts
-    /// split for export.  Then, under the lock, their checksums and split
-    /// points into the index, and its bytes into the table in place of
-    /// `key`, what it went by until now.  Returns the state, still locked, or
-    /// `None` if the chunk failed: the error then waits under `key`.
+    /// in the index either way; the chunk's fragments into the fold; its cuts'
+    /// windows into the map.  Then, under the lock, its points and their
+    /// checksums into the index — its cuts in place of its one point — and
+    /// its bytes into the table in place of `key`, what it went by until now.
+    /// Returns the state, still locked, or `None` if the chunk failed: the
+    /// error then waits under `key`, and the chunk's point stays whole.
     fn store(
         &self,
         at: &Position,
@@ -783,16 +782,33 @@ impl Shared {
         let checksums = self.fold_fragments(at.start_bit, at.seq, at.first_member, fragments);
         let point = at.point(result.data.len() as u64);
         let segments = std::mem::take(&mut result.segments);
-        let split = self.split_for_export(&point, at.first_member, &result.data, segments);
-        let mut state = self.lock();
-        if let Some(checksums) = checksums {
-            state.index.checksum_map.insert(at.start_bit, checksums);
+        let cuts = self.cut(&point, at.first_member, &result.data, segments);
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        let index = &mut state.index;
+        // A speculative chunk's point entered the table at its commit; one
+        // decoded from where the pass stands is committed now.
+        if state.pass.next_start_bit == at.start_bit {
+            index.block_map.push(point);
         }
-        if let Some(split) = split {
-            state.split_points.insert(at.start_bit, split);
+        if let Some(checksums) = checksums {
+            index.checksum_map.insert(at.start_bit, checksums);
+        }
+        if !cuts.is_empty() {
+            let (points, checksums): (Vec<SeekPoint>, Vec<_>) = cuts.into_iter().unzip();
+            for (point, checksums) in points.iter().zip(checksums) {
+                if let Some(checksums) = checksums {
+                    index
+                        .checksum_map
+                        .insert(point.compressed_bit_offset, checksums);
+                }
+            }
+            let keys = points[1..].iter().map(|point| point.compressed_bit_offset);
+            state.verbatim_cuts.extend(keys);
+            index.block_map.split(points);
         }
         state.pass.chunks.remove(&key);
-        self.ready(&mut state, at.start_bit, result.data);
-        Some(state)
+        self.ready(state, at.start_bit, result.data);
+        Some(guard)
     }
 }

@@ -1,22 +1,21 @@
 //! The `ParallelGzipReader`: orchestration of speculative chunk
 //! decompression, marker resolution, index construction and random access.
 
-use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use rgz_fetcher::{BufferPool, Pooled, Spawner, ThreadPool};
-use rgz_index::{BlockMap, GzipIndex, WindowMap, WindowStoreStatistics};
+use rgz_index::{GzipIndex, WindowMap, WindowStoreStatistics};
 use rgz_io::{FileReader, SharedFileReader};
 use rgz_metrics::MetricsRegistry;
 use rgz_trace::{Stage, TraceSink};
 
 use crate::cache::Cache;
 use crate::chunk::ChunkDecoder;
-use crate::indexed::InteriorPoint;
+use crate::indexed::{holder, point_at, InteriorPoint};
 use crate::metrics::ReaderMetrics;
-use crate::pass::{ChunkBytes, ChunkState, ExportedPoint, SequentialPass};
+use crate::pass::{ChunkBytes, ChunkState, SequentialPass};
 use crate::verify::{StreamVerifier, VerificationMode, VerificationStatistics};
 use crate::{CoreError, DEFAULT_CHUNK_SIZE};
 
@@ -203,12 +202,14 @@ pub struct ReaderStatistics {
 const HAND_OVER_BYTES: usize = 1 << 20;
 
 pub(crate) struct ReaderState {
-    /// The reader's own seek-point table: one point per chunk of the pass,
-    /// or the index imported.
+    /// The reader's own seek-point table, and the one it exports: the index
+    /// imported, or the pass's — a point at each chunk's start and at each
+    /// cut of it, a MiB of output or so apart, once the chunk is stored (see
+    /// [`crate::pass`]).
     pub index: GzipIndex,
-    /// The points [`ParallelGzipReader::index`] splits each chunk of the pass
-    /// that the pass cut into, by the chunk's first bit.
-    pub split_points: HashMap<u64, Vec<ExportedPoint>>,
+    /// The pass's cuts whose windows wait in the map, verbatim, for
+    /// [`ParallelGzipReader::index`] to compress them.
+    pub verbatim_cuts: Vec<u64>,
     /// The sequential pass and its table of chunks: the prefetch cache,
     /// everything decoded ahead of the reader, through the index too.
     pub pass: SequentialPass,
@@ -303,9 +304,9 @@ pub struct ParallelGzipReader {
     /// The bytes the last read came from — a whole chunk or a slice — and
     /// the offset of their first byte, until a read elsewhere.
     held: Option<(u64, ChunkBytes)>,
-    /// The seek-point index of the chunk of the last read that reached the
-    /// table.
-    last: Option<usize>,
+    /// The first bit of the bytes the last read that reached the table took
+    /// (a chunk's, or the point a slice is of).
+    last: Option<u64>,
     /// Whether a seek has moved `position` since the last read: the next
     /// read is a jump.
     jumped: bool,
@@ -378,7 +379,7 @@ impl ParallelGzipReader {
                 metrics,
                 state: Mutex::new(ReaderState {
                     index,
-                    split_points: HashMap::new(),
+                    verbatim_cuts: Vec::new(),
                     pass,
                     resolved_cache: Cache::new(budget),
                     reading_at: 0,
@@ -506,17 +507,18 @@ impl ParallelGzipReader {
         }
     }
 
-    /// Returns a copy of the index built so far.  Call after reading the
-    /// whole stream (or [`ParallelGzipReader::build_full_index`]) to get a
-    /// complete index suitable for export.
+    /// Returns a copy of the index built so far: the reader's own table.
+    /// Call after reading the whole stream (or
+    /// [`ParallelGzipReader::build_full_index`]) to get a complete index
+    /// suitable for export.
     ///
     /// The pass's chunks come split at their cuts: a seek point at the first
     /// Dynamic or Non-Compressed block a MiB of output or more past the
     /// chunk's start or the last cut, each with its window and the CRC
     /// fragments of its bytes — so that a read through the index decodes a
-    /// MiB or so, not a chunk.  The cuts' windows, kept verbatim since the
-    /// pass, are compressed on the pool before this returns, once.  The
-    /// reader's own table stays one point per chunk.
+    /// MiB or so, not a chunk, here as in a reader that imports it.  The
+    /// cuts' windows, kept verbatim since the pass, are compressed on the
+    /// pool before this returns, once.
     pub fn index(&self) -> GzipIndex {
         let mut state = self.shared.lock();
         // Wait for the marker replacements in flight first: each one records
@@ -526,30 +528,9 @@ impl ParallelGzipReader {
         while state.pass.is_resolving() {
             state = self.shared.wait(state);
         }
-        let mut index = state.index.clone();
-        let mut cuts = Vec::new();
-        if !state.split_points.is_empty() {
-            let mut block_map = BlockMap::new();
-            for point in state.index.block_map.points() {
-                let Some(split) = state.split_points.get(&point.compressed_bit_offset) else {
-                    block_map.push(point.clone());
-                    continue;
-                };
-                for (point, checksums) in split {
-                    let key = point.compressed_bit_offset;
-                    if let Some(checksums) = checksums {
-                        index.checksum_map.insert(key, checksums.clone());
-                    }
-                    if key != split[0].0.compressed_bit_offset {
-                        cuts.push(key);
-                    }
-                    block_map.push(point.clone());
-                }
-            }
-            index.block_map = block_map;
-        }
-        index.uncompressed_size = index.block_map.uncompressed_size();
-        state.index.uncompressed_size = index.uncompressed_size;
+        state.index.uncompressed_size = state.index.block_map.uncompressed_size();
+        let index = state.index.clone();
+        let cuts = std::mem::take(&mut state.verbatim_cuts);
         drop(state);
         // The index shares the map: an export finds them compressed.
         self.shared.compress_windows(cuts);
@@ -620,16 +601,14 @@ impl ParallelGzipReader {
 
     // --- serving reads ----------------------------------------------------
 
-    /// The bytes of the `index`th chunk of the seek-point table, which starts
-    /// at bit `key`: out of the access cache; out of the table, once the
-    /// decode or marker replacement it may be in there is done; or, if nobody
-    /// has them, decoded here and now from its seek point, as a read that
-    /// [`Self::jumped`] or not.  The bytes enter the access cache if the
-    /// reader has [`Self::sought`].
+    /// The bytes from the seek point at bit `key` on: out of the access
+    /// cache; out of the table, once the decode or marker replacement they
+    /// may be in there is done; or, if nobody has them, decoded here and now
+    /// from the point, as a read that [`Self::jumped`] or not.  The bytes
+    /// enter the access cache if the reader has [`Self::sought`].
     fn chunk_bytes<'a>(
         &'a self,
         mut state: MutexGuard<'a, ReaderState>,
-        index: usize,
         key: u64,
     ) -> Result<ChunkBytes, CoreError> {
         let shared = &self.shared;
@@ -643,12 +622,11 @@ impl ParallelGzipReader {
             Some(chunk) if chunk.is_finished() => state.pass.chunks.remove(&key),
             _ => None,
         };
-        let chunk = shared.indexed_chunk(&state, index, self.jumped);
         // Only a reader that seeks comes back; a stream lets each chunk's
         // buffer go back to the pool once it has read on.
         let keep = |state: &mut ReaderState, data: &ChunkBytes| {
             if self.sought {
-                shared.keep_resolved(state, &chunk, Arc::clone(data));
+                shared.keep_resolved(state, key, Arc::clone(data));
             }
         };
         let data = match taken {
@@ -667,8 +645,13 @@ impl ParallelGzipReader {
                 data
             }
             // Nobody has it: decoded on this thread, with the stored window
-            // lazily re-inflated from its compressed record.
+            // lazily re-inflated from its compressed record — from the point
+            // as it stands now that this thread has waited, after the cuts of
+            // a chunk stored meanwhile.
             _ => {
+                let points = state.index.block_map.points();
+                let index = point_at(points, key).expect("a point at a read's bit");
+                let chunk = shared.indexed_chunk(&state, index, self.jumped);
                 drop(state);
                 shared.metrics.prefetch_miss(key);
                 let data = shared.decode_indexed(Stage::RandomAccess, &chunk, None)?;
@@ -677,7 +660,7 @@ impl ParallelGzipReader {
             }
         };
         // One more chunk out of the index, every check there was passed.
-        let checked = chunk.checksums.is_some();
+        let checked = shared.verify() && state.index.checksum_map.contains(key);
         shared
             .metrics
             .index_chunk_served(data.len() as u64, checked, shared.verify());
@@ -685,11 +668,12 @@ impl ParallelGzipReader {
         Ok(data)
     }
 
-    /// The chunk covering the current position — or a slice of it, for a
-    /// read of `wanted` bytes that jumps into one with interior points (see
-    /// [`Shared::plan_slice`]) — and the position's offset in it, advancing
-    /// the sequential pass as far as that takes; `None` at the end of the
-    /// stream.
+    /// The bytes holding the current position — a chunk's, or a slice of
+    /// one, for a read of `wanted` bytes that jumps into a point whose bytes
+    /// nobody holds but whose interior points are known (see
+    /// [`Shared::plan_slice`]) — and the position's offset in them,
+    /// advancing the sequential pass as far as that takes; `None` at the end
+    /// of the stream.
     fn chunk_at_position(
         &mut self,
         wanted: usize,
@@ -722,16 +706,20 @@ impl ParallelGzipReader {
                 self.advance_one_chunk()?;
                 continue;
             };
-            let point = &state.index.block_map.points()[index];
+            // A point inside a chunk the table of chunks or the access cache
+            // holds is read from that chunk's bytes.
+            let held = holder(&state, index);
+            let taken = held.clone().unwrap_or(index..index + 1);
+            let point = &state.index.block_map.points()[taken.start];
             let (key, start) = (point.compressed_bit_offset, point.uncompressed_offset);
             state.reading_at = key;
             let reach = self.position..self.position.saturating_add(wanted as u64);
-            let planned = if self.jumped {
+            let planned = if self.jumped && held.is_none() {
                 shared.plan_slice(&mut state, index, reach)
             } else {
                 None
             };
-            let last = self.last.replace(index);
+            let last = self.last.replace(key);
             let (start, data) = match planned {
                 Some((slice, window)) => {
                     drop(state);
@@ -743,13 +731,13 @@ impl ParallelGzipReader {
                     (slice.point.uncompressed_offset, data)
                 }
                 None => {
-                    // Keep the pool busy with the chunks after this one: the
-                    // ranges that follow while the pass is under way, and
-                    // with a complete seek-point table the exact chunks
-                    // after it.
+                    // Keep the pool busy with what follows the bytes taken:
+                    // the ranges that follow while the pass is under way,
+                    // and with a complete seek-point table the exact chunks
+                    // after them.
                     shared.issue_prefetches(&mut state, shared.guess_of(key));
-                    shared.issue_index_prefetches(&mut state, index, last, self.jumped);
-                    (start, self.chunk_bytes(state, index, key)?)
+                    shared.issue_index_prefetches(&mut state, taken.clone(), last, self.jumped);
+                    (start, self.chunk_bytes(state, key)?)
                 }
             };
             let chunk_offset = (self.position - start) as usize;
@@ -1647,38 +1635,94 @@ mod tests {
     fn the_chunk_a_read_is_about_to_take_is_not_let_go_of() {
         // The end of a pass with its reader right behind it: the last chunks
         // committed wait in the table, beside the tasks of the ranges the
-        // pass ran past, which have yet to find that out.
-        let data = fastq_records(20_000, 3);
-        let compressed = GzipWriter::default().compress(&data);
-        let mut reader = ParallelGzipReader::from_bytes(compressed, options(1, 32 * 1024)).unwrap();
-        reader.build_full_index().unwrap();
-        let offset = {
-            let mut state = reader.shared.lock();
-            let state = &mut *state;
-            let ready = |chunk: &ChunkState| matches!(chunk, ChunkState::Ready(_));
-            let (&waiting, _) = state
-                .pass
-                .chunks
-                .iter()
-                .find(|(_, chunk)| ready(chunk))
-                .unwrap();
-            for key in 1..=reader.options().prefetch_degree() as u64 * 2 {
-                state
+        // pass ran past, which have yet to find that out.  A jump to the
+        // start of one of them, and one past the first cut of a chunk of more
+        // than a MiB of output: its bytes hold those of its cuts.
+        let cases = [
+            (fastq_records(20_000, 3), 32 * 1024, 0),
+            (silesia_like(6 << 20, 3), 1 << 20, 1),
+        ];
+        for (data, chunk_size, cut) in cases {
+            let compressed = GzipWriter::default().compress(&data);
+            let mut reader =
+                ParallelGzipReader::from_bytes(compressed, options(1, chunk_size)).unwrap();
+            reader.build_full_index().unwrap();
+            let offset = {
+                let mut state = reader.shared.lock();
+                let state = &mut *state;
+                let (&waiting, length) = state
                     .pass
                     .chunks
-                    .insert(u64::MAX - key, ChunkState::Decoding);
-            }
-            let points = state.index.block_map.points();
-            let point = points
+                    .iter()
+                    .filter_map(|(key, chunk)| match chunk {
+                        ChunkState::Ready(data) => Some((key, data.len() as u64)),
+                        _ => None,
+                    })
+                    .max_by_key(|(_, length)| *length)
+                    .unwrap();
+                for key in 1..=reader.options().prefetch_degree() as u64 * 2 {
+                    state
+                        .pass
+                        .chunks
+                        .insert(u64::MAX - key, ChunkState::Decoding);
+                }
+                let points = state.index.block_map.points();
+                let first = points
+                    .iter()
+                    .rposition(|point| point.compressed_bit_offset == waiting)
+                    .unwrap();
+                let start = points[first].uncompressed_offset;
+                let point = &points[first + cut];
+                assert!(point.uncompressed_offset + 100 < start + length);
+                point.uncompressed_offset + 100
+            };
+            reader.seek(SeekFrom::Start(offset)).unwrap();
+            let mut buffer = [0u8; 100];
+            reader.read_exact(&mut buffer).unwrap();
+            assert_eq!(buffer, data[offset as usize..][..100]);
+            let statistics = reader.statistics();
+            assert_eq!(statistics.index_chunks, 0, "cut {cut}: {statistics:?}");
+            assert_eq!(statistics.index_slices, 0, "cut {cut}: {statistics:?}");
+        }
+    }
+
+    #[test]
+    fn after_its_pass_a_reader_seeks_through_the_table_it_exports() {
+        let data = silesia_like(6 << 20, 60);
+        let compressed = GzipWriter::default().compress(&data);
+        // The points of a table and the CRC fragments of each.
+        let table = |index: &GzipIndex| {
+            let points = index.block_map.points().to_vec();
+            let checksums: Vec<_> = points
                 .iter()
-                .find(|point| point.compressed_bit_offset == waiting);
-            point.unwrap().uncompressed_offset
+                .map(|point| index.checksum_map.get(point.compressed_bit_offset))
+                .collect();
+            assert_eq!(index.checksum_map.len(), points.len());
+            (points, checksums)
         };
-        reader.seek(SeekFrom::Start(offset)).unwrap();
-        let mut buffer = [0u8; 100];
-        reader.read_exact(&mut buffer).unwrap();
-        assert_eq!(buffer, data[offset as usize..][..100]);
-        assert_eq!(reader.statistics().index_chunks, 0);
+        for parallelization in [1, 2, 3] {
+            let options = options(parallelization, 1 << 20);
+            let mut reader =
+                ParallelGzipReader::from_bytes(compressed.clone(), options.clone()).unwrap();
+            let exported = reader.build_full_index().unwrap();
+            let own = table(&reader.shared.lock().index);
+            // Chunks of some three MiB of output, each cut a MiB apart.
+            let statistics = reader.statistics();
+            let chunks = statistics.speculative_chunks_used
+                + statistics.window_known_chunks
+                + statistics.on_demand_chunks;
+            assert!(chunks >= 2, "P = {parallelization}: {chunks} chunks");
+            assert!(own.0.len() as u64 > chunks, "P = {parallelization}");
+            assert!(own == table(&exported), "P = {parallelization}");
+            let imported = ParallelGzipReader::with_index(
+                SharedFileReader::from_bytes(compressed.clone()),
+                options,
+                GzipIndex::import(&exported.export()).unwrap(),
+            )
+            .unwrap();
+            let fresh = table(&imported.shared.lock().index);
+            assert!(own == fresh, "P = {parallelization}");
+        }
     }
 
     #[test]

@@ -146,6 +146,27 @@ impl BlockMap {
         Ok(())
     }
 
+    /// Puts `points` in the place of the point at their first bit, which they
+    /// must partition: the first where it is, each next where the last ends,
+    /// in compressed order, the bytes of all of them its bytes.
+    pub fn split(&mut self, points: Vec<SeekPoint>) {
+        let bit = points[0].compressed_bit_offset;
+        let at = self
+            .points
+            .iter()
+            .rposition(|p| p.compressed_bit_offset == bit);
+        let at = at.expect("the point split is in the map");
+        let whole = &self.points[at];
+        let mut end = whole.uncompressed_offset;
+        for point in &points {
+            assert_eq!(point.uncompressed_offset, end, "not a partition");
+            end += point.uncompressed_size;
+        }
+        assert_eq!(end, whole.uncompressed_offset + whole.uncompressed_size);
+        assert!(points.is_sorted_by_key(|point| point.compressed_bit_offset));
+        self.points.splice(at..=at, points);
+    }
+
     /// The index of the seek point whose bytes hold `offset`: the last one
     /// at or before it, if it reaches that far.
     pub fn find(&self, offset: u64) -> Option<usize> {

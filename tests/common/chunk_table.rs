@@ -9,8 +9,8 @@ use rgz_index::{BlockMap, ChecksumMap, GzipIndex, PointChecksums, SeekPoint};
 /// or so of output; this merges those back into the chunk, with their CRC
 /// fragments folded to the chunk's (`PointChecksums::append`) — a chunk's
 /// cuts lie in the compressed range its start does, and every chunk starts
-/// in a range of its own.  For reads of chunks longer than a MiB, which only
-/// the reader's own table has.
+/// in a range of its own.  For reads of chunks longer than a MiB, which a
+/// pass's table, split at the cuts, no longer has.
 pub fn chunk_table(index: &GzipIndex, chunk_size: usize) -> GzipIndex {
     let range = |point: &SeekPoint| point.compressed_bit_offset / (chunk_size as u64 * 8);
     let mut chunks: Vec<(SeekPoint, Option<PointChecksums>)> = Vec::new();

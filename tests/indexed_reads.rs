@@ -544,6 +544,33 @@ fn a_cold_read_through_an_exported_index_decodes_a_mib_not_a_chunk() {
             "{decoded} bytes"
         );
     }
+
+    // The reader that made the pass seeks through the table it exports: the
+    // same reads decode the same points, not the chunks they were cut from.
+    let options = ParallelGzipReaderOptions {
+        parallelization: 1,
+        chunk_size: EXPORT_CHUNK,
+        ..Default::default()
+    };
+    let mut same = ParallelGzipReader::from_bytes(compressed.clone(), options).unwrap();
+    assert!(same.decompress_all().unwrap() == data);
+    let decoded = |reader: &ParallelGzipReader| {
+        let snapshot = reader.metrics().snapshot();
+        snapshot.counter_total(names::BYTES_OUT)
+    };
+    for offset in picked {
+        let before = decoded(&same);
+        let mut buffer = vec![0u8; 64 << 10];
+        same.seek(SeekFrom::Start(offset as u64)).unwrap();
+        same.read_exact(&mut buffer).unwrap();
+        assert!(buffer[..] == data[offset..][..buffer.len()], "at {offset}");
+        let point = &points.points()[points.find(offset as u64).unwrap()];
+        assert_eq!(
+            decoded(&same) - before,
+            point.uncompressed_size,
+            "at {offset}"
+        );
+    }
 }
 
 #[test]

@@ -253,8 +253,15 @@ fn output_index_and_statistics_are_invariant_under_thread_count() {
                 // MiB of output or so: the pinned index bytes say where.
                 assert!(seek_points as u64 >= pinned_chunks, "{run}");
                 // A reader that reads on finds every chunk where the pass
-                // put it: none is let go of and decoded again.
+                // put it: none is let go of and decoded again, and none of
+                // the cuts the pass left in its table is prefetched or
+                // sliced, past the pass's end included.
                 assert_eq!(statistics.index_chunks, 0, "{run}: {statistics:?}");
+                assert_eq!(
+                    statistics.index_prefetches_issued, 0,
+                    "{run}: {statistics:?}"
+                );
+                assert_eq!(statistics.index_slices, 0, "{run}: {statistics:?}");
                 assert_eq!(
                     statistics.speculative_bytes_u16 > 0 || statistics.speculative_bytes_u8 > 0,
                     statistics.speculative_chunks_used > 0,
