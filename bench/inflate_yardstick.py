@@ -12,10 +12,16 @@ same stream is then inflated, best of 5,
 * by every `rgz` binary given (`-d --serial --no-verify -o /dev/null` on the
   stream wrapped as a gzip file in a temporary directory; the figure is the
   one `rgz` prints, which includes reading the file from the page cache),
+* in process, by the `inflate_in_process` bench binary built beside each
+  `rgz` (`rgz_deflate::inflate` of the raw stream into a buffer a first,
+  untimed inflate has grown and touched; "absent" if it is not built),
 * by `libz.so.1` (`inflateInit2_` / `inflate` with raw window bits) and
 * by `libdeflate.so.0` (`libdeflate_deflate_decompress`), through `ctypes`,
   into a buffer that exists already.  A library that is not installed reads
   "absent".
+
+The in-process column is the one to set beside the libraries': like theirs
+it pays for no file, container or fresh page.
 
 `table2_components` prints this decoder's in-process numbers (`Inflate fast
 loop`, on its own corpora and the repository's compressor); this script is
@@ -110,12 +116,20 @@ def rgz_mb_s(rgz, gz_path):
     return best
 
 
+def in_process_mb_s(rgz, raw_path):
+    kernel = os.path.join(os.path.dirname(rgz), "inflate_in_process")
+    if not os.path.exists(kernel):
+        return "absent"
+    done = subprocess.run([kernel, raw_path], capture_output=True, text=True, check=True)
+    return f"{float(done.stdout):.0f}"
+
+
 def main():
     if len(sys.argv) < 3:
         sys.exit(__doc__)
     directory, binaries = sys.argv[1], sys.argv[2:]
     libz, libdeflate = load("z"), load("deflate")
-    columns = binaries + ["zlib", "libdeflate"]
+    columns = binaries + [b + " in process" for b in binaries] + ["zlib", "libdeflate"]
     width = max(len(column) for column in columns) + 2
     print(f"{'MB/s':<10}" + "".join(f"{column:>{width}}" for column in columns))
     with tempfile.TemporaryDirectory() as scratch:
@@ -125,12 +139,16 @@ def main():
             data = unit * (SIZE // len(unit))
             deflater = zlib.compressobj(6, zlib.DEFLATED, -15)
             raw = deflater.compress(data) + deflater.flush()
+            raw_path = os.path.join(scratch, name + ".deflate")
+            with open(raw_path, "wb") as file:
+                file.write(raw)
             gz_path = os.path.join(scratch, name + ".gz")
             with open(gz_path, "wb") as file:
                 file.write(b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\x03" + raw)
                 file.write(struct.pack("<II", zlib.crc32(data), len(data) & 0xFFFFFFFF))
             mb = len(data) / 1e6
             cells = [f"{rgz_mb_s(rgz, gz_path):.0f}" for rgz in binaries]
+            cells += [in_process_mb_s(rgz, raw_path) for rgz in binaries]
             cells.append(f"{mb / zlib_seconds(libz, raw, len(data)):.0f}" if libz else "absent")
             cells.append(
                 f"{mb / libdeflate_seconds(libdeflate, raw, len(data)):.0f}" if libdeflate else "absent")

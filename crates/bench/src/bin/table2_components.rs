@@ -34,7 +34,7 @@ use rgz_deflate::block::{
 use rgz_deflate::{
     inflate, inflate_single_symbol, inflate_speculative, inflate_two_stage, replace_markers,
     replace_markers_to_slice, replace_markers_to_slice_scalar, BlockBoundary, BlockType,
-    CompressorOptions, DeflateCompressor, SpeculativeOutput, WindowAnswer, MARKER_BASE,
+    CompressorOptions, Cutter, DeflateCompressor, SpeculativeOutput, WindowAnswer, MARKER_BASE,
 };
 use rgz_trace::{chrome_trace_json, MetricsReport, TraceSink};
 
@@ -404,6 +404,7 @@ fn main() {
                         true => WindowAnswer::Known(window),
                         false => WindowAnswer::Unknown,
                     },
+                    &mut Cutter::never(),
                 )
                 .unwrap();
                 output.resolve_into(window, &mut resolved).unwrap();
@@ -442,6 +443,7 @@ fn main() {
                 u64::MAX,
                 || narrow,
                 WindowAnswer::never,
+                &mut Cutter::never(),
             )
             .unwrap();
         });

@@ -20,11 +20,17 @@
 //! reads beyond — a whole chunk decoded at each chunk's first touch, where
 //! the export has a point every MiB.  Beside it, the MB/s of a second whole
 //! read on the same reader and of a first one on the fresh reader, at one and
-//! two threads.
+//! two threads.  Two counts of work go with the tour: the mean bytes a jump's
+//! slice decodes on the same reader, against the bytes of a point
+//! (`point_vs_slice_bytes`), and the exported index's bytes per seek point,
+//! against those of the same table with every window stored whole
+//! (`verbatim_vs_index_bytes`) — what sparse windows at the cuts and interior
+//! points save, measured by counting, not by a clock.
 //!
 //! `--json` emits one [`rgz_bench::JsonReport`] line; `perf_compare` gates
-//! `verified_vs_unverified_ratio`, `slice_vs_chunk_read_speedup` and
-//! `imported_vs_same_reader_p90`.  The
+//! `verified_vs_unverified_ratio`, `slice_vs_chunk_read_speedup`,
+//! `imported_vs_same_reader_p90`, `point_vs_slice_bytes` and
+//! `verbatim_vs_index_bytes`.  The
 //! design target of the first is <= 10% overhead
 //! (a ratio of 0.9); the checked-in floor sits at 0.85 to leave measurement
 //! margin on loaded CI runners while still catching pathological
@@ -39,7 +45,7 @@ use rgz_core::{
     ParallelGzipReader, ParallelGzipReaderOptions, VerificationMode, DEFAULT_CHUNK_SIZE,
 };
 use rgz_gzip::GzipWriter;
-use rgz_index::GzipIndex;
+use rgz_index::{GzipIndex, WindowMap, WINDOW_SIZE};
 use rgz_io::SharedFileReader;
 
 /// The pass's table of chunks, out of the index it exported.
@@ -189,12 +195,15 @@ fn sliced_reads(report: &mut JsonReport, json: bool) {
 /// Seeded 64 KiB reads over a file of a dozen chunks of the pass, through the
 /// reader that made the pass after it read the file, and through a fresh
 /// reader of its export; then a second whole read of the same reader against
-/// a first of a fresh one.
+/// a first of a fresh one.  With them, the mean bytes of the same reader's
+/// slices against a point's, and the bytes per point of the export against
+/// those of the same table with every window stored whole.
 fn tour_after_the_pass(report: &mut JsonReport, json: bool) {
     let read_size = 64 << 10;
     let data = rgz_datagen::silesia_like(scaled(128 << 20, 32 << 20), 3);
     let compressed = GzipWriter::default().compress(&data);
-    // A reader that has read the file, and the fresh reader of its export.
+    // A reader that has read the file, and the fresh reader of its export;
+    // and the export.
     let readers = |parallelization| {
         let options = ParallelGzipReaderOptions {
             parallelization,
@@ -203,21 +212,25 @@ fn tour_after_the_pass(report: &mut JsonReport, json: bool) {
         };
         let mut same = ParallelGzipReader::from_bytes(compressed.clone(), options.clone()).unwrap();
         assert!(same.decompress_all().unwrap() == data);
-        let index = GzipIndex::import(&same.index().export()).unwrap();
+        let exported = same.index().export();
+        let index = GzipIndex::import(&exported).unwrap();
         let file = SharedFileReader::from_bytes(compressed.clone());
-        [
-            same,
-            ParallelGzipReader::with_index(file, options, index).unwrap(),
-        ]
+        let imported = ParallelGzipReader::with_index(file, options, index).unwrap();
+        ([same, imported], exported)
     };
     // Ten or more reads lie beyond the 90th percentile.
     let offsets = access_offsets(SEED, data.len(), 128, read_size);
     let mut buffer = vec![0u8; read_size];
     // The best of three tours a side, each with fresh readers, so that a
-    // drift of the machine reaches both alike.
+    // drift of the machine reaches both alike; and what the same reader's
+    // slices decoded in all three.
     let [mut same, mut imported] = [[f64::MAX; 2]; 2];
+    let (mut slice_bytes, mut slices) = (0, 0);
+    let mut exported = Vec::new();
     for _ in 0..3 {
-        let tours = readers(available_cores()).map(|mut reader| {
+        let (pair, export) = readers(available_cores());
+        exported = export;
+        let [(same_tour, sliced), (imported_tour, _)] = pair.map(|mut reader| {
             let mut reads: Vec<Duration> = offsets
                 .iter()
                 .map(|&offset| {
@@ -232,8 +245,15 @@ fn tour_after_the_pass(report: &mut JsonReport, json: bool) {
             reads.sort();
             // The mean holds what lies beyond: a chunk's whole first touch.
             let mean = reads.iter().sum::<Duration>() / reads.len() as u32;
-            [reads[reads.len() * 9 / 10], mean].map(|time| time.as_secs_f64() * 1e3)
+            let statistics = reader.statistics();
+            (
+                [reads[reads.len() * 9 / 10], mean].map(|time| time.as_secs_f64() * 1e3),
+                (statistics.index_slice_bytes, statistics.index_slices),
+            )
         });
+        slice_bytes += sliced.0;
+        slices += sliced.1;
+        let tours = [same_tour, imported_tour];
         for (best, tour) in [&mut same, &mut imported].into_iter().zip(tours) {
             *best = [0, 1].map(|figure| best[figure].min(tour[figure]));
         }
@@ -247,8 +267,41 @@ fn tour_after_the_pass(report: &mut JsonReport, json: bool) {
         }
     }
     report.record("imported_vs_same_reader_p90", ratio);
+
+    // Counts, not clocks: what a jump decodes, and what a point stores.
+    let index = GzipIndex::import(&exported).unwrap();
+    let points = index.block_map.len() as f64;
+    let point_bytes = data.len() as f64 / points;
+    assert!(slices > 0, "no read of the tour sliced its point");
+    let slice_bytes = slice_bytes as f64 / slices as f64;
+    let index_bytes = exported.len() as f64 / points;
+    let whole = WindowMap::new();
+    for point in index.block_map.points() {
+        let at = point.uncompressed_offset as usize;
+        let window = &data[at.saturating_sub(WINDOW_SIZE)..at];
+        whole.insert(point.compressed_bit_offset, window);
+    }
+    let whole = GzipIndex {
+        window_map: whole,
+        ..index
+    };
+    let verbatim_bytes = whole.export().len() as f64 / points;
+    report.record("same_reader_slice_bytes", slice_bytes);
+    report.record("point_vs_slice_bytes", point_bytes / slice_bytes);
+    report.record("index_bytes_per_point", index_bytes);
+    report.record("verbatim_vs_index_bytes", verbatim_bytes / index_bytes);
+    if !json {
+        println!(
+            "a jump's slice after the pass: {slice_bytes:.0} bytes of a point's {point_bytes:.0} ({slices} slices)"
+        );
+        println!(
+            "exported index: {index_bytes:.0} bytes per point, {verbatim_bytes:.0} with every window whole"
+        );
+    }
+
     for parallelization in [1, 2] {
-        let [second, first] = readers(parallelization).map(|mut reader| {
+        let (pair, _) = readers(parallelization);
+        let [second, first] = pair.map(|mut reader| {
             let (read, elapsed) = time(|| reader.decompress_all().unwrap());
             assert!(read == data);
             bandwidth_mb_per_s(data.len(), elapsed)

@@ -28,8 +28,10 @@
 //! the file; what follows a member, read with [`next_member`], the serial
 //! decoder's rule; and the chunk cut into [`Segment`]s at the same block
 //! boundaries, a MiB of output apart — the seek points its export is split
-//! into.  The direct decoder adds its fast-loop fallbacks, the speculative
-//! one its switch to bytes at a member's end.
+//! into — each windowed one with the bytes before it that the chunk after it
+//! references, which the inflate calls record as they cut ([`Cutter`]).  The
+//! direct decoder adds its fast-loop fallbacks, the speculative one its
+//! switch to bytes at a member's end.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -39,7 +41,7 @@ use rgz_bitio::BitReader;
 use rgz_blockfinder::{CandidateKind, CombinedBlockFinder};
 use rgz_checksum::{crc32, crc32_combine};
 use rgz_deflate::{
-    inflate, inflate_speculative, BlockBoundary, BlockType, DeflateError, InflateOutcome,
+    inflate_speculative, inflate_with_cuts, Cutter, DeflateError, InflateOutcome,
     SpeculativeOutput, StopReason, WindowAnswer,
 };
 use rgz_fetcher::{BufferPool, Pooled};
@@ -80,7 +82,7 @@ pub(crate) struct ChunkResult {
     pub fast_fallback_blocks: u32,
     /// `data` cut into stretches that decode by themselves: the first from
     /// the chunk's own start, and one more at every cut the [`Cutter`] of
-    /// its extent makes.
+    /// its extent ([`Extent::cutter`]) makes.
     pub(crate) segments: Vec<Segment>,
 }
 
@@ -98,6 +100,10 @@ pub(crate) struct Segment {
     /// Other cuts are only where a decode may stop.  The chunk's own start is
     /// not: its window is the index's.
     pub windowed: bool,
+    /// Which bytes of the 32 KiB before a windowed cut the stretch after it
+    /// references, as sorted marker-space `(offset, length)` runs: its sparse
+    /// window.  Empty for the others.
+    pub usage: Vec<(u32, u32)>,
     /// Its bytes split at gzip member ends, each piece hashed if the decode
     /// verifies: folded with those of the segments around, they are the
     /// chunk's [`ChunkResult::fragments`].
@@ -109,71 +115,6 @@ pub(crate) struct Segment {
 /// of the interior points a whole decode through an index keeps unless
 /// [`crate::indexed`] keeps them closer.
 pub(crate) const INTERIOR_SPACING: usize = 1 << 20;
-
-/// Where a decode cuts its chunk's bytes into [`Segment`]s: at the first
-/// Dynamic or Non-Compressed block boundary at least `window_spacing` bytes
-/// of output past the chunk's start or the last windowed cut — a windowed
-/// cut — and, between those, at the first one at least `stop_spacing` past
-/// the last cut of either kind.  It sees blocks only, so both decoders cut a
-/// chunk alike.
-struct Cutter {
-    window_spacing: usize,
-    stop_spacing: usize,
-    next_window: usize,
-    next_stop: usize,
-}
-
-impl Cutter {
-    /// The cutter of a decode of `extent`: a pass's chunk is cut every
-    /// [`INTERIOR_SPACING`], with no stop points; a slice not at all.
-    fn new(extent: Extent) -> Self {
-        let (window_spacing, stop_spacing) = match extent {
-            Extent::Guessed => (INTERIOR_SPACING, usize::MAX),
-            Extent::Chunk {
-                window_spacing,
-                stop_spacing,
-            } => (window_spacing, stop_spacing),
-            Extent::Slice => (usize::MAX, usize::MAX),
-        };
-        Self {
-            window_spacing,
-            stop_spacing,
-            next_window: window_spacing,
-            next_stop: stop_spacing,
-        }
-    }
-
-    /// Cuts `segments` at each of `blocks`, a call's that began `call_start`
-    /// bytes into the chunk, after `member` gzip members ended in it; `bit`
-    /// makes a block's bit offset the file's.
-    fn cut(
-        &mut self,
-        segments: &mut Vec<Segment>,
-        blocks: &[BlockBoundary],
-        call_start: usize,
-        member: usize,
-        bit: u64,
-    ) {
-        for block in blocks {
-            let offset = call_start + block.uncompressed_offset as usize;
-            let windowed = offset >= self.next_window;
-            if block.block_type == BlockType::Fixed || (!windowed && offset < self.next_stop) {
-                continue;
-            }
-            if windowed {
-                self.next_window = offset.saturating_add(self.window_spacing);
-            }
-            self.next_stop = offset.saturating_add(self.stop_spacing);
-            segments.push(Segment {
-                bit: bit + block.bit_offset,
-                offset,
-                member: member as u64,
-                windowed,
-                pieces: Vec::new(),
-            });
-        }
-    }
-}
 
 /// Splits `data`, a chunk's bytes, into the pieces its `segments` and its
 /// `fragments` (by their lengths) cut it into, each hashed if `verify`, and
@@ -416,10 +357,12 @@ fn cross_member_boundary(
 
 /// What a decode makes of its inflate calls, whichever decoder ran them: a
 /// call ends at the chunk's stop or at the end of a gzip member, so each is
-/// one [`ChunkFragment`]; its blocks are cut by the [`Cutter`] of the
-/// chunk's extent; only the first can reference the window before the chunk;
-/// and after a member the next call starts past its trailer.
+/// one [`ChunkFragment`]; the calls cut the chunk as the [`Cutter`] of its
+/// extent says, all of them one; only the first can reference the window
+/// before the chunk; and after a member the next call starts past its
+/// trailer.
 struct Assembly {
+    /// Handed to every call.
     cutter: Cutter,
     segments: Vec<Segment>,
     /// One per call, not hashed yet.
@@ -435,12 +378,13 @@ impl Assembly {
     /// The assembly of a decode of `extent` from bit `start` of the file.
     fn new(extent: Extent, start: u64) -> Self {
         Self {
-            cutter: Cutter::new(extent),
+            cutter: extent.cutter(),
             segments: vec![Segment {
                 bit: start,
                 offset: 0,
                 member: 0,
                 windowed: false,
+                usage: Vec::new(),
                 pieces: Vec::new(),
             }],
             fragments: Vec::new(),
@@ -461,10 +405,17 @@ impl Assembly {
         range: &CompressedRange,
     ) -> Result<bool, CoreError> {
         let call_start = std::mem::replace(&mut self.decoded, decoded);
-        let member = self.fragments.len();
+        let member = self.fragments.len() as u64;
         let bit = range.start_byte * 8;
-        self.cutter
-            .cut(&mut self.segments, &call.blocks, call_start, member, bit);
+        let cuts = self.cutter.take_cuts().into_iter();
+        self.segments.extend(cuts.map(|cut| Segment {
+            bit: bit + cut.bit_offset,
+            offset: cut.offset,
+            member,
+            windowed: cut.windowed,
+            usage: cut.usage,
+            pieces: Vec::new(),
+        }));
         self.window_usage.get_or_insert(call.window_usage);
         let mut fragment = ChunkFragment {
             crc32: 0,
@@ -520,6 +471,23 @@ pub(crate) enum Extent {
     /// From one interior point of such a chunk to another: a decode the
     /// buffer pool is not to size the next chunk's buffers by.
     Slice,
+}
+
+impl Extent {
+    /// Where a decode of this cuts its chunk's bytes into [`Segment`]s: a
+    /// pass's chunk every [`INTERIOR_SPACING`], with no stop points; a
+    /// table's as it says; a slice not at all.  Cutters see blocks only, so
+    /// both decoders cut a chunk alike.
+    fn cutter(self) -> Cutter {
+        match self {
+            Extent::Guessed => Cutter::new(INTERIOR_SPACING, usize::MAX),
+            Extent::Chunk {
+                window_spacing,
+                stop_spacing,
+            } => Cutter::new(window_spacing, stop_spacing),
+            Extent::Slice => Cutter::never(),
+        }
+    }
 }
 
 /// Bytes a direct decode reads past the next seek point: the decoder looks at
@@ -645,8 +613,10 @@ impl ChunkDecoder {
         let mut fast_fallback_blocks = 0u32;
         let mut call_window = window;
         loop {
-            let call = inflate(&mut reader, call_window, &mut data, relative_stop)
-                .map_err(CoreError::Deflate)?;
+            let cutter = &mut assembly.cutter;
+            let call =
+                inflate_with_cuts(&mut reader, call_window, &mut data, relative_stop, cutter)
+                    .map_err(CoreError::Deflate)?;
             // A member after the first has no window to reference.
             call_window = &[];
             fast_fallback_blocks += call.fast_fallback_blocks;
@@ -800,6 +770,7 @@ impl ChunkDecoder {
                 relative_stop,
                 byte_buffer,
                 &mut window,
+                &mut assembly.cutter,
             )
             .map_err(CoreError::Deflate)?;
             if assembly.take(call, output.len(), &mut reader, range)? {
@@ -831,6 +802,7 @@ impl ChunkDecoder {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use rgz_deflate::CompressionLevel;
     use rgz_gzip::GzipWriter;
     use rgz_metrics::MetricsRegistry;
 
@@ -1061,9 +1033,11 @@ pub(crate) mod tests {
 
     /// Every speculative chunk `compressed` offers at `chunk_size` against
     /// the direct decode from the same block with the true window: same
-    /// bytes, end offset, window usage, fragments and segments, hashed.
-    /// Returns how many chunks were compared, how many of them decoded part
-    /// of their output as plain bytes, and how many cuts they made.
+    /// bytes, end offset, window usage, fragments and segments — each
+    /// windowed cut with the same usage, and decoding the rest of the chunk
+    /// from its sparse window as from its whole one — hashed.  Returns how
+    /// many chunks were compared, how many of them decoded part of their
+    /// output as plain bytes, and how many cuts they made.
     fn assert_speculative_chunks_match_direct_decode(
         compressed: &[u8],
         chunk_size: usize,
@@ -1095,6 +1069,29 @@ pub(crate) mod tests {
             assert_eq!(resolved.fragments, direct.fragments);
             assert_eq!(resolved.segments, direct.segments);
             cuts += resolved.segments.len() - 1;
+            let windowed = resolved.segments.iter().filter(|segment| segment.windowed);
+            for segment in windowed {
+                let whole = &direct.data[segment.offset.saturating_sub(32 * 1024)..segment.offset];
+                let sparse = rgz_window::SparseWindow::new(whole, &segment.usage).window();
+                let end = direct.end_bit_offset;
+                let rest = &direct.data[segment.offset..];
+                for window in [whole, &sparse] {
+                    let after = decode_chunk_at(
+                        &shared,
+                        segment.bit,
+                        end,
+                        window,
+                        false,
+                        chunk_size,
+                        false,
+                    );
+                    assert!(
+                        after.unwrap().data[..] == rest[..],
+                        "cut at {}",
+                        segment.offset
+                    );
+                }
+            }
         }
         (compared, switched, cuts)
     }
@@ -1255,6 +1252,40 @@ pub(crate) mod tests {
             });
             let compressed = writer.compress_members(&parts);
             assert_speculative_chunks_match_direct_decode(&compressed, chunk_size * 1024);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// The three corpora at two levels and two block sizes, in two chunks
+        /// of over a MiB of output each: the second, decoded speculatively,
+        /// is cut at a MiB — in its marker phase where markers live on, as on
+        /// text — where a direct decode cuts it, with the same usage, and
+        /// decodes on from there with its sparse window.
+        #[test]
+        fn a_speculative_chunk_cuts_where_a_direct_one_does_with_the_same_sparse_window(
+            seed in 0u64..1_000_000,
+            corpus in 0usize..3,
+            level in 0usize..2,
+            large_blocks in proptest::prelude::any::<bool>(),
+        ) {
+            let length = 3 << 20;
+            let data = match corpus {
+                0 => rgz_datagen::silesia_like(length, seed),
+                1 => rgz_datagen::fastq_of_size(length, seed),
+                _ => rgz_datagen::base64_random(length, seed),
+            };
+            let writer = GzipWriter::new(rgz_deflate::CompressorOptions {
+                level: [CompressionLevel::Fast, CompressionLevel::Default][level],
+                block_size: if large_blocks { 128 * 1024 } else { 16 * 1024 },
+                ..Default::default()
+            });
+            let compressed = writer.compress(&data);
+            let chunk_size = compressed.len().div_ceil(2);
+            let (compared, _, cuts) =
+                assert_speculative_chunks_match_direct_decode(&compressed, chunk_size);
+            proptest::prop_assert!(compared >= 1 && cuts >= 1, "{} chunks, {} cuts", compared, cuts);
         }
     }
 

@@ -18,14 +18,19 @@
 //! bit, and the CRC-32 of the bytes up to the next, hashed *instead of* the
 //! whole chunk and folded (`crc32_combine`, a microsecond) into the very
 //! fragments the index's are compared with.  Those [`window_spacing`] bytes
-//! of output or more apart also keep the 32 KiB before them, copied raw: a
-//! slice starts at one of them (or at the chunk's own point).  That spacing
-//! is a MiB unless the first touch serves a read that jumped, or decodes a
-//! chunk whose points are held already, through a complete table: then it
-//! is the closest at which the windows of every chunk of the table fit the
-//! budget below together, so a slice starts a few hundred KiB before a read
-//! instead of up to a MiB — while a pass that reads on from chunk to chunk
-//! keeps no windows nobody would start from.
+//! of output or more apart also keep a sparse window: the bytes of the 32
+//! KiB before them that the decode recorded the 32 KiB after them
+//! referencing, as runs — a ninth of the window or so on text, FASTQ and
+//! base64 alike — rebuilt with zeros between them for a slice that starts
+//! at one of them (or at the chunk's own point).  That spacing is a MiB
+//! unless the first touch serves a read that jumped, or decodes a chunk
+//! whose points are held already, through a complete table: then it is the
+//! closest at which the windows of every chunk of the table fit the budget
+//! below together, at the mean bytes the windows of the reader's cuts have
+//! held so far ([`WindowTally`]; a whole window's before the first), so a
+//! slice starts within [`STOP_SPACING`] or so of a read on a table of a few
+//! hundred MiB instead of up to a MiB — while a pass that reads on from chunk
+//! to chunk keeps no windows nobody would start from.
 //! Between them, *stop points* at every block boundary 64 KiB or more past
 //! the last cut keep no window, a hundred bytes each, and are where a slice
 //! ends: at the first point past the read.  An interior point is therefore
@@ -46,11 +51,11 @@
 //! read whole last by a reader that has sought (the access cache), are kept
 //! until they weigh more than [`cache_budget`] bytes, `resolved_cache_chunks
 //! × chunk_size`, and then the least recently used chunk's go first — never
-//! those just kept.  A chunk's points weigh the bytes of window they hold,
-//! and are not kept at all if they alone weigh more; its bytes weigh the
-//! compressed bytes from its seek point to the next, and are kept however
-//! many those are: three or four of the pass's chunks fit, dozens of points
-//! a MiB of output apart.  A reader that never sought — a stream, which
+//! those just kept.  A chunk's points weigh the bytes their sparse windows
+//! hold, runs and bounds, and are not kept at all if they alone weigh more;
+//! its bytes weigh the compressed bytes from its seek point to the next, and
+//! are kept however many those are: three or four of the pass's chunks fit,
+//! dozens of points a MiB of output apart.  A reader that never sought — a stream, which
 //! does not come back — keeps no chunk's bytes past the read it is in.
 //!
 //! [`Cache`]: crate::cache::Cache
@@ -61,6 +66,7 @@ use std::sync::Arc;
 
 use rgz_index::{PointChecksums, SeekPoint, WINDOW_SIZE};
 use rgz_trace::{Outcome, Stage};
+use rgz_window::SparseWindow;
 
 use crate::chunk::{DirectChunk, Extent, Segment, INTERIOR_SPACING};
 use crate::pass::{ChunkBytes, ChunkState, FailOnUnwind};
@@ -85,11 +91,12 @@ pub(crate) struct IndexedChunk {
 pub(crate) struct InteriorPoint {
     /// Where it is, and how far it is to the next.
     pub point: SeekPoint,
-    /// The 32 KiB before it, if a slice may start here.  The index has those
-    /// of a chunk's own, and a slice from there inflates it anew: the budget
-    /// below has no room for a copy of a chunk's window beside those of its
-    /// interior points.  A stop point has none: a slice only ends there.
-    pub window: Option<Arc<Vec<u8>>>,
+    /// The bytes of the 32 KiB before it that the bytes after it reference,
+    /// if a slice may start here.  The index has the window of a chunk's own
+    /// point, and a slice from there inflates it anew: the budget below has
+    /// no room for a copy of a chunk's window beside those of its interior
+    /// points.  A stop point has none: a slice only ends there.
+    pub window: Option<Arc<SparseWindow>>,
     /// What the bytes up to the next hash to, if the chunk's were checked.
     pub checksums: Option<PointChecksums>,
 }
@@ -114,7 +121,7 @@ pub(crate) fn interior_points(
             },
             window: segment.windowed.then(|| {
                 let before = segment.offset.saturating_sub(WINDOW_SIZE)..segment.offset;
-                Arc::new(data[before].to_vec())
+                Arc::new(SparseWindow::new(&data[before], &segment.usage))
             }),
             checksums: first_member.map(|first_member| PointChecksums {
                 first_member: first_member + segment.member,
@@ -130,11 +137,38 @@ const STOP_SPACING: usize = 64 << 10;
 
 /// The spacing of windowed interior points at which those of every chunk of
 /// a table of `covered` bytes of output fit `budget` bytes of window
-/// together — a 32 KiB window per spacing — no closer than a stop point's
-/// and no further apart than [`INTERIOR_SPACING`].
-fn window_spacing(covered: u64, budget: usize) -> usize {
-    let spacing = (WINDOW_SIZE as u128 * u128::from(covered)).div_ceil(budget.max(1) as u128);
+/// together — `window_bytes` of window per spacing — no closer than a stop
+/// point's and no further apart than [`INTERIOR_SPACING`].
+fn window_spacing(covered: u64, budget: usize, window_bytes: usize) -> usize {
+    let spacing = (window_bytes as u128 * u128::from(covered)).div_ceil(budget.max(1) as u128);
     spacing.clamp(STOP_SPACING as u128, INTERIOR_SPACING as u128) as usize
+}
+
+/// What the windows of the cuts a reader has made hold — the pass's and
+/// those of its whole decodes through the table — and how many there were:
+/// the bytes a windowed interior point costs, on average.
+#[derive(Debug, Default)]
+pub(crate) struct WindowTally {
+    bytes: u64,
+    windows: u64,
+}
+
+impl WindowTally {
+    /// Counts the windows of `points` in.
+    pub fn add(&mut self, points: &[InteriorPoint]) {
+        for window in points.iter().filter_map(|point| point.window.as_ref()) {
+            self.bytes += window.held_bytes() as u64;
+            self.windows += 1;
+        }
+    }
+
+    /// The mean bytes a window holds; a whole window's before the first.
+    fn mean(&self) -> usize {
+        match self.windows {
+            0 => WINDOW_SIZE,
+            windows => self.bytes.div_ceil(windows) as usize,
+        }
+    }
 }
 
 /// The index of the first point of `points` at bit `key` that has bytes, if
@@ -193,7 +227,7 @@ pub(crate) fn holder(state: &ReaderState, index: usize) -> Option<Range<usize>> 
 }
 
 /// A slice to decode, and the window it starts with unless the index has it.
-pub(crate) type Slice = (IndexedChunk, Option<Arc<Vec<u8>>>);
+pub(crate) type Slice = (IndexedChunk, Option<Arc<SparseWindow>>);
 
 impl IndexedChunk {
     /// The interior points that `segments` cut `data`, this chunk's bytes,
@@ -263,7 +297,7 @@ impl Shared {
     /// or of a chunk whose interior points are held already: a reader that
     /// comes back to a chunk is seeking, and its windows were paid for —
     /// keeps its windowed interior points as close as [`window_spacing`] lets
-    /// them be.
+    /// them be, at the mean bytes the windows of the reader's cuts hold.
     pub(crate) fn indexed_chunk(
         &self,
         state: &ReaderState,
@@ -282,7 +316,8 @@ impl Shared {
         let seeking = jumped || state.interior.contains(key);
         let window_spacing = if seeking && state.pass.finished {
             let covered = state.index.block_map.uncompressed_size();
-            window_spacing(covered, self.options.cache_budget())
+            let window_bytes = state.window_tally.mean();
+            window_spacing(covered, self.options.cache_budget(), window_bytes)
         } else {
             INTERIOR_SPACING
         };
@@ -321,21 +356,23 @@ impl Shared {
 
     /// Keeps `points`, the interior points of the chunk at `key`, weighed by
     /// the bytes of window they hold — unless they alone weigh more than the
-    /// budget.
+    /// budget — and counts their windows into the tally.
     fn keep_interior_points(&self, key: u64, points: Vec<InteriorPoint>) {
         let windows = points.iter().filter_map(|point| point.window.as_ref());
-        let weight: usize = windows.map(|window| window.len()).sum();
+        let weight: usize = windows.map(|window| window.held_bytes()).sum();
+        let state = &mut *self.lock();
+        state.window_tally.add(&points);
         if weight > self.options.cache_budget() {
             return;
         }
-        let state = &mut *self.lock();
         state.interior.insert(key, Arc::new(points), weight as u64);
         self.metrics
             .interior_windows_held(state.interior.weight() as usize);
     }
 
     /// Decodes `chunk` from its seek point — with `window`, an interior
-    /// point's own, or else the one the index's map inflates — and holds the
+    /// point's own, rebuilt from its runs with zeros between them, or else
+    /// the one the index's map inflates — and holds the
     /// bytes against everything the index says of them: `stage` is
     /// [`Stage::PrefetchDecode`] on the pool, ahead of the reader, and
     /// [`Stage::RandomAccess`] on the reader's own thread, chunk or slice.
@@ -349,7 +386,7 @@ impl Shared {
         &self,
         stage: Stage,
         chunk: &IndexedChunk,
-        window: Option<Arc<Vec<u8>>>,
+        window: Option<Arc<SparseWindow>>,
     ) -> Result<ChunkBytes, CoreError> {
         let key = chunk.point.compressed_bit_offset;
         let mut span = self.metrics.stage(stage, key);
@@ -358,7 +395,7 @@ impl Shared {
         }
         let decoded = (|| {
             let window = match window {
-                Some(window) => window,
+                Some(window) => Arc::new(window.window()),
                 None => self.windows.try_get(key)?.unwrap_or_default(),
             };
             if let Extent::Chunk { .. } = chunk.extent {
@@ -635,7 +672,8 @@ mod tests {
         /// say; returns the slice.
         fn check_slice(&self, wanted: Range<u64>) -> Result<IndexedChunk, String> {
             let (slice, window) = self.whole.slice(&self.points, wanted.clone());
-            let sliced = self.decode(&slice, &window.unwrap_or_default());
+            let window = window.map(|window| window.window()).unwrap_or_default();
+            let sliced = self.decode(&slice, &window);
             let stretch = (slice.point.uncompressed_offset - CHUNK_START) as usize..;
             if sliced.data[..] != self.data[stretch][..sliced.data.len()] {
                 return Err(format!("{wanted:?}: not its stretch"));
@@ -751,14 +789,43 @@ mod tests {
     #[test]
     fn windows_are_spaced_so_that_a_whole_table_fits_the_budget() {
         // The ledger's seek file: 159.4 MB of output, a 4-chunk cache of 4 MiB
-        // chunks.  A window every 304 KiB, 32 KiB each, is 16 MiB of window.
-        assert_eq!(window_spacing(159_383_552, 16 << 20), 311_296);
+        // chunks.  A whole window every 304 KiB, 32 KiB each, is 16 MiB of
+        // window; sparse ones of ~5 KB each fit at every stop point.
+        assert_eq!(window_spacing(159_383_552, 16 << 20, WINDOW_SIZE), 311_296);
+        assert_eq!(window_spacing(159_383_552, 16 << 20, 5_000), STOP_SPACING);
+        assert_eq!(window_spacing(159_383_552, 16 << 20, 8_000), 76_000);
         // A small file could keep a window at every stop point...
-        assert_eq!(window_spacing(1_000_000, 16 << 20), STOP_SPACING);
-        assert_eq!(window_spacing(0, 16 << 20), STOP_SPACING);
+        assert_eq!(
+            window_spacing(1_000_000, 16 << 20, WINDOW_SIZE),
+            STOP_SPACING
+        );
+        assert_eq!(window_spacing(0, 16 << 20, WINDOW_SIZE), STOP_SPACING);
         // ...and a large one keeps them a MiB apart, as a pass does.
-        assert_eq!(window_spacing(1 << 30, 16 << 20), INTERIOR_SPACING);
-        assert_eq!(window_spacing(u64::MAX, 1), INTERIOR_SPACING);
+        assert_eq!(
+            window_spacing(1 << 30, 16 << 20, WINDOW_SIZE),
+            INTERIOR_SPACING
+        );
+        assert_eq!(window_spacing(u64::MAX, 1, 1), INTERIOR_SPACING);
+        // The mean of no window is a whole one.
+        let mut tally = WindowTally::default();
+        assert_eq!(tally.mean(), WINDOW_SIZE);
+        let point = |window: Option<SparseWindow>| InteriorPoint {
+            point: SeekPoint {
+                compressed_bit_offset: 0,
+                uncompressed_offset: 0,
+                uncompressed_size: 0,
+            },
+            window: window.map(Arc::new),
+            checksums: None,
+        };
+        let window: Vec<u8> = (0..WINDOW_SIZE).map(|i| i as u8).collect();
+        let sparse = |usage| Some(SparseWindow::new(&window, usage));
+        tally.add(&[
+            point(sparse(&[(0, 1000)])),
+            point(None),
+            point(sparse(&[(100, 10), (200, 10)])),
+        ]);
+        assert_eq!(tally.mean(), (1000 + 4 + 20 + 8_u64).div_ceil(2) as usize);
     }
 
     #[test]

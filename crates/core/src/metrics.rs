@@ -182,7 +182,7 @@ impl ReaderMetrics {
             ),
             interior_window_bytes: registry.gauge(
                 names::INTERIOR_WINDOW_BYTES,
-                "Bytes of raw window the reader's interior seek points hold",
+                "Bytes of sparse window the reader's interior seek points hold",
             ),
             access_cache_bytes: registry.gauge(
                 names::ACCESS_CACHE_BYTES,

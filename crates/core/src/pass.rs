@@ -61,10 +61,12 @@
 //! block boundary a MiB of output past its start or its last cut, the same
 //! boundaries whichever decoder ran, and its one point in the reader's
 //! seek-point table becomes a point at its start and one at each cut, each
-//! with its CRC fragments and the 32 KiB before it — kept verbatim until
-//! [`crate::ParallelGzipReader::index`] has the pool compress it.  The table
-//! a reader seeks through after its pass is the one it exports; the bytes of
-//! a chunk still in the table of chunks serve all of its points.
+//! with its CRC fragments and the bytes of the 32 KiB before it that the
+//! decode recorded the bytes after it referencing — a sparse window, kept
+//! undeflated until [`crate::ParallelGzipReader::index`] has the pool
+//! compress it.  The table a reader seeks through after its pass is the one
+//! it exports; the bytes of a chunk still in the table of chunks serve all of
+//! its points.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -77,10 +79,9 @@ use rgz_fetcher::Pooled;
 use rgz_index::{PointChecksums, SeekPoint};
 use rgz_io::FileReader;
 use rgz_trace::{Outcome, Stage};
-use rgz_window::CompressedWindow;
 
 use crate::chunk::{ChunkResult, DirectChunk, Extent, Segment, SpeculativeChunk, StartBits};
-use crate::indexed::interior_points;
+use crate::indexed::{interior_points, InteriorPoint};
 use crate::reader::{ReaderState, Shared};
 use crate::verify::ChunkFragment;
 use crate::CoreError;
@@ -649,41 +650,40 @@ impl Shared {
     /// The seek points `chunk`, just committed, is split into if its decode
     /// cut it: its own, up to the first cut, and one at each cut, with the
     /// CRC fragments of their bytes if the pass hashes; none if it was not
-    /// cut.  Each cut's window — the 32 KiB of `data` before it — goes into
-    /// the map here, before the cut can be read through, verbatim: a copy,
-    /// where its deflate waits for `index()` ([`Self::compress_windows`]).
+    /// cut.  Each cut's window — the bytes of the 32 KiB of `data` before it
+    /// that the bytes after it reference — goes into the map here, before
+    /// the cut can be read through, as a sparse record whose deflate waits
+    /// for `index()` ([`Self::compress_windows`]).
     fn cut(
         &self,
         chunk: &SeekPoint,
         first_member: u64,
         data: &[u8],
         segments: Vec<Segment>,
-    ) -> Vec<(SeekPoint, Option<PointChecksums>)> {
+    ) -> Vec<InteriorPoint> {
         if segments.len() < 2 {
             return Vec::new();
         }
         let first_member = self.verify().then_some(first_member);
-        let points = interior_points(chunk, first_member, segments, data);
-        let cuts = points.into_iter().map(|cut| {
+        let mut points = interior_points(chunk, first_member, segments, data);
+        for cut in &mut points {
             if let Some(window) = &cut.window {
-                let record = CompressedWindow::from_window_verbatim(window);
                 self.windows
-                    .insert_compressed(cut.point.compressed_bit_offset, record);
+                    .insert_compressed(cut.point.compressed_bit_offset, window.record());
             }
             // Trimmed of empty trailing pieces, as the chunk's own are.
-            let checksums = cut.checksums.map(|checksums| {
+            cut.checksums = cut.checksums.take().map(|checksums| {
                 let fragments = checksums.fragments.iter();
                 PointChecksums::from_fragments(
                     checksums.first_member,
                     fragments.map(|fragment| (fragment.crc32, fragment.length)),
                 )
             });
-            (cut.point, checksums)
-        });
-        cuts.collect()
+        }
+        points
     }
 
-    /// Compresses the windows at `keys`, put into the map verbatim by
+    /// Compresses the windows at `keys`, put into the map undeflated by
     /// [`Self::cut`], on the pool — a share per worker, each
     /// window once — and waits for them.
     pub(crate) fn compress_windows(&self, keys: Vec<u64>) {
@@ -795,16 +795,18 @@ impl Shared {
             index.checksum_map.insert(at.start_bit, checksums);
         }
         if !cuts.is_empty() {
-            let (points, checksums): (Vec<SeekPoint>, Vec<_>) = cuts.into_iter().unzip();
-            for (point, checksums) in points.iter().zip(checksums) {
-                if let Some(checksums) = checksums {
+            state.window_tally.add(&cuts);
+            let mut points = Vec::with_capacity(cuts.len());
+            for cut in cuts {
+                if let Some(checksums) = cut.checksums {
                     index
                         .checksum_map
-                        .insert(point.compressed_bit_offset, checksums);
+                        .insert(cut.point.compressed_bit_offset, checksums);
                 }
+                points.push(cut.point);
             }
             let keys = points[1..].iter().map(|point| point.compressed_bit_offset);
-            state.verbatim_cuts.extend(keys);
+            state.undeflated_cuts.extend(keys);
             index.block_map.split(points);
         }
         state.pass.chunks.remove(&key);

@@ -13,7 +13,7 @@ use rgz_trace::{Stage, TraceSink};
 
 use crate::cache::Cache;
 use crate::chunk::ChunkDecoder;
-use crate::indexed::{holder, point_at, InteriorPoint};
+use crate::indexed::{holder, point_at, InteriorPoint, WindowTally};
 use crate::metrics::ReaderMetrics;
 use crate::pass::{ChunkBytes, ChunkState, SequentialPass};
 use crate::verify::{StreamVerifier, VerificationMode, VerificationStatistics};
@@ -207,9 +207,9 @@ pub(crate) struct ReaderState {
     /// cut of it, a MiB of output or so apart, once the chunk is stored (see
     /// [`crate::pass`]).
     pub index: GzipIndex,
-    /// The pass's cuts whose windows wait in the map, verbatim, for
+    /// The pass's cuts whose sparse windows wait in the map, undeflated, for
     /// [`ParallelGzipReader::index`] to compress them.
-    pub verbatim_cuts: Vec<u64>,
+    pub undeflated_cuts: Vec<u64>,
     /// The sequential pass and its table of chunks: the prefetch cache,
     /// everything decoded ahead of the reader, through the index too.
     pub pass: SequentialPass,
@@ -227,6 +227,9 @@ pub(crate) struct ReaderState {
     /// index, by the chunk's first bit, weighed by the bytes of window they
     /// hold: see [`crate::indexed`].
     pub interior: Cache<Vec<InteriorPoint>>,
+    /// What the windows of the reader's cuts hold, on average: how close
+    /// together a table's interior windows fit the budget.
+    pub window_tally: WindowTally,
 }
 
 /// What the reader shares with the tasks it has on the pool.  Nothing in
@@ -379,11 +382,12 @@ impl ParallelGzipReader {
                 metrics,
                 state: Mutex::new(ReaderState {
                     index,
-                    verbatim_cuts: Vec::new(),
+                    undeflated_cuts: Vec::new(),
                     pass,
                     resolved_cache: Cache::new(budget),
                     reading_at: 0,
                     interior: Cache::new(budget),
+                    window_tally: WindowTally::default(),
                 }),
                 frontier: AtomicU64::new(0),
                 progress: Condvar::new(),
@@ -517,7 +521,8 @@ impl ParallelGzipReader {
     /// chunk's start or the last cut, each with its window and the CRC
     /// fragments of its bytes — so that a read through the index decodes a
     /// MiB or so, not a chunk, here as in a reader that imports it.  The
-    /// cuts' windows, kept verbatim since the pass, are compressed on the
+    /// cuts' windows are sparse, the bytes before each that the MiB after it
+    /// references; kept undeflated since the pass, they are compressed on the
     /// pool before this returns, once.
     pub fn index(&self) -> GzipIndex {
         let mut state = self.shared.lock();
@@ -530,7 +535,7 @@ impl ParallelGzipReader {
         }
         state.index.uncompressed_size = state.index.block_map.uncompressed_size();
         let index = state.index.clone();
-        let cuts = std::mem::take(&mut state.verbatim_cuts);
+        let cuts = std::mem::take(&mut state.undeflated_cuts);
         drop(state);
         // The index shares the map: an export finds them compressed.
         self.shared.compress_windows(cuts);

@@ -9,6 +9,11 @@ use rgz_io::{FileReader, SharedFileReader};
 mod chunk_table;
 #[allow(unused_imports)]
 pub use chunk_table::chunk_table;
+#[allow(dead_code)]
+#[path = "../../../../tests/common/held_windows.rs"]
+mod held_windows;
+#[allow(unused_imports)]
+pub use held_windows::held_windows;
 
 /// A file whose first bytes are held back until `later_reads` reads of what
 /// follows have begun: the pass cannot commit its first chunk before the

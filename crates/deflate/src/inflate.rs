@@ -17,7 +17,12 @@
 //! loop over two-level tables that runs wherever nothing can go wrong, a
 //! careful per-symbol step over the same tables for everywhere else, and the
 //! single-symbol reference that every error comes from — generic over the
-//! output `Sink`: `ByteSink` or `MarkerSink`.
+//! output `Sink`: `ByteSink` or `MarkerSink`.  Each sink carries the decode's
+//! [`Cutter`], which the block loop asks at every block header, and which
+//! notes every match that reaches below the last windowed cut.  Within a
+//! window after such a cut the fast loop runs an instance whose test of a
+//! match against the call's own start compares against the cut instead, and
+//! notes; everywhere else it runs the instance without.
 //!
 //! Whether the last 32 KiB are marker-free is a question of the block
 //! boundary, and is asked there: the marker phase keeps no account of
@@ -47,6 +52,7 @@ use crate::block::{
     ENTRY_LITERAL,
 };
 use crate::constants::{END_OF_BLOCK, MAX_MATCH, WINDOW_SIZE};
+use crate::cutter::Cutter;
 use crate::markers::{SpeculativeOutput, WindowUsage};
 use crate::DeflateError;
 
@@ -297,6 +303,16 @@ trait Sink {
     /// through [`Sink::copy_match`].
     fn base(&self) -> usize;
 
+    /// The cut rule of the decode, which sees every block header and every
+    /// match that reaches below [`Sink::floor`].
+    fn cutter(&mut self) -> &mut Cutter;
+
+    /// The oldest output index a match can copy from unnoted: the last
+    /// windowed cut, or [`Sink::base`] if that is later.  A match that
+    /// starts before it but not before the base is copied as any other, and
+    /// noted by the cutter.
+    fn floor(&self) -> usize;
+
     /// Maximum total output length (see [`Sink::check_limit`]).
     #[inline]
     fn limit(&self) -> usize {
@@ -333,22 +349,24 @@ trait Sink {
 }
 
 /// One-stage sink: output bytes plus the window that preceded them.
-struct ByteSink<'w> {
-    window: &'w [u8],
+struct ByteSink<'a> {
+    window: &'a [u8],
     out: Output<u8>,
     usage: WindowUsage,
     /// Maximum total output length; decoding errors out once exceeded (used
     /// to bound the expansion of untrusted streams).
     limit: usize,
+    cutter: &'a mut Cutter,
 }
 
-impl<'w> ByteSink<'w> {
-    fn new(window: &'w [u8], out: Vec<u8>, limit: usize) -> Self {
+impl<'a> ByteSink<'a> {
+    fn new(window: &'a [u8], out: Vec<u8>, limit: usize, cutter: &'a mut Cutter) -> Self {
         Self {
             window,
             out: Output::new(out),
             usage: WindowUsage::new(),
             limit,
+            cutter,
         }
     }
 }
@@ -370,6 +388,16 @@ impl Sink for ByteSink<'_> {
     #[inline]
     fn base(&self) -> usize {
         0
+    }
+
+    #[inline]
+    fn cutter(&mut self) -> &mut Cutter {
+        self.cutter
+    }
+
+    #[inline]
+    fn floor(&self) -> usize {
+        self.cutter.floor()
     }
 
     #[inline]
@@ -406,6 +434,9 @@ impl Sink for ByteSink<'_> {
             copy_match_exact(&mut self.out.buf, from, distance, end - from);
         }
         self.out.len = end;
+        if distance > position - self.floor() {
+            self.cutter.note(position, distance, length);
+        }
         Ok(())
     }
 
@@ -439,6 +470,7 @@ struct MarkerSink<'a> {
     /// worth of symbols out, so that nothing decoded later reaches the window
     /// itself and [`Self::usage`] is complete.  `None`: never stop.
     leave: Option<&'a mut dyn FnMut(usize) -> bool>,
+    cutter: &'a mut Cutter,
 }
 
 /// The index of the last marker in `symbols`: a backward scan that tests 32
@@ -462,7 +494,11 @@ fn last_marker(symbols: &[u16]) -> Option<usize> {
 }
 
 impl<'a> MarkerSink<'a> {
-    fn new(out: Vec<u16>, leave: Option<&'a mut dyn FnMut(usize) -> bool>) -> Self {
+    fn new(
+        out: Vec<u16>,
+        leave: Option<&'a mut dyn FnMut(usize) -> bool>,
+        cutter: &'a mut Cutter,
+    ) -> Self {
         Self {
             base: out.len(),
             marker_free_from: out.len(),
@@ -470,6 +506,7 @@ impl<'a> MarkerSink<'a> {
             out: Output::new(out),
             usage: WindowUsage::new(),
             leave,
+            cutter,
         }
     }
 
@@ -502,6 +539,16 @@ impl Sink for MarkerSink<'_> {
     #[inline]
     fn base(&self) -> usize {
         self.base
+    }
+
+    #[inline]
+    fn cutter(&mut self) -> &mut Cutter {
+        self.cutter
+    }
+
+    #[inline]
+    fn floor(&self) -> usize {
+        self.cutter.floor().max(self.base)
     }
 
     fn copy_match(&mut self, distance: usize, length: usize) -> Result<(), DeflateError> {
@@ -538,6 +585,10 @@ impl Sink for MarkerSink<'_> {
             copy_match_exact(&mut self.out.buf, from, distance, end - from);
         }
         self.out.len = end;
+        let position = end - length;
+        if distance > position - self.floor() {
+            self.cutter.note(position, distance, length);
+        }
         Ok(())
     }
 
@@ -629,6 +680,9 @@ impl BlockLoop {
                 block_type: header.block_type,
                 is_final: header.is_final,
             });
+            let offset = sink.len();
+            sink.cutter()
+                .at_block(block_start, offset, header.block_type);
             match (header.block_type, self.fast) {
                 (BlockType::Stored, _) => {
                     let length = read_stored_header(reader)?;
@@ -761,7 +815,7 @@ fn decode_block_fast<S: Sink>(
 // inside vetted kernel modules).
 #[allow(unsafe_code)]
 mod fast_loop {
-    use super::{decode_fast, BitReader, BlockTables, Sink};
+    use super::{decode_fast, BitReader, BlockTables, Sink, WINDOW_SIZE};
 
     /// A build of the fast loop that this CPU can run.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -802,9 +856,26 @@ mod fast_loop {
             }
         }
 
-        /// [`decode_fast`] in this build.
+        /// [`decode_fast`] in this build: the instance that notes matches
+        /// below the sink's floor while the output is within a window of a
+        /// windowed cut, the one that does not everywhere else.
         #[inline]
         pub(super) fn decode<S: Sink>(
+            self,
+            reader: &mut BitReader<'_>,
+            tables: &BlockTables,
+            sink: &mut S,
+        ) -> bool {
+            let floor = sink.floor();
+            if floor > sink.base() && sink.len() < floor + WINDOW_SIZE {
+                self.decode_noting::<S, true>(reader, tables, sink)
+            } else {
+                self.decode_noting::<S, false>(reader, tables, sink)
+            }
+        }
+
+        #[inline]
+        fn decode_noting<S: Sink, const NOTE: bool>(
             self,
             reader: &mut BitReader<'_>,
             tables: &BlockTables,
@@ -814,9 +885,9 @@ mod fast_loop {
             if self.bmi2 {
                 // SAFETY: `bmi2` is set only by `FastLoop::bmi2`, after the
                 // CPU reported both instruction sets.
-                return unsafe { decode_fast_bmi2(reader, tables, sink) };
+                return unsafe { decode_fast_bmi2::<S, NOTE>(reader, tables, sink) };
             }
-            decode_fast(reader, tables, sink)
+            decode_fast::<S, NOTE>(reader, tables, sink)
         }
     }
 
@@ -829,12 +900,12 @@ mod fast_loop {
     // crate buildable on the MSRV toolchain.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "bmi1", enable = "bmi2")]
-    unsafe fn decode_fast_bmi2<S: Sink>(
+    unsafe fn decode_fast_bmi2<S: Sink, const NOTE: bool>(
         reader: &mut BitReader<'_>,
         tables: &BlockTables,
         sink: &mut S,
     ) -> bool {
-        decode_fast(reader, tables, sink)
+        decode_fast::<S, NOTE>(reader, tables, sink)
     }
 }
 
@@ -856,7 +927,10 @@ pub fn active_isa() -> &'static str {
 ///   of the buffer and the sink's limit — established *before* each
 ///   iteration, which then loads, stores and copies unconditionally;
 /// * a match that starts before [`Sink::base`] (into the window, or too far);
-/// * a bit pattern that is no code, or a symbol that must not occur.
+/// * a bit pattern that is no code, or a symbol that must not occur;
+/// * with `NOTE`, the output a window past [`Sink::floor`]: the instance
+///   without, which the rest of the decode runs, has no note in its loop (a
+///   call there, however cold, cost 3–5 % of the loop's speed).
 ///
 /// One iteration starts from at least 56 buffered bits (a branch-free
 /// eight-byte refill): enough for three main-table literals (3 × 11 bits),
@@ -866,22 +940,31 @@ pub fn active_isa() -> &'static str {
 ///
 /// Always inlined: into each of its two builds ([`FastLoop`]).
 #[inline(always)]
-fn decode_fast<S: Sink>(reader: &mut BitReader<'_>, tables: &BlockTables, sink: &mut S) -> bool {
+fn decode_fast<S: Sink, const NOTE: bool>(
+    reader: &mut BitReader<'_>,
+    tables: &BlockTables,
+    sink: &mut S,
+) -> bool {
     let input = reader.data();
     let limit = sink.limit();
     let base = sink.base();
+    let floor = if NOTE { sink.floor() } else { base };
     let output = sink.output();
     if output.buf.len() - output.len < FAST_OUTPUT_MARGIN
         && output.buf.len() < output.buf.capacity()
     {
         output.add_room(FAST_OUTPUT_MARGIN);
     }
-    let (Some(last_input), Some(last_output)) = (
+    let (Some(last_input), Some(mut last_output)) = (
         input.len().checked_sub(FAST_INPUT_MARGIN),
         output.buf.len().min(limit).checked_sub(FAST_OUTPUT_MARGIN),
     ) else {
         return false;
     };
+    if NOTE {
+        // Past a window after the floor no match reaches below it.
+        last_output = last_output.min(floor + WINDOW_SIZE);
+    }
     let BitCursor {
         mut buffer,
         mut bits,
@@ -980,8 +1063,12 @@ fn decode_fast<S: Sink>(reader: &mut BitReader<'_>, tables: &BlockTables, sink: 
             let saved = buffer;
             consume!(distance_entry);
             let distance = entry_value(distance_entry, saved);
-            if distance > len - base {
-                break 'symbols Err(symbol_start);
+            if distance > len - floor {
+                if !NOTE || distance > len - base {
+                    break 'symbols Err(symbol_start);
+                }
+                // Into the window before a cut: copied as any other match.
+                sink.cutter().note(len, distance, length);
             }
 
             let from = len;
@@ -1104,7 +1191,23 @@ pub fn inflate(
     stop_offset: u64,
 ) -> Result<InflateOutcome, DeflateError> {
     let fast = Some(FastLoop::active());
-    inflate_impl(reader, window, out, stop_offset, usize::MAX, fast)
+    let cutter = &mut Cutter::never();
+    inflate_impl(reader, window, out, stop_offset, usize::MAX, fast, cutter)
+}
+
+/// [`inflate`] cutting its output as `cutter` says: its cuts, each windowed
+/// one with the bytes before it that the output after it references, are
+/// [`Cutter::take_cuts`]'s once the call returns.  Hand the same cutter to
+/// every call of a decode whose output shares one buffer.
+pub fn inflate_with_cuts(
+    reader: &mut BitReader<'_>,
+    window: &[u8],
+    out: &mut Vec<u8>,
+    stop_offset: u64,
+    cutter: &mut Cutter,
+) -> Result<InflateOutcome, DeflateError> {
+    let fast = Some(FastLoop::active());
+    inflate_impl(reader, window, out, stop_offset, usize::MAX, fast, cutter)
 }
 
 /// [`inflate`] decoding through the single-symbol reference decoder instead
@@ -1120,7 +1223,8 @@ pub fn inflate_single_symbol(
     out: &mut Vec<u8>,
     stop_offset: u64,
 ) -> Result<InflateOutcome, DeflateError> {
-    inflate_impl(reader, window, out, stop_offset, usize::MAX, None)
+    let cutter = &mut Cutter::never();
+    inflate_impl(reader, window, out, stop_offset, usize::MAX, None, cutter)
 }
 
 /// [`inflate`] with an upper bound on the total length of `out`: decoding an
@@ -1135,7 +1239,8 @@ pub fn inflate_limited(
     output_limit: usize,
 ) -> Result<InflateOutcome, DeflateError> {
     let fast = Some(FastLoop::active());
-    inflate_impl(reader, window, out, stop_offset, output_limit, fast)
+    let cutter = &mut Cutter::never();
+    inflate_impl(reader, window, out, stop_offset, output_limit, fast, cutter)
 }
 
 fn inflate_impl(
@@ -1145,9 +1250,10 @@ fn inflate_impl(
     stop_offset: u64,
     output_limit: usize,
     fast: Option<FastLoop>,
+    cutter: &mut Cutter,
 ) -> Result<InflateOutcome, DeflateError> {
     let start_len = out.len();
-    let mut sink = ByteSink::new(window, std::mem::take(out), output_limit);
+    let mut sink = ByteSink::new(window, std::mem::take(out), output_limit, cutter);
     let mut blocks = BlockLoop::new(fast);
     let exit = blocks.run(reader, &mut sink, start_len, stop_offset);
     // The caller's buffer goes back before an error returns: it may be a
@@ -1174,7 +1280,8 @@ pub fn inflate_two_stage(
     out: &mut Vec<u16>,
     stop_offset: u64,
 ) -> Result<InflateOutcome, DeflateError> {
-    let mut sink = MarkerSink::new(std::mem::take(out), None);
+    let cutter = &mut Cutter::never();
+    let mut sink = MarkerSink::new(std::mem::take(out), None, cutter);
     let base = sink.base;
     let mut blocks = BlockLoop::new(Some(FastLoop::active()));
     let exit = blocks.run(reader, &mut sink, base, stop_offset);
@@ -1208,14 +1315,17 @@ pub fn inflate_two_stage(
 ///
 /// The outcome's `window_usage` covers the marker phase only, and is that of
 /// the whole decode: after the switch every reference resolves inside `out`.
-/// As with the other entry points, what `out` holds after an error is
-/// unspecified — but it still owns every buffer it was given.
+/// `cutter` cuts the output as in [`inflate_with_cuts`], in either phase: a
+/// cut's usage is of symbols, whatever they resolve to.  As with the other
+/// entry points, what `out` holds after an error is unspecified — but it
+/// still owns every buffer it was given.
 pub fn inflate_speculative<W: std::ops::Deref<Target: AsRef<[u8]>>>(
     reader: &mut BitReader<'_>,
     out: &mut SpeculativeOutput,
     stop_offset: u64,
     byte_buffer: impl FnOnce() -> Vec<u8>,
     mut window: impl FnMut(usize) -> WindowAnswer<W>,
+    cutter: &mut Cutter,
 ) -> Result<InflateOutcome, DeflateError> {
     let start_len = out.len();
     let mut blocks = BlockLoop::new(Some(FastLoop::active()));
@@ -1226,7 +1336,7 @@ pub fn inflate_speculative<W: std::ops::Deref<Target: AsRef<[u8]>>>(
             answer = window(decoded);
             !matches!(answer, WindowAnswer::Unknown)
         };
-        let mut sink = MarkerSink::new(std::mem::take(&mut out.prefix), Some(&mut leave));
+        let mut sink = MarkerSink::new(std::mem::take(&mut out.prefix), Some(&mut leave), cutter);
         let exit = blocks.run(reader, &mut sink, start_len, stop_offset);
         out.prefix = sink.out.finish();
         usage = sink.usage;
@@ -1243,7 +1353,7 @@ pub fn inflate_speculative<W: std::ops::Deref<Target: AsRef<[u8]>>>(
             out.resolve_history((*window).as_ref())?;
         }
     }
-    let mut sink = ByteSink::new(&[], std::mem::take(&mut out.bytes), usize::MAX);
+    let mut sink = ByteSink::new(&[], std::mem::take(&mut out.bytes), usize::MAX, cutter);
     let exit = blocks.run(reader, &mut sink, start_len, stop_offset);
     out.bytes = sink.out.finish();
     let stop_reason = exit?.expect("a byte sink never asks to be switched out");
@@ -1254,6 +1364,7 @@ pub fn inflate_speculative<W: std::ops::Deref<Target: AsRef<[u8]>>>(
 mod tests {
     use super::*;
     use crate::compress::{CompressionLevel, CompressorOptions, DeflateCompressor};
+    use crate::cutter::Cut;
     use crate::markers::tests::{contains_markers, window_usage_of};
 
     fn compress(data: &[u8]) -> Vec<u8> {
@@ -1479,15 +1590,21 @@ mod tests {
         let outcome = inflate(&mut reader, &[], &mut out2, u64::MAX).unwrap();
         drop(outcome);
         // Direct unit check of the sink error.
-        let mut sink = ByteSink::new(&[], Vec::new(), usize::MAX);
+        let mut never = Cutter::never();
+        let mut sink = ByteSink::new(&[], Vec::new(), usize::MAX, &mut never);
         assert!(matches!(
             sink.copy_match(5, 3),
             Err(DeflateError::DistanceTooFar { .. })
         ));
     }
 
-    /// What one decode came to: its output, and its outcome or error.
-    type Decoded<T> = (Vec<T>, Result<InflateOutcome, DeflateError>);
+    /// What one decode came to: its output, its outcome or error, and its
+    /// cuts.
+    type Decoded<T> = (Vec<T>, Result<InflateOutcome, DeflateError>, Vec<Cut>);
+
+    /// How far apart the differential tests cut their decodes, windowed and
+    /// stop points.
+    type Spacings = (usize, usize);
 
     fn reader_at(compressed: &[u8], start_bit: u64) -> BitReader<'_> {
         let mut reader = BitReader::new(compressed);
@@ -1496,30 +1613,47 @@ mod tests {
     }
 
     /// One-stage decode of `compressed` from `start_bit` by the `fast` build,
-    /// or by the reference decoder.
+    /// or by the reference decoder, cut `spacings` apart.
     fn decode_bytes(
         compressed: &[u8],
         start_bit: u64,
         window: &[u8],
         fast: Option<FastLoop>,
+        spacings: Spacings,
     ) -> Decoded<u8> {
         let mut out = Vec::new();
         let mut reader = reader_at(compressed, start_bit);
-        let result = inflate_impl(&mut reader, window, &mut out, u64::MAX, usize::MAX, fast);
-        (out, result)
+        let mut cutter = Cutter::new(spacings.0, spacings.1);
+        let result = inflate_impl(
+            &mut reader,
+            window,
+            &mut out,
+            u64::MAX,
+            usize::MAX,
+            fast,
+            &mut cutter,
+        );
+        (out, result, cutter.take_cuts())
     }
 
     /// Two-stage [`decode_bytes`].
-    fn decode_symbols(compressed: &[u8], start_bit: u64, fast: Option<FastLoop>) -> Decoded<u16> {
+    fn decode_symbols(
+        compressed: &[u8],
+        start_bit: u64,
+        fast: Option<FastLoop>,
+        spacings: Spacings,
+    ) -> Decoded<u16> {
         let mut reader = reader_at(compressed, start_bit);
-        let mut sink = MarkerSink::new(Vec::new(), None);
+        let mut cutter = Cutter::new(spacings.0, spacings.1);
+        let mut sink = MarkerSink::new(Vec::new(), None, &mut cutter);
         let mut blocks = BlockLoop::new(fast);
         let exit = blocks.run(&mut reader, &mut sink, 0, u64::MAX);
         let result = exit.map(|stop_reason| {
             let stop_reason = stop_reason.expect("the switch is off");
             blocks.into_outcome(stop_reason, &reader, &sink.usage)
         });
-        (sink.out.finish(), result)
+        let symbols = sink.out.finish();
+        (symbols, result, cutter.take_cuts())
     }
 
     fn assert_decodes_agree<T: PartialEq>(name: &str, fast: Decoded<T>, reference: &Decoded<T>) {
@@ -1530,6 +1664,7 @@ mod tests {
                 assert_eq!(outcome.end_position, expected.end_position, "{name}");
                 assert_eq!(outcome.window_usage, expected.window_usage, "{name}");
                 assert_eq!(outcome.blocks, expected.blocks, "{name}");
+                assert_eq!(fast.2, reference.2, "{name}: cuts");
             }
             (outcome, expected) => {
                 assert_eq!(outcome.as_ref().err(), expected.as_ref().err(), "{name}")
@@ -1546,26 +1681,30 @@ mod tests {
     }
 
     /// Drives each build of the fast loop and the reference decoder over the
-    /// same bits, into bytes (with `window`) and into markers, and asserts
-    /// identical results: output, outcome metadata, and (on failure) the
-    /// exact error.
-    fn assert_paths_agree(compressed: &[u8], start_bit: u64, window: &[u8]) {
+    /// same bits, into bytes (with `window`) and into markers, cut `spacings`
+    /// apart, and asserts identical results: output, outcome metadata, cuts
+    /// with the usage of each, and (on failure) the exact error.  Into bytes
+    /// or into markers, a decode that succeeds both ways cuts alike.
+    fn assert_paths_agree(compressed: &[u8], start_bit: u64, window: &[u8], spacings: Spacings) {
         if start_bit > compressed.len() as u64 * 8 {
             return;
         }
-        let bytes = decode_bytes(compressed, start_bit, window, None);
-        let symbols = decode_symbols(compressed, start_bit, None);
+        let bytes = decode_bytes(compressed, start_bit, window, None, spacings);
+        let symbols = decode_symbols(compressed, start_bit, None, spacings);
+        if let (Ok(_), Ok(_)) = (&bytes.1, &symbols.1) {
+            assert_eq!(bytes.2, symbols.2, "bytes and markers: cuts");
+        }
         for fast_loop in fast_loops() {
             let name = format!("{} build, bytes", fast_loop.name());
             assert_decodes_agree(
                 &name,
-                decode_bytes(compressed, start_bit, window, Some(fast_loop)),
+                decode_bytes(compressed, start_bit, window, Some(fast_loop), spacings),
                 &bytes,
             );
             let name = format!("{} build, markers", fast_loop.name());
             assert_decodes_agree(
                 &name,
-                decode_symbols(compressed, start_bit, Some(fast_loop)),
+                decode_symbols(compressed, start_bit, Some(fast_loop), spacings),
                 &symbols,
             );
         }
@@ -1598,7 +1737,7 @@ mod tests {
                 ..Default::default()
             };
             let compressed = DeflateCompressor::new(options).compress(&data);
-            assert_paths_agree(&compressed, 0, &[]);
+            assert_paths_agree(&compressed, 0, &[], (50_000, 20_000));
         }
     }
 
@@ -1624,11 +1763,12 @@ mod tests {
             .expect("need a block past the first 32 KiB");
         let split = boundary.uncompressed_offset as usize;
         let window = &data[split - WINDOW_SIZE..split];
-        assert_paths_agree(&compressed, boundary.bit_offset, window);
+        assert_paths_agree(&compressed, boundary.bit_offset, window, (20_000, 9_000));
         let fast = Some(FastLoop::active());
-        let (out, _) = decode_bytes(&compressed, boundary.bit_offset, window, fast);
+        let never = (usize::MAX, usize::MAX);
+        let (out, ..) = decode_bytes(&compressed, boundary.bit_offset, window, fast, never);
         assert_eq!(&out[..], &data[split..]);
-        let (symbols, _) = decode_symbols(&compressed, boundary.bit_offset, fast);
+        let (symbols, ..) = decode_symbols(&compressed, boundary.bit_offset, fast, never);
         assert!(contains_markers(&symbols));
     }
 
@@ -1705,7 +1845,8 @@ mod tests {
         /// block sizes, starts at any block and corruption (single-bit flips
         /// or truncation), both builds of the multi-symbol fast path and the
         /// single-symbol reference decoder are bit-for-bit identical — same
-        /// bytes or markers, same metadata, same errors.
+        /// bytes or markers, same metadata, same cuts with the same usage
+        /// each, same errors.
         #[test]
         fn fast_and_reference_paths_are_identical(
             seed in proptest::prelude::any::<u64>(),
@@ -1715,6 +1856,7 @@ mod tests {
             // 0 encodes "no corruption" / "no truncation".
             flip_bit in 0usize..100_000,
             truncate_at in 0usize..100_000,
+            spacings in (1usize..48, 1usize..16),
         ) {
             use rand::rngs::StdRng;
             use rand::{Rng, SeedableRng};
@@ -1747,7 +1889,8 @@ mod tests {
             if truncate_at > 0 {
                 compressed.truncate(truncate_at.min(compressed.len()));
             }
-            assert_paths_agree(&compressed, start.bit_offset, window);
+            let spacings = (spacings.0 * 1024, spacings.1 * 1024);
+            assert_paths_agree(&compressed, start.bit_offset, window, spacings);
         }
     }
 

@@ -11,6 +11,8 @@
 //!   [`inflate_speculative()`], which starts as the second and finishes as the
 //!   first once its markers have died out or its caller has learnt the window.
 //! * [`markers`] — marker replacement and window resolution (second stage).
+//! * [`cutter`] — where a decode cuts its output into seek points, and which
+//!   bytes before each the output after it references: its sparse window.
 //! * [`compress`] — a complete DEFLATE compressor used to build test data
 //!   and benchmark corpora.
 //! * [`matchfinder`] — the reusable hash-chain LZ77 match finder under the
@@ -19,16 +21,18 @@
 pub mod block;
 pub mod compress;
 pub mod constants;
+pub mod cutter;
 pub mod inflate;
 pub mod markers;
 pub mod matchfinder;
 
 pub use block::{BlockType, DynamicHeader};
 pub use compress::{write_stored_block, CompressionLevel, CompressorOptions, DeflateCompressor};
+pub use cutter::{Cut, Cutter};
 pub use inflate::{
     active_isa as inflate_active_isa, inflate, inflate_limited, inflate_single_symbol,
-    inflate_speculative, inflate_two_stage, BlockBoundary, InflateOutcome, StopReason,
-    WindowAnswer, MARKER_BASE,
+    inflate_speculative, inflate_two_stage, inflate_with_cuts, BlockBoundary, InflateOutcome,
+    StopReason, WindowAnswer, MARKER_BASE,
 };
 pub use markers::{
     active_isa as markers_active_isa, replace_markers, replace_markers_hashed,

@@ -96,29 +96,24 @@ impl WindowUsage {
         let mut intervals = Vec::new();
         let mut run_start: Option<usize> = None;
         for (word_index, &word) in self.bits.iter().enumerate() {
-            // Whole-word fast paths keep this a 512-iteration scan for the
-            // common all-clear map (and for dense runs).
+            // From bit to bit where a run starts or ends: a few steps per
+            // run, none per byte.
             let bit_base = word_index * 64;
-            if word == 0 {
-                if let Some(start) = run_start.take() {
-                    intervals.push((start as u32, (bit_base - start) as u32));
+            let mut bit = 0;
+            while bit < 64 {
+                // Inside a run, the next clear bit ends it; outside, the next
+                // set bit starts one.
+                let rest = match run_start {
+                    Some(_) => !word >> bit,
+                    None => word >> bit,
+                };
+                if rest == 0 {
+                    break;
                 }
-                continue;
-            }
-            if word == u64::MAX {
-                run_start.get_or_insert(bit_base);
-                continue;
-            }
-            for offset_in_word in 0..64 {
-                let set = word & (1u64 << offset_in_word) != 0;
-                let bit = bit_base + offset_in_word;
-                match (set, run_start) {
-                    (true, None) => run_start = Some(bit),
-                    (false, Some(start)) => {
-                        intervals.push((start as u32, (bit - start) as u32));
-                        run_start = None;
-                    }
-                    _ => {}
+                bit += rest.trailing_zeros() as usize;
+                match run_start.take() {
+                    Some(start) => intervals.push((start as u32, (bit_base + bit - start) as u32)),
+                    None => run_start = Some(bit_base + bit),
                 }
             }
         }

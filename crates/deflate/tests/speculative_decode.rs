@@ -13,9 +13,9 @@ use rgz_deflate::constants::{
     WINDOW_SIZE,
 };
 use rgz_deflate::{
-    inflate, inflate_speculative, inflate_two_stage, write_stored_block, BlockType,
-    CompressionLevel, CompressorOptions, DeflateCompressor, SpeculativeOutput, Token, WindowAnswer,
-    MARKER_BASE,
+    inflate, inflate_speculative, inflate_two_stage, inflate_with_cuts, write_stored_block,
+    BlockType, CompressionLevel, CompressorOptions, Cutter, DeflateCompressor, SpeculativeOutput,
+    Token, WindowAnswer, MARKER_BASE,
 };
 use rgz_huffman::HuffmanEncoder;
 
@@ -39,8 +39,14 @@ fn assert_hybrid_matches_one_stage(
     assert_handed_hybrid_matches_one_stage(stream, start_bit, stop_bit, window, usize::MAX)
 }
 
+/// How far apart the comparisons below cut their decodes, windowed and
+/// stop points: close enough that cuts fall into the first window, where a
+/// cut's window reaches before the decode's start, and into the marker phase.
+const CUT_SPACINGS: (usize, usize) = (12 * 1024, 5 * 1024);
+
 /// Decodes `stream` from `start_bit` both ways and asserts they agree, the
-/// hybrid's caller knowing `window` from when `arrives_at` symbols are out.
+/// hybrid's caller knowing `window` from when `arrives_at` symbols are out:
+/// cut alike, too, each windowed cut with the same usage.
 fn assert_handed_hybrid_matches_one_stage(
     stream: &[u8],
     start_bit: u64,
@@ -60,7 +66,10 @@ fn assert_handed_hybrid_matches_one_stage(
         };
     };
     let mut expected = Vec::new();
-    let one_stage = inflate(&mut reader, window, &mut expected, stop_bit);
+    let (window_spacing, stop_spacing) = CUT_SPACINGS;
+    let mut cutter = Cutter::new(window_spacing, stop_spacing);
+    let one_stage = inflate_with_cuts(&mut reader, window, &mut expected, stop_bit, &mut cutter);
+    let one_stage_cuts = cutter.take_cuts();
 
     // Twice: into buffers of its own, then into the first round's, recycled
     // as they came back — full of another decode's symbols and bytes, or
@@ -71,6 +80,7 @@ fn assert_handed_hybrid_matches_one_stage(
         let mut reader = reader_at(start_bit).unwrap();
         symbols.clear();
         let mut output = SpeculativeOutput::from(std::mem::take(&mut symbols));
+        let mut cutter = Cutter::new(window_spacing, stop_spacing);
         let hybrid = inflate_speculative(
             &mut reader,
             &mut output,
@@ -84,6 +94,7 @@ fn assert_handed_hybrid_matches_one_stage(
                     WindowAnswer::Unknown
                 }
             },
+            &mut cutter,
         );
         let (prefix_len, tail_len) = (output.prefix().len(), output.tail().len());
         if hybrid.is_ok() {
@@ -91,7 +102,7 @@ fn assert_handed_hybrid_matches_one_stage(
         }
         let resolved = hybrid.and_then(|outcome| {
             output.resolve_into(window, &mut resolved_bytes)?;
-            Ok((outcome, resolved_bytes.clone()))
+            Ok((outcome, resolved_bytes.clone(), cutter.take_cuts()))
         });
         // Next round's tail goes where this round's chunk went, and the
         // other way round.
@@ -102,8 +113,9 @@ fn assert_handed_hybrid_matches_one_stage(
     let (recycled, ..) = rounds.pop().unwrap();
     let (resolved, prefix_len, tail_len) = rounds.pop().unwrap();
     match (&resolved, &recycled) {
-        (Ok((outcome, data)), Ok((recycled_outcome, recycled_data))) => {
+        (Ok((outcome, data, cuts)), Ok((recycled_outcome, recycled_data, recycled_cuts))) => {
             assert_eq!(data, recycled_data);
+            assert_eq!(cuts, recycled_cuts);
             assert_eq!(outcome.blocks, recycled_outcome.blocks);
             assert_eq!(outcome.end_position, recycled_outcome.end_position);
             assert_eq!(outcome.window_usage, recycled_outcome.window_usage);
@@ -113,8 +125,9 @@ fn assert_handed_hybrid_matches_one_stage(
     }
 
     match (one_stage, resolved) {
-        (Ok(one_stage), Ok((hybrid, resolved))) => {
+        (Ok(one_stage), Ok((hybrid, resolved, cuts))) => {
             assert_eq!(resolved, expected);
+            assert_eq!(cuts, one_stage_cuts);
             assert_eq!(hybrid.blocks, one_stage.blocks);
             assert_eq!(hybrid.stop_reason, one_stage.stop_reason);
             assert_eq!(hybrid.end_position, one_stage.end_position);
@@ -132,7 +145,7 @@ fn assert_handed_hybrid_matches_one_stage(
         (one_stage, hybrid) => panic!(
             "decoders disagree: one-stage {:?}, hybrid {:?}",
             one_stage.map(|outcome| outcome.end_position),
-            hybrid.map(|(outcome, _)| outcome.end_position),
+            hybrid.map(|(outcome, ..)| outcome.end_position),
         ),
     }
 }
@@ -336,6 +349,7 @@ fn hybrid_decode_switches_once_markers_die_out_and_never_when_they_do_not() {
         u64::MAX,
         Vec::new,
         WindowAnswer::never,
+        &mut Cutter::never(),
     )
     .unwrap();
     assert_eq!(output.prefix(), &symbols[..seen.prefix_len]);
@@ -508,6 +522,7 @@ fn stored_and_fixed_blocks_before_and_after_the_switch() {
         u64::MAX,
         Vec::new,
         WindowAnswer::never,
+        &mut Cutter::never(),
     )
     .unwrap();
     let types: Vec<BlockType> = outcome.blocks.iter().map(|b| b.block_type).collect();
@@ -641,6 +656,7 @@ fn an_abandoned_decode_ends_at_the_boundary_it_was_told_at() {
                 _ => WindowAnswer::<&[u8]>::Abandon,
             }
         },
+        &mut Cutter::never(),
     )
     .unwrap();
     // Asked at the two boundaries past the first 32 KiB, and not again.
@@ -691,6 +707,7 @@ fn an_output_switched_at_a_member_boundary_is_not_asked() {
             asked += 1;
             WindowAnswer::never(decoded)
         },
+        &mut Cutter::never(),
     )
     .unwrap();
     // A stream's end is no boundary to go on from.
@@ -702,6 +719,7 @@ fn an_output_switched_at_a_member_boundary_is_not_asked() {
         u64::MAX,
         Vec::new,
         |_| -> WindowAnswer<&[u8]> { panic!("asked for a window that is known to be empty") },
+        &mut Cutter::never(),
     )
     .unwrap();
     assert_eq!(output.prefix().len(), 40_010);
@@ -791,6 +809,7 @@ fn assert_switches_where_the_oracle_says(
                     false => WindowAnswer::Unknown,
                 }
             },
+            &mut Cutter::never(),
         )
         .unwrap();
         assert_eq!(outcome.blocks, oracle.blocks);
@@ -943,6 +962,7 @@ fn next_window_needs_the_previous_window_only_for_a_short_tail() {
             stop_bit,
             Vec::new,
             WindowAnswer::never,
+            &mut Cutter::never(),
         )
         .unwrap();
         (output, outcome)
@@ -983,6 +1003,7 @@ fn next_window_needs_the_previous_window_only_for_a_short_tail() {
         u64::MAX,
         Vec::new,
         WindowAnswer::never,
+        &mut Cutter::never(),
     )
     .unwrap();
     let next = output.next_window(&previous).unwrap();
@@ -1002,6 +1023,7 @@ fn next_window_needs_the_previous_window_only_for_a_short_tail() {
         u64::MAX,
         Vec::new,
         WindowAnswer::never,
+        &mut Cutter::never(),
     )
     .unwrap();
     assert_eq!((output.prefix().len(), output.tail().len()), (6, 50));

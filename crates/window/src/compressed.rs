@@ -113,10 +113,90 @@ fn compressor() -> DeflateCompressor {
     })
 }
 
+/// A window held as the bytes of it that a decode from its seek point
+/// references: runs in marker space, each with its bytes, of a window of
+/// known length.  The in-memory form of a sparse record — what a random-access
+/// reader keeps of an interior point's window — rebuilt into a window without
+/// an inflate, and turned into a record ([`Self::record`]) without a deflate.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SparseWindow {
+    /// Length of the window it was cut from.
+    length: usize,
+    /// Sorted marker-space `(offset, length)` runs, inside the window: both
+    /// at most 32 Ki, so two bytes each.
+    runs: Vec<(u16, u16)>,
+    /// The runs' bytes, one after another.
+    bytes: Vec<u8>,
+}
+
+impl SparseWindow {
+    /// Keeps the bytes of the last 32 KiB of `window` named by `usage`
+    /// (sorted marker-space `(offset, length)` runs, as produced by
+    /// [`rgz_deflate::WindowUsage::intervals`]); runs before the window's
+    /// first byte are clipped off.
+    pub fn new(window: &[u8], usage: &[(u32, u32)]) -> Self {
+        let window = window_tail(window);
+        let base = WINDOW_SIZE - window.len();
+        let mut runs = Vec::with_capacity(usage.len());
+        let mut bytes = Vec::new();
+        for &(offset, length) in usage {
+            let start = (offset as usize).max(base);
+            let end = (offset as usize + length as usize).min(WINDOW_SIZE);
+            if start < end {
+                runs.push((start as u16, (end - start) as u16));
+                bytes.extend_from_slice(&window[start - base..end - base]);
+            }
+        }
+        Self {
+            length: window.len(),
+            runs,
+            bytes,
+        }
+    }
+
+    /// Bytes held: the runs' bytes and their bounds.
+    pub fn held_bytes(&self) -> usize {
+        self.bytes.len() + self.runs.len() * std::mem::size_of::<(u16, u16)>()
+    }
+
+    /// The window's bytes from the first run on, every byte outside a run
+    /// zero: what a sparse record stores.
+    fn masked(&self) -> Vec<u8> {
+        let Some(&(first, _)) = self.runs.first() else {
+            return Vec::new();
+        };
+        let mut masked = vec![0u8; WINDOW_SIZE - first as usize];
+        let mut bytes = self.bytes.as_slice();
+        for &(offset, length) in &self.runs {
+            let (run, rest) = bytes.split_at(length as usize);
+            let start = usize::from(offset - first);
+            masked[start..start + run.len()].copy_from_slice(run);
+            bytes = rest;
+        }
+        masked
+    }
+
+    /// The window it was cut from, every byte outside a run zero: all a
+    /// decode from its seek point needs.
+    pub fn window(&self) -> Vec<u8> {
+        let masked = self.masked();
+        let mut window = vec![0u8; self.length - masked.len()];
+        window.extend_from_slice(&masked);
+        window
+    }
+
+    /// The sparse record of the window, its payload not deflated yet:
+    /// [`CompressedWindow::recompressed`] deflates it.
+    pub fn record(&self) -> CompressedWindow {
+        CompressedWindow::verbatim(self.masked(), flags::SPARSE, self.length)
+    }
+}
+
 impl CompressedWindow {
     /// Stores the last 32 KiB of `window` without sparsification.
     pub fn from_window(window: &[u8]) -> Self {
-        Self::build(window_tail(window).to_vec(), None)
+        let window = window_tail(window);
+        Self::verbatim(window.to_vec(), 0, window.len()).deflated()
     }
 
     /// Stores the last 32 KiB of `window` verbatim, skipping compression.
@@ -127,13 +207,7 @@ impl CompressedWindow {
     /// off the critical path.
     pub fn from_window_verbatim(window: &[u8]) -> Self {
         let window = window_tail(window);
-        Self {
-            flags: 0,
-            original_length: window.len() as u32,
-            window_length: window.len() as u32,
-            checksum: crc32(window),
-            payload: window.to_vec(),
-        }
+        Self::verbatim(window.to_vec(), 0, window.len())
     }
 
     /// Stores the last 32 KiB of `window`, keeping only the bytes named by
@@ -141,70 +215,32 @@ impl CompressedWindow {
     /// by [`rgz_deflate::WindowUsage::intervals`]): leading unreferenced
     /// bytes are dropped, all other unreferenced bytes zeroed.
     pub fn from_window_sparse(window: &[u8], usage: &[(u32, u32)]) -> Self {
-        let window = window_tail(window);
-        let original_length = window.len();
-        let base = WINDOW_SIZE - window.len();
-
-        // Clip the usage runs to the part of marker space this window covers.
-        let mut clipped: Vec<(usize, usize)> = Vec::with_capacity(usage.len());
-        for &(offset, length) in usage {
-            let start = (offset as usize).max(base);
-            let end = (offset as usize + length as usize).min(WINDOW_SIZE);
-            if start < end {
-                clipped.push((start, end));
-            }
-        }
-
-        let masked = match clipped.first() {
-            None => Vec::new(),
-            Some(&(min_used, _)) => {
-                let mut masked = vec![0u8; WINDOW_SIZE - min_used];
-                for &(start, end) in &clipped {
-                    masked[start - min_used..end - min_used]
-                        .copy_from_slice(&window[start - base..end - base]);
-                }
-                masked
-            }
-        };
-        Self::build(masked, Some(original_length))
+        SparseWindow::new(window, usage).record().deflated()
     }
 
-    fn build(window: Vec<u8>, sparse_original_length: Option<usize>) -> Self {
-        debug_assert!(window.len() <= WINDOW_SIZE);
-        let mut record_flags = 0u8;
-        if let Some(original) = sparse_original_length {
-            debug_assert!(window.len() <= original);
-            record_flags |= flags::SPARSE;
-        }
-        let original_length = sparse_original_length.unwrap_or(window.len()) as u32;
-        let checksum = crc32(&window);
-        let window_length = window.len() as u32;
-
-        let payload = if window.is_empty() {
-            Vec::new()
-        } else {
-            let compressed = compressor().compress(&window);
-            if compressed.len() < window.len() {
-                record_flags |= flags::COMPRESSED;
-                compressed
-            } else {
-                window
-            }
-        };
+    /// A record whose payload is `window` as it is.
+    fn verbatim(window: Vec<u8>, record_flags: u8, original_length: usize) -> Self {
+        debug_assert!(window.len() <= original_length && original_length <= WINDOW_SIZE);
         Self {
             flags: record_flags,
-            original_length,
-            window_length,
-            checksum,
-            payload,
+            original_length: original_length as u32,
+            window_length: window.len() as u32,
+            checksum: crc32(&window),
+            payload: window,
         }
     }
 
-    /// Attempts to compress a verbatim record's payload, returning `None`
-    /// when the record is already compressed, sparse (recompressing would
-    /// lose its `original_length` padding), empty, or incompressible.
+    /// The record deflated, or as it is if that does not shrink it.
+    fn deflated(self) -> Self {
+        self.recompressed().unwrap_or(self)
+    }
+
+    /// Deflates a record stored verbatim — whole or sparse: the lengths and
+    /// checksum are of the window bytes, which stay what they are — and
+    /// returns `None` when the record is already compressed, empty, or
+    /// incompressible.
     pub fn recompressed(&self) -> Option<Self> {
-        if self.is_compressed() || self.is_sparse() || self.payload.is_empty() {
+        if self.is_compressed() || self.payload.is_empty() {
             return None;
         }
         let compressed = compressor().compress(&self.payload);
@@ -480,10 +516,49 @@ mod tests {
         assert!(recompressed.is_compressed());
         assert!(recompressed.stored_bytes() < window.len() / 4);
         assert_eq!(recompressed.decompress().unwrap(), window);
-        // Already-compressed and sparse records are left alone.
+        // Already-compressed and empty records are left alone.
         assert!(recompressed.recompressed().is_none());
         let sparse = CompressedWindow::from_window_sparse(&window, &[]);
         assert!(sparse.recompressed().is_none());
+    }
+
+    #[test]
+    fn a_sparse_window_is_the_sparse_record_in_memory() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let text: Vec<u8> = (0..WINDOW_SIZE).map(|i| b"sparse runs "[i % 12]).collect();
+        for length in [WINDOW_SIZE, 20_000, 1] {
+            let window = &text[WINDOW_SIZE - length..];
+            let mut usage = Vec::new();
+            let mut offset = rng.gen_range(0..WINDOW_SIZE as u32);
+            while offset < WINDOW_SIZE as u32 {
+                let run = rng.gen_range(1..300).min(WINDOW_SIZE as u32 - offset);
+                usage.push((offset, run));
+                offset += run + rng.gen_range(1..2_000);
+            }
+            let sparse = SparseWindow::new(window, &usage);
+            let record = sparse.record();
+            assert!(record.is_sparse() && !record.is_compressed());
+            // Deflated on the way out, it is the record stored at once.
+            let deflated = record.recompressed().unwrap_or(record);
+            assert_eq!(
+                deflated,
+                CompressedWindow::from_window_sparse(window, &usage)
+            );
+            assert_eq!(deflated.decompress_padded().unwrap(), sparse.window());
+            assert_eq!(sparse.window().len(), length);
+            // Outside the runs, zeros; inside, the window's bytes.
+            let mut expected = vec![0u8; length];
+            let base = WINDOW_SIZE - length;
+            for &(offset, run) in &usage {
+                let (start, end) = ((offset as usize).max(base), (offset + run) as usize);
+                if start < end {
+                    expected[start - base..end - base]
+                        .copy_from_slice(&window[start - base..end - base]);
+                }
+            }
+            assert_eq!(sparse.window(), expected);
+            assert!(sparse.held_bytes() < length.max(64));
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 mod compressed;
 
-pub use compressed::{flags, CompressedWindow, WindowError, MAX_WINDOW_PAYLOAD};
+pub use compressed::{flags, CompressedWindow, SparseWindow, WindowError, MAX_WINDOW_PAYLOAD};
 
 /// Maximum window size preceding a DEFLATE chunk (32 KiB, RFC 1951).
 pub const WINDOW_SIZE: usize = rgz_deflate::constants::WINDOW_SIZE;

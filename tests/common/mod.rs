@@ -8,6 +8,10 @@ use rapidgzip_suite::core::ParallelGzipReader;
 mod chunk_table;
 #[allow(unused_imports)]
 pub use chunk_table::chunk_table;
+#[allow(dead_code)]
+mod held_windows;
+#[allow(unused_imports)]
+pub use held_windows::held_windows;
 
 /// Waits until no task is queued or running on the reader's pool: what was
 /// decoded ahead is done, and the counters stand still.

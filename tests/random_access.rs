@@ -13,7 +13,7 @@ use rapidgzip_suite::io::SharedFileReader;
 use rapidgzip_suite::metrics::{names, MetricsRegistry};
 
 mod common;
-use common::{chunk_table, quiesce};
+use common::{chunk_table, held_windows, quiesce};
 
 fn options() -> ParallelGzipReaderOptions {
     ParallelGzipReaderOptions {
@@ -509,14 +509,20 @@ fn a_jump_keeps_its_chunks_windows_as_close_as_the_budget_lets_them_be() {
 fn a_read_that_goes_on_from_chunk_to_chunk_keeps_its_windows_a_mib_apart() {
     // A read that never jumps keeps the windows of its chunks a MiB apart,
     // whatever the budget would allow: one in each chunk of more than a MiB
-    // of output, whose blocks of 16 KiB put a boundary at the MiB exactly.
+    // of output, whose blocks of 16 KiB put a boundary at the MiB exactly —
+    // each weighing the bytes before it that the MiB after it references.
     let (data, compressed, index, options) = jump_file();
-    let starts = chunk_starts(&index);
-    let long = starts
-        .windows(2)
-        .filter(|chunk| chunk[1] - chunk[0] > 1 << 20);
-    let expected = long.count() as u64 * 32 * 1024;
-    assert_eq!(expected, 7 * 32 * 1024);
+    let points = index.block_map.points();
+    let stops = points[1..].iter().map(|point| point.compressed_bit_offset);
+    let (windows, expected) = points.iter().zip(stops.chain([u64::MAX])).fold(
+        (0, 0),
+        |(windows, bytes), (point, stop)| {
+            let held = held_windows(&compressed, &data, point, stop, 1 << 20);
+            (windows + held.0, bytes + held.1)
+        },
+    );
+    assert_eq!(windows, 7);
+    assert!(expected < 7 * 32 * 1024, "{expected} bytes");
     let registry = Arc::new(MetricsRegistry::new());
     let file = SharedFileReader::from_bytes(compressed);
     let options = options.with_metrics(Arc::clone(&registry));
